@@ -70,6 +70,14 @@ FORMATS = ("text", "json")
 _BASE_CHAIN = 1
 
 
+def check_bounds(max_dim: int, max_apex: int) -> None:
+    """Reject truncation bounds outside the ranges the suites support."""
+    if not DIM_RANGE[0] <= max_dim <= DIM_RANGE[1]:
+        raise MalformedInputError(f"max-dim must lie in {DIM_RANGE}")
+    if not APEX_RANGE[0] <= max_apex <= APEX_RANGE[1]:
+        raise MalformedInputError(f"max-apex must lie in {APEX_RANGE}")
+
+
 @dataclass(frozen=True)
 class WorkspaceConfig:
     """Validated run parameters; unknown keys and out-of-range bounds are
@@ -86,10 +94,7 @@ class WorkspaceConfig:
         for s in self.suites:
             if s not in SUITE_ORDER:
                 raise MalformedInputError(f"unknown suite {s!r}")
-        if not DIM_RANGE[0] <= self.max_dim <= DIM_RANGE[1]:
-            raise MalformedInputError(f"max-dim must lie in {DIM_RANGE}")
-        if not APEX_RANGE[0] <= self.max_apex <= APEX_RANGE[1]:
-            raise MalformedInputError(f"max-apex must lie in {APEX_RANGE}")
+        check_bounds(self.max_dim, self.max_apex)
         if self.fmt not in FORMATS:
             raise MalformedInputError(f"format must be one of {FORMATS}")
 
@@ -153,7 +158,7 @@ def _model_suite(tag: str, L: FiniteLattice) -> VerificationReport:
     return rep
 
 
-def _nagata_theorem_suite(tag: str, ns: NagataSetup) -> VerificationReport:
+def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> VerificationReport:
     """Axioms, hypotheses, then the full construction.  Construction is
     skipped once a gate fails so a designed failure is reported exactly
     where the analysis locates it and nowhere later."""
@@ -167,7 +172,7 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup) -> VerificationReport:
     rep.merge(check_class_consistency(sa), prefix="classes:")
     rep.merge(check_base_change_shriek(ns, sa), prefix="base-change:")
     rep.merge(check_shriek_projection(ns, sa), prefix="projection:")
-    fm = assemble_formalism(ns, sa)
+    fm = assemble_formalism(ns, sa, max_apex=max_apex)
     rep.merge(check_formalism(fm), prefix="formalism:")
     return rep
 
@@ -234,7 +239,7 @@ def _carrier(kind: str, built):
     return None
 
 
-def run_instance_suites(inst: CorpusInstance, suites, max_dim: int) -> list[VerificationReport]:
+def run_instance_suites(inst: CorpusInstance, suites, max_dim: int, max_apex: int) -> list[VerificationReport]:
     built = inst.build()
     reports = []
     for suite in SUITE_ORDER:
@@ -248,7 +253,7 @@ def run_instance_suites(inst: CorpusInstance, suites, max_dim: int) -> list[Veri
             reports.append(_model_suite(inst.name, built))
         elif suite == "theorem":
             if inst.kind == "nagata":
-                reports.append(_nagata_theorem_suite(inst.name, built))
+                reports.append(_nagata_theorem_suite(inst.name, built, max_apex))
             elif inst.kind == "pair":
                 reports.append(_pair_theorem_suite(inst.name, built, inst.options, max_dim))
             elif inst.kind == "localization":
@@ -268,7 +273,7 @@ def _load_input(path: str):
     return ser.loads(text)
 
 
-def _input_reports(tag: str, obj, suites, max_dim: int) -> list[VerificationReport]:
+def _input_reports(tag: str, obj, suites, max_dim: int, max_apex: int) -> list[VerificationReport]:
     reports = []
     if isinstance(obj, FinCategory):
         if "category" in suites:
@@ -282,7 +287,7 @@ def _input_reports(tag: str, obj, suites, max_dim: int) -> list[VerificationRepo
         if "setup" in suites:
             reports.append(_setup_suite(tag, obj.setup))
         if "theorem" in suites:
-            reports.append(_nagata_theorem_suite(tag, obj))
+            reports.append(_nagata_theorem_suite(tag, obj, max_apex))
     elif isinstance(obj, PairDeclaration):
         if "theorem" in suites:
             reports.append(_pair_theorem_suite(tag, obj, {}, max_dim))
@@ -320,17 +325,17 @@ def run(config: WorkspaceConfig):
     if config.inputs:
         for path in config.inputs:
             obj = _load_input(path)
-            for rep in _input_reports(path, obj, config.suites, config.max_dim):
+            for rep in _input_reports(path, obj, config.suites, config.max_dim, config.max_apex):
                 reports.append((rep, rep.passed))
     elif config.instances:
         for name in config.instances:
             inst = instance(name)
-            for rep in run_instance_suites(inst, config.suites, config.max_dim):
+            for rep in run_instance_suites(inst, config.suites, config.max_dim, config.max_apex):
                 reports.append((rep, rep.passed))
     else:
         mode = "expected"
         for inst in corpus():
-            for rep in run_instance_suites(inst, config.suites, config.max_dim):
+            for rep in run_instance_suites(inst, config.suites, config.max_dim, config.max_apex):
                 reports.append((rep, _as_documented(inst, rep)))
 
     code = 0 if all(ok for _, ok in reports) else 1
@@ -541,7 +546,7 @@ def _cmd_shriek_build(args, out) -> int:
 
 def _cmd_shriek_verify(args, out) -> int:
     ns = _nagata_from_args(args)
-    return _emit_report(_nagata_theorem_suite("shriek", ns), args.format, out)
+    return _emit_report(_nagata_theorem_suite("shriek", ns, args.max_apex), args.format, out)
 
 
 def _cmd_formalism_assemble(args, out) -> int:
@@ -701,6 +706,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "max_apex"):
+            check_bounds(args.max_dim, args.max_apex)
         return args.func(args, sys.stdout)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

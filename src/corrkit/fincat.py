@@ -31,7 +31,7 @@ class FinCategory:
         return self.morphisms[m][1]
 
     def hom(self, x: str, y: str) -> list[str]:
-        return [m for m in self.morphism_ids if self.morphisms[m] == (x, y)]
+        return list(self._hom_index.get((x, y), ()))
 
     def comp(self, g: str, f: str) -> str:
         """g after f."""
@@ -52,6 +52,13 @@ class FinCategory:
     @cached_property
     def morphism_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.morphisms))
+
+    @cached_property
+    def _hom_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        index: dict[tuple[str, str], list[str]] = {}
+        for m in self.morphism_ids:
+            index.setdefault(self.morphisms[m], []).append(m)
+        return {xy: tuple(ms) for xy, ms in index.items()}
 
     @cached_property
     def composable_pairs(self) -> tuple[tuple[str, str], ...]:

@@ -31,53 +31,67 @@ class FiniteLattice:
     def __post_init__(self):
         self.elements = tuple(self.elements)
         self.leq = frozenset(self.leq)
-        els = set(self.elements)
-        for a, b in self.leq:
-            if a not in els or b not in els:
-                raise MalformedInputError(f"order mentions unknown element ({a!r}, {b!r})")
+        index: dict = {}
+        for i, x in enumerate(self.elements):
+            index.setdefault(x, i)
+        unknown = [(a, b) for a, b in self.leq if a not in index or b not in index]
+        if unknown:
+            a, b = min(unknown, key=repr)
+            raise MalformedInputError(f"order mentions unknown element ({a!r}, {b!r})")
         for a in self.elements:
             if (a, a) not in self.leq:
                 raise MalformedInputError(f"order not reflexive at {a!r}")
+        # up-sets and down-sets as bitmasks over first positions (Ait-Kaci
+        # et al., TOPLAS 1989); every scan below runs in `elements` order so
+        # the first witness does not depend on set iteration order
+        up = dict.fromkeys(index, 0)
+        down = dict.fromkeys(index, 0)
         for a, b in self.leq:
-            if a != b and (b, a) in self.leq:
-                raise MalformedInputError(f"order not antisymmetric on ({a!r}, {b!r})")
-            for b2, c in self.leq:
-                if b2 == b and (a, c) not in self.leq:
+            up[a] |= 1 << index[b]
+            down[b] |= 1 << index[a]
+        above = {a: tuple(b for b in index if up[a] >> index[b] & 1) for a in index}
+        for a in self.elements:
+            for b in above[a]:
+                if a != b and up[b] >> index[a] & 1:
+                    raise MalformedInputError(f"order not antisymmetric on ({a!r}, {b!r})")
+                if up[b] & ~up[a]:
                     raise MalformedInputError(f"order not transitive via {b!r}")
+        self._index = index
+        self._above = above
+        # x is the meet of a and b iff down[x] == down[a] & down[b]; a
+        # repeated element is never a unique meet or join
+        repeated = {x for i, x in enumerate(self.elements) if index[x] != i}
+        by_down = {down[x]: x for x in index}
+        by_up = {up[x]: x for x in index}
         self._meet = {}
         self._join = {}
         for a in self.elements:
             for b in self.elements:
-                lower = [x for x in self.elements if self.le(x, a) and self.le(x, b)]
-                best = [x for x in lower if all(self.le(y, x) for y in lower)]
-                if len(best) != 1:
+                m = by_down.get(down[a] & down[b])
+                if m is None or m in repeated:
                     raise MalformedInputError(f"no meet for ({a!r}, {b!r})")
-                self._meet[(a, b)] = best[0]
-                upper = [x for x in self.elements if self.le(a, x) and self.le(b, x)]
-                best = [x for x in upper if all(self.le(x, y) for y in upper)]
-                if len(best) != 1:
+                self._meet[(a, b)] = m
+                j = by_up.get(up[a] & up[b])
+                if j is None or j in repeated:
                     raise MalformedInputError(f"no join for ({a!r}, {b!r})")
-                self._join[(a, b)] = best[0]
-        bots = [x for x in self.elements if all(self.le(x, y) for y in self.elements)]
-        tops = [x for x in self.elements if all(self.le(y, x) for y in self.elements)]
-        if len(bots) != 1 or len(tops) != 1:
+                self._join[(a, b)] = j
+        # no element repeats past the meet loop, so positions are indices
+        full = (1 << len(self.elements)) - 1
+        if full not in by_up or full not in by_down:
             raise MalformedInputError("lattice must be bounded")
-        self.bot, self.top = bots[0], tops[0]
+        self.bot, self.top = by_up[full], by_down[full]
         if self.tensor_table is not None:
+            t = self.tensor_table
             for a in self.elements:
                 for b in self.elements:
-                    if (a, b) not in self.tensor_table:
+                    if (a, b) not in t:
                         raise MalformedInputError(f"tensor table missing ({a!r}, {b!r})")
             for a in self.elements:
                 for b in self.elements:
-                    for b2 in self.elements:
-                        if self.le(b, b2) and not self.le(
-                            self.tensor_table[(a, b)], self.tensor_table[(a, b2)]
-                        ):
+                    for b2 in above[b]:
+                        if (t[(a, b)], t[(a, b2)]) not in self.leq:
                             raise MalformedInputError("tensor not monotone in second slot")
-                        if self.le(b, b2) and not self.le(
-                            self.tensor_table[(b, a)], self.tensor_table[(b2, a)]
-                        ):
+                        if (t[(b, a)], t[(b2, a)]) not in self.leq:
                             raise MalformedInputError("tensor not monotone in first slot")
 
     def le(self, a: str, b: str) -> bool:
@@ -131,15 +145,20 @@ class LatticeMap:
     table: dict
 
     def __post_init__(self):
-        missing = [x for x in self.src.elements if x not in self.table]
+        src, dst, t = self.src, self.dst, self.table
+        missing = [x for x in src.elements if x not in t]
         if missing:
             raise MalformedInputError(f"map not total: {missing[:3]}")
-        for x in self.src.elements:
-            if self.table[x] not in self.dst.elements:
-                raise MalformedInputError(f"value {self.table[x]!r} outside codomain")
-        for a in self.src.elements:
-            for b in self.src.elements:
-                if self.src.le(a, b) and not self.dst.le(self.table[a], self.table[b]):
+        if len(t) != len(src.elements):
+            extra = sorted((x for x in t if x not in src._index), key=repr)
+            raise MalformedInputError(f"map defined outside its domain: {extra[:3]}")
+        for x in src.elements:
+            if t[x] not in dst._index:
+                raise MalformedInputError(f"value {t[x]!r} outside codomain")
+        for a in src.elements:
+            ta = t[a]
+            for b in src._above[a]:
+                if (ta, t[b]) not in dst.leq:
                     raise MalformedInputError(f"not monotone on ({a!r}, {b!r})")
 
     def __call__(self, x: str) -> str:
@@ -411,12 +430,15 @@ class CoefficientSystem:
                 raise MalformedInputError(f"restriction for {m!r} mistyped")
             if r(r.src.top) != r.dst.top:
                 raise MalformedInputError(f"restriction for {m!r} drops the unit")
+        # tables are compared directly: a composite LatticeMap would only
+        # re-prove the monotonicity its factors already have
         for x in c.objects:
-            if not self.restriction[c.identity[x]].same_table(identity_map(self.lattices[x])):
+            if self.restriction[c.identity[x]].table != {u: u for u in self.lattices[x].elements}:
                 raise MalformedInputError(f"identity restriction at {x!r} is not the identity")
         for g, f in c.composable_pairs:
-            expected = compose_maps(self.restriction[f], self.restriction[g])
-            if not self.restriction[c.comp(g, f)].same_table(expected):
+            rf = self.restriction[f].table
+            expected = {u: rf[v] for u, v in self.restriction[g].table.items()}
+            if self.restriction[c.compose[(g, f)]].table != expected:
                 raise MalformedInputError(f"restriction not functorial on ({g!r}, {f!r})")
 
     def lattice(self, x: str) -> FiniteLattice:

@@ -110,12 +110,11 @@ def factorizations(ns: NagataSetup, f: str) -> list[Compactification]:
     x, y = c.morphisms[f]
     out = []
     for k in c.objects:
+        # the hom-sets type every pair, so the table is read directly
+        ps = [p for p in c.hom(k, y) if p in ns.p_class.members]
         for j in c.hom(x, k):
-            if j not in ns.i_class.members:
-                continue
-            for p in c.hom(k, y):
-                if p in ns.p_class.members and c.comp(p, j) == f:
-                    out.append((k, j, p))
+            if j in ns.i_class.members:
+                out.extend((k, j, p) for p in ps if c.compose[(p, j)] == f)
     return [Compactification(ns, f, k, j, p) for k, j, p in sorted(out)]
 
 

@@ -256,24 +256,20 @@ def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> Verificatio
 
     total = covered = 0
     assoc_witness = None
-    for x in feet:
-        for y in feet:
-            for z in feet:
-                for t in feet:
-                    for a in spans[(x, y)]:
-                        for b in spans[(y, z)]:
-                            for d in spans[(z, t)]:
-                                total += 1
-                                try:
-                                    lhs = compose_spans(s, compose_spans(s, a, b), d)
-                                    rhs = compose_spans(s, a, compose_spans(s, b, d))
-                                except MalformedInputError:
-                                    continue
-                                covered += 1
-                                if span_class_key(c, lhs) != span_class_key(c, rhs):
-                                    assoc_witness = {
-                                        "triple": [[a.left, a.right], [b.left, b.right], [d.left, d.right]]
-                                    }
+    for x, y, z, t in itertools.product(feet, repeat=4):
+        for a, b, d in itertools.product(spans[(x, y)], spans[(y, z)], spans[(z, t)]):
+            total += 1
+            try:
+                lhs = compose_spans(s, compose_spans(s, a, b), d)
+                rhs = compose_spans(s, a, compose_spans(s, b, d))
+            except MalformedInputError:
+                continue
+            covered += 1
+            if span_class_key(c, lhs) != span_class_key(c, rhs):
+                assoc_witness = {"triple": [[a.left, a.right], [b.left, b.right], [d.left, d.right]]}
+                break
+        if assoc_witness:
+            break
     rep.add(
         "associativity-up-to-iso",
         assoc_witness is None,

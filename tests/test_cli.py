@@ -127,6 +127,39 @@ def test_config_rejects_out_of_range_bounds():
         WorkspaceConfig(fmt="xml")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--max-dim", "3"),
+        ("run", "--max-apex", "0"),
+        ("shriek", "verify", "--max-apex", "7"),
+        ("corr", "hocat", "--max-apex", "1000000000"),
+        ("formalism", "assemble", "--max-apex", "-1000000000"),
+        ("descend", "extend-c", "--max-dim", "-1"),
+        ("descend", "extend-e", "--max-dim", "1000000000"),
+        ("model", "check", "--law", "kunneth", "--max-dim", "3"),
+        ("localize", "check", "--max-apex", "0"),
+    ],
+)
+def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: max-")
+
+
+def test_run_forwards_max_apex(capsys):
+    # the formalism enumerates spans through the 2-element apex, so a bound
+    # of 1 is a resource limit rather than a silently smaller check
+    argv = ("run", "--instance", "nagata-open", "--suite", "theorem", "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert invoke(capsys, *argv, "--max-apex", "2")[:2] == (0, out)
+    code, out, err = invoke(capsys, *argv, "--max-apex", "1")
+    assert code == 1 and out == ""
+    assert "exceeds the class bound 1" in err
+
+
 def test_run_api_mirrors_cli(capsys):
     code, payload = run(WorkspaceConfig(instances=("localization-interval",)))
     assert code == 0

@@ -304,3 +304,16 @@ def test_enumerate_functors_edge_filter_prunes():
         )
     )
     assert fs and all(F.mor_map["0<=1"] in finset_skeleton(2).iso_ids for F in fs)
+
+
+def test_hom_index_matches_linear_scan():
+    for c in (finset_skeleton(3), finset_category({"1": 1, "2": 2, "4": 4})):
+        for x in c.objects:
+            for y in c.objects:
+                scan = [m for m in c.morphism_ids if c.morphisms[m] == (x, y)]
+                got = c.hom(x, y)
+                assert got == scan
+                # callers may mutate what they get back
+                got.append("junk")
+                assert c.hom(x, y) == scan
+        assert c.hom("no-such-object", c.objects[0]) == []

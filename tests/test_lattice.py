@@ -1,6 +1,13 @@
 """Lattices, Galois connections, mates, and coefficient systems."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import corrkit
 
 from corrkit.fincat import chain_category, finset_skeleton
 from corrkit.lattices import (
@@ -66,6 +73,40 @@ def test_lattice_validation():
         FiniteLattice(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
 
 
+def _broken_orders():
+    # a chain without its transitive pairs, and a three-element cycle
+    chain = ("0", "1", "2", "3", "4")
+    cycle = ("a", "b", "c")
+    return [
+        (chain, {(x, x) for x in chain} | set(zip(chain, chain[1:]))),
+        (cycle, {(x, y) for x in cycle for y in cycle}),
+    ]
+
+
+def test_order_witness_is_first_in_element_order():
+    expected = ["order not transitive via '1'", "order not antisymmetric on ('a', 'b')"]
+    for (els, leq), message in zip(_broken_orders(), expected):
+        with pytest.raises(MalformedInputError) as exc:
+            FiniteLattice(els, frozenset(leq))
+        assert str(exc.value) == message
+    # the witness must not depend on string hashing, so other hash seeds
+    # run in fresh interpreters
+    src = os.path.dirname(os.path.dirname(corrkit.__file__))
+    code = (
+        "from corrkit.lattices import FiniteLattice\n"
+        "from corrkit.report import MalformedInputError\n"
+        f"for els, leq in {_broken_orders()!r}:\n"
+        "    try:\n"
+        "        FiniteLattice(els, frozenset(leq))\n"
+        "    except MalformedInputError as exc:\n"
+        "        print(exc)\n"
+    )
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == expected, seed
+
+
 def test_join_tensor_variant():
     L = n5_lattice("join")
     assert L.tensor("a", "b") == "1"
@@ -87,6 +128,8 @@ def test_lattice_map_validation():
         LatticeMap(L, L, {"0": "1", "1": "0"})  # not monotone
     with pytest.raises(MalformedInputError):
         LatticeMap(L, L, {"0": "0"})  # not total
+    with pytest.raises(MalformedInputError, match="outside its domain"):
+        LatticeMap(L, L, {"0": "0", "1": "1", "2": "1"})
 
 
 # -- adjoints -------------------------------------------------------------
@@ -299,6 +342,17 @@ def test_broken_functoriality_rejected():
         CoefficientSystem(sys.setup, sys.lattices, restriction)
 
 
+def test_non_identity_identity_restriction_rejected():
+    sys = frame2()
+    c = sys.setup.category
+    L = sys.lattice("2")
+    swap = {x: tuple_name(tuple(reversed(x[1:-1].split(",")))) for x in L.elements}
+    restriction = dict(sys.restriction)
+    restriction[c.identity["2"]] = LatticeMap(L, L, swap)
+    with pytest.raises(MalformedInputError, match="identity restriction at '2'"):
+        CoefficientSystem(sys.setup, sys.lattices, restriction)
+
+
 def test_galois_adjoints_match_fiberwise_oracles():
     L = chain_lattice(2)
     c = finset_skeleton(2)
@@ -383,3 +437,160 @@ def test_kunneth_needs_products():
     # the gap instead of deciding
     rep = check_kunneth(sys, "1>1:0", "1>1:0")
     assert rep.passed
+
+
+# -- fast paths against the all-pairs constructions ------------------------
+
+
+def _reference_lattice(elements, leq, tensor=None):
+    """The exhaustive construction the up-set path replaced: every meet,
+    join, bottom and top by search over all elements, and tensor
+    monotonicity over every triple.  Returns (meet, join, bot, top)."""
+    elements, leq = tuple(elements), frozenset(leq)
+
+    def le(a, b):
+        return (a, b) in leq
+
+    els = set(elements)
+    for a, b in leq:
+        if a not in els or b not in els:
+            raise MalformedInputError("order mentions unknown element")
+    for a in elements:
+        if (a, a) not in leq:
+            raise MalformedInputError(f"order not reflexive at {a!r}")
+    for a, b in leq:
+        if a != b and (b, a) in leq:
+            raise MalformedInputError("order not antisymmetric")
+        for b2, c in leq:
+            if b2 == b and (a, c) not in leq:
+                raise MalformedInputError("order not transitive")
+    meet, join = {}, {}
+    for a in elements:
+        for b in elements:
+            lower = [x for x in elements if le(x, a) and le(x, b)]
+            best = [x for x in lower if all(le(y, x) for y in lower)]
+            if len(best) != 1:
+                raise MalformedInputError(f"no meet for ({a!r}, {b!r})")
+            meet[(a, b)] = best[0]
+            upper = [x for x in elements if le(a, x) and le(b, x)]
+            best = [x for x in upper if all(le(x, y) for y in upper)]
+            if len(best) != 1:
+                raise MalformedInputError(f"no join for ({a!r}, {b!r})")
+            join[(a, b)] = best[0]
+    bots = [x for x in elements if all(le(x, y) for y in elements)]
+    tops = [x for x in elements if all(le(y, x) for y in elements)]
+    if len(bots) != 1 or len(tops) != 1:
+        raise MalformedInputError("lattice must be bounded")
+    if tensor is not None:
+        for a in elements:
+            for b in elements:
+                for b2 in elements:
+                    if le(b, b2) and not le(tensor[(a, b)], tensor[(a, b2)]):
+                        raise MalformedInputError("tensor not monotone in second slot")
+                    if le(b, b2) and not le(tensor[(b, a)], tensor[(b2, a)]):
+                        raise MalformedInputError("tensor not monotone in first slot")
+    return meet, join, bots[0], tops[0]
+
+
+# messages whose witness the reference finds in the same order
+_ORDERED_KINDS = ("order not reflexive", "no meet", "no join", "lattice must be bounded", "tensor not")
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except MalformedInputError as exc:
+        return None, str(exc)
+
+
+def _assert_same_lattice(elements, leq, tensor=None):
+    ref, ref_err = _outcome(lambda: _reference_lattice(elements, leq, tensor))
+    got, err = _outcome(lambda: FiniteLattice(elements, frozenset(leq), tensor))
+    assert (ref_err is None) == (err is None), (ref_err, err)
+    if ref_err is not None:
+        if ref_err.startswith(_ORDERED_KINDS):
+            assert err == ref_err
+        return
+    meet, join, bot, top = ref
+    assert {p: got.meet(*p) for p in meet} == meet
+    assert {p: got.join(*p) for p in join} == join
+    assert (got.bot, got.top) == (bot, top)
+
+
+@st.composite
+def small_relations(draw):
+    """Up to five elements in a drawn order with a drawn relation: either
+    arbitrary pairs, or the reflexive-transitive closure of upward pairs
+    (always a partial order, often a lattice) with a few pairs removed."""
+    n = draw(st.integers(0, 5))
+    elements = draw(st.permutations([f"e{i}" for i in range(n)]))
+    if draw(st.booleans()):
+        if elements and draw(st.booleans()):
+            # repeat one element
+            elements = elements + [draw(st.sampled_from(elements))]
+        pairs = [(a, b) for a in elements for b in elements]
+        return elements, set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    names = sorted(elements)
+    up = {(a, b) for i, a in enumerate(names) for b in names[i + 1 :]}
+    leq = set(draw(st.lists(st.sampled_from(sorted(up)), unique=True))) if up else set()
+    leq |= {(a, a) for a in names}
+    changed = True
+    while changed:
+        closed = leq | {(a, c) for a, b in leq for b2, c in leq if b == b2}
+        changed = closed != leq
+        leq = closed
+    drop = draw(st.lists(st.sampled_from(sorted(leq)), max_size=2)) if leq else []
+    return elements, leq - set(drop)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_relations())
+def test_lattice_tables_match_exhaustive_search(rel):
+    _assert_same_lattice(*rel)
+
+
+def _small_lattices():
+    m3 = ("0", "a", "b", "c", "1")
+    m3_leq = {(x, x) for x in m3} | {("0", x) for x in m3} | {(x, "1") for x in m3}
+    return [
+        chain_lattice(0),
+        chain_lattice(1),
+        chain_lattice(2),
+        n5_lattice(),
+        FiniteLattice(m3, frozenset(m3_leq)),
+        power_lattice(chain_lattice(1), 2),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tensor_monotonicity_matches_exhaustive_scan(data):
+    L = data.draw(st.sampled_from(_small_lattices()))
+    pairs = [(a, b) for a in L.elements for b in L.elements]
+    kind = data.draw(st.sampled_from(("meet", "join", "random")))
+    if kind == "meet":
+        tensor = {p: L.meet(*p) for p in pairs}
+    elif kind == "join":
+        tensor = {p: L.join(*p) for p in pairs}
+    else:
+        values = data.draw(st.lists(st.sampled_from(L.elements), min_size=len(pairs), max_size=len(pairs)))
+        tensor = dict(zip(pairs, values))
+    _assert_same_lattice(L.elements, L.leq, tensor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lattice_map_monotonicity_matches_all_pairs(data):
+    L = data.draw(st.sampled_from(_small_lattices()))
+    M = data.draw(st.sampled_from(_small_lattices()))
+    values = data.draw(st.lists(st.sampled_from(M.elements), min_size=len(L.elements), max_size=len(L.elements)))
+    table = dict(zip(L.elements, values))
+    witness = next(
+        ((a, b) for a in L.elements for b in L.elements if L.le(a, b) and not M.le(table[a], table[b])),
+        None,
+    )
+    _, err = _outcome(lambda: LatticeMap(L, M, table))
+    if witness is None:
+        assert err is None
+    else:
+        assert err == f"not monotone on ({witness[0]!r}, {witness[1]!r})"

@@ -102,6 +102,26 @@ def _facts(ns, f):
     return factorizations(ns, f)
 
 
+def test_factorizations_match_comp_loop():
+    def reference(ns, f):
+        c = ns.setup.category
+        x, y = c.morphisms[f]
+        out = []
+        for k in c.objects:
+            for j in c.hom(x, k):
+                if j not in ns.i_class.members:
+                    continue
+                for p in c.hom(k, y):
+                    if p in ns.p_class.members and c.comp(p, j) == f:
+                        out.append((k, j, p))
+        return sorted(out)
+
+    s3 = _setup(3)
+    for ns in (ns_open(), ns_proper(), ns_inj_surj(), ns_inj_all(), ns_inj_surj(s3), ns_open(s3)):
+        for f in ns.setup.category.morphism_ids:
+            assert [(cf.obj, cf.j, cf.p) for cf in _facts(ns, f)] == reference(ns, f)
+
+
 def test_canonical_factorization_is_least():
     ns = ns_inj_surj(_setup(3))
     facts = _facts(ns, "1>2:0")

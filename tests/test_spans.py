@@ -1,5 +1,7 @@
 """Span composition, the homotopy category, coproducts, tensor edges, grids."""
 
+import itertools
+
 import pytest
 
 from corrkit.fincat import (
@@ -155,6 +157,21 @@ def test_span_laws_small():
     assert rep.passed
     cov = next(ch for ch in rep.checks if ch.name == "associativity-up-to-iso")
     assert cov.witness["covered"] > 0
+
+
+def test_span_laws_report_first_failing_triple(monkeypatch):
+    # a key that tells every span apart breaks associativity on every
+    # covered triple; the witness must be the first in scan order
+    import corrkit.spans as spans_mod
+
+    s = setup_all(1)
+    keys = itertools.count()
+    monkeypatch.setattr(spans_mod, "span_class_key", lambda c, sp: next(keys))
+    rep = check_span_laws(s, ["1"], apex_bound=1)
+    first = spans_between(s, "1", "1", 1)[0]
+    assoc = next(ch for ch in rep.checks if ch.name == "associativity-up-to-iso")
+    assert assoc.status == "fail"
+    assert assoc.witness == {"triple": [[first.left, first.right]] * 3}
 
 
 # -- correspondence simplices ---------------------------------------------
