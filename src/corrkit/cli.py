@@ -172,8 +172,12 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
     rep.merge(check_class_consistency(sa), prefix="classes:")
     rep.merge(check_base_change_shriek(ns, sa), prefix="base-change:")
     rep.merge(check_shriek_projection(ns, sa), prefix="projection:")
-    fm = assemble_formalism(ns, sa, max_apex=max_apex)
-    rep.merge(check_formalism(fm), prefix="formalism:")
+    try:
+        formalism = check_formalism(assemble_formalism(ns, sa, max_apex=max_apex))
+    except ResourceLimitError as exc:
+        rep.add_limit("formalism:span-classes", {"reason": str(exc)}, anchor="functor-on-span-classes")
+        return rep
+    rep.merge(formalism, prefix="formalism:")
     return rep
 
 
@@ -681,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="brute-force searches")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("nagata", help="scan class pairs for valid factorization setups")
-    q.add_argument("--format", choices=FORMATS, default="json")
+    q.add_argument("--format", choices=("json",), default="json")
     q.set_defaults(func=_cmd_search_nagata)
 
     p = sub.add_parser("descend", help="descent-based extension")

@@ -1,9 +1,11 @@
-"""Explicit finite categories, functors, and limit search by universal property.
+"""Explicit finite categories, functors, and limits.
 
 A category is a set of opaque string ids plus total tables; every structural
 law is decidable by exhaustive enumeration.  Object and morphism ids carry a
 declared total order (tuple sort) so all derived enumerations are
-deterministic.
+deterministic.  Limits are found by universal-property search, except that
+fiber products in an all-function carrier are constructed directly, in the
+order the search would return them.
 """
 
 from __future__ import annotations
@@ -55,19 +57,25 @@ class FinCategory:
 
     @cached_property
     def _hom_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        index: dict[tuple[str, str], list[str]] = {}
-        for m in self.morphism_ids:
-            index.setdefault(self.morphisms[m], []).append(m)
-        return {xy: tuple(ms) for xy, ms in index.items()}
+        return _group(self.morphism_ids, self.morphisms.__getitem__)
+
+    @cached_property
+    def _out_index(self) -> dict[str, tuple[str, ...]]:
+        return _group(self.morphism_ids, self.src)
+
+    @cached_property
+    def _in_index(self) -> dict[str, tuple[str, ...]]:
+        return _group(self.morphism_ids, self.dst)
+
+    @cached_property
+    def _values(self) -> dict[str, tuple[int, ...]]:
+        """id -> function values, for all-function carriers only."""
+        return {m: fn_values(m) for m in self.morphism_ids}
 
     @cached_property
     def composable_pairs(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for g in self.morphism_ids:
-            for f in self.morphism_ids:
-                if self.dst(f) == self.src(g):
-                    out.append((g, f))
-        return tuple(out)
+        into = self._in_index
+        return tuple((g, f) for g in self.morphism_ids for f in into.get(self.morphisms[g][0], ()))
 
     @cached_property
     def iso_ids(self) -> frozenset[str]:
@@ -113,6 +121,14 @@ class FinCategory:
         bad = rep.first_failure()
         if bad is not None:
             raise MalformedInputError(f"invalid category: {bad.name} {bad.witness}")
+
+
+def _group(ids, key) -> dict:
+    """key -> the ids with that key, each group in the order of `ids`."""
+    index: dict = {}
+    for m in ids:
+        index.setdefault(key(m), []).append(m)
+    return {k: tuple(ms) for k, ms in index.items()}
 
 
 @dataclass(eq=True)
@@ -167,20 +183,24 @@ def check_category(c: FinCategory) -> VerificationReport:
     if bad_entry is not None:
         return rep
 
+    # the table is closed and well typed from here on, so it is read directly
+    compose = c.compose
     unit_witness = None
     for m in c.morphism_ids:
         x, y = c.morphisms[m]
-        if c.comp(m, c.identity[x]) != m or c.comp(c.identity[y], m) != m:
+        if compose[(m, c.identity[x])] != m or compose[(c.identity[y], m)] != m:
             unit_witness = {"morphism": m}
             break
     rep.add("identity-units", unit_witness is None, unit_witness or {})
 
+    # h runs over the ids out of dst(g) in `morphism_ids` order, so the first
+    # witness is the one a scan over every id would find
     assoc_witness = None
+    out = c._out_index
     for g, f in c.composable_pairs:
-        for h in c.morphism_ids:
-            if c.dst(g) != c.src(h):
-                continue
-            if c.comp(h, c.comp(g, f)) != c.comp(c.comp(h, g), f):
+        gf = compose[(g, f)]
+        for h in out.get(c.morphisms[g][1], ()):
+            if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
                 assoc_witness = {"triple": [h, g, f]}
                 break
         if assoc_witness:
@@ -330,7 +350,7 @@ def _fn_id(src: str, dst: str, values: tuple[int, ...]) -> str:
 
 
 def fn_values(m: str) -> tuple[int, ...]:
-    tail = m.split(":", 1)[1]
+    tail = m.rpartition(":")[2]
     return tuple(int(v) for v in tail.split(".")) if tail else ()
 
 
@@ -362,6 +382,49 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
     return cat
 
 
+def verify_all_functions(c: FinCategory, sizes: dict) -> None:
+    """Raise unless `c` is exactly the category of all functions between
+    sets of the given sizes, ids and compose table included: the fiber
+    product construction and the frame systems read ids as function values
+    and trust them."""
+    for x, n in sizes.items():
+        if type(n) is not int or n < 0:
+            raise MalformedInputError(f"size of {x!r} is not a non-negative integer")
+    values = {}
+    count: dict[tuple[str, str], int] = {}
+    for m, (x, y) in c.morphisms.items():
+        if x not in sizes or y not in sizes:
+            raise MalformedInputError(f"morphism {m!r} has an endpoint outside the objects")
+        prefix = f"{x}>{y}:"
+        tail = m[len(prefix):]
+        digits = tail.split(".") if tail else []
+        if not m.startswith(prefix) or not all(v.isascii() and v.isdigit() for v in digits):
+            raise MalformedInputError(f"morphism id {m!r} is not of the form {prefix}v.v")
+        vals = tuple(int(v) for v in digits)
+        if _fn_id(x, y, vals) != m or len(vals) != sizes[x] or any(v >= sizes[y] for v in vals):
+            raise MalformedInputError(f"morphism id {m!r} is not a function of {x!r} into {y!r}")
+        values[m] = vals
+        count[(x, y)] = count.get((x, y), 0) + 1
+    for x in c.objects:
+        for y in c.objects:
+            if count.get((x, y), 0) != sizes[y] ** sizes[x]:
+                raise MalformedInputError(f"hom-set {x!r} -> {y!r} does not hold every function")
+    for x in c.objects:
+        if c.identity.get(x) != _fn_id(x, x, tuple(range(sizes[x]))):
+            raise MalformedInputError(f"identity of {x!r} is not the identity function")
+    into = {y: sum(sizes[y] ** sizes[x] for x in c.objects) for y in c.objects}
+    pairs = sum(into[y] * sum(sizes[z] ** sizes[y] for z in c.objects) for y in c.objects)
+    if len(c.compose) != pairs:
+        raise MalformedInputError(f"compose table has {len(c.compose)} entries, not one per composable pair")
+    for (g, f), h in c.compose.items():
+        if g not in values or f not in values or c.morphisms[f][1] != c.morphisms[g][0]:
+            raise MalformedInputError(f"compose entry {g!r} after {f!r} is not a composable pair")
+        gv = values[g]
+        expected = _fn_id(c.morphisms[f][0], c.morphisms[g][1], tuple(gv[v] for v in values[f]))
+        if h != expected:
+            raise MalformedInputError(f"compose entry {g!r} after {f!r} is {h!r}, not {expected!r}")
+
+
 def finset_skeleton(max_size: int) -> FinCategory:
     return finset_category({str(k): k for k in range(max_size + 1)})
 
@@ -386,7 +449,7 @@ def surjections(c: FinCategory) -> frozenset[str]:
     return frozenset(out)
 
 
-# -- limit search by universal property ----------------------------------
+# -- limits by universal property, fiber products of functions -------------
 
 
 def terminal_objects(c: FinCategory) -> list[str]:
@@ -395,21 +458,26 @@ def terminal_objects(c: FinCategory) -> list[str]:
 
 def _is_pullback(c: FinCategory, f: str, g: str, apex: str, p: str, q: str) -> bool:
     """Does (apex, p: apex->src f, q: apex->src g) satisfy the universal
-    property of the cospan (f: X->Z, g: Y->Z)?  Checked against every object."""
+    property of the cospan (f: X->Z, g: Y->Z)?  Checked against every object:
+    each commuting (u: T->X, v: T->Y) must be hit by exactly one mediator
+    w: T->apex, counted over (p.w, q.w)."""
     if c.comp(f, p) != c.comp(g, q):
         return False
+    if c.src(p) != apex or c.src(q) != apex:
+        raise MalformedInputError(f"span legs {p!r}, {q!r} do not start at {apex!r}")
+    compose, homs = c.compose, c._hom_index
+    x, y = c.src(f), c.src(g)
     for t in c.objects:
-        for u in c.hom(t, c.src(f)):
-            fu = c.comp(f, u)
-            for v in c.hom(t, c.src(g)):
-                if fu != c.comp(g, v):
-                    continue
-                mediators = [
-                    w
-                    for w in c.hom(t, apex)
-                    if c.comp(p, w) == u and c.comp(q, w) == v
-                ]
-                if len(mediators) != 1:
+        hits: dict[tuple[str, str], int] = {}
+        for w in homs.get((t, apex), ()):
+            uv = (compose[(p, w)], compose[(q, w)])
+            hits[uv] = hits.get(uv, 0) + 1
+        by_gv: dict[str, list[str]] = {}
+        for v in homs.get((t, y), ()):
+            by_gv.setdefault(compose[(g, v)], []).append(v)
+        for u in homs.get((t, x), ()):
+            for v in by_gv.get(compose[(f, u)], ()):
+                if hits.get((u, v)) != 1:
                     return False
     return True
 
@@ -429,30 +497,31 @@ def pullback_candidates(c: FinCategory, f: str, g: str) -> list[tuple[str, str, 
 
 
 def _finset_canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] | None:
-    """Fast path over all-function carriers: a span is a pullback of (f, g)
-    exactly when it commutes, is jointly injective, and its apex has the
-    fiber-product cardinality.  Enumeration order matches the generic
+    """Fiber product in an all-function carrier, constructed: the apex is the
+    first object with |P| elements, P = {(x, y) : f(x) = g(y)}, and the legs
+    list P sorted by the decimal strings of (x, y).  Ids order by those
+    strings, so this is the first pullback in id order, the generic
     lexicographic minimum."""
+    values = c._values
+    fx, gy = values[f], values[g]
+    fiber = sorted(
+        ((x, y) for x, fv in enumerate(fx) for y, gv in enumerate(gy) if fv == gv),
+        key=lambda xy: (str(xy[0]), str(xy[1])),
+    )
     sizes = c.object_size  # type: ignore[attr-defined]
-    fx, gy = fn_values(f), fn_values(g)
-    size = sum(1 for x in fx for y in gy if x == y)
     for apex in c.objects:
-        if sizes[apex] != size:
-            continue
-        for p in c.hom(apex, c.src(f)):
-            pv = fn_values(p)
-            for q in c.hom(apex, c.src(g)):
-                qv = fn_values(q)
-                if (
-                    all(fx[pv[i]] == gy[qv[i]] for i in range(size))
-                    and len({(pv[i], qv[i]) for i in range(size)}) == size
-                ):
-                    return (apex, p, q)
+        if sizes[apex] == len(fiber):
+            p = _fn_id(apex, c.src(f), tuple(x for x, _ in fiber))
+            q = _fn_id(apex, c.src(g), tuple(y for _, y in fiber))
+            return (apex, p, q)
     return None
 
 
 def canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] | None:
-    """Lexicographically minimal pullback representative, or None."""
+    """Lexicographically minimal pullback representative, or None.
+
+    Constructed in an all-function carrier (one with `object_size`), found
+    by universal-property search in any other."""
     if c.dst(f) != c.dst(g):
         raise MalformedInputError("not a cospan")
     if hasattr(c, "object_size"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .descent import Atlas, LocalizationProblem, PairDeclaration, identity_atlas
-from .fincat import FinCategory, FunctorData
+from .fincat import FinCategory, FunctorData, verify_all_functions
 from .lattices import FiniteLattice
 from .report import MalformedInputError
 from .setups import EdgeClass, GeometricSetup
@@ -81,7 +81,8 @@ def category_from_dict(d: dict) -> FinCategory:
         bad = sorted(set(sizes) ^ set(c.objects))
         if bad:
             raise MalformedInputError(f"sizes do not match objects at {bad[0]!r}")
-        c.object_size = {k: int(v) for k, v in sizes.items()}  # type: ignore[attr-defined]
+        verify_all_functions(c, sizes)
+        c.object_size = dict(sizes)  # type: ignore[attr-defined]
     return c
 
 

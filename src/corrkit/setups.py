@@ -2,10 +2,12 @@
 
 A geometric setup is a finite category with a class E of morphisms that
 contains the isomorphisms, is closed under composition, and whose members
-base-change along arbitrary morphisms.  Pullbacks are found by exhaustive
-universal-property search; in a carrier that is missing some fiber products
-the oracle is partial, and `check_geometric_setup` reports coverage rather
-than inventing objects (pass `require_total=True` to make gaps a failure).
+base-change along arbitrary morphisms.  Pullbacks come from
+`fincat.canonical_pullback`: constructed from function values in an
+all-function carrier, found by exhaustive universal-property search
+elsewhere.  In a carrier that is missing some fiber products the oracle is
+partial, and `check_geometric_setup` reports coverage rather than inventing
+objects (pass `require_total=True` to make gaps a failure).
 """
 
 from __future__ import annotations

@@ -156,8 +156,12 @@ def test_run_forwards_max_apex(capsys):
     assert code == 0
     assert invoke(capsys, *argv, "--max-apex", "2")[:2] == (0, out)
     code, out, err = invoke(capsys, *argv, "--max-apex", "1")
-    assert code == 1 and out == ""
-    assert "exceeds the class bound 1" in err
+    assert code == 1 and err == ""
+    (report,) = json.loads(out)["reports"]
+    limits = [c for c in report["checks"] if c["status"] == "resource-limit"]
+    assert [c["name"] for c in limits] == ["formalism:span-classes"]
+    assert "exceeds the class bound 1" in limits[0]["witness"]["reason"]
+    assert report["checks"][-1] == limits[0]
 
 
 def test_run_api_mirrors_cli(capsys):
@@ -201,6 +205,14 @@ def test_search_nagata_catalog(capsys):
     assert len(rows) == 16
     good = {(r["i"], r["p"]) for r in rows if r["axioms"] and r["hypotheses"]}
     assert ("all", "isos") in good and ("isos", "all") in good
+
+
+def test_search_nagata_accepts_only_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "nagata", "--format", "text"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
+    assert invoke(capsys, "search", "nagata", "--format", "json")[0] == 0
 
 
 def test_corr_coproduct(capsys):

@@ -1,6 +1,7 @@
 """Table-level category checks against hand-computed oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrkit.fincat import (
     FinCategory,
@@ -317,3 +318,139 @@ def test_hom_index_matches_linear_scan():
                 got.append("junk")
                 assert c.hom(x, y) == scan
         assert c.hom("no-such-object", c.objects[0]) == []
+
+
+# -- constructed and indexed paths vs the searches they replaced ------------
+
+
+def _search_pullback(c, f, g):
+    """The hom-set search the finset fiber product used to run."""
+    sizes = c.object_size
+    fx, gy = fn_values(f), fn_values(g)
+    size = sum(1 for x in fx for y in gy if x == y)
+    for apex in c.objects:
+        if sizes[apex] != size:
+            continue
+        for p in c.hom(apex, c.src(f)):
+            pv = fn_values(p)
+            for q in c.hom(apex, c.src(g)):
+                qv = fn_values(q)
+                if (
+                    all(fx[pv[i]] == gy[qv[i]] for i in range(size))
+                    and len({(pv[i], qv[i]) for i in range(size)}) == size
+                ):
+                    return (apex, p, q)
+    return None
+
+
+def _scan_is_pullback(c, f, g, apex, p, q):
+    """The universal-property check as a rescan for mediators per (u, v)."""
+    if c.comp(f, p) != c.comp(g, q):
+        return False
+    for t in c.objects:
+        for u in c.hom(t, c.src(f)):
+            fu = c.comp(f, u)
+            for v in c.hom(t, c.src(g)):
+                if fu != c.comp(g, v):
+                    continue
+                mediators = [w for w in c.hom(t, apex) if c.comp(p, w) == u and c.comp(q, w) == v]
+                if len(mediators) != 1:
+                    return False
+    return True
+
+
+def _scan_associativity(c):
+    """The first associativity witness of a scan over every id."""
+    pairs = [(g, f) for g in c.morphism_ids for f in c.morphism_ids if c.dst(f) == c.src(g)]
+    for g, f in pairs:
+        for h in c.morphism_ids:
+            if c.dst(g) != c.src(h):
+                continue
+            if c.comp(h, c.comp(g, f)) != c.comp(c.comp(h, g), f):
+                return {"triple": [h, g, f]}
+    return None
+
+
+SKEL2 = finset_skeleton(2)
+SKEL3 = finset_skeleton(3)
+# two objects of each of the sizes 1 and 2, named out of size order
+TWINS = finset_category({"a": 2, "b": 1, "c": 2, "d": 0, "e": 1})
+CHAIN = chain_category(3)
+
+
+def _cospans(c):
+    return [(f, g) for f in c.morphism_ids for g in c.morphism_ids if c.dst(f) == c.dst(g)]
+
+
+def test_constructed_pullback_matches_search_on_every_skeleton2_cospan():
+    for c in (SKEL2, TWINS):
+        for f, g in _cospans(c):
+            got = canonical_pullback(c, f, g)
+            assert got == _search_pullback(c, f, g)
+            cands = pullback_candidates(c, f, g)
+            assert got == (min(cands) if cands else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_cospans(SKEL3)))
+def test_constructed_pullback_matches_search_on_skeleton3(fg):
+    f, g = fg
+    got = canonical_pullback(SKEL3, f, g)
+    assert got == _search_pullback(SKEL3, f, g)
+    cands = pullback_candidates(SKEL3, f, g)
+    assert got == (min(cands) if cands else None)
+
+
+@st.composite
+def spans_over_cospans(draw, c):
+    f, g = draw(st.sampled_from(_cospans(c)))
+    apex = draw(st.sampled_from(c.objects))
+    ps, qs = c.hom(apex, c.src(f)), c.hom(apex, c.src(g))
+    if not ps or not qs:
+        return f, g, apex, None, None
+    p = draw(st.sampled_from(ps))
+    commuting = [q for q in qs if c.comp(f, p) == c.comp(g, q)]
+    if commuting and draw(st.booleans()):
+        return f, g, apex, p, draw(st.sampled_from(commuting))
+    return f, g, apex, p, draw(st.sampled_from(qs))
+
+
+@pytest.mark.parametrize("c", [SKEL2, TWINS, CHAIN], ids=["finset-2", "twins", "chain-3"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mediator_count_matches_rescan(c, data):
+    f, g, apex, p, q = data.draw(spans_over_cospans(c))
+    if p is None:
+        return
+    assert verify_pullback_square(c, f, g, apex, p, q) == _scan_is_pullback(c, f, g, apex, p, q)
+
+
+def test_pullback_legs_must_start_at_the_apex():
+    c = SKEL2
+    i = c.identity["1"]
+    with pytest.raises(MalformedInputError):
+        verify_pullback_square(c, i, i, "2", i, i)
+
+
+def test_composable_pairs_keep_scan_order():
+    for c in (SKEL2, TWINS, CHAIN):
+        scan = [(g, f) for g in c.morphism_ids for f in c.morphism_ids if c.dst(f) == c.src(g)]
+        assert list(c.composable_pairs) == scan
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_first_associativity_witness_matches_scan(data):
+    c = TWINS
+    bad = FinCategory(c.objects, dict(c.morphisms), dict(c.identity), dict(c.compose))
+    # rewire a few entries to other ids of the same typing: still a closed
+    # table, but no longer associative (or unital)
+    for g, f in data.draw(st.lists(st.sampled_from(c.composable_pairs), min_size=1, max_size=3)):
+        bad.compose[(g, f)] = data.draw(st.sampled_from(c.hom(c.src(f), c.dst(g))))
+    rep = check_category(bad)
+    closed, _, assoc = rep.checks[1], rep.checks[2], rep.checks[3]
+    assert closed.name == "composition-table-closed" and closed.status == "pass"
+    assert assoc.name == "associativity"
+    expected = _scan_associativity(bad)
+    assert (assoc.status == "pass") == (expected is None)
+    assert assoc.witness == (expected or {})

@@ -3,10 +3,14 @@
 import pytest
 
 from corrkit import serialization as ser
-from corrkit.corpus import instance
-from corrkit.fincat import chain_category, finset_skeleton
+from corrkit.cli import main
+from corrkit.corpus import corpus, instance
+from corrkit.descent import LocalizationProblem, PairDeclaration
+from corrkit.fincat import FinCategory, chain_category, finset_skeleton
 from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
+from corrkit.setups import GeometricSetup
+from corrkit.shriek import NagataSetup
 
 
 def test_category_round_trip():
@@ -57,8 +61,6 @@ def test_category_sizes_must_match_objects():
 def test_compose_separator_collision_rejected():
     c = chain_category(1)
     renamed = {m: m.replace("<=", ser.COMPOSE_SEP) for m in c.morphism_ids}
-    from corrkit.fincat import FinCategory
-
     bad = FinCategory(
         c.objects,
         {renamed[m]: c.morphisms[m] for m in c.morphism_ids},
@@ -128,3 +130,108 @@ def test_loads_reports_position():
 def test_dumps_deterministic():
     d = ser.lattice_to_dict(n5_lattice())
     assert ser.dumps(d) == ser.dumps(dict(reversed(list(d.items()))))
+
+
+# -- sizes carriers are verified on load --------------------------------------
+
+
+def _corpus_carriers():
+    for inst in corpus():
+        built = inst.build()
+        if isinstance(built, GeometricSetup):
+            yield inst.name, built.category
+        elif isinstance(built, NagataSetup):
+            yield inst.name, built.setup.category
+        elif isinstance(built, PairDeclaration):
+            yield inst.name, built.big.category
+        elif isinstance(built, LocalizationProblem):
+            yield inst.name, built.p.source
+
+
+def test_every_corpus_finset_carrier_round_trips():
+    seen = 0
+    for name, c in _corpus_carriers():
+        if not hasattr(c, "object_size"):
+            continue
+        seen += 1
+        back = ser.loads(ser.dumps(ser.category_to_dict(c)))
+        assert (back.objects, back.morphisms, back.identity) == (c.objects, c.morphisms, c.identity), name
+        assert back.compose == c.compose and back.object_size == c.object_size, name
+    assert seen == 11
+
+
+def _rename(d, old, new):
+    """The envelope with one morphism id replaced everywhere it occurs."""
+    sep = ser.COMPOSE_SEP
+    for entry in d["morphisms"]:
+        if entry["id"] == old:
+            entry["id"] = new
+    d["identities"] = {x: new if m == old else m for x, m in d["identities"].items()}
+    compose = {}
+    for key, h in d["compose"].items():
+        g, _, f = key.partition(sep)
+        g, f = (new if m == old else m for m in (g, f))
+        compose[f"{g}{sep}{f}"] = new if h == old else h
+    d["compose"] = compose
+    return d
+
+
+def _drop_function(d):
+    d["morphisms"] = [e for e in d["morphisms"] if e["id"] != "1>2:1"]
+    return d
+
+
+def _wrong_composite(d):
+    key = f"2>2:1.0{ser.COMPOSE_SEP}2>2:1.0"
+    assert d["compose"][key] == "2>2:0.1"
+    d["compose"][key] = "2>2:1.1"
+    return d
+
+
+def _drop_composite(d):
+    del d["compose"][f"2>2:1.0{ser.COMPOSE_SEP}2>2:1.0"]
+    return d
+
+
+def _bad_size(d):
+    d["sizes"]["0"] = "x"
+    return d
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: _rename(d, "2>2:1.0", "swap"), "not of the form"),
+        (lambda d: _rename(d, "2>2:1.0", "2>2:1.00"), "is not a function"),
+        (lambda d: _rename(d, "1>2:1", "1>2:2"), "is not a function"),
+        (lambda d: _rename(d, "2>1:0.0", "2>1:0"), "is not a function"),
+        (lambda d: _rename(d, "2>2:0.1", "2>2:0.1.0"), "is not a function"),
+        (_drop_function, "does not hold every function"),
+        (lambda d: _rename(d, "1>1:0", "1>1:"), "is not a function"),
+        (_wrong_composite, "compose entry"),
+        (_drop_composite, "one per composable pair"),
+        (_bad_size, "non-negative integer"),
+    ],
+    ids=[
+        "not-a-function-id", "leading-zero", "out-of-range", "short", "long", "missing", "empty",
+        "compose", "compose-missing", "size",
+    ],
+)
+def test_malformed_sizes_carrier_exits_2(tmp_path, capsys, mutate, message):
+    d = mutate(ser.category_to_dict(finset_skeleton(2)))
+    path = tmp_path / "bad.json"
+    path.write_text(ser.dumps(d))
+    with pytest.raises(MalformedInputError, match=message):
+        ser.category_from_dict(d)
+    code = main(["run", "--input", str(path), "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
+def test_wrong_identity_rejected():
+    d = ser.category_to_dict(finset_skeleton(2))
+    d["identities"]["2"] = "2>2:1.0"
+    with pytest.raises(MalformedInputError, match="identity"):
+        ser.category_from_dict(d)
