@@ -13,7 +13,7 @@ localization problems.  The localized category itself is never built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import (
@@ -41,6 +41,8 @@ class Atlas:
     x: str
     s: EdgeClass
     small_objects: tuple[str, ...]
+    # (id of a setup, level) -> (that setup, its nerve or the build error message)
+    _nerves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.setup.category
@@ -178,9 +180,25 @@ def cech_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
     """The nerve of an atlas, built from the canonical pullback oracle.
 
     A missing fiber product in the carrier raises; callers that can fall
-    back to a lower truncation do so explicitly."""
+    back to a lower truncation do so explicitly.  Each (setup, atlas,
+    level) is built and identity-checked once; later calls return the same
+    diagram or raise the same error again."""
     if not 0 <= m <= 2:
         raise MalformedInputError("truncation level must be 0, 1, or 2")
+    key = (id(setup), m)
+    if key not in atlas._nerves:
+        # the entry holds the setup, so its id is not reused while cached
+        try:
+            atlas._nerves[key] = (setup, _build_nerve(setup, atlas, m))
+        except MalformedInputError as exc:
+            atlas._nerves[key] = (setup, str(exc))
+    built = atlas._nerves[key][1]
+    if isinstance(built, str):
+        raise MalformedInputError(built)
+    return built
+
+
+def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
     c = setup.category
     x = atlas.x
     x0 = c.src(x)

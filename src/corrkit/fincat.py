@@ -161,24 +161,7 @@ def check_category(c: FinCategory) -> VerificationReport:
     if dangling:
         return rep
 
-    bad_entry = None
-    table_pairs = set(c.compose)
-    for g, f in c.composable_pairs:
-        h = c.compose.get((g, f))
-        if h is None:
-            bad_entry = {"pair": [g, f], "problem": "missing entry"}
-            break
-        if h not in c.morphisms:
-            bad_entry = {"pair": [g, f], "problem": "unlisted result", "result": h}
-            break
-        if c.morphisms[h] != (c.src(f), c.dst(g)):
-            bad_entry = {"pair": [g, f], "problem": "wrong typing", "result": h}
-            break
-    if bad_entry is None:
-        extra = table_pairs - set(c.composable_pairs)
-        if extra:
-            g, f = sorted(extra)[0]
-            bad_entry = {"pair": [g, f], "problem": "non-composable entry"}
+    bad_entry = compose_table_witness(c)
     rep.add("composition-table-closed", bad_entry is None, bad_entry or {})
     if bad_entry is not None:
         return rep
@@ -207,6 +190,25 @@ def check_category(c: FinCategory) -> VerificationReport:
             break
     rep.add("associativity", assoc_witness is None, assoc_witness or {})
     return rep
+
+
+def compose_table_witness(c: FinCategory) -> dict | None:
+    """The first composable pair whose compose entry is missing, unlisted
+    or mistyped, else the least entry on a pair that does not compose;
+    None when the table holds exactly one well-typed entry per pair."""
+    for g, f in c.composable_pairs:
+        h = c.compose.get((g, f))
+        if h is None:
+            return {"pair": [g, f], "problem": "missing entry"}
+        if h not in c.morphisms:
+            return {"pair": [g, f], "problem": "unlisted result", "result": h}
+        if c.morphisms[h] != (c.src(f), c.dst(g)):
+            return {"pair": [g, f], "problem": "wrong typing", "result": h}
+    extra = set(c.compose) - set(c.composable_pairs)
+    if extra:
+        g, f = sorted(extra)[0]
+        return {"pair": [g, f], "problem": "non-composable entry"}
+    return None
 
 
 def check_functor(F: FunctorData) -> VerificationReport:

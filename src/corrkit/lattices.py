@@ -8,7 +8,8 @@ external-product identity are decided by finite sweeps with witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import FinCategory, canonical_product, fn_values
@@ -50,6 +51,7 @@ class FiniteLattice:
             up[a] |= 1 << index[b]
             down[b] |= 1 << index[a]
         above = {a: tuple(b for b in index if up[a] >> index[b] & 1) for a in index}
+        below = {a: tuple(b for b in index if down[a] >> index[b] & 1) for a in index}
         for a in self.elements:
             for b in above[a]:
                 if a != b and up[b] >> index[a] & 1:
@@ -58,6 +60,7 @@ class FiniteLattice:
                     raise MalformedInputError(f"order not transitive via {b!r}")
         self._index = index
         self._above = above
+        self._below = below
         # x is the meet of a and b iff down[x] == down[a] & down[b]; a
         # repeated element is never a unique meet or join
         repeated = {x for i, x in enumerate(self.elements) if index[x] != i}
@@ -80,19 +83,52 @@ class FiniteLattice:
         if full not in by_up or full not in by_down:
             raise MalformedInputError("lattice must be bounded")
         self.bot, self.top = by_up[full], by_down[full]
+        self._tensor = self._meet if self.tensor_table is None else self.tensor_table
         if self.tensor_table is not None:
             t = self.tensor_table
             for a in self.elements:
                 for b in self.elements:
                     if (a, b) not in t:
                         raise MalformedInputError(f"tensor table missing ({a!r}, {b!r})")
+            if len(t) != len(index) ** 2:
+                extra = sorted((p for p in t if p[0] not in index or p[1] not in index), key=repr)
+                raise MalformedInputError(f"tensor table defined outside the lattice: {extra[:3]}")
             for a in self.elements:
                 for b in self.elements:
-                    for b2 in above[b]:
-                        if (t[(a, b)], t[(a, b2)]) not in self.leq:
-                            raise MalformedInputError("tensor not monotone in second slot")
-                        if (t[(b, a)], t[(b2, a)]) not in self.leq:
-                            raise MalformedInputError("tensor not monotone in first slot")
+                    if t[(a, b)] not in index:
+                        raise MalformedInputError(f"tensor value {t[(a, b)]!r} outside the lattice")
+            # the order is transitive, so every b <= b2 is a chain of covers
+            # and monotone along covers is monotone; a failing cover sends
+            # the scan back over all pairs for the first witness
+            if self._tensor_failure(self._covers(up)) is not None:
+                pairs = [(b, b2) for b in self.elements for b2 in above[b]]
+                raise MalformedInputError(self._tensor_failure(pairs))
+
+    def _covers(self, up: dict) -> list[tuple[str, str]]:
+        """Pairs b < b2 with nothing strictly between, in `elements` order."""
+        index = self._index
+        strict = {b: up[b] & ~(1 << index[b]) for b in index}
+        out = []
+        for b in self.elements:
+            beyond = 0
+            for c in self._above[b]:
+                if c != b:
+                    beyond |= strict[c]
+            cover = strict[b] & ~beyond
+            out.extend((b, c) for c in self._above[b] if cover >> index[c] & 1)
+        return out
+
+    def _tensor_failure(self, pairs) -> str | None:
+        """The first slot, over a and then pairs b <= b2 in order, in which
+        the tensor fails to be monotone; None if it is monotone along all."""
+        t, leq = self.tensor_table, self.leq
+        for a in self.elements:
+            for b, b2 in pairs:
+                if (t[(a, b)], t[(a, b2)]) not in leq:
+                    return "tensor not monotone in second slot"
+                if (t[(b, a)], t[(b2, a)]) not in leq:
+                    return "tensor not monotone in first slot"
+        return None
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
@@ -104,9 +140,7 @@ class FiniteLattice:
         return self._join[(a, b)]
 
     def tensor(self, a: str, b: str) -> str:
-        if self.tensor_table is None:
-            return self.meet(a, b)
-        return self.tensor_table[(a, b)]
+        return self._tensor[(a, b)]
 
     def join_all(self, xs) -> str:
         out = self.bot
@@ -143,6 +177,8 @@ class LatticeMap:
     src: FiniteLattice
     dst: FiniteLattice
     table: dict
+    # "left"/"right" -> the adjoint or None, filled by left_/right_adjoint
+    _adjoints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         src, dst, t = self.src, self.dst, self.table
@@ -178,35 +214,44 @@ def compose_maps(g: LatticeMap, f: LatticeMap) -> LatticeMap:
     return LatticeMap(f.src, g.dst, {x: g(f(x)) for x in f.src.elements})
 
 
-def _adjunction_holds_left(cand: LatticeMap, m: LatticeMap) -> bool:
-    # cand: M -> L is left adjoint to m: L -> M iff cand(x) <= y <=> x <= m(y)
-    L, M = m.src, m.dst
-    return all(
-        L.le(cand(x), y) == M.le(x, m(y)) for x in M.elements for y in L.elements
-    )
+def _unit_counit(lower: LatticeMap, upper: LatticeMap) -> bool:
+    """lower -| upper, for monotone lower: A -> B and upper: B -> A: the
+    unit x <= upper(lower(x)) on A and the counit lower(upper(y)) <= y on
+    B (Davey and Priestley, Introduction to Lattices and Order, ch. 7)."""
+    lo, up = lower.table, upper.table
+    a_leq, b_leq = lower.src.leq, lower.dst.leq
+    return all((x, up[lo[x]]) in a_leq for x in lo) and all((lo[up[y]], y) in b_leq for y in up)
 
 
-def _adjunction_holds_right(cand: LatticeMap, m: LatticeMap) -> bool:
-    # cand: M -> L is right adjoint to m: L -> M iff m(y) <= x <=> y <= cand(x)
-    L, M = m.src, m.dst
-    return all(
-        M.le(m(y), x) == L.le(y, cand(x)) for x in M.elements for y in L.elements
-    )
+def _fibers(m: LatticeMap, cone: dict) -> dict:
+    """x -> the y with x in cone[m(y)], for x in the codomain."""
+    out: dict = {x: [] for x in m.dst.elements}
+    for y in m.src.elements:
+        for x in cone[m.table[y]]:
+            out[x].append(y)
+    return out
 
 
 def left_adjoint(m: LatticeMap) -> LatticeMap | None:
-    """Candidate by the meet formula, then the adjunction law on all pairs."""
-    L, M = m.src, m.dst
-    table = {x: L.meet_all(y for y in L.elements if M.le(x, m(y))) for x in M.elements}
-    cand = LatticeMap(M, L, table)
-    return cand if _adjunction_holds_left(cand, m) else None
+    """The adjoint by the meet formula, or None; computed once per map."""
+    if "left" not in m._adjoints:
+        L, M = m.src, m.dst
+        # {y : x <= m(y)}, gathered from the down-set of each value
+        fibers = _fibers(m, M._below)
+        cand = LatticeMap(M, L, {x: L.meet_all(ys) for x, ys in fibers.items()})
+        m._adjoints["left"] = cand if _unit_counit(cand, m) else None
+    return m._adjoints["left"]
 
 
 def right_adjoint(m: LatticeMap) -> LatticeMap | None:
-    L, M = m.src, m.dst
-    table = {x: L.join_all(y for y in L.elements if M.le(m(y), x)) for x in M.elements}
-    cand = LatticeMap(M, L, table)
-    return cand if _adjunction_holds_right(cand, m) else None
+    """The adjoint by the join formula, or None; computed once per map."""
+    if "right" not in m._adjoints:
+        L, M = m.src, m.dst
+        # {y : m(y) <= x}, gathered from the up-set of each value
+        fibers = _fibers(m, M._above)
+        cand = LatticeMap(M, L, {x: L.join_all(ys) for x, ys in fibers.items()})
+        m._adjoints["right"] = cand if _unit_counit(m, cand) else None
+    return m._adjoints["right"]
 
 
 def monotone_maps_between(L: FiniteLattice, M: FiniteLattice):
@@ -223,20 +268,20 @@ def monotone_maps_between(L: FiniteLattice, M: FiniteLattice):
 
 
 class GaloisMap:
-    """A pullback map with its adjoints, each verified at construction."""
+    """A pullback map with its adjoints, read from the map's own memo."""
 
     def __init__(self, pullback: LatticeMap):
         self.pullback = pullback
 
-    @cached_property
+    @property
     def sharp(self) -> LatticeMap | None:
         return left_adjoint(self.pullback)
 
-    @cached_property
+    @property
     def star(self) -> LatticeMap | None:
         return right_adjoint(self.pullback)
 
-    @cached_property
+    @property
     def upper(self) -> LatticeMap | None:
         """Right adjoint of the star map when both exist."""
         star = self.star
@@ -244,13 +289,16 @@ class GaloisMap:
 
 
 def check_triangles(g: GaloisMap) -> VerificationReport:
+    """adj . pull . adj == adj and pull . adj . pull == pull, compared on
+    the tables: a composite map would only re-prove monotonicity."""
     rep = VerificationReport("galois-triangles")
-    pull = g.pullback
+    pull = g.pullback.table
     for name, adj in (("sharp", g.sharp), ("star", g.star)):
         if adj is None:
             continue
-        one = compose_maps(adj, compose_maps(pull, adj)).same_table(adj)
-        two = compose_maps(pull, compose_maps(adj, pull)).same_table(pull)
+        a = adj.table
+        one = all(a[pull[a[x]]] == a[x] for x in a)
+        two = all(pull[a[pull[y]]] == pull[y] for y in pull)
         rep.add(f"triangle-{name}-outer", one, {} if one else {"side": name}, anchor="galois-triangle")
         rep.add(f"triangle-{name}-inner", two, {} if two else {"side": name}, anchor="galois-triangle")
     return rep
@@ -299,12 +347,13 @@ def check_adjointable(sq: SquareData, side: str) -> VerificationReport:
         raise MalformedInputError(f"side must be left or right, got {side!r}")
     if ap is None or aq is None:
         raise MalformedInputError(f"missing {side} adjoint on a horizontal map")
-    lhs = compose_maps(sq.u, ap)
-    rhs = compose_maps(aq, sq.v)
+    # u . ap and aq . v, read off the tables in the order of B's elements
+    u, v, ap, aq = sq.u.table, sq.v.table, ap.table, aq.table
     witness = None
     for b in sq.p.dst.elements:
-        if lhs(b) != rhs(b):
-            witness = {"element": b, "via-adjoint-then-down": lhs(b), "via-down-then-adjoint": rhs(b)}
+        down, across = u[ap[b]], aq[v[b]]
+        if down != across:
+            witness = {"element": b, "via-adjoint-then-down": down, "via-down-then-adjoint": across}
             break
     rep.add("mate-is-identity", witness is None, witness or {}, anchor=f"{side}-adjointable-square")
     return rep
@@ -485,16 +534,18 @@ def tuple_name(values) -> str:
 def power_lattice(L: FiniteLattice, size: int) -> FiniteLattice:
     """L^size with the pointwise order; elements are value tuples by name."""
     tuples = list(itertools.product(L.elements, repeat=size))
-    els = tuple(tuple_name(t) for t in tuples)
-    leq = set()
-    for s in tuples:
-        for t in tuples:
-            if all(L.le(a, b) for a, b in zip(s, t)):
-                leq.add((tuple_name(s), tuple_name(t)))
+    name = {t: tuple_name(t) for t in tuples}
+    els = tuple(name.values())
+    # s <= t pointwise: one pair of L's order per coordinate
+    leq = {
+        (name[tuple(a for a, _ in pairs)], name[tuple(b for _, b in pairs)])
+        for pairs in itertools.product(L.leq, repeat=size)
+    }
     tensor = None
     if L.tensor_table is not None:
+        pointwise = L.tensor_table.__getitem__
         tensor = {
-            (tuple_name(s), tuple_name(t)): tuple_name(tuple(L.tensor(a, b) for a, b in zip(s, t)))
+            (name[s], name[t]): name[tuple(map(pointwise, zip(s, t)))]
             for s in tuples
             for t in tuples
         }
@@ -559,35 +610,49 @@ def fiberwise_meet_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, L
 # -- projection formulas and the external product -------------------------
 
 
+def projection_witness(sys: CoefficientSystem, f: str, push: LatticeMap, relation: str) -> dict | None:
+    """The first (E, B), in element order, at which push(E tensor pull(B))
+    and push(E) tensor B are not related by `relation`: "==", "<=" (the
+    pushed tensor below) or ">=".  One sweep over all pairs, on the tables."""
+    c = sys.setup.category
+    x, y = c.morphisms[f]
+    DX, DY = sys.lattice(x), sys.lattice(y)
+    pull, pushed_of = sys.pull(f).table, push.table
+    tx, ty, leq = DX._tensor, DY._tensor, DY.leq
+    holds = {
+        "==": operator.eq,
+        "<=": lambda a, b: (a, b) in leq,
+        ">=": lambda a, b: (b, a) in leq,
+    }.get(relation)
+    if holds is None:
+        raise MalformedInputError(f"relation must be ==, <= or >=, got {relation!r}")
+    for E in DX.elements:
+        pushed_E = pushed_of[E]
+        for B in DY.elements:
+            pushed = pushed_of[tx[(E, pull[B])]]
+            tensored = ty[(pushed_E, B)]
+            if not holds(pushed, tensored):
+                return {"E": E, "B": B, "pushed-tensor": pushed, "tensor-pushed": tensored}
+    return None
+
+
 def check_projection_formula(sys: CoefficientSystem, f: str, flavor: str) -> VerificationReport:
     """sharp: push(E tensor pull(B)) == push(E) tensor B with push the left
     adjoint; star: push(E) tensor B == push(E tensor pull(B)) with the right
     adjoint.  Exhaustive over all pairs."""
     rep = VerificationReport(f"projection-formula-{flavor}")
-    c = sys.setup.category
-    x, y = c.morphisms[f]
-    DX, DY = sys.lattice(x), sys.lattice(y)
-    pull = sys.pull(f)
-    g = sys.galois(f)
-    push = g.sharp if flavor == "sharp" else g.star if flavor == "star" else None
     if flavor not in ("sharp", "star"):
         raise MalformedInputError(f"flavor must be sharp or star, got {flavor!r}")
+    pull = sys.pull(f)
+    push = left_adjoint(pull) if flavor == "sharp" else right_adjoint(pull)
     if push is None:
         raise MalformedInputError(f"{flavor} adjoint missing for {f!r}")
-    witness = None
-    for E in DX.elements:
-        for B in DY.elements:
-            lhs = push(DX.tensor(E, pull(B)))
-            rhs = DY.tensor(push(E), B)
-            if lhs != rhs:
-                witness = {"E": E, "B": B, "pushed-tensor": lhs, "tensor-pushed": rhs}
-                break
-        if witness:
-            break
+    witness = projection_witness(sys, f, push, "==")
+    x, y = sys.setup.category.morphisms[f]
     rep.add(
         "projection-formula",
         witness is None,
-        witness or {"pairs": len(DX.elements) * len(DY.elements)},
+        witness or {"pairs": len(sys.lattice(x).elements) * len(sys.lattice(y).elements)},
         anchor=f"projection-formula-{flavor}",
     )
     return rep

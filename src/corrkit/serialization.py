@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .descent import Atlas, LocalizationProblem, PairDeclaration, identity_atlas
-from .fincat import FinCategory, FunctorData, verify_all_functions
+from .fincat import FinCategory, FunctorData, compose_table_witness, verify_all_functions
 from .lattices import FiniteLattice
 from .report import MalformedInputError
 from .setups import EdgeClass, GeometricSetup
@@ -39,6 +39,27 @@ def _check_fields(d: dict, schema: str, required, optional=()):
         raise MalformedInputError(f"missing field {missing[0]!r} in {schema}")
 
 
+def _strings(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedInputError(f"{what} must be a list of strings")
+    return value
+
+
+def _string_tuples(value, n: int, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{what} must be a list")
+    for entry in value:
+        if not isinstance(entry, list) or len(entry) != n or not all(isinstance(v, str) for v in entry):
+            raise MalformedInputError(f"{what} entry {entry!r} is not a list of {n} strings")
+    return value
+
+
+def _string_map(value, what: str) -> dict:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise MalformedInputError(f"{what} must map strings to strings")
+    return value
+
+
 # -- categories ------------------------------------------------------------
 
 
@@ -63,21 +84,41 @@ def category_to_dict(c: FinCategory) -> dict:
 
 def category_from_dict(d: dict) -> FinCategory:
     _check_fields(d, CATEGORY_SCHEMA, ("objects", "morphisms", "identities", "compose"), ("sizes",))
+    objects = _strings(d["objects"], "objects")
+    if not isinstance(d["morphisms"], list):
+        raise MalformedInputError("morphisms must be a list")
     morphisms = {}
     for entry in d["morphisms"]:
+        if not isinstance(entry, dict):
+            raise MalformedInputError("morphism entry must be an object")
         extra = sorted(set(entry) - {"id", "src", "dst"})
         if extra:
             raise MalformedInputError(f"unknown field {extra[0]!r} in morphism entry")
+        missing = [k for k in ("id", "src", "dst") if k not in entry]
+        if missing:
+            raise MalformedInputError(f"morphism entry lacks {missing[0]!r}")
+        _string_map(entry, "morphism entry")
+        if entry["id"] in morphisms:
+            raise MalformedInputError(f"duplicate morphism id {entry['id']!r}")
         morphisms[entry["id"]] = (entry["src"], entry["dst"])
     compose = {}
-    for key, h in d["compose"].items():
+    for key, h in _string_map(d["compose"], "compose").items():
         g, sep, f = key.partition(COMPOSE_SEP)
         if not sep:
             raise MalformedInputError(f"malformed compose key {key!r}")
         compose[(g, f)] = h
-    c = FinCategory(tuple(d["objects"]), morphisms, dict(d["identities"]), compose)
+    c = FinCategory(tuple(objects), morphisms, dict(_string_map(d["identities"], "identities")), compose)
     sizes = d.get("sizes")
-    if sizes is not None:
+    if sizes is None:
+        # a `sizes` carrier gets the stronger check below
+        bad = compose_table_witness(c)
+        if bad is not None:
+            g, f = bad["pair"]
+            result = f" ({bad['result']!r})" if "result" in bad else ""
+            raise MalformedInputError(f"compose entry {g!r} after {f!r}: {bad['problem']}{result}")
+    else:
+        if not isinstance(sizes, dict):
+            raise MalformedInputError("sizes must map objects to integers")
         bad = sorted(set(sizes) ^ set(c.objects))
         if bad:
             raise MalformedInputError(f"sizes do not match objects at {bad[0]!r}")
@@ -103,11 +144,19 @@ def lattice_to_dict(L: FiniteLattice) -> dict:
 
 def lattice_from_dict(d: dict) -> FiniteLattice:
     _check_fields(d, LATTICE_SCHEMA, ("elements", "leq", "frame"), ("tensor",))
+    elements = _strings(d["elements"], "lattice elements")
+    leq = _string_tuples(d["leq"], 2, "leq")
+    if not isinstance(d["frame"], bool):
+        raise MalformedInputError("frame flag must be true or false")
     tensor = None
     if "tensor" in d:
-        tensor = {(a, b): t for a, b, t in d["tensor"]}
-    L = FiniteLattice(tuple(d["elements"]), frozenset((a, b) for a, b in d["leq"]), tensor)
-    if bool(d["frame"]) != L.is_frame:
+        tensor = {}
+        for a, b, t in _string_tuples(d["tensor"], 3, "tensor"):
+            if (a, b) in tensor:
+                raise MalformedInputError(f"duplicate tensor entry ({a!r}, {b!r})")
+            tensor[(a, b)] = t
+    L = FiniteLattice(tuple(elements), frozenset((a, b) for a, b in leq), tensor)
+    if d["frame"] != L.is_frame:
         raise MalformedInputError("frame flag disagrees with the order tables")
     return L
 

@@ -21,6 +21,7 @@ from .lattices import (
     compose_maps,
     identity_map,
     left_adjoint,
+    projection_witness,
     right_adjoint,
 )
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
@@ -197,28 +198,6 @@ def check_class_consistency(sa: ShriekAssignment) -> VerificationReport:
 # -- hypothesis suite -----------------------------------------------------
 
 
-def _projection_comparison(sys: CoefficientSystem, f: str, push: LatticeMap, flavor: str):
-    """The projection comparison as a directed inequality.
-
-    The hypothesis layer asks for a natural map, and between posets a
-    natural map exists exactly when the inequality holds elementwise:
-    push(E tensor pull B) below push(E) tensor B for the left adjoint,
-    push(E) tensor B below push(E tensor pull B) for the right one.  The
-    model layer's strict-equality checker is separate."""
-    c = sys.setup.category
-    x, y = c.morphisms[f]
-    DX, DY = sys.lattice(x), sys.lattice(y)
-    pull = sys.pull(f)
-    for E in DX.elements:
-        for B in DY.elements:
-            pushed = push(DX.tensor(E, pull(B)))
-            tensored = DY.tensor(push(E), B)
-            ok = DY.le(pushed, tensored) if flavor == "sharp" else DY.le(tensored, pushed)
-            if not ok:
-                return {"E": E, "B": B, "pushed-tensor": pushed, "tensor-pushed": tensored}
-    return None
-
-
 def _grid_square(g):
     """Corner data of a k=2, n=1 grid: cospan legs and their base changes."""
     right = g.edges[((0, 1), 0)]
@@ -243,8 +222,11 @@ def verify_hypotheses(ns: NagataSetup, sys: CoefficientSystem) -> VerificationRe
         witness, count = None, 0
         for f in sorted(cls.members):
             count += 1
+            # between posets the comparison map exists exactly when the
+            # inequality holds elementwise: the left adjoint pushes below,
+            # the right one above
             push = _sharp(sys, f) if flavor == "sharp" else _star(sys, f)
-            found = _projection_comparison(sys, f, push, flavor)
+            found = projection_witness(sys, f, push, "<=" if flavor == "sharp" else ">=")
             if found:
                 witness = {"morphism": f, "witness": found}
                 break
@@ -354,7 +336,7 @@ def check_shriek_projection(ns: NagataSetup, sa: ShriekAssignment) -> Verificati
     witness, count = None, 0
     for f in sorted(ns.setup.e.members):
         count += 1
-        found = _projection_comparison(sa.sys, f, sa.shriek[f], "star")
+        found = projection_witness(sa.sys, f, sa.shriek[f], ">=")
         if found:
             witness = {"morphism": f, "witness": found}
             break

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, determinism, corpus wiring."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
 from corrkit.fincat import check_category
+from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit import serialization as ser
 
@@ -257,3 +259,36 @@ def test_descend_extend_e_requires_exceptional_kind(capsys):
 
 def test_suite_order_is_dependency_order():
     assert SUITE_ORDER == ("category", "setup", "model", "theorem")
+
+
+# -- payload bytes ---------------------------------------------------------
+
+# SHA-256 of the `--format json` output; a refactor must not move these
+# bytes (the model payloads also exit 1 where the pentagon fails a law)
+CORPUS_RUN_SHA256 = "bb188c22527cfbb036731ff94e957e63b7c4f0e6118581007e7cea314dc220b3"
+MODEL_RUN_SHA256 = {
+    "n5-join.json": (1, "8cb77dc11b920f2aa00fa309fc613e80f2ad82696f0c6c23714d8d65751715c8"),
+    "n5.json": (1, "b4a7e9221c2b01e535226ce62d6018b70f076b930b8b969f0a4a9286f5f4b897"),
+    "chain2.json": (0, "4669a0a1a4a17a43acc6b103c32b635c8a99d740000090a2643ef67115eba505"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_corpus_run_bytes_are_pinned(capsys):
+    code, out, _ = invoke(capsys, "run", "--format", "json")
+    assert code == 0
+    assert _sha256(out) == CORPUS_RUN_SHA256
+
+
+def test_model_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # the report is named after the input path, so the inputs are read
+    # by relative name from one directory
+    monkeypatch.chdir(tmp_path)
+    lattices = {"n5-join.json": n5_lattice("join"), "n5.json": n5_lattice(), "chain2.json": chain_lattice(2)}
+    for name, L in lattices.items():
+        (tmp_path / name).write_text(ser.dumps(ser.lattice_to_dict(L)))
+        code, out, _ = invoke(capsys, "run", "--input", name, "--suite", "model", "--format", "json")
+        assert (code, _sha256(out)) == MODEL_RUN_SHA256[name], name

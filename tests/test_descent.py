@@ -162,6 +162,29 @@ def test_nerve_truncation_bound():
         cech_nerve(big(), atlas21(), 3)
 
 
+def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
+    checks = []
+    original = CechDiagram._check_identities
+    monkeypatch.setattr(CechDiagram, "_check_identities", lambda self: (checks.append(self.m), original(self)))
+    a = atlas21()
+    first = cech_nerve(big(), a, 1)
+    assert cech_nerve(big(), a, 1) is first and best_nerve(big(), a).m == 1
+    assert checks == [1]
+    # a level the carrier lacks fails once, and the same error comes back
+    messages = []
+    for _ in range(2):
+        with pytest.raises(MalformedInputError) as exc:
+            cech_nerve(big(), a, 2)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and "no pullback" in messages[0]
+    assert checks == [1]
+    # another atlas or another setup builds its own nerve
+    assert cech_nerve(big(), atlas21(), 1) is not first
+    other = GeometricSetup(big().category, big().e)
+    assert cech_nerve(other, a, 1) is not first
+    assert checks == [1, 1, 1]
+
+
 # -- pair declarations -----------------------------------------------------
 
 

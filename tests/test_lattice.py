@@ -1,8 +1,12 @@
 """Lattices, Galois connections, mates, and coefficient systems."""
 
+import functools
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,7 @@ from corrkit.lattices import (
     LatticeGrid,
     LatticeMap,
     SquareData,
+    _unit_counit,
     chain_lattice,
     check_adjointable,
     check_kunneth,
@@ -32,6 +37,7 @@ from corrkit.lattices import (
     partial_adjoint_grid,
     paste_squares,
     power_lattice,
+    projection_witness,
     right_adjoint,
     tuple_name,
 )
@@ -42,6 +48,20 @@ from corrkit.setups import GeometricSetup, all_class
 def frame2():
     c = finset_skeleton(2)
     return frame_system(GeometricSetup(c, all_class(c)), chain_lattice(1))
+
+
+def adjunction_holds_left(cand, m):
+    """Reference: cand: M -> L is left adjoint to m: L -> M iff
+    cand(x) <= y <=> x <= m(y), over all pairs."""
+    L, M = m.src, m.dst
+    return all(L.le(cand(x), y) == M.le(x, m(y)) for x in M.elements for y in L.elements)
+
+
+def adjunction_holds_right(cand, m):
+    """Reference: cand: M -> L is right adjoint to m: L -> M iff
+    m(y) <= x <=> y <= cand(x), over all pairs."""
+    L, M = m.src, m.dst
+    return all(M.le(m(y), x) == L.le(y, cand(x)) for x in M.elements for y in L.elements)
 
 
 # -- lattices -------------------------------------------------------------
@@ -594,3 +614,220 @@ def test_lattice_map_monotonicity_matches_all_pairs(data):
         assert err is None
     else:
         assert err == f"not monotone on ({witness[0]!r}, {witness[1]!r})"
+
+
+# -- the adjoint layer against the all-pairs law ----------------------------
+
+
+_ACCEPTANCE_LATTICES = (chain_lattice(1), chain_lattice(2), n5_lattice())
+
+
+def test_unit_counit_matches_all_pairs_law_exhaustively():
+    # every monotone map between the acceptance lattices, against every
+    # monotone candidate back, adjoint or not
+    for L in _ACCEPTANCE_LATTICES:
+        for M in _ACCEPTANCE_LATTICES:
+            back = list(monotone_maps_between(M, L))
+            for m in monotone_maps_between(L, M):
+                for cand in back:
+                    assert _unit_counit(cand, m) == adjunction_holds_left(cand, m)
+                    assert _unit_counit(m, cand) == adjunction_holds_right(cand, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _monotone_maps(i: int, j: int) -> list:
+    """Every monotone map between two of the small lattices."""
+    lats = _small_lattices()
+    return list(monotone_maps_between(lats[i], lats[j]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_counit_matches_all_pairs_law_on_drawn_maps(data):
+    # the small lattices add M3, a one-element chain and the square to
+    # the exhaustive sweep; most drawn candidates are not adjoints
+    i, j = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    m = data.draw(st.sampled_from(_monotone_maps(i, j)))
+    cand = data.draw(st.sampled_from(_monotone_maps(j, i)))
+    assert _unit_counit(cand, m) == adjunction_holds_left(cand, m)
+    assert _unit_counit(m, cand) == adjunction_holds_right(cand, m)
+    # the adjoints found are the ones the law admits
+    for adj, holds in ((left_adjoint(m), adjunction_holds_left), (right_adjoint(m), adjunction_holds_right)):
+        if adj is None:
+            assert not holds(cand, m)
+        else:
+            assert holds(adj, m) and holds(cand, m) == cand.same_table(adj)
+
+
+def test_each_adjoint_is_computed_once_per_map(monkeypatch):
+    sys = frame_system(GeometricSetup(finset_skeleton(2), all_class(finset_skeleton(2))), chain_lattice(2))
+    builds = []
+    original = LatticeMap.__post_init__
+    monkeypatch.setattr(LatticeMap, "__post_init__", lambda self: (builds.append(self), original(self)))
+    for f in sys.setup.category.morphism_ids:
+        first = (sys.galois(f).sharp, sys.galois(f).star)
+        assert len(builds) == 2
+        check_triangles(sys.galois(f))
+        check_projection_formula(sys, f, "sharp")
+        check_projection_formula(sys, f, "star")
+        assert (left_adjoint(sys.pull(f)), right_adjoint(sys.pull(f))) == first
+        assert sys.galois(f).sharp is first[0] and sys.galois(f).star is first[1]
+        assert len(builds) == 2
+        builds.clear()
+    # a missing adjoint is remembered too
+    L = chain_lattice(1)
+    const_bot = LatticeMap(L, L, {"0": "0", "1": "0"})
+    builds.clear()
+    assert left_adjoint(const_bot) is None and left_adjoint(const_bot) is None
+    assert len(builds) == 1
+
+
+# -- tensor monotonicity along covers ---------------------------------------
+
+
+def _covers_by_search(L):
+    lt = [(a, b) for a in L.elements for b in L.elements if a != b and L.le(a, b)]
+    return [(a, b) for a, b in lt if not any(L.le(a, c) and L.le(c, b) and c not in (a, b) for c in L.elements)]
+
+
+def test_covers_match_search():
+    for L in _small_lattices() + [power_lattice(n5_lattice(), 2), power_lattice(chain_lattice(2), 2)]:
+        up = {a: sum(1 << L._index[b] for b in L._above[a]) for a in L.elements}
+        assert L._covers(up) == _covers_by_search(L)
+
+
+def _join_tensor_powers():
+    return [
+        power_lattice(n5_lattice("join"), 1),
+        power_lattice(n5_lattice("join"), 2),
+        power_lattice(FiniteLattice(("0", "1"), frozenset({("0", "0"), ("1", "1"), ("0", "1")}),
+                                    {(a, b): max(a, b) for a in "01" for b in "01"}), 3),
+    ]
+
+
+def test_cover_scan_accepts_join_tensor_powers():
+    for L in _join_tensor_powers():
+        _assert_same_lattice(L.elements, L.leq, L.tensor_table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cover_scan_message_matches_exhaustive_scan(data):
+    # a join tensor with a few entries overwritten, so that it may fail in
+    # either slot or in both
+    L = data.draw(st.sampled_from(_join_tensor_powers()))
+    tensor = dict(L.tensor_table)
+    keys = sorted(tensor)
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        tensor[key] = data.draw(st.sampled_from(L.elements))
+    if data.draw(st.booleans()):
+        # overwrite the mirrored entries too, so both slots can break
+        for (a, b), v in list(tensor.items()):
+            if v != L.tensor_table[(a, b)]:
+                tensor[(b, a)] = v
+    _assert_same_lattice(L.elements, L.leq, tensor)
+
+
+def test_tensor_failing_in_both_slots_reports_the_first():
+    L = n5_lattice()
+    for slot, message in ((0, "first"), (1, "second")):
+        # drop to the bottom once the given slot reaches the top
+        tensor = {(a, b): "0" if (a, b)[slot] == "1" else L.meet(a, b) for a in L.elements for b in L.elements}
+        _assert_same_lattice(L.elements, L.leq, tensor)
+        with pytest.raises(MalformedInputError, match=message):
+            FiniteLattice(L.elements, L.leq, tensor)
+    both = {(a, b): "0" if "1" in (a, b) else L.meet(a, b) for a in L.elements for b in L.elements}
+    _assert_same_lattice(L.elements, L.leq, both)
+
+
+def test_tensor_table_keys_and_values_must_be_elements():
+    L = chain_lattice(1)
+    tensor = {(a, b): L.meet(a, b) for a in L.elements for b in L.elements}
+    with pytest.raises(MalformedInputError, match="outside the lattice"):
+        FiniteLattice(L.elements, L.leq, {**tensor, ("q", "q"): "0"})
+    with pytest.raises(MalformedInputError, match="tensor value 'q' outside the lattice"):
+        FiniteLattice(L.elements, L.leq, {**tensor, ("0", "1"): "q"})
+
+
+# -- first witnesses, pinned as digests of whole reports ---------------------
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _commuting_squares(sys):
+    """Every square pull(f), pull(g), pull(a), pull(b) with f.a == g.b."""
+    c = sys.setup.category
+    ids = c.morphism_ids
+    for f in ids:
+        for g in ids:
+            if c.dst(f) != c.dst(g):
+                continue
+            for a in ids:
+                for b in ids:
+                    if c.dst(a) != c.src(f) or c.dst(b) != c.src(g) or c.src(a) != c.src(b):
+                        continue
+                    if c.comp(f, a) == c.comp(g, b):
+                        yield SquareData(p=sys.pull(f), u=sys.pull(g), v=sys.pull(a), q=sys.pull(b))
+
+
+_PINNED = {
+    "n5-join": {
+        "projection": "36bdd60d0403d4d3011f297f71bebbe090ca4135a86d1ef76aee1b13253b3ce3",
+        "comparison": "faef626befe41246d9f0335c0ce2cdcdec88930a320f1bcd09478b1ae42d79ab",
+        "adjointable": "b3532f28c85f6053be123cfd38d294289886a2d3f7535a4e7575012e9dd203fd",
+    },
+    "n5": {
+        "projection": "74b52eba2ded52c5ec340b335a4bd0d55739a9fda366ceea0aa0ece380c14387",
+        "comparison": "a7fec1477442c56bac188cc68989826450ef11d8f052e81d9ce55ea0262ca5d9",
+        "adjointable": "b3532f28c85f6053be123cfd38d294289886a2d3f7535a4e7575012e9dd203fd",
+    },
+    "chain2": {
+        "projection": "9d5b856e50483f19a90afdec4e0c403d076c2462e221093eab0e9419054f53d0",
+        "comparison": "0baef7456960ecf311c5d1cc893ffab57d0a648e3bb3a01b218a34257da1a3ec",
+        "adjointable": "d683d78cd6aebde1f2db42413a0da4cf77caf6ada8411c14be4e3cb3450f390a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_first_witnesses_are_pinned(name):
+    L = {"n5-join": n5_lattice("join"), "n5": n5_lattice(), "chain2": chain_lattice(2)}[name]
+    c = finset_skeleton(2)
+    sys = frame_system(GeometricSetup(c, all_class(c)), L)
+    projection = [check_projection_formula(sys, f, fl).to_dict() for f in c.morphism_ids for fl in ("sharp", "star")]
+    comparison = [
+        projection_witness(sys, f, push(sys.pull(f)), rel)
+        for f in c.morphism_ids
+        for push in (left_adjoint, right_adjoint)
+        for rel in ("<=", ">=")
+    ]
+    adjointable = [check_adjointable(sq, side).to_dict() for sq in _commuting_squares(sys) for side in ("left", "right")]
+    assert len(adjointable) == 498
+    got = {"projection": _digest(projection), "comparison": _digest(comparison), "adjointable": _digest(adjointable)}
+    assert got == _PINNED[name]
+    triangles = [check_triangles(sys.galois(f)).to_dict() for f in c.morphism_ids]
+    assert _digest(triangles) == "28c624a4667d16cb9587259d82df8bcd0c831bd9eb5bab7729e298efcd6f07bf"
+
+
+def test_triangle_witnesses_on_false_adjoints_are_pinned():
+    # constant maps stand in for the adjoints, so the triangles can fail
+    sys = frame2()
+    reports = []
+    for f in sys.setup.category.morphism_ids:
+        pull = sys.pull(f)
+        top = LatticeMap(pull.dst, pull.src, {x: pull.src.top for x in pull.dst.elements})
+        bot = LatticeMap(pull.dst, pull.src, {x: pull.src.bot for x in pull.dst.elements})
+        reports.append(check_triangles(SimpleNamespace(pullback=pull, sharp=top, star=bot)).to_dict())
+    assert _digest(reports) == "a1eb993a58653f086e6e6920a0c81d9dcc74d198ad9adcc0b1eb52f82150966f"
+    assert [ch["name"] for ch in reports[3]["checks"] if ch["status"] == "fail"] == [
+        "triangle-sharp-inner",
+        "triangle-star-inner",
+    ]
+
+
+def test_projection_witness_rejects_unknown_relation():
+    sys = frame2()
+    with pytest.raises(MalformedInputError, match="relation"):
+        projection_witness(sys, "1>1:0", left_adjoint(sys.pull("1>1:0")), "<")

@@ -9,7 +9,7 @@ from corrkit.descent import LocalizationProblem, PairDeclaration
 from corrkit.fincat import FinCategory, chain_category, finset_skeleton
 from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
-from corrkit.setups import GeometricSetup
+from corrkit.setups import GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup
 
 
@@ -235,3 +235,122 @@ def test_wrong_identity_rejected():
     d["identities"]["2"] = "2>2:1.0"
     with pytest.raises(MalformedInputError, match="identity"):
         ser.category_from_dict(d)
+
+
+# -- lattice and sizes-free category envelopes are validated on load ----------
+
+
+def _exits_2_with_one_line(tmp_path, capsys, d, message):
+    path = tmp_path / "bad.json"
+    path.write_text(ser.dumps(d))
+    with pytest.raises(MalformedInputError, match=message):
+        ser.from_dict(d)
+    code = main(["run", "--input", str(path), "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
+def _set(key, value):
+    def mutate(d):
+        d[key] = value
+        return d
+
+    return mutate
+
+
+def _tensor_entry(i, entry):
+    def mutate(d):
+        d["tensor"][i] = entry
+        return d
+
+    return mutate
+
+
+def _add_tensor_entry(entry):
+    def mutate(d):
+        d["tensor"].append(entry)
+        return d
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: {**d, "leq": [["0"], *d["leq"][1:]]}, "leq entry"),
+        (_set("leq", "01"), "leq must be a list"),
+        (_tensor_entry(0, ["0", "0"]), "tensor entry"),
+        (_set("elements", [0, 1, 2, 3, 4]), "lattice elements must be a list of strings"),
+        (_set("frame", "no"), "frame flag must be true or false"),
+        (_set("frame", 0), "frame flag must be true or false"),
+        (_add_tensor_entry(["q", "q", "0"]), "tensor table defined outside the lattice"),
+        (_tensor_entry(0, ["0", "0", "zz"]), "tensor value 'zz' outside the lattice"),
+        (lambda d: _add_tensor_entry(list(d["tensor"][3]))(d), "duplicate tensor entry"),
+    ],
+    ids=["leq-pair", "leq-string", "tensor-pair", "int-elements", "frame-string", "frame-int",
+         "tensor-key", "tensor-value", "tensor-duplicate"],
+)
+def test_malformed_lattice_exits_2(tmp_path, capsys, mutate, message):
+    d = mutate(ser.lattice_to_dict(n5_lattice("join")))
+    _exits_2_with_one_line(tmp_path, capsys, d, message)
+
+
+def _chain_nagata():
+    c = chain_category(2)
+    return ser.nagata_to_dict(NagataSetup(GeometricSetup(c, all_class(c)), all_class(c), iso_class(c)))
+
+
+def _drop_key(d):
+    del d["category"]["morphisms"][0]["id"]
+    return d
+
+
+def _drop_identity_square(d):
+    del d["category"]["compose"][f"0<=0{ser.COMPOSE_SEP}0<=0"]
+    return d
+
+
+def _mistyped_composite(d):
+    d["category"]["compose"][f"0<=0{ser.COMPOSE_SEP}0<=0"] = "1<=2"
+    return d
+
+
+def _non_composable_entry(d):
+    d["category"]["compose"][f"0<=1{ser.COMPOSE_SEP}0<=1"] = "0<=1"
+    return d
+
+
+def _duplicate_morphism(d):
+    d["category"]["morphisms"].append(dict(d["category"]["morphisms"][0]))
+    return d
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_key, "morphism entry lacks 'id'"),
+        (_drop_identity_square, "compose entry '0<=0' after '0<=0': missing entry"),
+        (_mistyped_composite, r"compose entry '0<=0' after '0<=0': wrong typing \('1<=2'\)"),
+        (_non_composable_entry, "compose entry '0<=1' after '0<=1': non-composable entry"),
+        (_duplicate_morphism, "duplicate morphism id"),
+        (lambda d: {**d, "category": {**d["category"], "objects": "012"}}, "objects must be a list"),
+    ],
+    ids=["no-id", "missing-entry", "mistyped", "non-composable", "duplicate", "objects"],
+)
+def test_malformed_sizes_free_category_exits_2(tmp_path, capsys, mutate, message):
+    d = mutate(_chain_nagata())
+    _exits_2_with_one_line(tmp_path, capsys, d, message)
+    _exits_2_with_one_line(tmp_path, capsys, d["category"], message)
+
+
+def test_sizes_free_envelopes_still_load():
+    d = _chain_nagata()
+    back = ser.nagata_from_dict(d)
+    assert back.setup.category.compose == chain_category(2).compose
+    for inst in corpus():
+        built = inst.build()
+        if isinstance(built, LocalizationProblem):
+            # the target is the terminal category, which carries no sizes
+            assert ser.localization_from_dict(ser.localization_to_dict(built)).p.target.compose == built.p.target.compose
