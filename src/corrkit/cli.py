@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import serialization as ser
 from .corpus import SUITE_ORDER, CorpusInstance, corpus, instance
@@ -43,6 +43,7 @@ from .report import (
     MalformedInputError,
     ResourceLimitError,
     VerificationReport,
+    report_lines,
 )
 from .setups import GeometricSetup, all_class, check_geometric_setup, iso_class
 from .shriek import (
@@ -70,11 +71,12 @@ FORMATS = ("text", "json")
 _BASE_CHAIN = 1
 
 
-def check_bounds(max_dim: int, max_apex: int) -> None:
-    """Reject truncation bounds outside the ranges the suites support."""
-    if not DIM_RANGE[0] <= max_dim <= DIM_RANGE[1]:
+def check_bounds(max_dim: int | None, max_apex: int | None) -> None:
+    """Reject truncation bounds outside the ranges the suites support; a
+    bound given as None is not checked."""
+    if max_dim is not None and not DIM_RANGE[0] <= max_dim <= DIM_RANGE[1]:
         raise MalformedInputError(f"max-dim must lie in {DIM_RANGE}")
-    if not APEX_RANGE[0] <= max_apex <= APEX_RANGE[1]:
+    if max_apex is not None and not APEX_RANGE[0] <= max_apex <= APEX_RANGE[1]:
         raise MalformedInputError(f"max-apex must lie in {APEX_RANGE}")
 
 
@@ -358,15 +360,7 @@ def _render_run(payload: dict, fmt: str, out) -> None:
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
     for rep_dict in payload["reports"]:
-        out.write(f"suite: {rep_dict['suite']}\n")
-        for c in rep_dict["checks"]:
-            tag = {"pass": "PASS", "fail": "FAIL", "resource-limit": "LIMIT"}[c["status"]]
-            line = f"  [{tag}] {c['name']}"
-            if c["anchor"]:
-                line += f"  ({c['anchor']})"
-            if c["witness"]:
-                line += f"  witness={c['witness']!r}"
-            out.write(line + "\n")
+        out.write("\n".join(report_lines(rep_dict)) + "\n")
         verdict = payload["verdicts"][rep_dict["suite"]]
         out.write(f"verdict: {'as documented' if verdict else 'UNEXPECTED'}\n")
     out.write(f"exit: {payload['exit']}\n")
@@ -610,13 +604,21 @@ def _cmd_localize_check(args, out) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(p, instance_default=None):
-    p.add_argument("--input", default=None, help="JSON envelope to load instead of a bundled instance")
+_FLAGS = {
+    "--format": {"choices": FORMATS, "default": "text"},
+    "--max-dim": {"type": int, "default": 2, "help": "nerve / hypercover truncation"},
+    "--max-apex": {"type": int, "default": 4, "help": "largest span apex enumerated"},
+}
+
+
+def _add_flags(p, *flags, instance_default=None):
+    """Declare the named flags, plus --input/--instance when the subcommand
+    loads a declaration; each subcommand declares only the flags it reads."""
     if instance_default is not None:
+        p.add_argument("--input", default=None, help="JSON envelope to load instead of a bundled instance")
         p.add_argument("--instance", default=instance_default, help="bundled instance name")
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--max-dim", type=int, default=2, help="nerve / hypercover truncation")
-    p.add_argument("--max-apex", type=int, default=4, help="largest span apex enumerated")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,15 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", help="JSON envelope; repeatable")
     p.add_argument("--instance", action="append", help="bundled instance name; repeatable")
     p.add_argument("--suite", action="append", choices=SUITE_ORDER, help="restrict to a suite; repeatable")
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--max-apex", type=int, default=4)
-    p.add_argument("--format", choices=FORMATS, default="text")
+    _add_flags(p, "--max-dim", "--max-apex", "--format")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("corpus", help="bundled instances")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("list", help="list bundled instances")
-    q.add_argument("--format", choices=FORMATS, default="text")
+    _add_flags(q, "--format")
     q.set_defaults(func=_cmd_corpus_list)
 
     p = sub.add_parser("grid", help="cartesian grids")
@@ -651,35 +651,34 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dim", type=int, default=1)
     q.set_defaults(func=_cmd_corr_enumerate)
     q = s2.add_parser("hocat", help="span laws and the homotopy category")
-    _add_common(q)
+    _add_flags(q, "--max-apex", "--format")
     q.set_defaults(func=_cmd_corr_hocat)
     q = s2.add_parser("coproduct", help="coproduct universal property for a pair of objects")
     q.add_argument("x")
     q.add_argument("y")
-    _add_common(q)
+    _add_flags(q, "--format")
     q.set_defaults(func=_cmd_corr_coproduct)
 
     p = sub.add_parser("model", help="coefficient-model laws")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("check", help="check one law for a lattice")
     q.add_argument("--law", choices=("proj-sharp", "proj-star", "kunneth", "adjointable"), required=True)
-    _add_common(q, instance_default="frame-2chain")
+    _add_flags(q, "--format", instance_default="frame-2chain")
     q.set_defaults(func=_cmd_model_check)
 
     p = sub.add_parser("shriek", help="exceptional pushforwards")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("build", help="build and print the pushforward tables")
-    _add_common(q, instance_default="nagata-open")
+    _add_flags(q, instance_default="nagata-open")
     q.set_defaults(func=_cmd_shriek_build)
     q = s2.add_parser("verify", help="run the full theorem suite")
-    q.add_argument("--all", action="store_true", help="accepted for compatibility; the suite is always full")
-    _add_common(q, instance_default="nagata-open")
+    _add_flags(q, "--max-apex", "--format", instance_default="nagata-open")
     q.set_defaults(func=_cmd_shriek_verify)
 
     p = sub.add_parser("formalism", help="span-level assembly")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("assemble", help="assemble and verify the span-level functor")
-    _add_common(q, instance_default="nagata-open")
+    _add_flags(q, "--max-apex", "--format", instance_default="nagata-open")
     q.set_defaults(func=_cmd_formalism_assemble)
 
     p = sub.add_parser("search", help="brute-force searches")
@@ -691,16 +690,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descend", help="descent-based extension")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("extend-c", help="extend a coefficient system over a nice pair")
-    _add_common(q, instance_default="nice-pair-identity")
+    _add_flags(q, "--max-dim", "--format", instance_default="nice-pair-identity")
     q.set_defaults(func=_cmd_descend_extend_c)
     q = s2.add_parser("extend-e", help="extend pushforwards over an exceptional pair")
-    _add_common(q, instance_default="exceptional-pair-cover")
+    _add_flags(q, "--max-dim", "--format", instance_default="exceptional-pair-cover")
     q.set_defaults(func=_cmd_descend_extend_e)
 
     p = sub.add_parser("localize", help="localization premise checks")
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("check", help="check both premises of the localization criterion")
-    _add_common(q, instance_default="localization-interval")
+    _add_flags(q, "--format", instance_default="localization-interval")
     q.set_defaults(func=_cmd_localize_check)
 
     return parser
@@ -710,8 +709,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "max_apex"):
-            check_bounds(args.max_dim, args.max_apex)
+        check_bounds(getattr(args, "max_dim", None), getattr(args, "max_apex", None))
         return args.func(args, sys.stdout)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -282,11 +282,7 @@ class PairDeclaration:
 
     @cached_property
     def small(self) -> FinCategory:
-        sub = full_subcategory(self.big.category, self.small_objects)
-        sizes = getattr(self.big.category, "object_size", None)
-        if sizes is not None:
-            sub.object_size = {x: sizes[x] for x in sub.objects}  # type: ignore[attr-defined]
-        return sub
+        return full_subcategory(self.big.category, self.small_objects)
 
     def small_setup(self, members) -> GeometricSetup:
         return GeometricSetup(self.small, EdgeClass(self.small, frozenset(members)))

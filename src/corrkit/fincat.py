@@ -23,6 +23,10 @@ class FinCategory:
     morphisms: dict[str, tuple[str, str]]  # id -> (source, target)
     identity: dict[str, str]  # object -> identity morphism id
     compose: dict[tuple[str, str], str]  # (g, f) -> g.f when dst(f) == src(g)
+    # object -> cardinality, set only on a category of all functions between
+    # sets of these sizes; the fiber product, coproduct and span-class
+    # constructions read ids as function values when it is set
+    object_size: dict[str, int] | None = field(default=None, compare=False)
 
     # -- basic accessors -------------------------------------------------
 
@@ -115,12 +119,6 @@ class FinCategory:
             if cancellable:
                 monos.add(f)
         return frozenset(monos)
-
-    def validate(self) -> None:
-        rep = check_category(self)
-        bad = rep.first_failure()
-        if bad is not None:
-            raise MalformedInputError(f"invalid category: {bad.name} {bad.witness}")
 
 
 def _group(ids, key) -> dict:
@@ -249,31 +247,6 @@ def check_functor(F: FunctorData) -> VerificationReport:
     return rep
 
 
-def identity_functor(c: FinCategory) -> FunctorData:
-    return FunctorData(c, c, {x: x for x in c.objects}, {m: m for m in c.morphism_ids})
-
-
-def compose_functors(G: FunctorData, F: FunctorData) -> FunctorData:
-    if F.target is not G.source and F.target != G.source:
-        raise MalformedInputError("functors not composable")
-    return FunctorData(
-        F.source,
-        G.target,
-        {x: G.obj_map[F.obj_map[x]] for x in F.obj_map},
-        {m: G.mor_map[F.mor_map[m]] for m in F.mor_map},
-    )
-
-
-def core_groupoid(c: FinCategory) -> FinCategory:
-    """Same objects, only the isomorphisms: the 1-categorical core."""
-    keep = c.iso_ids
-    morphisms = {m: c.morphisms[m] for m in c.morphism_ids if m in keep}
-    compose = {
-        (g, f): h for (g, f), h in c.compose.items() if g in keep and f in keep
-    }
-    return FinCategory(c.objects, morphisms, dict(c.identity), compose)
-
-
 def opposite(c: FinCategory) -> FinCategory:
     morphisms = {m: (y, x) for m, (x, y) in c.morphisms.items()}
     compose = {(f, g): h for (g, f), h in c.compose.items()}
@@ -297,14 +270,19 @@ def wide_subcategory(c: FinCategory, members: frozenset[str] | set[str]) -> FinC
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
+    """The named objects with every morphism between them; a full
+    subcategory of an all-function carrier is again one, so its sizes
+    carry over."""
     objs = tuple(x for x in c.objects if x in set(objects))
     keep = {m for m in c.morphism_ids if c.src(m) in objs and c.dst(m) in objs}
     compose = {(g, f): h for (g, f), h in c.compose.items() if g in keep and f in keep}
+    sizes = None if c.object_size is None else {x: c.object_size[x] for x in objs}
     return FinCategory(
         objs,
         {m: c.morphisms[m] for m in sorted(keep)},
         {x: c.identity[x] for x in objs},
         compose,
+        sizes,
     )
 
 
@@ -379,9 +357,7 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
                 continue
             fv = fn_values(f)
             compose[(g, f)] = _fn_id(a, c, tuple(gv[v] for v in fv))
-    cat = FinCategory(objects, morphisms, identity, compose)
-    cat.object_size = dict(sizes)  # type: ignore[attr-defined]
-    return cat
+    return FinCategory(objects, morphisms, identity, compose, dict(sizes))
 
 
 def verify_all_functions(c: FinCategory, sizes: dict) -> None:
@@ -432,10 +408,9 @@ def finset_skeleton(max_size: int) -> FinCategory:
 
 
 def finset_size(c: FinCategory, obj: str) -> int:
-    sizes = getattr(c, "object_size", None)
-    if sizes is None:
+    if c.object_size is None:
         raise MalformedInputError("category carries no cardinality data")
-    return sizes[obj]
+    return c.object_size[obj]
 
 
 def injections(c: FinCategory) -> frozenset[str]:
@@ -454,11 +429,7 @@ def surjections(c: FinCategory) -> frozenset[str]:
 # -- limits by universal property, fiber products of functions -------------
 
 
-def terminal_objects(c: FinCategory) -> list[str]:
-    return [t for t in c.objects if all(len(c.hom(x, t)) == 1 for x in c.objects)]
-
-
-def _is_pullback(c: FinCategory, f: str, g: str, apex: str, p: str, q: str) -> bool:
+def verify_pullback_square(c: FinCategory, f: str, g: str, apex: str, p: str, q: str) -> bool:
     """Does (apex, p: apex->src f, q: apex->src g) satisfy the universal
     property of the cospan (f: X->Z, g: Y->Z)?  Checked against every object:
     each commuting (u: T->X, v: T->Y) must be hit by exactly one mediator
@@ -493,7 +464,7 @@ def pullback_candidates(c: FinCategory, f: str, g: str) -> list[tuple[str, str, 
     for apex in c.objects:
         for p in c.hom(apex, c.src(f)):
             for q in c.hom(apex, c.src(g)):
-                if _is_pullback(c, f, g, apex, p, q):
+                if verify_pullback_square(c, f, g, apex, p, q):
                     out.append((apex, p, q))
     return out
 
@@ -510,7 +481,7 @@ def _finset_canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str
         ((x, y) for x, fv in enumerate(fx) for y, gv in enumerate(gy) if fv == gv),
         key=lambda xy: (str(xy[0]), str(xy[1])),
     )
-    sizes = c.object_size  # type: ignore[attr-defined]
+    sizes = c.object_size
     for apex in c.objects:
         if sizes[apex] == len(fiber):
             p = _fn_id(apex, c.src(f), tuple(x for x, _ in fiber))
@@ -526,17 +497,16 @@ def canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] |
     by universal-property search in any other."""
     if c.dst(f) != c.dst(g):
         raise MalformedInputError("not a cospan")
-    if hasattr(c, "object_size"):
+    if c.object_size is not None:
         return _finset_canonical_pullback(c, f, g)
     cands = pullback_candidates(c, f, g)
     return min(cands) if cands else None
 
 
-def verify_pullback_square(c: FinCategory, f: str, g: str, apex: str, p: str, q: str) -> bool:
-    return _is_pullback(c, f, g, apex, p, q)
-
-
-def _is_product(c: FinCategory, apex: str, legs: tuple[str, ...], factors: tuple[str, ...]) -> bool:
+def verify_product(c: FinCategory, apex: str, legs, factors) -> bool:
+    """Do `legs` out of `apex` satisfy the universal property of the
+    product of `factors`?  Checked against every object."""
+    legs, factors = tuple(legs), tuple(factors)
     for leg, x in zip(legs, factors):
         if c.morphisms[leg] != (apex, x):
             return False
@@ -558,7 +528,7 @@ def product_candidates(c: FinCategory, factors) -> list[tuple[str, tuple[str, ..
     out = []
     for apex in c.objects:
         for legs in itertools.product(*[c.hom(apex, x) for x in factors]):
-            if _is_product(c, apex, legs, factors):
+            if verify_product(c, apex, legs, factors):
                 out.append((apex, legs))
     return out
 
@@ -566,10 +536,6 @@ def product_candidates(c: FinCategory, factors) -> list[tuple[str, tuple[str, ..
 def canonical_product(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] | None:
     cands = product_candidates(c, factors)
     return min(cands) if cands else None
-
-
-def verify_product(c: FinCategory, apex: str, legs, factors) -> bool:
-    return _is_product(c, apex, tuple(legs), tuple(factors))
 
 
 def _is_coproduct(c: FinCategory, apex: str, legs: tuple[str, ...], factors: tuple[str, ...]) -> bool:
@@ -588,15 +554,11 @@ def _is_coproduct(c: FinCategory, apex: str, legs: tuple[str, ...], factors: tup
     return True
 
 
-def verify_coproduct(c: FinCategory, apex: str, legs, factors) -> bool:
-    return _is_coproduct(c, apex, tuple(legs), tuple(factors))
-
-
 def _finset_canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] | None:
     """Disjoint union in an all-function carrier: legs are jointly bijective
     with disjoint images; the first such tuple in id order is the generic
     lexicographic minimum."""
-    sizes = c.object_size  # type: ignore[attr-defined]
+    sizes = c.object_size
     total = sum(sizes[x] for x in factors)
     for apex in c.objects:
         if sizes[apex] != total:
@@ -615,7 +577,7 @@ def _finset_canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str
 def canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] | None:
     """Lexicographically minimal coproduct cocone, or None."""
     factors = tuple(factors)
-    if hasattr(c, "object_size"):
+    if c.object_size is not None:
         return _finset_canonical_coproduct(c, factors)
     cands = []
     for apex in c.objects:

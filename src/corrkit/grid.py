@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCategory, FunctorData, enumerate_functors, poset_category, verify_pullback_square
+from .fincat import FinCategory, poset_category, verify_pullback_square
 from .report import MalformedInputError
 from .setups import EdgeClass, GeometricSetup
 
@@ -114,66 +114,6 @@ def exact_squares_bruteforce(n: int) -> list[ExactSquare]:
     return sorted(set(out))
 
 
-# -- the B functor --------------------------------------------------------
-
-
-def _nerve_category(K) -> FinCategory:
-    if isinstance(K, FinCategory):
-        return K
-    c = getattr(K, "nerve_of", None)
-    if c is None:
-        raise MalformedInputError("B-truncation needs a category or a nerve")
-    return c
-
-
-def b_truncation(K, n: int) -> list[FunctorData]:
-    """B(K)_n: all functors C(n) -> K, for K a category or a nerve of one."""
-    if n > 3:
-        raise MalformedInputError("n <= 3")
-    target = _nerve_category(K)
-    return list(enumerate_functors(c_of_simplex(n), target))
-
-
-def c_of_monotone(p: tuple[int, ...], n: int, m: int) -> FunctorData:
-    """The induced map C(n) -> C(m) of a monotone p: [n] -> [m], sending
-    (i, j) to (p(i), p(j)).  Precomposition realizes B-functoriality."""
-    src = c_of_simplex(n)
-    dst = c_of_simplex(m)
-    omap = {cp_name((i, j)): cp_name((p[i], p[j])) for i, j in cposet_elements(n)}
-    mor_map = {}
-    for mor in src.morphism_ids:
-        a, b = src.morphisms[mor]
-        mor_map[mor] = f"{omap[a]}<={omap[b]}"
-    return FunctorData(src, dst, omap, mor_map)
-
-
-def boundary_inclusions(n: int) -> tuple[FunctorData, FunctorData]:
-    """gamma_n: the top row {(0, j)} traversed against the chain order, and
-    gamma'_n: the rightmost column {(i, n)} along it."""
-    if n < 1:
-        raise MalformedInputError("n >= 1")
-    from .fincat import chain_category, opposite
-
-    cn = c_of_simplex(n)
-
-    chain_op = opposite(chain_category(n))
-    omap = {str(j): cp_name((0, j)) for j in range(n + 1)}
-    mor_map = {}
-    for m in chain_op.morphism_ids:
-        a, b = chain_op.morphisms[m]  # a >= b in the original chain
-        mor_map[m] = f"{omap[a]}<={omap[b]}"
-    gamma = FunctorData(chain_op, cn, omap, mor_map)
-
-    chain = chain_category(n)
-    omap2 = {str(i): cp_name((i, n)) for i in range(n + 1)}
-    mor_map2 = {}
-    for m in chain.morphism_ids:
-        a, b = chain.morphisms[m]
-        mor_map2[m] = f"{omap2[a]}<={omap2[b]}"
-    gamma_prime = FunctorData(chain, cn, omap2, mor_map2)
-    return gamma, gamma_prime
-
-
 # -- multidirection grids -------------------------------------------------
 
 
@@ -191,44 +131,9 @@ class GridSimplex:
     objects: dict[tuple[int, ...], str]
     edges: dict[tuple[tuple[int, ...], int], str]
 
-    def vertex_objects(self) -> list[str]:
-        return [self.objects[v] for v in sorted(self.objects)]
-
-    def edge(self, v: tuple[int, ...], d: int) -> str:
-        return self.edges[(v, d)]
-
-    def square(self, v: tuple[int, ...], a: int, b: int):
-        """The unit square with lower corner v in directions a < b:
-        (f_a, f_b, g_b, g_a) with f_* out of v and g_* into v + e_a + e_b."""
-        va = _bump(v, a)
-        vb = _bump(v, b)
-        return self.edges[(v, a)], self.edges[(v, b)], self.edges[(va, b)], self.edges[(vb, a)]
-
 
 def _bump(v: tuple[int, ...], d: int) -> tuple[int, ...]:
     return v[:d] + (v[d] + 1,) + v[d + 1 :]
-
-
-def check_grid_simplex(g: GridSimplex, classes) -> list[dict]:
-    """All violations: typing, class membership, commuting, cartesianness."""
-    c = g.category
-    problems = []
-    for (v, d), m in g.edges.items():
-        if c.morphisms[m] != (g.objects[v], g.objects[_bump(v, d)]):
-            problems.append({"edge": [list(v), d], "problem": "typing"})
-        if m not in _members(classes[d]):
-            problems.append({"edge": [list(v), d], "problem": "class"})
-    for v in g.objects:
-        for a in range(g.k):
-            for b in range(a + 1, g.k):
-                if v[a] >= g.n or v[b] >= g.n:
-                    continue
-                fa, fb, gb, ga = g.square(v, a, b)
-                if c.comp(gb, fa) != c.comp(ga, fb):
-                    problems.append({"square": [list(v), a, b], "problem": "commute"})
-                elif not verify_pullback_square(c, gb, ga, g.objects[v], fa, fb):
-                    problems.append({"square": [list(v), a, b], "problem": "not-cartesian"})
-    return problems
 
 
 def _members(cls) -> frozenset[str]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import FinCategory, canonical_product, fn_values
+from .grid import _bump
 from .report import MalformedInputError, VerificationReport
 from .setups import GeometricSetup
 
@@ -375,10 +376,6 @@ def paste_squares(left_sq: SquareData, right_sq: SquareData) -> SquareData:
 # -- lattice grids and partial adjoints -----------------------------------
 
 
-def _bump(v: tuple[int, ...], d: int) -> tuple[int, ...]:
-    return v[:d] + (v[d] + 1,) + v[d + 1 :]
-
-
 @dataclass
 class LatticeGrid:
     """Lattices on the (n+1)^k grid with a monotone map per unit edge;
@@ -569,10 +566,9 @@ def precompose_map(f_values: tuple[int, ...], big_src: FiniteLattice, big_dst: F
 def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
     """D(X) = L^|X| over an all-function carrier, f^* by precomposition."""
     c = setup.category
-    sizes = getattr(c, "object_size", None)
-    if sizes is None:
+    if c.object_size is None:
         raise MalformedInputError("frame systems need a carrier with cardinalities")
-    lattices = {x: power_lattice(L, sizes[x]) for x in c.objects}
+    lattices = {x: power_lattice(L, c.object_size[x]) for x in c.objects}
     restriction = {}
     for m in c.morphism_ids:
         x, y = c.morphisms[m]

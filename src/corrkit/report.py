@@ -87,17 +87,26 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
-        lines = [f"suite: {self.suite}"]
-        for c in self.checks:
-            tag = {PASS: "PASS", FAIL: "FAIL", RESOURCE_LIMIT: "LIMIT"}[c.status]
-            line = f"  [{tag}] {c.name}"
-            if c.anchor:
-                line += f"  ({c.anchor})"
-            if c.witness:
-                line += f"  witness={_stable(c.witness)!r}"
-            lines.append(line)
+        lines = report_lines(self.to_dict())
         lines.append(f"result: {'all pass' if self.passed else 'FAILURES PRESENT'}")
         return "\n".join(lines)
+
+
+_TAGS = {PASS: "PASS", FAIL: "FAIL", RESOURCE_LIMIT: "LIMIT"}
+
+
+def report_lines(rep: dict) -> list[str]:
+    """The text rendering of a report as `to_dict` writes it: the suite,
+    then one line per check with its tag, anchor and witness."""
+    lines = [f"suite: {rep['suite']}"]
+    for c in rep["checks"]:
+        line = f"  [{_TAGS[c['status']]}] {c['name']}"
+        if c["anchor"]:
+            line += f"  ({c['anchor']})"
+        if c["witness"]:
+            line += f"  witness={c['witness']!r}"
+        lines.append(line)
+    return lines
 
 
 def _stable(value):

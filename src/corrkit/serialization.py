@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .descent import Atlas, LocalizationProblem, PairDeclaration, identity_atlas
+from .descent import Atlas, LocalizationProblem, PairDeclaration
 from .fincat import FinCategory, FunctorData, compose_table_witness, verify_all_functions
 from .lattices import FiniteLattice
 from .report import MalformedInputError
@@ -76,9 +76,8 @@ def category_to_dict(c: FinCategory) -> dict:
         "identities": dict(c.identity),
         "compose": {f"{g}{COMPOSE_SEP}{f}": h for (g, f), h in sorted(c.compose.items())},
     }
-    sizes = getattr(c, "object_size", None)
-    if sizes is not None:
-        out["sizes"] = dict(sizes)
+    if c.object_size is not None:
+        out["sizes"] = dict(c.object_size)
     return out
 
 
@@ -123,7 +122,7 @@ def category_from_dict(d: dict) -> FinCategory:
         if bad:
             raise MalformedInputError(f"sizes do not match objects at {bad[0]!r}")
         verify_all_functions(c, sizes)
-        c.object_size = dict(sizes)  # type: ignore[attr-defined]
+        c.object_size = dict(sizes)
     return c
 
 

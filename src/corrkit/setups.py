@@ -12,24 +12,16 @@ objects (pass `require_total=True` to make gaps a failure).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .fincat import (
-    FinCategory,
-    canonical_pullback,
-    finset_size,
-    fn_values,
-    verify_pullback_square,
-)
+from .fincat import FinCategory, canonical_pullback
 from .report import MalformedInputError, VerificationReport
 
 
 @dataclass
 class EdgeClass:
-    """A subset of morphism ids.  All closure flags are recomputed from the
-    tables; nothing is trusted from input."""
+    """A subset of morphism ids.  Every closure witness is recomputed from
+    the tables; nothing is trusted from input."""
 
     carrier: FinCategory
     members: frozenset[str]
@@ -43,17 +35,9 @@ class EdgeClass:
     def __contains__(self, m: str) -> bool:
         return m in self.members
 
-    @cached_property
-    def closed_under_iso(self) -> bool:
-        return self.iso_closure_witness() is None
-
     def iso_closure_witness(self) -> dict | None:
         missing = sorted(self.carrier.iso_ids - self.members)
         return {"missing-iso": missing[0]} if missing else None
-
-    @cached_property
-    def closed_under_composition(self) -> bool:
-        return self.composition_witness() is None
 
     def composition_witness(self) -> dict | None:
         c = self.carrier
@@ -62,10 +46,6 @@ class EdgeClass:
                 return {"pair": [g, f], "composite": c.comp(g, f)}
         return None
 
-    @cached_property
-    def right_cancellative(self) -> bool:
-        return self.right_cancellation_witness() is None
-
     def right_cancellation_witness(self) -> dict | None:
         # admissibility: p.q in class and p in class force q in class
         c = self.carrier
@@ -73,10 +53,6 @@ class EdgeClass:
             if p in self.members and c.comp(p, q) in self.members and q not in self.members:
                 return {"outer": c.comp(p, q), "left": p, "right": q}
         return None
-
-    @cached_property
-    def pullback_stable(self) -> bool:
-        return self.stability_witness() is None
 
     def stability_witness(self) -> dict | None:
         c = self.carrier
@@ -129,14 +105,6 @@ class GeometricSetup:
             raise MalformedInputError(f"no pullback exists for cospan ({f!r}, {g!r})")
         return pb
 
-    def certified_pullback(self, f: str, g: str) -> tuple[str, str, str]:
-        """Pullback with the universal property re-verified (hard error on
-        oracle corruption, distinct from axiom failure)."""
-        apex, p, q = self.pullback(f, g)
-        if not verify_pullback_square(self.category, f, g, apex, p, q):
-            raise RuntimeError(f"oracle returned a non-pullback for ({f!r}, {g!r})")
-        return apex, p, q
-
 
 def check_geometric_setup(s: GeometricSetup, require_total: bool = False) -> VerificationReport:
     """Iso-closure, composition-closure, and pullback existence/stability.
@@ -181,18 +149,3 @@ def check_geometric_setup(s: GeometricSetup, require_total: bool = False) -> Ver
         anchor="setup-pullbacks-stay",
     )
     return rep
-
-
-# -- finite-set helper classes -------------------------------------------
-
-
-def injection_class(c: FinCategory) -> EdgeClass:
-    from .fincat import injections
-
-    return EdgeClass(c, injections(c))
-
-
-def surjection_class(c: FinCategory) -> EdgeClass:
-    from .fincat import surjections
-
-    return EdgeClass(c, surjections(c))

@@ -1,4 +1,4 @@
-"""Spans, their homotopy category, coproducts, tensor edges, and grids.
+"""Spans, their homotopy category, coproducts, and tensor edges.
 
 A span X <- W -> Y with its right leg in E is a morphism from X to Y;
 composition pulls back the middle cospan.  Morphisms of the homotopy
@@ -10,31 +10,18 @@ silent truncation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .fincat import (
     FinCategory,
     FunctorData,
     canonical_coproduct,
-    check_functor,
     enumerate_functors,
-    finset_size,
     fn_values,
-    opposite,
     verify_product,
     verify_pullback_square,
-    wide_subcategory,
 )
-from .grid import (
-    GridSimplex,
-    c_of_simplex,
-    classify_edge,
-    cp_name,
-    cp_parse,
-    cposet_elements,
-    exact_squares,
-)
+from .grid import c_of_simplex, classify_edge, cp_name, cp_parse, exact_squares
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
 from .setups import GeometricSetup
 
@@ -94,7 +81,7 @@ def span_class_key(c: FinCategory, s: Span):
     member of the iso class, found by exhaustive search.
     """
     x, y = span_feet(c, s)
-    if hasattr(c, "object_size"):
+    if c.object_size is not None:
         return (x, y, tuple(sorted(zip(fn_values(s.left), fn_values(s.right)))))
     best = (s.left, s.right)
     w = span_apex(c, s)
@@ -114,7 +101,7 @@ def spans_between(s: GeometricSetup, x: str, y: str, max_apex: int | None = None
     c = s.category
     out = []
     for w in c.objects:
-        if max_apex is not None and hasattr(c, "object_size") and finset_size(c, w) > max_apex:
+        if max_apex is not None and c.object_size is not None and c.object_size[w] > max_apex:
             continue
         for g in c.hom(w, x):
             for f in c.hom(w, y):
@@ -136,10 +123,6 @@ class HCorr:
         self.max_apex = max_apex
         self._classes: dict[tuple[str, str], dict] = {}
 
-    @property
-    def category_objects(self) -> tuple[str, ...]:
-        return self.setup.category.objects
-
     def classes(self, x: str, y: str) -> dict:
         """key -> (representative Span, member list) for spans x -> y."""
         if (x, y) not in self._classes:
@@ -157,7 +140,7 @@ class HCorr:
         c = self.setup.category
         x, y = span_feet(c, sp)
         w = span_apex(c, sp)
-        if hasattr(c, "object_size") and finset_size(c, w) > self.max_apex:
+        if c.object_size is not None and c.object_size[w] > self.max_apex:
             raise ResourceLimitError(
                 f"span apex {w!r} exceeds the class bound {self.max_apex}"
             )
@@ -209,24 +192,6 @@ class HCorr:
 
 def homotopy_category(s: GeometricSetup, max_apex: int = 4) -> FinCategory:
     return HCorr(s, max_apex).category()
-
-
-def pi_all(hc: HCorr) -> FunctorData:
-    """C^op -> hCorr: f becomes the span with left leg f and identity right leg."""
-    c = hc.setup.category
-    src = opposite(c)
-    obj_map = {x: x for x in c.objects}
-    mor_map = {m: hc.class_id(Span(m, c.identity[c.src(m)])) for m in c.morphism_ids}
-    return FunctorData(src, hc.category(), obj_map, mor_map)
-
-
-def pi_e(hc: HCorr) -> FunctorData:
-    """C_E -> hCorr: f becomes the span with identity left leg and right leg f."""
-    c = hc.setup.category
-    src = wide_subcategory(c, hc.setup.e.members)
-    obj_map = {x: x for x in c.objects}
-    mor_map = {m: hc.class_id(Span(c.identity[c.src(m)], m)) for m in src.morphism_ids}
-    return FunctorData(src, hc.category(), obj_map, mor_map)
 
 
 def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> VerificationReport:
@@ -342,18 +307,6 @@ def simplex_edge(cs: CorrSimplex, a: tuple[int, int], b: tuple[int, int]) -> Spa
     )
 
 
-def outer_edge_is_composite(s: GeometricSetup, cs: CorrSimplex) -> bool:
-    """For a 2-cell: the 02-edge is isomorphic to the composite of the
-    01- and 12-edges."""
-    if cs.n != 2:
-        raise MalformedInputError("2-cells only")
-    c = s.category
-    e01 = simplex_edge(cs, (0, 0), (1, 1))
-    e12 = simplex_edge(cs, (1, 1), (2, 2))
-    e02 = simplex_edge(cs, (0, 0), (2, 2))
-    return spans_isomorphic(c, compose_spans(s, e01, e12), e02)
-
-
 # -- coproducts in the homotopy category ----------------------------------
 
 
@@ -433,9 +386,7 @@ def check_coproduct(
 
 def _span_apex_size(c: FinCategory, sp: Span) -> int:
     w = span_apex(c, sp)
-    if hasattr(c, "object_size"):
-        return finset_size(c, w)
-    return 0
+    return 0 if c.object_size is None else c.object_size[w]
 
 
 # -- tensor layer ---------------------------------------------------------
@@ -504,95 +455,3 @@ def classify_cocartesian(s: GeometricSetup, e: TensorEdge) -> VerificationReport
 
 def is_cocartesian(s: GeometricSetup, e: TensorEdge) -> bool:
     return classify_cocartesian(s, e).passed
-
-
-# -- grid to staircase ----------------------------------------------------
-
-
-def grid_to_staircase(s: GeometricSetup, g: GridSimplex) -> CorrSimplex:
-    """Restrict a fully cartesian 2-direction grid to the staircase:
-    the (i, j) cell object is the grid vertex (i, n - j); direction 0 rides
-    the vertical edges, direction 1 the horizontal ones."""
-    if g.k != 2:
-        raise MalformedInputError("two-direction grids only")
-    n = g.n
-    c = s.category
-    src = c_of_simplex(n)
-    omap = {cp_name((i, j)): g.objects[(i, n - j)] for i, j in cposet_elements(n)}
-
-    def path(i, j, i2, j2):
-        """Composite grid morphism (i, n-j) -> (i2, n-j2): direction 0 first,
-        then direction 1."""
-        v = (i, n - j)
-        m = c.identity[g.objects[v]]
-        for _ in range(i2 - i):
-            m = c.comp(g.edges[(v, 0)], m)
-            v = (v[0] + 1, v[1])
-        for _ in range((n - j2) - (n - j)):
-            m = c.comp(g.edges[(v, 1)], m)
-            v = (v[0], v[1] + 1)
-        return m
-
-    mor_map = {}
-    for mor in src.morphism_ids:
-        a, b = src.morphisms[mor]
-        (i, j), (i2, j2) = cp_parse(a), cp_parse(b)
-        mor_map[mor] = path(i, j, i2, j2)
-    F = FunctorData(src, c, omap, mor_map)
-    if not check_functor(F).passed:
-        raise MalformedInputError("grid does not commute")
-    cs = CorrSimplex(n, F)
-    problems = check_corr_simplex(s, cs)
-    if problems:
-        raise MalformedInputError(f"restriction violates cell invariants: {problems[0]}")
-    return cs
-
-
-def cells_isomorphic(c: FinCategory, F: FunctorData, G: FunctorData) -> bool:
-    """Natural isomorphism search between two functors with the same source."""
-    if F.source != G.source:
-        return False
-    objs = list(F.source.objects)
-
-    def extend(idx: int, comp: dict[str, str]) -> bool:
-        if idx == len(objs):
-            return all(
-                c.comp(comp[F.source.dst(m)], F.mor_map[m])
-                == c.comp(G.mor_map[m], comp[F.source.src(m)])
-                for m in F.source.morphism_ids
-            )
-        o = objs[idx]
-        for h in c.hom(F.obj_map[o], G.obj_map[o]):
-            if h in c.iso_ids:
-                comp[o] = h
-                if extend(idx + 1, comp):
-                    return True
-                del comp[o]
-        return False
-
-    return extend(0, {})
-
-
-def check_grid_staircase_surjectivity(s: GeometricSetup, n: int) -> VerificationReport:
-    """Is every staircase n-cell the restriction of some fully cartesian
-    two-direction grid, up to natural isomorphism?  Exhaustive on both
-    sides; the witness names an unhit cell's edge data."""
-    from .grid import enumerate_grid_simplices
-    from .setups import all_class
-
-    rep = VerificationReport("grid-staircase-surjectivity")
-    grids = enumerate_grid_simplices(s, [s.e, all_class(s.category)], 2, n)
-    images = [grid_to_staircase(s, g).functor for g in grids]
-    cells = corr_simplices(s, n)
-    missed = None
-    for cs in cells:
-        if not any(cells_isomorphic(s.category, cs.functor, img) for img in images):
-            missed = {"objects": dict(cs.functor.obj_map)}
-            break
-    rep.add(
-        "every-cell-hit",
-        missed is None,
-        missed or {"cells": len(cells), "grids": len(grids)},
-        anchor="grid-staircase-comparison",
-    )
-    return rep

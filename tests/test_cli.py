@@ -139,8 +139,8 @@ def test_config_rejects_out_of_range_bounds():
         ("formalism", "assemble", "--max-apex", "-1000000000"),
         ("descend", "extend-c", "--max-dim", "-1"),
         ("descend", "extend-e", "--max-dim", "1000000000"),
-        ("model", "check", "--law", "kunneth", "--max-dim", "3"),
-        ("localize", "check", "--max-apex", "0"),
+        ("descend", "extend-c", "--max-dim", "3"),
+        ("corr", "hocat", "--max-apex", "0"),
     ],
 )
 def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
@@ -148,6 +148,29 @@ def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: max-")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("model", "check", "--law", "kunneth", "--max-dim", "3"),
+        ("localize", "check", "--max-apex", "0"),
+        ("corr", "coproduct", "1", "1", "--input", "/nonexistent.json"),
+        ("corr", "coproduct", "1", "1", "--max-dim", "0"),
+        ("corr", "coproduct", "1", "1", "--max-apex", "1"),
+        ("corr", "hocat", "--input", "/nonexistent.json"),
+        ("corr", "hocat", "--max-dim", "0"),
+        ("shriek", "verify", "--all"),
+        ("shriek", "build", "--format", "json"),
+        ("formalism", "assemble", "--max-dim", "1"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
 
 
 def test_run_forwards_max_apex(capsys):
@@ -266,6 +289,7 @@ def test_suite_order_is_dependency_order():
 # SHA-256 of the `--format json` output; a refactor must not move these
 # bytes (the model payloads also exit 1 where the pentagon fails a law)
 CORPUS_RUN_SHA256 = "bb188c22527cfbb036731ff94e957e63b7c4f0e6118581007e7cea314dc220b3"
+CORPUS_TEXT_SHA256 = "10ef707a1297aea47a950b9e7eaacb0d379ee996945907d98d740b9ab25e7ed6"
 MODEL_RUN_SHA256 = {
     "n5-join.json": (1, "8cb77dc11b920f2aa00fa309fc613e80f2ad82696f0c6c23714d8d65751715c8"),
     "n5.json": (1, "b4a7e9221c2b01e535226ce62d6018b70f076b930b8b969f0a4a9286f5f4b897"),
@@ -281,6 +305,12 @@ def test_corpus_run_bytes_are_pinned(capsys):
     code, out, _ = invoke(capsys, "run", "--format", "json")
     assert code == 0
     assert _sha256(out) == CORPUS_RUN_SHA256
+
+
+def test_corpus_run_text_bytes_are_pinned(capsys):
+    code, out, _ = invoke(capsys, "run", "--format", "text")
+    assert code == 0
+    assert _sha256(out) == CORPUS_TEXT_SHA256
 
 
 def test_model_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys):

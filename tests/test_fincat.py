@@ -1,5 +1,7 @@
 """Table-level category checks against hand-computed oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,6 @@ from corrkit.fincat import (
     chain_category,
     check_category,
     check_functor,
-    core_groupoid,
     discrete_category,
     enumerate_functors,
     finset_category,
@@ -25,7 +26,6 @@ from corrkit.fincat import (
     pullback_candidates,
     surjections,
     terminal_category,
-    terminal_objects,
     verify_product,
     verify_pullback_square,
     wide_subcategory,
@@ -138,7 +138,7 @@ def test_opposite_involution():
 
 def test_core_groupoid_of_finset():
     c = finset_skeleton(2)
-    g = core_groupoid(c)
+    g = wide_subcategory(c, c.iso_ids)
     assert check_category(g).passed
     assert set(g.morphism_ids) == set(c.iso_ids)
 
@@ -164,10 +164,26 @@ def test_full_subcategory():
     assert len(sub.morphism_ids) == 3
 
 
+def test_object_size_through_subcategories():
+    # a full subcategory of an all-function carrier is one again; the
+    # opposite and a wide subcategory are not, so they carry no sizes
+    c = finset_skeleton(3)
+    assert full_subcategory(c, ["3", "0", "2"]).object_size == {"0": 0, "2": 2, "3": 3}
+    assert full_subcategory(chain_category(2), ["0", "1"]).object_size is None
+    assert opposite(c).object_size is None
+    assert wide_subcategory(c, injections(c)).object_size is None
+    assert chain_category(2).object_size is None
+    # sizes take no part in equality
+    assert FinCategory(c.objects, c.morphisms, c.identity, c.compose) == c
+
+
 # -- limits --------------------------------------------------------------
 
 
 def test_terminal_objects():
+    def terminal_objects(c):
+        return [t for t in c.objects if all(len(c.hom(x, t)) == 1 for x in c.objects)]
+
     assert terminal_objects(finset_skeleton(2)) == ["1"]
     assert terminal_objects(chain_category(2)) == ["2"]
     assert terminal_objects(discrete_category(["a", "b"])) == []
@@ -399,6 +415,34 @@ def test_constructed_pullback_matches_search_on_skeleton3(fg):
     assert got == _search_pullback(SKEL3, f, g)
     cands = pullback_candidates(SKEL3, f, g)
     assert got == (min(cands) if cands else None)
+
+
+# every proper full subcategory of finset-3: the sizes carry over, so the
+# fiber product is constructed there, and some fiber sets have no object
+SKEL3_SUBS = [
+    full_subcategory(SKEL3, objs) for r in (1, 2, 3) for objs in itertools.combinations(SKEL3.objects, r)
+]
+
+
+def _matches_search(c, f, g):
+    cands = pullback_candidates(c, f, g)
+    return canonical_pullback(c, f, g) == (min(cands) if cands else None)
+
+
+def test_constructed_pullback_matches_search_on_full_subcategories():
+    for sub in SKEL3_SUBS:
+        assert sub.object_size == {x: int(x) for x in sub.objects}
+        if "3" in sub.objects and sub.objects != ("1", "3"):
+            continue  # sampled below: their cospans take about 10 s together
+        assert all(_matches_search(sub, f, g) for f, g in _cospans(sub)), sub.objects
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_constructed_pullback_matches_search_on_sampled_full_subcategories(data):
+    sub = data.draw(st.sampled_from(SKEL3_SUBS))
+    f, g = data.draw(st.sampled_from(_cospans(sub)))
+    assert _matches_search(sub, f, g)
 
 
 @st.composite

@@ -1,18 +1,19 @@
-"""Span composition, the homotopy category, coproducts, tensor edges, grids."""
+"""Span composition, the homotopy category, coproducts, tensor edges."""
 
 import itertools
 
 import pytest
 
 from corrkit.fincat import (
+    FunctorData,
     check_category,
     check_functor,
     finset_category,
     finset_size,
     finset_skeleton,
     opposite,
+    wide_subcategory,
 )
-from corrkit.grid import GridSimplex, enumerate_grid_simplices
 from corrkit.report import MalformedInputError, ResourceLimitError
 from corrkit.setups import GeometricSetup, all_class, iso_class
 from corrkit.spans import (
@@ -20,19 +21,14 @@ from corrkit.spans import (
     Span,
     TensorEdge,
     check_coproduct,
-    check_grid_staircase_surjectivity,
     check_span_laws,
     classify_cocartesian,
     compose_spans,
     corr_simplices,
     find_span_iso,
-    grid_to_staircase,
     homotopy_category,
     identity_span,
     is_cocartesian,
-    outer_edge_is_composite,
-    pi_all,
-    pi_e,
     simplex_edge,
     span_class_key,
     spans_between,
@@ -145,10 +141,18 @@ def test_class_bound_raises_resource_error():
 
 
 def test_pi_functors():
+    # C^op -> hCorr sends f to the span (f, id); C_E -> hCorr sends f to (id, f)
     for s in (setup_all(1), setup_isos(2)):
         hc = HCorr(s)
-        assert check_functor(pi_all(hc)).passed
-        assert check_functor(pi_e(hc)).passed
+        c, target = s.category, hc.category()
+        objs = {x: x for x in c.objects}
+        pi_all = FunctorData(
+            opposite(c), target, objs, {m: hc.class_id(Span(m, c.identity[c.src(m)])) for m in c.morphism_ids}
+        )
+        c_e = wide_subcategory(c, s.e.members)
+        pi_e = FunctorData(c_e, target, objs, {m: hc.class_id(Span(c.identity[c.src(m)], m)) for m in c_e.morphism_ids})
+        assert check_functor(pi_all).passed
+        assert check_functor(pi_e).passed
 
 
 def test_span_laws_small():
@@ -204,7 +208,10 @@ def test_corr_2_cells_outer_edge_composite():
     cells = corr_simplices(s, 2)
     assert cells
     for cs in cells:
-        assert outer_edge_is_composite(s, cs)
+        e01 = simplex_edge(cs, (0, 0), (1, 1))
+        e12 = simplex_edge(cs, (1, 1), (2, 2))
+        e02 = simplex_edge(cs, (0, 0), (2, 2))
+        assert spans_isomorphic(s.category, compose_spans(s, e01, e12), e02)
 
 
 def test_corr_2_cells_cover_composable_pairs():
@@ -344,43 +351,3 @@ def test_cocartesian_invariant_under_iso_replacement():
         (c.comp("2>2:0.1", "2>2:1.0"),),
     )
     assert is_cocartesian(s, base) == is_cocartesian(s, swapped)
-
-
-# -- grid to staircase ----------------------------------------------------
-
-
-def test_grid_restriction_n1_upper_right_span():
-    s = setup_all(1)
-    grids = enumerate_grid_simplices(s, [all_class(s.category)] * 2, 2, 1)
-    assert grids
-    for g in grids:
-        cs = grid_to_staircase(s, g)
-        sp = simplex_edge(cs, (0, 0), (1, 1))
-        assert sp.right == g.edges[((0, 0), 0)]
-        assert sp.left == g.edges[((0, 0), 1)]
-
-
-def test_identity_grid_gives_degenerate_cell():
-    s = setup_all(1)
-    c = s.category
-    i = c.identity["1"]
-    objs = {(a, b): "1" for a in range(3) for b in range(3)}
-    edges = {((a, b), d): i for a in range(3) for b in range(3) for d in (0, 1) if (a, b)[d] < 2}
-    g = GridSimplex(2, 2, c, objs, edges)
-    cs = grid_to_staircase(s, g)
-    assert set(cs.functor.obj_map.values()) == {"1"}
-    assert set(cs.functor.mor_map.values()) == {i}
-
-
-def test_grid_staircase_surjectivity_isos():
-    s = setup_isos(2)
-    for n in (1, 2):
-        assert check_grid_staircase_surjectivity(s, n).passed
-
-
-def test_grid_staircase_surjectivity_fails_for_all_class():
-    # a span that is not jointly injective is never a fiber product, so the
-    # corresponding cell cannot be a grid restriction
-    s = setup_all(1)
-    rep = check_grid_staircase_surjectivity(s, 1)
-    assert not rep.passed
