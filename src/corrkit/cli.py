@@ -82,8 +82,8 @@ def check_bounds(max_dim: int | None, max_apex: int | None) -> None:
 
 @dataclass(frozen=True)
 class WorkspaceConfig:
-    """Validated run parameters; unknown keys and out-of-range bounds are
-    rejected at construction."""
+    """Validated run parameters; unknown suites, out-of-range bounds and
+    unknown formats are rejected at construction."""
 
     inputs: tuple[str, ...] = ()
     instances: tuple[str, ...] = ()
@@ -99,18 +99,6 @@ class WorkspaceConfig:
         check_bounds(self.max_dim, self.max_apex)
         if self.fmt not in FORMATS:
             raise MalformedInputError(f"format must be one of {FORMATS}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorkspaceConfig":
-        allowed = {"inputs", "instances", "suites", "max_dim", "max_apex", "fmt"}
-        unknown = sorted(set(d) - allowed)
-        if unknown:
-            raise MalformedInputError(f"unknown config key {unknown[0]!r}")
-        out = dict(d)
-        for key in ("inputs", "instances", "suites"):
-            if key in out:
-                out[key] = tuple(out[key])
-        return cls(**out)
 
 
 # -- individual suites -----------------------------------------------------
@@ -213,14 +201,11 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
     rep.merge(check_exceptional_pair(pd, m=min(max_dim, 1)), prefix="pair:")
     if not rep.passed:
         return rep
+    # the pair check found a hypercover for every marked map at this level,
+    # so the extension meets no search limit
     c = pd.big.category
-    ns = NagataSetup(pd.big, all_class(c), iso_class(c))
-    sa = build_shriek(ns, sys, verify=False)
-    try:
-        ext = extend_system_E(pd, sa, m=min(max_dim, 1))
-    except ResourceLimitError as exc:
-        rep.add_limit("extension-agrees", {"reason": str(exc)}, anchor="cech-codescent")
-        return rep
+    sa = build_shriek(NagataSetup(pd.big, all_class(c), iso_class(c)), sys)
+    ext = extend_system_E(pd, sa, m=min(max_dim, 1))
     bad = [f for f in sorted(ext) if not ext[f].same_table(sa.shriek[f])]
     rep.add(
         "extension-agrees",
@@ -237,34 +222,26 @@ def _localization_theorem_suite(tag: str, lp: LocalizationProblem) -> Verificati
     return rep
 
 
-def _carrier(kind: str, built):
-    if kind == "category":
-        return built
-    if kind == "nagata":
-        return built.setup
-    return None
-
-
-def run_instance_suites(inst: CorpusInstance, suites, max_dim: int, max_apex: int) -> list[VerificationReport]:
-    built = inst.build()
-    reports = []
-    for suite in SUITE_ORDER:
-        if suite not in suites or suite not in inst.suites:
-            continue
-        if suite == "category":
-            reports.append(_category_suite(inst.name, _carrier(inst.kind, built).category))
-        elif suite == "setup":
-            reports.append(_setup_suite(inst.name, _carrier(inst.kind, built)))
-        elif suite == "model":
-            reports.append(_model_suite(inst.name, built))
-        elif suite == "theorem":
-            if inst.kind == "nagata":
-                reports.append(_nagata_theorem_suite(inst.name, built, max_apex))
-            elif inst.kind == "pair":
-                reports.append(_pair_theorem_suite(inst.name, built, inst.options, max_dim))
-            elif inst.kind == "localization":
-                reports.append(_localization_theorem_suite(inst.name, built))
-    return reports
+def _reports(tag: str, obj, suites, max_dim: int, max_apex: int, options: dict) -> list[VerificationReport]:
+    """The selected suites that apply to a built declaration, in SUITE_ORDER;
+    which suites apply follows from the declaration's type."""
+    if isinstance(obj, FiniteLattice):
+        plan = {"model": lambda: _model_suite(tag, obj)}
+    elif isinstance(obj, PairDeclaration):
+        plan = {"theorem": lambda: _pair_theorem_suite(tag, obj, options, max_dim)}
+    elif isinstance(obj, LocalizationProblem):
+        plan = {"theorem": lambda: _localization_theorem_suite(tag, obj)}
+    elif isinstance(obj, FinCategory):
+        plan = {"category": lambda: _category_suite(tag, obj)}
+    else:  # a carrier setup, or a factorization setup on one
+        setup = obj.setup if isinstance(obj, NagataSetup) else obj
+        plan = {
+            "category": lambda: _category_suite(tag, setup.category),
+            "setup": lambda: _setup_suite(tag, setup),
+        }
+        if isinstance(obj, NagataSetup):
+            plan["theorem"] = lambda: _nagata_theorem_suite(tag, obj, max_apex)
+    return [plan[suite]() for suite in SUITE_ORDER if suite in suites and suite in plan]
 
 
 # -- running inputs and the corpus -----------------------------------------
@@ -277,32 +254,6 @@ def _load_input(path: str):
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}")
     return ser.loads(text)
-
-
-def _input_reports(tag: str, obj, suites, max_dim: int, max_apex: int) -> list[VerificationReport]:
-    reports = []
-    if isinstance(obj, FinCategory):
-        if "category" in suites:
-            reports.append(_category_suite(tag, obj))
-    elif isinstance(obj, FiniteLattice):
-        if "model" in suites:
-            reports.append(_model_suite(tag, obj))
-    elif isinstance(obj, NagataSetup):
-        if "category" in suites:
-            reports.append(_category_suite(tag, obj.setup.category))
-        if "setup" in suites:
-            reports.append(_setup_suite(tag, obj.setup))
-        if "theorem" in suites:
-            reports.append(_nagata_theorem_suite(tag, obj, max_apex))
-    elif isinstance(obj, PairDeclaration):
-        if "theorem" in suites:
-            reports.append(_pair_theorem_suite(tag, obj, {}, max_dim))
-    elif isinstance(obj, LocalizationProblem):
-        if "theorem" in suites:
-            reports.append(_localization_theorem_suite(tag, obj))
-    else:
-        raise MalformedInputError(f"no suites apply to {type(obj).__name__}")
-    return reports
 
 
 def _expected_failures(inst: CorpusInstance, suite: str) -> set:
@@ -327,22 +278,17 @@ def run(config: WorkspaceConfig):
     expectation mode: the exit is zero exactly when every suite fails at
     its documented checks and nowhere else."""
     reports: list[tuple[VerificationReport, bool]] = []
-    mode = "raw"
+    mode = "raw" if config.inputs or config.instances else "expected"
+    bounds = (config.max_dim, config.max_apex)
     if config.inputs:
         for path in config.inputs:
-            obj = _load_input(path)
-            for rep in _input_reports(path, obj, config.suites, config.max_dim, config.max_apex):
-                reports.append((rep, rep.passed))
-    elif config.instances:
-        for name in config.instances:
-            inst = instance(name)
-            for rep in run_instance_suites(inst, config.suites, config.max_dim, config.max_apex):
+            for rep in _reports(path, _load_input(path), config.suites, *bounds, {}):
                 reports.append((rep, rep.passed))
     else:
-        mode = "expected"
-        for inst in corpus():
-            for rep in run_instance_suites(inst, config.suites, config.max_dim, config.max_apex):
-                reports.append((rep, _as_documented(inst, rep)))
+        for inst in map(instance, config.instances) if config.instances else corpus():
+            suites = [s for s in config.suites if s in inst.suites]
+            for rep in _reports(inst.name, inst.build(), suites, *bounds, inst.options):
+                reports.append((rep, rep.passed if mode == "raw" else _as_documented(inst, rep)))
 
     code = 0 if all(ok for _, ok in reports) else 1
     payload = {
@@ -382,40 +328,39 @@ def _skel2_setup() -> GeometricSetup:
     return GeometricSetup(c, all_class(c))
 
 
-def _lattice_from_args(args) -> FiniteLattice:
+# instance kind -> (declaration type, envelope noun, instance noun)
+_DECLARATIONS = {
+    "model": (FiniteLattice, "lattice", "coefficient model"),
+    "nagata": (NagataSetup, "factorization-setup", "factorization setup"),
+    "pair": (PairDeclaration, "pair", "pair declaration"),
+    "localization": (LocalizationProblem, "localization", "localization problem"),
+}
+
+
+def _declaration(args, kind: str) -> tuple:
+    """The declaration a subcommand reads, from --input or a bundled
+    instance of the given kind, with the instance's options."""
+    cls, envelope, noun = _DECLARATIONS[kind]
     if args.input:
         obj = _load_input(args.input)
-        if not isinstance(obj, FiniteLattice):
-            raise MalformedInputError(f"{args.input} is not a lattice envelope")
-        return obj
-    inst = instance(args.instance)
-    if inst.kind != "model":
-        raise MalformedInputError(f"instance {inst.name!r} is not a coefficient model")
-    return inst.build()
-
-
-def _nagata_from_args(args) -> NagataSetup:
-    if args.input:
-        obj = _load_input(args.input)
-        if not isinstance(obj, NagataSetup):
-            raise MalformedInputError(f"{args.input} is not a factorization-setup envelope")
-        return obj
-    inst = instance(args.instance)
-    if inst.kind != "nagata":
-        raise MalformedInputError(f"instance {inst.name!r} is not a factorization setup")
-    return inst.build()
-
-
-def _pair_from_args(args) -> tuple[PairDeclaration, dict]:
-    if args.input:
-        obj = _load_input(args.input)
-        if not isinstance(obj, PairDeclaration):
-            raise MalformedInputError(f"{args.input} is not a pair envelope")
+        if not isinstance(obj, cls):
+            raise MalformedInputError(f"{args.input} is not a {envelope} envelope")
         return obj, {}
     inst = instance(args.instance)
-    if inst.kind != "pair":
-        raise MalformedInputError(f"instance {inst.name!r} is not a pair declaration")
+    if inst.kind != kind:
+        raise MalformedInputError(f"instance {inst.name!r} is not a {noun}")
     return inst.build(), inst.options
+
+
+def _gated_shriek(ns: NagataSetup) -> tuple:
+    """The coefficient system and exceptional maps of a factorization setup
+    that passes the axioms and the hypotheses; any other is refused."""
+    sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
+    for gate in (check_nagata(ns), verify_hypotheses(ns, sys)):
+        if not gate.passed:
+            bad = gate.first_failure()
+            raise MalformedInputError(f"cannot build: {bad.name} fails with witness {bad.witness}")
+    return sys, build_shriek(ns, sys)
 
 
 def _cmd_run(args, out) -> int:
@@ -500,7 +445,7 @@ def _cmd_corr_coproduct(args, out) -> int:
 
 
 def _cmd_model_check(args, out) -> int:
-    L = _lattice_from_args(args)
+    L, _ = _declaration(args, "model")
     setup = _skel2_setup()
     sys = frame_system(setup, L)
     rep = VerificationReport(f"model-{args.law}")
@@ -531,9 +476,8 @@ def _cmd_model_check(args, out) -> int:
 
 
 def _cmd_shriek_build(args, out) -> int:
-    ns = _nagata_from_args(args)
-    sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
-    sa = build_shriek(ns, sys)
+    ns, _ = _declaration(args, "nagata")
+    sys, sa = _gated_shriek(ns)
     tables = {
         f: {x: sa.shriek[f](x) for x in sys.lattice(ns.setup.category.src(f)).elements}
         for f in sorted(sa.shriek)
@@ -543,14 +487,13 @@ def _cmd_shriek_build(args, out) -> int:
 
 
 def _cmd_shriek_verify(args, out) -> int:
-    ns = _nagata_from_args(args)
+    ns, _ = _declaration(args, "nagata")
     return _emit_report(_nagata_theorem_suite("shriek", ns, args.max_apex), args.format, out)
 
 
 def _cmd_formalism_assemble(args, out) -> int:
-    ns = _nagata_from_args(args)
-    sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
-    sa = build_shriek(ns, sys)
+    ns, _ = _declaration(args, "nagata")
+    _, sa = _gated_shriek(ns)
     fm = assemble_formalism(ns, sa, max_apex=args.max_apex)
     return _emit_report(check_formalism(fm), args.format, out)
 
@@ -574,30 +517,21 @@ def _cmd_search_nagata(args, out) -> int:
 
 
 def _cmd_descend_extend_c(args, out) -> int:
-    pd, options = _pair_from_args(args)
+    pd, options = _declaration(args, "pair")
     if pd.kind != "nice":
         raise MalformedInputError("extend-c needs a nice pair")
     return _emit_report(_pair_theorem_suite("extend-c", pd, options, args.max_dim), args.format, out)
 
 
 def _cmd_descend_extend_e(args, out) -> int:
-    pd, options = _pair_from_args(args)
+    pd, options = _declaration(args, "pair")
     if pd.kind != "exceptional":
         raise MalformedInputError("extend-e needs an exceptional pair")
     return _emit_report(_pair_theorem_suite("extend-e", pd, options, args.max_dim), args.format, out)
 
 
 def _cmd_localize_check(args, out) -> int:
-    if args.input:
-        obj = _load_input(args.input)
-        if not isinstance(obj, LocalizationProblem):
-            raise MalformedInputError(f"{args.input} is not a localization envelope")
-        lp = obj
-    else:
-        inst = instance(args.instance)
-        if inst.kind != "localization":
-            raise MalformedInputError(f"instance {inst.name!r} is not a localization problem")
-        lp = inst.build()
+    lp, _ = _declaration(args, "localization")
     return _emit_report(check_localization_premises(lp), args.format, out)
 
 

@@ -265,6 +265,8 @@ class PairDeclaration:
     s_big: frozenset
     e_small: frozenset
     atlases: dict
+    # (f, m) -> the result of the hypercover search for f at level m
+    _hypercovers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("nice", "exceptional"):
@@ -387,7 +389,16 @@ def _level_maps(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, n: int, b
 
 def find_hypercovers(pd: PairDeclaration, f: str, m: int = 1):
     """All hypercovers of f over declared atlas pairs, plus a flag telling
-    whether some atlas pair could not be evaluated (missing nerve level)."""
+    whether some atlas pair could not be evaluated (missing nerve level).
+
+    Each (f, m) is searched once per declaration; `check_exceptional_pair`
+    and `extend_system_E` share the memoized result."""
+    if (f, m) not in pd._hypercovers:
+        pd._hypercovers[(f, m)] = _search_hypercovers(pd, f, m)
+    return pd._hypercovers[(f, m)]
+
+
+def _search_hypercovers(pd: PairDeclaration, f: str, m: int):
     c = pd.big.category
     out = []
     limited = False
@@ -424,15 +435,6 @@ def find_hypercovers(pd: PairDeclaration, f: str, m: int = 1):
                             continue
                         out.append(Hypercover(f, nx, ny, (f0, f1, f2)))
     return out, limited
-
-
-def find_hypercover(pd: PairDeclaration, f: str, m: int = 1) -> Hypercover | None:
-    found, limited = find_hypercovers(pd, f, m)
-    if found:
-        return found[0]
-    if limited:
-        raise ResourceLimitError(f"hypercover search for {f!r} exhausted the carrier")
-    return None
 
 
 def check_exceptional_pair(pd: PairDeclaration, m: int = 1) -> VerificationReport:
@@ -801,17 +803,13 @@ def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
 
 
 def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
-    """The map induced on codescent quotients by a hypercover's level maps."""
+    """The map induced on codescent quotients by a hypercover's level maps.
+
+    The codescent precondition on both nerves is the caller's to check
+    (`extend_system_E` checks each distinct nerve once)."""
     c = pd.big.category
     sys = sa.sys
     src_o, dst_o = c.morphisms[hc.f]
-    for nerve in (hc.src_nerve, hc.dst_nerve):
-        gate = check_codescent(sa, nerve)
-        if not gate.passed:
-            raise MalformedInputError(
-                f"codescent precondition fails for atlas {nerve.atlas.x!r}: "
-                f"{gate.first_failure().witness}"
-            )
     push_x = _push(sa, hc.src_nerve.aug[0])
     push_y = _push(sa, hc.dst_nerve.aug[0])
     level0 = _push(sa, hc.levels[0])
@@ -831,16 +829,34 @@ def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
 
 def extend_system_E(pd: PairDeclaration, sa, m: int = 1) -> dict:
     """Exceptional maps for every ambient exceptional morphism, each induced
-    on colimits from the first hypercover the bounded search finds."""
+    on colimits from the first hypercover the bounded search finds.
+
+    The search is the memoized `find_hypercovers`.  The codescent
+    precondition is checked here, once per distinct nerve in order of first
+    use, before any map is built."""
     if pd.kind != "exceptional":
         raise MalformedInputError("extension of exceptional maps needs an exceptional pair")
-    out = {}
+    chosen = {}
     for f in sorted(pd.big.e.members):
-        hc = find_hypercover(pd, f, m)
-        if hc is None:
+        found, limited = find_hypercovers(pd, f, m)
+        if not found:
+            if limited:
+                raise ResourceLimitError(f"hypercover search for {f!r} exhausted the carrier")
             raise MalformedInputError(f"no hypercover matches {f!r}")
-        out[f] = extended_shriek_map(pd, sa, hc)
-    return out
+        chosen[f] = found[0]
+    gated = set()
+    for hc in chosen.values():
+        for nerve in (hc.src_nerve, hc.dst_nerve):
+            if id(nerve) in gated:
+                continue
+            gated.add(id(nerve))
+            gate = check_codescent(sa, nerve)
+            if not gate.passed:
+                raise MalformedInputError(
+                    f"codescent precondition fails for atlas {nerve.atlas.x!r}: "
+                    f"{gate.first_failure().witness}"
+                )
+    return {f: extended_shriek_map(pd, sa, hc) for f, hc in chosen.items()}
 
 
 # -- localization premises -------------------------------------------------

@@ -45,13 +45,6 @@ class FinCategory:
             raise MalformedInputError(f"cannot compose {g!r} after {f!r}")
         return self.compose[(g, f)]
 
-    def comp_chain(self, *ms: str) -> str:
-        """Composite of a chain listed source-to-target: comp_chain(f, g) = g.f."""
-        out = ms[0]
-        for m in ms[1:]:
-            out = self.comp(m, out)
-        return out
-
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src(m)) == m and self.src(m) == self.dst(m)
 

@@ -165,13 +165,6 @@ class FiniteLattice:
             for c in self.elements
         )
 
-    def imp(self, a: str, b: str) -> str:
-        """Heyting implication: the largest c with a meet c <= b."""
-        if not self.is_frame:
-            raise MalformedInputError("implication needs a frame")
-        cands = [c for c in self.elements if self.le(self.meet(a, c), b)]
-        return self.join_all(cands)
-
 
 @dataclass
 class LatticeMap:

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from corrkit import cli, descent, shriek
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
 from corrkit.fincat import check_category
@@ -111,11 +113,6 @@ def test_input_file_runs_applicable_suites(tmp_path, capsys):
 
 
 # -- config validation -----------------------------------------------------
-
-
-def test_config_rejects_unknown_key():
-    with pytest.raises(MalformedInputError, match="nope"):
-        WorkspaceConfig.from_dict({"nope": 1})
 
 
 def test_config_rejects_out_of_range_bounds():
@@ -284,6 +281,37 @@ def test_suite_order_is_dependency_order():
     assert SUITE_ORDER == ("category", "setup", "model", "theorem")
 
 
+def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
+    calls = Counter()
+
+    def count(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # a constructor that reran a gate would reach it through `shriek`
+    for module in (cli, shriek):
+        count(module, "check_nagata", lambda ns: "check_nagata")
+        count(module, "verify_hypotheses", lambda ns, sys: "verify_hypotheses")
+    rep = cli._nagata_theorem_suite("nagata-open", instance("nagata-open").build(), 4)
+    assert rep.passed
+    assert calls == {"check_nagata": 1, "verify_hypotheses": 1}
+
+    calls.clear()
+    count(descent, "_search_hypercovers", lambda pd, f, m: ("search", f, m))
+    count(descent, "check_codescent", lambda sa, nerve: ("codescent", id(nerve)))
+    pd = instance("exceptional-pair-cover").build()
+    rep = cli._pair_theorem_suite("exceptional-pair-cover", pd, {}, 2)
+    assert rep.passed
+    assert {k[1:]: n for k, n in calls.items() if k[0] == "search"} == {(f, 1): 1 for f in pd.big.e.members}
+    # three distinct nerves, each checked once
+    assert [n for k, n in calls.items() if k[0] == "codescent"] == [1, 1, 1]
+
+
 # -- payload bytes ---------------------------------------------------------
 
 # SHA-256 of the `--format json` output; a refactor must not move these
@@ -322,3 +350,60 @@ def test_model_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         (tmp_path / name).write_text(ser.dumps(ser.lattice_to_dict(L)))
         code, out, _ = invoke(capsys, "run", "--input", name, "--suite", "model", "--format", "json")
         assert (code, _sha256(out)) == MODEL_RUN_SHA256[name], name
+
+
+# exit code and stdout SHA-256 of the subcommands that load a declaration
+# and build from it, recorded before their loaders and build gate merged
+SUBCOMMAND_SHA256 = {
+    ("shriek", "build", "--instance", "nagata-open"): (0, "aa0f65a42400317ab12079f3423f43e152736dab5a1dd36902089af169b4e156"),
+    ("shriek", "build", "--instance", "nagata-proper"): (0, "0025e1bfc257d29aac75e9db0457aad54d3f5270e9f33e3fad2a32bbb095ac78"),
+    ("formalism", "assemble", "--instance", "nagata-proper", "--format", "json"): (
+        0, "0f7f1e0468cb90acdae179b0a7376a0662ac3e96517aff2e6f24cb24d6f021f0"),
+    ("descend", "extend-c", "--instance", "nice-pair-cover", "--format", "json"): (
+        0, "9eada44763542aa7aeb60d2a6676f01e7dedb4cbf733188ec8bbfb038fc48f9b"),
+    ("descend", "extend-e", "--format", "json"): (0, "1692cefe89a58f977476dfe6d5e33e92e2105fba013ac7ee559995a8c7f8d2a3"),
+    ("localize", "check", "--instance", "localization-cover", "--format", "json"): (
+        0, "2eb33dd55ef52ea35cda42ff2d83b56965566155069514e731415a394ab8f944"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_SHA256))
+def test_subcommand_bytes_are_pinned(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, _sha256(out), err) == (*SUBCOMMAND_SHA256[argv], "")
+
+
+# the one stderr line of a declaration of the wrong kind; `chain2.json` is
+# a lattice envelope and `nagata.json` a factorization-setup envelope
+SUBCOMMAND_STDERR = {
+    ("model", "check", "--law", "kunneth", "--instance", "nagata-open"):
+        "error: instance 'nagata-open' is not a coefficient model\n",
+    ("shriek", "build", "--instance", "frame-2chain"):
+        "error: instance 'frame-2chain' is not a factorization setup\n",
+    ("descend", "extend-e", "--instance", "nagata-open"):
+        "error: instance 'nagata-open' is not a pair declaration\n",
+    ("localize", "check", "--instance", "finset-1"):
+        "error: instance 'finset-1' is not a localization problem\n",
+    ("shriek", "build", "--input", "chain2.json"):
+        "error: chain2.json is not a factorization-setup envelope\n",
+    ("model", "check", "--law", "kunneth", "--input", "nagata.json"):
+        "error: nagata.json is not a lattice envelope\n",
+    ("descend", "extend-c", "--input", "chain2.json"):
+        "error: chain2.json is not a pair envelope\n",
+    ("localize", "check", "--input", "chain2.json"):
+        "error: chain2.json is not a localization envelope\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_STDERR))
+def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain2.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(1))))
+    (tmp_path / "nagata.json").write_text(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
+    assert invoke(capsys, *argv) == (2, "", SUBCOMMAND_STDERR[argv])
+
+
+def test_shriek_build_refuses_a_setup_that_fails_a_hypothesis(capsys):
+    code, out, err = invoke(capsys, "shriek", "build", "--instance", "nagata-inj-all")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: cannot build: support-property")

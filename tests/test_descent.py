@@ -25,7 +25,6 @@ from corrkit.descent import (
     extend_system_E,
     extended_shriek_map,
     fiber_category,
-    find_hypercover,
     find_hypercovers,
     has_section,
     identity_atlas,
@@ -64,7 +63,7 @@ def big_sys():
 def big_sa():
     c = big().category
     ns = NagataSetup(big(), all_class(c), iso_class(c))
-    return build_shriek(ns, big_sys(), verify=False)
+    return build_shriek(ns, big_sys())
 
 
 @lru_cache(maxsize=None)
@@ -417,8 +416,9 @@ def test_hypercover_search_reports_limit():
         "exceptional", s, c.objects, frozenset(), frozenset(),
         frozenset(c.morphism_ids), atl,
     )
+    assert find_hypercovers(pd, "1>1:0") == ([], True)
     with pytest.raises(ResourceLimitError):
-        find_hypercover(pd, "1>1:0")
+        extend_system_E(pd, big_sa())
     rep = check_exceptional_pair(pd)
     statuses = {ch.name: ch.status for ch in rep.checks}
     assert statuses["hypercover:1>1:0"] == "resource-limit"

@@ -72,7 +72,6 @@ def test_chain_lattice_basics():
     assert (L.bot, L.top) == ("0", "2")
     assert L.meet("1", "2") == "1" and L.join("1", "2") == "2"
     assert L.is_frame
-    assert L.imp("2", "1") == "1" and L.imp("0", "0") == "2"
 
 
 def test_n5_is_not_a_frame():
@@ -80,8 +79,6 @@ def test_n5_is_not_a_frame():
     assert L.join("a", L.meet("b", "c")) == "a"
     assert L.meet(L.join("a", "b"), L.join("a", "c")) == "c"
     assert not L.is_frame
-    with pytest.raises(MalformedInputError):
-        L.imp("a", "b")
 
 
 def test_lattice_validation():

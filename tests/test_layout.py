@@ -1,9 +1,23 @@
-"""Package layout: no unused import and no module the CLI cannot reach."""
+"""Package layout: no unused import, no module the CLI cannot reach, and no
+definition that only unit tests name."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "corrkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "corrkit"
+
+# definitions that only unit tests name, kept on purpose
+KEPT_FOR_TESTS = {
+    "opposite": "test oracle: duality arguments in the category tests",
+    "wide_subcategory": "test oracle: the core groupoid in the category tests",
+    "partial_adjoint_grid": "the partial-adjoints theorem, to be put in the gate (ROADMAP item 3)",
+    "pair_to_dict": "round-trip writer for pair envelopes",
+    "localization_to_dict": "round-trip writer for localization envelopes",
+    "spans_isomorphic": "the reference that span_class_key is tested against",
+    "simplex_edge": "test accessor for grid simplices",
+}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -50,3 +64,46 @@ def test_every_module_is_reached_from_the_cli():
             reached.add(mod)
             todo += sorted(_local_imports(trees[mod]) & set(trees))
     assert sorted(set(trees) - reached - {"__init__"}) == []
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every identifier the node mentions: names, attributes, imported
+    names, and dotted identifiers inside strings (perfbench's tracer names
+    its targets that way)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(part for part in n.value.split(".") if part.isidentifier())
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes
+    other than dunders, which Python calls implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            )
+
+
+def test_every_definition_is_named_outside_the_unit_tests():
+    trees = _trees()
+    readers = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    named = sum((_names(t) for t in trees.values()), Counter())
+    for path in readers:
+        named += _names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    # a name mentioned only inside its own definition is not reached
+    unreached = {
+        d.name: mod for mod, tree in trees.items() for d in _definitions(tree) if named[d.name] == _names(d)[d.name]
+    }
+    assert {name: mod for name, mod in unreached.items() if name not in KEPT_FOR_TESTS} == {}
+    assert sorted(unreached) == sorted(KEPT_FOR_TESTS)

@@ -197,10 +197,13 @@ def test_build_shriek_proper_is_fiberwise_meet():
             assert sa.shriek[f].same_table(oracle)
 
 
-def test_build_shriek_gates_on_failed_hypotheses():
+def test_build_shriek_refuses_inconsistent_classes():
+    # injections open-like and everything proper-like fail the support
+    # property; the suite gates on that, and build_shriek itself still
+    # refuses the maps because class consistency breaks
     s = _setup()
     sys = frame_system(s, chain_lattice(1))
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match="class consistency broken"):
         build_shriek(ns_inj_all(s), sys)
 
 
@@ -282,7 +285,7 @@ def test_shriek_projection_fails_on_pentagon():
     s = _setup()
     sys = frame_system(s, n5_lattice())
     ns = ns_open(s)
-    sa = build_shriek(ns, sys, verify=False)
+    sa = build_shriek(ns, sys)
     rep = check_shriek_projection(ns, sa)
     assert not rep.passed
     w = rep.first_failure().witness["witness"]
