@@ -189,7 +189,7 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
                         prefix=f"atlas:{obj}:",
                     )
         if rep.passed:
-            ext = extend_system_C(pd, sys, m_max=max_dim, verify=False)
+            ext = extend_system_C(pd, sys, m_max=max_dim)
             rep.add(
                 "extension-functorial",
                 True,

@@ -677,36 +677,17 @@ def _transport_pull(
     return LatticeMap(lattices[dst_o], lattices[src_o], table)
 
 
-def extend_system_C(
-    pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2, verify: bool = True
-) -> CoefficientSystem:
+def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2) -> CoefficientSystem:
     """Extend a coefficient system from the sub-setup to the ambient one by
     taking descent data over the chosen atlas of each new object.
 
-    Gated by the pair axioms (skippable on carriers where the exhaustive
-    setup scan is out of reach) and, always, by the descent precondition
-    for every declared atlas whose covered object already carries a
-    lattice."""
+    The pair axioms (`check_nice_pair`) and the descent precondition
+    (`check_descent`) are not checked here: the caller that reports them
+    gates construction."""
     if pd.kind != "nice":
         raise MalformedInputError("extension of restrictions needs a nice pair")
-    if verify:
-        gate = check_nice_pair(pd)
-        if not gate.passed:
-            bad = gate.first_failure()
-            raise MalformedInputError(f"pair axioms fail: {bad.name} with {bad.witness}")
     c = pd.big.category
     small = set(pd.small.objects)
-    for obj in sorted(pd.atlases):
-        if obj not in small:
-            continue
-        for a in pd.atlases[obj]:
-            sub = check_descent(pd.big, sys, a, m_max)
-            bad = sub.first_failure()
-            if bad is not None:
-                raise MalformedInputError(
-                    f"descent precondition fails for atlas {a.x!r}: {bad.witness}"
-                )
-
     lattices = {}
     chosen = {}
     for obj in c.objects:

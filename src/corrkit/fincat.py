@@ -77,21 +77,13 @@ class FinCategory:
     @cached_property
     def iso_ids(self) -> frozenset[str]:
         isos = set()
-        inverse = {}
         for m in self.morphism_ids:
             x, y = self.morphisms[m]
             for n in self.hom(y, x):
                 if self.comp(n, m) == self.identity[x] and self.comp(m, n) == self.identity[y]:
                     isos.add(m)
-                    inverse[m] = n
                     break
-        self._inverse = inverse
         return frozenset(isos)
-
-    def inverse(self, m: str) -> str:
-        if m not in self.iso_ids:
-            raise MalformedInputError(f"{m!r} is not an isomorphism")
-        return self._inverse[m]
 
     @cached_property
     def mono_ids(self) -> frozenset[str]:

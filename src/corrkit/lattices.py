@@ -275,12 +275,6 @@ class GaloisMap:
     def star(self) -> LatticeMap | None:
         return right_adjoint(self.pullback)
 
-    @property
-    def upper(self) -> LatticeMap | None:
-        """Right adjoint of the star map when both exist."""
-        star = self.star
-        return None if star is None else right_adjoint(star)
-
 
 def check_triangles(g: GaloisMap) -> VerificationReport:
     """adj . pull . adj == adj and pull . adj . pull == pull, compared on

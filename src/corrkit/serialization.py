@@ -163,8 +163,8 @@ def lattice_from_dict(d: dict) -> FiniteLattice:
 # -- marked classes and declarations ---------------------------------------
 
 
-def _class_members(c: FinCategory, ids) -> frozenset:
-    return EdgeClass(c, frozenset(ids)).members
+def _class_members(c: FinCategory, d: dict, key: str) -> frozenset:
+    return EdgeClass(c, frozenset(_strings(d[key], key))).members
 
 
 def nagata_to_dict(ns: NagataSetup) -> dict:
@@ -180,8 +180,8 @@ def nagata_to_dict(ns: NagataSetup) -> dict:
 def nagata_from_dict(d: dict) -> NagataSetup:
     _check_fields(d, NAGATA_SCHEMA, ("category", "e", "i", "p"))
     c = category_from_dict(d["category"])
-    setup = GeometricSetup(c, EdgeClass(c, _class_members(c, d["e"])))
-    return NagataSetup(setup, EdgeClass(c, _class_members(c, d["i"])), EdgeClass(c, _class_members(c, d["p"])))
+    setup = GeometricSetup(c, EdgeClass(c, _class_members(c, d, "e")))
+    return NagataSetup(setup, EdgeClass(c, _class_members(c, d, "i")), EdgeClass(c, _class_members(c, d, "p")))
 
 
 def pair_to_dict(pd: PairDeclaration) -> dict:
@@ -216,20 +216,22 @@ def pair_from_dict(d: dict) -> PairDeclaration:
         ("kind", "category", "e_big", "small_objects", "s_small", "s_big", "e_small", "cover", "atlases"),
     )
     c = category_from_dict(d["category"])
-    big = GeometricSetup(c, EdgeClass(c, _class_members(c, d["e_big"])))
-    cover = EdgeClass(c, _class_members(c, d["cover"]))
-    small_objects = tuple(d["small_objects"])
+    big = GeometricSetup(c, EdgeClass(c, _class_members(c, d, "e_big")))
+    cover = EdgeClass(c, _class_members(c, d, "cover"))
+    small_objects = tuple(_strings(d["small_objects"], "small_objects"))
+    if not isinstance(d["atlases"], dict):
+        raise MalformedInputError("atlases must map objects to lists of strings")
     atlases = {
-        obj: tuple(Atlas(big, x, cover, small_objects) for x in lst)
+        obj: tuple(Atlas(big, x, cover, small_objects) for x in _strings(lst, f"atlases of {obj!r}"))
         for obj, lst in d["atlases"].items()
     }
     return PairDeclaration(
         d["kind"],
         big,
         small_objects,
-        frozenset(d["s_small"]),
-        frozenset(d["s_big"]),
-        frozenset(d["e_small"]),
+        frozenset(_strings(d["s_small"], "s_small")),
+        frozenset(_strings(d["s_big"], "s_big")),
+        frozenset(_strings(d["e_small"], "e_small")),
         atlases,
     )
 

@@ -10,7 +10,7 @@ into a functor on the homotopy span category) is verified elementwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grid import enumerate_grid_simplices
 from .lattices import (
@@ -36,35 +36,14 @@ class NagataSetup:
     setup: GeometricSetup
     i_class: EdgeClass
     p_class: EdgeClass
+    # (right, top, bottom, left) of every cartesian square with legs in
+    # E, I or P, filled by the first `cartesian_squares` call
+    _squares: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.setup.category
         if self.i_class.carrier is not c or self.p_class.carrier is not c:
             raise MalformedInputError("classes must live on the setup's category")
-
-
-@dataclass
-class Compactification:
-    """A factorization f = p . j with j open-like and p proper-like."""
-
-    ns: NagataSetup
-    f: str
-    obj: str
-    j: str
-    p: str
-
-    def __post_init__(self):
-        c = self.ns.setup.category
-        if self.j not in self.ns.i_class.members:
-            raise MalformedInputError(f"{self.j!r} is not open-like")
-        if self.p not in self.ns.p_class.members:
-            raise MalformedInputError(f"{self.p!r} is not proper-like")
-        if c.morphisms[self.j] != (c.src(self.f), self.obj):
-            raise MalformedInputError("open leg mistyped")
-        if c.morphisms[self.p] != (self.obj, c.dst(self.f)):
-            raise MalformedInputError("proper leg mistyped")
-        if c.comp(self.p, self.j) != self.f:
-            raise MalformedInputError("legs do not compose to the map")
 
 
 def check_nagata(ns: NagataSetup) -> VerificationReport:
@@ -105,8 +84,10 @@ def check_nagata(ns: NagataSetup) -> VerificationReport:
     return rep
 
 
-def factorizations(ns: NagataSetup, f: str) -> list[Compactification]:
-    """All factorizations through carrier objects, canonical (least) first."""
+def factorizations(ns: NagataSetup, f: str) -> list[tuple[str, str, str]]:
+    """All factorizations f = p . j through a carrier object k, with j
+    open-like and p proper-like, as sorted (k, j, p): the canonical (least)
+    one first."""
     c = ns.setup.category
     x, y = c.morphisms[f]
     out = []
@@ -116,17 +97,16 @@ def factorizations(ns: NagataSetup, f: str) -> list[Compactification]:
         for j in c.hom(x, k):
             if j in ns.i_class.members:
                 out.extend((k, j, p) for p in ps if c.compose[(p, j)] == f)
-    return [Compactification(ns, f, k, j, p) for k, j, p in sorted(out)]
+    return sorted(out)
 
 
 @dataclass
 class ShriekAssignment:
-    """One exceptional map per marked morphism, with the factorization used."""
+    """One exceptional map per marked morphism."""
 
     ns: NagataSetup
     sys: CoefficientSystem
     shriek: dict
-    chosen: dict
 
     def __post_init__(self):
         c = self.ns.setup.category
@@ -158,15 +138,14 @@ def build_shriek(ns: NagataSetup, sys: CoefficientSystem) -> ShriekAssignment:
     The axioms (`check_nagata`) and hypotheses (`verify_hypotheses`) are
     not checked here: the caller that reports them gates construction.
     """
-    shriek, chosen = {}, {}
+    shriek = {}
     for f in sorted(ns.setup.e.members):
         facts = factorizations(ns, f)
         if not facts:
             raise MalformedInputError(f"no factorization for {f!r}")
-        cf = facts[0]
-        shriek[f] = compose_maps(_star(sys, cf.p), _sharp(sys, cf.j))
-        chosen[f] = cf
-    sa = ShriekAssignment(ns, sys, shriek, chosen)
+        _, j, p = facts[0]
+        shriek[f] = compose_maps(_star(sys, p), _sharp(sys, j))
+    sa = ShriekAssignment(ns, sys, shriek)
     gate = check_class_consistency(sa)
     if not gate.passed:
         bad = gate.first_failure()
@@ -192,7 +171,7 @@ def check_class_consistency(sa: ShriekAssignment) -> VerificationReport:
 # -- hypothesis suite -----------------------------------------------------
 
 
-def _grid_square(g):
+def _grid_square(g) -> tuple[str, str, str, str]:
     """Corner data of a k=2, n=1 grid: cospan legs and their base changes."""
     right = g.edges[((0, 1), 0)]
     top = g.edges[((1, 0), 1)]
@@ -201,9 +180,28 @@ def _grid_square(g):
     return right, top, bottom, left
 
 
-def _square_id(g) -> dict:
-    right, top, bottom, left = _grid_square(g)
+def _square_id(sq) -> dict:
+    right, top, bottom, left = sq
     return {"cospan": [right, top], "base-changes": [bottom, left]}
+
+
+def cartesian_squares(ns: NagataSetup, a: EdgeClass, b: EdgeClass) -> list[tuple[str, str, str, str]]:
+    """The squares of `enumerate_grid_simplices(s, [a, b], 2, 1)` for marked
+    classes a and b, as (right, top, bottom, left): right and bottom lie in
+    a, top and left in b.
+
+    The grid search prunes but never reorders, so one enumeration over the
+    union of the marked classes, filtered, gives every pair's squares in
+    the same order."""
+    if ns._squares is None:
+        s = ns.setup
+        marked = s.e.members | ns.i_class.members | ns.p_class.members
+        ns._squares = [_grid_square(g) for g in enumerate_grid_simplices(s, [marked, marked], 2, 1)]
+    return [
+        sq
+        for sq in ns._squares
+        if sq[0] in a.members and sq[2] in a.members and sq[1] in b.members and sq[3] in b.members
+    ]
 
 
 def verify_hypotheses(ns: NagataSetup, sys: CoefficientSystem) -> VerificationReport:
@@ -233,13 +231,13 @@ def verify_hypotheses(ns: NagataSetup, sys: CoefficientSystem) -> VerificationRe
 
     def base_change(cls: EdgeClass, side: str, name: str):
         witness, count = None, 0
-        for g in enumerate_grid_simplices(s, [cls, s.e], 2, 1):
-            right, top, bottom, left = _grid_square(g)
+        for square in cartesian_squares(ns, cls, s.e):
+            right, top, bottom, left = square
             count += 1
             sq = SquareData(p=sys.pull(right), u=sys.pull(top), v=sys.pull(left), q=sys.pull(bottom))
             sub = check_adjointable(sq, side)
             if not sub.passed:
-                witness = {"square": _square_id(g), "witness": sub.first_failure().witness}
+                witness = {"square": _square_id(square), "witness": sub.first_failure().witness}
                 break
         rep.add(name, witness is None, witness or {"squares": count}, anchor=f"{name}-adjointable")
 
@@ -247,18 +245,18 @@ def verify_hypotheses(ns: NagataSetup, sys: CoefficientSystem) -> VerificationRe
     base_change(ns.p_class, "right", "p-base-change")
 
     witness, count = None, 0
-    for g in enumerate_grid_simplices(s, [ns.i_class, ns.p_class], 2, 1):
-        j, p, j2, p2 = _grid_square(g)
+    for square in cartesian_squares(ns, ns.i_class, ns.p_class):
+        j, p, j2, p2 = square
         count += 1
         try:
             # commuting here is exactly left base change for this square
             sq = SquareData(p=sys.pull(p2), u=_sharp(sys, j), v=_sharp(sys, j2), q=sys.pull(p))
         except MalformedInputError as e:
-            witness = {"square": _square_id(g), "witness": str(e)}
+            witness = {"square": _square_id(square), "witness": str(e)}
             break
         sub = check_adjointable(sq, "right")
         if not sub.passed:
-            witness = {"square": _square_id(g), "witness": sub.first_failure().witness}
+            witness = {"square": _square_id(square), "witness": sub.first_failure().witness}
             break
     rep.add("support-property", witness is None, witness or {"squares": count}, anchor="support-property-square")
     return rep
@@ -271,16 +269,17 @@ def check_independence(ns: NagataSetup, sys: CoefficientSystem, f: str) -> Verif
     facts = factorizations(ns, f)
     if not facts:
         raise MalformedInputError(f"no factorization for {f!r}")
-    star, sharp = _star(sys, facts[0].p), _sharp(sys, facts[0].j)
+    _, j, p = facts[0]
+    star, sharp = _star(sys, p), _sharp(sys, j)
     canonical = {e: star(sharp(e)) for e in sharp.src.elements}
     witness = None
-    for cf in facts[1:]:
-        star, sharp = _star(sys, cf.p), _sharp(sys, cf.j)
+    for k, j, p in facts[1:]:
+        star, sharp = _star(sys, p), _sharp(sys, j)
         for e, want in canonical.items():
             got = star(sharp(e))
             if got != want:
                 witness = {
-                    "factorization": [cf.obj, cf.j, cf.p],
+                    "factorization": [k, j, p],
                     "element": e,
                     "canonical": want,
                     "candidate": got,
@@ -304,8 +303,8 @@ def check_base_change_shriek(ns: NagataSetup, sa: ShriekAssignment) -> Verificat
     s = ns.setup
     sys = sa.sys
     witness, count = None, 0
-    for g in enumerate_grid_simplices(s, [s.e, s.e], 2, 1):
-        p, q, p2, q2 = _grid_square(g)
+    for square in cartesian_squares(ns, s.e, s.e):
+        p, q, p2, q2 = square
         count += 1
         push, pull = sa.shriek[p], sys.pull(q)
         push2, pull2 = sa.shriek[p2], sys.pull(q2)
@@ -313,7 +312,7 @@ def check_base_change_shriek(ns: NagataSetup, sa: ShriekAssignment) -> Verificat
             lhs, rhs = pull(push(e)), push2(pull2(e))
             if lhs != rhs:
                 witness = {
-                    "square": _square_id(g),
+                    "square": _square_id(square),
                     "element": e,
                     "pull-then-push": rhs,
                     "push-then-pull": lhs,
@@ -344,11 +343,19 @@ def check_shriek_projection(ns: NagataSetup, sa: ShriekAssignment) -> Verificati
 # -- assembly on the homotopy span category -------------------------------
 
 
-def span_value(sa: ShriekAssignment, sp: Span) -> LatticeMap:
-    """Pull along the left leg, then push exceptionally along the right."""
+def _span_table(sa: ShriekAssignment, sp: Span) -> dict:
+    """The table of `span_value`, with no map built: a composite of
+    monotone maps needs no monotonicity check."""
     if sp.right not in sa.ns.setup.e.members:
         raise MalformedInputError(f"right leg {sp.right!r} is not marked")
-    return compose_maps(sa.shriek[sp.right], sa.sys.pull(sp.left))
+    push, pull = sa.shriek[sp.right].table, sa.sys.pull(sp.left)
+    return {x: push[pull.table[x]] for x in pull.src.elements}
+
+
+def span_value(sa: ShriekAssignment, sp: Span) -> LatticeMap:
+    """Pull along the left leg, then push exceptionally along the right."""
+    table = _span_table(sa, sp)
+    return LatticeMap(sa.sys.pull(sp.left).src, sa.shriek[sp.right].dst, table)
 
 
 @dataclass
@@ -386,7 +393,7 @@ def check_formalism(fm: Formalism) -> VerificationReport:
                 (hc.class_id(r), (r, ms)) for r, ms in hc.classes(x, y).values()
             ):
                 for member in members:
-                    if not span_value(sa, member).same_table(fm.mor_map[cid]):
+                    if _span_table(sa, member) != fm.mor_map[cid].table:
                         witness = {"class": cid, "member": [member.left, member.right]}
                         break
                 if witness:
@@ -412,9 +419,9 @@ def check_formalism(fm: Formalism) -> VerificationReport:
                         except (MalformedInputError, ResourceLimitError):
                             continue
                         covered += 1
-                        direct = span_value(sa, composite)
-                        chained = compose_maps(fm.mor_map[hc.class_id(b)], fm.mor_map[hc.class_id(a)])
-                        if not direct.same_table(chained):
+                        direct = _span_table(sa, composite)
+                        first, then = fm.mor_map[hc.class_id(a)].table, fm.mor_map[hc.class_id(b)].table
+                        if direct != {x: then[y] for x, y in first.items()}:
                             witness = {
                                 "pair": [[a.left, a.right], [b.left, b.right]],
                                 "composite": [composite.left, composite.right],

@@ -151,12 +151,6 @@ class HCorr:
         rep, _ = table[key]
         return f"[{rep.left};{rep.right}]"
 
-    def rep(self, x: str, y: str, class_id: str) -> Span:
-        for rep, _ in self.classes(x, y).values():
-            if f"[{rep.left};{rep.right}]" == class_id:
-                return rep
-        raise MalformedInputError(f"unknown class {class_id!r}")
-
     def identity_id(self, x: str) -> str:
         return self.class_id(identity_span(self.setup.category, x))
 

@@ -389,7 +389,7 @@ def test_criterion_09_descent():
         problems.append({"descent-data": sorted(dd)})
 
     pd = instance("nice-pair-cover").build()
-    ext = extend_system_C(pd, sys, verify=False)
+    ext = extend_system_C(pd, sys)
     if set(ext.lattice("1").elements) != set(sys.lattice("1").elements):
         problems.append({"reason": "extension moved a declared lattice"})
 

@@ -9,9 +9,11 @@ import pytest
 from corrkit import cli, descent, shriek
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
-from corrkit.fincat import check_category
+from corrkit.fincat import check_category, finset_category, injections
 from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
+from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
+from corrkit.shriek import NagataSetup
 from corrkit import serialization as ser
 
 
@@ -287,9 +289,9 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     def count(module, name, key):
         fn = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[key(*args)] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
@@ -297,9 +299,26 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     for module in (cli, shriek):
         count(module, "check_nagata", lambda ns: "check_nagata")
         count(module, "verify_hypotheses", lambda ns, sys: "verify_hypotheses")
+    count(shriek, "enumerate_grid_simplices", lambda s, classes, k, n: "enumerate_grid_simplices")
     rep = cli._nagata_theorem_suite("nagata-open", instance("nagata-open").build(), 4)
     assert rep.passed
-    assert calls == {"check_nagata": 1, "verify_hypotheses": 1}
+    assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "enumerate_grid_simplices": 1}
+    # a setup that fails a hypothesis searches its squares once as well
+    calls.clear()
+    rep = cli._nagata_theorem_suite("nagata-inj-all", instance("nagata-inj-all").build(), 4)
+    assert [c.name for c in rep.failures] == ["hypotheses:support-property"]
+    assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "enumerate_grid_simplices": 1}
+
+    # the extension of a nice pair reruns no descent check the suite reported
+    for module in (cli, descent):
+        count(module, "check_descent", lambda setup, sys, atlas: ("descent", id(atlas)))
+    for name in ("nice-pair-cover", "nice-pair-identity"):
+        calls.clear()
+        inst = instance(name)
+        pd = inst.build()
+        rep = cli._pair_theorem_suite(name, pd, inst.options, 2)
+        assert rep.checks[-1].name == "extension-functorial"
+        assert calls == {("descent", id(a)): 1 for atlases in pd.atlases.values() for a in atlases}
 
     calls.clear()
     count(descent, "_search_hypercovers", lambda pd, f, m: ("search", f, m))
@@ -350,6 +369,30 @@ def test_model_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         (tmp_path / name).write_text(ser.dumps(ser.lattice_to_dict(L)))
         code, out, _ = invoke(capsys, "run", "--input", name, "--suite", "model", "--format", "json")
         assert (code, _sha256(out)) == MODEL_RUN_SHA256[name], name
+
+
+# exit code and SHA-256 of `run --input FILE --format json` on factorization
+# setups over the all-function carrier with sizes {0, 1, 1, 2, 2}; every
+# corpus factorization setup lives on the 2-element skeleton, with 74
+# cartesian squares against this carrier's 885
+CARRIER_RUN_SHA256 = {
+    ("all", "iso"): (0, "8c875501ad50a8b3216f909665c3b23312d9052153f948f2433c05f9d7c07e6c"),
+    ("iso", "all"): (0, "8cc63f735c8d77acf3b63173a8396546bdb28160bceaa4b56c80a9bd446c8764"),
+    ("inj", "all"): (1, "47475b589f4e9e01dacf1db35e9b2b67a0da30af3ed00ad0f44a568871433861"),
+}
+
+
+@pytest.mark.parametrize("pattern", list(CARRIER_RUN_SHA256))
+def test_carrier_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys, pattern):
+    monkeypatch.chdir(tmp_path)
+    c = finset_category({"a": 0, "b": 1, "c": 1, "d": 2, "e": 2})
+    classes = {"all": all_class(c), "iso": iso_class(c), "inj": EdgeClass(c, injections(c))}
+    i, p = pattern
+    name = f"{i}-{p}.json"
+    ns = NagataSetup(GeometricSetup(c, all_class(c)), classes[i], classes[p])
+    (tmp_path / name).write_text(ser.dumps(ser.nagata_to_dict(ns)))
+    code, out, err = invoke(capsys, "run", "--input", name, "--format", "json")
+    assert (code, _sha256(out), err) == (*CARRIER_RUN_SHA256[pattern], "")
 
 
 # exit code and stdout SHA-256 of the subcommands that load a declaration

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from corrkit import cli
 from corrkit.descent import (
     Atlas,
     CechDiagram,
@@ -334,7 +335,7 @@ def test_atlas_independence_needs_shared_target():
 
 
 def test_extend_restrictions_degenerate_is_identity():
-    ext = extend_system_C(descent_pair(), big_sys(), verify=False)
+    ext = extend_system_C(descent_pair(), big_sys())
     for f in ("2>1:0.0", "4>2:0.1.0.1", "2>2:1.0", "1>4:2"):
         assert ext.pull(f).same_table(big_sys().pull(f))
 
@@ -349,7 +350,7 @@ def test_extend_restrictions_new_object():
         assert ext.pull(f).same_table(sys.pull(f))
     # round trip through the presented object is the identity
     c = pd.big.category
-    back = c.inverse("2>X:0.1")
+    back = next(n for n in c.hom("X", "2") if c.comp("2>X:0.1", n) == c.identity["X"])
     assert ext.pull(c.comp(back, "2>X:0.1")).table == {
         l: l for l in sys.lattice("2").elements
     }
@@ -361,10 +362,14 @@ def test_extend_restrictions_needs_nice_kind():
 
 
 def test_extend_restrictions_gate_reports_witness():
+    # the suite reports the pair axioms and extends only when they pass
     pd = degenerate_pair()
     del pd.atlases["2"]
-    with pytest.raises(MalformedInputError):
-        extend_system_C(pd, frame_system(skel2(), chain_lattice(1)))
+    rep = cli._pair_theorem_suite("no-atlas", pd, {}, 2)
+    assert [(c.name, c.witness) for c in rep.failures] == [
+        ("pair:atlases-exist", {"object": "2", "reason": "no atlas declared"})
+    ]
+    assert "extension-functorial" not in [c.name for c in rep.checks]
 
 
 # -- exceptional pairs and codescent ---------------------------------------

@@ -381,8 +381,8 @@ def test_galois_adjoints_match_fiberwise_oracles():
         assert g.star.same_table(fiberwise_meet_map(f, sys.lattice(x), sys.lattice(y), L))
     # the star map of an isomorphism is itself invertible, so it has a
     # further right adjoint; general maps need not
-    assert sys.galois(c.identity["2"]).upper is not None
-    assert sys.galois("0>1:").upper is None
+    assert right_adjoint(sys.galois(c.identity["2"]).star) is not None
+    assert right_adjoint(sys.galois("0>1:").star) is None
 
 
 # -- projection formulas and Kunneth --------------------------------------

@@ -66,44 +66,53 @@ def test_every_module_is_reached_from_the_cli():
     assert sorted(set(trees) - reached - {"__init__"}) == []
 
 
-def _names(node: ast.AST) -> Counter:
+def _names(node: ast.AST, attributes: bool = False) -> Counter:
     """Every identifier the node mentions: names, attributes, imported
     names, and dotted identifiers inside strings (perfbench's tracer names
-    its targets that way)."""
+    its targets that way).  With `attributes`, only what is read as an
+    attribute: `.name`, or a part after a dot inside a string."""
     out = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            out.update(part for part in parts[1 if attributes else 0 :] if part.isidentifier())
+        elif attributes:
+            continue
+        elif isinstance(n, ast.Name):
+            out[n.id] += 1
         elif isinstance(n, ast.alias):
             out[n.name.rsplit(".", 1)[-1]] += 1
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.update(part for part in n.value.split(".") if part.isidentifier())
     return out
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of those classes
-    other than dunders, which Python calls implicitly."""
+    """(definition, is a method): top-level functions and classes, and the
+    methods of those classes other than dunders, which Python calls
+    implicitly."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             yield from (
-                m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                (m, True) for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
             )
 
 
 def test_every_definition_is_named_outside_the_unit_tests():
     trees = _trees()
     readers = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    named = sum((_names(t) for t in trees.values()), Counter())
-    for path in readers:
-        named += _names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    modules = list(trees.values()) + [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in readers]
+    # a method is reached only through `.name`: a bare local of the same
+    # name does not reach it
+    named = {kind: sum((_names(t, kind) for t in modules), Counter()) for kind in (False, True)}
     # a name mentioned only inside its own definition is not reached
     unreached = {
-        d.name: mod for mod, tree in trees.items() for d in _definitions(tree) if named[d.name] == _names(d)[d.name]
+        d.name: mod
+        for mod, tree in trees.items()
+        for d, method in _definitions(tree)
+        if named[method][d.name] == _names(d, method)[d.name]
     }
     assert {name: mod for name, mod in unreached.items() if name not in KEPT_FOR_TESTS} == {}
     assert sorted(unreached) == sorted(KEPT_FOR_TESTS)

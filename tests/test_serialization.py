@@ -354,3 +354,40 @@ def test_sizes_free_envelopes_still_load():
         if isinstance(built, LocalizationProblem):
             # the target is the terminal category, which carries no sizes
             assert ser.localization_from_dict(ser.localization_to_dict(built)).p.target.compose == built.p.target.compose
+
+
+# -- factorization-setup and pair envelopes are type-checked on load ----------
+
+
+def _append(key, value):
+    def mutate(d):
+        d[key] = d[key] + [value]
+        return d
+
+    return mutate
+
+
+def _pair():
+    return ser.pair_to_dict(instance("nice-pair-identity").build())
+
+
+@pytest.mark.parametrize(
+    "envelope, mutate, message",
+    [
+        (_pair, lambda d: {**d, "atlases": list(d["atlases"])}, "atlases must map objects to lists of strings"),
+        (_pair, lambda d: {**d, "atlases": {"2": "2>2:0.1"}}, "atlases of '2' must be a list of strings"),
+        (_pair, _append("s_big", {}), "s_big must be a list of strings"),
+        (_pair, _append("e_big", []), "e_big must be a list of strings"),
+        (_pair, _set("small_objects", "012"), "small_objects must be a list of strings"),
+        (_pair, _append("s_small", 0), "s_small must be a list of strings"),
+        (_pair, _append("e_small", ["0>0:"]), "e_small must be a list of strings"),
+        (_pair, _set("cover", "2>1:0.0"), "cover must be a list of strings"),
+        (_chain_nagata, _append("i", []), "i must be a list of strings"),
+        (_chain_nagata, _set("e", "0<=0"), "e must be a list of strings"),
+        (_chain_nagata, _append("p", None), "p must be a list of strings"),
+    ],
+    ids=["atlases-list", "atlas-string", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
+         "e-small-list", "cover-string", "i-list", "e-string", "p-null"],
+)
+def test_mistyped_declaration_fields_exit_2(tmp_path, capsys, envelope, mutate, message):
+    _exits_2_with_one_line(tmp_path, capsys, mutate(envelope()), message)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from corrkit.fincat import finset_skeleton, injections, surjections
+from corrkit.corpus import corpus
+from corrkit.fincat import finset_category, finset_skeleton, injections, surjections
+from corrkit.grid import enumerate_grid_simplices
 from corrkit.lattices import (
     chain_lattice,
     compose_maps,
@@ -13,11 +15,11 @@ from corrkit.lattices import (
 from corrkit.report import MalformedInputError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import (
-    Compactification,
     NagataSetup,
     ShriekAssignment,
     assemble_formalism,
     build_shriek,
+    cartesian_squares,
     check_base_change_shriek,
     check_class_consistency,
     check_formalism,
@@ -91,7 +93,7 @@ def test_nagata_inj_all_passes_axioms():
 
 def test_factorizations_of_iso():
     ns = ns_open()
-    out = [(cf.obj, cf.j, cf.p) for cf in _facts(ns, "2>2:1.0")]
+    out = _facts(ns, "2>2:1.0")
     assert ("2", "2>2:1.0", "2>2:0.1") in out  # swap then swap back
     assert all(p in ns.p_class.members for _, _, p in out)
 
@@ -119,22 +121,40 @@ def test_factorizations_match_comp_loop():
     s3 = _setup(3)
     for ns in (ns_open(), ns_proper(), ns_inj_surj(), ns_inj_all(), ns_inj_surj(s3), ns_open(s3)):
         for f in ns.setup.category.morphism_ids:
-            assert [(cf.obj, cf.j, cf.p) for cf in _facts(ns, f)] == reference(ns, f)
+            assert _facts(ns, f) == reference(ns, f)
 
 
 def test_canonical_factorization_is_least():
     ns = ns_inj_surj(_setup(3))
     facts = _facts(ns, "1>2:0")
-    assert facts[0].obj == "2"
-    assert {cf.obj for cf in facts} == {"2", "3"}
+    assert facts[0][0] == "2"
+    assert {k for k, _, _ in facts} == {"2", "3"}
 
 
-def test_compactification_validation():
-    ns = ns_open()
-    with pytest.raises(MalformedInputError):
-        Compactification(ns, "1>2:0", "2", "1>2:0", "2>2:1.0")  # legs do not compose
-    with pytest.raises(MalformedInputError):
-        Compactification(ns_proper(), "1>2:0", "2", "1>2:0", "2>2:0.1")  # j not open-like
+def _square_setups():
+    """The corpus factorization setups, and all/iso, iso/all and inj/all on
+    the all-function carrier with sizes {0, 1, 1, 2, 2}."""
+    out = [inst.build() for inst in corpus() if inst.kind == "nagata"]
+    c = finset_category({"a": 0, "b": 1, "c": 1, "d": 2, "e": 2})
+    everything, isos, inj = all_class(c), iso_class(c), EdgeClass(c, injections(c))
+    for i, p in ((everything, isos), (isos, everything), (inj, everything)):
+        out.append(NagataSetup(GeometricSetup(c, everything), i, p))
+    return out
+
+
+def test_one_square_search_serves_every_class_pair():
+    # the filtered union search against one search per pair of classes,
+    # square for square and in order
+    for ns in _square_setups():
+        s = ns.setup
+        classes = (s.e, ns.i_class, ns.p_class)
+        for a in classes:
+            for b in classes:
+                per_pair = [
+                    (g.edges[((0, 1), 0)], g.edges[((1, 0), 1)], g.edges[((0, 0), 0)], g.edges[((0, 0), 1)])
+                    for g in enumerate_grid_simplices(s, [a, b], 2, 1)
+                ]
+                assert cartesian_squares(ns, a, b) == per_pair
 
 
 # -- hypotheses and construction ------------------------------------------
@@ -216,7 +236,7 @@ def test_class_consistency():
     f = "2>1:0.0"
     x, y = s.category.morphisms[f]
     mutated[f] = fiberwise_meet_map(f, sys.lattice(x), sys.lattice(y), chain_lattice(1))
-    broken = ShriekAssignment(sa.ns, sys, mutated, sa.chosen)
+    broken = ShriekAssignment(sa.ns, sys, mutated)
     assert not check_class_consistency(broken).passed
 
 
@@ -265,7 +285,7 @@ def test_base_change_shriek_detects_mutation():
     f = "2>1:0.0"
     x, y = s.category.morphisms[f]
     mutated[f] = fiberwise_meet_map(f, sys.lattice(x), sys.lattice(y), chain_lattice(1))
-    broken = ShriekAssignment(ns, sys, mutated, sa.chosen)
+    broken = ShriekAssignment(ns, sys, mutated)
     rep = check_base_change_shriek(ns, broken)
     assert not rep.passed
     assert rep.first_failure().witness["square"]
