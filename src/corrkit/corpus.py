@@ -176,8 +176,9 @@ _INSTANCES = (
     CorpusInstance(
         "nice-pair-cover", "pair", "2-to-1 cover atlas on the overlap-complete carrier",
         ("theorem",), lambda: _pair_cover("nice"),
-        # the full pair gate passes here in about 2 s, but that adds over
-        # half to a corpus run and adds checks to the pinned payload
+        # the full pair gate passes here in about 2 s, nearly all of it in
+        # the ~167 k fiber products its four setup checks construct; that
+        # would triple a ~1 s corpus run and adds checks to the pinned payload
         options={"full_gate": False},
     ),
     CorpusInstance(

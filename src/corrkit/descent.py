@@ -375,16 +375,14 @@ class Hypercover:
 
 def _level_maps(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, n: int, below: str):
     """Candidates for level n of a nerve morphism, given level n-1."""
+    # the nerves' faces are typed on construction and cand and below run
+    # between their levels, so the table is read directly
     c = pd.big.category
+    compose = c.compose
+    faces = [(ny.faces[(n, i)], compose[(below, nx.faces[(n, i)])]) for i in range(n + 1)]
     for cand in c.hom(nx.objects[n], ny.objects[n]):
-        if cand not in pd.e_small:
-            continue
-        if any(
-            c.comp(ny.faces[(n, i)], cand) != c.comp(below, nx.faces[(n, i)])
-            for i in range(n + 1)
-        ):
-            continue
-        yield cand
+        if cand in pd.e_small and all(compose[(face, cand)] == want for face, want in faces):
+            yield cand
 
 
 def find_hypercovers(pd: PairDeclaration, f: str, m: int = 1):
@@ -400,6 +398,7 @@ def find_hypercovers(pd: PairDeclaration, f: str, m: int = 1):
 
 def _search_hypercovers(pd: PairDeclaration, f: str, m: int):
     c = pd.big.category
+    compose = c.compose
     out = []
     limited = False
     for xa in pd.atlases.get(c.src(f), ()):
@@ -410,26 +409,26 @@ def _search_hypercovers(pd: PairDeclaration, f: str, m: int):
             except MalformedInputError:
                 limited = True
                 continue
-            for f0 in c.hom(nx.objects[0], ny.objects[0]):
-                if f0 not in pd.e_small:
-                    continue
-                if c.comp(ya.x, f0) != c.comp(f, xa.x):
+            level0 = [f0 for f0 in c.hom(nx.objects[0], ny.objects[0]) if f0 in pd.e_small]
+            # composing f after the atlas map type-checks the atlas; every
+            # other pair below is typed by the hom-sets and the nerves, so
+            # the table is read directly
+            fx = c.comp(f, xa.x) if level0 else None
+            for f0 in level0:
+                if compose[(ya.x, f0)] != fx:
                     continue
                 if m == 0:
                     out.append(Hypercover(f, nx, ny, (f0,)))
                     continue
                 for f1 in _level_maps(pd, nx, ny, 1, f0):
-                    if c.comp(ny.degeneracies[(0, 0)], f0) != c.comp(
-                        f1, nx.degeneracies[(0, 0)]
-                    ):
+                    if compose[(ny.degeneracies[(0, 0)], f0)] != compose[(f1, nx.degeneracies[(0, 0)])]:
                         continue
                     if m == 1:
                         out.append(Hypercover(f, nx, ny, (f0, f1)))
                         continue
                     for f2 in _level_maps(pd, nx, ny, 2, f1):
                         if any(
-                            c.comp(ny.degeneracies[(1, i)], f1)
-                            != c.comp(f2, nx.degeneracies[(1, i)])
+                            compose[(ny.degeneracies[(1, i)], f1)] != compose[(f2, nx.degeneracies[(1, i)])]
                             for i in (0, 1)
                         ):
                             continue

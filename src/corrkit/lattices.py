@@ -468,11 +468,29 @@ class CoefficientSystem:
         for x in c.objects:
             if self.restriction[c.identity[x]].table != {u: u for u in self.lattices[x].elements}:
                 raise MalformedInputError(f"identity restriction at {x!r} is not the identity")
-        for g, f in c.composable_pairs:
-            rf = self.restriction[f].table
-            expected = {u: rf[v] for u, v in self.restriction[g].table.items()}
-            if self.restriction[c.compose[(g, f)]].table != expected:
-                raise MalformedInputError(f"restriction not functorial on ({g!r}, {f!r})")
+        # with `object_size` set the table is function composition, hence
+        # associative, and {a : the law holds on (g, a) for every g} is then
+        # closed under composition: sweeping a over the generators decides
+        # every pair.  A failed sweep rescans for the first pair in order.
+        sweep = c.composable_pairs
+        if c.object_size is not None:
+            sweep = [
+                (g, a) for a in c.generators for g in c.morphism_ids if c.morphisms[g][0] == c.morphisms[a][1]
+            ]
+        if self._nonfunctorial_pair(sweep) is not None:
+            g, f = self._nonfunctorial_pair(c.composable_pairs)
+            raise MalformedInputError(f"restriction not functorial on ({g!r}, {f!r})")
+
+    def _nonfunctorial_pair(self, pairs) -> tuple[str, str] | None:
+        """The first (g, f) whose restriction along g.f is not the
+        restriction along g followed by the one along f."""
+        compose, restriction = self.setup.category.compose, self.restriction
+        for g, f in pairs:
+            rf = restriction[f].table
+            expected = {u: rf[v] for u, v in restriction[g].table.items()}
+            if restriction[compose[(g, f)]].table != expected:
+                return g, f
+        return None
 
     def lattice(self, x: str) -> FiniteLattice:
         return self.lattices[x]

@@ -269,9 +269,10 @@ _LOADERS = {
 def from_dict(d: dict):
     if not isinstance(d, dict) or "schema" not in d:
         raise MalformedInputError("envelope lacks a schema tag")
-    loader = _LOADERS.get(d["schema"])
+    schema = d["schema"]
+    loader = _LOADERS.get(schema) if isinstance(schema, str) else None
     if loader is None:
-        raise MalformedInputError(f"unknown schema {d['schema']!r}")
+        raise MalformedInputError(f"unknown schema {schema!r}")
     return loader(d)
 
 

@@ -39,6 +39,9 @@ class NagataSetup:
     # (right, top, bottom, left) of every cartesian square with legs in
     # E, I or P, filled by the first `cartesian_squares` call
     _squares: list | None = field(default=None, init=False, repr=False, compare=False)
+    # (x, y) -> {f: its sorted factorizations} for the maps x -> y, filled
+    # by `factorizations`
+    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.setup.category
@@ -90,14 +93,18 @@ def factorizations(ns: NagataSetup, f: str) -> list[tuple[str, str, str]]:
     one first."""
     c = ns.setup.category
     x, y = c.morphisms[f]
-    out = []
-    for k in c.objects:
-        # the hom-sets type every pair, so the table is read directly
-        ps = [p for p in c.hom(k, y) if p in ns.p_class.members]
-        for j in c.hom(x, k):
-            if j in ns.i_class.members:
-                out.extend((k, j, p) for p in ps if c.compose[(p, j)] == f)
-    return sorted(out)
+    if (x, y) not in ns._factorizations:
+        # one scan per hom-set indexes every composite p . j it reaches
+        index: dict[str, list] = {}
+        for k in c.objects:
+            # the hom-sets type every pair, so the table is read directly
+            ps = [p for p in c.hom(k, y) if p in ns.p_class.members]
+            for j in c.hom(x, k):
+                if j in ns.i_class.members:
+                    for p in ps:
+                        index.setdefault(c.compose[(p, j)], []).append((k, j, p))
+        ns._factorizations[(x, y)] = {h: sorted(facts) for h, facts in index.items()}
+    return list(ns._factorizations[(x, y)].get(f, ()))
 
 
 @dataclass

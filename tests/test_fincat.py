@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from corrkit.fincat import (
     FinCategory,
@@ -30,6 +30,7 @@ from corrkit.fincat import (
     verify_pullback_square,
     wide_subcategory,
 )
+from corrkit.fincat import _associative_on_generators, _associativity_witness
 from corrkit.report import MalformedInputError
 
 
@@ -498,3 +499,81 @@ def test_first_associativity_witness_matches_scan(data):
     expected = _scan_associativity(bad)
     assert (assoc.status == "pass") == (expected is None)
     assert assoc.witness == (expected or {})
+
+
+# -- laws checked on a generating set --------------------------------------
+
+
+def _closure(c, ids):
+    """Every composite of the given ids, by fixpoint over all pairs."""
+    reached = set(ids)
+    while True:
+        more = {c.compose[(g, f)] for g in reached for f in reached if c.dst(f) == c.src(g)} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def _rewired(c, data):
+    """A copy of c with up to four compose entries sent to other ids of the
+    same typing: still closed and typed, often neither associative nor
+    unital.  Half the draws rewire a unit entry on purpose."""
+    bad = FinCategory(c.objects, dict(c.morphisms), dict(c.identity), dict(c.compose))
+    pairs = data.draw(st.lists(st.sampled_from(c.composable_pairs), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        m = data.draw(st.sampled_from(c.morphism_ids))
+        pairs.append(data.draw(st.sampled_from([(m, c.identity[c.src(m)]), (c.identity[c.dst(m)], m)])))
+    for g, f in pairs:
+        bad.compose[(g, f)] = data.draw(st.sampled_from(c.hom(c.src(f), c.dst(g))))
+    return bad
+
+
+def _assert_greedy_generators(c):
+    gens = c.generators
+    assert _closure(c, gens) == set(c.morphism_ids)
+    # an id is a generator exactly when the generators before it do not
+    # reach it
+    for m in c.morphism_ids:
+        earlier = [g for g in gens if g < m]
+        assert (m in gens) == (m not in _closure(c, earlier)), m
+
+
+@pytest.mark.parametrize("c", [SKEL2, SKEL3, TWINS, CHAIN], ids=["finset-2", "finset-3", "twins", "chain-3"])
+def test_generators_close_to_every_id(c):
+    _assert_greedy_generators(c)
+
+
+@seed(8)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_generators_close_to_every_id_of_rewired_tables(data):
+    _assert_greedy_generators(_rewired(SKEL2, data))
+
+
+@seed(8)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_generator_sweep_agrees_with_the_full_scan(data):
+    bad = _rewired(SKEL3, data)
+    rep = check_category(bad)
+    closed, assoc = rep.checks[1], rep.checks[3]
+    assert closed.name == "composition-table-closed" and closed.status == "pass"
+    expected = _associativity_witness(bad)
+    assert _associative_on_generators(bad) == (expected is None)
+    assert assoc.name == "associativity" and assoc.witness == (expected or {})
+
+
+def test_generator_sweep_agrees_with_the_scan_on_every_magma_of_order_3():
+    # one object, so every operation on three ids is a closed typed table;
+    # most fail the unit laws, and 113 of the 3^9 are associative (the
+    # labeled semigroups of order 3, OEIS A023814)
+    ids = ("e", "a", "b")
+    pairs = list(itertools.product(ids, repeat=2))
+    associative = 0
+    for table in itertools.product(ids, repeat=len(pairs)):
+        c = FinCategory(("*",), dict.fromkeys(ids, ("*", "*")), {"*": "e"}, dict(zip(pairs, table)))
+        expected = _scan_associativity(c)
+        assert _associative_on_generators(c) == (expected is None)
+        assert check_category(c).checks[3].witness == (expected or {})
+        associative += expected is None
+    assert associative == 113

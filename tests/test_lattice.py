@@ -9,7 +9,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import corrkit
 
@@ -347,6 +347,48 @@ def test_frame_system_requires_cardinalities():
     c = chain_category(1)
     with pytest.raises(MalformedInputError):
         frame_system(GeometricSetup(c, all_class(c)), chain_lattice(1))
+
+
+@functools.cache
+def _frame3():
+    c = finset_skeleton(3)
+    return frame_system(GeometricSetup(c, all_class(c)), chain_lattice(1))
+
+
+def _first_nonfunctorial_pair(c, restriction):
+    """The first (g, f) over every pair of ids whose restriction along g.f
+    is not the restriction along g followed by the one along f."""
+    for g in c.morphism_ids:
+        for f in c.morphism_ids:
+            if c.dst(f) == c.src(g):
+                if restriction[c.comp(g, f)].table != compose_maps(restriction[f], restriction[g]).table:
+                    return g, f
+    return None
+
+
+@seed(8)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_functoriality_sweep_names_the_pair_of_the_full_scan(data):
+    # the carrier has sizes, so only pairs (g, a) with a a generator are
+    # swept; a failure must still name the first pair of the full scan
+    sys = _frame3()
+    c = sys.setup.category
+    assert c.object_size is not None
+    m = data.draw(st.sampled_from([m for m in c.morphism_ids if not c.is_identity(m)]))
+    old = sys.restriction[m]
+    tables = [sys.restriction[n].table for n in c.hom(c.src(m), c.dst(m)) if n != m]
+    tables.append(dict.fromkeys(old.src.elements, old.dst.top))
+    table = data.draw(st.sampled_from(tables))
+    restriction = {**sys.restriction, m: LatticeMap(old.src, old.dst, table)}
+    expected = _first_nonfunctorial_pair(c, restriction)
+    if expected is None:
+        CoefficientSystem(sys.setup, sys.lattices, restriction)
+        return
+    g, f = expected
+    with pytest.raises(MalformedInputError) as err:
+        CoefficientSystem(sys.setup, sys.lattices, restriction)
+    assert str(err.value) == f"restriction not functorial on ({g!r}, {f!r})"
 
 
 def test_broken_functoriality_rejected():

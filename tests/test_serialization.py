@@ -385,9 +385,11 @@ def _pair():
         (_chain_nagata, _append("i", []), "i must be a list of strings"),
         (_chain_nagata, _set("e", "0<=0"), "e must be a list of strings"),
         (_chain_nagata, _append("p", None), "p must be a list of strings"),
+        (_pair, lambda d: {"schema": []}, r"unknown schema \[\]"),
+        (_chain_nagata, _set("schema", {}), r"unknown schema \{\}"),
     ],
     ids=["atlases-list", "atlas-string", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
-         "e-small-list", "cover-string", "i-list", "e-string", "p-null"],
+         "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict"],
 )
 def test_mistyped_declaration_fields_exit_2(tmp_path, capsys, envelope, mutate, message):
     _exits_2_with_one_line(tmp_path, capsys, mutate(envelope()), message)

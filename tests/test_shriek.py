@@ -3,7 +3,7 @@
 import pytest
 
 from corrkit.corpus import corpus
-from corrkit.fincat import finset_category, finset_skeleton, injections, surjections
+from corrkit.fincat import FinCategory, finset_category, finset_skeleton, injections, surjections
 from corrkit.grid import enumerate_grid_simplices
 from corrkit.lattices import (
     chain_lattice,
@@ -104,24 +104,26 @@ def _facts(ns, f):
     return factorizations(ns, f)
 
 
-def test_factorizations_match_comp_loop():
-    def reference(ns, f):
-        c = ns.setup.category
-        x, y = c.morphisms[f]
-        out = []
-        for k in c.objects:
-            for j in c.hom(x, k):
-                if j not in ns.i_class.members:
-                    continue
-                for p in c.hom(k, y):
-                    if p in ns.p_class.members and c.comp(p, j) == f:
-                        out.append((k, j, p))
-        return sorted(out)
+def _reference_factorizations(ns, f):
+    """The per-map scan of hom(x, k) x hom(k, y) for every object k."""
+    c = ns.setup.category
+    x, y = c.morphisms[f]
+    out = []
+    for k in c.objects:
+        for j in c.hom(x, k):
+            if j not in ns.i_class.members:
+                continue
+            for p in c.hom(k, y):
+                if p in ns.p_class.members and c.comp(p, j) == f:
+                    out.append((k, j, p))
+    return sorted(out)
 
+
+def test_factorizations_match_comp_loop():
     s3 = _setup(3)
     for ns in (ns_open(), ns_proper(), ns_inj_surj(), ns_inj_all(), ns_inj_surj(s3), ns_open(s3)):
         for f in ns.setup.category.morphism_ids:
-            assert _facts(ns, f) == reference(ns, f)
+            assert _facts(ns, f) == _reference_factorizations(ns, f)
 
 
 def test_canonical_factorization_is_least():
@@ -155,6 +157,29 @@ def test_one_square_search_serves_every_class_pair():
                     for g in enumerate_grid_simplices(s, [a, b], 2, 1)
                 ]
                 assert cartesian_squares(ns, a, b) == per_pair
+
+
+def _objects_reversed(ns):
+    """The same setup on a carrier that lists its objects in reverse, so
+    that factorizations are found out of order."""
+    c = ns.setup.category
+    rev = FinCategory(tuple(reversed(c.objects)), c.morphisms, c.identity, c.compose, c.object_size)
+    s = GeometricSetup(rev, EdgeClass(rev, ns.setup.e.members))
+    return NagataSetup(s, EdgeClass(rev, ns.i_class.members), EdgeClass(rev, ns.p_class.members))
+
+
+def test_factorization_index_matches_the_per_map_scan_for_every_class_pair():
+    # one index per hom-set serves every map in it; a fresh setup per pair
+    # of classes, so no index is shared between class pairs
+    setups = _square_setups()
+    for ns in setups + [_objects_reversed(ns) for ns in setups]:
+        s = ns.setup
+        classes = (s.e, ns.i_class, ns.p_class)
+        for a in classes:
+            for b in classes:
+                fresh = NagataSetup(s, a, b)
+                for f in s.category.morphism_ids:
+                    assert _facts(fresh, f) == _reference_factorizations(fresh, f)
 
 
 # -- hypotheses and construction ------------------------------------------
