@@ -12,53 +12,27 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import serialization as ser
-from .corpus import SUITE_ORDER, CorpusInstance, corpus, instance
-from .descent import (
-    LocalizationProblem,
-    PairDeclaration,
-    check_descent,
-    check_exceptional_pair,
-    check_localization_premises,
-    check_nice_pair,
-    compare_atlases,
-    extend_system_C,
-    extend_system_E,
-)
-from .fincat import FinCategory, check_category, finset_skeleton, surjections
-from .grid import enumerate_grid_simplices
-from .lattices import (
-    FiniteLattice,
-    SquareData,
-    chain_lattice,
-    check_adjointable,
-    check_kunneth,
-    check_projection_formula,
-    check_triangles,
-    frame_system,
-)
 from .report import (
     RESOURCE_LIMIT,
+    SUITE_ORDER,
     MalformedInputError,
     ResourceLimitError,
     VerificationReport,
     report_lines,
 )
-from .setups import GeometricSetup, all_class, check_geometric_setup, iso_class
-from .shriek import (
-    NagataSetup,
-    assemble_formalism,
-    build_shriek,
-    check_base_change_shriek,
-    check_class_consistency,
-    check_formalism,
-    check_nagata,
-    check_shriek_projection,
-    search_nagata,
-    verify_hypotheses,
-)
-from .spans import check_coproduct, check_span_laws, corr_simplices, homotopy_category
+
+# each suite and subcommand imports the layers it runs in its body, so a
+# run loads only the modules its suites execute; these names are for the
+# annotations alone
+if TYPE_CHECKING:
+    from .corpus import CorpusInstance
+    from .descent import LocalizationProblem, PairDeclaration
+    from .fincat import FinCategory
+    from .lattices import FiniteLattice
+    from .setups import GeometricSetup, NagataSetup
 
 RUN_SCHEMA = "corrkit-run/1"
 
@@ -105,12 +79,16 @@ class WorkspaceConfig:
 
 
 def _category_suite(tag: str, c: FinCategory) -> VerificationReport:
+    from .fincat import check_category
+
     rep = VerificationReport(f"{tag}:category")
     rep.merge(check_category(c))
     return rep
 
 
 def _setup_suite(tag: str, s: GeometricSetup) -> VerificationReport:
+    from .setups import check_geometric_setup
+
     rep = VerificationReport(f"{tag}:setup")
     rep.merge(check_geometric_setup(s))
     return rep
@@ -123,8 +101,11 @@ def _model_suite(tag: str, L: FiniteLattice) -> VerificationReport:
     The star formula is quantified over surjections only: at an empty
     fiber the right adjoint inserts the top element and the strict
     equality has no finite rendering that survives it."""
+    from .fincat import surjections
+    from .lattices import check_kunneth, check_projection_formula, check_triangles, frame_system
+
     rep = VerificationReport(f"{tag}:model")
-    setup = GeometricSetup(finset_skeleton(2), all_class(finset_skeleton(2)))
+    setup = _skel2_setup()
     sys = frame_system(setup, L)
     morphs = setup.category.morphism_ids
 
@@ -152,6 +133,18 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
     """Axioms, hypotheses, then the full construction.  Construction is
     skipped once a gate fails so a designed failure is reported exactly
     where the analysis locates it and nowhere later."""
+    from .lattices import chain_lattice, frame_system
+    from .shriek import (
+        assemble_formalism,
+        build_shriek,
+        check_base_change_shriek,
+        check_class_consistency,
+        check_formalism,
+        check_nagata,
+        check_shriek_projection,
+        verify_hypotheses,
+    )
+
     rep = VerificationReport(f"{tag}:theorem")
     sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
     rep.merge(check_nagata(ns), prefix="axioms:")
@@ -172,6 +165,16 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
 
 
 def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: int) -> VerificationReport:
+    from .descent import (
+        check_descent,
+        check_exceptional_pair,
+        check_nice_pair,
+        compare_atlases,
+        extend_system_C,
+        extend_system_E,
+    )
+    from .lattices import chain_lattice, frame_system
+
     rep = VerificationReport(f"{tag}:theorem")
     sys = frame_system(pd.big, chain_lattice(_BASE_CHAIN))
     full_gate = options.get("full_gate", True)
@@ -201,6 +204,10 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
     rep.merge(check_exceptional_pair(pd, m=min(max_dim, 1)), prefix="pair:")
     if not rep.passed:
         return rep
+    # only an exceptional pair builds pushforwards
+    from .setups import NagataSetup, all_class, iso_class
+    from .shriek import build_shriek
+
     # the pair check found a hypercover for every marked map at this level,
     # so the extension meets no search limit
     c = pd.big.category
@@ -217,30 +224,51 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
 
 
 def _localization_theorem_suite(tag: str, lp: LocalizationProblem) -> VerificationReport:
+    from .descent import check_localization_premises
+
     rep = VerificationReport(f"{tag}:theorem")
     rep.merge(check_localization_premises(lp))
     return rep
 
 
-def _reports(tag: str, obj, suites, max_dim: int, max_apex: int, options: dict) -> list[VerificationReport]:
-    """The selected suites that apply to a built declaration, in SUITE_ORDER;
-    which suites apply follows from the declaration's type."""
-    if isinstance(obj, FiniteLattice):
-        plan = {"model": lambda: _model_suite(tag, obj)}
-    elif isinstance(obj, PairDeclaration):
-        plan = {"theorem": lambda: _pair_theorem_suite(tag, obj, options, max_dim)}
-    elif isinstance(obj, LocalizationProblem):
-        plan = {"theorem": lambda: _localization_theorem_suite(tag, obj)}
-    elif isinstance(obj, FinCategory):
-        plan = {"category": lambda: _category_suite(tag, obj)}
-    else:  # a carrier setup, or a factorization setup on one
-        setup = obj.setup if isinstance(obj, NagataSetup) else obj
-        plan = {
-            "category": lambda: _category_suite(tag, setup.category),
-            "setup": lambda: _setup_suite(tag, setup),
+def _plan(tag: str, obj, max_dim: int, max_apex: int, options: dict) -> dict:
+    """Suite name -> the run of that suite, for each suite that applies to a
+    built declaration; which suites apply follows from its type.
+
+    Types are tried from the lowest layer up, and each layer imports the
+    ones below it, so telling them apart loads no module that the
+    declaration's own module has not loaded already."""
+    from .fincat import FinCategory
+
+    if isinstance(obj, FinCategory):
+        return {"category": lambda: _category_suite(tag, obj)}
+    from .setups import GeometricSetup, NagataSetup
+
+    if isinstance(obj, GeometricSetup):
+        return {
+            "category": lambda: _category_suite(tag, obj.category),
+            "setup": lambda: _setup_suite(tag, obj),
         }
-        if isinstance(obj, NagataSetup):
-            plan["theorem"] = lambda: _nagata_theorem_suite(tag, obj, max_apex)
+    if isinstance(obj, NagataSetup):
+        return {
+            "category": lambda: _category_suite(tag, obj.setup.category),
+            "setup": lambda: _setup_suite(tag, obj.setup),
+            "theorem": lambda: _nagata_theorem_suite(tag, obj, max_apex),
+        }
+    from .lattices import FiniteLattice
+
+    if isinstance(obj, FiniteLattice):
+        return {"model": lambda: _model_suite(tag, obj)}
+    from .descent import PairDeclaration
+
+    if isinstance(obj, PairDeclaration):
+        return {"theorem": lambda: _pair_theorem_suite(tag, obj, options, max_dim)}
+    return {"theorem": lambda: _localization_theorem_suite(tag, obj)}
+
+
+def _reports(tag: str, obj, suites, max_dim: int, max_apex: int, options: dict) -> list[VerificationReport]:
+    """The selected suites that apply to a built declaration, in SUITE_ORDER."""
+    plan = _plan(tag, obj, max_dim, max_apex, options)
     return [plan[suite]() for suite in SUITE_ORDER if suite in suites and suite in plan]
 
 
@@ -285,6 +313,8 @@ def run(config: WorkspaceConfig):
             for rep in _reports(path, _load_input(path), config.suites, *bounds, {}):
                 reports.append((rep, rep.passed))
     else:
+        from .corpus import corpus, instance
+
         for inst in map(instance, config.instances) if config.instances else corpus():
             suites = [s for s in config.suites if s in inst.suites]
             for rep in _reports(inst.name, inst.build(), suites, *bounds, inst.options):
@@ -324,28 +354,34 @@ def _emit_report(rep: VerificationReport, fmt: str, out) -> int:
 
 
 def _skel2_setup() -> GeometricSetup:
+    from .fincat import finset_skeleton
+    from .setups import GeometricSetup, all_class
+
     c = finset_skeleton(2)
     return GeometricSetup(c, all_class(c))
 
 
-# instance kind -> (declaration type, envelope noun, instance noun)
+# instance kind -> (envelope noun, instance noun)
 _DECLARATIONS = {
-    "model": (FiniteLattice, "lattice", "coefficient model"),
-    "nagata": (NagataSetup, "factorization-setup", "factorization setup"),
-    "pair": (PairDeclaration, "pair", "pair declaration"),
-    "localization": (LocalizationProblem, "localization", "localization problem"),
+    "model": ("lattice", "coefficient model"),
+    "nagata": ("factorization-setup", "factorization setup"),
+    "pair": ("pair", "pair declaration"),
+    "localization": ("localization", "localization problem"),
 }
 
 
-def _declaration(args, kind: str) -> tuple:
+def _declaration(args, kind: str, cls: type) -> tuple:
     """The declaration a subcommand reads, from --input or a bundled
-    instance of the given kind, with the instance's options."""
-    cls, envelope, noun = _DECLARATIONS[kind]
+    instance of the given kind, with the instance's options; `cls` is the
+    type an input of that kind loads as, from the layer the caller runs."""
+    envelope, noun = _DECLARATIONS[kind]
     if args.input:
         obj = _load_input(args.input)
         if not isinstance(obj, cls):
             raise MalformedInputError(f"{args.input} is not a {envelope} envelope")
         return obj, {}
+    from .corpus import instance
+
     inst = instance(args.instance)
     if inst.kind != kind:
         raise MalformedInputError(f"instance {inst.name!r} is not a {noun}")
@@ -355,6 +391,9 @@ def _declaration(args, kind: str) -> tuple:
 def _gated_shriek(ns: NagataSetup) -> tuple:
     """The coefficient system and exceptional maps of a factorization setup
     that passes the axioms and the hypotheses; any other is refused."""
+    from .lattices import chain_lattice, frame_system
+    from .shriek import build_shriek, check_nagata, verify_hypotheses
+
     sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
     for gate in (check_nagata(ns), verify_hypotheses(ns, sys)):
         if not gate.passed:
@@ -378,6 +417,8 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_corpus_list(args, out) -> int:
+    from .corpus import corpus
+
     rows = [
         {
             "name": inst.name,
@@ -396,6 +437,9 @@ def _cmd_corpus_list(args, out) -> int:
 
 
 def _cmd_grid_enumerate(args, out) -> int:
+    from .grid import enumerate_grid_simplices
+    from .setups import all_class
+
     s = _skel2_setup()
     classes = [all_class(s.category)] * args.k
     grids = enumerate_grid_simplices(s, classes, args.k, args.n)
@@ -411,6 +455,8 @@ def _cmd_grid_enumerate(args, out) -> int:
 
 
 def _cmd_corr_enumerate(args, out) -> int:
+    from .spans import corr_simplices
+
     s = _skel2_setup()
     cells = corr_simplices(s, args.dim)
     rows = [{"objects": cs.functor.obj_map, "morphisms": cs.functor.mor_map} for cs in cells]
@@ -419,6 +465,10 @@ def _cmd_corr_enumerate(args, out) -> int:
 
 
 def _cmd_corr_hocat(args, out) -> int:
+    from .fincat import check_category, finset_skeleton
+    from .setups import GeometricSetup, all_class
+    from .spans import check_span_laws, homotopy_category
+
     # laws are asserted over the two-element skeleton with coverage counted;
     # the materialized category needs classes closed under composition, which
     # holds on the one-element skeleton
@@ -436,6 +486,8 @@ def _cmd_corr_hocat(args, out) -> int:
 def _cmd_corr_coproduct(args, out) -> int:
     # a sum-closed carrier; mediator routing is checked against small targets
     from .fincat import finset_category
+    from .setups import GeometricSetup, all_class
+    from .spans import check_coproduct
 
     c = finset_category({str(k): k for k in range(5)})
     s = GeometricSetup(c, all_class(c))
@@ -445,7 +497,17 @@ def _cmd_corr_coproduct(args, out) -> int:
 
 
 def _cmd_model_check(args, out) -> int:
-    L, _ = _declaration(args, "model")
+    from .fincat import surjections
+    from .lattices import (
+        FiniteLattice,
+        SquareData,
+        check_adjointable,
+        check_kunneth,
+        check_projection_formula,
+        frame_system,
+    )
+
+    L, _ = _declaration(args, "model", FiniteLattice)
     setup = _skel2_setup()
     sys = frame_system(setup, L)
     rep = VerificationReport(f"model-{args.law}")
@@ -476,7 +538,9 @@ def _cmd_model_check(args, out) -> int:
 
 
 def _cmd_shriek_build(args, out) -> int:
-    ns, _ = _declaration(args, "nagata")
+    from .setups import NagataSetup
+
+    ns, _ = _declaration(args, "nagata", NagataSetup)
     sys, sa = _gated_shriek(ns)
     tables = {
         f: {x: sa.shriek[f](x) for x in sys.lattice(ns.setup.category.src(f)).elements}
@@ -487,20 +551,27 @@ def _cmd_shriek_build(args, out) -> int:
 
 
 def _cmd_shriek_verify(args, out) -> int:
-    ns, _ = _declaration(args, "nagata")
+    from .setups import NagataSetup
+
+    ns, _ = _declaration(args, "nagata", NagataSetup)
     return _emit_report(_nagata_theorem_suite("shriek", ns, args.max_apex), args.format, out)
 
 
 def _cmd_formalism_assemble(args, out) -> int:
-    ns, _ = _declaration(args, "nagata")
+    from .setups import NagataSetup
+    from .shriek import assemble_formalism, check_formalism
+
+    ns, _ = _declaration(args, "nagata", NagataSetup)
     _, sa = _gated_shriek(ns)
     fm = assemble_formalism(ns, sa, max_apex=args.max_apex)
     return _emit_report(check_formalism(fm), args.format, out)
 
 
 def _cmd_search_nagata(args, out) -> int:
-    from .fincat import injections
-    from .setups import EdgeClass
+    from .fincat import injections, surjections
+    from .lattices import chain_lattice, frame_system
+    from .setups import EdgeClass, all_class, iso_class
+    from .shriek import search_nagata
 
     s = _skel2_setup()
     sys = frame_system(s, chain_lattice(_BASE_CHAIN))
@@ -517,21 +588,27 @@ def _cmd_search_nagata(args, out) -> int:
 
 
 def _cmd_descend_extend_c(args, out) -> int:
-    pd, options = _declaration(args, "pair")
+    from .descent import PairDeclaration
+
+    pd, options = _declaration(args, "pair", PairDeclaration)
     if pd.kind != "nice":
         raise MalformedInputError("extend-c needs a nice pair")
     return _emit_report(_pair_theorem_suite("extend-c", pd, options, args.max_dim), args.format, out)
 
 
 def _cmd_descend_extend_e(args, out) -> int:
-    pd, options = _declaration(args, "pair")
+    from .descent import PairDeclaration
+
+    pd, options = _declaration(args, "pair", PairDeclaration)
     if pd.kind != "exceptional":
         raise MalformedInputError("extend-e needs an exceptional pair")
     return _emit_report(_pair_theorem_suite("extend-e", pd, options, args.max_dim), args.format, out)
 
 
 def _cmd_localize_check(args, out) -> int:
-    lp, _ = _declaration(args, "localization")
+    from .descent import LocalizationProblem, check_localization_premises
+
+    lp, _ = _declaration(args, "localization", LocalizationProblem)
     return _emit_report(check_localization_premises(lp), args.format, out)
 
 

@@ -23,11 +23,8 @@ from .fincat import (
     terminal_category,
 )
 from .lattices import chain_lattice, n5_lattice
-from .report import MalformedInputError
-from .setups import EdgeClass, GeometricSetup, all_class, iso_class
-from .shriek import NagataSetup
-
-SUITE_ORDER = ("category", "setup", "model", "theorem")
+from .report import SUITE_ORDER, MalformedInputError
+from .setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,11 @@ class CorpusInstance:
     build: object = field(repr=False)
     expect_fail: dict = field(default_factory=dict, repr=False)
     options: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.suites) - set(SUITE_ORDER))
+        if unknown:
+            raise ValueError(f"instance {self.name!r} names unknown suite {unknown[0]!r}")
 
 
 @lru_cache(maxsize=None)

@@ -267,6 +267,9 @@ class PairDeclaration:
     atlases: dict
     # (f, m) -> the result of the hypercover search for f at level m
     _hypercovers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (nerve ids, level) -> the level's candidates keyed by their d_0 face,
+    # filled by `_level_index`
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("nice", "exceptional"):
@@ -374,15 +377,33 @@ class Hypercover:
 
 
 def _level_maps(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, n: int, below: str):
-    """Candidates for level n of a nerve morphism, given level n-1."""
+    """Candidates for level n of a nerve morphism, given level n-1: the
+    maps cand in E_small with d_i∘cand = below∘d_i for every face i, in
+    hom order.  Only the candidates whose d_0 face already agrees are
+    checked on the other faces."""
     # the nerves' faces are typed on construction and cand and below run
     # between their levels, so the table is read directly
-    c = pd.big.category
-    compose = c.compose
+    compose = pd.big.category.compose
     faces = [(ny.faces[(n, i)], compose[(below, nx.faces[(n, i)])]) for i in range(n + 1)]
-    for cand in c.hom(nx.objects[n], ny.objects[n]):
-        if cand in pd.e_small and all(compose[(face, cand)] == want for face, want in faces):
+    for cand in _level_index(pd, nx, ny, n).get(faces[0][1], ()):
+        if all(compose[(face, cand)] == want for face, want in faces[1:]):
             yield cand
+
+
+def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, n: int) -> dict:
+    """d_0∘cand -> the candidates cand in hom(nx_n, ny_n) that lie in
+    E_small, in hom order; built once per nerve pair and level."""
+    key = (id(nx), id(ny), n)
+    if key not in pd._levels:
+        c = pd.big.category
+        d0 = ny.faces[(n, 0)]
+        index: dict = {}
+        for cand in c.hom(nx.objects[n], ny.objects[n]):
+            if cand in pd.e_small:
+                index.setdefault(c.compose[(d0, cand)], []).append(cand)
+        # the entry holds both nerves, so their ids are not reused while cached
+        pd._levels[key] = (nx, ny, index)
+    return pd._levels[key][2]
 
 
 def find_hypercovers(pd: PairDeclaration, f: str, m: int = 1):

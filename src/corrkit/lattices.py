@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import FinCategory, canonical_product, fn_values
-from .grid import _bump
 from .report import MalformedInputError, VerificationReport
 from .setups import GeometricSetup
 
@@ -374,6 +373,8 @@ class LatticeGrid:
     maps: dict
 
     def __post_init__(self):
+        from .grid import _bump
+
         for v, L in self.lattices.items():
             for d in range(self.k):
                 if v[d] < self.n:
@@ -401,6 +402,8 @@ def partial_adjoint_grid(F: LatticeGrid, J) -> LatticeGrid:
     adjointable.  The output grid is indexed with the J coordinates flipped
     so that it is again a genuine commuting grid; non-J maps are untouched.
     """
+    from .grid import _bump
+
     J = frozenset(J)
     if not J <= set(range(F.k)):
         raise MalformedInputError("J must name grid directions")

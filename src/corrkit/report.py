@@ -9,6 +9,9 @@ PASS = "pass"
 FAIL = "fail"
 RESOURCE_LIMIT = "resource-limit"
 
+# the check suites, in dependency order: a run reports them in this order
+SUITE_ORDER = ("category", "setup", "model", "theorem")
+
 
 class ResourceLimitError(RuntimeError):
     """A configured enumeration bound was exceeded; never a silent truncation."""

@@ -3,18 +3,22 @@
 Every envelope carries its schema tag in-band and is rejected on unknown
 fields, so a file cannot silently smuggle unchecked data.  All dumps are
 deterministic (sorted keys) so reports built on them are byte-stable.
+Each loader imports the layer it builds, so reading an envelope loads
+only the modules its declaration lives in.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .descent import Atlas, LocalizationProblem, PairDeclaration
-from .fincat import FinCategory, FunctorData, compose_table_witness, verify_all_functions
-from .lattices import FiniteLattice
 from .report import MalformedInputError
-from .setups import EdgeClass, GeometricSetup
-from .shriek import NagataSetup
+
+if TYPE_CHECKING:
+    from .descent import LocalizationProblem, PairDeclaration
+    from .fincat import FinCategory
+    from .lattices import FiniteLattice
+    from .setups import NagataSetup
 
 CATEGORY_SCHEMA = "corrkit-category/1"
 LATTICE_SCHEMA = "corrkit-lattice/1"
@@ -82,6 +86,8 @@ def category_to_dict(c: FinCategory) -> dict:
 
 
 def category_from_dict(d: dict) -> FinCategory:
+    from .fincat import FinCategory, compose_table_witness, verify_all_functions
+
     _check_fields(d, CATEGORY_SCHEMA, ("objects", "morphisms", "identities", "compose"), ("sizes",))
     objects = _strings(d["objects"], "objects")
     if not isinstance(d["morphisms"], list):
@@ -142,6 +148,8 @@ def lattice_to_dict(L: FiniteLattice) -> dict:
 
 
 def lattice_from_dict(d: dict) -> FiniteLattice:
+    from .lattices import FiniteLattice
+
     _check_fields(d, LATTICE_SCHEMA, ("elements", "leq", "frame"), ("tensor",))
     elements = _strings(d["elements"], "lattice elements")
     leq = _string_tuples(d["leq"], 2, "leq")
@@ -164,6 +172,8 @@ def lattice_from_dict(d: dict) -> FiniteLattice:
 
 
 def _class_members(c: FinCategory, d: dict, key: str) -> frozenset:
+    from .setups import EdgeClass
+
     return EdgeClass(c, frozenset(_strings(d[key], key))).members
 
 
@@ -178,6 +188,8 @@ def nagata_to_dict(ns: NagataSetup) -> dict:
 
 
 def nagata_from_dict(d: dict) -> NagataSetup:
+    from .setups import EdgeClass, GeometricSetup, NagataSetup
+
     _check_fields(d, NAGATA_SCHEMA, ("category", "e", "i", "p"))
     c = category_from_dict(d["category"])
     setup = GeometricSetup(c, EdgeClass(c, _class_members(c, d, "e")))
@@ -210,6 +222,9 @@ def pair_to_dict(pd: PairDeclaration) -> dict:
 
 
 def pair_from_dict(d: dict) -> PairDeclaration:
+    from .descent import Atlas, PairDeclaration
+    from .setups import EdgeClass, GeometricSetup
+
     _check_fields(
         d,
         PAIR_SCHEMA,
@@ -247,12 +262,32 @@ def localization_to_dict(lp: LocalizationProblem) -> dict:
     }
 
 
+def _total_map(value, keys, targets, what: str) -> dict:
+    """A string map defined exactly on `keys`, each value one of `targets`."""
+    m = _string_map(value, what)
+    missing = [k for k in keys if k not in m]
+    if missing:
+        raise MalformedInputError(f"{what} has no entry for {missing[0]!r}")
+    extra = sorted(set(m) - set(keys))
+    if extra:
+        raise MalformedInputError(f"{what} has an entry for unknown {extra[0]!r}")
+    stray = sorted(k for k, v in m.items() if v not in targets)
+    if stray:
+        raise MalformedInputError(f"{what} sends {stray[0]!r} to {m[stray[0]]!r}, outside the target")
+    return dict(m)
+
+
 def localization_from_dict(d: dict) -> LocalizationProblem:
+    from .descent import LocalizationProblem
+    from .fincat import FunctorData
+
     _check_fields(d, LOCALIZATION_SCHEMA, ("source", "target", "obj_map", "mor_map", "inverted"))
     src = category_from_dict(d["source"])
     dst = category_from_dict(d["target"])
-    p = FunctorData(src, dst, dict(d["obj_map"]), dict(d["mor_map"]))
-    return LocalizationProblem(p, frozenset(d["inverted"]))
+    obj_map = _total_map(d["obj_map"], src.objects, set(dst.objects), "obj_map")
+    mor_map = _total_map(d["mor_map"], src.morphism_ids, dst.morphisms, "mor_map")
+    p = FunctorData(src, dst, obj_map, mor_map)
+    return LocalizationProblem(p, frozenset(_strings(d["inverted"], "inverted")))
 
 
 # -- generic entry points --------------------------------------------------

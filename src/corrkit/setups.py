@@ -1,4 +1,5 @@
-"""Marked morphism classes and geometric setups with a pullback oracle.
+"""Marked morphism classes, geometric setups with a pullback oracle, and
+the factorization setups that `shriek` builds on.
 
 A geometric setup is a finite category with a class E of morphisms that
 contains the isomorphisms, is closed under composition, and whose members
@@ -82,6 +83,26 @@ class GeometricSetup:
         if pb is None:
             raise MalformedInputError(f"no pullback exists for cospan ({f!r}, {g!r})")
         return pb
+
+
+@dataclass
+class NagataSetup:
+    """Marked classes I and P on top of a geometric setup."""
+
+    setup: GeometricSetup
+    i_class: EdgeClass
+    p_class: EdgeClass
+    # (right, top, bottom, left) of every cartesian square with legs in
+    # E, I or P, filled by the first `shriek.cartesian_squares` call
+    _squares: list | None = field(default=None, init=False, repr=False, compare=False)
+    # (x, y) -> {f: its sorted factorizations} for the maps x -> y, filled
+    # by `shriek.factorizations`
+    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = self.setup.category
+        if self.i_class.carrier is not c or self.p_class.carrier is not c:
+            raise MalformedInputError("classes must live on the setup's category")
 
 
 def check_geometric_setup(s: GeometricSetup) -> VerificationReport:

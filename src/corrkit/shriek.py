@@ -10,7 +10,7 @@ into a functor on the homotopy span category) is verified elementwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import enumerate_grid_simplices
 from .lattices import (
@@ -25,28 +25,8 @@ from .lattices import (
     right_adjoint,
 )
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
-from .setups import EdgeClass, GeometricSetup, check_geometric_setup
+from .setups import EdgeClass, GeometricSetup, NagataSetup, check_geometric_setup
 from .spans import HCorr, Span, compose_spans
-
-
-@dataclass
-class NagataSetup:
-    """Marked classes I and P on top of a geometric setup."""
-
-    setup: GeometricSetup
-    i_class: EdgeClass
-    p_class: EdgeClass
-    # (right, top, bottom, left) of every cartesian square with legs in
-    # E, I or P, filled by the first `cartesian_squares` call
-    _squares: list | None = field(default=None, init=False, repr=False, compare=False)
-    # (x, y) -> {f: its sorted factorizations} for the maps x -> y, filled
-    # by `factorizations`
-    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        c = self.setup.category
-        if self.i_class.carrier is not c or self.p_class.carrier is not c:
-            raise MalformedInputError("classes must live on the setup's category")
 
 
 def check_nagata(ns: NagataSetup) -> VerificationReport:

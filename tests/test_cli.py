@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import corrkit
 from corrkit import cli, descent, shriek
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
@@ -295,10 +299,10 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    # a constructor that reran a gate would reach it through `shriek`
-    for module in (cli, shriek):
-        count(module, "check_nagata", lambda ns: "check_nagata")
-        count(module, "verify_hypotheses", lambda ns, sys: "verify_hypotheses")
+    # the suite imports its gates from `shriek` when it runs, and a
+    # constructor that reran one would reach it there too
+    count(shriek, "check_nagata", lambda ns: "check_nagata")
+    count(shriek, "verify_hypotheses", lambda ns, sys: "verify_hypotheses")
     count(shriek, "enumerate_grid_simplices", lambda s, classes, k, n: "enumerate_grid_simplices")
     rep = cli._nagata_theorem_suite("nagata-open", instance("nagata-open").build(), 4)
     assert rep.passed
@@ -310,8 +314,7 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "enumerate_grid_simplices": 1}
 
     # the extension of a nice pair reruns no descent check the suite reported
-    for module in (cli, descent):
-        count(module, "check_descent", lambda setup, sys, atlas: ("descent", id(atlas)))
+    count(descent, "check_descent", lambda setup, sys, atlas: ("descent", id(atlas)))
     for name in ("nice-pair-cover", "nice-pair-identity"):
         calls.clear()
         inst = instance(name)
@@ -450,3 +453,35 @@ def test_shriek_build_refuses_a_setup_that_fails_a_hypothesis(capsys):
     code, out, err = invoke(capsys, "shriek", "build", "--instance", "nagata-inj-all")
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith("error: cannot build: support-property")
+
+
+# -- what a run loads ------------------------------------------------------
+
+_LOADED = (
+    "import sys\n"
+    "from corrkit import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('corrkit.')), file=sys.stderr)\n"
+)
+
+
+def _loaded(cwd, *argv) -> set:
+    """The corrkit modules a fresh interpreter holds after it imports the
+    CLI and runs `corrkit ARGV`, if ARGV is given; the run must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corrkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    code, *modules = out.stderr.splitlines()[-1].split()
+    assert (out.returncode, code) == (0, "0"), out.stderr
+    return {m.removeprefix("corrkit.") for m in modules}
+
+
+def test_a_run_loads_only_the_layers_its_suites_execute(tmp_path):
+    (tmp_path / "lattice.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(2))))
+    (tmp_path / "nagata.json").write_text(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
+    assert _loaded(tmp_path) == {"cli", "report", "serialization"}
+    model = _loaded(tmp_path, "run", "--input", "lattice.json", "--suite", "model")
+    assert "lattices" in model
+    assert model & {"grid", "descent", "shriek", "spans", "corpus"} == set()
+    setup = _loaded(tmp_path, "run", "--input", "nagata.json", "--suite", "category", "--suite", "setup")
+    assert "setups" in setup
+    assert setup & {"lattices", "grid", "spans", "shriek", "descent", "corpus"} == set()

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from corrkit import cli
+from corrkit.corpus import instance
 from corrkit.descent import (
     Atlas,
     CechDiagram,
@@ -30,6 +31,7 @@ from corrkit.descent import (
     has_section,
     identity_atlas,
 )
+from corrkit.descent import _level_maps
 from corrkit.fincat import (
     FunctorData,
     chain_category,
@@ -409,6 +411,38 @@ def test_hypercover_level_two():
     found, limited = find_hypercovers(pd, "2>1:0.0", m=2)
     assert found and not limited
     assert found[0].levels == ("2>1:0.0", "2>1:0.0", "2>1:0.0")
+
+
+def _level_maps_by_scan(pd, nx, ny, n, below):
+    c = pd.big.category
+    faces = [(ny.faces[(n, i)], c.comp(below, nx.faces[(n, i)])) for i in range(n + 1)]
+    return [
+        cand
+        for cand in c.hom(nx.objects[n], ny.objects[n])
+        if cand in pd.e_small and all(c.comp(face, cand) == want for face, want in faces)
+    ]
+
+
+@pytest.mark.parametrize("name", ["nice-pair-cover", "exceptional-pair-cover"])
+def test_level_maps_agree_with_the_scan(name):
+    # every level-n candidate list, for every map below it, on every atlas
+    # pair and nerve level the carrier holds
+    pd = instance(name).build()
+    c = pd.big.category
+    atlases = [a for lst in pd.atlases.values() for a in lst]
+    compared = 0
+    for xa in atlases:
+        for ya in atlases:
+            for m in (1, 2):
+                try:
+                    nx, ny = cech_nerve(pd.big, xa, m), cech_nerve(pd.big, ya, m)
+                except MalformedInputError:
+                    continue
+                for below in c.hom(nx.objects[m - 1], ny.objects[m - 1]):
+                    want = _level_maps_by_scan(pd, nx, ny, m, below)
+                    assert list(_level_maps(pd, nx, ny, m, below)) == want, (xa.x, ya.x, m, below)
+                    compared += bool(want)
+    assert compared > 0
 
 
 def test_hypercover_search_reports_limit():

@@ -371,6 +371,21 @@ def _pair():
     return ser.pair_to_dict(instance("nice-pair-identity").build())
 
 
+def _localization():
+    # the interval 0 <= 1 sent to the point *
+    return ser.localization_to_dict(instance("localization-interval").build())
+
+
+def _map_entry(key, entry, value):
+    def mutate(d):
+        d[key] = {k: v for k, v in d[key].items() if k != entry}
+        if value is not None:
+            d[key][entry] = value
+        return d
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "envelope, mutate, message",
     [
@@ -387,9 +402,19 @@ def _pair():
         (_chain_nagata, _append("p", None), "p must be a list of strings"),
         (_pair, lambda d: {"schema": []}, r"unknown schema \[\]"),
         (_chain_nagata, _set("schema", {}), r"unknown schema \{\}"),
+        (_localization, _map_entry("obj_map", "1", None), "obj_map has no entry for '1'"),
+        (_localization, _map_entry("mor_map", "0<=1", None), "mor_map has no entry for '0<=1'"),
+        (_localization, _set("obj_map", []), "obj_map must map strings to strings"),
+        (_localization, _map_entry("mor_map", "0<=1", ["id_*"]), "mor_map must map strings to strings"),
+        (_localization, _map_entry("obj_map", "2", "*"), "obj_map has an entry for unknown '2'"),
+        (_localization, _map_entry("mor_map", "0<=1", "*"), "mor_map sends '0<=1' to '\\*', outside the target"),
+        (_localization, _set("inverted", [["0<=1"]]), "inverted must be a list of strings"),
+        (_localization, _set("inverted", "0<=1"), "inverted must be a list of strings"),
     ],
     ids=["atlases-list", "atlas-string", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
-         "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict"],
+         "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
+         "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
+         "mor-map-outside", "inverted-nested", "inverted-string"],
 )
 def test_mistyped_declaration_fields_exit_2(tmp_path, capsys, envelope, mutate, message):
     _exits_2_with_one_line(tmp_path, capsys, mutate(envelope()), message)
