@@ -707,7 +707,7 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2)
     if pd.kind != "nice":
         raise MalformedInputError("extension of restrictions needs a nice pair")
     c = pd.big.category
-    small = set(pd.small.objects)
+    small = set(pd.small_objects)
     lattices = {}
     chosen = {}
     for obj in c.objects:

@@ -24,8 +24,8 @@ class FinCategory:
     identity: dict[str, str]  # object -> identity morphism id
     compose: dict[tuple[str, str], str]  # (g, f) -> g.f when dst(f) == src(g)
     # object -> cardinality, set only on a category of all functions between
-    # sets of these sizes; the fiber product, coproduct and span-class
-    # constructions read ids as function values when it is set
+    # sets of these sizes; the fiber product, coproduct, span-class and frame
+    # constructions read `function_values` only when it is set
     object_size: dict[str, int] | None = field(default=None, compare=False)
 
     # -- basic accessors -------------------------------------------------
@@ -65,8 +65,11 @@ class FinCategory:
         return _group(self.morphism_ids, self.dst)
 
     @cached_property
-    def _values(self) -> dict[str, tuple[int, ...]]:
-        """id -> function values, for all-function carriers only."""
+    def function_values(self) -> dict[str, tuple[int, ...]]:
+        """id -> function values, on an all-function carrier: the one table
+        every construction that reads ids as functions looks values up in."""
+        if self.object_size is None:
+            raise MalformedInputError("category carries no cardinality data")
         return {m: fn_values(m) for m in self.morphism_ids}
 
     @cached_property
@@ -406,70 +409,16 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
     return FinCategory(objects, morphisms, identity, compose, dict(sizes))
 
 
-def verify_all_functions(c: FinCategory, sizes: dict) -> None:
-    """Raise unless `c` is exactly the category of all functions between
-    sets of the given sizes, ids and compose table included: the fiber
-    product construction and the frame systems read ids as function values
-    and trust them."""
-    for x, n in sizes.items():
-        if type(n) is not int or n < 0:
-            raise MalformedInputError(f"size of {x!r} is not a non-negative integer")
-    values = {}
-    count: dict[tuple[str, str], int] = {}
-    for m, (x, y) in c.morphisms.items():
-        if x not in sizes or y not in sizes:
-            raise MalformedInputError(f"morphism {m!r} has an endpoint outside the objects")
-        prefix = f"{x}>{y}:"
-        tail = m[len(prefix):]
-        digits = tail.split(".") if tail else []
-        if not m.startswith(prefix) or not all(v.isascii() and v.isdigit() for v in digits):
-            raise MalformedInputError(f"morphism id {m!r} is not of the form {prefix}v.v")
-        vals = tuple(int(v) for v in digits)
-        if _fn_id(x, y, vals) != m or len(vals) != sizes[x] or any(v >= sizes[y] for v in vals):
-            raise MalformedInputError(f"morphism id {m!r} is not a function of {x!r} into {y!r}")
-        values[m] = vals
-        count[(x, y)] = count.get((x, y), 0) + 1
-    for x in c.objects:
-        for y in c.objects:
-            if count.get((x, y), 0) != sizes[y] ** sizes[x]:
-                raise MalformedInputError(f"hom-set {x!r} -> {y!r} does not hold every function")
-    for x in c.objects:
-        if c.identity.get(x) != _fn_id(x, x, tuple(range(sizes[x]))):
-            raise MalformedInputError(f"identity of {x!r} is not the identity function")
-    into = {y: sum(sizes[y] ** sizes[x] for x in c.objects) for y in c.objects}
-    pairs = sum(into[y] * sum(sizes[z] ** sizes[y] for z in c.objects) for y in c.objects)
-    if len(c.compose) != pairs:
-        raise MalformedInputError(f"compose table has {len(c.compose)} entries, not one per composable pair")
-    for (g, f), h in c.compose.items():
-        if g not in values or f not in values or c.morphisms[f][1] != c.morphisms[g][0]:
-            raise MalformedInputError(f"compose entry {g!r} after {f!r} is not a composable pair")
-        gv = values[g]
-        expected = _fn_id(c.morphisms[f][0], c.morphisms[g][1], tuple(gv[v] for v in values[f]))
-        if h != expected:
-            raise MalformedInputError(f"compose entry {g!r} after {f!r} is {h!r}, not {expected!r}")
-
-
 def finset_skeleton(max_size: int) -> FinCategory:
     return finset_category({str(k): k for k in range(max_size + 1)})
 
 
-def finset_size(c: FinCategory, obj: str) -> int:
-    if c.object_size is None:
-        raise MalformedInputError("category carries no cardinality data")
-    return c.object_size[obj]
-
-
 def injections(c: FinCategory) -> frozenset[str]:
-    return frozenset(m for m in c.morphism_ids if len(set(fn_values(m))) == len(fn_values(m)))
+    return frozenset(m for m, v in c.function_values.items() if len(set(v)) == len(v))
 
 
 def surjections(c: FinCategory) -> frozenset[str]:
-    out = set()
-    for m in c.morphism_ids:
-        target_size = finset_size(c, c.dst(m))
-        if len(set(fn_values(m))) == target_size:
-            out.add(m)
-    return frozenset(out)
+    return frozenset(m for m, v in c.function_values.items() if len(set(v)) == c.object_size[c.dst(m)])
 
 
 # -- limits by universal property, fiber products of functions -------------
@@ -521,7 +470,7 @@ def _finset_canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str
     list P sorted by the decimal strings of (x, y).  Ids order by those
     strings, so this is the first pullback in id order, the generic
     lexicographic minimum."""
-    values = c._values
+    values = c.function_values
     fx, gy = values[f], values[g]
     fiber = sorted(
         ((x, y) for x, fv in enumerate(fx) for y, gv in enumerate(gy) if fv == gv),
@@ -604,7 +553,7 @@ def _finset_canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str
     """Disjoint union in an all-function carrier: legs are jointly bijective
     with disjoint images; the first such tuple in id order is the generic
     lexicographic minimum."""
-    sizes = c.object_size
+    sizes, values = c.object_size, c.function_values
     total = sum(sizes[x] for x in factors)
     for apex in c.objects:
         if sizes[apex] != total:
@@ -612,8 +561,8 @@ def _finset_canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str
         for legs in itertools.product(*[c.hom(x, apex) for x in factors]):
             seen: set[int] = set()
             for leg in legs:
-                seen.update(fn_values(leg))
-            injective = all(len(set(fn_values(leg))) == len(fn_values(leg)) for leg in legs)
+                seen.update(values[leg])
+            injective = all(len(set(values[leg])) == len(values[leg]) for leg in legs)
             if injective and len(seen) == total:
                 if _is_coproduct(c, apex, legs, tuple(factors)):
                     return (apex, legs)

@@ -578,9 +578,9 @@ def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
         raise MalformedInputError("frame systems need a carrier with cardinalities")
     lattices = {x: power_lattice(L, c.object_size[x]) for x in c.objects}
     restriction = {}
-    for m in c.morphism_ids:
+    for m, vals in c.function_values.items():
         x, y = c.morphisms[m]
-        restriction[m] = precompose_map(fn_values(m), lattices[y], lattices[x])
+        restriction[m] = precompose_map(vals, lattices[y], lattices[x])
     return CoefficientSystem(setup, lattices, restriction)
 
 

@@ -86,10 +86,15 @@ def category_to_dict(c: FinCategory) -> dict:
 
 
 def category_from_dict(d: dict) -> FinCategory:
-    from .fincat import FinCategory, compose_table_witness, verify_all_functions
+    """A sizes-free envelope loads as its own tables, once they are closed
+    and well typed; a `sizes` envelope as the carrier `finset_category`
+    builds, once it is shown to be exactly that carrier."""
+    from .fincat import FinCategory, compose_table_witness
 
     _check_fields(d, CATEGORY_SCHEMA, ("objects", "morphisms", "identities", "compose"), ("sizes",))
-    objects = _strings(d["objects"], "objects")
+    objects = tuple(_strings(d["objects"], "objects"))
+    if len(set(objects)) != len(objects):
+        raise MalformedInputError(f"duplicate object {next(x for x in objects if objects.count(x) > 1)!r}")
     if not isinstance(d["morphisms"], list):
         raise MalformedInputError("morphisms must be a list")
     morphisms = {}
@@ -106,30 +111,76 @@ def category_from_dict(d: dict) -> FinCategory:
         if entry["id"] in morphisms:
             raise MalformedInputError(f"duplicate morphism id {entry['id']!r}")
         morphisms[entry["id"]] = (entry["src"], entry["dst"])
-    compose = {}
-    for key, h in _string_map(d["compose"], "compose").items():
-        g, sep, f = key.partition(COMPOSE_SEP)
-        if not sep:
-            raise MalformedInputError(f"malformed compose key {key!r}")
-        compose[(g, f)] = h
-    c = FinCategory(tuple(objects), morphisms, dict(_string_map(d["identities"], "identities")), compose)
-    sizes = d.get("sizes")
-    if sizes is None:
-        # a `sizes` carrier gets the stronger check below
-        bad = compose_table_witness(c)
-        if bad is not None:
-            g, f = bad["pair"]
-            result = f" ({bad['result']!r})" if "result" in bad else ""
-            raise MalformedInputError(f"compose entry {g!r} after {f!r}: {bad['problem']}{result}")
-    else:
-        if not isinstance(sizes, dict):
-            raise MalformedInputError("sizes must map objects to integers")
-        bad = sorted(set(sizes) ^ set(c.objects))
-        if bad:
-            raise MalformedInputError(f"sizes do not match objects at {bad[0]!r}")
-        verify_all_functions(c, sizes)
-        c.object_size = dict(sizes)
+    compose = _string_map(d["compose"], "compose")
+    identity = dict(_string_map(d["identities"], "identities"))
+    if "sizes" in d:
+        return _all_functions(objects, morphisms, identity, compose, d["sizes"])
+    c = FinCategory(objects, morphisms, identity, {_compose_pair(key): h for key, h in compose.items()})
+    bad = compose_table_witness(c)
+    if bad is not None:
+        g, f = bad["pair"]
+        result = f" ({bad['result']!r})" if "result" in bad else ""
+        raise MalformedInputError(f"compose entry {g!r} after {f!r}: {bad['problem']}{result}")
     return c
+
+
+def _compose_pair(key: str) -> tuple[str, str]:
+    g, sep, f = key.partition(COMPOSE_SEP)
+    if not sep:
+        raise MalformedInputError(f"malformed compose key {key!r}")
+    return g, f
+
+
+def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
+    """The category of all functions between sets of the given sizes, once
+    the envelope lists exactly its ids, identities and compose entries: the
+    fiber product, coproduct and frame constructions read ids as function
+    values and trust them.  The counts come first, so the build is no
+    larger than the envelope."""
+    from .fincat import FinCategory, finset_category
+
+    if not isinstance(sizes, dict):
+        raise MalformedInputError("sizes must map objects to integers")
+    bad = sorted(set(sizes) ^ set(objects))
+    if bad:
+        raise MalformedInputError(f"sizes do not match objects at {bad[0]!r}")
+    for x, n in sizes.items():
+        if type(n) is not int or n < 0:
+            raise MalformedInputError(f"size of {x!r} is not a non-negative integer")
+    count: dict[tuple[str, str], int] = {}
+    for m, (x, y) in morphisms.items():
+        if x not in sizes or y not in sizes:
+            raise MalformedInputError(f"morphism {m!r} has an endpoint outside the objects")
+        count[(x, y)] = count.get((x, y), 0) + 1
+    for x in objects:
+        for y in objects:
+            if not _is_power(count.get((x, y), 0), sizes[y], sizes[x]):
+                raise MalformedInputError(f"hom-set {x!r} -> {y!r} does not hold every function")
+    # every hom-set count is now an exact power, so the sums are bounded
+    into = {y: sum(sizes[y] ** sizes[x] for x in objects) for y in objects}
+    pairs = sum(into[y] * sum(sizes[z] ** sizes[y] for z in objects) for y in objects)
+    if len(compose) != pairs:
+        raise MalformedInputError(f"compose table has {len(compose)} entries, not one per composable pair")
+    built = finset_category(sizes)
+    for m, typing in morphisms.items():
+        if built.morphisms.get(m) != typing:
+            raise MalformedInputError(f"morphism id {m!r} is not a function of {typing[0]!r} into {typing[1]!r}")
+    for x in dict.fromkeys([*objects, *identity]):
+        if identity.get(x) != built.identity.get(x):
+            raise MalformedInputError(f"identity of {x!r} is not the identity function")
+    for key, h in compose.items():
+        g, f = _compose_pair(key)
+        want = built.compose.get((g, f))
+        if want is None:
+            raise MalformedInputError(f"compose entry {g!r} after {f!r} is not a composable pair")
+        if h != want:
+            raise MalformedInputError(f"compose entry {g!r} after {f!r} is {h!r}, not {want!r}")
+    return FinCategory(objects, built.morphisms, built.identity, built.compose, built.object_size)
+
+
+def _is_power(count: int, n: int, k: int) -> bool:
+    """count == n ** k, without building a power larger than count."""
+    return (n < 2 or k <= count.bit_length()) and count == n**k
 
 
 # -- lattices --------------------------------------------------------------
@@ -279,7 +330,7 @@ def _total_map(value, keys, targets, what: str) -> dict:
 
 def localization_from_dict(d: dict) -> LocalizationProblem:
     from .descent import LocalizationProblem
-    from .fincat import FunctorData
+    from .fincat import FunctorData, check_functor
 
     _check_fields(d, LOCALIZATION_SCHEMA, ("source", "target", "obj_map", "mor_map", "inverted"))
     src = category_from_dict(d["source"])
@@ -287,6 +338,10 @@ def localization_from_dict(d: dict) -> LocalizationProblem:
     obj_map = _total_map(d["obj_map"], src.objects, set(dst.objects), "obj_map")
     mor_map = _total_map(d["mor_map"], src.morphism_ids, dst.morphisms, "mor_map")
     p = FunctorData(src, dst, obj_map, mor_map)
+    bad = check_functor(p).first_failure()
+    if bad is not None:
+        witness = json.dumps(bad.witness, sort_keys=True)
+        raise MalformedInputError(f"mor_map is not a functor: check {bad.name!r} fails at {witness}")
     return LocalizationProblem(p, frozenset(_strings(d["inverted"], "inverted")))
 
 

@@ -17,7 +17,6 @@ from .fincat import (
     FunctorData,
     canonical_coproduct,
     enumerate_functors,
-    fn_values,
     verify_product,
     verify_pullback_square,
 )
@@ -82,7 +81,8 @@ def span_class_key(c: FinCategory, s: Span):
     """
     x, y = span_feet(c, s)
     if c.object_size is not None:
-        return (x, y, tuple(sorted(zip(fn_values(s.left), fn_values(s.right)))))
+        values = c.function_values
+        return (x, y, tuple(sorted(zip(values[s.left], values[s.right]))))
     best = (s.left, s.right)
     w = span_apex(c, s)
     for v in c.objects:
@@ -304,22 +304,15 @@ def simplex_edge(cs: CorrSimplex, a: tuple[int, int], b: tuple[int, int]) -> Spa
 # -- coproducts in the homotopy category ----------------------------------
 
 
-def check_coproduct(
-    s: GeometricSetup,
-    x: str,
-    y: str,
-    hc: HCorr | None = None,
-    pair_apex: int = 2,
-    targets=None,
-) -> VerificationReport:
+def check_coproduct(s: GeometricSetup, x: str, y: str, targets=None) -> VerificationReport:
     """The categorical coproduct of x and y, included by spans with identity
     left legs, must satisfy the coproduct universal property in the homotopy
-    category: every pair of classes (x -> t, y -> t) with apexes within
-    `pair_apex` factors through exactly one mediating class.
+    category: every pair of classes (x -> t, y -> t) with apexes of at most
+    two elements factors through exactly one mediating class.
     """
     rep = VerificationReport("span-coproduct")
     c = s.category
-    hc = hc or HCorr(s)
+    hc = HCorr(s)
 
     cop = canonical_coproduct(c, [x, y])
     rep.add("carrier-coproduct-exists", cop is not None, {} if cop else {"pair": [x, y]}, anchor="span-coproduct")
@@ -349,11 +342,11 @@ def check_coproduct(
             v = hc.compose_reps(iota_y, rep_w)
             routing.setdefault((u, v), []).append(f"[{rep_w.left};{rep_w.right}]")
         for (_, (rep_u, _)) in hc.classes(x, t).items():
-            if _span_apex_size(c, rep_u) > pair_apex:
+            if _span_apex_size(c, rep_u) > 2:
                 continue
             uid = f"[{rep_u.left};{rep_u.right}]"
             for (_, (rep_v, _)) in hc.classes(y, t).items():
-                if _span_apex_size(c, rep_v) > pair_apex:
+                if _span_apex_size(c, rep_v) > 2:
                     continue
                 vid = f"[{rep_v.left};{rep_v.right}]"
                 checked += 1

@@ -16,7 +16,6 @@ from corrkit.fincat import (
     discrete_category,
     enumerate_functors,
     finset_category,
-    finset_size,
     finset_skeleton,
     fn_values,
     full_subcategory,
@@ -122,7 +121,7 @@ def test_finset_iso_mono_classes():
 def test_finset_duplicate_cardinalities():
     c = finset_category({"a": 2, "b": 2, "p": 1})
     assert check_category(c).passed
-    assert finset_size(c, "b") == 2
+    assert c.object_size["b"] == 2
     assert len(c.hom("a", "b")) == 4
     assert "a>b:0.1" in c.iso_ids
 
@@ -233,7 +232,7 @@ def test_pullback_candidates_unique_up_to_iso():
     f = "p>a:0"
     g = "p>a:1"
     cands = pullback_candidates(c, f, g)
-    assert cands and all(finset_size(c, apex) == 0 for apex, _, _ in cands)
+    assert cands and all(c.object_size[apex] == 0 for apex, _, _ in cands)
     # equal legs: the fiber product is the point, and both 1-element
     # carriers of the category qualify as representatives
     assert {apex for apex, _, _ in pullback_candidates(c, f, f)} == {"p"}

@@ -1,12 +1,15 @@
 """JSON envelopes: round-trips, schema tagging, strict field checking."""
 
-import pytest
+import copy
 
-from corrkit import serialization as ser
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from corrkit import fincat, serialization as ser
 from corrkit.cli import main
 from corrkit.corpus import corpus, instance
 from corrkit.descent import LocalizationProblem, PairDeclaration
-from corrkit.fincat import FinCategory, chain_category, finset_skeleton
+from corrkit.fincat import FinCategory, FunctorData, chain_category, finset_category, finset_skeleton
 from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit.setups import GeometricSetup, all_class, iso_class
@@ -201,7 +204,7 @@ def _bad_size(d):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: _rename(d, "2>2:1.0", "swap"), "not of the form"),
+        (lambda d: _rename(d, "2>2:1.0", "swap"), "is not a function"),
         (lambda d: _rename(d, "2>2:1.0", "2>2:1.00"), "is not a function"),
         (lambda d: _rename(d, "1>2:1", "1>2:2"), "is not a function"),
         (lambda d: _rename(d, "2>1:0.0", "2>1:0"), "is not a function"),
@@ -235,6 +238,82 @@ def test_wrong_identity_rejected():
     d["identities"]["2"] = "2>2:1.0"
     with pytest.raises(MalformedInputError, match="identity"):
         ser.category_from_dict(d)
+
+
+def _sizes_mutations(d, data):
+    """One mutation of a sizes envelope, drawn: each leaves it no longer the
+    carrier its sizes name."""
+    ids = [e["id"] for e in d["morphisms"]]
+    kind = data.draw(st.sampled_from(["rename", "retarget", "drop-morphism", "drop-compose", "swap-identity"]))
+    if kind == "rename":
+        m = data.draw(st.sampled_from(ids))
+        return _rename(d, m, m + "0")
+    if kind == "retarget":
+        key = data.draw(st.sampled_from(sorted(d["compose"])))
+        others = [m for m in ids if m != d["compose"][key]]
+        assume(others)
+        d["compose"][key] = data.draw(st.sampled_from(others))
+    elif kind == "drop-morphism":
+        del d["morphisms"][data.draw(st.integers(0, len(ids) - 1))]
+    elif kind == "drop-compose":
+        del d["compose"][data.draw(st.sampled_from(sorted(d["compose"])))]
+    else:
+        x = data.draw(st.sampled_from(d["objects"]))
+        others = [m for m in ids if m != d["identities"][x]]
+        assume(others)
+        d["identities"][x] = data.draw(st.sampled_from(others))
+    return d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_sizes_envelope_loads_as_the_built_carrier_and_no_mutation_loads(data):
+    names = data.draw(st.permutations(data.draw(st.sampled_from(["a", "ab", "abc"]))))
+    sizes = {x: data.draw(st.integers(0, 2)) for x in names}
+    built = finset_category(sizes)
+    d = ser.category_to_dict(built)
+    d["objects"] = list(names)
+    back = ser.category_from_dict(d)
+    assert back.objects == tuple(names)
+    assert (back.morphisms, back.identity, back.compose) == (built.morphisms, built.identity, built.compose)
+    assert back.object_size == sizes
+    mutated = _sizes_mutations(copy.deepcopy(d), data)
+    with pytest.raises(MalformedInputError) as err:
+        ser.category_from_dict(mutated)
+    assert "\n" not in str(err.value)
+
+
+def test_counts_are_checked_before_the_carrier_is_built(monkeypatch):
+    complete = ser.category_to_dict(finset_category({"1": 1, "2": 2}))
+
+    def refuse(sizes):
+        raise AssertionError(f"finset_category({sizes}) called before the counts were checked")
+
+    monkeypatch.setattr(fincat, "finset_category", refuse)
+    # 40^40 functions claimed by three morphisms
+    huge = {
+        "schema": ser.CATEGORY_SCHEMA,
+        "objects": ["a", "b"],
+        "morphisms": [{"id": f"a>{y}:", "src": "a", "dst": y} for y in "ab"] + [{"id": "b>b:", "src": "b", "dst": "b"}],
+        "identities": {"a": "a>a:", "b": "b>b:"},
+        "compose": {},
+        "sizes": {"a": 40, "b": 40},
+    }
+    with pytest.raises(MalformedInputError, match="hom-set 'a' -> 'a' does not hold every function"):
+        ser.category_from_dict(huge)
+    complete["compose"] = {}
+    with pytest.raises(MalformedInputError, match="compose table has 0 entries"):
+        ser.category_from_dict(complete)
+    assert all(ser._is_power(c, n, k) == (c == n**k) for c in range(70) for n in range(6) for k in range(8))
+
+
+@pytest.mark.parametrize("sizes", [True, False], ids=["sizes", "sizes-free"])
+def test_duplicate_object_exits_2(tmp_path, capsys, sizes):
+    d = ser.category_to_dict(finset_skeleton(1))
+    if not sizes:
+        del d["sizes"]
+    d["objects"] = ["0", "1", "0"]
+    _exits_2_with_one_line(tmp_path, capsys, d, "^duplicate object '0'$")
 
 
 # -- lattice and sizes-free category envelopes are validated on load ----------
@@ -376,6 +455,13 @@ def _localization():
     return ser.localization_to_dict(instance("localization-interval").build())
 
 
+def _not_a_functor(source, target, obj_map, images):
+    """A localization envelope whose mor_map sends each source morphism to
+    `images[m]`, or to `m` itself when `images` has no entry for it."""
+    mor_map = {m: images.get(m, m) for m in source.morphism_ids}
+    return lambda: ser.localization_to_dict(LocalizationProblem(FunctorData(source, target, obj_map, mor_map), frozenset()))
+
+
 def _map_entry(key, entry, value):
     def mutate(d):
         d[key] = {k: v for k, v in d[key].items() if k != entry}
@@ -410,11 +496,29 @@ def _map_entry(key, entry, value):
         (_localization, _map_entry("mor_map", "0<=1", "*"), "mor_map sends '0<=1' to '\\*', outside the target"),
         (_localization, _set("inverted", [["0<=1"]]), "inverted must be a list of strings"),
         (_localization, _set("inverted", "0<=1"), "inverted must be a list of strings"),
+        (
+            # the 2-chain sent to itself, but 0<=0 to 0<=1
+            _not_a_functor(chain_category(1), chain_category(1), {"0": "0", "1": "1"}, {"0<=0": "0<=1"}),
+            lambda d: d,
+            r"mor_map is not a functor: check 'typing' fails at \{\"morphism\": \"0<=0\", ",
+        ),
+        (
+            # the 3-chain sent to the swap of a 2-element set, 0<=2 too
+            _not_a_functor(
+                chain_category(2),
+                finset_category({"2": 2}),
+                {"0": "2", "1": "2", "2": "2"},
+                {"0<=0": "2>2:0.1", "1<=1": "2>2:0.1", "2<=2": "2>2:0.1", "0<=1": "2>2:1.0", "1<=2": "2>2:1.0",
+                 "0<=2": "2>2:1.0"},
+            ),
+            lambda d: d,
+            r"mor_map is not a functor: check 'composites' fails at \{\"pair\": \[\"1<=2\", \"0<=1\"\]\}$",
+        ),
     ],
     ids=["atlases-list", "atlas-string", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
          "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
          "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
-         "mor-map-outside", "inverted-nested", "inverted-string"],
+         "mor-map-outside", "inverted-nested", "inverted-string", "functor-typing", "functor-composite"],
 )
 def test_mistyped_declaration_fields_exit_2(tmp_path, capsys, envelope, mutate, message):
     _exits_2_with_one_line(tmp_path, capsys, mutate(envelope()), message)

@@ -9,7 +9,6 @@ from corrkit.fincat import (
     check_category,
     check_functor,
     finset_category,
-    finset_size,
     finset_skeleton,
     opposite,
     wide_subcategory,
@@ -56,7 +55,7 @@ def test_compose_fiber_product_example():
     a = Span("1>2:0", "1>1:0")
     b = Span("2>1:0.0", "2>1:0.0")
     ab = compose_spans(s, a, b)
-    assert finset_size(c, c.src(ab.left)) == 2
+    assert c.object_size[c.src(ab.left)] == 2
 
 
 def test_compose_with_identity_span_is_unit():
