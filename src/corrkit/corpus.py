@@ -4,7 +4,8 @@ models, pair declarations, and localization problems.
 Each instance names the check suites that apply to it and the checks that
 are documented to fail, so a full run can verify that failures land exactly
 where the analysis says they do.  Instances are built lazily and cached;
-listing order is fixed.
+listing order is fixed.  Each builder imports the layer its declaration
+lives in, so listing the corpus loads neither `descent` nor `lattices`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .descent import Atlas, LocalizationProblem, PairDeclaration, identity_atlas
 from .fincat import (
     FunctorData,
     chain_category,
@@ -22,7 +22,6 @@ from .fincat import (
     surjections,
     terminal_category,
 )
-from .lattices import chain_lattice, n5_lattice
 from .report import SUITE_ORDER, MalformedInputError
 from .setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class
 
@@ -85,7 +84,21 @@ def _nagata_inj_all():
     return NagataSetup(s, EdgeClass(s.category, injections(s.category)), all_class(s.category))
 
 
+def _chain(n: int):
+    from .lattices import chain_lattice
+
+    return chain_lattice(n)
+
+
+def _pentagon(tensor: str = "meet"):
+    from .lattices import n5_lattice
+
+    return n5_lattice(tensor)
+
+
 def _pair_identity():
+    from .descent import PairDeclaration, identity_atlas
+
     s = _skel(2)
     c = s.category
     sm = frozenset(surjections(c))
@@ -97,6 +110,8 @@ def _pair_identity():
 
 
 def _pair_cover(kind: str):
+    from .descent import Atlas, PairDeclaration, identity_atlas
+
     s = _cover_carrier()
     c = s.category
     sm = frozenset(surjections(c))
@@ -107,6 +122,8 @@ def _pair_cover(kind: str):
 
 
 def _localization_interval():
+    from .descent import LocalizationProblem
+
     c = chain_category(1)
     t = terminal_category()
     p = FunctorData(c, t, {"0": "*", "1": "*"}, {m: "id_*" for m in c.morphism_ids})
@@ -114,6 +131,8 @@ def _localization_interval():
 
 
 def _localization_cover():
+    from .descent import LocalizationProblem
+
     c = finset_skeleton(1)
     t = terminal_category()
     p = FunctorData(c, t, {x: "*" for x in c.objects}, {m: "id_*" for m in c.morphism_ids})
@@ -155,20 +174,20 @@ _INSTANCES = (
     ),
     CorpusInstance(
         "frame-2chain", "model", "two-element chain coefficients",
-        ("model",), lambda: chain_lattice(1),
+        ("model",), lambda: _chain(1),
     ),
     CorpusInstance(
         "frame-3chain", "model", "three-element chain coefficients",
-        ("model",), lambda: chain_lattice(2),
+        ("model",), lambda: _chain(2),
     ),
     CorpusInstance(
         "pentagon-meet", "model", "non-distributive pentagon, meet tensor",
-        ("model",), lambda: n5_lattice(),
+        ("model",), lambda: _pentagon(),
         {"model": ("projection-sharp",)},
     ),
     CorpusInstance(
         "pentagon-join", "model", "non-distributive pentagon, join tensor",
-        ("model",), lambda: n5_lattice("join"),
+        ("model",), lambda: _pentagon("join"),
         {"model": ("projection-sharp", "projection-star", "external-product")},
     ),
     CorpusInstance(

@@ -74,24 +74,29 @@ class FinCategory:
 
     @cached_property
     def generators(self) -> tuple[str, ...]:
-        """A generating set under composition: each id, in `morphism_ids`
-        order, that no composite of the ids before it reaches.  The closure
-        is grown by a worklist from the empty set, not from the identities,
-        so the sweeps that read it assume no unit law.  Needs a closed,
-        well-typed table."""
+        """A generating set under composition: each id that no composite of
+        the ids before it reaches, taking the isomorphisms first and then
+        the other ids, each in `morphism_ids` order.  Isomorphisms first
+        keep the set small, since an id that is an isomorphism composed
+        with an earlier id is reached, not taken.  The closure is grown by a
+        worklist from the empty set, not from the identities, so the sweeps
+        that read it assume no unit law; any generating set serves them.
+        Needs a closed, well-typed table."""
         compose, typing = self.compose, self.morphisms
         reached: set[str] = set()
         # reached ids by source and by target
         out_of: dict[str, list[str]] = {}
         into: dict[str, list[str]] = {}
         gens = []
-        for m in self.morphism_ids:
+        # a stable sort: the isomorphisms, then the rest, each in id order
+        for m in sorted(self.morphism_ids, key=lambda m: m not in self.iso_ids):
             if m in reached:
                 continue
             gens.append(m)
             reached.add(m)
             work = [m]
-            while work:
+            # once every id is reached no later id is taken
+            while work and len(reached) < len(typing):
                 n = work.pop()
                 x, y = typing[n]
                 out_of.setdefault(x, []).append(n)
@@ -388,24 +393,26 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
     objects = tuple(sorted(sizes))
     morphisms: dict[str, tuple[str, str]] = {}
     values: dict[str, tuple[int, ...]] = {}
-    # (source, target, values) -> id, so composites are looked up, not
-    # spelled and parsed again
-    by_values: dict[tuple, str] = {}
+    # (source, target) -> {values: id}, each hom-set in product order, so
+    # composites are looked up, not spelled and parsed again
+    homs: dict[tuple[str, str], dict[tuple[int, ...], str]] = {}
     for a in objects:
         for b in objects:
+            hom = homs[(a, b)] = {}
             # repeat=0 gives the one empty function out of an empty set
             for vals in itertools.product(range(sizes[b]), repeat=sizes[a]):
                 m = _fn_id(a, b, vals)
                 morphisms[m] = (a, b)
                 values[m] = vals
-                by_values[(a, b, vals)] = m
-    identity = {a: by_values[(a, a, tuple(range(sizes[a])))] for a in objects}
-    into = _group(morphisms, lambda m: morphisms[m][1])
+                hom[vals] = m
+    identity = {a: homs[(a, a)][tuple(range(sizes[a]))] for a in objects}
     compose = {}
     for g, (b, c) in morphisms.items():
-        at = values[g].__getitem__
-        for f in into.get(b, ()):
-            compose[(g, f)] = by_values[(morphisms[f][0], c, tuple(map(at, values[f])))]
+        for a in objects:
+            # the values of g . f, for f over hom(a, b) in product order,
+            # are the product of g's values in that order
+            composites = map(homs[(a, c)].__getitem__, itertools.product(values[g], repeat=sizes[a]))
+            compose.update(zip(zip(itertools.repeat(g), homs[(a, b)].values()), composites))
     return FinCategory(objects, morphisms, identity, compose, dict(sizes))
 
 

@@ -475,11 +475,12 @@ class CoefficientSystem:
         # associative, and {a : the law holds on (g, a) for every g} is then
         # closed under composition: sweeping a over the generators decides
         # every pair.  A failed sweep rescans for the first pair in order.
-        sweep = c.composable_pairs
         if c.object_size is not None:
             sweep = [
                 (g, a) for a in c.generators for g in c.morphism_ids if c.morphisms[g][0] == c.morphisms[a][1]
             ]
+        else:
+            sweep = c.composable_pairs
         if self._nonfunctorial_pair(sweep) is not None:
             g, f = self._nonfunctorial_pair(c.composable_pairs)
             raise MalformedInputError(f"restriction not functorial on ({g!r}, {f!r})")
@@ -572,16 +573,23 @@ def precompose_map(f_values: tuple[int, ...], big_src: FiniteLattice, big_dst: F
 
 
 def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
-    """D(X) = L^|X| over an all-function carrier, f^* by precomposition."""
+    """D(X) = L^|X| over an all-function carrier, f^* by precomposition.
+
+    Built and validated once per setup and lattice value, so every suite
+    over one setup shares the system and the adjoints memoized on its
+    maps; callers read it and never mutate it."""
     c = setup.category
     if c.object_size is None:
         raise MalformedInputError("frame systems need a carrier with cardinalities")
-    lattices = {x: power_lattice(L, c.object_size[x]) for x in c.objects}
-    restriction = {}
-    for m, vals in c.function_values.items():
-        x, y = c.morphisms[m]
-        restriction[m] = precompose_map(vals, lattices[y], lattices[x])
-    return CoefficientSystem(setup, lattices, restriction)
+    key = (L.elements, L.leq, None if L.tensor_table is None else frozenset(L.tensor_table.items()))
+    if key not in setup._systems:
+        lattices = {x: power_lattice(L, c.object_size[x]) for x in c.objects}
+        restriction = {}
+        for m, vals in c.function_values.items():
+            x, y = c.morphisms[m]
+            restriction[m] = precompose_map(vals, lattices[y], lattices[x])
+        setup._systems[key] = CoefficientSystem(setup, lattices, restriction)
+    return setup._systems[key]
 
 
 def fiberwise_join_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, L: FiniteLattice) -> LatticeMap:

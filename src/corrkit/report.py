@@ -21,6 +21,11 @@ class MalformedInputError(ValueError):
     """Input data violates the declared schema (dangling ids, bad tables)."""
 
 
+class NoPullbackError(MalformedInputError):
+    """The carrier has no fiber product for a cospan: a gap in the carrier,
+    which callers that count coverage tell apart from malformed input."""
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -88,7 +88,8 @@ def category_to_dict(c: FinCategory) -> dict:
 def category_from_dict(d: dict) -> FinCategory:
     """A sizes-free envelope loads as its own tables, once they are closed
     and well typed; a `sizes` envelope as the carrier `finset_category`
-    builds, once it is shown to be exactly that carrier."""
+    builds, once it is shown to be exactly that carrier.  Either way
+    `identities` names one loop at each object and nothing else."""
     from .fincat import FinCategory, compose_table_witness
 
     _check_fields(d, CATEGORY_SCHEMA, ("objects", "morphisms", "identities", "compose"), ("sizes",))
@@ -113,6 +114,12 @@ def category_from_dict(d: dict) -> FinCategory:
         morphisms[entry["id"]] = (entry["src"], entry["dst"])
     compose = _string_map(d["compose"], "compose")
     identity = dict(_string_map(d["identities"], "identities"))
+    bad = sorted(set(identity) ^ set(objects))
+    if bad:
+        raise MalformedInputError(f"identities do not match objects at {bad[0]!r}")
+    for x in objects:
+        if morphisms.get(identity[x]) != (x, x):
+            raise MalformedInputError(f"identity of {x!r} is not a loop at {x!r}")
     if "sizes" in d:
         return _all_functions(objects, morphisms, identity, compose, d["sizes"])
     c = FinCategory(objects, morphisms, identity, {_compose_pair(key): h for key, h in compose.items()})
@@ -165,8 +172,8 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
     for m, typing in morphisms.items():
         if built.morphisms.get(m) != typing:
             raise MalformedInputError(f"morphism id {m!r} is not a function of {typing[0]!r} into {typing[1]!r}")
-    for x in dict.fromkeys([*objects, *identity]):
-        if identity.get(x) != built.identity.get(x):
+    for x in objects:
+        if identity[x] != built.identity[x]:
             raise MalformedInputError(f"identity of {x!r} is not the identity function")
     for key, h in compose.items():
         g, f = _compose_pair(key)

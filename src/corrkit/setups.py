@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import FinCategory, canonical_pullback
-from .report import MalformedInputError, VerificationReport
+from .report import MalformedInputError, NoPullbackError, VerificationReport
 
 
 @dataclass
@@ -63,6 +63,8 @@ class GeometricSetup:
     category: FinCategory
     e: EdgeClass
     _oracle: dict = field(default_factory=dict, repr=False, compare=False)
+    # lattice value -> its frame system, filled by `lattices.frame_system`
+    _systems: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.e.carrier is not self.category and self.e.carrier != self.category:
@@ -81,7 +83,7 @@ class GeometricSetup:
     def pullback(self, f: str, g: str) -> tuple[str, str, str]:
         pb = self.pullback_opt(f, g)
         if pb is None:
-            raise MalformedInputError(f"no pullback exists for cospan ({f!r}, {g!r})")
+            raise NoPullbackError(f"no pullback exists for cospan ({f!r}, {g!r})")
         return pb
 
 

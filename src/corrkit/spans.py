@@ -21,7 +21,7 @@ from .fincat import (
     verify_pullback_square,
 )
 from .grid import c_of_simplex, classify_edge, cp_name, cp_parse, exact_squares
-from .report import MalformedInputError, ResourceLimitError, VerificationReport
+from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
 from .setups import GeometricSetup
 
 
@@ -157,7 +157,7 @@ class HCorr:
     def compose_reps(self, a: Span, b: Span) -> str:
         try:
             composite = compose_spans(self.setup, a, b)
-        except MalformedInputError as e:
+        except NoPullbackError as e:
             raise ResourceLimitError(
                 f"carrier has no pullback for cospan ({a.right!r}, {b.left!r})"
             ) from e
@@ -221,7 +221,7 @@ def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> Verificatio
             try:
                 lhs = compose_spans(s, compose_spans(s, a, b), d)
                 rhs = compose_spans(s, a, compose_spans(s, b, d))
-            except MalformedInputError:
+            except NoPullbackError:
                 continue
             covered += 1
             if span_class_key(c, lhs) != span_class_key(c, rhs):

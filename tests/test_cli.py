@@ -303,15 +303,15 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     # constructor that reran one would reach it there too
     count(shriek, "check_nagata", lambda ns: "check_nagata")
     count(shriek, "verify_hypotheses", lambda ns, sys: "verify_hypotheses")
-    count(shriek, "enumerate_grid_simplices", lambda s, classes, k, n: "enumerate_grid_simplices")
+    count(shriek, "_construct_squares", lambda ns: "_construct_squares")
     rep = cli._nagata_theorem_suite("nagata-open", instance("nagata-open").build(), 4)
     assert rep.passed
-    assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "enumerate_grid_simplices": 1}
-    # a setup that fails a hypothesis searches its squares once as well
+    assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "_construct_squares": 1}
+    # a setup that fails a hypothesis constructs its squares once as well
     calls.clear()
     rep = cli._nagata_theorem_suite("nagata-inj-all", instance("nagata-inj-all").build(), 4)
     assert [c.name for c in rep.failures] == ["hypotheses:support-property"]
-    assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "enumerate_grid_simplices": 1}
+    assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "_construct_squares": 1}
 
     # the extension of a nice pair reruns no descent check the suite reported
     count(descent, "check_descent", lambda setup, sys, atlas: ("descent", id(atlas)))
@@ -473,6 +473,26 @@ def _loaded(cwd, *argv) -> set:
     code, *modules = out.stderr.splitlines()[-1].split()
     assert (out.returncode, code) == (0, "0"), out.stderr
     return {m.removeprefix("corrkit.") for m in modules}
+
+
+def test_corpus_list_loads_neither_descent_nor_lattices(tmp_path):
+    listed = _loaded(tmp_path, "corpus", "list")
+    assert "corpus" in listed
+    assert listed & {"descent", "lattices"} == set()
+
+
+def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):
+    # both instances build over one cover carrier, so its frame system is
+    # built and validated once and both suites read the same object
+    from corrkit import lattices
+
+    systems = []
+    frame_system = lattices.frame_system
+    monkeypatch.setattr(lattices, "frame_system", lambda setup, L: systems.append(frame_system(setup, L)) or systems[-1])
+    for name in ("nice-pair-cover", "exceptional-pair-cover"):
+        inst = instance(name)
+        assert all(rep.passed for rep in cli._reports(name, inst.build(), ["theorem"], 2, 4, inst.options))
+    assert len(systems) == 2 and systems[0] is systems[1]
 
 
 def test_a_run_loads_only_the_layers_its_suites_execute(tmp_path):

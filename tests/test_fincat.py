@@ -126,6 +126,21 @@ def test_finset_duplicate_cardinalities():
     assert "a>b:0.1" in c.iso_ids
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_finset_compose_is_function_composition_in_scan_order(sizes, rng):
+    names = [f"o{i}" for i in range(len(sizes))]
+    rng.shuffle(names)
+    c = finset_category(dict(zip(names, sizes)))
+    # one entry per composable pair, in the order of a scan over g and then
+    # over the ids into its source, each the composite of the values
+    pairs = [(g, f) for g in c.morphisms for f in c.morphisms if c.dst(f) == c.src(g)]
+    assert list(c.compose) == pairs
+    for g, f in pairs:
+        assert fn_values(c.compose[(g, f)]) == tuple(fn_values(g)[v] for v in fn_values(f))
+        assert c.morphisms[c.compose[(g, f)]] == (c.src(f), c.dst(g))
+
+
 # -- duality and subcategories -------------------------------------------
 
 
@@ -530,10 +545,11 @@ def _rewired(c, data):
 def _assert_greedy_generators(c):
     gens = c.generators
     assert _closure(c, gens) == set(c.morphism_ids)
-    # an id is a generator exactly when the generators before it do not
-    # reach it
-    for m in c.morphism_ids:
-        earlier = [g for g in gens if g < m]
+    # an id is a generator exactly when the generators before it, in the
+    # order isomorphisms first and then the rest, each by id, do not reach it
+    order = [m for m in c.morphism_ids if m in c.iso_ids] + [m for m in c.morphism_ids if m not in c.iso_ids]
+    for i, m in enumerate(order):
+        earlier = [g for g in order[:i] if g in gens]
         assert (m in gens) == (m not in _closure(c, earlier)), m
 
 

@@ -1,6 +1,8 @@
 """JSON envelopes: round-trips, schema tagging, strict field checking."""
 
+import contextlib
 import copy
+import io
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -424,6 +426,27 @@ def test_malformed_sizes_free_category_exits_2(tmp_path, capsys, mutate, message
     _exits_2_with_one_line(tmp_path, capsys, d["category"], message)
 
 
+@pytest.mark.parametrize(
+    "side, change, message",
+    [
+        # these two loaded before identities were checked: the first ended
+        # in a KeyError inside check_functor, the second exited 0
+        ("source", lambda ids: ids.pop("1"), "^identities do not match objects at '1'$"),
+        ("target", lambda ids: ids.update(ghost="id_*"), "^identities do not match objects at 'ghost'$"),
+        ("source", lambda ids: ids.update({"0": "0<=1"}), "^identity of '0' is not a loop at '0'$"),
+        ("source", lambda ids: ids.update({"0": "0<=9"}), "^identity of '0' is not a loop at '0'$"),
+    ],
+    ids=["source-missing", "target-ghost", "not-a-loop", "unlisted"],
+)
+def test_identities_name_one_loop_per_object_or_exit_2(tmp_path, capsys, side, change, message):
+    # the interval 0 <= 1 sent to the point *, as a localization envelope
+    # and as the bare category envelope of the changed side
+    d = _localization()
+    change(d[side]["identities"])
+    _exits_2_with_one_line(tmp_path, capsys, d, message)
+    _exits_2_with_one_line(tmp_path, capsys, d[side], message)
+
+
 def test_sizes_free_envelopes_still_load():
     d = _chain_nagata()
     back = ser.nagata_from_dict(d)
@@ -522,3 +545,81 @@ def _map_entry(key, entry, value):
 )
 def test_mistyped_declaration_fields_exit_2(tmp_path, capsys, envelope, mutate, message):
     _exits_2_with_one_line(tmp_path, capsys, mutate(envelope()), message)
+
+
+# -- one-edit mutations of corpus envelopes ------------------------------------
+
+
+def _corpus_envelope(obj) -> dict:
+    if isinstance(obj, GeometricSetup):
+        return ser.category_to_dict(obj.category)
+    if isinstance(obj, NagataSetup):
+        return ser.nagata_to_dict(obj)
+    if isinstance(obj, PairDeclaration):
+        return ser.pair_to_dict(obj)
+    if isinstance(obj, LocalizationProblem):
+        return ser.localization_to_dict(obj)
+    return ser.lattice_to_dict(obj)
+
+
+# every corpus envelope but finset-3 and the two pair covers, which take
+# from 0.01 s to 1.7 s a run where the others take a few milliseconds
+_SMALL_ENVELOPES = {
+    inst.name: _corpus_envelope(inst.build())
+    for inst in corpus()
+    if inst.name not in ("finset-3", "nice-pair-cover", "exceptional-pair-cover")
+}
+
+
+def _paths(node, path=()):
+    """The path of every value under node, node itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _one_edit(d: dict, data) -> dict:
+    """d with one edit: a value replaced by one of another JSON type, a key
+    deleted or renamed, a list item duplicated, or two values swapped."""
+    paths = list(_paths(d))[1:]
+    path = data.draw(st.sampled_from(paths), label="path")
+    *parent_path, key = path
+    parent = d
+    for k in parent_path:
+        parent = parent[k]
+    kinds = ["retype", "swap"] + (["delete", "rename"] if isinstance(parent, dict) else ["duplicate"])
+    kind = data.draw(st.sampled_from(kinds), label="edit")
+    if kind == "retype":
+        old = type(parent[key])
+        parent[key] = data.draw(st.sampled_from([v for v in (None, True, 7, 0.5, "x", [], {}) if type(v) is not old]))
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "rename":
+        parent[data.draw(st.sampled_from(["x", *map(str, parent)]), label="new key")] = parent.pop(key)
+    elif kind == "duplicate":
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        # neither path may run through the other, so both survive the swap
+        others = [p for p in paths if p[: len(path)] != path and path[: len(p)] != p]
+        assume(others)
+        other = data.draw(st.sampled_from(others), label="other")
+        *other_parent_path, other_key = other
+        other_parent = d
+        for k in other_parent_path:
+            other_parent = other_parent[k]
+        parent[key], other_parent[other_key] = other_parent[other_key], parent[key]
+    return d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SMALL_ENVELOPES)), st.data())
+def test_one_edit_to_a_corpus_envelope_exits_0_1_or_2_with_at_most_one_line(tmp_path_factory, name, data):
+    d = _one_edit(copy.deepcopy(_SMALL_ENVELOPES[name]), data)
+    path = tmp_path_factory.mktemp("edit") / "envelope.json"
+    path.write_text(ser.dumps(d))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -1,9 +1,19 @@
 """Factorization setups, exceptional maps, hypotheses, and assembly."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrkit.corpus import corpus
-from corrkit.fincat import FinCategory, finset_category, finset_skeleton, injections, surjections
+from corrkit.fincat import (
+    FinCategory,
+    chain_category,
+    finset_category,
+    finset_skeleton,
+    injections,
+    opposite,
+    poset_category,
+    surjections,
+)
 from corrkit.grid import enumerate_grid_simplices
 from corrkit.lattices import (
     chain_lattice,
@@ -144,19 +154,64 @@ def _square_setups():
     return out
 
 
+def _assert_squares_match_the_grid_search(ns):
+    """The squares constructed once over the union of the marked classes,
+    filtered, against one grid search per pair of classes, square for
+    square and in order."""
+    s = ns.setup
+    classes = (s.e, ns.i_class, ns.p_class)
+    for a in classes:
+        for b in classes:
+            per_pair = [
+                (g.edges[((0, 1), 0)], g.edges[((1, 0), 1)], g.edges[((0, 0), 0)], g.edges[((0, 0), 1)])
+                for g in enumerate_grid_simplices(s, [a, b], 2, 1)
+            ]
+            assert cartesian_squares(ns, a, b) == per_pair
+
+
 def test_one_square_search_serves_every_class_pair():
-    # the filtered union search against one search per pair of classes,
-    # square for square and in order
+    # the four corpus factorization setups among them
     for ns in _square_setups():
-        s = ns.setup
-        classes = (s.e, ns.i_class, ns.p_class)
-        for a in classes:
-            for b in classes:
-                per_pair = [
-                    (g.edges[((0, 1), 0)], g.edges[((1, 0), 1)], g.edges[((0, 0), 0)], g.edges[((0, 0), 1)])
-                    for g in enumerate_grid_simplices(s, [a, b], 2, 1)
-                ]
-                assert cartesian_squares(ns, a, b) == per_pair
+        _assert_squares_match_the_grid_search(ns)
+
+
+@st.composite
+def _small_carriers(draw):
+    """All-function carriers, whose pullbacks are constructed, and
+    sizes-free carriers, whose pullbacks are searched for: chains,
+    divisibility posets, opposites of all-function carriers, and an
+    all-function carrier with its sizes dropped.  Each lists its objects
+    in a drawn order, since the search orders squares by object position
+    and the ids by name."""
+    sizes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    kind = draw(st.sampled_from(["sizes", "sizes-free", "opposite", "chain", "poset"]))
+    if kind == "sizes-free":
+        c = FinCategory(c.objects, c.morphisms, c.identity, c.compose)
+    elif kind == "opposite":
+        c = opposite(c)
+    elif kind == "chain":
+        c = chain_category(draw(st.integers(0, 3)))
+    elif kind == "poset":
+        # divisibility among a few numbers: meets exist only where the gcd
+        # is listed, so some cospans have no pullback
+        nums = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+        c = poset_category([str(k) for k in nums], lambda a, b: int(b) % int(a) == 0)
+    objects = tuple(draw(st.permutations(c.objects)))
+    return FinCategory(objects, c.morphisms, c.identity, c.compose, c.object_size)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_small_carriers(), st.data())
+def test_constructed_squares_match_the_grid_search_on_small_carriers(c, data):
+    def marked():
+        return EdgeClass(c, frozenset(m for m in c.morphism_ids if data.draw(st.booleans())))
+
+    # marked classes drawn at random: they need not hold the isomorphisms
+    # or be closed, and the construction keeps exactly the marked squares
+    everything = all_class(c)
+    e = data.draw(st.sampled_from([everything, marked()]))
+    _assert_squares_match_the_grid_search(NagataSetup(GeometricSetup(c, e), marked(), marked()))
 
 
 def _objects_reversed(ns):

@@ -13,7 +13,7 @@ from corrkit.fincat import (
     opposite,
     wide_subcategory,
 )
-from corrkit.report import MalformedInputError, ResourceLimitError
+from corrkit.report import MalformedInputError, NoPullbackError, ResourceLimitError
 from corrkit.setups import GeometricSetup, all_class, iso_class
 from corrkit.spans import (
     HCorr,
@@ -138,6 +138,21 @@ def test_class_bound_raises_resource_error():
     hc = HCorr(s, max_apex=1)
     with pytest.raises(ResourceLimitError):
         hc.class_id(Span("2>1:0.0", "2>1:0.0"))
+
+
+def test_a_missing_fiber_product_is_a_gap_and_a_malformed_span_is_not():
+    s = setup_all(2)
+    # 2 x_1 2 needs a 4-element carrier, absent from this skeleton
+    with pytest.raises(NoPullbackError):
+        s.pullback("2>1:0.0", "2>1:0.0")
+    hc = HCorr(s)
+    down, up = Span("2>2:0.1", "2>1:0.0"), Span("2>1:0.0", "2>2:0.1")
+    with pytest.raises(ResourceLimitError, match="carrier has no pullback"):
+        hc.compose_reps(down, up)
+    # up ends at 2 and starts at 1, so up then up does not compose
+    with pytest.raises(MalformedInputError, match="not composable") as err:
+        hc.compose_reps(up, up)
+    assert not isinstance(err.value, NoPullbackError)
 
 
 def test_pi_functors():
