@@ -23,7 +23,7 @@ from .fincat import (
     verify_product,
 )
 from .lattices import CoefficientSystem, FiniteLattice, LatticeMap
-from .report import MalformedInputError, ResourceLimitError, VerificationReport
+from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
 from .setups import EdgeClass, GeometricSetup, check_geometric_setup
 
 
@@ -191,10 +191,11 @@ def cech_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
         try:
             atlas._nerves[key] = (setup, _build_nerve(setup, atlas, m))
         except MalformedInputError as exc:
-            atlas._nerves[key] = (setup, str(exc))
+            atlas._nerves[key] = (setup, exc)
     built = atlas._nerves[key][1]
-    if isinstance(built, str):
-        raise MalformedInputError(built)
+    if isinstance(built, MalformedInputError):
+        # each raise would otherwise extend the cached traceback
+        raise built.with_traceback(None)
     return built
 
 
@@ -237,14 +238,15 @@ def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
 
 
 def best_nerve(setup: GeometricSetup, atlas: Atlas, m_max: int = 2) -> CechDiagram:
-    """The deepest nerve the carrier supports, down to level one."""
+    """The deepest nerve the carrier supports, down to level one; a
+    `NoPullbackError` when the carrier has no overlap object."""
     last = None
     for m in range(min(m_max, 2), 0, -1):
         try:
             return cech_nerve(setup, atlas, m)
-        except MalformedInputError as exc:
+        except NoPullbackError as exc:
             last = exc
-    raise MalformedInputError(f"no overlap object in the carrier: {last}")
+    raise NoPullbackError(f"no overlap object in the carrier: {last}")
 
 
 # -- pair declarations -----------------------------------------------------
@@ -427,7 +429,7 @@ def _search_hypercovers(pd: PairDeclaration, f: str, m: int):
             try:
                 nx = cech_nerve(pd.big, xa, m)
                 ny = cech_nerve(pd.big, ya, m)
-            except MalformedInputError:
+            except NoPullbackError:
                 limited = True
                 continue
             level0 = [f0 for f0 in c.hom(nx.objects[0], ny.objects[0]) if f0 in pd.e_small]
@@ -540,7 +542,7 @@ def check_descent(
     rep = VerificationReport("descent")
     try:
         nerve = best_nerve(setup, atlas, m_max)
-    except MalformedInputError:
+    except NoPullbackError:
         rep.add_limit(
             "descent-comparison",
             {"atlas": atlas.x, "reason": "overlap object outside the carrier"},
@@ -610,7 +612,7 @@ def compare_atlases(
         n1 = best_nerve(pd.big, a1, m_max)
         n2 = best_nerve(pd.big, a2, m_max)
         apex, r1, r2 = pd.big.pullback(a1.x, a2.x)
-    except MalformedInputError:
+    except NoPullbackError:
         rep.add_limit(
             "comparison-unique",
             {"atlases": [a1.x, a2.x], "reason": "product atlas outside the carrier"},
@@ -817,15 +819,14 @@ def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
     LA = sys.lattice(src_o)
     LB = sys.lattice(dst_o)
     LX = sys.lattice(hc.src_nerve.objects[0])
-    table = {}
-    for l in LA.elements:
-        vals = {push_y(level0(a)) for a in LX.elements if push_x(a) == l}
+    # each element of LA with the images of the elements push_x sends to it
+    images: dict = {l: set() for l in LA.elements}
+    for a in LX.elements:
+        images[push_x(a)].add(push_y(level0(a)))
+    for l, vals in images.items():
         if len(vals) != 1:
-            raise MalformedInputError(
-                f"extension along {hc.f!r} not well defined at {l!r}"
-            )
-        table[l] = vals.pop()
-    return LatticeMap(LA, LB, table)
+            raise MalformedInputError(f"extension along {hc.f!r} not well defined at {l!r}")
+    return LatticeMap(LA, LB, {l: vals.pop() for l, vals in images.items()})
 
 
 def extend_system_E(pd: PairDeclaration, sa, m: int = 1) -> dict:

@@ -88,8 +88,9 @@ def category_to_dict(c: FinCategory) -> dict:
 def category_from_dict(d: dict) -> FinCategory:
     """A sizes-free envelope loads as its own tables, once they are closed
     and well typed; a `sizes` envelope as the carrier `finset_category`
-    builds, once it is shown to be exactly that carrier.  Either way
-    `identities` names one loop at each object and nothing else."""
+    builds, once it is shown to be exactly that carrier.  Either way every
+    morphism joins listed objects, and `identities` names one loop at each
+    object and nothing else."""
     from .fincat import FinCategory, compose_table_witness
 
     _check_fields(d, CATEGORY_SCHEMA, ("objects", "morphisms", "identities", "compose"), ("sizes",))
@@ -111,6 +112,8 @@ def category_from_dict(d: dict) -> FinCategory:
         _string_map(entry, "morphism entry")
         if entry["id"] in morphisms:
             raise MalformedInputError(f"duplicate morphism id {entry['id']!r}")
+        if entry["src"] not in objects or entry["dst"] not in objects:
+            raise MalformedInputError(f"morphism {entry['id']!r} has an endpoint outside the objects")
         morphisms[entry["id"]] = (entry["src"], entry["dst"])
     compose = _string_map(d["compose"], "compose")
     identity = dict(_string_map(d["identities"], "identities"))
@@ -155,9 +158,7 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
         if type(n) is not int or n < 0:
             raise MalformedInputError(f"size of {x!r} is not a non-negative integer")
     count: dict[tuple[str, str], int] = {}
-    for m, (x, y) in morphisms.items():
-        if x not in sizes or y not in sizes:
-            raise MalformedInputError(f"morphism {m!r} has an endpoint outside the objects")
+    for x, y in morphisms.values():
         count[(x, y)] = count.get((x, y), 0) + 1
     for x in objects:
         for y in objects:

@@ -10,6 +10,7 @@ into a functor on the homotopy span category) is verified elementwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .lattices import (
@@ -399,7 +400,7 @@ def assemble_formalism(ns: NagataSetup, sa: ShriekAssignment, max_apex: int = 4)
     for x in c.objects:
         for y in c.objects:
             for rep_span, _ in hc.classes(x, y).values():
-                mor_map[hc.class_id(rep_span)] = span_value(sa, rep_span)
+                mor_map[rep_span.name] = span_value(sa, rep_span)
     return Formalism(hc, sa, {x: sa.sys.lattice(x) for x in c.objects}, mor_map)
 
 
@@ -411,18 +412,18 @@ def check_formalism(fm: Formalism) -> VerificationReport:
     rep = VerificationReport("formalism")
     hc, sa = fm.hcorr, fm.sa
     c = hc.setup.category
+    # each class with its members and its table, read once
+    classes = {
+        (x, y): [(r, members, fm.mor_map[r.name].table) for r, members in hc.classes(x, y).values()]
+        for x in c.objects
+        for y in c.objects
+    }
     witness = None
-    for x in c.objects:
-        for y in c.objects:
-            for cid, (rep_span, members) in (
-                (hc.class_id(r), (r, ms)) for r, ms in hc.classes(x, y).values()
-            ):
-                for member in members:
-                    if _span_table(sa, member) != fm.mor_map[cid].table:
-                        witness = {"class": cid, "member": [member.left, member.right]}
-                        break
-                if witness:
-                    break
+    for r, members, table in itertools.chain.from_iterable(classes.values()):
+        bad = next((m for m in members if _span_table(sa, m) != table), None)
+        if bad is not None:
+            witness = {"class": r.name, "member": [bad.left, bad.right]}
+            break
     rep.add("representative-independence", witness is None, witness or {}, anchor="descends-to-classes")
 
     witness = None
@@ -433,29 +434,29 @@ def check_formalism(fm: Formalism) -> VerificationReport:
     rep.add("identity-spans", witness is None, witness or {}, anchor="unit-of-formalism")
 
     witness, pairs, covered = None, 0, 0
-    for x in c.objects:
-        for y in c.objects:
-            for a, _ in hc.classes(x, y).values():
-                for z in c.objects:
-                    for b, _ in hc.classes(y, z).values():
-                        pairs += 1
-                        try:
-                            composite = compose_spans(hc.setup, a, b)
-                        except NoPullbackError:
-                            continue
-                        covered += 1
-                        direct = _span_table(sa, composite)
-                        first, then = fm.mor_map[hc.class_id(a)].table, fm.mor_map[hc.class_id(b)].table
-                        if direct != {x: then[y] for x, y in first.items()}:
-                            witness = {
-                                "pair": [[a.left, a.right], [b.left, b.right]],
-                                "composite": [composite.left, composite.right],
-                            }
-                            break
-                    if witness:
+    for (_, y), x_to_y in classes.items():
+        for a, _, first in x_to_y:
+            for z in c.objects:
+                for b, _, then in classes[(y, z)]:
+                    pairs += 1
+                    try:
+                        composite = compose_spans(hc.setup, a, b)
+                    except NoPullbackError:
+                        continue
+                    covered += 1
+                    direct = _span_table(sa, composite)
+                    if direct != {e: then[v] for e, v in first.items()}:
+                        witness = {
+                            "pair": [[a.left, a.right], [b.left, b.right]],
+                            "composite": [composite.left, composite.right],
+                        }
                         break
                 if witness:
                     break
+            if witness:
+                break
+        if witness:
+            break
     rep.add(
         "composition",
         witness is None,

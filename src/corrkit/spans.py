@@ -32,6 +32,11 @@ class Span:
     left: str
     right: str
 
+    @property
+    def name(self) -> str:
+        """`[left;right]`: the id of the span's class when it is the class's representative."""
+        return f"[{self.left};{self.right}]"
+
 
 def span_apex(c: FinCategory, s: Span) -> str:
     a = c.src(s.left)
@@ -113,9 +118,10 @@ def spans_between(s: GeometricSetup, x: str, y: str, max_apex: int | None = None
 class HCorr:
     """Lazy homotopy span category: iso classes of bounded spans.
 
-    Class ids name the canonical (least) representative.  Composition of
-    classes composes representatives; leaving the apex bound or the carrier
-    raises ResourceLimitError with the offending cospan.
+    Class ids name the canonical (least) representative: its `Span.name`.
+    `class_id` finds the class of any other span.  Composition of classes
+    composes representatives; leaving the apex bound or the carrier raises
+    ResourceLimitError with the offending cospan.
     """
 
     def __init__(self, setup: GeometricSetup, max_apex: int = 4):
@@ -148,8 +154,7 @@ class HCorr:
         table = self.classes(x, y)
         if key not in table:
             raise ResourceLimitError(f"span ({sp.left!r}, {sp.right!r}) escapes the enumerated classes")
-        rep, _ = table[key]
-        return f"[{rep.left};{rep.right}]"
+        return table[key][0].name
 
     def identity_id(self, x: str) -> str:
         return self.class_id(identity_span(self.setup.category, x))
@@ -166,21 +171,15 @@ class HCorr:
     def category(self) -> FinCategory:
         """Materialize the full category; every class pair must compose."""
         c = self.setup.category
-        morphisms: dict[str, tuple[str, str]] = {}
-        reps: dict[str, Span] = {}
-        for x in c.objects:
-            for y in c.objects:
-                for rep, _ in self.classes(x, y).values():
-                    mid = f"[{rep.left};{rep.right}]"
-                    morphisms[mid] = (x, y)
-                    reps[mid] = rep
+        reps = [r for x in c.objects for y in c.objects for r, _ in self.classes(x, y).values()]
+        morphisms = {r.name: span_feet(c, r) for r in reps}
         identity = {x: self.identity_id(x) for x in c.objects}
-        compose = {}
-        for gid, (y1, z) in morphisms.items():
-            for fid, (x, y2) in morphisms.items():
-                if y2 != y1:
-                    continue
-                compose[(gid, fid)] = self.compose_reps(reps[fid], reps[gid])
+        compose = {
+            (g.name, f.name): self.compose_reps(f, g)
+            for g in reps
+            for f in reps
+            if c.dst(f.right) == c.dst(g.left)
+        }
         return FinCategory(tuple(c.objects), morphisms, identity, compose)
 
 
@@ -340,21 +339,19 @@ def check_coproduct(s: GeometricSetup, x: str, y: str, targets=None) -> Verifica
         for rep_w, _ in hc.classes(apex, t).values():
             u = hc.compose_reps(iota_x, rep_w)
             v = hc.compose_reps(iota_y, rep_w)
-            routing.setdefault((u, v), []).append(f"[{rep_w.left};{rep_w.right}]")
-        for (_, (rep_u, _)) in hc.classes(x, t).items():
+            routing.setdefault((u, v), []).append(rep_w.name)
+        for rep_u, _ in hc.classes(x, t).values():
             if _span_apex_size(c, rep_u) > 2:
                 continue
-            uid = f"[{rep_u.left};{rep_u.right}]"
-            for (_, (rep_v, _)) in hc.classes(y, t).items():
+            for rep_v, _ in hc.classes(y, t).values():
                 if _span_apex_size(c, rep_v) > 2:
                     continue
-                vid = f"[{rep_v.left};{rep_v.right}]"
                 checked += 1
-                mediators = routing.get((uid, vid), [])
+                mediators = routing.get((rep_u.name, rep_v.name), [])
                 if len(mediators) != 1:
                     witness = {
                         "target": t,
-                        "pair": [uid, vid],
+                        "pair": [rep_u.name, rep_v.name],
                         "mediators": mediators,
                     }
                     break

@@ -410,6 +410,14 @@ SUBCOMMAND_SHA256 = {
     ("descend", "extend-e", "--format", "json"): (0, "1692cefe89a58f977476dfe6d5e33e92e2105fba013ac7ee559995a8c7f8d2a3"),
     ("localize", "check", "--instance", "localization-cover", "--format", "json"): (
         0, "2eb33dd55ef52ea35cda42ff2d83b56965566155069514e731415a394ab8f944"),
+    # these two read span class ids through `HCorr.category` and `check_coproduct`
+    ("corr", "hocat", "--format", "json"): (0, "f4ad77e22e186f59f632f49a147251608a4709975d93f15607f9226781add522"),
+    ("corr", "coproduct", "1", "1", "--format", "json"): (
+        0, "217e0d967053c8228b2bf01fb3a8b195d7a708fdc5307c5212e0ef576d5e2c6b"),
+    ("corr", "coproduct", "2", "1", "--format", "json"): (
+        0, "3ac05e333636ef0fcb4aa1717f2b60cf8ed2ebf8c9e895919dd1a664a06d9964"),
+    ("corr", "coproduct", "0", "2", "--format", "json"): (
+        0, "a394d859e22d9a84cc98bbbd003b876a43ab0eab7ef11ba6cf77742d69283c88"),
 }
 
 
@@ -479,6 +487,38 @@ def test_corpus_list_loads_neither_descent_nor_lattices(tmp_path):
     listed = _loaded(tmp_path, "corpus", "list")
     assert "corpus" in listed
     assert listed & {"descent", "lattices"} == set()
+
+
+def test_the_formalism_names_enumerated_classes_by_their_representatives(monkeypatch):
+    # a class read from `HCorr.classes` is named by its representative, so
+    # only the identity spans and the two restriction embeddings of each
+    # morphism ask `class_id` for their class
+    from corrkit.spans import HCorr
+
+    asked = []
+    class_id = HCorr.class_id
+    monkeypatch.setattr(HCorr, "class_id", lambda self, sp: asked.append(sp) or class_id(self, sp))
+    ns = instance("nagata-open").build()
+    assert cli._nagata_theorem_suite("nagata-open", ns, 4).passed
+    c = ns.setup.category
+    assert len(asked) == len(c.objects) + len(c.morphisms) + len(ns.setup.e.members) == 25
+
+
+def test_the_benchmark_tracer_runs_and_counts_what_it_patches(tmp_path, capsys):
+    # perfbench/tracer.py wraps layer functions by name and reads the
+    # pullback memo, so a rename in src/ would crash traced benchmark runs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = ("run", "--instance", "nagata-open", "--format", "json")
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corrkit.__file__)))
+    traced = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"), str(trace), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    code, out, _ = invoke(capsys, *argv)
+    assert (traced.returncode, traced.stdout) == (code, out), traced.stderr
+    names = json.loads(trace.read_text())["names"]
+    assert names["spans.HCorr.classes"]["calls"] > 0 and names["setups.pullback_opt"]["calls"] > 0
 
 
 def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):

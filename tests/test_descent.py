@@ -45,7 +45,7 @@ from corrkit.fincat import (
     terminal_category,
 )
 from corrkit.lattices import chain_lattice, frame_system
-from corrkit.report import MalformedInputError, ResourceLimitError
+from corrkit.report import MalformedInputError, NoPullbackError, ResourceLimitError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup, build_shriek
 
@@ -185,6 +185,29 @@ def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
     other = GeometricSetup(big().category, big().e)
     assert cech_nerve(other, a, 1) is not first
     assert checks == [1, 1, 1]
+
+
+def test_a_missing_nerve_level_stays_a_missing_pullback():
+    a = atlas21()
+    for _ in range(2):
+        with pytest.raises(NoPullbackError):
+            cech_nerve(big(), a, 2)
+    # a carrier without the overlap object has no nerve past level zero
+    c = finset_category({"1": 1, "2": 2})
+    small = GeometricSetup(c, all_class(c))
+    with pytest.raises(NoPullbackError, match="no overlap object"):
+        best_nerve(small, Atlas(small, "2>1:0.0", surj_cover(small), ("1", "2")))
+
+
+def test_a_malformed_nerve_is_not_reported_as_a_limit(monkeypatch):
+    # only a missing fiber product is "outside the carrier"; a nerve that
+    # breaks a simplicial identity is an error
+    def broken(self):
+        raise MalformedInputError("simplicial identity fails: d0s0")
+
+    monkeypatch.setattr(CechDiagram, "_check_identities", broken)
+    with pytest.raises(MalformedInputError, match="simplicial identity fails"):
+        check_descent(big(), big_sys(), atlas21())
 
 
 # -- pair declarations -----------------------------------------------------

@@ -408,6 +408,14 @@ def _duplicate_morphism(d):
     return d
 
 
+def _dangling_endpoint(d):
+    # loaded before endpoints were checked on this path, and the category
+    # suite then reported it as `well-formed-ids` (exit 1)
+    d["category"]["morphisms"].append({"id": "0<=9", "src": "0", "dst": "9"})
+    d["category"]["compose"][f"0<=9{ser.COMPOSE_SEP}0<=0"] = "0<=9"
+    return d
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -417,8 +425,9 @@ def _duplicate_morphism(d):
         (_non_composable_entry, "compose entry '0<=1' after '0<=1': non-composable entry"),
         (_duplicate_morphism, "duplicate morphism id"),
         (lambda d: {**d, "category": {**d["category"], "objects": "012"}}, "objects must be a list"),
+        (_dangling_endpoint, "^morphism '0<=9' has an endpoint outside the objects$"),
     ],
-    ids=["no-id", "missing-entry", "mistyped", "non-composable", "duplicate", "objects"],
+    ids=["no-id", "missing-entry", "mistyped", "non-composable", "duplicate", "objects", "dangling-endpoint"],
 )
 def test_malformed_sizes_free_category_exits_2(tmp_path, capsys, mutate, message):
     d = mutate(_chain_nagata())
