@@ -523,7 +523,7 @@ def descent_lattice(sys: CoefficientSystem, nerve: CechDiagram) -> FiniteLattice
         tensor = {}
         for a in els:
             for b in els:
-                t = base.tensor_table[(a, b)]
+                t = base.tensor(a, b)
                 if t not in keep:
                     raise MalformedInputError(
                         f"tensor does not restrict to descent data at ({a!r}, {b!r})"

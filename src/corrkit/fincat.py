@@ -118,6 +118,15 @@ class FinCategory:
 
     @cached_property
     def iso_ids(self) -> frozenset[str]:
+        if self.object_size is not None:
+            # in a category of all functions the isomorphisms are the
+            # bijections: injective between sets of one size
+            size, typing = self.object_size, self.morphisms
+            return frozenset(
+                m
+                for m, v in self.function_values.items()
+                if size[typing[m][0]] == size[typing[m][1]] and len(set(v)) == len(v)
+            )
         isos = set()
         # the hom-set types both composites, so the table is read directly
         compose, identity = self.compose, self.identity

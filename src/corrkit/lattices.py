@@ -3,235 +3,369 @@
 All natural-transformation language collapses to elementwise equality of
 monotone map tables, so adjointability, projection formulas, and the
 external-product identity are decided by finite sweeps with witnesses.
+
+Inside, an element is its position in `elements` and a map is the tuple of
+its target positions.  Names are read where a lattice or a map is built
+from them and spelled again only where a caller reads them (`table`, `leq`,
+`tensor_table`, the name-level operations) or a witness reports them.
+Every sweep runs in element order, so it finds the first witness a sweep
+over names would find.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .fincat import FinCategory, canonical_product, fn_values
 from .report import MalformedInputError, VerificationReport
 from .setups import GeometricSetup
 
 
-@dataclass
-class FiniteLattice:
-    """Elements with a partial order closed into meet/join tables.
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions set in a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    `tensor` defaults to meet; a non-meet table (still monotone in each
-    slot) is allowed and exists to exercise failure paths downstream.
+
+def _monotone_along(pairs, targets, up) -> bool:
+    """targets[b] <= targets[c] for every (b, c) in pairs, read off the
+    up-set masks of the targets' lattice."""
+    return all(up[targets[b]] >> targets[c] & 1 for b, c in pairs)
+
+
+def _compose(outer: tuple, inner: tuple) -> tuple:
+    """outer[inner[i]] for each i, in one C-level call: the table of a
+    composite of maps given by target positions."""
+    if len(inner) == 1:
+        return (outer[inner[0]],)
+    return operator.itemgetter(*inner)(outer)
+
+
+def _rows(masks, bound) -> tuple[tuple[int, ...], ...]:
+    """The meets (down-set masks and `_meets`) or joins (up-set masks and
+    `_joins`) of every pair, one row of positions per position."""
+    return tuple(tuple([bound[m & x] for x in masks]) for m in masks)
+
+
+def _first_difference(xs, ys) -> int:
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
+class FiniteLattice:
+    """Elements with a partial order in which every pair has a meet and a
+    join, with a bottom and a top.
+
+    The order is one up-set and one down-set bitmask per position (Ait-Kaci
+    et al., TOPLAS 1989): bit j of `_up[i]` is set iff element i is below
+    element j.  The meet of i and j is the element whose down-set is
+    `_down[i] & _down[j]`, the join the one whose up-set is `_up[i] &
+    _up[j]`.  `tensor` defaults to meet; a non-meet table (still monotone in
+    each slot) is allowed and exists to exercise failure paths downstream.
+    It is kept as one row of positions per position.
     """
 
-    elements: tuple[str, ...]
-    leq: frozenset
-    tensor_table: dict | None = None
+    def __init__(self, elements, leq, tensor_table=None):
+        self.elements = tuple(elements)
+        self._given = (leq, tensor_table)
+        self.__post_init__()
+
+    @classmethod
+    def _at_positions(cls, elements, up: tuple[int, ...], tensor: tuple | None) -> FiniteLattice:
+        """A lattice given by distinct names, up-set masks and tensor rows,
+        validated as one read from names is."""
+        L = cls.__new__(cls)
+        L.elements, L._given = tuple(elements), None
+        L._index = {x: i for i, x in enumerate(L.elements)}
+        L._up, L._tensor = up, tensor
+        L.__post_init__()
+        return L
 
     def __post_init__(self):
-        self.elements = tuple(self.elements)
-        self.leq = frozenset(self.leq)
+        leq, tensor_table = self._given or (None, None)
+        self._given = None
+        repeated = self._read_order(leq) if leq is not None else frozenset()
+        names, up = self.elements, self._up
+        n = len(up)
+        for a in range(n):
+            if not up[a] >> a & 1:
+                raise MalformedInputError(f"order not reflexive at {names[a]!r}")
+        self._above = above = tuple(map(_bits, up))
+        for a in range(n):
+            for b in above[a]:
+                if a != b and up[b] >> a & 1:
+                    raise MalformedInputError(f"order not antisymmetric on ({names[a]!r}, {names[b]!r})")
+                if up[b] & ~up[a]:
+                    raise MalformedInputError(f"order not transitive via {names[b]!r}")
+        down = [0] * n
+        for a in range(n):
+            for b in above[a]:
+                down[b] |= 1 << a
+        self._down = down = tuple(down)
+        # x is the meet of a and b iff down[x] == down[a] & down[b]; the
+        # masks of distinct elements differ once the order is antisymmetric,
+        # and a repeated name is never a unique meet or join
+        meets = {down[x]: x for x in range(n) if x not in repeated}
+        joins = {up[x]: x for x in range(n) if x not in repeated}
+        for a in range(n):
+            da, ua = down[a], up[a]
+            if meets.keys() >= {da & d for d in down} and joins.keys() >= {ua & u for u in up}:
+                continue
+            for b in range(n):
+                if da & down[b] not in meets:
+                    raise MalformedInputError(f"no meet for ({names[a]!r}, {names[b]!r})")
+                if ua & up[b] not in joins:
+                    raise MalformedInputError(f"no join for ({names[a]!r}, {names[b]!r})")
+        # no name repeats past the meet loop
+        self._meets, self._joins = meets, joins
+        full = (1 << n) - 1
+        if full not in joins or full not in meets:
+            raise MalformedInputError("lattice must be bounded")
+        self._bot, self._top = joins[full], meets[full]
+        self.bot, self.top = names[self._bot], names[self._top]
+        if tensor_table is not None:
+            self._tensor = self._read_tensor(tensor_table)
+        T = self._tensor
+        if T is not None:
+            # the order is transitive, so every b <= b2 is a chain of covers,
+            # and monotone along covers in each row and each column is
+            # monotone; a symmetric table's columns are its rows.  A failing
+            # cover sends the scan back over all pairs for the first witness
+            columns = tuple(zip(*T))
+            lines = T if columns == T else T + columns
+            if not all(_monotone_along(self._covers, line, up) for line in lines):
+                raise MalformedInputError(self._tensor_failure([(b, b2) for b in range(n) for b2 in above[b]]))
+
+    def _read_order(self, leq) -> frozenset[int]:
+        """The up-set masks of `leq` over the distinct names, in order of
+        first appearance; returns the positions of repeated names, which
+        validation rejects at the meet loop."""
         index: dict = {}
-        for i, x in enumerate(self.elements):
-            index.setdefault(x, i)
-        unknown = [(a, b) for a, b in self.leq if a not in index or b not in index]
+        for x in self.elements:
+            index.setdefault(x, len(index))
+        up = [0] * len(index)
+        unknown = []
+        for a, b in leq:
+            if a in index and b in index:
+                up[index[a]] |= 1 << index[b]
+            else:
+                unknown.append((a, b))
         if unknown:
             a, b = min(unknown, key=repr)
             raise MalformedInputError(f"order mentions unknown element ({a!r}, {b!r})")
-        for a in self.elements:
-            if (a, a) not in self.leq:
-                raise MalformedInputError(f"order not reflexive at {a!r}")
-        # up-sets and down-sets as bitmasks over first positions (Ait-Kaci
-        # et al., TOPLAS 1989); every scan below runs in `elements` order so
-        # the first witness does not depend on set iteration order
-        up = dict.fromkeys(index, 0)
-        down = dict.fromkeys(index, 0)
-        for a, b in self.leq:
-            up[a] |= 1 << index[b]
-            down[b] |= 1 << index[a]
-        above = {a: tuple(b for b in index if up[a] >> index[b] & 1) for a in index}
-        below = {a: tuple(b for b in index if down[a] >> index[b] & 1) for a in index}
-        for a in self.elements:
-            for b in above[a]:
-                if a != b and up[b] >> index[a] & 1:
-                    raise MalformedInputError(f"order not antisymmetric on ({a!r}, {b!r})")
-                if up[b] & ~up[a]:
-                    raise MalformedInputError(f"order not transitive via {b!r}")
-        self._index = index
-        self._above = above
-        self._below = below
-        # x is the meet of a and b iff down[x] == down[a] & down[b]; a
-        # repeated element is never a unique meet or join
-        repeated = {x for i, x in enumerate(self.elements) if index[x] != i}
-        by_down = {down[x]: x for x in index}
-        by_up = {up[x]: x for x in index}
-        self._meet = {}
-        self._join = {}
-        for a in self.elements:
-            for b in self.elements:
-                m = by_down.get(down[a] & down[b])
-                if m is None or m in repeated:
-                    raise MalformedInputError(f"no meet for ({a!r}, {b!r})")
-                self._meet[(a, b)] = m
-                j = by_up.get(up[a] & up[b])
-                if j is None or j in repeated:
-                    raise MalformedInputError(f"no join for ({a!r}, {b!r})")
-                self._join[(a, b)] = j
-        # no element repeats past the meet loop, so positions are indices
-        full = (1 << len(self.elements)) - 1
-        if full not in by_up or full not in by_down:
-            raise MalformedInputError("lattice must be bounded")
-        self.bot, self.top = by_up[full], by_down[full]
-        self._tensor = self._meet if self.tensor_table is None else self.tensor_table
-        if self.tensor_table is not None:
-            t = self.tensor_table
-            for a in self.elements:
-                for b in self.elements:
-                    if (a, b) not in t:
-                        raise MalformedInputError(f"tensor table missing ({a!r}, {b!r})")
-            if len(t) != len(index) ** 2:
-                extra = sorted((p for p in t if p[0] not in index or p[1] not in index), key=repr)
-                raise MalformedInputError(f"tensor table defined outside the lattice: {extra[:3]}")
-            for a in self.elements:
-                for b in self.elements:
-                    if t[(a, b)] not in index:
-                        raise MalformedInputError(f"tensor value {t[(a, b)]!r} outside the lattice")
-            # the order is transitive, so every b <= b2 is a chain of covers
-            # and monotone along covers is monotone; a failing cover sends
-            # the scan back over all pairs for the first witness
-            if self._tensor_failure(self._covers(up)) is not None:
-                pairs = [(b, b2) for b in self.elements for b2 in above[b]]
-                raise MalformedInputError(self._tensor_failure(pairs))
+        repeated = frozenset(index[x] for i, x in enumerate(self.elements) if index[x] != i)
+        self.elements, self._index, self._up, self._tensor = tuple(index), index, tuple(up), None
+        return repeated
 
-    def _covers(self, up: dict) -> list[tuple[str, str]]:
-        """Pairs b < b2 with nothing strictly between, in `elements` order."""
-        index = self._index
-        strict = {b: up[b] & ~(1 << index[b]) for b in index}
+    def _read_tensor(self, t: dict) -> tuple[tuple[int, ...], ...]:
+        """The tensor rows of a table keyed by name pairs."""
+        els, index = self.elements, self._index
+        for a in els:
+            for b in els:
+                if (a, b) not in t:
+                    raise MalformedInputError(f"tensor table missing ({a!r}, {b!r})")
+        if len(t) != len(els) ** 2:
+            extra = sorted((p for p in t if p[0] not in index or p[1] not in index), key=repr)
+            raise MalformedInputError(f"tensor table defined outside the lattice: {extra[:3]}")
+        for a in els:
+            for b in els:
+                if t[(a, b)] not in index:
+                    raise MalformedInputError(f"tensor value {t[(a, b)]!r} outside the lattice")
+        return tuple(tuple(index[t[(a, b)]] for b in els) for a in els)
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
+        """Pairs b < c with nothing strictly between, in element order."""
+        strict = [m & ~(1 << b) for b, m in enumerate(self._up)]
         out = []
-        for b in self.elements:
+        for b, m in enumerate(strict):
             beyond = 0
-            for c in self._above[b]:
-                if c != b:
-                    beyond |= strict[c]
-            cover = strict[b] & ~beyond
-            out.extend((b, c) for c in self._above[b] if cover >> index[c] & 1)
-        return out
+            for c in _bits(m):
+                beyond |= strict[c]
+            out.extend((b, c) for c in _bits(m & ~beyond))
+        return tuple(out)
+
+    @cached_property
+    def _below(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_bits, self._down))
 
     def _tensor_failure(self, pairs) -> str | None:
         """The first slot, over a and then pairs b <= b2 in order, in which
         the tensor fails to be monotone; None if it is monotone along all."""
-        t, leq = self.tensor_table, self.leq
-        for a in self.elements:
+        T, up = self._tensor, self._up
+        for a in range(len(T)):
+            row = T[a]
             for b, b2 in pairs:
-                if (t[(a, b)], t[(a, b2)]) not in leq:
+                if not up[row[b]] >> row[b2] & 1:
                     return "tensor not monotone in second slot"
-                if (t[(b, a)], t[(b2, a)]) not in leq:
+                if not up[T[b][a]] >> T[b2][a] & 1:
                     return "tensor not monotone in first slot"
         return None
 
+    @cached_property
+    def _tensor_rows(self) -> tuple[tuple[int, ...], ...]:
+        """tensor(a, b) at [a][b], by positions; the meet rows are read off
+        the down-set masks when the tensor is first swept."""
+        if self._tensor is not None:
+            return self._tensor
+        return _rows(self._down, self._meets)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, FiniteLattice):
+            return NotImplemented
+        return self.elements == other.elements and self._up == other._up and self._tensor == other._tensor
+
+    # -- the name boundary ---------------------------------------------------
+
+    @cached_property
+    def leq(self) -> frozenset:
+        """The order as pairs of names."""
+        els = self.elements
+        return frozenset((els[a], els[b]) for a, bs in enumerate(self._above) for b in bs)
+
+    @cached_property
+    def tensor_table(self) -> dict | None:
+        """The tensor as a table keyed by name pairs; None for the meet."""
+        if self._tensor is None:
+            return None
+        els = self.elements
+        return {(a, b): els[t] for a, row in zip(els, self._tensor) for b, t in zip(els, row)}
+
     def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
+        index = self._index
+        return bool(self._up[index[a]] >> index[b] & 1)
 
     def meet(self, a: str, b: str) -> str:
-        return self._meet[(a, b)]
+        index, down = self._index, self._down
+        return self.elements[self._meets[down[index[a]] & down[index[b]]]]
 
     def join(self, a: str, b: str) -> str:
-        return self._join[(a, b)]
+        index, up = self._index, self._up
+        return self.elements[self._joins[up[index[a]] & up[index[b]]]]
 
     def tensor(self, a: str, b: str) -> str:
-        return self._tensor[(a, b)]
-
-    def join_all(self, xs) -> str:
-        out = self.bot
-        for x in xs:
-            out = self.join(out, x)
-        return out
-
-    def meet_all(self, xs) -> str:
-        out = self.top
-        for x in xs:
-            out = self.meet(out, x)
-        return out
+        if self._tensor is None:
+            return self.meet(a, b)
+        index = self._index
+        return self.elements[self._tensor[index[a]][index[b]]]
 
     @cached_property
     def is_frame(self) -> bool:
         # finite frames are exactly the distributive bounded lattices
+        meet_rows, join_rows = _rows(self._down, self._meets), _rows(self._up, self._joins)
         return all(
-            self.meet(a, self.join(b, c)) == self.join(self.meet(a, b), self.meet(a, c))
-            for a in self.elements
-            for b in self.elements
-            for c in self.elements
+            ma[jb[c]] == join_rows[ma[b]][ma[c]]
+            for ma in meet_rows
+            for b, jb in enumerate(join_rows)
+            for c in range(len(ma))
         )
 
 
-@dataclass
 class LatticeMap:
-    src: FiniteLattice
-    dst: FiniteLattice
-    table: dict
-    # "left"/"right" -> the adjoint or None, filled by left_/right_adjoint
-    _adjoints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A monotone map, kept as `targets`: the position in `dst` of the
+    image of each position of `src`."""
+
+    def __init__(self, src: FiniteLattice, dst: FiniteLattice, table: dict):
+        self.src, self.dst, self.targets = src, dst, None
+        self._given = table
+        # "left"/"right" -> the adjoint or None, filled by left_/right_adjoint
+        self._adjoints: dict = {}
+        self.__post_init__()
+
+    @classmethod
+    def _at_positions(cls, src: FiniteLattice, dst: FiniteLattice, targets: tuple[int, ...]) -> LatticeMap:
+        """A map given by target positions, checked monotone as one read
+        from names is."""
+        m = cls.__new__(cls)
+        m.src, m.dst, m.targets, m._given, m._adjoints = src, dst, targets, None, {}
+        m.__post_init__()
+        return m
 
     def __post_init__(self):
-        src, dst, t = self.src, self.dst, self.table
-        missing = [x for x in src.elements if x not in t]
-        if missing:
-            raise MalformedInputError(f"map not total: {missing[:3]}")
-        if len(t) != len(src.elements):
-            extra = sorted((x for x in t if x not in src._index), key=repr)
-            raise MalformedInputError(f"map defined outside its domain: {extra[:3]}")
-        for x in src.elements:
-            if t[x] not in dst._index:
-                raise MalformedInputError(f"value {t[x]!r} outside codomain")
-        for a in src.elements:
-            ta = t[a]
-            for b in src._above[a]:
-                if (ta, t[b]) not in dst.leq:
-                    raise MalformedInputError(f"not monotone on ({a!r}, {b!r})")
+        src, dst = self.src, self.dst
+        if self._given is not None:
+            t, self._given = self._given, None
+            missing = [x for x in src.elements if x not in t]
+            if missing:
+                raise MalformedInputError(f"map not total: {missing[:3]}")
+            if len(t) != len(src.elements):
+                extra = sorted((x for x in t if x not in src._index), key=repr)
+                raise MalformedInputError(f"map defined outside its domain: {extra[:3]}")
+            index = dst._index
+            for x in src.elements:
+                if t[x] not in index:
+                    raise MalformedInputError(f"value {t[x]!r} outside codomain")
+            self.targets = tuple(index[t[x]] for x in src.elements)
+        targets, up = self.targets, dst._up
+        if not _monotone_along(src._covers, targets, up):
+            names = src.elements
+            for a, bs in enumerate(src._above):
+                for b in bs:
+                    if not up[targets[a]] >> targets[b] & 1:
+                        raise MalformedInputError(f"not monotone on ({names[a]!r}, {names[b]!r})")
+
+    @cached_property
+    def table(self) -> dict:
+        """The map as a table keyed by names."""
+        names = self.dst.elements
+        return dict(zip(self.src.elements, _compose(names, self.targets)))
 
     def __call__(self, x: str) -> str:
         return self.table[x]
 
-    def same_table(self, other: "LatticeMap") -> bool:
+    def same_table(self, other: LatticeMap) -> bool:
+        if self.src.elements == other.src.elements and self.dst.elements == other.dst.elements:
+            return self.targets == other.targets
         return self.table == other.table
 
 
 def identity_map(L: FiniteLattice) -> LatticeMap:
-    return LatticeMap(L, L, {x: x for x in L.elements})
+    return LatticeMap._at_positions(L, L, tuple(range(len(L.elements))))
 
 
 def compose_maps(g: LatticeMap, f: LatticeMap) -> LatticeMap:
     if g.src is not f.dst and g.src != f.dst:
         raise MalformedInputError("maps not composable")
-    return LatticeMap(f.src, g.dst, {x: g(f(x)) for x in f.src.elements})
+    return LatticeMap._at_positions(f.src, g.dst, _compose(g.targets, f.targets))
 
 
 def _unit_counit(lower: LatticeMap, upper: LatticeMap) -> bool:
     """lower -| upper, for monotone lower: A -> B and upper: B -> A: the
     unit x <= upper(lower(x)) on A and the counit lower(upper(y)) <= y on
     B (Davey and Priestley, Introduction to Lattices and Order, ch. 7)."""
-    lo, up = lower.table, upper.table
-    a_leq, b_leq = lower.src.leq, lower.dst.leq
-    return all((x, up[lo[x]]) in a_leq for x in lo) and all((lo[up[y]], y) in b_leq for y in up)
+    lo, hi = lower.targets, upper.targets
+    a_up, b_down = lower.src._up, lower.dst._down
+    return all(a_up[x] >> hi[t] & 1 for x, t in enumerate(lo)) and all(
+        b_down[y] >> lo[t] & 1 for y, t in enumerate(hi)
+    )
 
 
-def _fibers(m: LatticeMap, cone: dict) -> dict:
-    """x -> the y with x in cone[m(y)], for x in the codomain."""
-    out: dict = {x: [] for x in m.dst.elements}
-    for y in m.src.elements:
-        for x in cone[m.table[y]]:
-            out[x].append(y)
-    return out
+def _bound_over_fibers(m: LatticeMap, cone, masks, bound) -> tuple[int, ...]:
+    """For each x of the codomain, the element of the domain whose mask is
+    the intersection of `masks[y]` over the y with x in cone[m(y)]: with
+    down-set masks the meet of those y, with up-set masks their join."""
+    acc = [(1 << len(masks)) - 1] * len(m.dst.elements)
+    for y, z in enumerate(m.targets):
+        mask = masks[y]
+        for x in cone[z]:
+            acc[x] &= mask
+    return _compose(bound, acc)
 
 
 def left_adjoint(m: LatticeMap) -> LatticeMap | None:
     """The adjoint by the meet formula, or None; computed once per map."""
     if "left" not in m._adjoints:
         L, M = m.src, m.dst
-        # {y : x <= m(y)}, gathered from the down-set of each value
-        fibers = _fibers(m, M._below)
-        cand = LatticeMap(M, L, {x: L.meet_all(ys) for x, ys in fibers.items()})
+        # the meet of {y : x <= m(y)}, gathered from the down-set of each value
+        cand = LatticeMap._at_positions(M, L, _bound_over_fibers(m, M._below, L._down, L._meets))
         m._adjoints["left"] = cand if _unit_counit(cand, m) else None
     return m._adjoints["left"]
 
@@ -240,24 +374,18 @@ def right_adjoint(m: LatticeMap) -> LatticeMap | None:
     """The adjoint by the join formula, or None; computed once per map."""
     if "right" not in m._adjoints:
         L, M = m.src, m.dst
-        # {y : m(y) <= x}, gathered from the up-set of each value
-        fibers = _fibers(m, M._above)
-        cand = LatticeMap(M, L, {x: L.join_all(ys) for x, ys in fibers.items()})
+        # the join of {y : m(y) <= x}, gathered from the up-set of each value
+        cand = LatticeMap._at_positions(M, L, _bound_over_fibers(m, M._above, L._up, L._joins))
         m._adjoints["right"] = cand if _unit_counit(m, cand) else None
     return m._adjoints["right"]
 
 
 def monotone_maps_between(L: FiniteLattice, M: FiniteLattice):
     """All monotone maps L -> M; exhaustive, for small lattices only."""
-    for values in itertools.product(M.elements, repeat=len(L.elements)):
-        table = dict(zip(L.elements, values))
-        if all(
-            M.le(table[a], table[b])
-            for a in L.elements
-            for b in L.elements
-            if L.le(a, b)
-        ):
-            yield LatticeMap(L, M, table)
+    covers, up = L._covers, M._up
+    for targets in itertools.product(range(len(M.elements)), repeat=len(L.elements)):
+        if _monotone_along(covers, targets, up):
+            yield LatticeMap._at_positions(L, M, targets)
 
 
 class GaloisMap:
@@ -279,13 +407,13 @@ def check_triangles(g: GaloisMap) -> VerificationReport:
     """adj . pull . adj == adj and pull . adj . pull == pull, compared on
     the tables: a composite map would only re-prove monotonicity."""
     rep = VerificationReport("galois-triangles")
-    pull = g.pullback.table
+    pull = g.pullback.targets
     for name, adj in (("sharp", g.sharp), ("star", g.star)):
         if adj is None:
             continue
-        a = adj.table
-        one = all(a[pull[a[x]]] == a[x] for x in a)
-        two = all(pull[a[pull[y]]] == pull[y] for y in pull)
+        a = adj.targets
+        one = _compose(a, _compose(pull, a)) == a
+        two = _compose(pull, _compose(a, pull)) == pull
         rep.add(f"triangle-{name}-outer", one, {} if one else {"side": name}, anchor="galois-triangle")
         rep.add(f"triangle-{name}-inner", two, {} if two else {"side": name}, anchor="galois-triangle")
     return rep
@@ -316,9 +444,11 @@ class SquareData:
             raise MalformedInputError("square corners mistyped")
         if self.u.dst != self.q.src or self.v.dst != self.q.dst:
             raise MalformedInputError("square corners mistyped")
-        for a in self.p.src.elements:
-            if self.v(self.p(a)) != self.q(self.u(a)):
-                raise MalformedInputError(f"square does not commute at {a!r}")
+        p, u, v, q = self.p.targets, self.u.targets, self.v.targets, self.q.targets
+        one, two = _compose(v, p), _compose(q, u)
+        if one != two:
+            a = self.p.src.elements[_first_difference(one, two)]
+            raise MalformedInputError(f"square does not commute at {a!r}")
 
 
 def check_adjointable(sq: SquareData, side: str) -> VerificationReport:
@@ -335,13 +465,15 @@ def check_adjointable(sq: SquareData, side: str) -> VerificationReport:
     if ap is None or aq is None:
         raise MalformedInputError(f"missing {side} adjoint on a horizontal map")
     # u . ap and aq . v, read off the tables in the order of B's elements
-    u, v, ap, aq = sq.u.table, sq.v.table, ap.table, aq.table
+    down, across = _compose(sq.u.targets, ap.targets), _compose(aq.targets, sq.v.targets)
     witness = None
-    for b in sq.p.dst.elements:
-        down, across = u[ap[b]], aq[v[b]]
-        if down != across:
-            witness = {"element": b, "via-adjoint-then-down": down, "via-down-then-adjoint": across}
-            break
+    if down != across:
+        b, C = _first_difference(down, across), sq.u.dst.elements
+        witness = {
+            "element": sq.p.dst.elements[b],
+            "via-adjoint-then-down": C[down[b]],
+            "via-down-then-adjoint": C[across[b]],
+        }
     rep.add("mate-is-identity", witness is None, witness or {}, anchor=f"{side}-adjointable-square")
     return rep
 
@@ -464,12 +596,12 @@ class CoefficientSystem:
                 raise MalformedInputError(f"no restriction map for {m!r}")
             if r.src != self.lattices[c.dst(m)] or r.dst != self.lattices[c.src(m)]:
                 raise MalformedInputError(f"restriction for {m!r} mistyped")
-            if r(r.src.top) != r.dst.top:
+            if r.targets[r.src._top] != r.dst._top:
                 raise MalformedInputError(f"restriction for {m!r} drops the unit")
         # tables are compared directly: a composite LatticeMap would only
         # re-prove the monotonicity its factors already have
         for x in c.objects:
-            if self.restriction[c.identity[x]].table != {u: u for u in self.lattices[x].elements}:
+            if self.restriction[c.identity[x]].targets != tuple(range(len(self.lattices[x].elements))):
                 raise MalformedInputError(f"identity restriction at {x!r} is not the identity")
         # with `object_size` set the table is function composition, hence
         # associative, and {a : the law holds on (g, a) for every g} is then
@@ -490,9 +622,8 @@ class CoefficientSystem:
         restriction along g followed by the one along f."""
         compose, restriction = self.setup.category.compose, self.restriction
         for g, f in pairs:
-            rf = restriction[f].table
-            expected = {u: rf[v] for u, v in restriction[g].table.items()}
-            if restriction[compose[(g, f)]].table != expected:
+            expected = _compose(restriction[f].targets, restriction[g].targets)
+            if restriction[compose[(g, f)]].targets != expected:
                 return g, f
         return None
 
@@ -538,38 +669,33 @@ def tuple_name(values) -> str:
 
 
 def power_lattice(L: FiniteLattice, size: int) -> FiniteLattice:
-    """L^size with the pointwise order; elements are value tuples by name."""
-    tuples = list(itertools.product(L.elements, repeat=size))
-    name = {t: tuple_name(t) for t in tuples}
-    els = tuple(name.values())
-    # s <= t pointwise: one pair of L's order per coordinate
-    leq = {
-        (name[tuple(a for a, _ in pairs)], name[tuple(b for _, b in pairs)])
-        for pairs in itertools.product(L.leq, repeat=size)
-    }
-    tensor = None
-    if L.tensor_table is not None:
-        pointwise = L.tensor_table.__getitem__
-        tensor = {
-            (name[s], name[t]): name[tuple(map(pointwise, zip(s, t)))]
-            for s in tuples
-            for t in tuples
-        }
-    return FiniteLattice(els, frozenset(leq), tensor)
+    """L^size with the pointwise order; elements are value tuples by name.
+
+    Built by position arithmetic in base n = |L|: the tuple of positions
+    (i_0, ..., i_{size-1}) sits at sum i_c * n^(size-1-c), the order of
+    `itertools.product`."""
+    n, up, block = len(L.elements), (1,), 1
+    tensor = None if L._tensor is None else ((0,),)
+    for _ in range(size):
+        # a leading coordinate i before the rest r sits at i * block + r; r's
+        # up-set mask is below 2^block, so spreading it over the blocks of
+        # i's up-set is one product
+        spread = [sum(1 << j * block for j in above) for above in L._above]
+        up = tuple(s * u for s in spread for u in up)
+        if tensor is not None:
+            tensor = tuple(tuple(t * block + x for t in L._tensor[i] for x in row) for i in range(n) for row in tensor)
+        block *= n
+    names = tuple(map(tuple_name, itertools.product(L.elements, repeat=size)))
+    return FiniteLattice._at_positions(names, up, tensor)
 
 
-def tuple_values(name: str) -> tuple[str, ...]:
-    inner = name[1:-1]
-    return tuple(inner.split(",")) if inner else ()
-
-
-def precompose_map(f_values: tuple[int, ...], big_src: FiniteLattice, big_dst: FiniteLattice) -> LatticeMap:
-    """The pullback map L^dst -> L^src along a function given by values."""
-    table = {}
-    for name in big_src.elements:
-        vals = tuple_values(name)
-        table[name] = tuple_name(tuple(vals[v] for v in f_values))
-    return LatticeMap(big_src, big_dst, table)
+def precompose_map(f_values: tuple[int, ...], n: int, size: int, big_src: FiniteLattice, big_dst: FiniteLattice) -> LatticeMap:
+    """The pullback map L^size -> L^len(f_values) along a function given by
+    values, for a lattice L of n elements, by position arithmetic."""
+    k = len(f_values)
+    weights = [(v, n ** (k - 1 - i)) for i, v in enumerate(f_values)]
+    targets = tuple(sum(s[v] * w for v, w in weights) for s in itertools.product(range(n), repeat=size))
+    return LatticeMap._at_positions(big_src, big_dst, targets)
 
 
 def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
@@ -581,42 +707,44 @@ def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
     c = setup.category
     if c.object_size is None:
         raise MalformedInputError("frame systems need a carrier with cardinalities")
-    key = (L.elements, L.leq, None if L.tensor_table is None else frozenset(L.tensor_table.items()))
+    key = (L.elements, L._up, L._tensor)
     if key not in setup._systems:
-        lattices = {x: power_lattice(L, c.object_size[x]) for x in c.objects}
+        sizes = c.object_size
+        lattices = {x: power_lattice(L, sizes[x]) for x in c.objects}
         restriction = {}
         for m, vals in c.function_values.items():
             x, y = c.morphisms[m]
-            restriction[m] = precompose_map(vals, lattices[y], lattices[x])
+            restriction[m] = precompose_map(vals, len(L.elements), sizes[y], lattices[y], lattices[x])
         setup._systems[key] = CoefficientSystem(setup, lattices, restriction)
     return setup._systems[key]
 
 
+def _fiberwise_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, masks, bound) -> LatticeMap:
+    """Coordinate y of the image of s is the element whose mask is the
+    intersection of masks[s_i] over the fiber {i : f(i) = y}."""
+    vals, n = fn_values(f), len(masks)
+    size = 0
+    while n**size < len(big_dst.elements):
+        size += 1
+    fibers = [[i for i, v in enumerate(vals) if v == y] for y in range(size)]
+    full = (1 << n) - 1
+    targets = []
+    for s in itertools.product(range(n), repeat=len(vals)):
+        out = 0
+        for fiber in fibers:
+            out = out * n + bound[reduce(operator.and_, (masks[s[i]] for i in fiber), full)]
+        targets.append(out)
+    return LatticeMap._at_positions(big_src, big_dst, tuple(targets))
+
+
 def fiberwise_join_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, L: FiniteLattice) -> LatticeMap:
-    """Independent oracle for the left adjoint of precomposition."""
-    vals = fn_values(f)
-    target_size = len(tuple_values(big_dst.elements[0]))
-    table = {}
-    for name in big_src.elements:
-        s = tuple_values(name)
-        out = []
-        for ypt in range(target_size):
-            out.append(L.join_all(s[i] for i in range(len(vals)) if vals[i] == ypt))
-        table[name] = tuple_name(tuple(out))
-    return LatticeMap(big_src, big_dst, table)
+    """Independent oracle for the left adjoint of precomposition: the join
+    over each fiber, coordinate by coordinate."""
+    return _fiberwise_map(f, big_src, big_dst, L._up, L._joins)
 
 
 def fiberwise_meet_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, L: FiniteLattice) -> LatticeMap:
-    vals = fn_values(f)
-    target_size = len(tuple_values(big_dst.elements[0]))
-    table = {}
-    for name in big_src.elements:
-        s = tuple_values(name)
-        out = []
-        for ypt in range(target_size):
-            out.append(L.meet_all(s[i] for i in range(len(vals)) if vals[i] == ypt))
-        table[name] = tuple_name(tuple(out))
-    return LatticeMap(big_src, big_dst, table)
+    return _fiberwise_map(f, big_src, big_dst, L._down, L._meets)
 
 
 # -- projection formulas and the external product -------------------------
@@ -625,26 +753,29 @@ def fiberwise_meet_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, L
 def projection_witness(sys: CoefficientSystem, f: str, push: LatticeMap, relation: str) -> dict | None:
     """The first (E, B), in element order, at which push(E tensor pull(B))
     and push(E) tensor B are not related by `relation`: "==", "<=" (the
-    pushed tensor below) or ">=".  One sweep over all pairs, on the tables."""
+    pushed tensor below) or ">=".  One sweep over all pairs, on the tables,
+    a row of B per E; a failing row is rescanned for its first B."""
     c = sys.setup.category
     x, y = c.morphisms[f]
     DX, DY = sys.lattice(x), sys.lattice(y)
-    pull, pushed_of = sys.pull(f).table, push.table
-    tx, ty, leq = DX._tensor, DY._tensor, DY.leq
+    up, down = DY._up, DY._down
     holds = {
         "==": operator.eq,
-        "<=": lambda a, b: (a, b) in leq,
-        ">=": lambda a, b: (b, a) in leq,
+        "<=": lambda a, b: up[a] >> b & 1,
+        ">=": lambda a, b: down[a] >> b & 1,
     }.get(relation)
     if holds is None:
         raise MalformedInputError(f"relation must be ==, <= or >=, got {relation!r}")
-    for E in DX.elements:
-        pushed_E = pushed_of[E]
-        for B in DY.elements:
-            pushed = pushed_of[tx[(E, pull[B])]]
-            tensored = ty[(pushed_E, B)]
-            if not holds(pushed, tensored):
-                return {"E": E, "B": B, "pushed-tensor": pushed, "tensor-pushed": tensored}
+    pull, push = sys.pull(f).targets, push.targets
+    tx, ty = DX._tensor_rows, DY._tensor_rows
+    for E, row in enumerate(tx):
+        pushed = _compose(push, _compose(row, pull))
+        tensored = ty[push[E]]
+        if pushed == tensored or (relation != "==" and all(map(holds, pushed, tensored))):
+            continue
+        B = next(b for b, (p, t) in enumerate(zip(pushed, tensored)) if not holds(p, t))
+        names = DY.elements
+        return {"E": DX.elements[E], "B": names[B], "pushed-tensor": names[pushed[B]], "tensor-pushed": names[tensored[B]]}
     return None
 
 
@@ -709,16 +840,24 @@ def check_kunneth(sys: CoefficientSystem, f1: str, f2: str) -> VerificationRepor
     star12 = sys.galois(f12).star
     if star1 is None or star2 is None or star12 is None:
         raise MalformedInputError("a star adjoint is missing")
+    # a row of N per M: star12(pull(p1)(M) tensor pull(p2)(N)) against
+    # pull(q1)(star1(M)) tensor pull(q2)(star2(N))
+    p2_of, q2_of, s12 = sys.pull(p2).targets, sys.pull(q2).targets, star12.targets
+    p1_of, q1_of, s1 = sys.pull(p1).targets, sys.pull(q1).targets, star1.targets
+    q2_s2 = _compose(q2_of, star2.targets)
+    TP, TQ = DP._tensor_rows, DQ._tensor_rows
     witness = None
-    for M in sys.lattice(x1).elements:
-        for N in sys.lattice(x2).elements:
-            box = DP.tensor(sys.pull(p1)(M), sys.pull(p2)(N))
-            lhs = star12(box)
-            rhs = DQ.tensor(sys.pull(q1)(star1(M)), sys.pull(q2)(star2(N)))
-            if lhs != rhs:
-                witness = {"M": M, "N": N, "starred-box": lhs, "box-of-starred": rhs}
-                break
-        if witness:
+    for M in range(len(s1)):
+        lhs = _compose(s12, _compose(TP[p1_of[M]], p2_of))
+        rhs = _compose(TQ[q1_of[s1[M]]], q2_s2)
+        if lhs != rhs:
+            N, names = _first_difference(lhs, rhs), DQ.elements
+            witness = {
+                "M": sys.lattice(x1).elements[M],
+                "N": sys.lattice(x2).elements[N],
+                "starred-box": names[lhs[N]],
+                "box-of-starred": names[rhs[N]],
+            }
             break
     rep.add("kunneth-identity", witness is None, witness or {}, anchor="kunneth-external-product")
     return rep

@@ -388,7 +388,6 @@ def span_value(sa: ShriekAssignment, sp: Span) -> LatticeMap:
 class Formalism:
     hcorr: HCorr
     sa: ShriekAssignment
-    obj_map: dict
     mor_map: dict
 
 
@@ -401,7 +400,7 @@ def assemble_formalism(ns: NagataSetup, sa: ShriekAssignment, max_apex: int = 4)
         for y in c.objects:
             for rep_span, _ in hc.classes(x, y).values():
                 mor_map[rep_span.name] = span_value(sa, rep_span)
-    return Formalism(hc, sa, {x: sa.sys.lattice(x) for x in c.objects}, mor_map)
+    return Formalism(hc, sa, mor_map)
 
 
 def check_formalism(fm: Formalism) -> VerificationReport:

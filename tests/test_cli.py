@@ -1,8 +1,10 @@
 """Command line front end: exit codes, determinism, corpus wiring."""
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +16,7 @@ from corrkit import cli, descent, shriek
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
 from corrkit.fincat import check_category, finset_category, injections
-from corrkit.lattices import chain_lattice, n5_lattice
+from corrkit.lattices import FiniteLattice, chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup
@@ -344,7 +346,45 @@ MODEL_RUN_SHA256 = {
     "n5-join.json": (1, "8cb77dc11b920f2aa00fa309fc613e80f2ad82696f0c6c23714d8d65751715c8"),
     "n5.json": (1, "b4a7e9221c2b01e535226ce62d6018b70f076b930b8b969f0a4a9286f5f4b897"),
     "chain2.json": (0, "4669a0a1a4a17a43acc6b103c32b635c8a99d740000090a2643ef67115eba505"),
+    # products of 9 and 10 elements (squares of up to 100), listed shuffled
+    "c2xc5-meet.json": (0, "dd932cf37d6ebceeec7c0c7364c7a321f8e432a430e62740c01d26a46a627a5b"),
+    "c3xc3-join.json": (1, "71762284213ab0589c3107653cb440eab25621f74d05724ec7166d6ccb4c50e0"),
+    "n5xc2-join.json": (1, "d5c798b532eef0f43b69d2113832770a2f66d0c37190e5f96d6e8f1d05a94987"),
+    "n5xc2-meet.json": (1, "bd91b3f2d25b62e83f7608bd0828ec1e84c450ef129845ca89ffe140741acf5e"),
 }
+
+
+def _product_lattice(factors, tensor):
+    """The product of chains and pentagons, e.g. ("C3", "N5"), with the meet
+    or the join as tensor; its elements are listed in a shuffled order."""
+    orders = []
+    for f in factors:
+        if f == "N5":
+            els = ("0", "a", "b", "c", "1")
+            leq = {(x, x) for x in els} | {("0", x) for x in els} | {(x, "1") for x in els} | {("a", "c")}
+        else:
+            els = tuple("abcdefgh"[: int(f[1:])])
+            leq = {(x, y) for x in els for y in els if x <= y}
+        orders.append((els, leq))
+    tuples = list(itertools.product(*(els for els, _ in orders)))
+    random.Random(13).shuffle(tuples)
+    leq = {("".join(s), "".join(t)) for s in tuples for t in tuples if all(p in o[1] for p, o in zip(zip(s, t), orders))}
+    L = FiniteLattice(tuple(map("".join, tuples)), frozenset(leq))
+    if tensor == "join":
+        L = FiniteLattice(L.elements, L.leq, {(a, b): L.join(a, b) for a in L.elements for b in L.elements})
+    return L
+
+
+def _model_inputs():
+    return {
+        "n5-join.json": n5_lattice("join"),
+        "n5.json": n5_lattice(),
+        "chain2.json": chain_lattice(2),
+        "c2xc5-meet.json": _product_lattice(("C2", "C5"), "meet"),
+        "c3xc3-join.json": _product_lattice(("C3", "C3"), "join"),
+        "n5xc2-join.json": _product_lattice(("N5", "C2"), "join"),
+        "n5xc2-meet.json": _product_lattice(("N5", "C2"), "meet"),
+    }
 
 
 def _sha256(text: str) -> str:
@@ -367,8 +407,7 @@ def test_model_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     # the report is named after the input path, so the inputs are read
     # by relative name from one directory
     monkeypatch.chdir(tmp_path)
-    lattices = {"n5-join.json": n5_lattice("join"), "n5.json": n5_lattice(), "chain2.json": chain_lattice(2)}
-    for name, L in lattices.items():
+    for name, L in _model_inputs().items():
         (tmp_path / name).write_text(ser.dumps(ser.lattice_to_dict(L)))
         code, out, _ = invoke(capsys, "run", "--input", name, "--suite", "model", "--format", "json")
         assert (code, _sha256(out)) == MODEL_RUN_SHA256[name], name

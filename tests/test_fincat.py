@@ -118,6 +118,19 @@ def test_finset_iso_mono_classes():
     assert "0>0:" in surj
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from("abcd"), st.integers(0, 3), min_size=1, max_size=3), st.data())
+def test_isomorphisms_by_values_match_the_table_scan(sizes, data):
+    # an all-function carrier reads its isomorphisms off the function values;
+    # the same category without sizes scans the composition table
+    c = finset_category(sizes)
+    order = tuple(data.draw(st.permutations(c.objects)))
+    listed = FinCategory(order, c.morphisms, c.identity, c.compose, c.object_size)
+    scanned = FinCategory(order, c.morphisms, c.identity, c.compose)
+    assert listed.iso_ids == scanned.iso_ids
+    assert all(listed.object_size[listed.src(m)] == listed.object_size[listed.dst(m)] for m in listed.iso_ids)
+
+
 def test_finset_duplicate_cardinalities():
     c = finset_category({"a": 2, "b": 2, "p": 1})
     assert check_category(c).passed

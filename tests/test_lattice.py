@@ -731,8 +731,7 @@ def _covers_by_search(L):
 
 def test_covers_match_search():
     for L in _small_lattices() + [power_lattice(n5_lattice(), 2), power_lattice(chain_lattice(2), 2)]:
-        up = {a: sum(1 << L._index[b] for b in L._above[a]) for a in L.elements}
-        assert L._covers(up) == _covers_by_search(L)
+        assert [(L.elements[b], L.elements[c]) for b, c in L._covers] == _covers_by_search(L)
 
 
 def _join_tensor_powers():
@@ -870,3 +869,202 @@ def test_projection_witness_rejects_unknown_relation():
     sys = frame2()
     with pytest.raises(MalformedInputError, match="relation"):
         projection_witness(sys, "1>1:0", left_adjoint(sys.pull("1>1:0")), "<")
+
+
+# -- the position core against references keyed by names --------------------
+
+
+def _first_error_by_names(elements, leq, tensor=None):
+    """The first message of a validation over names, check by check in the
+    order `FiniteLattice` runs them; None for a lattice."""
+    elements, leq = tuple(elements), frozenset(leq)
+    index: dict = {}
+    for i, x in enumerate(elements):
+        index.setdefault(x, i)
+    unknown = [(a, b) for a, b in leq if a not in index or b not in index]
+    if unknown:
+        a, b = min(unknown, key=repr)
+        return f"order mentions unknown element ({a!r}, {b!r})"
+    for a in elements:
+        if (a, a) not in leq:
+            return f"order not reflexive at {a!r}"
+    names = list(index)
+    above = {a: [b for b in names if (a, b) in leq] for a in names}
+    for a in elements:
+        for b in above[a]:
+            if a != b and (b, a) in leq:
+                return f"order not antisymmetric on ({a!r}, {b!r})"
+            if any(c not in above[a] for c in above[b]):
+                return f"order not transitive via {b!r}"
+    below = {a: {b for b in names if (b, a) in leq} for a in names}
+    repeated = {x for i, x in enumerate(elements) if index[x] != i}
+
+    def unique(cone, target):
+        found = [x for x in names if cone[x] == target]
+        return len(found) == 1 and found[0] not in repeated
+
+    ups = {a: set(above[a]) for a in names}
+    for a in elements:
+        for b in elements:
+            if not unique(below, below[a] & below[b]):
+                return f"no meet for ({a!r}, {b!r})"
+            if not unique(ups, ups[a] & ups[b]):
+                return f"no join for ({a!r}, {b!r})"
+    if not unique(ups, set(names)) or not unique(below, set(names)):
+        return "lattice must be bounded"
+    if tensor is None:
+        return None
+    for a in elements:
+        for b in elements:
+            if (a, b) not in tensor:
+                return f"tensor table missing ({a!r}, {b!r})"
+    if len(tensor) != len(names) ** 2:
+        extra = sorted((p for p in tensor if p[0] not in index or p[1] not in index), key=repr)
+        return f"tensor table defined outside the lattice: {extra[:3]}"
+    for a in elements:
+        for b in elements:
+            if tensor[(a, b)] not in index:
+                return f"tensor value {tensor[(a, b)]!r} outside the lattice"
+    for a in elements:
+        for b in elements:
+            for b2 in above[b]:
+                if (tensor[(a, b)], tensor[(a, b2)]) not in leq:
+                    return "tensor not monotone in second slot"
+                if (tensor[(b, a)], tensor[(b2, a)]) not in leq:
+                    return "tensor not monotone in first slot"
+    return None
+
+
+@st.composite
+def tensor_tables(draw, elements):
+    """None, or a table over the elements: the pointwise max or min in a
+    drawn ranking, or arbitrary values, then perhaps one entry dropped,
+    one added outside, or one value sent outside."""
+    names = sorted(set(elements))
+    kind = draw(st.sampled_from(("none", "rank-max", "rank-min", "random")))
+    if kind == "none" or not names:
+        return None
+    pairs = [(a, b) for a in names for b in names]
+    if kind == "random":
+        table = dict(zip(pairs, draw(st.lists(st.sampled_from(names), min_size=len(pairs), max_size=len(pairs)))))
+    else:
+        rank = {x: i for i, x in enumerate(draw(st.permutations(names)))}
+        pick = max if kind == "rank-max" else min
+        table = {(a, b): pick(a, b, key=rank.__getitem__) for a, b in pairs}
+    edit = draw(st.sampled_from(("keep", "keep", "drop", "extra", "outside")))
+    if edit == "drop":
+        del table[draw(st.sampled_from(pairs))]
+    elif edit == "extra":
+        table[("zz", draw(st.sampled_from(names)))] = names[0]
+    elif edit == "outside":
+        table[draw(st.sampled_from(pairs))] = "zz"
+    return table
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_relations(), st.data())
+def test_validation_raises_the_first_message_of_the_name_sweep(rel, data):
+    elements, leq = rel
+    if elements and data.draw(st.booleans()):
+        leq = leq | {(data.draw(st.sampled_from(elements)), "zz")}
+    tensor = data.draw(tensor_tables(elements))
+    _, err = _outcome(lambda: FiniteLattice(elements, frozenset(leq), tensor))
+    assert err == _first_error_by_names(elements, leq, tensor)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_relations(), st.data())
+def test_order_and_tables_match_the_relation_by_names(rel, data):
+    elements, leq = rel
+    tensor = data.draw(tensor_tables(elements))
+    L, err = _outcome(lambda: FiniteLattice(elements, frozenset(leq), tensor))
+    if err is not None:
+        return
+    meet, join, bot, top = _reference_lattice(elements, leq)
+    assert {(a, b): L.le(a, b) for a in elements for b in elements} == {
+        (a, b): (a, b) in leq for a in elements for b in elements
+    }
+    assert L.leq == frozenset(leq)
+    assert {p: L.meet(*p) for p in meet} == meet and {p: L.join(*p) for p in join} == join
+    assert (L.bot, L.top) == (bot, top)
+    assert L.tensor_table == tensor
+    assert {p: L.tensor(*p) for p in meet} == (meet if tensor is None else tensor)
+
+
+def _reordered(L, order):
+    """L with its elements listed in another order; the same lattice."""
+    return FiniteLattice(tuple(L.elements[i] for i in order), L.leq, L.tensor_table)
+
+
+@st.composite
+def listed_lattices(draw):
+    """One of the small lattices or a join-tensor power, its elements in a
+    drawn order."""
+    L = draw(st.sampled_from(_small_lattices() + _join_tensor_powers()[:2]))
+    return _reordered(L, draw(st.permutations(range(len(L.elements)))))
+
+
+def _bound_by_names(L, xs, lower):
+    """The meet (lower) or join of the names xs, by search over L's order."""
+    le = L.le if lower else (lambda a, b: L.le(b, a))
+    bounds = [z for z in L.elements if all(le(z, x) for x in xs)]
+    return next(z for z in bounds if all(le(w, z) for w in bounds))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(listed_lattices(), listed_lattices(), st.data())
+def test_adjoints_of_drawn_maps_match_the_formulas_by_names(L, M, data):
+    values = data.draw(st.lists(st.sampled_from(M.elements), min_size=len(L.elements), max_size=len(L.elements)))
+    m, err = _outcome(lambda: LatticeMap(L, M, dict(zip(L.elements, values))))
+    if err is not None:
+        return
+    left = {x: _bound_by_names(L, [y for y in L.elements if M.le(x, m(y))], True) for x in M.elements}
+    right = {x: _bound_by_names(L, [y for y in L.elements if M.le(m(y), x)], False) for x in M.elements}
+    for adj, ref, holds in ((left_adjoint(m), left, adjunction_holds_left), (right_adjoint(m), right, adjunction_holds_right)):
+        cand = LatticeMap(M, L, ref)
+        assert (adj is None) == (not holds(cand, m))
+        if adj is not None:
+            assert adj.table == ref
+
+
+def _projection_by_names(sys, L, f, push, relation):
+    """The first (E, B) of a sweep over names of powers of L, with the
+    tensor and the order taken coordinatewise from L's names."""
+    x, y = sys.setup.category.morphisms[f]
+    DX, DY = sys.lattice(x), sys.lattice(y)
+    pull, pushed_of = sys.pull(f).table, push.table
+
+    def coords(name):
+        return name[1:-1].split(",") if name != "()" else []
+
+    def tensor(s, t):
+        return "(" + ",".join(L.tensor(a, b) for a, b in zip(coords(s), coords(t))) + ")"
+
+    def le(s, t):
+        return all(L.le(a, b) for a, b in zip(coords(s), coords(t)))
+
+    holds = {"==": lambda a, b: a == b, "<=": le, ">=": lambda a, b: le(b, a)}[relation]
+    for E in DX.elements:
+        for B in DY.elements:
+            pushed, tensored = pushed_of[tensor(E, pull[B])], tensor(pushed_of[E], B)
+            if not holds(pushed, tensored):
+                return {"E": E, "B": B, "pushed-tensor": pushed, "tensor-pushed": tensored}
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(listed_lattices(), st.data())
+def test_projection_witness_matches_the_sweep_by_names(L, data):
+    # the reference splits tuple names at commas, and L^2 stays small
+    if len(L.elements) ** 2 > 36 or any("," in x for x in L.elements):
+        L = _reordered(chain_lattice(2), data.draw(st.permutations(range(3))))
+    c = finset_skeleton(2)
+    sys = frame_system(GeometricSetup(c, all_class(c)), L)
+    for f in c.morphism_ids:
+        pull = sys.pull(f)
+        const = LatticeMap(pull.dst, pull.src, dict.fromkeys(pull.dst.elements, pull.src.top))
+        for push in (left_adjoint(pull), right_adjoint(pull), const):
+            if push is None:
+                continue
+            for relation in ("==", "<=", ">="):
+                assert projection_witness(sys, f, push, relation) == _projection_by_names(sys, L, f, push, relation)
