@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 
 RUN_SCHEMA = "corrkit-run/1"
 
-DIM_RANGE = (0, 2)
+DIM_RANGE = (1, 2)
 APEX_RANGE = (1, 6)
 FORMATS = ("text", "json")
 
@@ -212,7 +212,12 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
     # so the extension meets no search limit
     c = pd.big.category
     sa = build_shriek(NagataSetup(pd.big, all_class(c), iso_class(c)), sys)
-    ext = extend_system_E(pd, sa, m=min(max_dim, 1))
+    try:
+        ext = extend_system_E(pd, sa, m=min(max_dim, 1))
+    except MalformedInputError as exc:
+        # a nerve fails the codescent precondition
+        rep.add("extension-agrees", False, {"reason": str(exc)}, anchor="cech-codescent")
+        return rep
     bad = [f for f in sorted(ext) if not ext[f].same_table(sa.shriek[f])]
     rep.add(
         "extension-agrees",
@@ -617,7 +622,7 @@ def _cmd_localize_check(args, out) -> int:
 
 _FLAGS = {
     "--format": {"choices": FORMATS, "default": "text"},
-    "--max-dim": {"type": int, "default": 2, "help": "nerve / hypercover truncation"},
+    "--max-dim": {"type": int, "default": 2, "help": "nerve truncation, 1..2; hypercovers are matched at level 1"},
     "--max-apex": {"type": int, "default": 4, "help": "largest span apex enumerated"},
 }
 

@@ -3,9 +3,10 @@
 A category is a set of opaque string ids plus total tables; every structural
 law is decidable by exhaustive enumeration.  Object and morphism ids carry a
 declared total order (tuple sort) so all derived enumerations are
-deterministic.  Limits are found by universal-property search, except that
-fiber products in an all-function carrier are constructed directly, in the
-order the search would return them.
+deterministic.  Limits are found by universal-property search, and a
+coproduct as a product in the opposite category, except that fiber products
+and coproducts in an all-function carrier are constructed directly, as the
+least candidate the search would return.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class FinCategory:
     compose: dict[tuple[str, str], str]  # (g, f) -> g.f when dst(f) == src(g)
     # object -> cardinality, set only on a category of all functions between
     # sets of these sizes; the fiber product, coproduct, span-class and frame
-    # constructions read `function_values` only when it is set
+    # constructions run only when it is set
     object_size: dict[str, int] | None = field(default=None, compare=False)
 
     # -- basic accessors -------------------------------------------------
@@ -261,9 +262,9 @@ def compose_table_witness(c: FinCategory) -> dict | None:
             return {"pair": [g, f], "problem": "unlisted result", "result": h}
         if c.morphisms[h] != (c.src(f), c.dst(g)):
             return {"pair": [g, f], "problem": "wrong typing", "result": h}
-    extra = set(c.compose) - set(c.composable_pairs)
-    if extra:
-        g, f = sorted(extra)[0]
+    # every pair has its entry, so any extra entry shows in the count
+    if len(c.compose) > len(c.composable_pairs):
+        g, f = min(set(c.compose) - set(c.composable_pairs))
         return {"pair": [g, f], "problem": "non-composable entry"}
     return None
 
@@ -480,25 +481,34 @@ def pullback_candidates(c: FinCategory, f: str, g: str) -> list[tuple[str, str, 
     return out
 
 
+def _least_of_size(c: FinCategory, n: int) -> str | None:
+    """The apex of a constructed limit in an all-function carrier: the
+    least-named object with n elements, the generic minimum in any listing
+    order.  A plain loop, as every constructed fiber product calls it."""
+    sizes, least = c.object_size, None
+    for x in c.objects:
+        if sizes[x] == n and (least is None or x < least):
+            least = x
+    return least
+
+
 def _finset_canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] | None:
-    """Fiber product in an all-function carrier, constructed: the apex is the
-    first object with |P| elements, P = {(x, y) : f(x) = g(y)}, and the legs
-    list P sorted by the decimal strings of (x, y).  Ids order by those
-    strings, so this is the first pullback in id order, the generic
-    lexicographic minimum."""
+    """Fiber product in an all-function carrier, constructed: the apex has
+    |P| elements, P = {(x, y) : f(x) = g(y)}, and the legs list P sorted by
+    the decimal strings of (x, y).  Ids order by those strings, so this is
+    the first pullback in id order, the generic lexicographic minimum."""
     values = c.function_values
     fx, gy = values[f], values[g]
     fiber = sorted(
         ((x, y) for x, fv in enumerate(fx) for y, gv in enumerate(gy) if fv == gv),
         key=lambda xy: (str(xy[0]), str(xy[1])),
     )
-    sizes = c.object_size
-    for apex in c.objects:
-        if sizes[apex] == len(fiber):
-            p = _fn_id(apex, c.src(f), tuple(x for x, _ in fiber))
-            q = _fn_id(apex, c.src(g), tuple(y for _, y in fiber))
-            return (apex, p, q)
-    return None
+    apex = _least_of_size(c, len(fiber))
+    if apex is None:
+        return None
+    p = _fn_id(apex, c.src(f), tuple(x for x, _ in fiber))
+    q = _fn_id(apex, c.src(g), tuple(y for _, y in fiber))
+    return (apex, p, q)
 
 
 def canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] | None:
@@ -549,53 +559,28 @@ def canonical_product(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] | 
     return min(cands) if cands else None
 
 
-def _is_coproduct(c: FinCategory, apex: str, legs: tuple[str, ...], factors: tuple[str, ...]) -> bool:
-    for leg, x in zip(legs, factors):
-        if c.morphisms[leg] != (x, apex):
-            return False
-    for t in c.objects:
-        for us in itertools.product(*[c.hom(x, t) for x in factors]):
-            mediators = [
-                w
-                for w in c.hom(apex, t)
-                if all(c.comp(w, leg) == u for leg, u in zip(legs, us))
-            ]
-            if len(mediators) != 1:
-                return False
-    return True
-
-
 def _finset_canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] | None:
-    """Disjoint union in an all-function carrier: legs are jointly bijective
-    with disjoint images; the first such tuple in id order is the generic
-    lexicographic minimum."""
-    sizes, values = c.object_size, c.function_values
-    total = sum(sizes[x] for x in factors)
-    for apex in c.objects:
-        if sizes[apex] != total:
-            continue
-        for legs in itertools.product(*[c.hom(x, apex) for x in factors]):
-            seen: set[int] = set()
-            for leg in legs:
-                seen.update(values[leg])
-            injective = all(len(set(values[leg])) == len(values[leg]) for leg in legs)
-            if injective and len(seen) == total:
-                if _is_coproduct(c, apex, legs, tuple(factors)):
-                    return (apex, legs)
-    return None
+    """Disjoint union in an all-function carrier with an object of at least
+    two elements, constructed: maps into that object tell elements apart, so
+    every coproduct has jointly bijective legs.  The least one lists the
+    apex's elements in decimal-string order, one factor after another."""
+    sizes = c.object_size
+    apex = _least_of_size(c, sum(sizes[x] for x in factors))
+    if apex is None:
+        return None
+    elements = iter(sorted(range(sizes[apex]), key=str))
+    return (apex, tuple(_fn_id(x, apex, tuple(itertools.islice(elements, sizes[x]))) for x in factors))
 
 
 def canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] | None:
-    """Lexicographically minimal coproduct cocone, or None."""
+    """Lexicographically minimal coproduct cocone, or None.  It is the least
+    product in the opposite category, whose candidates are the same cocones
+    in the same order; an all-function carrier with an object of at least
+    two elements constructs it instead."""
     factors = tuple(factors)
-    if c.object_size is not None:
+    if c.object_size is not None and max(c.object_size.values(), default=0) >= 2:
         return _finset_canonical_coproduct(c, factors)
-    cands = []
-    for apex in c.objects:
-        for legs in itertools.product(*[c.hom(x, apex) for x in factors]):
-            if _is_coproduct(c, apex, legs, factors):
-                cands.append((apex, legs))
-    return min(cands) if cands else None
+    return canonical_product(opposite(c), factors)
 
 
 # -- functor enumeration from thin sources --------------------------------

@@ -146,6 +146,9 @@ def test_config_rejects_out_of_range_bounds():
         ("descend", "extend-e", "--max-dim", "1000000000"),
         ("descend", "extend-c", "--max-dim", "3"),
         ("corr", "hocat", "--max-apex", "0"),
+        # no descent check runs below the overlap level
+        ("run", "--max-dim", "0"),
+        ("descend", "extend-e", "--max-dim", "0"),
     ],
 )
 def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
@@ -287,6 +290,37 @@ def test_descend_extend_e_requires_exceptional_kind(capsys):
 
 def test_suite_order_is_dependency_order():
     assert SUITE_ORDER == ("category", "setup", "model", "theorem")
+
+
+def test_each_instance_lists_the_suites_its_declaration_plans():
+    # the corpus listing and the run decide separately which suites apply
+    for inst in corpus():
+        plan = cli._plan(inst.name, inst.build(), 2, 4, inst.options)
+        assert list(inst.suites) == [s for s in SUITE_ORDER if s in plan], inst.name
+
+
+def test_a_failed_codescent_precondition_is_a_failed_check(tmp_path, capsys):
+    # every pair check passes, but the atlas 1>2:0 misses a point of its
+    # target, so pushing forward along it misses an element of the target's
+    # lattice and the extension cannot be built
+    c = finset_category({"1": 1, "2": 2, "4": 4})
+    s = GeometricSetup(c, all_class(c))
+    every = frozenset(c.morphism_ids)
+    cover = EdgeClass(c, every)
+    atlases = {o: (descent.identity_atlas(s, cover, c.objects, o),) for o in c.objects}
+    atlases["2"] = (descent.Atlas(s, "1>2:0", cover, c.objects),) + atlases["2"]
+    pd = descent.PairDeclaration("exceptional", s, c.objects, every, every, every, atlases)
+    path = tmp_path / "pair.json"
+    path.write_text(ser.dumps(ser.pair_to_dict(pd)))
+    code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    (rep,) = json.loads(out)["reports"]
+    *gates, last = rep["checks"]
+    assert gates and all(ch["name"].startswith("pair:") and ch["status"] == "pass" for ch in gates)
+    assert (last["name"], last["status"]) == ("extension-agrees", "fail")
+    assert last["witness"] == {
+        "reason": "codescent precondition fails for atlas '1>2:0': {'reason': 'not surjective', 'element': '(0,1)'}"
+    }
 
 
 def test_each_gate_and_search_runs_once_per_suite(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 from corrkit.fincat import (
     FinCategory,
     FunctorData,
+    canonical_coproduct,
     canonical_product,
     canonical_pullback,
     chain_category,
@@ -471,6 +472,33 @@ def test_constructed_pullback_matches_search_on_sampled_full_subcategories(data)
     sub = data.draw(st.sampled_from(SKEL3_SUBS))
     f, g = data.draw(st.sampled_from(_cospans(sub)))
     assert _matches_search(sub, f, g)
+
+
+# two objects of size 2, so the apex of a constructed limit is a choice
+RELISTED = finset_category({"a": 2, "b": 2, "p": 1, "q": 0})
+
+
+def test_constructed_limits_match_search_in_every_listing_order():
+    # a sizes envelope loads in its own object order; the search returns
+    # the least-named apex whatever that order is
+    c = RELISTED
+    for objects in itertools.permutations(c.objects):
+        sized = FinCategory(objects, c.morphisms, c.identity, c.compose, c.object_size)
+        free = FinCategory(objects, c.morphisms, c.identity, c.compose)
+        for f, g in _cospans(c):
+            assert canonical_pullback(sized, f, g) == canonical_pullback(free, f, g), (objects, f, g)
+        for factors in (["p", "p"], ["q", "a"], ["p", "q"], ["q", "q"]):
+            assert canonical_coproduct(sized, factors) == canonical_coproduct(free, factors), (objects, factors)
+
+
+def test_constructed_coproduct_matches_the_dual_search_on_full_subcategories():
+    # the opposite carries no sizes, so its product is the generic search;
+    # without an object of two elements nothing tells elements apart, and
+    # 1 + 1 is the one-element set
+    for sub in (SKEL3, TWINS, *SKEL3_SUBS):
+        for xy in itertools.product(sub.objects, repeat=2):
+            assert canonical_coproduct(sub, xy) == canonical_product(opposite(sub), xy), (sub.objects, xy)
+    assert canonical_coproduct(full_subcategory(SKEL3, ["0", "1"]), ["1", "1"]) == ("1", ("1>1:0", "1>1:0"))
 
 
 @st.composite

@@ -10,7 +10,6 @@ PACKAGE = ROOT / "src" / "corrkit"
 
 # definitions that only unit tests name, kept on purpose
 KEPT_FOR_TESTS = {
-    "opposite": "test oracle: duality arguments in the category tests",
     "wide_subcategory": "test oracle: the core groupoid in the category tests",
     "partial_adjoint_grid": "the partial-adjoints theorem, to be put in the gate (ROADMAP item 3)",
     "pair_to_dict": "round-trip writer for pair envelopes",
