@@ -1,7 +1,9 @@
 """Explicit finite categories, functors, and limits.
 
 A category is a set of opaque string ids plus total tables; every structural
-law is decidable by exhaustive enumeration.  Object and morphism ids carry a
+law is decidable by exhaustive enumeration.  An all-function carrier
+computes each entry of its composition table from function values on the
+entry's first read.  Object and morphism ids carry a
 declared total order (tuple sort) so all derived enumerations are
 deterministic.  Limits are found by universal-property search, and a
 coproduct as a product in the opposite category, except that fiber products
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .report import MalformedInputError, VerificationReport
 
@@ -23,7 +25,9 @@ class FinCategory:
     objects: tuple[str, ...]
     morphisms: dict[str, tuple[str, str]]  # id -> (source, target)
     identity: dict[str, str]  # object -> identity morphism id
-    compose: dict[tuple[str, str], str]  # (g, f) -> g.f when dst(f) == src(g)
+    # (g, f) -> g.f when dst(f) == src(g); on an all-function carrier a
+    # `_ByValue` table, which computes each composite on its first read
+    compose: dict[tuple[str, str], str]
     # object -> cardinality, set only on a category of all functions between
     # sets of these sizes; the fiber product, coproduct, span-class and frame
     # constructions run only when it is set
@@ -72,6 +76,23 @@ class FinCategory:
         if self.object_size is None:
             raise MalformedInputError("category carries no cardinality data")
         return {m: fn_values(m) for m in self.morphism_ids}
+
+    @cached_property
+    def _by_values(self) -> dict[tuple[str, str], dict[tuple[int, ...], str]]:
+        """(source, target) -> {function values: id}, on an all-function
+        carrier: where a constructed limit looks its legs up.  Each hom-set
+        is in the product order of its values, the order a bulk fill reads."""
+        values, homs = self.function_values, self._hom_index
+        return {
+            (x, y): dict(sorted((values[m], m) for m in homs.get((x, y), ()))) for x in self.objects for y in self.objects
+        }
+
+    @cached_property
+    def _least(self) -> dict[int, str]:
+        """size -> the least-named object of that size, on an all-function
+        carrier: the apex of a constructed limit, the generic minimum in
+        any listing order."""
+        return {n: x for x, n in sorted(self.object_size.items(), reverse=True)}
 
     @cached_property
     def generators(self) -> tuple[str, ...]:
@@ -332,18 +353,20 @@ def wide_subcategory(c: FinCategory, members: frozenset[str] | set[str]) -> FinC
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
     """The named objects with every morphism between them; a full
     subcategory of an all-function carrier is again one, so its sizes
-    carry over."""
-    objs = tuple(x for x in c.objects if x in set(objects))
-    keep = {m for m in c.morphism_ids if c.src(m) in objs and c.dst(m) in objs}
-    compose = {(g, f): h for (g, f), h in c.compose.items() if g in keep and f in keep}
+    carry over and it composes by value over its own hom-sets."""
+    inside = set(objects)
+    objs = tuple(x for x in c.objects if x in inside)
+    keep = {m for m in c.morphism_ids if c.src(m) in inside and c.dst(m) in inside}
     sizes = None if c.object_size is None else {x: c.object_size[x] for x in objs}
-    return FinCategory(
-        objs,
-        {m: c.morphisms[m] for m in sorted(keep)},
-        {x: c.identity[x] for x in objs},
-        compose,
-        sizes,
-    )
+    morphisms = {m: c.morphisms[m] for m in sorted(keep)}
+    # with every object kept, so is the table
+    sub = FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, c.compose, sizes)
+    if len(objs) < len(c.objects):
+        if sizes is None:
+            sub.compose = {(g, f): h for (g, f), h in c.compose.items() if g in keep and f in keep}
+        else:
+            sub.compose = _ByValue(sub)
+    return sub
 
 
 # -- builders ------------------------------------------------------------
@@ -402,28 +425,75 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
     """
     objects = tuple(sorted(sizes))
     morphisms: dict[str, tuple[str, str]] = {}
-    values: dict[str, tuple[int, ...]] = {}
-    # (source, target) -> {values: id}, each hom-set in product order, so
-    # composites are looked up, not spelled and parsed again
-    homs: dict[tuple[str, str], dict[tuple[int, ...], str]] = {}
     for a in objects:
         for b in objects:
-            hom = homs[(a, b)] = {}
             # repeat=0 gives the one empty function out of an empty set
             for vals in itertools.product(range(sizes[b]), repeat=sizes[a]):
-                m = _fn_id(a, b, vals)
-                morphisms[m] = (a, b)
-                values[m] = vals
-                hom[vals] = m
-    identity = {a: homs[(a, a)][tuple(range(sizes[a]))] for a in objects}
-    compose = {}
-    for g, (b, c) in morphisms.items():
-        for a in objects:
-            # the values of g . f, for f over hom(a, b) in product order,
-            # are the product of g's values in that order
-            composites = map(homs[(a, c)].__getitem__, itertools.product(values[g], repeat=sizes[a]))
-            compose.update(zip(zip(itertools.repeat(g), homs[(a, b)].values()), composites))
-    return FinCategory(objects, morphisms, identity, compose, dict(sizes))
+                morphisms[_fn_id(a, b, vals)] = (a, b)
+    identity = {a: _fn_id(a, a, tuple(range(sizes[a]))) for a in objects}
+    c = FinCategory(objects, morphisms, identity, {}, dict(sizes))
+    c.compose = _ByValue(c)
+    return c
+
+
+class _Table(dict):
+    """A filled `_ByValue` table: a plain dict."""
+
+
+class _ByValue(_Table):
+    """The compose table of an all-function carrier, built by value: g.f is
+    computed from the two functions' values on its first read, looked up in
+    the carrier's value index and kept, so a repeated read is a dict hit.  A
+    reader of the whole table (len, iteration, get, in, ==) has it filled in
+    bulk first, and is served by a plain dict from then on."""
+
+    def __init__(self, c: FinCategory):
+        self.c = c
+
+    def __missing__(self, key):
+        g, f = key
+        c = self.c
+        (b, z), (a, b2) = c.morphisms[g], c.morphisms[f]
+        if b != b2:
+            raise KeyError(key)
+        values = c.function_values
+        gv = values[g]
+        h = self[key] = c._by_values[(a, z)][tuple([gv[v] for v in values[f]])]
+        return h
+
+    def fill_into(self, table: dict) -> dict:
+        """`table` with every entry put in, in bulk: for each g, the
+        composites with each hom-set into its source."""
+        c = self.c
+        homs = c._by_values
+        for (b, z), hom in homs.items():
+            for gv, g in hom.items():
+                for a in c.objects:
+                    # the values of g . f, for f over hom(a, b) in product
+                    # order, are the product of g's values in that order
+                    composites = map(homs[(a, z)].__getitem__, itertools.product(gv, repeat=c.object_size[a]))
+                    dict.update(table, zip(zip(itertools.repeat(g), homs[(a, b)].values()), composites))
+        return table
+
+    def filled(self) -> _Table:
+        dict.clear(self)
+        self.fill_into(self)
+        # a plain dict from here on, which needs no carrier
+        self.__class__ = _Table
+        self.__dict__.clear()
+        return self
+
+
+for _name in ("__len__", "__iter__", "__reversed__", "__contains__", "__eq__", "__ne__", "__or__", "__ror__", "__repr__",
+              "copy", "get", "items", "keys", "values"):
+    # a reader of the whole table fills it first; a comparison fills both sides
+    setattr(
+        _ByValue,
+        _name,
+        lambda self, *args, _read=getattr(dict, _name): _read(
+            self.filled(), *[a.filled() if isinstance(a, _ByValue) else a for a in args]
+        ),
+    )
 
 
 def finset_skeleton(max_size: int) -> FinCategory:
@@ -481,47 +551,35 @@ def pullback_candidates(c: FinCategory, f: str, g: str) -> list[tuple[str, str, 
     return out
 
 
-def _least_of_size(c: FinCategory, n: int) -> str | None:
-    """The apex of a constructed limit in an all-function carrier: the
-    least-named object with n elements, the generic minimum in any listing
-    order.  A plain loop, as every constructed fiber product calls it."""
-    sizes, least = c.object_size, None
-    for x in c.objects:
-        if sizes[x] == n and (least is None or x < least):
-            least = x
-    return least
-
-
-def _finset_canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] | None:
-    """Fiber product in an all-function carrier, constructed: the apex has
-    |P| elements, P = {(x, y) : f(x) = g(y)}, and the legs list P sorted by
-    the decimal strings of (x, y).  Ids order by those strings, so this is
-    the first pullback in id order, the generic lexicographic minimum."""
-    values = c.function_values
-    fx, gy = values[f], values[g]
-    fiber = sorted(
-        ((x, y) for x, fv in enumerate(fx) for y, gv in enumerate(gy) if fv == gv),
-        key=lambda xy: (str(xy[0]), str(xy[1])),
-    )
-    apex = _least_of_size(c, len(fiber))
-    if apex is None:
-        return None
-    p = _fn_id(apex, c.src(f), tuple(x for x, _ in fiber))
-    q = _fn_id(apex, c.src(g), tuple(y for _, y in fiber))
-    return (apex, p, q)
+@lru_cache(maxsize=None)
+def _decimal_order(n: int) -> tuple[int, ...]:
+    """range(n) sorted by decimal strings, the order ids list values in."""
+    return tuple(sorted(range(n), key=str))
 
 
 def canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] | None:
     """Lexicographically minimal pullback representative, or None.
 
-    Constructed in an all-function carrier (one with `object_size`), found
-    by universal-property search in any other."""
-    if c.dst(f) != c.dst(g):
+    Found by universal-property search, except in an all-function carrier
+    (one with `object_size`), where it is constructed: the apex has |P|
+    elements, P = {(x, y) : f(x) = g(y)}, and the legs list P sorted by the
+    decimal strings of (x, y).  Ids order by those strings, so this is the
+    first pullback in id order, the generic lexicographic minimum."""
+    if c.morphisms[f][1] != c.morphisms[g][1]:
         raise MalformedInputError("not a cospan")
-    if c.object_size is not None:
-        return _finset_canonical_pullback(c, f, g)
-    cands = pullback_candidates(c, f, g)
-    return min(cands) if cands else None
+    if c.object_size is None:
+        cands = pullback_candidates(c, f, g)
+        return min(cands) if cands else None
+    values = c.function_values
+    fx, gy = values[f], values[g]
+    ys = _decimal_order(len(gy))
+    fiber = [(x, y) for x in _decimal_order(len(fx)) for y in ys if fx[x] == gy[y]]
+    apex = c._least.get(len(fiber))
+    if apex is None:
+        return None
+    px, py = zip(*fiber) if fiber else ((), ())
+    homs = c._by_values
+    return (apex, homs[(apex, c.morphisms[f][0])][px], homs[(apex, c.morphisms[g][0])][py])
 
 
 def verify_product(c: FinCategory, apex: str, legs, factors) -> bool:
@@ -565,10 +623,10 @@ def _finset_canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str
     every coproduct has jointly bijective legs.  The least one lists the
     apex's elements in decimal-string order, one factor after another."""
     sizes = c.object_size
-    apex = _least_of_size(c, sum(sizes[x] for x in factors))
+    apex = c._least.get(sum(sizes[x] for x in factors))
     if apex is None:
         return None
-    elements = iter(sorted(range(sizes[apex]), key=str))
+    elements = iter(_decimal_order(sizes[apex]))
     return (apex, tuple(_fn_id(x, apex, tuple(itertools.islice(elements, sizes[x]))) for x in factors))
 
 

@@ -176,14 +176,16 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
     for x in objects:
         if identity[x] != built.identity[x]:
             raise MalformedInputError(f"identity of {x!r} is not the identity function")
+    # the table is read whole, so it is built whole, as a plain dict
+    table = built.compose.fill_into({})
     for key, h in compose.items():
         g, f = _compose_pair(key)
-        want = built.compose.get((g, f))
+        want = table.get((g, f))
         if want is None:
             raise MalformedInputError(f"compose entry {g!r} after {f!r} is not a composable pair")
         if h != want:
             raise MalformedInputError(f"compose entry {g!r} after {f!r} is {h!r}, not {want!r}")
-    return FinCategory(objects, built.morphisms, built.identity, built.compose, built.object_size)
+    return FinCategory(objects, built.morphisms, built.identity, table, built.object_size)
 
 
 def _is_power(count: int, n: int, k: int) -> bool:

@@ -125,9 +125,7 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     gaps: list[list[str]] = []
     stability_witness = None
     for f in sorted(s.e.members):
-        for g in c.morphism_ids:
-            if c.dst(g) != c.dst(f):
-                continue
+        for g in c._in_index.get(c.dst(f), ()):
             pb = s.pullback_opt(f, g)
             if pb is None:
                 gaps.append([f, g])

@@ -1,6 +1,7 @@
 """Table-level category checks against hand-computed oracles."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -30,6 +31,7 @@ from corrkit.fincat import (
     verify_pullback_square,
     wide_subcategory,
 )
+from corrkit import serialization as ser
 from corrkit.fincat import _associative_on_generators, _associativity_witness
 from corrkit.report import MalformedInputError
 
@@ -153,6 +155,82 @@ def test_finset_compose_is_function_composition_in_scan_order(sizes, rng):
     for g, f in pairs:
         assert fn_values(c.compose[(g, f)]) == tuple(fn_values(g)[v] for v in fn_values(f))
         assert c.morphisms[c.compose[(g, f)]] == (c.src(f), c.dst(g))
+
+
+def _bulk_compose(sizes):
+    """The composition table of the all-function carrier on `sizes`, built
+    whole the way a bulk construction lists it: for each g, the composites
+    with every hom(a, b) into its source, as a product of g's values."""
+    objects = tuple(sorted(sizes))
+    morphisms, values, homs = {}, {}, {}
+    for a in objects:
+        for b in objects:
+            hom = homs[(a, b)] = {}
+            for vals in itertools.product(range(sizes[b]), repeat=sizes[a]):
+                m = f"{a}>{b}:" + ".".join(str(v) for v in vals)
+                morphisms[m] = (a, b)
+                values[m] = vals
+                hom[vals] = m
+    compose = {}
+    for g, (b, c) in morphisms.items():
+        for a in objects:
+            composites = map(homs[(a, c)].__getitem__, itertools.product(values[g], repeat=sizes[a]))
+            compose.update(zip(zip(itertools.repeat(g), homs[(a, b)].values()), composites))
+    return compose
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.data())
+def test_composites_by_value_match_the_bulk_table(size_list, data):
+    names = data.draw(st.permutations([f"o{i}" for i in range(len(size_list))]))
+    sizes = dict(zip(names, size_list))
+    oracle = _bulk_compose(sizes)
+    # read entry by entry before any bulk fill, then as a whole
+    lazy = finset_category(sizes)
+    some = data.draw(st.lists(st.sampled_from(sorted(oracle)), max_size=20))
+    assert [lazy.compose[k] for k in some] == [oracle[k] for k in some]
+    assert all(lazy.compose[k] == h for k, h in oracle.items())
+    assert lazy.compose == oracle and oracle == lazy.compose
+    assert list(lazy.compose) == list(oracle)
+    # filled first, then read entry by entry
+    filled = finset_category(sizes)
+    assert len(filled.compose) == len(oracle)
+    assert all(filled.compose[k] == h for k, h in oracle.items())
+    c = finset_category(sizes)
+    assert sorted(c.compose.items()) == sorted(oracle.items())
+    ids = sorted(c.morphisms)
+    outside = [(g, f) for g in ids for f in ids if c.dst(f) != c.src(g)][:1] + [("nothing", ids[0])]
+    for pair in outside:
+        assert c.compose.get(pair) is None and pair not in c.compose
+        with pytest.raises(KeyError):
+            c.compose[pair]
+    plain = FinCategory(c.objects, c.morphisms, c.identity, oracle, c.object_size)
+    for d in (finset_category(sizes), c):
+        assert ser.dumps(ser.category_to_dict(d)) == ser.dumps(ser.category_to_dict(plain))
+        assert opposite(d).compose == {(f, g): h for (g, f), h in oracle.items()}
+    assert finset_category(sizes) == plain and finset_category(sizes) == finset_category(sizes)
+    # a full subcategory composes by value over its own hom-sets and reads
+    # nothing of the carrier's table
+    kept = data.draw(st.sets(st.sampled_from(names), min_size=1))
+    big = finset_category(sizes)
+    sub = full_subcategory(big, kept)
+    inside = {(g, f): h for (g, f), h in oracle.items() if {*c.morphisms[g], *c.morphisms[f]} <= kept}
+    assert all(sub.compose[k] == h for k, h in inside.items())
+    if len(kept) < len(names):
+        assert dict.__len__(big.compose) == 0
+    assert sub.compose == inside
+
+
+def test_an_all_function_carrier_builds_no_composition_table():
+    # the whole {1, 2, 4} table has 75,831 entries and 6.6 MB
+    tracemalloc.start()
+    try:
+        c = finset_category({"1": 1, "2": 2, "4": 4})
+        assert c.compose[("4>2:0.1.1.0", "2>4:3.0")] == "2>2:0.0"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- duality and subcategories -------------------------------------------
