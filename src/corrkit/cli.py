@@ -153,6 +153,8 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
         return rep
     sa = build_shriek(ns, sys)
     rep.merge(check_class_consistency(sa), prefix="classes:")
+    if not rep.passed:
+        return rep
     rep.merge(check_base_change_shriek(ns, sa), prefix="base-change:")
     rep.merge(check_shriek_projection(ns, sa), prefix="projection:")
     try:
@@ -206,12 +208,13 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
         return rep
     # only an exceptional pair builds pushforwards
     from .setups import NagataSetup, all_class, iso_class
-    from .shriek import build_shriek
+    from .shriek import build_shriek, check_class_consistency
 
     # the pair check found a hypercover for every marked map at this level,
     # so the extension meets no search limit
     c = pd.big.category
     sa = build_shriek(NagataSetup(pd.big, all_class(c), iso_class(c)), sys)
+    _gate(check_class_consistency(sa))
     try:
         ext = extend_system_E(pd, sa, m=min(max_dim, 1))
     except MalformedInputError as exc:
@@ -393,18 +396,26 @@ def _declaration(args, kind: str, cls: type) -> tuple:
     return inst.build(), inst.options
 
 
+def _gate(rep: VerificationReport) -> None:
+    """Refuse to build past a failed check."""
+    bad = rep.first_failure()
+    if bad is not None:
+        raise MalformedInputError(f"cannot build: {bad.name} fails with witness {bad.witness}")
+
+
 def _gated_shriek(ns: NagataSetup) -> tuple:
     """The coefficient system and exceptional maps of a factorization setup
-    that passes the axioms and the hypotheses; any other is refused."""
+    that passes the axioms and the hypotheses and whose maps are consistent
+    with its classes; any other is refused."""
     from .lattices import chain_lattice, frame_system
-    from .shriek import build_shriek, check_nagata, verify_hypotheses
+    from .shriek import build_shriek, check_class_consistency, check_nagata, verify_hypotheses
 
     sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
-    for gate in (check_nagata(ns), verify_hypotheses(ns, sys)):
-        if not gate.passed:
-            bad = gate.first_failure()
-            raise MalformedInputError(f"cannot build: {bad.name} fails with witness {bad.witness}")
-    return sys, build_shriek(ns, sys)
+    _gate(check_nagata(ns))
+    _gate(verify_hypotheses(ns, sys))
+    sa = build_shriek(ns, sys)
+    _gate(check_class_consistency(sa))
+    return sys, sa
 
 
 def _cmd_run(args, out) -> int:
@@ -592,22 +603,15 @@ def _cmd_search_nagata(args, out) -> int:
     return 0
 
 
-def _cmd_descend_extend_c(args, out) -> int:
+def _cmd_descend(args, out) -> int:
+    """extend-c over a nice pair, extend-e over an exceptional one."""
     from .descent import PairDeclaration
 
     pd, options = _declaration(args, "pair", PairDeclaration)
-    if pd.kind != "nice":
-        raise MalformedInputError("extend-c needs a nice pair")
-    return _emit_report(_pair_theorem_suite("extend-c", pd, options, args.max_dim), args.format, out)
-
-
-def _cmd_descend_extend_e(args, out) -> int:
-    from .descent import PairDeclaration
-
-    pd, options = _declaration(args, "pair", PairDeclaration)
-    if pd.kind != "exceptional":
-        raise MalformedInputError("extend-e needs an exceptional pair")
-    return _emit_report(_pair_theorem_suite("extend-e", pd, options, args.max_dim), args.format, out)
+    kind, article = ("nice", "a") if args.subcommand == "extend-c" else ("exceptional", "an")
+    if pd.kind != kind:
+        raise MalformedInputError(f"{args.subcommand} needs {article} {kind} pair")
+    return _emit_report(_pair_theorem_suite(args.subcommand, pd, options, args.max_dim), args.format, out)
 
 
 def _cmd_localize_check(args, out) -> int:
@@ -707,10 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
     s2 = p.add_subparsers(dest="subcommand", required=True)
     q = s2.add_parser("extend-c", help="extend a coefficient system over a nice pair")
     _add_flags(q, "--max-dim", "--format", instance_default="nice-pair-identity")
-    q.set_defaults(func=_cmd_descend_extend_c)
+    q.set_defaults(func=_cmd_descend)
     q = s2.add_parser("extend-e", help="extend pushforwards over an exceptional pair")
     _add_flags(q, "--max-dim", "--format", instance_default="exceptional-pair-cover")
-    q.set_defaults(func=_cmd_descend_extend_e)
+    q.set_defaults(func=_cmd_descend)
 
     p = sub.add_parser("localize", help="localization premise checks")
     s2 = p.add_subparsers(dest="subcommand", required=True)

@@ -20,11 +20,13 @@ from .fincat import (
     FinCategory,
     FunctorData,
     full_subcategory,
+    mediators,
     verify_product,
+    wide_subcategory,
 )
 from .lattices import CoefficientSystem, FiniteLattice, LatticeMap
 from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
-from .setups import EdgeClass, GeometricSetup, check_geometric_setup
+from .setups import EdgeClass, GeometricSetup, base_change_sweep, check_geometric_setup
 
 
 # -- atlases ---------------------------------------------------------------
@@ -68,22 +70,14 @@ def check_atlas(a: Atlas) -> VerificationReport:
     gaps, mirroring the partial pullback oracle."""
     rep = VerificationReport("atlas")
     c = a.setup.category
-    covered, gaps = 0, 0
-    witness = None
-    for y in a.small_objects:
-        for g in c.hom(y, a.target):
-            pb = a.setup.pullback_opt(a.x, g)
-            if pb is None:
-                gaps += 1
-                continue
-            covered += 1
-            _, _, q = pb
-            if q not in a.s and witness is None:
-                witness = {"object": y, "along": g, "base-change": q}
+    cospans = ((a.x, g) for y in a.small_objects for g in c.hom(y, a.target))
+    covered, gaps, outside = base_change_sweep(a.setup, cospans, a.s)
     rep.add(
         "base-changes-in-cover-class",
-        witness is None,
-        witness or {"covered": covered, "gaps": gaps},
+        outside is None,
+        {"object": c.src(outside[1]), "along": outside[1], "base-change": outside[2]}
+        if outside
+        else {"covered": covered, "gaps": len(gaps)},
         anchor="atlas-base-change",
     )
     return rep
@@ -102,11 +96,7 @@ def has_section(c: FinCategory, x: str) -> bool:
 
 def _mediator(c: FinCategory, src_obj: str, dst_obj: str, conditions) -> str:
     """The unique w: src -> dst with proj . w = want for every condition."""
-    cands = [
-        w
-        for w in c.hom(src_obj, dst_obj)
-        if all(c.comp(proj, w) == want for proj, want in conditions)
-    ]
+    cands = mediators(c, src_obj, dst_obj, conditions)
     if len(cands) != 1:
         raise MalformedInputError(
             f"structure map {src_obj!r} -> {dst_obj!r} not unique ({len(cands)} candidates)"
@@ -278,7 +268,8 @@ class PairDeclaration:
             raise MalformedInputError(f"unknown pair kind {self.kind!r}")
         self.small_objects = tuple(self.small_objects)
         c = self.big.category
-        unknown = [y for y in self.small_objects if y not in c.objects]
+        # an atlas listed under an object outside the carrier would be ignored
+        unknown = [y for y in (*self.small_objects, *sorted(self.atlases)) if y not in c.objects]
         if unknown:
             raise MalformedInputError(f"unknown objects {unknown[:3]}")
         for name, members in (("s_small", self.s_small), ("s_big", self.s_big), ("e_small", self.e_small)):
@@ -344,22 +335,14 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
             break
     rep.add("atlases-exist", witness is None, witness or {}, anchor="pair-condition-c")
 
-    covered, gaps = 0, 0
-    witness = None
-    for f in sorted(pd.big.e.members):
-        for a in pd.atlases.get(c.dst(f), ()):
-            pb = pd.big.pullback_opt(f, a.x)
-            if pb is None:
-                gaps += 1
-                continue
-            covered += 1
-            _, _, q = pb
-            if q not in pd.e_small and witness is None:
-                witness = {"morphism": f, "atlas": a.x, "base-change": q}
+    cospans = ((f, a.x) for f in sorted(pd.big.e.members) for a in pd.atlases.get(c.dst(f), ()))
+    covered, gaps, outside = base_change_sweep(pd.big, cospans, pd.e_small)
     rep.add(
         "exceptional-base-change",
-        witness is None,
-        witness or {"covered": covered, "gaps": gaps},
+        outside is None,
+        {"morphism": outside[0], "atlas": outside[1], "base-change": outside[2]}
+        if outside
+        else {"covered": covered, "gaps": len(gaps)},
         anchor="pair-condition-d",
     )
     return rep
@@ -532,6 +515,17 @@ def descent_lattice(sys: CoefficientSystem, nerve: CechDiagram) -> FiniteLattice
     return FiniteLattice(tuple(els), leq, tensor)
 
 
+def _order_mismatch(elements, le, le_image, image) -> list | None:
+    """The first pair [a, b] of `elements`, in order, at which a <= b and
+    image(a) <= image(b) disagree: None when `image` reflects and preserves
+    the order."""
+    for a in elements:
+        for b in elements:
+            if le(a, b) != le_image(image(a), image(b)):
+                return [a, b]
+    return None
+
+
 def check_descent(
     setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas, m_max: int = 2
 ) -> VerificationReport:
@@ -583,13 +577,9 @@ def check_descent(
         diff = sorted(image ^ set(dd))
         witness = {"reason": "image differs from descent data", "element": diff[0]}
     else:
-        for a in base.elements:
-            for b in base.elements:
-                if base.le(a, b) != sys.lattice(nerve.objects[0]).le(px(a), px(b)):
-                    witness = {"reason": "order not reflected", "pair": [a, b]}
-                    break
-            if witness:
-                break
+        pair = _order_mismatch(base.elements, base.le, sys.lattice(nerve.objects[0]).le, px)
+        if pair:
+            witness = {"reason": "order not reflected", "pair": pair}
     rep.add(
         "descent-comparison",
         witness is None,
@@ -647,13 +637,9 @@ def compare_atlases(
     if len(set(table.values())) != len(dd2):
         witness = {"reason": "comparison not bijective"}
     else:
-        for a in dd1:
-            for b in dd1:
-                if L1.le(a, b) != L2.le(table[a], table[b]):
-                    witness = {"reason": "order not preserved", "pair": [a, b]}
-                    break
-            if witness:
-                break
+        pair = _order_mismatch(dd1, L1.le, L2.le, table.__getitem__)
+        if pair:
+            witness = {"reason": "order not preserved", "pair": pair}
     rep.add(
         "comparison-order-iso",
         witness is None,
@@ -785,14 +771,10 @@ def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
     target = sa.sys.lattice(sa.sys.setup.category.dst(nerve.aug[0]))
     idx = {a: i for i, a in enumerate(els)}
     witness = None
-    for a in els:
-        for b in els:
-            if reach[idx[a]][idx[b]] != target.le(push_x(a), push_x(b)):
-                witness = {"pair": [a, b], "reason": "order mismatch"}
-                break
-        if witness:
-            break
-    if witness is None:
+    pair = _order_mismatch(els, lambda a, b: reach[idx[a]][idx[b]], target.le, push_x)
+    if pair:
+        witness = {"pair": pair, "reason": "order mismatch"}
+    else:
         hit = {push_x(a) for a in els}
         if hit != set(target.elements):
             witness = {"reason": "not surjective", "element": sorted(set(target.elements) - hit)[0]}
@@ -886,20 +868,8 @@ class LocalizationProblem:
 
 def fiber_category(lp: LocalizationProblem, d: str) -> FinCategory:
     """Objects over d and morphisms over its identity."""
-    src, dst = lp.p.source, lp.p.target
-    objs = tuple(x for x in src.objects if lp.p.on_obj(x) == d)
-    keep = {
-        m
-        for m in src.morphism_ids
-        if src.src(m) in objs and src.dst(m) in objs and lp.p.on_mor(m) == dst.identity[d]
-    }
-    compose = {(g, f): h for (g, f), h in src.compose.items() if g in keep and f in keep}
-    return FinCategory(
-        objs,
-        {m: src.morphisms[m] for m in sorted(keep)},
-        {x: src.identity[x] for x in objs},
-        compose,
-    )
+    over = full_subcategory(lp.p.source, [x for x in lp.p.source.objects if lp.p.on_obj(x) == d])
+    return wide_subcategory(over, {m for m in over.morphism_ids if lp.p.on_mor(m) == lp.p.target.identity[d]})
 
 
 def check_localization_premises(lp: LocalizationProblem) -> VerificationReport:

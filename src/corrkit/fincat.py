@@ -582,6 +582,13 @@ def canonical_pullback(c: FinCategory, f: str, g: str) -> tuple[str, str, str] |
     return (apex, homs[(apex, c.morphisms[f][0])][px], homs[(apex, c.morphisms[g][0])][py])
 
 
+def mediators(c: FinCategory, src: str, dst: str, conditions) -> list[str]:
+    """The maps w: src -> dst with proj . w == want for every (proj, want)
+    in `conditions`, in hom order."""
+    conditions = tuple(conditions)
+    return [w for w in c.hom(src, dst) if all(c.comp(proj, w) == want for proj, want in conditions)]
+
+
 def verify_product(c: FinCategory, apex: str, legs, factors) -> bool:
     """Do `legs` out of `apex` satisfy the universal property of the
     product of `factors`?  Checked against every object."""
@@ -591,12 +598,7 @@ def verify_product(c: FinCategory, apex: str, legs, factors) -> bool:
             return False
     for t in c.objects:
         for us in itertools.product(*[c.hom(t, x) for x in factors]):
-            mediators = [
-                w
-                for w in c.hom(t, apex)
-                if all(c.comp(leg, w) == u for leg, u in zip(legs, us))
-            ]
-            if len(mediators) != 1:
+            if len(mediators(c, t, apex, zip(legs, us))) != 1:
                 return False
     return True
 
@@ -636,6 +638,9 @@ def canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] 
     in the same order; an all-function carrier with an object of at least
     two elements constructs it instead."""
     factors = tuple(factors)
+    unknown = [x for x in factors if x not in c.objects]
+    if unknown:
+        raise MalformedInputError(f"unknown objects {unknown[:3]}")
     if c.object_size is not None and max(c.object_size.values(), default=0) >= 2:
         return _finset_canonical_coproduct(c, factors)
     return canonical_product(opposite(c), factors)

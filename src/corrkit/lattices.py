@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .fincat import FinCategory, canonical_product, fn_values
+from .fincat import FinCategory, canonical_product, fn_values, mediators
 from .report import MalformedInputError, VerificationReport
 from .setups import GeometricSetup
 
@@ -513,14 +513,15 @@ class LatticeGrid:
                     m = self.maps.get((v, d))
                     if m is None or m.src != L or m.dst != self.lattices[_bump(v, d)]:
                         raise MalformedInputError(f"edge ({v}, {d}) missing or mistyped")
+        maps = self.maps
         for v in self.lattices:
             for a in range(self.k):
                 for b in range(a + 1, self.k):
                     if v[a] < self.n and v[b] < self.n:
-                        one = compose_maps(self.maps[(_bump(v, a), b)], self.maps[(v, a)])
-                        two = compose_maps(self.maps[(_bump(v, b), a)], self.maps[(v, b)])
-                        if not one.same_table(two):
-                            raise MalformedInputError(f"square at {v} ({a},{b}) does not commute")
+                        try:
+                            SquareData(p=maps[(v, a)], u=maps[(v, b)], v=maps[(_bump(v, a), b)], q=maps[(_bump(v, b), a)])
+                        except MalformedInputError as exc:
+                            raise MalformedInputError(f"square at {v} ({a},{b}): {exc}") from None
 
     def flip(self, v: tuple[int, ...], J) -> tuple[int, ...]:
         return tuple(self.n - x if d in J else x for d, x in enumerate(v))
@@ -811,11 +812,7 @@ def _unique_cross_map(c: FinCategory, f1: str, f2: str):
         return None
     (p_obj, (p1, p2)) = px
     (q_obj, (q1, q2)) = py
-    cands = [
-        m
-        for m in c.hom(p_obj, q_obj)
-        if c.comp(q1, m) == c.comp(f1, p1) and c.comp(q2, m) == c.comp(f2, p2)
-    ]
+    cands = mediators(c, p_obj, q_obj, [(q1, c.comp(f1, p1)), (q2, c.comp(f2, p2))])
     if len(cands) != 1:
         return None
     return p_obj, (p1, p2), q_obj, (q1, q2), cands[0]

@@ -121,19 +121,8 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     w = s.e.composition_witness()
     rep.add("closed-under-composition", w is None, w or {}, anchor="setup-composition-closure")
 
-    covered = 0
-    gaps: list[list[str]] = []
-    stability_witness = None
-    for f in sorted(s.e.members):
-        for g in c._in_index.get(c.dst(f), ()):
-            pb = s.pullback_opt(f, g)
-            if pb is None:
-                gaps.append([f, g])
-                continue
-            covered += 1
-            apex, p, q = pb
-            if q not in s.e.members and stability_witness is None:
-                stability_witness = {"member": f, "along": g, "base-change": q}
+    cospans = ((f, g) for f in sorted(s.e.members) for g in c._in_index.get(c.dst(f), ()))
+    covered, gaps, outside = base_change_sweep(s, cospans, s.e)
     rep.add(
         "pullback-existence",
         True,
@@ -142,8 +131,24 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     )
     rep.add(
         "pullback-stability",
-        stability_witness is None,
-        stability_witness or {"checked": covered},
+        outside is None,
+        {"member": outside[0], "along": outside[1], "base-change": outside[2]} if outside else {"checked": covered},
         anchor="setup-pullbacks-stay",
     )
     return rep
+
+
+def base_change_sweep(s: GeometricSetup, cospans, members) -> tuple[int, list, tuple | None]:
+    """Each cospan (f, g) pulled back through the oracle, in order: how many
+    the carrier covers, the ones it does not (its gaps), and the first
+    (f, g, q) whose base change q of f along g lies outside `members`."""
+    covered, gaps, outside = 0, [], None
+    for f, g in cospans:
+        pb = s.pullback_opt(f, g)
+        if pb is None:
+            gaps.append([f, g])
+            continue
+        covered += 1
+        if outside is None and pb[2] not in members:
+            outside = (f, g, pb[2])
+    return covered, gaps, outside

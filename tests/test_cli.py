@@ -519,6 +519,8 @@ SUBCOMMAND_STDERR = {
         "error: chain2.json is not a pair envelope\n",
     ("localize", "check", "--input", "chain2.json"):
         "error: chain2.json is not a localization envelope\n",
+    # an object outside the carrier, on the constructed coproduct path
+    ("corr", "coproduct", "9", "1"): "error: unknown objects ['9']\n",
 }
 
 
@@ -534,6 +536,29 @@ def test_shriek_build_refuses_a_setup_that_fails_a_hypothesis(capsys):
     code, out, err = invoke(capsys, "shriek", "build", "--instance", "nagata-inj-all")
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith("error: cannot build: support-property")
+
+
+def test_a_failed_class_consistency_check_is_reported_once(monkeypatch, capsys):
+    # each map is built along the factorizations of the first map of its
+    # hom-set, so the axioms and hypotheses pass and class consistency
+    # fails: the theorem suite reports it once and stops, and the build
+    # command refuses the maps
+    factorizations = shriek.factorizations
+
+    def first_of_hom(ns, f):
+        c = ns.setup.category
+        return factorizations(ns, c.hom(*c.morphisms[f])[0])
+
+    monkeypatch.setattr(shriek, "factorizations", first_of_hom)
+    code, out, err = invoke(capsys, "shriek", "verify", "--format", "json")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert [(ch["name"], ch["status"]) for ch in checks if ch["status"] != "pass"] == [("classes:class-consistency", "fail")]
+    assert checks[-1]["name"] == "classes:class-consistency"
+    assert checks[-1]["witness"] == {"morphism": "1>2:1", "class": "open-like"}
+    code, out, err = invoke(capsys, "shriek", "build")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: cannot build: class-consistency fails with witness {'morphism': '1>2:1'")
 
 
 # -- what a run loads ------------------------------------------------------

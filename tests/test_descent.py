@@ -565,6 +565,25 @@ def test_fiber_category_is_a_category():
     assert len(fib.morphism_ids) == 3
 
 
+def test_fiber_category_keeps_what_the_filters_kept():
+    # a, b, c relabelled as the sets 1, 2, 2: the fiber over 2 holds b and c
+    # and the maps over the identity of 2, not the swaps or constants
+    src, dst = finset_category({"a": 1, "b": 2, "c": 2}), finset_category({"1": 1, "2": 2})
+    obj_map = {"a": "1", "b": "2", "c": "2"}
+    relabel = {m: f"{obj_map[x]}>{obj_map[y]}:{m.partition(':')[2]}" for m, (x, y) in src.morphisms.items()}
+    lp = LocalizationProblem(FunctorData(src, dst, obj_map, relabel), frozenset())
+    for d in dst.objects:
+        # the fiber as the object and morphism filters built it
+        objs = tuple(x for x in src.objects if obj_map[x] == d)
+        keep = {m for m in src.morphism_ids if src.src(m) in objs and src.dst(m) in objs and relabel[m] == dst.identity[d]}
+        compose = {(g, f): h for (g, f), h in src.compose.items() if g in keep and f in keep}
+        fib = fiber_category(lp, d)
+        assert (fib.objects, fib.morphisms, fib.identity, fib.compose) == (
+            objs, {m: src.morphisms[m] for m in sorted(keep)}, {x: src.identity[x] for x in objs}, compose
+        )
+    assert sorted(fiber_category(lp, "2").morphisms) == ["b>b:0.1", "b>c:0.1", "c>b:0.1", "c>c:0.1"]
+
+
 def test_localization_class_must_invert():
     c = chain_category(1)
     p = FunctorData(c, c, {"0": "0", "1": "1"}, {m: m for m in c.morphism_ids})

@@ -569,6 +569,14 @@ def test_constructed_limits_match_search_in_every_listing_order():
             assert canonical_coproduct(sized, factors) == canonical_coproduct(free, factors), (objects, factors)
 
 
+def test_a_coproduct_of_an_object_outside_the_carrier_is_refused():
+    # the constructed coproduct of an all-function carrier and the dual
+    # search alike
+    for c in (SKEL2, CHAIN):
+        with pytest.raises(MalformedInputError, match=r"^unknown objects \['9'\]$"):
+            canonical_coproduct(c, ["9", c.objects[0]])
+
+
 def test_constructed_coproduct_matches_the_dual_search_on_full_subcategories():
     # the opposite carries no sizes, so its product is the generic search;
     # without an object of two elements nothing tells elements apart, and

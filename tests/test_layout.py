@@ -10,8 +10,7 @@ PACKAGE = ROOT / "src" / "corrkit"
 
 # definitions that only unit tests name, kept on purpose
 KEPT_FOR_TESTS = {
-    "wide_subcategory": "test oracle: the core groupoid in the category tests",
-    "partial_adjoint_grid": "the partial-adjoints theorem, to be put in the gate (ROADMAP item 3)",
+    "partial_adjoint_grid": "the partial-adjoints theorem, to be put in the gate (ROADMAP item 2)",
     "pair_to_dict": "round-trip writer for pair envelopes",
     "localization_to_dict": "round-trip writer for localization envelopes",
     "spans_isomorphic": "the reference that span_class_key is tested against",

@@ -482,6 +482,10 @@ def _pair():
     return ser.pair_to_dict(instance("nice-pair-identity").build())
 
 
+def _exceptional_pair():
+    return ser.pair_to_dict(instance("exceptional-pair-cover").build())
+
+
 def _localization():
     # the interval 0 <= 1 sent to the point *
     return ser.localization_to_dict(instance("localization-interval").build())
@@ -509,6 +513,9 @@ def _map_entry(key, entry, value):
     [
         (_pair, lambda d: {**d, "atlases": list(d["atlases"])}, "atlases must map objects to lists of strings"),
         (_pair, lambda d: {**d, "atlases": {"2": "2>2:0.1"}}, "atlases of '2' must be a list of strings"),
+        # an atlas under an object outside the carrier, for either kind of pair
+        (_pair, _map_entry("atlases", "9", ["2>2:0.1"]), r"unknown objects \['9'\]"),
+        (_exceptional_pair, _map_entry("atlases", "3", ["2>1:0.0"]), r"unknown objects \['3'\]"),
         (_pair, _append("s_big", {}), "s_big must be a list of strings"),
         (_pair, _append("e_big", []), "e_big must be a list of strings"),
         (_pair, _set("small_objects", "012"), "small_objects must be a list of strings"),
@@ -547,7 +554,7 @@ def _map_entry(key, entry, value):
             r"mor_map is not a functor: check 'composites' fails at \{\"pair\": \[\"1<=2\", \"0<=1\"\]\}$",
         ),
     ],
-    ids=["atlases-list", "atlas-string", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
+    ids=["atlases-list", "atlas-string", "atlas-unknown-object", "exceptional-atlas-unknown-object", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
          "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
          "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
          "mor-map-outside", "inverted-nested", "inverted-string", "functor-typing", "functor-composite"],
