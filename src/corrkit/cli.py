@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import serialization as ser
 from .report import (
     RESOURCE_LIMIT,
     SUITE_ORDER,
@@ -289,7 +288,9 @@ def _load_input(path: str):
             text = fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}")
-    return ser.loads(text)
+    from .serialization import loads
+
+    return loads(text)
 
 
 def _expected_failures(inst: CorpusInstance, suite: str) -> set:
@@ -631,103 +632,94 @@ _FLAGS = {
 }
 
 
-def _add_flags(p, *flags, instance_default=None):
-    """Declare the named flags, plus --input/--instance when the subcommand
-    loads a declaration; each subcommand declares only the flags it reads."""
-    if instance_default is not None:
-        p.add_argument("--input", default=None, help="JSON envelope to load instead of a bundled instance")
-        p.add_argument("--instance", default=instance_default, help="bundled instance name")
-    for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
+def _declared(instance: str) -> tuple:
+    """--input and --instance, for a subcommand that loads a declaration."""
+    return (
+        ("--input", {"default": None, "help": "JSON envelope to load instead of a bundled instance"}),
+        ("--instance", {"default": instance, "help": "bundled instance name"}),
+    )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, its subcommands) or (help, function, arguments); an
+# argument is a name in _FLAGS or a (name, add_argument keywords) pair, and
+# each subcommand declares only the arguments it reads
+_COMMANDS = {
+    "run": ("run check suites over inputs or the bundled corpus", _cmd_run, (
+        ("--input", {"action": "append", "help": "JSON envelope; repeatable"}),
+        ("--instance", {"action": "append", "help": "bundled instance name; repeatable"}),
+        ("--suite", {"action": "append", "choices": SUITE_ORDER, "help": "restrict to a suite; repeatable"}),
+        "--max-dim", "--max-apex", "--format")),
+    "corpus": ("bundled instances", {"list": ("list bundled instances", _cmd_corpus_list, ("--format",))}),
+    "grid": ("cartesian grids", {
+        "enumerate": ("emit all cartesian grids as JSON", _cmd_grid_enumerate, (
+            ("--k", {"type": int, "default": 2}), ("--n", {"type": int, "default": 1}))),
+    }),
+    "corr": ("correspondence cells and the homotopy category", {
+        "enumerate": ("emit the n-cells as JSON", _cmd_corr_enumerate, (("--dim", {"type": int, "default": 1}),)),
+        "hocat": ("span laws and the homotopy category", _cmd_corr_hocat, ("--max-apex", "--format")),
+        "coproduct": ("coproduct universal property for a pair of objects", _cmd_corr_coproduct, (
+            ("x", {}), ("y", {}), "--format")),
+    }),
+    "model": ("coefficient-model laws", {
+        "check": ("check one law for a lattice", _cmd_model_check, (
+            ("--law", {"choices": ("proj-sharp", "proj-star", "kunneth", "adjointable"), "required": True}),
+            *_declared("frame-2chain"), "--format")),
+    }),
+    "shriek": ("exceptional pushforwards", {
+        "build": ("build and print the pushforward tables", _cmd_shriek_build, _declared("nagata-open")),
+        "verify": ("run the full theorem suite", _cmd_shriek_verify, (
+            *_declared("nagata-open"), "--max-apex", "--format")),
+    }),
+    "formalism": ("span-level assembly", {
+        "assemble": ("assemble and verify the span-level functor", _cmd_formalism_assemble, (
+            *_declared("nagata-open"), "--max-apex", "--format")),
+    }),
+    "search": ("brute-force searches", {
+        "nagata": ("scan class pairs for valid factorization setups", _cmd_search_nagata, (
+            ("--format", {"choices": ("json",), "default": "json"}),)),
+    }),
+    "descend": ("descent-based extension", {
+        "extend-c": ("extend a coefficient system over a nice pair", _cmd_descend, (
+            *_declared("nice-pair-identity"), "--max-dim", "--format")),
+        "extend-e": ("extend pushforwards over an exceptional pair", _cmd_descend, (
+            *_declared("exceptional-pair-cover"), "--max-dim", "--format")),
+    }),
+    "localize": ("localization premise checks", {
+        "check": ("check both premises of the localization criterion", _cmd_localize_check, (
+            *_declared("localization-interval"), "--format")),
+    }),
+}
+
+
+def _register(parser, commands: dict, named: list, dest: str) -> None:
+    """Every command with its help; only the one `named` leads with gets
+    its subcommands, or its function and arguments: the rest never parse."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, *body) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if named[:1] != [name]:
+            continue
+        if isinstance(body[0], dict):
+            _register(p, body[0], named[1:], "subcommand")
+            continue
+        func, arguments = body
+        for arg in arguments:
+            flag, keywords = (arg, _FLAGS[arg]) if isinstance(arg, str) else arg
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of `argv`.  Above a subcommand only -h is an option, so
+    its first positionals name the command and subcommand that parse."""
     parser = argparse.ArgumentParser(prog="corrkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run check suites over inputs or the bundled corpus")
-    p.add_argument("--input", action="append", help="JSON envelope; repeatable")
-    p.add_argument("--instance", action="append", help="bundled instance name; repeatable")
-    p.add_argument("--suite", action="append", choices=SUITE_ORDER, help="restrict to a suite; repeatable")
-    _add_flags(p, "--max-dim", "--max-apex", "--format")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("corpus", help="bundled instances")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("list", help="list bundled instances")
-    _add_flags(q, "--format")
-    q.set_defaults(func=_cmd_corpus_list)
-
-    p = sub.add_parser("grid", help="cartesian grids")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("enumerate", help="emit all cartesian grids as JSON")
-    q.add_argument("--k", type=int, default=2)
-    q.add_argument("--n", type=int, default=1)
-    q.set_defaults(func=_cmd_grid_enumerate)
-
-    p = sub.add_parser("corr", help="correspondence cells and the homotopy category")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("enumerate", help="emit the n-cells as JSON")
-    q.add_argument("--dim", type=int, default=1)
-    q.set_defaults(func=_cmd_corr_enumerate)
-    q = s2.add_parser("hocat", help="span laws and the homotopy category")
-    _add_flags(q, "--max-apex", "--format")
-    q.set_defaults(func=_cmd_corr_hocat)
-    q = s2.add_parser("coproduct", help="coproduct universal property for a pair of objects")
-    q.add_argument("x")
-    q.add_argument("y")
-    _add_flags(q, "--format")
-    q.set_defaults(func=_cmd_corr_coproduct)
-
-    p = sub.add_parser("model", help="coefficient-model laws")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("check", help="check one law for a lattice")
-    q.add_argument("--law", choices=("proj-sharp", "proj-star", "kunneth", "adjointable"), required=True)
-    _add_flags(q, "--format", instance_default="frame-2chain")
-    q.set_defaults(func=_cmd_model_check)
-
-    p = sub.add_parser("shriek", help="exceptional pushforwards")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("build", help="build and print the pushforward tables")
-    _add_flags(q, instance_default="nagata-open")
-    q.set_defaults(func=_cmd_shriek_build)
-    q = s2.add_parser("verify", help="run the full theorem suite")
-    _add_flags(q, "--max-apex", "--format", instance_default="nagata-open")
-    q.set_defaults(func=_cmd_shriek_verify)
-
-    p = sub.add_parser("formalism", help="span-level assembly")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("assemble", help="assemble and verify the span-level functor")
-    _add_flags(q, "--max-apex", "--format", instance_default="nagata-open")
-    q.set_defaults(func=_cmd_formalism_assemble)
-
-    p = sub.add_parser("search", help="brute-force searches")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("nagata", help="scan class pairs for valid factorization setups")
-    q.add_argument("--format", choices=("json",), default="json")
-    q.set_defaults(func=_cmd_search_nagata)
-
-    p = sub.add_parser("descend", help="descent-based extension")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("extend-c", help="extend a coefficient system over a nice pair")
-    _add_flags(q, "--max-dim", "--format", instance_default="nice-pair-identity")
-    q.set_defaults(func=_cmd_descend)
-    q = s2.add_parser("extend-e", help="extend pushforwards over an exceptional pair")
-    _add_flags(q, "--max-dim", "--format", instance_default="exceptional-pair-cover")
-    q.set_defaults(func=_cmd_descend)
-
-    p = sub.add_parser("localize", help="localization premise checks")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    q = s2.add_parser("check", help="check both premises of the localization criterion")
-    _add_flags(q, "--format", instance_default="localization-interval")
-    q.set_defaults(func=_cmd_localize_check)
-
+    _register(parser, _COMMANDS, [a for a in argv if not a.startswith("-")][:2], "command")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         check_bounds(getattr(args, "max_dim", None), getattr(args, "max_apex", None))
         return args.func(args, sys.stdout)

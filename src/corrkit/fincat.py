@@ -94,6 +94,17 @@ class FinCategory:
         any listing order."""
         return {n: x for x, n in sorted(self.object_size.items(), reverse=True)}
 
+    def composite(self, g: str, f: str) -> str:
+        """g after f, for a sweep that reads each composite once: on an
+        all-function carrier computed from the two functions' values and
+        stored nowhere, elsewhere read from the table.  The pair must
+        compose."""
+        if self.object_size is None:
+            return self.compose[(g, f)]
+        values = self.function_values
+        gv = values[g]
+        return self._by_values[(self.morphisms[f][0], self.morphisms[g][1])][tuple([gv[v] for v in values[f]])]
+
     @cached_property
     def generators(self) -> tuple[str, ...]:
         """A generating set under composition: each id that no composite of
@@ -103,12 +114,24 @@ class FinCategory:
         with an earlier id is reached, not taken.  The closure is grown by a
         worklist from the empty set, not from the identities, so the sweeps
         that read it assume no unit law; any generating set serves them.
-        Needs a closed, well-typed table."""
-        compose, typing = self.compose, self.morphisms
+        Needs a closed, well-typed table.
+
+        On an all-function carrier composition is associative, so every
+        composite of the ids taken is a word in them, and the closure is
+        that of Froidure and Pin ("Algorithms for computing finite
+        semigroups", 1997): each newly reached id is composed on the left
+        with every id taken out of its target, and each id taken with every
+        reached id into its source, by value and stored nowhere.  A table
+        given without sizes may not be associative, which is what
+        `check_category` tests on it, so there every pair of reached ids is
+        composed through the table."""
+        composite, typing = self.composite, self.morphisms
+        pairwise = self.object_size is None
         reached: set[str] = set()
-        # reached ids by source and by target
-        out_of: dict[str, list[str]] = {}
+        # reached ids by target, and the ids composed on the left of a
+        # reached id by their source: the ids taken, or every reached id
         into: dict[str, list[str]] = {}
+        left: dict[str, list[str]] = {}
         gens = []
         # a stable sort: the isomorphisms, then the rest, each in id order
         for m in sorted(self.morphism_ids, key=lambda m: m not in self.iso_ids):
@@ -121,12 +144,13 @@ class FinCategory:
             while work and len(reached) < len(typing):
                 n = work.pop()
                 x, y = typing[n]
-                out_of.setdefault(x, []).append(n)
                 into.setdefault(y, []).append(n)
-                # every pair of reached ids is composed once its later id
-                # is popped
-                found = [compose[(n, f)] for f in into.get(x, ())]
-                found += [compose[(h, n)] for h in out_of.get(y, ())]
+                # m is popped first, when every earlier reached id is popped
+                found = []
+                if pairwise or n == m:
+                    left.setdefault(x, []).append(n)
+                    found += [composite(n, f) for f in into.get(x, ())]
+                found += [composite(h, n) for h in left.get(y, ())]
                 for k in found:
                     if k not in reached:
                         reached.add(k)
@@ -442,10 +466,17 @@ class _Table(dict):
 
 class _ByValue(_Table):
     """The compose table of an all-function carrier, built by value: g.f is
-    computed from the two functions' values on its first read, looked up in
-    the carrier's value index and kept, so a repeated read is a dict hit.  A
-    reader of the whole table (len, iteration, get, in, ==) has it filled in
-    bulk first, and is served by a plain dict from then on."""
+    computed by `FinCategory.composite` on its first read and kept, so a
+    repeated read is a dict hit.  Random-access readers, which may come
+    back to a composite, read through it: `comp` and everything built on
+    it, the hypercover search and nerve levels of `descent`, the cartesian
+    squares of `shriek`, `check_category` and the universal-property
+    searches.  Sweeps that read each composite once call `composite` and
+    store nothing: `generators`, `EdgeClass.composition_witness`, the index
+    of `shriek.factorizations`, the functoriality sweep of
+    `CoefficientSystem` and `serialization.category_to_dict`.  A reader of
+    the whole table (len, iteration, get, in, ==) has it filled in bulk
+    first, and is served by a plain dict from then on."""
 
     def __init__(self, c: FinCategory):
         self.c = c
@@ -453,12 +484,9 @@ class _ByValue(_Table):
     def __missing__(self, key):
         g, f = key
         c = self.c
-        (b, z), (a, b2) = c.morphisms[g], c.morphisms[f]
-        if b != b2:
+        if c.morphisms[g][0] != c.morphisms[f][1]:
             raise KeyError(key)
-        values = c.function_values
-        gv = values[g]
-        h = self[key] = c._by_values[(a, z)][tuple([gv[v] for v in values[f]])]
+        h = self[key] = c.composite(g, f)
         return h
 
     def fill_into(self, table: dict) -> dict:

@@ -609,9 +609,8 @@ class CoefficientSystem:
         # closed under composition: sweeping a over the generators decides
         # every pair.  A failed sweep rescans for the first pair in order.
         if c.object_size is not None:
-            sweep = [
-                (g, a) for a in c.generators for g in c.morphism_ids if c.morphisms[g][0] == c.morphisms[a][1]
-            ]
+            out = c._out_index
+            sweep = ((g, a) for a in c.generators for g in out.get(c.morphisms[a][1], ()))
         else:
             sweep = c.composable_pairs
         if self._nonfunctorial_pair(sweep) is not None:
@@ -621,10 +620,10 @@ class CoefficientSystem:
     def _nonfunctorial_pair(self, pairs) -> tuple[str, str] | None:
         """The first (g, f) whose restriction along g.f is not the
         restriction along g followed by the one along f."""
-        compose, restriction = self.setup.category.compose, self.restriction
+        composite, restriction = self.setup.category.composite, self.restriction
         for g, f in pairs:
             expected = _compose(restriction[f].targets, restriction[g].targets)
-            if restriction[compose[(g, f)]].targets != expected:
+            if restriction[composite(g, f)].targets != expected:
                 return g, f
         return None
 

@@ -71,6 +71,14 @@ def category_to_dict(c: FinCategory) -> dict:
     for m in c.morphism_ids:
         if COMPOSE_SEP in m:
             raise MalformedInputError(f"morphism id {m!r} contains the composition separator")
+    if c.object_size is None:
+        entries = sorted(c.compose.items())
+    else:
+        # an all-function carrier's table is function composition on the
+        # composable pairs, here in sorted order: each entry is read once,
+        # by value, and the table is not filled
+        into = c._in_index
+        entries = (((g, f), c.composite(g, f)) for g in c.morphism_ids for f in into.get(c.morphisms[g][0], ()))
     out = {
         "schema": CATEGORY_SCHEMA,
         "objects": list(c.objects),
@@ -78,7 +86,7 @@ def category_to_dict(c: FinCategory) -> dict:
             {"id": m, "src": c.src(m), "dst": c.dst(m)} for m in c.morphism_ids
         ],
         "identities": dict(c.identity),
-        "compose": {f"{g}{COMPOSE_SEP}{f}": h for (g, f), h in sorted(c.compose.items())},
+        "compose": {f"{g}{COMPOSE_SEP}{f}": h for (g, f), h in entries},
     }
     if c.object_size is not None:
         out["sizes"] = dict(c.object_size)

@@ -41,10 +41,17 @@ class EdgeClass:
         return {"missing-iso": missing[0]} if missing else None
 
     def composition_witness(self) -> dict | None:
-        c = self.carrier
-        for g, f in c.composable_pairs:
-            if g in self.members and f in self.members and c.comp(g, f) not in self.members:
-                return {"pair": [g, f], "composite": c.comp(g, f)}
+        """The first pair of members, in `composable_pairs` order, whose
+        composite is not a member."""
+        c, members = self.carrier, self.members
+        into = c._in_index
+        for g in c.morphism_ids:
+            if g in members:
+                for f in into.get(c.morphisms[g][0], ()):
+                    if f in members:
+                        h = c.composite(g, f)
+                        if h not in members:
+                            return {"pair": [g, f], "composite": h}
         return None
 
 

@@ -79,12 +79,12 @@ def factorizations(ns: NagataSetup, f: str) -> list[tuple[str, str, str]]:
         # one scan per hom-set indexes every composite p . j it reaches
         index: dict[str, list] = {}
         for k in c.objects:
-            # the hom-sets type every pair, so the table is read directly
+            # the hom-sets type every pair, and each composite is read once
             ps = [p for p in c.hom(k, y) if p in ns.p_class.members]
             for j in c.hom(x, k):
                 if j in ns.i_class.members:
                     for p in ps:
-                        index.setdefault(c.compose[(p, j)], []).append((k, j, p))
+                        index.setdefault(c.composite(p, j), []).append((k, j, p))
         ns._factorizations[(x, y)] = {h: sorted(facts) for h, facts in index.items()}
     return list(ns._factorizations[(x, y)].get(f, ()))
 

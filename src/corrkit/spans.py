@@ -20,7 +20,6 @@ from .fincat import (
     verify_product,
     verify_pullback_square,
 )
-from .grid import c_of_simplex, classify_edge, cp_name, cp_parse, exact_squares
 from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
 from .setups import GeometricSetup
 
@@ -249,6 +248,8 @@ class CorrSimplex:
 def check_corr_simplex(s: GeometricSetup, cs: CorrSimplex) -> list[dict]:
     """Violations of the two marking conditions: vertical relations must
     land in E, exact squares on verified pullbacks."""
+    from .grid import classify_edge, cp_name, cp_parse, exact_squares
+
     problems = []
     F = cs.functor
     c = s.category
@@ -272,6 +273,8 @@ def check_corr_simplex(s: GeometricSetup, cs: CorrSimplex) -> list[dict]:
 def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
     """All n-cells: functors from the staircase with vertical edges in E and
     exact squares cartesian."""
+    from .grid import c_of_simplex, classify_edge, cp_parse
+
     if n > 3:
         raise MalformedInputError("n <= 3")
     c = s.category
@@ -292,6 +295,8 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
 def simplex_edge(cs: CorrSimplex, a: tuple[int, int], b: tuple[int, int]) -> Span:
     """The span spanned by vertices a[0]..a[1] of the cell (restriction to
     the sub-staircase on two vertices)."""
+    from .grid import cp_name
+
     F = cs.functor
     i, j = a[0], b[0]
     return Span(

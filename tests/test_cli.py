@@ -532,6 +532,34 @@ def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv
     assert invoke(capsys, *argv) == (2, "", SUBCOMMAND_STDERR[argv])
 
 
+# exit code and the SHA-256 of stdout and stderr of invocations that end in
+# the parser, recorded with every subcommand's arguments declared up front,
+# before the parser declared only those of the subcommand argv names
+_EMPTY = _sha256("")
+PARSER_SHA256 = {
+    ("--help",): (0, "fd52190b6ea7857a963b6a9b9961a2a5b55ec0c09b01d6bf5d6b44a6f98b3a6b", _EMPTY),
+    ("run", "--help"): (0, "04493348cf57e70a8d8f81d41b230133ce8245f00f31614de4417d0a4969ab86", _EMPTY),
+    ("descend", "extend-e", "--help"): (0, "e5287835f2d20fdd5ef95ffa12ba51aa21c937bf09092fb7712c4ecfebddf767", _EMPTY),
+    ("descend", "--help"): (0, "094fa6169442015a88db4e7e84b38b776952a2bb3451fae655e23ba16da23893", _EMPTY),
+    ("corr", "coproduct", "--help"): (0, "fd3cf3bbc5aa1a14670d2b53f044bcac85495d8d009abe474aafd4575208c636", _EMPTY),
+    ("bogus",): (2, _EMPTY, "352e84225de5c1c378b5be7320af10065d9f0b16f60189d7a1611e2883f1ab69"),
+    ("run", "--suite", "bogus"): (2, _EMPTY, "fd52b36f7f73a6904ec60ee0e46bb66d8031bba52454a45b58ed64a963f0633d"),
+    ("descend",): (2, _EMPTY, "23029830e3b2983e34ce8eed85fa53ecd2243e3afed8585899b04c0dace9852e"),
+    (): (2, _EMPTY, "5ec29090577bf7ee76e60a3e3be4d77a08adc0d532313900362bc6b1286bb014"),
+}
+
+
+# argparse lays out help by Python version and terminal width
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned under Python 3.11")
+@pytest.mark.parametrize("argv", list(PARSER_SHA256))
+def test_parser_output_is_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, _sha256(out.out), _sha256(out.err)) == PARSER_SHA256[argv]
+
+
 def test_shriek_build_refuses_a_setup_that_fails_a_hypothesis(capsys):
     code, out, err = invoke(capsys, "shriek", "build", "--instance", "nagata-inj-all")
     assert (code, out, err.count("\n")) == (2, "", 1)
@@ -636,10 +664,14 @@ def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):
 def test_a_run_loads_only_the_layers_its_suites_execute(tmp_path):
     (tmp_path / "lattice.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(2))))
     (tmp_path / "nagata.json").write_text(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
-    assert _loaded(tmp_path) == {"cli", "report", "serialization"}
+    assert _loaded(tmp_path) == {"cli", "report"}
+    assert _loaded(tmp_path, "run") & {"serialization", "grid"} == set()
     model = _loaded(tmp_path, "run", "--input", "lattice.json", "--suite", "model")
     assert "lattices" in model
     assert model & {"grid", "descent", "shriek", "spans", "corpus"} == set()
     setup = _loaded(tmp_path, "run", "--input", "nagata.json", "--suite", "category", "--suite", "setup")
     assert "setups" in setup
     assert setup & {"lattices", "grid", "spans", "shriek", "descent", "corpus"} == set()
+    theorem = _loaded(tmp_path, "run", "--input", "nagata.json", "--suite", "theorem")
+    assert {"shriek", "spans"} <= theorem
+    assert "grid" not in theorem

@@ -486,6 +486,23 @@ def _exceptional_pair():
     return ser.pair_to_dict(instance("exceptional-pair-cover").build())
 
 
+def _cover_pair():
+    return ser.pair_to_dict(instance("nice-pair-cover").build())
+
+
+def _small_cut(*, s_small_too: bool):
+    """small_objects cut to 1 and 2, with s_small cut to match if asked, so
+    e_small is the first field to reach outside them."""
+
+    def mutate(d):
+        d["small_objects"] = ["1", "2"]
+        if s_small_too:
+            d["s_small"] = [m for m in d["s_small"] if m[0] in "12" and m[2] in "12"]
+        return d
+
+    return mutate
+
+
 def _localization():
     # the interval 0 <= 1 sent to the point *
     return ser.localization_to_dict(instance("localization-interval").build())
@@ -516,6 +533,16 @@ def _map_entry(key, entry, value):
         # an atlas under an object outside the carrier, for either kind of pair
         (_pair, _map_entry("atlases", "9", ["2>2:0.1"]), r"unknown objects \['9'\]"),
         (_exceptional_pair, _map_entry("atlases", "3", ["2>1:0.0"]), r"unknown objects \['3'\]"),
+        # an atlas under an object that is not its target, for either kind
+        (_pair, _map_entry("atlases", "2", ["1>1:0"]), "atlas '1>1:0' is listed under '2', not under its target '1'"),
+        (
+            _exceptional_pair,
+            _map_entry("atlases", "4", ["1>1:0"]),
+            "atlas '1>1:0' is listed under '4', not under its target '1'",
+        ),
+        # small classes reaching outside the full subcategory on small_objects
+        (_cover_pair, _small_cut(s_small_too=False), r"s_small mentions morphisms outside small_objects \['4>1:0.0.0.0', "),
+        (_cover_pair, _small_cut(s_small_too=True), r"e_small mentions morphisms outside small_objects \['1>4:0', "),
         (_pair, _append("s_big", {}), "s_big must be a list of strings"),
         (_pair, _append("e_big", []), "e_big must be a list of strings"),
         (_pair, _set("small_objects", "012"), "small_objects must be a list of strings"),
@@ -554,7 +581,9 @@ def _map_entry(key, entry, value):
             r"mor_map is not a functor: check 'composites' fails at \{\"pair\": \[\"1<=2\", \"0<=1\"\]\}$",
         ),
     ],
-    ids=["atlases-list", "atlas-string", "atlas-unknown-object", "exceptional-atlas-unknown-object", "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
+    ids=["atlases-list", "atlas-string", "atlas-unknown-object", "exceptional-atlas-unknown-object",
+         "atlas-other-target", "exceptional-atlas-other-target", "s-small-outside", "e-small-outside",
+         "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
          "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
          "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
          "mor-map-outside", "inverted-nested", "inverted-string", "functor-typing", "functor-composite"],
