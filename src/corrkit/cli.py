@@ -288,6 +288,8 @@ def _load_input(path: str):
             text = fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
     from .serialization import loads
 
     return loads(text)

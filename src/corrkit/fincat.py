@@ -14,24 +14,34 @@ least candidate the search would return.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .report import MalformedInputError, VerificationReport
 
 
-@dataclass(eq=True)
+@dataclass
 class FinCategory:
     objects: tuple[str, ...]
     morphisms: dict[str, tuple[str, str]]  # id -> (source, target)
     identity: dict[str, str]  # object -> identity morphism id
     # (g, f) -> g.f when dst(f) == src(g); on an all-function carrier a
-    # `_ByValue` table, which computes each composite on its first read
+    # `_ByValue` memo of the composites read so far
     compose: dict[tuple[str, str], str]
     # object -> cardinality, set only on a category of all functions between
     # sets of these sizes; the fiber product, coproduct, span-class and frame
     # constructions run only when it is set
-    object_size: dict[str, int] | None = field(default=None, compare=False)
+    object_size: dict[str, int] | None = None
+
+    def __eq__(self, other) -> bool:
+        """Equal objects, morphisms and identities, and equal tables unless
+        both sides are all-function carriers of the same sizes, whatever
+        either memo holds."""
+        if not isinstance(other, FinCategory):
+            return NotImplemented
+        same = (self.objects, self.morphisms, self.identity) == (other.objects, other.morphisms, other.identity)
+        sized = self.object_size is not None and self.object_size == other.object_size
+        return same and (sized or self.compose == other.compose)
 
     # -- basic accessors -------------------------------------------------
 
@@ -80,8 +90,9 @@ class FinCategory:
     @cached_property
     def _by_values(self) -> dict[tuple[str, str], dict[tuple[int, ...], str]]:
         """(source, target) -> {function values: id}, on an all-function
-        carrier: where a constructed limit looks its legs up.  Each hom-set
-        is in the product order of its values, the order a bulk fill reads."""
+        carrier: where `composite` looks a composite up and a constructed
+        limit its legs.  Each hom-set is in the product order of its
+        values, the order `function_table` lists it in."""
         values, homs = self.function_values, self._hom_index
         return {
             (x, y): dict(sorted((values[m], m) for m in homs.get((x, y), ()))) for x in self.objects for y in self.objects
@@ -186,14 +197,16 @@ class FinCategory:
 
     @cached_property
     def mono_ids(self) -> frozenset[str]:
+        # the hom-sets type every pair, and each composite is read once
+        composite, homs = self.composite, self._hom_index
         monos = set()
         for f in self.morphism_ids:
-            x = self.src(f)
+            x = self.morphisms[f][0]
             cancellable = True
             for t in self.objects:
                 seen: dict[str, str] = {}
-                for g in self.hom(t, x):
-                    fg = self.comp(f, g)
+                for g in homs.get((t, x), ()):
+                    fg = composite(f, g)
                     if fg in seen and seen[fg] != g:
                         cancellable = False
                         break
@@ -300,14 +313,16 @@ def compose_table_witness(c: FinCategory) -> dict | None:
     or mistyped, else the least entry on a pair that does not compose;
     None when the table holds exactly one well-typed entry per pair."""
     for g, f in c.composable_pairs:
-        h = c.compose.get((g, f))
-        if h is None:
+        try:
+            h = c.compose[(g, f)]
+        except KeyError:
             return {"pair": [g, f], "problem": "missing entry"}
         if h not in c.morphisms:
             return {"pair": [g, f], "problem": "unlisted result", "result": h}
         if c.morphisms[h] != (c.src(f), c.dst(g)):
             return {"pair": [g, f], "problem": "wrong typing", "result": h}
-    # every pair has its entry, so any extra entry shows in the count
+    # every pair has its entry, so any extra entry shows in the count; a
+    # `_ByValue` memo now holds exactly the composable pairs
     if len(c.compose) > len(c.composable_pairs):
         g, f = min(set(c.compose) - set(c.composable_pairs))
         return {"pair": [g, f], "problem": "non-composable entry"}
@@ -354,7 +369,7 @@ def check_functor(F: FunctorData) -> VerificationReport:
 
 def opposite(c: FinCategory) -> FinCategory:
     morphisms = {m: (y, x) for m, (x, y) in c.morphisms.items()}
-    compose = {(f, g): h for (g, f), h in c.compose.items()}
+    compose = {(f, g): c.composite(g, f) for g, f in c.composable_pairs}
     return FinCategory(c.objects, morphisms, dict(c.identity), compose)
 
 
@@ -460,23 +475,15 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
     return c
 
 
-class _Table(dict):
-    """A filled `_ByValue` table: a plain dict."""
-
-
-class _ByValue(_Table):
-    """The compose table of an all-function carrier, built by value: g.f is
-    computed by `FinCategory.composite` on its first read and kept, so a
-    repeated read is a dict hit.  Random-access readers, which may come
-    back to a composite, read through it: `comp` and everything built on
-    it, the hypercover search and nerve levels of `descent`, the cartesian
-    squares of `shriek`, `check_category` and the universal-property
-    searches.  Sweeps that read each composite once call `composite` and
-    store nothing: `generators`, `EdgeClass.composition_witness`, the index
-    of `shriek.factorizations`, the functoriality sweep of
-    `CoefficientSystem` and `serialization.category_to_dict`.  A reader of
-    the whole table (len, iteration, get, in, ==) has it filled in bulk
-    first, and is served by a plain dict from then on."""
+class _ByValue(dict):
+    """The compose table of an all-function carrier: a memo of the
+    composites read so far.  g.f is computed by `FinCategory.composite` on
+    its first read and kept, so a random-access reader that comes back to
+    it (`comp`, `check_category`, the searches of `descent` and `shriek`)
+    hits the dict; a pair that does not compose is a `KeyError`.  Length
+    and iteration are the memo's: a reader of the whole table calls
+    `function_table`, and a sweep that reads each composite once calls
+    `composite` and stores nothing."""
 
     def __init__(self, c: FinCategory):
         self.c = c
@@ -489,39 +496,20 @@ class _ByValue(_Table):
         h = self[key] = c.composite(g, f)
         return h
 
-    def fill_into(self, table: dict) -> dict:
-        """`table` with every entry put in, in bulk: for each g, the
-        composites with each hom-set into its source."""
-        c = self.c
-        homs = c._by_values
-        for (b, z), hom in homs.items():
-            for gv, g in hom.items():
-                for a in c.objects:
-                    # the values of g . f, for f over hom(a, b) in product
-                    # order, are the product of g's values in that order
-                    composites = map(homs[(a, z)].__getitem__, itertools.product(gv, repeat=c.object_size[a]))
-                    dict.update(table, zip(zip(itertools.repeat(g), homs[(a, b)].values()), composites))
-        return table
 
-    def filled(self) -> _Table:
-        dict.clear(self)
-        self.fill_into(self)
-        # a plain dict from here on, which needs no carrier
-        self.__class__ = _Table
-        self.__dict__.clear()
-        return self
-
-
-for _name in ("__len__", "__iter__", "__reversed__", "__contains__", "__eq__", "__ne__", "__or__", "__ror__", "__repr__",
-              "copy", "get", "items", "keys", "values"):
-    # a reader of the whole table fills it first; a comparison fills both sides
-    setattr(
-        _ByValue,
-        _name,
-        lambda self, *args, _read=getattr(dict, _name): _read(
-            self.filled(), *[a.filled() if isinstance(a, _ByValue) else a for a in args]
-        ),
-    )
+def function_table(c: FinCategory) -> dict[tuple[str, str], str]:
+    """The whole compose table of an all-function carrier, built in bulk as
+    a new dict: for each g, the composites with each hom-set into its
+    source.  Nothing is stored on the carrier."""
+    homs, table = c._by_values, {}
+    for (b, z), hom in homs.items():
+        for gv, g in hom.items():
+            for a in c.objects:
+                # the values of g . f, for f over hom(a, b) in product
+                # order, are the product of g's values in that order
+                composites = map(homs[(a, z)].__getitem__, itertools.product(gv, repeat=c.object_size[a]))
+                table.update(zip(zip(itertools.repeat(g), homs[(a, b)].values()), composites))
+    return table
 
 
 def finset_skeleton(max_size: int) -> FinCategory:

@@ -71,14 +71,10 @@ def category_to_dict(c: FinCategory) -> dict:
     for m in c.morphism_ids:
         if COMPOSE_SEP in m:
             raise MalformedInputError(f"morphism id {m!r} contains the composition separator")
-    if c.object_size is None:
-        entries = sorted(c.compose.items())
-    else:
-        # an all-function carrier's table is function composition on the
-        # composable pairs, here in sorted order: each entry is read once,
-        # by value, and the table is not filled
-        into = c._in_index
-        entries = (((g, f), c.composite(g, f)) for g in c.morphism_ids for f in into.get(c.morphisms[g][0], ()))
+    # the composable pairs in sorted order, each entry read once: by value
+    # on an all-function carrier, which stores nothing, else from the table
+    into = c._in_index
+    entries = (((g, f), c.composite(g, f)) for g in c.morphism_ids for f in into.get(c.morphisms[g][0], ()))
     out = {
         "schema": CATEGORY_SCHEMA,
         "objects": list(c.objects),
@@ -155,7 +151,7 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
     fiber product, coproduct and frame constructions read ids as function
     values and trust them.  The counts come first, so the build is no
     larger than the envelope."""
-    from .fincat import FinCategory, finset_category
+    from .fincat import FinCategory, finset_category, function_table
 
     if not isinstance(sizes, dict):
         raise MalformedInputError("sizes must map objects to integers")
@@ -185,7 +181,7 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
         if identity[x] != built.identity[x]:
             raise MalformedInputError(f"identity of {x!r} is not the identity function")
     # the table is read whole, so it is built whole, as a plain dict
-    table = built.compose.fill_into({})
+    table = function_table(built)
     for key, h in compose.items():
         g, f = _compose_pair(key)
         want = table.get((g, f))
@@ -393,4 +389,6 @@ def loads(text: str):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"not valid JSON: line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise MalformedInputError("not valid JSON: nested too deeply to parse")
     return from_dict(payload)

@@ -52,11 +52,7 @@ def check_nagata(ns: NagataSetup) -> VerificationReport:
         anchor="nagata-axiom-2",
     )
     for label, cls in (("i", ns.i_class), ("p", ns.p_class)):
-        witness = None
-        for g, f in c.composable_pairs:
-            if g in cls.members and (f in cls.members) != (c.comp(g, f) in cls.members):
-                witness = {"pair": [g, f], "composite": c.comp(g, f)}
-                break
+        witness = _cancellation_witness(cls)
         rep.add(f"cancellation-{label}", witness is None, witness or {}, anchor="nagata-axiom-3")
     overlap = ns.i_class.members & ns.p_class.members
     bad = sorted(overlap - set(c.mono_ids))
@@ -67,6 +63,20 @@ def check_nagata(ns: NagataSetup) -> VerificationReport:
         anchor="nagata-axiom-4",
     )
     return rep
+
+
+def _cancellation_witness(cls: EdgeClass) -> dict | None:
+    """The first pair (g, f), in `composable_pairs` order, with g a member
+    and f a member exactly when g . f is not; each composite read once."""
+    c, members = cls.carrier, cls.members
+    into = c._in_index
+    for g in c.morphism_ids:
+        if g in members:
+            for f in into.get(c.morphisms[g][0], ()):
+                h = c.composite(g, f)
+                if (f in members) != (h in members):
+                    return {"pair": [g, f], "composite": h}
+    return None
 
 
 def factorizations(ns: NagataSetup, f: str) -> list[tuple[str, str, str]]:

@@ -3,7 +3,8 @@ transcribed here.
 
 On an all-function carrier `generators` grows its closure by left
 multiplication, and `EdgeClass.composition_witness`, the index of
-`shriek.factorizations`, the functoriality sweep of `CoefficientSystem` and
+`shriek.factorizations`, the cancellation sweep of `check_nagata`,
+`FinCategory.mono_ids`, the functoriality sweep of `CoefficientSystem` and
 `serialization.category_to_dict` read composites by value; none of them
 stores a composite in the carrier's table.
 """
@@ -15,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from corrkit import corpus, serialization as ser
 from corrkit.corpus import instance
 from corrkit.descent import check_nice_pair
-from corrkit.fincat import FinCategory, finset_category, full_subcategory
+from corrkit.fincat import FinCategory, finset_category, full_subcategory, function_table, injections
 from corrkit.lattices import chain_lattice, frame_system
 from corrkit.setups import EdgeClass, GeometricSetup, NagataSetup, all_class
-from corrkit.shriek import factorizations
+from corrkit.shriek import _cancellation_witness, check_nagata, factorizations
 
 DERANDOMIZED = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -62,6 +63,13 @@ def _scan_composition_witness(c: FinCategory, members) -> dict | None:
     return None
 
 
+def _scan_cancellation_witness(c: FinCategory, members) -> dict | None:
+    for g, f in c.composable_pairs:
+        if g in members and (f in members) != (c.comp(g, f) in members):
+            return {"pair": [g, f], "composite": c.comp(g, f)}
+    return None
+
+
 # sizes 0-3, repeats allowed, under names drawn so that the listing order
 # and the size order disagree
 @st.composite
@@ -80,7 +88,7 @@ def test_generators_by_left_multiplication_match_the_pairwise_closure(sizes, dat
     # the dump reads every composite by value, in the order of the table
     d = ser.category_to_dict(c)
     assert _stored(c) == 0
-    table = sorted(finset_category(sizes).compose.items())
+    table = sorted(function_table(finset_category(sizes)).items())
     assert list(d["compose"].items()) == [(f"{g}{ser.COMPOSE_SEP}{f}", h) for (g, f), h in table]
     # a loaded sizes envelope lists its objects in the envelope's order and
     # holds its whole table
@@ -115,6 +123,34 @@ def test_the_composition_witness_matches_the_scan_over_composable_pairs(sizes, d
     members = data.draw(st.one_of(some, some.map(frozenset(ids).difference), st.just(c.iso_ids)))
     witness = EdgeClass(c, members).composition_witness()
     assert witness == _scan_composition_witness(finset_category(sizes), members)
+    assert _stored(c) == 0
+
+
+@DERANDOMIZED
+@given(sizes(), st.data())
+def test_the_cancellation_witness_matches_the_scan_over_composable_pairs(sizes, data):
+    c = finset_category(sizes)
+    ids = sorted(c.morphisms)
+    some = st.frozensets(st.sampled_from(ids))
+    members = data.draw(st.one_of(some, some.map(frozenset(ids).difference), st.just(c.iso_ids)))
+    witness = _cancellation_witness(EdgeClass(c, members))
+    assert witness == _scan_cancellation_witness(finset_category(sizes), members)
+    assert _stored(c) == 0
+
+
+@DERANDOMIZED
+@given(sizes())
+def test_the_monos_of_an_all_function_carrier_are_its_injections(sizes):
+    c = finset_category(sizes)
+    assert c.mono_ids == injections(c)
+    assert _stored(c) == 0
+
+
+def test_the_nagata_axioms_store_no_composite():
+    # the cancellation sweeps and the monos stored all 75,831 composites
+    c = finset_category({"1": 1, "2": 2, "4": 4})
+    ns = NagataSetup(GeometricSetup(c, all_class(c)), all_class(c), EdgeClass(c, c.iso_ids))
+    assert check_nagata(ns).passed
     assert _stored(c) == 0
 
 

@@ -85,6 +85,23 @@ def test_unparseable_input_is_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "not UTF-8 at byte 0"),
+        (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+    ],
+    ids=["utf-16-bom", "deep-nesting"],
+)
+def test_unreadable_input_is_exit_2_with_one_line(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = invoke(capsys, "run", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_clean_instance_run_is_exit_0(capsys):
     code, out, _ = invoke(capsys, "run", "--instance", "finset-1", "--format", "json")
     assert code == 0

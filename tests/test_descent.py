@@ -40,6 +40,7 @@ from corrkit.fincat import (
     finset_category,
     finset_skeleton,
     fn_values,
+    function_table,
     poset_category,
     surjections,
     terminal_category,
@@ -576,7 +577,7 @@ def test_fiber_category_keeps_what_the_filters_kept():
         # the fiber as the object and morphism filters built it
         objs = tuple(x for x in src.objects if obj_map[x] == d)
         keep = {m for m in src.morphism_ids if src.src(m) in objs and src.dst(m) in objs and relabel[m] == dst.identity[d]}
-        compose = {(g, f): h for (g, f), h in src.compose.items() if g in keep and f in keep}
+        compose = {(g, f): h for (g, f), h in function_table(src).items() if g in keep and f in keep}
         fib = fiber_category(lp, d)
         assert (fib.objects, fib.morphisms, fib.identity, fib.compose) == (
             objs, {m: src.morphisms[m] for m in sorted(keep)}, {x: src.identity[x] for x in objs}, compose

@@ -21,6 +21,7 @@ from corrkit.fincat import (
     finset_skeleton,
     fn_values,
     full_subcategory,
+    function_table,
     injections,
     opposite,
     poset_category,
@@ -32,8 +33,9 @@ from corrkit.fincat import (
     wide_subcategory,
 )
 from corrkit import serialization as ser
-from corrkit.fincat import _associative_on_generators, _associativity_witness
+from corrkit.fincat import _ByValue, _associative_on_generators, _associativity_witness
 from corrkit.report import MalformedInputError
+from corrkit.setups import GeometricSetup, iso_class
 
 
 def test_terminal_category_is_valid():
@@ -151,10 +153,11 @@ def test_finset_compose_is_function_composition_in_scan_order(sizes, rng):
     # one entry per composable pair, in the order of a scan over g and then
     # over the ids into its source, each the composite of the values
     pairs = [(g, f) for g in c.morphisms for f in c.morphisms if c.dst(f) == c.src(g)]
-    assert list(c.compose) == pairs
+    table = function_table(c)
+    assert list(table) == pairs
     for g, f in pairs:
-        assert fn_values(c.compose[(g, f)]) == tuple(fn_values(g)[v] for v in fn_values(f))
-        assert c.morphisms[c.compose[(g, f)]] == (c.src(f), c.dst(g))
+        assert fn_values(table[(g, f)]) == tuple(fn_values(g)[v] for v in fn_values(f))
+        assert c.morphisms[table[(g, f)]] == (c.src(f), c.dst(g))
 
 
 def _bulk_compose(sizes):
@@ -185,25 +188,23 @@ def test_composites_by_value_match_the_bulk_table(size_list, data):
     names = data.draw(st.permutations([f"o{i}" for i in range(len(size_list))]))
     sizes = dict(zip(names, size_list))
     oracle = _bulk_compose(sizes)
-    # read entry by entry before any bulk fill, then as a whole
+    # the whole table, built in bulk, in the order of the bulk build
+    assert list(function_table(finset_category(sizes)).items()) == list(oracle.items())
+    # read entry by entry: the memo holds exactly the composites read
     lazy = finset_category(sizes)
     some = data.draw(st.lists(st.sampled_from(sorted(oracle)), max_size=20))
     assert [lazy.compose[k] for k in some] == [oracle[k] for k in some]
+    assert len(lazy.compose) == len(set(some)) and type(lazy.compose) is _ByValue
     assert all(lazy.compose[k] == h for k, h in oracle.items())
-    assert lazy.compose == oracle and oracle == lazy.compose
-    assert list(lazy.compose) == list(oracle)
-    # filled first, then read entry by entry
-    filled = finset_category(sizes)
-    assert len(filled.compose) == len(oracle)
-    assert all(filled.compose[k] == h for k, h in oracle.items())
+    assert len(lazy.compose) == len(oracle) and type(lazy.compose) is _ByValue
     c = finset_category(sizes)
-    assert sorted(c.compose.items()) == sorted(oracle.items())
     ids = sorted(c.morphisms)
     outside = [(g, f) for g in ids for f in ids if c.dst(f) != c.src(g)][:1] + [("nothing", ids[0])]
     for pair in outside:
         assert c.compose.get(pair) is None and pair not in c.compose
         with pytest.raises(KeyError):
             c.compose[pair]
+    assert len(c.compose) == 0
     plain = FinCategory(c.objects, c.morphisms, c.identity, oracle, c.object_size)
     for d in (finset_category(sizes), c):
         assert ser.dumps(ser.category_to_dict(d)) == ser.dumps(ser.category_to_dict(plain))
@@ -217,7 +218,7 @@ def test_composites_by_value_match_the_bulk_table(size_list, data):
     inside = {(g, f): h for (g, f), h in oracle.items() if {*c.morphisms[g], *c.morphisms[f]} <= kept}
     assert all(sub.compose[k] == h for k, h in inside.items())
     if len(kept) < len(names):
-        assert dict.__len__(big.compose) == 0
+        assert len(big.compose) == 0
     assert sub.compose == inside
 
 
@@ -231,6 +232,31 @@ def test_an_all_function_carrier_builds_no_composition_table():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_carriers_of_equal_sizes_are_equal_whatever_their_memos_hold():
+    a, b = finset_skeleton(2), finset_skeleton(2)
+    assert a.compose[("2>2:1.0", "2>2:1.0")] == "2>2:0.1"
+    assert check_category(b).passed
+    assert len(a.compose) == 1 and len(b.compose) == len(b.composable_pairs)
+    assert a == b and b == a and not a != b
+    # a setup's guard compares its carrier with the class's through `!=`
+    GeometricSetup(a, iso_class(b))
+    assert a != finset_skeleton(1) and a != finset_category({"0": 0, "1": 1, "3": 2})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.data())
+def test_check_category_reports_a_built_carrier_as_its_loaded_twin(size_list, data):
+    names = data.draw(st.permutations([f"o{i}" for i in range(len(size_list))]))
+    sizes = dict(zip(names, size_list))
+    # the twin holds the whole table as a plain dict; the built carrier's
+    # memo is filled one entry at a time as the checks read it
+    twin = ser.category_from_dict(ser.category_to_dict(finset_category(sizes)))
+    assert type(twin.compose) is dict
+    built = finset_category(sizes)
+    assert check_category(built).to_json() == check_category(twin).to_json()
+    assert type(built.compose) is _ByValue and len(built.compose) == len(built.composable_pairs)
 
 
 # -- duality and subcategories -------------------------------------------
