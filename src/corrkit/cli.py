@@ -406,10 +406,10 @@ def _gate(rep: VerificationReport) -> None:
         raise MalformedInputError(f"cannot build: {bad.name} fails with witness {bad.witness}")
 
 
-def _gated_shriek(ns: NagataSetup) -> tuple:
-    """The coefficient system and exceptional maps of a factorization setup
-    that passes the axioms and the hypotheses and whose maps are consistent
-    with its classes; any other is refused."""
+def _gated_shriek(ns: NagataSetup):
+    """The exceptional maps, with their coefficient system, of a
+    factorization setup that passes the axioms and the hypotheses and whose
+    maps are consistent with its classes; any other is refused."""
     from .lattices import chain_lattice, frame_system
     from .shriek import build_shriek, check_class_consistency, check_nagata, verify_hypotheses
 
@@ -418,7 +418,7 @@ def _gated_shriek(ns: NagataSetup) -> tuple:
     _gate(verify_hypotheses(ns, sys))
     sa = build_shriek(ns, sys)
     _gate(check_class_consistency(sa))
-    return sys, sa
+    return sa
 
 
 def _cmd_run(args, out) -> int:
@@ -560,11 +560,8 @@ def _cmd_shriek_build(args, out) -> int:
     from .setups import NagataSetup
 
     ns, _ = _declaration(args, "nagata", NagataSetup)
-    sys, sa = _gated_shriek(ns)
-    tables = {
-        f: {x: sa.shriek[f](x) for x in sys.lattice(ns.setup.category.src(f)).elements}
-        for f in sorted(sa.shriek)
-    }
+    sa = _gated_shriek(ns)
+    tables = {f: sa.shriek[f].table for f in sorted(sa.shriek)}
     out.write(json.dumps({"schema": "corrkit-shriek/1", "tables": tables}, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -581,7 +578,7 @@ def _cmd_formalism_assemble(args, out) -> int:
     from .shriek import assemble_formalism, check_formalism
 
     ns, _ = _declaration(args, "nagata", NagataSetup)
-    _, sa = _gated_shriek(ns)
+    sa = _gated_shriek(ns)
     fm = assemble_formalism(ns, sa, max_apex=args.max_apex)
     return _emit_report(check_formalism(fm), args.format, out)
 

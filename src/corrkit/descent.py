@@ -498,43 +498,50 @@ def check_exceptional_pair(pd: PairDeclaration, m: int = 1) -> VerificationRepor
 # -- descent of coefficient systems ----------------------------------------
 
 
-def descent_elements(sys: CoefficientSystem, nerve: CechDiagram) -> list[str]:
-    """Elements of D(X0) equalized by the two restrictions to the overlap."""
+def _descent_positions(sys: CoefficientSystem, nerve: CechDiagram) -> list[int]:
+    """Positions of D(X0) equalized by the two restrictions to the overlap."""
     if nerve.m < 1:
         raise MalformedInputError("descent needs at least the overlap level")
-    p0 = sys.pull(nerve.faces[(1, 0)])
-    p1 = sys.pull(nerve.faces[(1, 1)])
-    return [l for l in sys.lattice(nerve.objects[0]).elements if p0(l) == p1(l)]
+    p0 = sys.pull(nerve.faces[(1, 0)]).targets
+    p1 = sys.pull(nerve.faces[(1, 1)]).targets
+    return [i for i, (a, b) in enumerate(zip(p0, p1)) if a == b]
+
+
+def descent_elements(sys: CoefficientSystem, nerve: CechDiagram) -> list[str]:
+    """Elements of D(X0) equalized by the two restrictions to the overlap."""
+    names = sys.lattice(nerve.objects[0]).elements
+    return [names[i] for i in _descent_positions(sys, nerve)]
 
 
 def descent_lattice(sys: CoefficientSystem, nerve: CechDiagram) -> FiniteLattice:
     """The equalizer sub-lattice, with the tensor restricted when present."""
     base = sys.lattice(nerve.objects[0])
-    els = descent_elements(sys, nerve)
-    keep = set(els)
-    leq = frozenset(p for p in base.leq if p[0] in keep and p[1] in keep)
+    keep = _descent_positions(sys, nerve)
+    new = {p: i for i, p in enumerate(keep)}
+    names, T = base.elements, base._tensor
     tensor = None
-    if base.tensor_table is not None:
-        tensor = {}
-        for a in els:
-            for b in els:
-                t = base.tensor(a, b)
-                if t not in keep:
+    if T is not None:
+        for a in keep:
+            for b in keep:
+                if T[a][b] not in new:
                     raise MalformedInputError(
-                        f"tensor does not restrict to descent data at ({a!r}, {b!r})"
+                        f"tensor does not restrict to descent data at ({names[a]!r}, {names[b]!r})"
                     )
-                tensor[(a, b)] = t
-    return FiniteLattice(tuple(els), leq, tensor)
+        tensor = tuple(tuple(new[T[a][b]] for b in keep) for a in keep)
+    up = tuple(sum(1 << i for i, b in enumerate(keep) if base._up[a] >> b & 1) for a in keep)
+    return FiniteLattice._at_positions([names[a] for a in keep], up, tensor)
 
 
-def _order_mismatch(elements, le, le_image, image) -> list | None:
-    """The first pair [a, b] of `elements`, in order, at which a <= b and
-    image(a) <= image(b) disagree: None when `image` reflects and preserves
-    the order."""
-    for a in elements:
-        for b in elements:
-            if le(a, b) != le_image(image(a), image(b)):
-                return [a, b]
+def _order_mismatch(up, up_image, image) -> tuple[int, int] | None:
+    """The first pair (a, b) of positions, in order, at which a <= b (bit b
+    of the up-set mask `up[a]`) and image[a] <= image[b] (read off
+    `up_image`) disagree: None when `image` reflects and preserves the
+    order."""
+    for a, mask in enumerate(up):
+        row = up_image[image[a]]
+        for b, t in enumerate(image):
+            if mask >> b & 1 != row >> t & 1:
+                return a, b
     return None
 
 
@@ -555,7 +562,7 @@ def check_descent(
             anchor="cech-descent",
         )
         return rep
-    dd = descent_elements(sys, nerve)
+    dd, L0 = _descent_positions(sys, nerve), sys.lattice(nerve.objects[0])
 
     witness = None
     if nerve.m >= 2:
@@ -565,11 +572,12 @@ def check_descent(
             c.comp(nerve.faces[(1, 0)], nerve.faces[(2, 2)]),
             c.comp(nerve.faces[(1, 0)], nerve.faces[(2, 0)]),
         )
-        pulls = [sys.pull(v) for v in vertex]
+        pulls = [sys.pull(v).targets for v in vertex]
+        names = sys.lattice(nerve.objects[2]).elements
         for l in dd:
-            vals = {p(l) for p in pulls}
+            vals = {p[l] for p in pulls}
             if len(vals) != 1:
-                witness = {"element": l, "values": sorted(vals)}
+                witness = {"element": L0.elements[l], "values": sorted(names[v] for v in vals)}
                 break
     rep.add(
         "cocycle-condition",
@@ -580,18 +588,18 @@ def check_descent(
 
     x = atlas.x
     base = sys.lattice(atlas.target)
-    px = sys.pull(x)
-    image = {px(l) for l in base.elements}
+    px = sys.pull(x).targets
+    image = set(px)
     witness = None
-    if len(image) != len(base.elements):
+    if len(image) != len(px):
         witness = {"reason": "restriction not injective"}
     elif image != set(dd):
-        diff = sorted(image ^ set(dd))
-        witness = {"reason": "image differs from descent data", "element": diff[0]}
+        element = min(L0.elements[l] for l in image ^ set(dd))
+        witness = {"reason": "image differs from descent data", "element": element}
     else:
-        pair = _order_mismatch(base.elements, base.le, sys.lattice(nerve.objects[0]).le, px)
+        pair = _order_mismatch(base._up, L0._up, px)
         if pair:
-            witness = {"reason": "order not reflected", "pair": pair}
+            witness = {"reason": "order not reflected", "pair": [base.elements[a] for a in pair]}
     rep.add(
         "descent-comparison",
         witness is None,
@@ -621,19 +629,23 @@ def compare_atlases(
             anchor="atlas-independence-zigzag",
         )
         return rep
-    dd1 = descent_elements(sys, n1)
-    dd2 = descent_elements(sys, n2)
-    p1 = sys.pull(r1)
-    p2 = sys.pull(r2)
+    dd1 = _descent_positions(sys, n1)
+    dd2 = _descent_positions(sys, n2)
+    p1 = sys.pull(r1).targets
+    p2 = sys.pull(r2).targets
 
-    table = {}
+    # each l2 by its restriction to the product atlas, as a position of L2
+    by_image: dict = {}
+    for j, l2 in enumerate(dd2):
+        by_image.setdefault(p2[l2], []).append(j)
+    table = []
     witness = None
     for l1 in dd1:
-        cands = [l2 for l2 in dd2 if p1(l1) == p2(l2)]
+        cands = by_image.get(p1[l1], ())
         if len(cands) != 1:
-            witness = {"element": l1, "candidates": len(cands)}
+            witness = {"element": sys.lattice(n1.objects[0]).elements[l1], "candidates": len(cands)}
             break
-        table[l1] = cands[0]
+        table.append(cands[0])
     rep.add(
         "comparison-unique",
         witness is None,
@@ -646,12 +658,12 @@ def compare_atlases(
     L1 = descent_lattice(sys, n1)
     L2 = descent_lattice(sys, n2)
     witness = None
-    if len(set(table.values())) != len(dd2):
+    if len(set(table)) != len(dd2):
         witness = {"reason": "comparison not bijective"}
     else:
-        pair = _order_mismatch(dd1, L1.le, L2.le, table.__getitem__)
+        pair = _order_mismatch(L1._up, L2._up, table)
         if pair:
-            witness = {"reason": "order not preserved", "pair": pair}
+            witness = {"reason": "order not preserved", "pair": [L1.elements[a] for a in pair]}
     rep.add(
         "comparison-order-iso",
         witness is None,
@@ -670,10 +682,12 @@ def _transport_atlas(pd: PairDeclaration, chosen: dict, obj: str) -> str:
 
 
 def _transport_pull(
-    pd: PairDeclaration, sys: CoefficientSystem, lattices: dict, chosen: dict, f: str
+    pd: PairDeclaration, sys: CoefficientSystem, lattices: dict, kept: dict, chosen: dict, f: str
 ) -> LatticeMap:
     """Restriction between presented lattices via the shared refinement
-    X_A x_{B'} X_B; the value is the unique descent element matching on it."""
+    X_A x_{B'} X_B; the value is the unique descent element matching on it.
+    kept[obj] lists the positions of the presented lattice's elements in
+    the lattice of its atlas's source."""
     c = pd.big.category
     src_o, dst_o = c.morphisms[f]
     xa = _transport_atlas(pd, chosen, src_o)
@@ -683,18 +697,21 @@ def _transport_pull(
         raise MalformedInputError(
             f"transport overlap for {f!r} lies outside the declared sub-setup"
         )
-    pa = sys.pull(a_leg)
-    pb = sys.pull(b_leg)
-    table = {}
-    for l in lattices[dst_o].elements:
-        want = pb(l)
-        cands = [mm for mm in lattices[src_o].elements if pa(mm) == want]
+    pa = sys.pull(a_leg).targets
+    pb = sys.pull(b_leg).targets
+    # each element of the source by its restriction to the refinement
+    by_image: dict = {}
+    for i, m in enumerate(kept[src_o]):
+        by_image.setdefault(pa[m], []).append(i)
+    targets = []
+    for l, m in zip(lattices[dst_o].elements, kept[dst_o]):
+        cands = by_image.get(pb[m], ())
         if len(cands) != 1:
             raise MalformedInputError(
                 f"restriction along {f!r} not determined by descent at {l!r}"
             )
-        table[l] = cands[0]
-    return LatticeMap(lattices[dst_o], lattices[src_o], table)
+        targets.append(cands[0])
+    return LatticeMap(lattices[dst_o], lattices[src_o], tuple(targets))
 
 
 def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2) -> CoefficientSystem:
@@ -708,22 +725,23 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2)
         raise MalformedInputError("extension of restrictions needs a nice pair")
     c = pd.big.category
     small = set(pd.small_objects)
-    lattices = {}
-    chosen = {}
+    lattices, kept, chosen = {}, {}, {}
     for obj in c.objects:
         if obj in small:
             lattices[obj] = sys.lattice(obj)
+            kept[obj] = range(len(lattices[obj].elements))
         else:
             a = pd.atlases[obj][0]
             chosen[obj] = a
-            lattices[obj] = descent_lattice(sys, best_nerve(pd.big, a, m_max))
+            nerve = best_nerve(pd.big, a, m_max)
+            lattices[obj], kept[obj] = descent_lattice(sys, nerve), _descent_positions(sys, nerve)
     restriction = {}
     for f in c.morphism_ids:
         src_o, dst_o = c.morphisms[f]
         if src_o in small and dst_o in small:
             restriction[f] = sys.pull(f)
         else:
-            restriction[f] = _transport_pull(pd, sys, lattices, chosen, f)
+            restriction[f] = _transport_pull(pd, sys, lattices, kept, chosen, f)
     return CoefficientSystem(GeometricSetup(c, pd.big.e), lattices, restriction)
 
 
@@ -737,63 +755,49 @@ def _push(sa, f: str) -> LatticeMap:
     return m
 
 
-def codescent_classes(sa, nerve: CechDiagram):
+def codescent_classes(sa, nerve: CechDiagram) -> list[int]:
     """The order-congruence quotient of D(X0) identifying the two
-    pushforwards from the overlap: reachability closure of the lattice
-    order together with both directions of the identification, then
-    strongly-connected classes.  Returns (elements, reach, class_of)."""
+    pushforwards from the overlap, as one bitmask row per position: bit j
+    of row i is set when i reaches j through the lattice order and both
+    directions of the identification, closed by Warshall's algorithm
+    (JACM 1962).  A class is a set of positions that reach each other."""
     if nerve.m < 1:
         raise MalformedInputError("codescent needs at least the overlap level")
-    sys = sa.sys
-    L0 = sys.lattice(nerve.objects[0])
-    L1 = sys.lattice(nerve.objects[1])
-    e0 = _push(sa, nerve.faces[(1, 0)])
-    e1 = _push(sa, nerve.faces[(1, 1)])
-    els = list(L0.elements)
-    idx = {a: i for i, a in enumerate(els)}
-    n = len(els)
-    reach = [[False] * n for _ in range(n)]
-    for a, b in L0.leq:
-        reach[idx[a]][idx[b]] = True
-    for m in L1.elements:
-        i, j = idx[e0(m)], idx[e1(m)]
-        reach[i][j] = True
-        reach[j][i] = True
-    for k in range(n):
+    reach = list(sa.sys.lattice(nerve.objects[0])._up)
+    e0 = _push(sa, nerve.faces[(1, 0)]).targets
+    e1 = _push(sa, nerve.faces[(1, 1)]).targets
+    for i, j in zip(e0, e1):
+        reach[i] |= 1 << j
+        reach[j] |= 1 << i
+    for k in range(len(reach)):
         rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    class_of = {}
-    for i, a in enumerate(els):
-        rep = next(b for j, b in enumerate(els) if reach[i][j] and reach[j][i])
-        class_of[a] = rep
-    return els, reach, class_of
+        for i, ri in enumerate(reach):
+            if ri >> k & 1:
+                reach[i] = ri | rk
+    return reach
 
 
 def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
     """The quotient maps order-isomorphically onto the covered object's
     lattice through the pushforward along the atlas."""
     rep = VerificationReport("codescent")
-    els, reach, class_of = codescent_classes(sa, nerve)
-    push_x = _push(sa, nerve.aug[0])
+    reach = codescent_classes(sa, nerve)
+    push_x = _push(sa, nerve.aug[0]).targets
     target = sa.sys.lattice(sa.sys.setup.category.dst(nerve.aug[0]))
-    idx = {a: i for i, a in enumerate(els)}
     witness = None
-    pair = _order_mismatch(els, lambda a, b: reach[idx[a]][idx[b]], target.le, push_x)
+    pair = _order_mismatch(reach, target._up, push_x)
     if pair:
-        witness = {"pair": pair, "reason": "order mismatch"}
+        witness = {"pair": [sa.sys.lattice(nerve.objects[0]).elements[a] for a in pair], "reason": "order mismatch"}
     else:
-        hit = {push_x(a) for a in els}
-        if hit != set(target.elements):
-            witness = {"reason": "not surjective", "element": sorted(set(target.elements) - hit)[0]}
+        missed = set(range(len(target.elements))) - set(push_x)
+        if missed:
+            witness = {"reason": "not surjective", "element": min(target.elements[y] for y in missed)}
+    # every position reaches itself, so two positions reach each other
+    # exactly when their rows are equal: a class is a distinct row
     rep.add(
         "colimit-comparison",
         witness is None,
-        witness or {"classes": len(set(class_of.values())), "atlas": nerve.atlas.x},
+        witness or {"classes": len(set(reach)), "atlas": nerve.atlas.x},
         anchor="cech-codescent",
     )
     return rep
@@ -807,20 +811,18 @@ def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
     c = pd.big.category
     sys = sa.sys
     src_o, dst_o = c.morphisms[hc.f]
-    push_x = _push(sa, hc.src_nerve.aug[0])
-    push_y = _push(sa, hc.dst_nerve.aug[0])
-    level0 = _push(sa, hc.levels[0])
+    push_x = _push(sa, hc.src_nerve.aug[0]).targets
+    push_y = _push(sa, hc.dst_nerve.aug[0]).targets
+    level0 = _push(sa, hc.levels[0]).targets
     LA = sys.lattice(src_o)
-    LB = sys.lattice(dst_o)
-    LX = sys.lattice(hc.src_nerve.objects[0])
-    # each element of LA with the images of the elements push_x sends to it
-    images: dict = {l: set() for l in LA.elements}
-    for a in LX.elements:
-        images[push_x(a)].add(push_y(level0(a)))
-    for l, vals in images.items():
+    # each position of LA with the images of the positions push_x sends to it
+    images: list = [set() for _ in LA.elements]
+    for a, l in enumerate(push_x):
+        images[l].add(push_y[level0[a]])
+    for l, vals in zip(LA.elements, images):
         if len(vals) != 1:
             raise MalformedInputError(f"extension along {hc.f!r} not well defined at {l!r}")
-    return LatticeMap(LA, LB, {l: vals.pop() for l, vals in images.items()})
+    return LatticeMap(LA, sys.lattice(dst_o), tuple(vals.pop() for vals in images))
 
 
 def extend_system_E(pd: PairDeclaration, sa, m: int = 1) -> dict:

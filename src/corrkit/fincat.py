@@ -35,13 +35,17 @@ class FinCategory:
 
     def __eq__(self, other) -> bool:
         """Equal objects, morphisms and identities, and equal tables unless
-        both sides are all-function carriers of the same sizes, whatever
-        either memo holds."""
+        both sides are all-function carriers of the same sizes.  The table
+        of an all-function carrier is read whole (`function_table`), never
+        as the memo of what has been read so far."""
         if not isinstance(other, FinCategory):
             return NotImplemented
-        same = (self.objects, self.morphisms, self.identity) == (other.objects, other.morphisms, other.identity)
-        sized = self.object_size is not None and self.object_size == other.object_size
-        return same and (sized or self.compose == other.compose)
+        if (self.objects, self.morphisms, self.identity) != (other.objects, other.morphisms, other.identity):
+            return False
+        if self.object_size is not None and self.object_size == other.object_size:
+            return True
+        mine, theirs = (c.compose if c.object_size is None else function_table(c) for c in (self, other))
+        return mine == theirs
 
     # -- basic accessors -------------------------------------------------
 

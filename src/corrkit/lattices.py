@@ -4,12 +4,12 @@ All natural-transformation language collapses to elementwise equality of
 monotone map tables, so adjointability, projection formulas, and the
 external-product identity are decided by finite sweeps with witnesses.
 
-Inside, an element is its position in `elements` and a map is the tuple of
-its target positions.  Names are read where a lattice or a map is built
-from them and spelled again only where a caller reads them (`table`, `leq`,
-`tensor_table`, the name-level operations) or a witness reports them.
-Every sweep runs in element order, so it finds the first witness a sweep
-over names would find.
+An element is its position in `elements` and a map is the tuple of its
+target positions, here and in every layer that reads lattices.  Names are
+read only where a lattice is built from them and spelled again only where
+a caller reads them (`table`, `leq`, `tensor_table`, `join`) or a witness
+reports them.  Every sweep runs in element order, so it finds the first
+witness a sweep over names would find.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class FiniteLattice:
     et al., TOPLAS 1989): bit j of `_up[i]` is set iff element i is below
     element j.  The meet of i and j is the element whose down-set is
     `_down[i] & _down[j]`, the join the one whose up-set is `_up[i] &
-    _up[j]`.  `tensor` defaults to meet; a non-meet table (still monotone in
-    each slot) is allowed and exists to exercise failure paths downstream.
-    It is kept as one row of positions per position.
+    _up[j]`.  The tensor defaults to meet; a non-meet table (still monotone
+    in each slot) is allowed and exists to exercise failure paths
+    downstream.  It is kept as one row of positions per position.
     """
 
     def __init__(self, elements, leq, tensor_table=None):
@@ -239,23 +239,9 @@ class FiniteLattice:
         els = self.elements
         return {(a, b): els[t] for a, row in zip(els, self._tensor) for b, t in zip(els, row)}
 
-    def le(self, a: str, b: str) -> bool:
-        index = self._index
-        return bool(self._up[index[a]] >> index[b] & 1)
-
-    def meet(self, a: str, b: str) -> str:
-        index, down = self._index, self._down
-        return self.elements[self._meets[down[index[a]] & down[index[b]]]]
-
     def join(self, a: str, b: str) -> str:
         index, up = self._index, self._up
         return self.elements[self._joins[up[index[a]] & up[index[b]]]]
-
-    def tensor(self, a: str, b: str) -> str:
-        if self._tensor is None:
-            return self.meet(a, b)
-        index = self._index
-        return self.elements[self._tensor[index[a]][index[b]]]
 
     @cached_property
     def is_frame(self) -> bool:
@@ -273,41 +259,17 @@ class LatticeMap:
     """A monotone map, kept as `targets`: the position in `dst` of the
     image of each position of `src`."""
 
-    def __init__(self, src: FiniteLattice, dst: FiniteLattice, table: dict):
-        self.src, self.dst, self.targets = src, dst, None
-        self._given = table
+    def __init__(self, src: FiniteLattice, dst: FiniteLattice, targets: tuple[int, ...]):
+        self.src, self.dst, self.targets = src, dst, targets
         # "left"/"right" -> the adjoint or None, filled by left_/right_adjoint
         self._adjoints: dict = {}
         self.__post_init__()
 
-    @classmethod
-    def _at_positions(cls, src: FiniteLattice, dst: FiniteLattice, targets: tuple[int, ...]) -> LatticeMap:
-        """A map given by target positions, checked monotone as one read
-        from names is."""
-        m = cls.__new__(cls)
-        m.src, m.dst, m.targets, m._given, m._adjoints = src, dst, targets, None, {}
-        m.__post_init__()
-        return m
-
     def __post_init__(self):
-        src, dst = self.src, self.dst
-        if self._given is not None:
-            t, self._given = self._given, None
-            missing = [x for x in src.elements if x not in t]
-            if missing:
-                raise MalformedInputError(f"map not total: {missing[:3]}")
-            if len(t) != len(src.elements):
-                extra = sorted((x for x in t if x not in src._index), key=repr)
-                raise MalformedInputError(f"map defined outside its domain: {extra[:3]}")
-            index = dst._index
-            for x in src.elements:
-                if t[x] not in index:
-                    raise MalformedInputError(f"value {t[x]!r} outside codomain")
-            self.targets = tuple(index[t[x]] for x in src.elements)
-        targets, up = self.targets, dst._up
-        if not _monotone_along(src._covers, targets, up):
-            names = src.elements
-            for a, bs in enumerate(src._above):
+        targets, up = self.targets, self.dst._up
+        if not _monotone_along(self.src._covers, targets, up):
+            names = self.src.elements
+            for a, bs in enumerate(self.src._above):
                 for b in bs:
                     if not up[targets[a]] >> targets[b] & 1:
                         raise MalformedInputError(f"not monotone on ({names[a]!r}, {names[b]!r})")
@@ -318,9 +280,6 @@ class LatticeMap:
         names = self.dst.elements
         return dict(zip(self.src.elements, _compose(names, self.targets)))
 
-    def __call__(self, x: str) -> str:
-        return self.table[x]
-
     def same_table(self, other: LatticeMap) -> bool:
         if self.src.elements == other.src.elements and self.dst.elements == other.dst.elements:
             return self.targets == other.targets
@@ -328,13 +287,13 @@ class LatticeMap:
 
 
 def identity_map(L: FiniteLattice) -> LatticeMap:
-    return LatticeMap._at_positions(L, L, tuple(range(len(L.elements))))
+    return LatticeMap(L, L, tuple(range(len(L.elements))))
 
 
 def compose_maps(g: LatticeMap, f: LatticeMap) -> LatticeMap:
     if g.src is not f.dst and g.src != f.dst:
         raise MalformedInputError("maps not composable")
-    return LatticeMap._at_positions(f.src, g.dst, _compose(g.targets, f.targets))
+    return LatticeMap(f.src, g.dst, _compose(g.targets, f.targets))
 
 
 def _unit_counit(lower: LatticeMap, upper: LatticeMap) -> bool:
@@ -365,7 +324,7 @@ def left_adjoint(m: LatticeMap) -> LatticeMap | None:
     if "left" not in m._adjoints:
         L, M = m.src, m.dst
         # the meet of {y : x <= m(y)}, gathered from the down-set of each value
-        cand = LatticeMap._at_positions(M, L, _bound_over_fibers(m, M._below, L._down, L._meets))
+        cand = LatticeMap(M, L, _bound_over_fibers(m, M._below, L._down, L._meets))
         m._adjoints["left"] = cand if _unit_counit(cand, m) else None
     return m._adjoints["left"]
 
@@ -375,7 +334,7 @@ def right_adjoint(m: LatticeMap) -> LatticeMap | None:
     if "right" not in m._adjoints:
         L, M = m.src, m.dst
         # the join of {y : m(y) <= x}, gathered from the up-set of each value
-        cand = LatticeMap._at_positions(M, L, _bound_over_fibers(m, M._above, L._up, L._joins))
+        cand = LatticeMap(M, L, _bound_over_fibers(m, M._above, L._up, L._joins))
         m._adjoints["right"] = cand if _unit_counit(m, cand) else None
     return m._adjoints["right"]
 
@@ -385,7 +344,7 @@ def monotone_maps_between(L: FiniteLattice, M: FiniteLattice):
     covers, up = L._covers, M._up
     for targets in itertools.product(range(len(M.elements)), repeat=len(L.elements)):
         if _monotone_along(covers, targets, up):
-            yield LatticeMap._at_positions(L, M, targets)
+            yield LatticeMap(L, M, targets)
 
 
 class GaloisMap:
@@ -695,7 +654,7 @@ def precompose_map(f_values: tuple[int, ...], n: int, size: int, big_src: Finite
     k = len(f_values)
     weights = [(v, n ** (k - 1 - i)) for i, v in enumerate(f_values)]
     targets = tuple(sum(s[v] * w for v, w in weights) for s in itertools.product(range(n), repeat=size))
-    return LatticeMap._at_positions(big_src, big_dst, targets)
+    return LatticeMap(big_src, big_dst, targets)
 
 
 def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
@@ -734,7 +693,7 @@ def _fiberwise_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, masks
         for fiber in fibers:
             out = out * n + bound[reduce(operator.and_, (masks[s[i]] for i in fiber), full)]
         targets.append(out)
-    return LatticeMap._at_positions(big_src, big_dst, tuple(targets))
+    return LatticeMap(big_src, big_dst, tuple(targets))
 
 
 def fiberwise_join_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, L: FiniteLattice) -> LatticeMap:

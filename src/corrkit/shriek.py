@@ -303,22 +303,19 @@ def check_independence(ns: NagataSetup, sys: CoefficientSystem, f: str) -> Verif
     if not facts:
         raise MalformedInputError(f"no factorization for {f!r}")
     _, j, p = facts[0]
-    star, sharp = _star(sys, p), _sharp(sys, j)
-    canonical = {e: star(sharp(e)) for e in sharp.src.elements}
+    canonical = _compose(_star(sys, p).targets, _sharp(sys, j).targets)
     witness = None
     for k, j, p in facts[1:]:
         star, sharp = _star(sys, p), _sharp(sys, j)
-        for e, want in canonical.items():
-            got = star(sharp(e))
-            if got != want:
-                witness = {
-                    "factorization": [k, j, p],
-                    "element": e,
-                    "canonical": want,
-                    "candidate": got,
-                }
-                break
-        if witness:
+        got = _compose(star.targets, sharp.targets)
+        if got != canonical:
+            e, names = _first_difference(got, canonical), star.dst.elements
+            witness = {
+                "factorization": [k, j, p],
+                "element": sharp.src.elements[e],
+                "canonical": names[canonical[e]],
+                "candidate": names[got[e]],
+            }
             break
     rep.add(
         "factorization-independence",
@@ -371,7 +368,7 @@ def _span_targets(sa: ShriekAssignment, sp: Span) -> tuple[int, ...]:
 def span_value(sa: ShriekAssignment, sp: Span) -> LatticeMap:
     """Pull along the left leg, then push exceptionally along the right."""
     targets = _span_targets(sa, sp)
-    return LatticeMap._at_positions(sa.sys.pull(sp.left).src, sa.shriek[sp.right].dst, targets)
+    return LatticeMap(sa.sys.pull(sp.left).src, sa.shriek[sp.right].dst, targets)
 
 
 @dataclass

@@ -662,6 +662,9 @@ def test_the_benchmark_tracer_runs_and_counts_what_it_patches(tmp_path, capsys):
     assert (traced.returncode, traced.stdout) == (code, out), traced.stderr
     names = json.loads(trace.read_text())["names"]
     assert names["spans.HCorr.classes"]["calls"] > 0 and names["setups.pullback_opt"]["calls"] > 0
+    # the tracer counts map builds through `LatticeMap.__post_init__`, so a
+    # constructor that skipped it would zero the benchmark's build counter
+    assert names["lattices.LatticeMap.build"]["calls"] > 0
 
 
 def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):

@@ -307,7 +307,20 @@ def test_object_size_through_subcategories():
     assert wide_subcategory(c, injections(c)).object_size is None
     assert chain_category(2).object_size is None
     # sizes take no part in equality
-    assert FinCategory(c.objects, c.morphisms, c.identity, c.compose) == c
+    assert FinCategory(c.objects, c.morphisms, c.identity, function_table(c)) == c
+
+
+def test_equality_does_not_depend_on_what_the_memo_holds():
+    # a carrier without sizes compares its table with the whole table of an
+    # all-function carrier, before and after every composite is read
+    c = finset_skeleton(1)
+    copy = FinCategory(c.objects, c.morphisms, c.identity, function_table(c))
+    assert c == copy and copy == c
+    for g, f in c.composable_pairs:
+        c.comp(g, f)
+    assert c == copy and copy == c
+    wrong = {**function_table(c), ("1>1:0", "0>1:"): "1>1:0"}
+    assert c != FinCategory(c.objects, c.morphisms, c.identity, wrong)
 
 
 # -- limits --------------------------------------------------------------

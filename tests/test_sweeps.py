@@ -17,7 +17,6 @@ from corrkit.fincat import canonical_product, finset_category, mediators, poset_
 from corrkit.lattices import (
     CoefficientSystem,
     FiniteLattice,
-    LatticeMap,
     SquareData,
     chain_lattice,
     check_adjointable,
@@ -41,6 +40,8 @@ from corrkit.shriek import (
     check_shriek_projection,
     verify_hypotheses,
 )
+
+from test_lattice import named_map
 
 DERANDOMIZED = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -203,21 +204,27 @@ def _old_codescent_order(els, reach, target, push_x):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_the_order_comparison_matches_the_three_loops_it_replaced(data):
+    # arbitrary relations given as up-set masks, read by names for the loops
     els = data.draw(st.permutations("abcd"))[: data.draw(st.integers(0, 4))]
     image_els = "wxyz"
-    pairs = st.frozensets(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")))
-    src = _Order(els, data.draw(pairs))
-    dst = _Order(image_els, data.draw(st.frozensets(st.tuples(st.sampled_from(image_els), st.sampled_from(image_els)))))
-    table = {a: data.draw(st.sampled_from(image_els)) for a in els}
-    image = table.__getitem__
-    found = _order_mismatch(els, src.le, dst.le, image)
+    up = data.draw(st.lists(st.integers(0, 2 ** len(els) - 1), min_size=len(els), max_size=len(els)))
+    up_image = data.draw(st.lists(st.integers(0, 15), min_size=4, max_size=4))
+    image = data.draw(st.lists(st.integers(0, 3), min_size=len(els), max_size=len(els)))
 
-    old = _old_descent_order(src, dst, image)
+    def relation(names, masks):
+        return {(a, b) for a, m in zip(names, masks) for j, b in enumerate(names) if m >> j & 1}
+
+    src, dst = _Order(els, relation(els, up)), _Order(image_els, relation(image_els, up_image))
+    table = {a: image_els[t] for a, t in zip(els, image)}
+    found = _order_mismatch(up, up_image, image)
+    found = found and [els[i] for i in found]
+
+    old = _old_descent_order(src, dst, table.__getitem__)
     assert found == (old and old["pair"])
     old = _old_atlas_order(els, src, dst, table)
     assert found == (old and old["pair"])
     reach = [[src.le(a, b) for b in els] for a in els]
-    old = _old_codescent_order(els, reach, dst, image)
+    old = _old_codescent_order(els, reach, dst, table.__getitem__)
     assert found == (old and old["pair"])
 
 
@@ -353,10 +360,10 @@ def _old_base_change_shriek(ns, sa):
     for square in cartesian_squares(ns, s.e, s.e):
         p, q, p2, q2 = square
         count += 1
-        push, pull = sa.shriek[p], sys.pull(q)
-        push2, pull2 = sa.shriek[p2], sys.pull(q2)
-        for e in push.src.elements:
-            lhs, rhs = pull(push(e)), push2(pull2(e))
+        push, pull = sa.shriek[p].table, sys.pull(q).table
+        push2, pull2 = sa.shriek[p2].table, sys.pull(q2).table
+        for e in push:
+            lhs, rhs = pull[push[e]], push2[pull2[e]]
             if lhs != rhs:
                 witness = {"square": _square_id(square), "element": e, "pull-then-push": rhs, "push-then-pull": lhs}
                 break
@@ -400,7 +407,7 @@ def _system(i: int, lattice):
     lattices = {x: point if c.object_size[x] == 0 else join if x in lattice else meet for x in c.objects}
     restriction = {}
     for m, (x, y) in c.morphisms.items():
-        restriction[m] = LatticeMap(lattices[y], lattices[x], {e: e if c.object_size[x] else "*" for e in lattices[y].elements})
+        restriction[m] = named_map(lattices[y], lattices[x], {e: e if c.object_size[x] else "*" for e in lattices[y].elements})
     return CoefficientSystem(setup, lattices, restriction)
 
 
