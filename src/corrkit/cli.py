@@ -165,7 +165,9 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
     return rep
 
 
-def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: int) -> VerificationReport:
+def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: int | None) -> VerificationReport:
+    """A nice pair's descent checks read nerves up to `max_dim`; an
+    exceptional pair matches hypercovers at level one and reads no bound."""
     from .descent import (
         check_descent,
         check_exceptional_pair,
@@ -202,20 +204,20 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
             )
         return rep
 
-    rep.merge(check_exceptional_pair(pd, m=min(max_dim, 1)), prefix="pair:")
+    rep.merge(check_exceptional_pair(pd), prefix="pair:")
     if not rep.passed:
         return rep
     # only an exceptional pair builds pushforwards
     from .setups import NagataSetup, all_class, iso_class
     from .shriek import build_shriek, check_class_consistency
 
-    # the pair check found a hypercover for every marked map at this level,
-    # so the extension meets no search limit
+    # the pair check found a level-one hypercover for every marked map, so
+    # the extension meets no search limit
     c = pd.big.category
     sa = build_shriek(NagataSetup(pd.big, all_class(c), iso_class(c)), sys)
     _gate(check_class_consistency(sa))
     try:
-        ext = extend_system_E(pd, sa, m=min(max_dim, 1))
+        ext = extend_system_E(pd, sa)
     except MalformedInputError as exc:
         # a nerve fails the codescent precondition
         rep.add("extension-agrees", False, {"reason": str(exc)}, anchor="cech-codescent")
@@ -611,7 +613,8 @@ def _cmd_descend(args, out) -> int:
     kind, article = ("nice", "a") if args.subcommand == "extend-c" else ("exceptional", "an")
     if pd.kind != kind:
         raise MalformedInputError(f"{args.subcommand} needs {article} {kind} pair")
-    return _emit_report(_pair_theorem_suite(args.subcommand, pd, options, args.max_dim), args.format, out)
+    max_dim = getattr(args, "max_dim", None)  # extend-e takes no --max-dim
+    return _emit_report(_pair_theorem_suite(args.subcommand, pd, options, max_dim), args.format, out)
 
 
 def _cmd_localize_check(args, out) -> int:
@@ -681,7 +684,7 @@ _COMMANDS = {
         "extend-c": ("extend a coefficient system over a nice pair", _cmd_descend, (
             *_declared("nice-pair-identity"), "--max-dim", "--format")),
         "extend-e": ("extend pushforwards over an exceptional pair", _cmd_descend, (
-            *_declared("exceptional-pair-cover"), "--max-dim", "--format")),
+            *_declared("exceptional-pair-cover"), "--format")),
     }),
     "localize": ("localization premise checks", {
         "check": ("check both premises of the localization criterion", _cmd_localize_check, (

@@ -1,11 +1,12 @@
 """Bundled example instances: carriers, factorization setups, coefficient
 models, pair declarations, and localization problems.
 
-Each instance names the check suites that apply to it and the checks that
-are documented to fail, so a full run can verify that failures land exactly
-where the analysis says they do.  Instances are built lazily and cached;
-listing order is fixed.  Each builder imports the layer its declaration
-lives in, so listing the corpus loads neither `descent` nor `lattices`.
+An instance's kind decides which check suites apply to it, and the
+instance names the checks that are documented to fail, so a full run can
+verify that failures land exactly where the analysis says they do.
+Instances are built lazily and cached; listing order is fixed.  Each
+builder imports the layer its declaration lives in, so listing the corpus
+loads neither `descent` nor `lattices`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,20 @@ from .report import SUITE_ORDER, MalformedInputError
 from .setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class
 
 
+# kind -> the suites an instance of that kind runs: the ones `cli._plan`
+# runs on the declaration the kind's builders return
+_SUITES = {
+    "category": {"category", "setup"},
+    "nagata": {"category", "setup", "theorem"},
+    "model": {"model"},
+    "pair": {"theorem"},
+    "localization": {"theorem"},
+}
+
+
 @dataclass(frozen=True)
 class CorpusInstance:
-    """A named example plus the suites it supports.
+    """A named example of one of the kinds in `_SUITES`.
 
     `expect_fail` maps a suite to the check names documented to fail there;
     a default run treats exactly those failures as the correct outcome."""
@@ -36,15 +48,18 @@ class CorpusInstance:
     name: str
     kind: str
     description: str
-    suites: tuple[str, ...]
     build: object = field(repr=False)
     expect_fail: dict = field(default_factory=dict, repr=False)
     options: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        unknown = sorted(set(self.suites) - set(SUITE_ORDER))
-        if unknown:
-            raise ValueError(f"instance {self.name!r} names unknown suite {unknown[0]!r}")
+        if self.kind not in _SUITES:
+            raise ValueError(f"instance {self.name!r} has unknown kind {self.kind!r}")
+
+    @property
+    def suites(self) -> tuple[str, ...]:
+        """The suites of the instance's kind, in SUITE_ORDER."""
+        return tuple(s for s in SUITE_ORDER if s in _SUITES[self.kind])
 
 
 @lru_cache(maxsize=None)
@@ -142,61 +157,61 @@ def _localization_cover():
 _INSTANCES = (
     CorpusInstance(
         "finset-1", "category", "finite sets of size at most 1",
-        ("category", "setup"), lambda: _skel(1),
+        lambda: _skel(1),
     ),
     CorpusInstance(
         "finset-2", "category", "finite sets of size at most 2",
-        ("category", "setup"), lambda: _skel(2),
+        lambda: _skel(2),
     ),
     CorpusInstance(
         "finset-3", "category", "finite sets of size at most 3",
-        ("category", "setup"), lambda: _skel(3),
+        lambda: _skel(3),
     ),
     CorpusInstance(
         "nagata-open", "nagata", "everything open-like, isomorphisms proper-like",
-        ("category", "setup", "theorem"), _nagata_open,
+        _nagata_open,
     ),
     CorpusInstance(
         "nagata-proper", "nagata", "isomorphisms open-like, everything proper-like",
-        ("category", "setup", "theorem"), _nagata_proper,
+        _nagata_proper,
     ),
     CorpusInstance(
         "nagata-inj-surj", "nagata", "injections open-like, surjections proper-like",
-        ("category", "setup", "theorem"), _nagata_inj_surj,
+        _nagata_inj_surj,
         # inj compose surj can be constant, hence neither; the marked class
         # of this designed-negative instance is not composition-closed
         {"setup": ("closed-under-composition",), "theorem": ("axioms:cancellation-p",)},
     ),
     CorpusInstance(
         "nagata-inj-all", "nagata", "injections open-like, everything proper-like",
-        ("category", "setup", "theorem"), _nagata_inj_all,
+        _nagata_inj_all,
         {"theorem": ("hypotheses:support-property",)},
     ),
     CorpusInstance(
         "frame-2chain", "model", "two-element chain coefficients",
-        ("model",), lambda: _chain(1),
+        lambda: _chain(1),
     ),
     CorpusInstance(
         "frame-3chain", "model", "three-element chain coefficients",
-        ("model",), lambda: _chain(2),
+        lambda: _chain(2),
     ),
     CorpusInstance(
         "pentagon-meet", "model", "non-distributive pentagon, meet tensor",
-        ("model",), lambda: _pentagon(),
+        lambda: _pentagon(),
         {"model": ("projection-sharp",)},
     ),
     CorpusInstance(
         "pentagon-join", "model", "non-distributive pentagon, join tensor",
-        ("model",), lambda: _pentagon("join"),
+        lambda: _pentagon("join"),
         {"model": ("projection-sharp", "projection-star", "external-product")},
     ),
     CorpusInstance(
         "nice-pair-identity", "pair", "degenerate pair: identity atlases over one carrier",
-        ("theorem",), _pair_identity,
+        _pair_identity,
     ),
     CorpusInstance(
         "nice-pair-cover", "pair", "2-to-1 cover atlas on the overlap-complete carrier",
-        ("theorem",), lambda: _pair_cover("nice"),
+        lambda: _pair_cover("nice"),
         # the full pair gate passes here in about 1.1 s on a fresh instance,
         # nearly all of it in the 167,308 fiber products its four setup
         # checks construct; a whole fresh corpus run takes ~0.3-0.4 s, and
@@ -206,15 +221,15 @@ _INSTANCES = (
     ),
     CorpusInstance(
         "exceptional-pair-cover", "pair", "hypercover matching over the overlap-complete carrier",
-        ("theorem",), lambda: _pair_cover("exceptional"),
+        lambda: _pair_cover("exceptional"),
     ),
     CorpusInstance(
         "localization-interval", "localization", "the interval collapsed to a point",
-        ("theorem",), _localization_interval,
+        _localization_interval,
     ),
     CorpusInstance(
         "localization-cover", "localization", "sets of size at most 1 collapsed to a point",
-        ("theorem",), _localization_cover,
+        _localization_cover,
     ),
 )
 

@@ -3,12 +3,18 @@ coefficient systems, and the localization premise checker.
 
 An atlas presents an object by a cover whose base changes against the
 declared sub-setup land in a chosen cover class.  Its Čech nerve (truncated
-at level two) is built from the pullback oracle, with every structure map
-found by mediator search and every simplicial identity recomputed.  On top
-of that sit the two extension routes: limits of coefficient lattices over
-nerves (descent) and colimits of exceptional pushforwards (codescent,
+at level one or two) is built from the pullback oracle, with every
+structure map found by mediator search and every simplicial identity
+recomputed, and is memoized on the setup by atlas morphism and level.  On
+top of that sit the two extension routes: limits of coefficient lattices
+over nerves (descent) and colimits of exceptional pushforwards (codescent,
 rendered as an order-congruence quotient), plus the premise checker for
 localization problems.  The localized category itself is never built.
+
+With thin coefficients an exceptional map is induced by a hypercover's
+level-zero map alone, and level one is its compatibility check, so
+hypercovers are matched at level one: the search stops at the first match
+in atlas-pair order, which both the pair gate and the extension report.
 """
 
 from __future__ import annotations
@@ -43,8 +49,6 @@ class Atlas:
     x: str
     s: EdgeClass
     small_objects: tuple[str, ...]
-    # (id of a setup, level) -> (that setup, its nerve or the build error message)
-    _nerves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.setup.category
@@ -106,7 +110,7 @@ def _mediator(c: FinCategory, src_obj: str, dst_obj: str, conditions) -> str:
 
 @dataclass
 class CechDiagram:
-    """Iterated self-fiber-products of an atlas, truncated at level m <= 2.
+    """Iterated self-fiber-products of an atlas, truncated at level m, 1 or 2.
 
     faces[(n, i)] is the map X_n -> X_{n-1} dropping coordinate i;
     degeneracies[(n, i)] repeats coordinate i; aug[n] is the augmentation
@@ -142,11 +146,10 @@ class CechDiagram:
         def eq(lhs, rhs, what):
             if lhs != rhs:
                 raise MalformedInputError(f"simplicial identity fails: {what}")
-        if self.m >= 1:
-            for i in (0, 1):
-                eq(c.comp(d[(1, i)], s[(0, 0)]), c.identity[self.objects[0]], f"d{i}s0")
-                eq(c.comp(a[0], d[(1, i)]), a[1], f"aug d{i}")
-            eq(c.comp(a[1], s[(0, 0)]), a[0], "aug s0")
+        for i in (0, 1):
+            eq(c.comp(d[(1, i)], s[(0, 0)]), c.identity[self.objects[0]], f"d{i}s0")
+            eq(c.comp(a[0], d[(1, i)]), a[1], f"aug d{i}")
+        eq(c.comp(a[1], s[(0, 0)]), a[0], "aug s0")
         if self.m == 2:
             for i in (0, 1):
                 for j in range(i + 1, 3):
@@ -170,43 +173,27 @@ def cech_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
     """The nerve of an atlas, built from the canonical pullback oracle.
 
     A missing fiber product in the carrier raises; callers that can fall
-    back to a lower truncation do so explicitly.  Each (setup, atlas,
-    level) is built and identity-checked once; later calls return the same
-    diagram or raise the same error again."""
-    if not 0 <= m <= 2:
-        raise MalformedInputError("truncation level must be 0, 1, or 2")
-    key = (id(setup), m)
-    if key not in atlas._nerves:
-        # the entry holds the setup, so its id is not reused while cached
-        try:
-            atlas._nerves[key] = (setup, _build_nerve(setup, atlas, m))
-        except MalformedInputError as exc:
-            atlas._nerves[key] = (setup, exc)
-    built = atlas._nerves[key][1]
-    if isinstance(built, MalformedInputError):
-        # each raise would otherwise extend the cached traceback
-        raise built.with_traceback(None)
-    return built
+    back to a lower truncation do so explicitly.  Each (atlas morphism,
+    level) is built and identity-checked once per setup, which memoizes the
+    diagram; a level that fails to build is not memoized."""
+    if m not in (1, 2):
+        raise MalformedInputError("truncation level must be 1 or 2")
+    key = (atlas.x, m)
+    if key not in setup._nerves:
+        setup._nerves[key] = _build_nerve(setup, atlas, m)
+    return setup._nerves[key]
 
 
 def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
     c = setup.category
     x = atlas.x
     x0 = c.src(x)
-    objects = [x0]
-    faces: dict = {}
-    degs: dict = {}
-    aug = [x]
-    if m >= 1:
-        apex, p, q = setup.pullback(x, x)
-        objects.append(apex)
-        # coordinate convention: p remembers the first factor, q the second
-        faces[(1, 0)] = q
-        faces[(1, 1)] = p
-        degs[(0, 0)] = _mediator(
-            c, x0, apex, [(p, c.identity[x0]), (q, c.identity[x0])]
-        )
-        aug.append(c.comp(x, p))
+    apex, p, q = setup.pullback(x, x)
+    objects = [x0, apex]
+    # coordinate convention: p remembers the first factor, q the second
+    faces = {(1, 0): q, (1, 1): p}
+    degs = {(0, 0): _mediator(c, x0, apex, [(p, c.identity[x0]), (q, c.identity[x0])])}
+    aug = [x, c.comp(x, p)]
     if m == 2:
         d0, d1 = faces[(1, 0)], faces[(1, 1)]
         x1 = objects[1]
@@ -257,10 +244,11 @@ class PairDeclaration:
     s_big: frozenset
     e_small: frozenset
     atlases: dict
-    # (f, m) -> the result of the hypercover search for f at level m
+    # f -> (its first hypercover or None, whether the search met a limit),
+    # filled by `find_hypercovers`
     _hypercovers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (nerve ids, level) -> the level's candidates keyed by their d_0 face,
-    # filled by `_level_index`
+    # (source atlas, target atlas) morphisms -> the level-one candidates
+    # keyed by their d_0 face, filled by `_level_index`
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -373,59 +361,66 @@ class Hypercover:
     levels: tuple[str, ...]
 
 
-def _level_maps(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, n: int, below: str):
-    """Candidates for level n of a nerve morphism, given level n-1: the
-    maps cand in E_small with d_i∘cand = below∘d_i for every face i, in
-    hom order.  Only the candidates whose d_0 face already agrees are
-    checked on the other faces."""
+def _level_maps(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, below: str):
+    """Candidates for level one of a nerve morphism, given level zero: the
+    maps cand in E_small with d_i∘cand = below∘d_i for both faces, in hom
+    order.  Only the candidates whose d_0 face already agrees are checked
+    on d_1."""
     # the nerves' faces are typed on construction and cand and below run
     # between their levels, so the table is read directly
     compose = pd.big.category.compose
-    faces = [(ny.faces[(n, i)], compose[(below, nx.faces[(n, i)])]) for i in range(n + 1)]
-    for cand in _level_index(pd, nx, ny, n).get(faces[0][1], ()):
-        if all(compose[(face, cand)] == want for face, want in faces[1:]):
+    d1, want = ny.faces[(1, 1)], compose[(below, nx.faces[(1, 1)])]
+    for cand in _level_index(pd, nx, ny).get(compose[(below, nx.faces[(1, 0)])], ()):
+        if compose[(d1, cand)] == want:
             yield cand
 
 
-def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, n: int) -> dict:
-    """d_0∘cand -> the candidates cand in hom(nx_n, ny_n) that lie in
-    E_small, in hom order; built once per nerve pair and level."""
-    key = (id(nx), id(ny), n)
+def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram) -> dict:
+    """d_0∘cand -> the candidates cand in hom(nx_1, ny_1) that lie in
+    E_small, in hom order; built once per atlas pair."""
+    key = (nx.atlas.x, ny.atlas.x)
     if key not in pd._levels:
         c = pd.big.category
-        d0 = ny.faces[(n, 0)]
+        d0 = ny.faces[(1, 0)]
         index: dict = {}
-        for cand in c.hom(nx.objects[n], ny.objects[n]):
+        for cand in c.hom(nx.objects[1], ny.objects[1]):
             if cand in pd.e_small:
                 index.setdefault(c.compose[(d0, cand)], []).append(cand)
-        # the entry holds both nerves, so their ids are not reused while cached
-        pd._levels[key] = (nx, ny, index)
-    return pd._levels[key][2]
+        pd._levels[key] = index
+    return pd._levels[key]
 
 
-def find_hypercovers(pd: PairDeclaration, f: str, m: int = 1):
-    """All hypercovers of f over declared atlas pairs, plus a flag telling
-    whether some atlas pair could not be evaluated (missing nerve level).
+def find_hypercovers(pd: PairDeclaration, f: str):
+    """The first level-one hypercover of f over the declared atlas pairs,
+    or None, and whether an atlas pair searched before it (every pair, when
+    there is none) has its overlap outside the carrier.
 
-    Each (f, m) is searched once per declaration; `check_exceptional_pair`
-    and `extend_system_E` share the memoized result."""
-    if (f, m) not in pd._hypercovers:
-        pd._hypercovers[(f, m)] = _search_hypercovers(pd, f, m)
-    return pd._hypercovers[(f, m)]
+    Each f is searched once per declaration, up to its first match;
+    `check_exceptional_pair` and `extend_system_E` share the memoized
+    result."""
+    if f not in pd._hypercovers:
+        first, limited = None, False
+        for hc in _search_hypercovers(pd, f):
+            if hc is not None:
+                first = hc
+                break
+            limited = True
+        pd._hypercovers[f] = (first, limited)
+    return pd._hypercovers[f]
 
 
-def _search_hypercovers(pd: PairDeclaration, f: str, m: int):
+def _search_hypercovers(pd: PairDeclaration, f: str):
+    """Every level-one hypercover of f, in atlas-pair and hom order, with
+    None for an atlas pair whose overlap lies outside the carrier."""
     c = pd.big.category
     compose = c.compose
-    out = []
-    limited = False
     for xa in pd.atlases.get(c.src(f), ()):
         for ya in pd.atlases.get(c.dst(f), ()):
             try:
-                nx = cech_nerve(pd.big, xa, m)
-                ny = cech_nerve(pd.big, ya, m)
+                nx = cech_nerve(pd.big, xa, 1)
+                ny = cech_nerve(pd.big, ya, 1)
             except NoPullbackError:
-                limited = True
+                yield None
                 continue
             level0 = [f0 for f0 in c.hom(nx.objects[0], ny.objects[0]) if f0 in pd.e_small]
             # composing f after the atlas map type-checks the atlas; every
@@ -435,29 +430,16 @@ def _search_hypercovers(pd: PairDeclaration, f: str, m: int):
             for f0 in level0:
                 if compose[(ya.x, f0)] != fx:
                     continue
-                if m == 0:
-                    out.append(Hypercover(f, nx, ny, (f0,)))
-                    continue
-                for f1 in _level_maps(pd, nx, ny, 1, f0):
-                    if compose[(ny.degeneracies[(0, 0)], f0)] != compose[(f1, nx.degeneracies[(0, 0)])]:
-                        continue
-                    if m == 1:
-                        out.append(Hypercover(f, nx, ny, (f0, f1)))
-                        continue
-                    for f2 in _level_maps(pd, nx, ny, 2, f1):
-                        if any(
-                            compose[(ny.degeneracies[(1, i)], f1)] != compose[(f2, nx.degeneracies[(1, i)])]
-                            for i in (0, 1)
-                        ):
-                            continue
-                        out.append(Hypercover(f, nx, ny, (f0, f1, f2)))
-    return out, limited
+                s0 = compose[(ny.degeneracies[(0, 0)], f0)]
+                for f1 in _level_maps(pd, nx, ny, f0):
+                    if compose[(f1, nx.degeneracies[(0, 0)])] == s0:
+                        yield Hypercover(f, nx, ny, (f0, f1))
 
 
-def check_exceptional_pair(pd: PairDeclaration, m: int = 1) -> VerificationReport:
-    """Cover class inside the exceptional class, and a bounded hypercover
-    search per ambient exceptional morphism.  Search-bound exhaustion is
-    reported as a resource limit, distinct from proven absence."""
+def check_exceptional_pair(pd: PairDeclaration) -> VerificationReport:
+    """Cover class inside the exceptional class, and a level-one hypercover
+    search per ambient exceptional morphism.  An overlap outside the
+    carrier is reported as a resource limit, distinct from proven absence."""
     rep = VerificationReport("exceptional-pair")
     stray = sorted(set(pd.s_small) - set(pd.e_small)) + sorted(
         set(pd.s_big) - pd.big.e.members
@@ -469,10 +451,9 @@ def check_exceptional_pair(pd: PairDeclaration, m: int = 1) -> VerificationRepor
         anchor="pair-cover-containment",
     )
     for f in sorted(pd.big.e.members):
-        found, limited = find_hypercovers(pd, f, m)
+        hc, limited = find_hypercovers(pd, f)
         name = f"hypercover:{f}"
-        if found:
-            hc = found[0]
+        if hc is not None:
             rep.add(
                 name,
                 True,
@@ -500,8 +481,6 @@ def check_exceptional_pair(pd: PairDeclaration, m: int = 1) -> VerificationRepor
 
 def _descent_positions(sys: CoefficientSystem, nerve: CechDiagram) -> list[int]:
     """Positions of D(X0) equalized by the two restrictions to the overlap."""
-    if nerve.m < 1:
-        raise MalformedInputError("descent needs at least the overlap level")
     p0 = sys.pull(nerve.faces[(1, 0)]).targets
     p1 = sys.pull(nerve.faces[(1, 1)]).targets
     return [i for i, (a, b) in enumerate(zip(p0, p1)) if a == b]
@@ -761,8 +740,6 @@ def codescent_classes(sa, nerve: CechDiagram) -> list[int]:
     of row i is set when i reaches j through the lattice order and both
     directions of the identification, closed by Warshall's algorithm
     (JACM 1962).  A class is a set of positions that reach each other."""
-    if nerve.m < 1:
-        raise MalformedInputError("codescent needs at least the overlap level")
     reach = list(sa.sys.lattice(nerve.objects[0])._up)
     e0 = _push(sa, nerve.faces[(1, 0)]).targets
     e1 = _push(sa, nerve.faces[(1, 1)]).targets
@@ -807,7 +784,7 @@ def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
     """The map induced on codescent quotients by a hypercover's level maps.
 
     The codescent precondition on both nerves is the caller's to check
-    (`extend_system_E` checks each distinct nerve once)."""
+    (`extend_system_E` checks each atlas's nerve once)."""
     c = pd.big.category
     sys = sa.sys
     src_o, dst_o = c.morphisms[hc.f]
@@ -825,29 +802,30 @@ def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
     return LatticeMap(LA, sys.lattice(dst_o), tuple(vals.pop() for vals in images))
 
 
-def extend_system_E(pd: PairDeclaration, sa, m: int = 1) -> dict:
+def extend_system_E(pd: PairDeclaration, sa) -> dict:
     """Exceptional maps for every ambient exceptional morphism, each induced
-    on colimits from the first hypercover the bounded search finds.
+    on colimits from the first hypercover the level-one search finds.
 
     The search is the memoized `find_hypercovers`.  The codescent
-    precondition is checked here, once per distinct nerve in order of first
-    use, before any map is built."""
+    precondition is checked here, once per atlas in order of first use,
+    before any map is built."""
     if pd.kind != "exceptional":
         raise MalformedInputError("extension of exceptional maps needs an exceptional pair")
     chosen = {}
     for f in sorted(pd.big.e.members):
-        found, limited = find_hypercovers(pd, f, m)
-        if not found:
+        hc, limited = find_hypercovers(pd, f)
+        if hc is None:
             if limited:
                 raise ResourceLimitError(f"hypercover search for {f!r} exhausted the carrier")
             raise MalformedInputError(f"no hypercover matches {f!r}")
-        chosen[f] = found[0]
+        chosen[f] = hc
     gated = set()
     for hc in chosen.values():
+        # every nerve here is the level-one nerve of its atlas on pd.big
         for nerve in (hc.src_nerve, hc.dst_nerve):
-            if id(nerve) in gated:
+            if nerve.atlas.x in gated:
                 continue
-            gated.add(id(nerve))
+            gated.add(nerve.atlas.x)
             gate = check_codescent(sa, nerve)
             if not gate.passed:
                 raise MalformedInputError(

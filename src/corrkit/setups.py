@@ -72,6 +72,8 @@ class GeometricSetup:
     _oracle: dict = field(default_factory=dict, repr=False, compare=False)
     # lattice value -> its frame system, filled by `lattices.frame_system`
     _systems: dict = field(default_factory=dict, repr=False, compare=False)
+    # (atlas morphism, level) -> its Čech nerve, filled by `descent.cech_nerve`
+    _nerves: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.e.carrier is not self.category and self.e.carrier != self.category:

@@ -160,12 +160,12 @@ def test_config_rejects_out_of_range_bounds():
         ("corr", "hocat", "--max-apex", "1000000000"),
         ("formalism", "assemble", "--max-apex", "-1000000000"),
         ("descend", "extend-c", "--max-dim", "-1"),
-        ("descend", "extend-e", "--max-dim", "1000000000"),
+        ("descend", "extend-c", "--max-dim", "1000000000"),
         ("descend", "extend-c", "--max-dim", "3"),
         ("corr", "hocat", "--max-apex", "0"),
         # no descent check runs below the overlap level
         ("run", "--max-dim", "0"),
-        ("descend", "extend-e", "--max-dim", "0"),
+        ("descend", "extend-c", "--max-dim", "0"),
     ],
 )
 def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
@@ -188,6 +188,9 @@ def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
         ("shriek", "verify", "--all"),
         ("shriek", "build", "--format", "json"),
         ("formalism", "assemble", "--max-dim", "1"),
+        # hypercovers are matched at level one, so extend-e reads no bound
+        ("descend", "extend-e", "--max-dim", "1000000000"),
+        ("descend", "extend-e", "--max-dim", "0"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
@@ -377,12 +380,12 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
         assert calls == {("descent", id(a)): 1 for atlases in pd.atlases.values() for a in atlases}
 
     calls.clear()
-    count(descent, "_search_hypercovers", lambda pd, f, m: ("search", f, m))
+    count(descent, "_search_hypercovers", lambda pd, f: ("search", f))
     count(descent, "check_codescent", lambda sa, nerve: ("codescent", id(nerve)))
     pd = instance("exceptional-pair-cover").build()
     rep = cli._pair_theorem_suite("exceptional-pair-cover", pd, {}, 2)
     assert rep.passed
-    assert {k[1:]: n for k, n in calls.items() if k[0] == "search"} == {(f, 1): 1 for f in pd.big.e.members}
+    assert {k[1:]: n for k, n in calls.items() if k[0] == "search"} == {(f,): 1 for f in pd.big.e.members}
     # three distinct nerves, each checked once
     assert [n for k, n in calls.items() if k[0] == "codescent"] == [1, 1, 1]
 
@@ -556,7 +559,7 @@ _EMPTY = _sha256("")
 PARSER_SHA256 = {
     ("--help",): (0, "fd52190b6ea7857a963b6a9b9961a2a5b55ec0c09b01d6bf5d6b44a6f98b3a6b", _EMPTY),
     ("run", "--help"): (0, "04493348cf57e70a8d8f81d41b230133ce8245f00f31614de4417d0a4969ab86", _EMPTY),
-    ("descend", "extend-e", "--help"): (0, "e5287835f2d20fdd5ef95ffa12ba51aa21c937bf09092fb7712c4ecfebddf767", _EMPTY),
+    ("descend", "extend-e", "--help"): (0, "8024509292d8d56d66830352e904077cd3e5442f4710ea7c6da59100dd72e34a", _EMPTY),
     ("descend", "--help"): (0, "094fa6169442015a88db4e7e84b38b776952a2bb3451fae655e23ba16da23893", _EMPTY),
     ("corr", "coproduct", "--help"): (0, "fd3cf3bbc5aa1a14670d2b53f044bcac85495d8d009abe474aafd4575208c636", _EMPTY),
     ("bogus",): (2, _EMPTY, "352e84225de5c1c378b5be7320af10065d9f0b16f60189d7a1611e2883f1ab69"),

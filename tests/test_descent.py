@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from corrkit import cli
+from corrkit import cli, descent
 from corrkit.corpus import instance
 from corrkit.descent import (
     Atlas,
@@ -31,7 +31,7 @@ from corrkit.descent import (
     has_section,
     identity_atlas,
 )
-from corrkit.descent import _level_maps
+from corrkit.descent import _level_maps, _search_hypercovers
 from corrkit.fincat import (
     FunctorData,
     chain_category,
@@ -169,23 +169,26 @@ def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
     checks = []
     original = CechDiagram._check_identities
     monkeypatch.setattr(CechDiagram, "_check_identities", lambda self: (checks.append(self.m), original(self)))
-    a = atlas21()
-    first = cech_nerve(big(), a, 1)
-    assert cech_nerve(big(), a, 1) is first and best_nerve(big(), a).m == 1
+    # a fresh setup, since the nerves of big() are memoized on it
+    s = GeometricSetup(big().category, big().e)
+    a = Atlas(s, "2>1:0.0", surj_cover(s), ("1", "2"))
+    first = cech_nerve(s, a, 1)
+    assert cech_nerve(s, a, 1) is first and best_nerve(s, a).m == 1
     assert checks == [1]
-    # a level the carrier lacks fails once, and the same error comes back
+    # a level the carrier lacks is rebuilt on each call, and fails the same way
     messages = []
     for _ in range(2):
         with pytest.raises(MalformedInputError) as exc:
-            cech_nerve(big(), a, 2)
+            cech_nerve(s, a, 2)
         messages.append(str(exc.value))
     assert messages[0] == messages[1] and "no pullback" in messages[0]
     assert checks == [1]
-    # another atlas or another setup builds its own nerve
-    assert cech_nerve(big(), atlas21(), 1) is not first
+    # another atlas with the same morphism shares the nerve; another setup
+    # builds its own
+    assert cech_nerve(s, Atlas(s, "2>1:0.0", surj_cover(s), ("1", "2")), 1) is first
     other = GeometricSetup(big().category, big().e)
     assert cech_nerve(other, a, 1) is not first
-    assert checks == [1, 1, 1]
+    assert checks == [1, 1]
 
 
 def test_a_missing_nerve_level_stays_a_missing_pullback():
@@ -207,8 +210,10 @@ def test_a_malformed_nerve_is_not_reported_as_a_limit(monkeypatch):
         raise MalformedInputError("simplicial identity fails: d0s0")
 
     monkeypatch.setattr(CechDiagram, "_check_identities", broken)
+    # a fresh setup, since the nerves of big() are memoized on it
+    s = GeometricSetup(big().category, big().e)
     with pytest.raises(MalformedInputError, match="simplicial identity fails"):
-        check_descent(big(), big_sys(), atlas21())
+        check_descent(s, frame_system(s, chain_lattice(1)), Atlas(s, "2>1:0.0", surj_cover(s), ("1", "2")))
 
 
 # -- pair declarations -----------------------------------------------------
@@ -430,13 +435,6 @@ def test_exceptional_pair_cover_outside_class():
     assert "hypercover:2>1:0.0" in failed
 
 
-def test_hypercover_level_two():
-    pd = degenerate_pair(kind="exceptional")
-    found, limited = find_hypercovers(pd, "2>1:0.0", m=2)
-    assert found and not limited
-    assert found[0].levels == ("2>1:0.0", "2>1:0.0", "2>1:0.0")
-
-
 def _level_maps_by_scan(pd, nx, ny, n, below):
     c = pd.big.category
     faces = [(ny.faces[(n, i)], c.comp(below, nx.faces[(n, i)])) for i in range(n + 1)]
@@ -449,23 +447,22 @@ def _level_maps_by_scan(pd, nx, ny, n, below):
 
 @pytest.mark.parametrize("name", ["nice-pair-cover", "exceptional-pair-cover"])
 def test_level_maps_agree_with_the_scan(name):
-    # every level-n candidate list, for every map below it, on every atlas
-    # pair and nerve level the carrier holds
+    # every level-one candidate list, for every map below it, on every atlas
+    # pair whose overlap the carrier holds
     pd = instance(name).build()
     c = pd.big.category
     atlases = [a for lst in pd.atlases.values() for a in lst]
     compared = 0
     for xa in atlases:
         for ya in atlases:
-            for m in (1, 2):
-                try:
-                    nx, ny = cech_nerve(pd.big, xa, m), cech_nerve(pd.big, ya, m)
-                except MalformedInputError:
-                    continue
-                for below in c.hom(nx.objects[m - 1], ny.objects[m - 1]):
-                    want = _level_maps_by_scan(pd, nx, ny, m, below)
-                    assert list(_level_maps(pd, nx, ny, m, below)) == want, (xa.x, ya.x, m, below)
-                    compared += bool(want)
+            try:
+                nx, ny = cech_nerve(pd.big, xa, 1), cech_nerve(pd.big, ya, 1)
+            except MalformedInputError:
+                continue
+            for below in c.hom(nx.objects[0], ny.objects[0]):
+                want = _level_maps_by_scan(pd, nx, ny, 1, below)
+                assert list(_level_maps(pd, nx, ny, below)) == want, (xa.x, ya.x, below)
+                compared += bool(want)
     assert compared > 0
 
 
@@ -479,12 +476,34 @@ def test_hypercover_search_reports_limit():
         "exceptional", s, c.objects, frozenset(), frozenset(),
         frozenset(c.morphism_ids), atl,
     )
-    assert find_hypercovers(pd, "1>1:0") == ([], True)
+    assert find_hypercovers(pd, "1>1:0") == (None, True)
     with pytest.raises(ResourceLimitError):
         extend_system_E(pd, big_sa())
     rep = check_exceptional_pair(pd)
     statuses = {ch.name: ch.status for ch in rep.checks}
     assert statuses["hypercover:1>1:0"] == "resource-limit"
+
+
+def test_the_hypercover_search_stops_at_its_first_match(monkeypatch):
+    pd = exceptional_pair()
+    every = {f: list(_search_hypercovers(pd, f)) for f in sorted(pd.big.e.members)}
+    read = Counter()
+    search = descent._search_hypercovers
+
+    def counted(pd, f):
+        for hc in search(pd, f):
+            read[f] += 1
+            yield hc
+
+    monkeypatch.setattr(descent, "_search_hypercovers", counted)
+    for f, items in every.items():
+        hc, _ = find_hypercovers(pd, f)
+        first = next(i for i, h in enumerate(items) if h is not None)
+        want = items[first]
+        assert hc.levels == want.levels and hc.src_nerve is want.src_nerve and hc.dst_nerve is want.dst_nerve, f
+        assert read[f] == first + 1, f
+    # some map has a hypercover past its first
+    assert any(read[f] < len(items) for f, items in every.items())
 
 
 def test_codescent_collapses_overlap():
@@ -507,8 +526,8 @@ def test_extension_independent_of_hypercover():
     pd = exceptional_pair()
     sa = big_sa()
     for f in ("1>1:0", "2>1:0.0", "2>2:0.1"):
-        found, limited = find_hypercovers(pd, f)
-        assert found and not limited
+        found = list(_search_hypercovers(pd, f))
+        assert found and None not in found
         tables = {tuple(sorted(extended_shriek_map(pd, sa, hc).table.items())) for hc in found}
         assert len(tables) == 1
 
@@ -517,7 +536,7 @@ def test_extension_through_surjective_atlas():
     # the induced map on colimits along the 2-to-1 cover is the fiber join
     pd = exceptional_pair()
     sa = big_sa()
-    found, _ = find_hypercovers(pd, "1>1:0")
+    found = _search_hypercovers(pd, "1>1:0")
     via_cover = [hc for hc in found if hc.src_nerve.atlas.x == "2>1:0.0"]
     assert via_cover
     for hc in via_cover:

@@ -1,6 +1,8 @@
 """The descent layer on positions against the name-level routines it
 replaced, transcribed here: maps read through their tables, orders through
 `leq`, and the codescent congruence closed by a boolean Floyd-Warshall.
+The first-match hypercover search is checked against the exhaustive
+level-one search it replaced, transcribed as a scan of both hom-sets.
 
 Inputs are drawn so that the routines fail as well as pass: frame systems
 on small all-function carriers under drawn atlases, with a tensor that need
@@ -16,10 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from corrkit.descent import (
     Atlas,
+    CechDiagram,
+    Hypercover,
     PairDeclaration,
     _push,
+    _search_hypercovers,
     _transport_atlas,
     best_nerve,
+    cech_nerve,
     check_codescent,
     check_descent,
     codescent_classes,
@@ -289,6 +295,31 @@ def _old_extended_shriek_map(pd, sa, hc):
         if len(vals) != 1:
             raise MalformedInputError(f"extension along {hc.f!r} not well defined at {l!r}")
     return named_map(LA, LB, {l: vals.pop() for l, vals in images.items()})
+
+
+def _old_search_hypercovers(pd, f):
+    """Every level-one hypercover of f, by a scan of both hom-sets, and
+    whether some atlas pair's overlap lies outside the carrier."""
+    c = pd.big.category
+    out, limited = [], False
+    for xa in pd.atlases.get(c.src(f), ()):
+        for ya in pd.atlases.get(c.dst(f), ()):
+            try:
+                nx, ny = cech_nerve(pd.big, xa, 1), cech_nerve(pd.big, ya, 1)
+            except NoPullbackError:
+                limited = True
+                continue
+            for f0 in c.hom(nx.objects[0], ny.objects[0]):
+                if f0 not in pd.e_small or c.comp(ya.x, f0) != c.comp(f, xa.x):
+                    continue
+                for f1 in c.hom(nx.objects[1], ny.objects[1]):
+                    if f1 not in pd.e_small:
+                        continue
+                    if any(c.comp(ny.faces[(1, i)], f1) != c.comp(f0, nx.faces[(1, i)]) for i in (0, 1)):
+                        continue
+                    if c.comp(ny.degeneracies[(0, 0)], f0) == c.comp(f1, nx.degeneracies[(0, 0)]):
+                        out.append(Hypercover(f, nx, ny, (f0, f1)))
+    return out, limited
 
 
 def _old_check_independence(ns, sys, f):
@@ -594,9 +625,58 @@ def test_extended_exceptional_maps_match_the_routine_by_names(sa, data):
     c = sa.ns.setup.category
     pd = _exceptional_pair(data.draw(st.lists(st.sampled_from(["2>1:0.0", "2>2:0.0", "1>2:0", "2>2:1.0"]), max_size=2)))
     f = data.draw(st.sampled_from(sorted(m for m in c.morphism_ids if c.src(m) != "4")))
-    found, _ = find_hypercovers(pd, f)
+    found = [hc for hc in _search_hypercovers(pd, f) if hc is not None]
     for hc in found[:4]:
         _agree(extended_shriek_map, _old_extended_shriek_map, _map, pd, sa, hc)
+
+
+def _hypercover(hc):
+    return hc.f, hc.src_nerve.atlas.x, hc.dst_nerve.atlas.x, hc.levels
+
+
+@st.composite
+def hypercover_pairs(draw):
+    """Exceptional pairs on a fresh copy of the cover carrier: each object
+    with its identity atlas and drawn ones among 2 -> 1, 2 -> 2, 1 -> 2
+    and 4 -> 1 (whose overlap needs 16 points), in a drawn order, and
+    E_small every map, the surjections or the isomorphisms.
+
+    A Čech nerve's overlap is a pullback, so its faces determine a level-one
+    map and the degeneracy condition follows from them.  To reach that
+    condition, the identity atlas of 2 is sometimes presented instead by a
+    truncated simplicial object whose faces are one retraction r of a
+    section s0: 2 -> 4, stored in the setup's nerve memo."""
+    c = _cover_setup().category
+    setup = GeometricSetup(c, all_class(c))
+    extra = draw(st.lists(st.sampled_from(["2>1:0.0", "2>2:0.0", "1>2:0", "2>2:1.0", "4>1:0.0.0.0"]), unique=True))
+    atlases = {}
+    for o in c.objects:
+        lst = [_atlas(setup, c.identity[o])] + [_atlas(setup, x) for x in extra if c.dst(x) == o]
+        atlases[o] = tuple(draw(st.permutations(lst)))
+    e_small = draw(st.sampled_from([frozenset(c.morphism_ids), surjections(c), c.iso_ids]))
+    if draw(st.booleans()):
+        s0 = draw(st.sampled_from(sorted(injections(c) & set(c.hom("2", "4")))))
+        r = draw(st.sampled_from([r for r in c.hom("4", "2") if c.comp(r, s0) == c.identity["2"]]))
+        ident = _atlas(setup, c.identity["2"])
+        setup._nerves[(ident.x, 1)] = CechDiagram(
+            setup, ident, 1, ("2", "4"), {(1, 0): r, (1, 1): r}, {(0, 0): s0}, (ident.x, r)
+        )
+    return PairDeclaration("exceptional", setup, c.objects, frozenset(), frozenset(), e_small, atlases)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(hypercover_pairs())
+def test_the_first_match_search_matches_the_exhaustive_search(pd):
+    for f in sorted(pd.big.e.members):
+        old, old_limited = _old_search_hypercovers(pd, f)
+        items = list(_search_hypercovers(pd, f))
+        assert [_hypercover(hc) for hc in items if hc is not None] == [_hypercover(hc) for hc in old], f
+        assert (None in items) == old_limited, f
+        hc, limited = find_hypercovers(pd, f)
+        if old:
+            assert _hypercover(hc) == _hypercover(old[0]), f
+        else:
+            assert hc is None and limited == old_limited, f
 
 
 # -- independence of the factorization -----------------------------------------
@@ -693,7 +773,7 @@ def _witness_cases():
     broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, **top})
     cases["not surjective"] = (check_codescent, _old_check_codescent, _checks, broken, nerve)
     pd = _exceptional_pair(["2>1:0.0"])
-    hc = next(h for h in find_hypercovers(pd, "1>1:0")[0] if h.src_nerve.atlas.x == "2>1:0.0")
+    hc = next(h for h in _search_hypercovers(pd, "1>1:0") if h.src_nerve.atlas.x == "2>1:0.0")
     broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, "2>1:0.0": LatticeMap(bottom.src, bottom.dst, (1,) * 4)})
     cases["not well defined"] = (extended_shriek_map, _old_extended_shriek_map, _map, pd, broken, hc)
 

@@ -1,5 +1,5 @@
-"""Package layout: no unused import, no module the CLI cannot reach, and no
-definition that only unit tests name."""
+"""Package layout: no unused import, no module the CLI cannot reach, no call
+to the builtin `id`, and no definition that only unit tests name."""
 
 import ast
 from collections import Counter
@@ -51,6 +51,18 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{mod}.py:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_no_call_to_the_builtin_id():
+    # a memo keyed by id() must pin its keys' objects and cannot share an
+    # entry between equal values, so memos are keyed by value
+    calls = [
+        f"{mod}.py:{n.lineno}"
+        for mod, tree in _trees().items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
+    ]
+    assert calls == []
 
 
 def test_every_module_is_reached_from_the_cli():
