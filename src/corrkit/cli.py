@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 
 RUN_SCHEMA = "corrkit-run/1"
 
-DIM_RANGE = (1, 2)
 APEX_RANGE = (1, 6)
 FORMATS = ("text", "json")
 
@@ -44,11 +43,9 @@ FORMATS = ("text", "json")
 _BASE_CHAIN = 1
 
 
-def check_bounds(max_dim: int | None, max_apex: int | None) -> None:
-    """Reject truncation bounds outside the ranges the suites support; a
-    bound given as None is not checked."""
-    if max_dim is not None and not DIM_RANGE[0] <= max_dim <= DIM_RANGE[1]:
-        raise MalformedInputError(f"max-dim must lie in {DIM_RANGE}")
+def check_bounds(max_apex: int | None) -> None:
+    """Reject a span-apex bound outside the range the suites support; None
+    is not checked."""
     if max_apex is not None and not APEX_RANGE[0] <= max_apex <= APEX_RANGE[1]:
         raise MalformedInputError(f"max-apex must lie in {APEX_RANGE}")
 
@@ -61,7 +58,6 @@ class WorkspaceConfig:
     inputs: tuple[str, ...] = ()
     instances: tuple[str, ...] = ()
     suites: tuple[str, ...] = SUITE_ORDER
-    max_dim: int = 2
     max_apex: int = 4
     fmt: str = "text"
 
@@ -69,7 +65,7 @@ class WorkspaceConfig:
         for s in self.suites:
             if s not in SUITE_ORDER:
                 raise MalformedInputError(f"unknown suite {s!r}")
-        check_bounds(self.max_dim, self.max_apex)
+        check_bounds(self.max_apex)
         if self.fmt not in FORMATS:
             raise MalformedInputError(f"format must be one of {FORMATS}")
 
@@ -165,9 +161,9 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
     return rep
 
 
-def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: int | None) -> VerificationReport:
-    """A nice pair's descent checks read nerves up to `max_dim`; an
-    exceptional pair matches hypercovers at level one and reads no bound."""
+def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict) -> VerificationReport:
+    """A nice pair's descent checks read every nerve level the carrier
+    holds, up to two; an exceptional pair matches hypercovers at level one."""
     from .descent import (
         check_descent,
         check_exceptional_pair,
@@ -187,15 +183,15 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict, max_dim: i
         for obj in sorted(pd.atlases):
             atl = pd.atlases[obj]
             for a in atl:
-                rep.merge(check_descent(pd.big, sys, a, m_max=max_dim), prefix=f"descent:{a.x}:")
+                rep.merge(check_descent(pd.big, sys, a), prefix=f"descent:{a.x}:")
             for i in range(len(atl)):
                 for j in range(i + 1, len(atl)):
                     rep.merge(
-                        compare_atlases(pd, sys, atl[i], atl[j], m_max=max_dim),
+                        compare_atlases(pd, sys, atl[i], atl[j]),
                         prefix=f"atlas:{obj}:",
                     )
         if rep.passed:
-            ext = extend_system_C(pd, sys, m_max=max_dim)
+            ext = extend_system_C(pd, sys)
             rep.add(
                 "extension-functorial",
                 True,
@@ -240,7 +236,7 @@ def _localization_theorem_suite(tag: str, lp: LocalizationProblem) -> Verificati
     return rep
 
 
-def _plan(tag: str, obj, max_dim: int, max_apex: int, options: dict) -> dict:
+def _plan(tag: str, obj, max_apex: int, options: dict) -> dict:
     """Suite name -> the run of that suite, for each suite that applies to a
     built declaration; which suites apply follows from its type.
 
@@ -271,13 +267,13 @@ def _plan(tag: str, obj, max_dim: int, max_apex: int, options: dict) -> dict:
     from .descent import PairDeclaration
 
     if isinstance(obj, PairDeclaration):
-        return {"theorem": lambda: _pair_theorem_suite(tag, obj, options, max_dim)}
+        return {"theorem": lambda: _pair_theorem_suite(tag, obj, options)}
     return {"theorem": lambda: _localization_theorem_suite(tag, obj)}
 
 
-def _reports(tag: str, obj, suites, max_dim: int, max_apex: int, options: dict) -> list[VerificationReport]:
+def _reports(tag: str, obj, suites, max_apex: int, options: dict) -> list[VerificationReport]:
     """The selected suites that apply to a built declaration, in SUITE_ORDER."""
-    plan = _plan(tag, obj, max_dim, max_apex, options)
+    plan = _plan(tag, obj, max_apex, options)
     return [plan[suite]() for suite in SUITE_ORDER if suite in suites and suite in plan]
 
 
@@ -314,24 +310,25 @@ def _as_documented(inst: CorpusInstance, rep: VerificationReport) -> bool:
 def run(config: WorkspaceConfig):
     """Execute the selected suites.  Returns (exit_code, payload dict).
 
-    Explicit inputs and explicit instance selections run in raw mode: any
-    failing check is a nonzero exit.  A bare run walks the whole corpus in
-    expectation mode: the exit is zero exactly when every suite fails at
-    its documented checks and nowhere else."""
+    Explicit inputs and explicit instance selections run in raw mode, the
+    inputs first: any failing check is a nonzero exit.  A bare run walks
+    the whole corpus in expectation mode: the exit is zero exactly when
+    every suite fails at its documented checks and nowhere else.  Instance
+    names are resolved before any suite runs."""
     reports: list[tuple[VerificationReport, bool]] = []
     mode = "raw" if config.inputs or config.instances else "expected"
-    bounds = (config.max_dim, config.max_apex)
-    if config.inputs:
-        for path in config.inputs:
-            for rep in _reports(path, _load_input(path), config.suites, *bounds, {}):
-                reports.append((rep, rep.passed))
-    else:
+    chosen = []
+    if config.instances or not config.inputs:
         from .corpus import corpus, instance
 
-        for inst in map(instance, config.instances) if config.instances else corpus():
-            suites = [s for s in config.suites if s in inst.suites]
-            for rep in _reports(inst.name, inst.build(), suites, *bounds, inst.options):
-                reports.append((rep, rep.passed if mode == "raw" else _as_documented(inst, rep)))
+        chosen = [instance(name) for name in config.instances] if config.instances else corpus()
+    for path in config.inputs:
+        for rep in _reports(path, _load_input(path), config.suites, config.max_apex, {}):
+            reports.append((rep, rep.passed))
+    for inst in chosen:
+        suites = [s for s in config.suites if s in inst.suites]
+        for rep in _reports(inst.name, inst.build(), suites, config.max_apex, inst.options):
+            reports.append((rep, rep.passed if mode == "raw" else _as_documented(inst, rep)))
 
     code = 0 if all(ok for _, ok in reports) else 1
     payload = {
@@ -428,7 +425,6 @@ def _cmd_run(args, out) -> int:
         inputs=tuple(args.input or ()),
         instances=tuple(args.instance or ()),
         suites=tuple(args.suite) if args.suite else SUITE_ORDER,
-        max_dim=args.max_dim,
         max_apex=args.max_apex,
         fmt=args.format,
     )
@@ -613,8 +609,7 @@ def _cmd_descend(args, out) -> int:
     kind, article = ("nice", "a") if args.subcommand == "extend-c" else ("exceptional", "an")
     if pd.kind != kind:
         raise MalformedInputError(f"{args.subcommand} needs {article} {kind} pair")
-    max_dim = getattr(args, "max_dim", None)  # extend-e takes no --max-dim
-    return _emit_report(_pair_theorem_suite(args.subcommand, pd, options, max_dim), args.format, out)
+    return _emit_report(_pair_theorem_suite(args.subcommand, pd, options), args.format, out)
 
 
 def _cmd_localize_check(args, out) -> int:
@@ -629,7 +624,6 @@ def _cmd_localize_check(args, out) -> int:
 
 _FLAGS = {
     "--format": {"choices": FORMATS, "default": "text"},
-    "--max-dim": {"type": int, "default": 2, "help": "nerve truncation, 1..2; hypercovers are matched at level 1"},
     "--max-apex": {"type": int, "default": 4, "help": "largest span apex enumerated"},
 }
 
@@ -650,7 +644,7 @@ _COMMANDS = {
         ("--input", {"action": "append", "help": "JSON envelope; repeatable"}),
         ("--instance", {"action": "append", "help": "bundled instance name; repeatable"}),
         ("--suite", {"action": "append", "choices": SUITE_ORDER, "help": "restrict to a suite; repeatable"}),
-        "--max-dim", "--max-apex", "--format")),
+        "--max-apex", "--format")),
     "corpus": ("bundled instances", {"list": ("list bundled instances", _cmd_corpus_list, ("--format",))}),
     "grid": ("cartesian grids", {
         "enumerate": ("emit all cartesian grids as JSON", _cmd_grid_enumerate, (
@@ -682,7 +676,7 @@ _COMMANDS = {
     }),
     "descend": ("descent-based extension", {
         "extend-c": ("extend a coefficient system over a nice pair", _cmd_descend, (
-            *_declared("nice-pair-identity"), "--max-dim", "--format")),
+            *_declared("nice-pair-identity"), "--format")),
         "extend-e": ("extend pushforwards over an exceptional pair", _cmd_descend, (
             *_declared("exceptional-pair-cover"), "--format")),
     }),
@@ -723,7 +717,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        check_bounds(getattr(args, "max_dim", None), getattr(args, "max_apex", None))
+        check_bounds(getattr(args, "max_apex", None))
         return args.func(args, sys.stdout)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

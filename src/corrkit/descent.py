@@ -214,11 +214,11 @@ def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
     return CechDiagram(setup, atlas, m, tuple(objects), faces, degs, tuple(aug))
 
 
-def best_nerve(setup: GeometricSetup, atlas: Atlas, m_max: int = 2) -> CechDiagram:
-    """The deepest nerve the carrier supports, down to level one; a
-    `NoPullbackError` when the carrier has no overlap object."""
+def best_nerve(setup: GeometricSetup, atlas: Atlas) -> CechDiagram:
+    """The nerve at level two when the carrier holds it, else at level one;
+    a `NoPullbackError` when the carrier has no overlap object."""
     last = None
-    for m in range(min(m_max, 2), 0, -1):
+    for m in (2, 1):
         try:
             return cech_nerve(setup, atlas, m)
         except NoPullbackError as exc:
@@ -247,8 +247,9 @@ class PairDeclaration:
     # f -> (its first hypercover or None, whether the search met a limit),
     # filled by `find_hypercovers`
     _hypercovers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (source atlas, target atlas) morphisms -> the level-one candidates
-    # keyed by their d_0 face, filled by `_level_index`
+    # (source atlas, target atlas) morphisms -> the maps of E_small at
+    # levels zero and one, keyed as `_search_hypercovers` reads them,
+    # filled by `_level_index`
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -361,32 +362,23 @@ class Hypercover:
     levels: tuple[str, ...]
 
 
-def _level_maps(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram, below: str):
-    """Candidates for level one of a nerve morphism, given level zero: the
-    maps cand in E_small with d_i∘cand = below∘d_i for both faces, in hom
-    order.  Only the candidates whose d_0 face already agrees are checked
-    on d_1."""
-    # the nerves' faces are typed on construction and cand and below run
-    # between their levels, so the table is read directly
-    compose = pd.big.category.compose
-    d1, want = ny.faces[(1, 1)], compose[(below, nx.faces[(1, 1)])]
-    for cand in _level_index(pd, nx, ny).get(compose[(below, nx.faces[(1, 0)])], ()):
-        if compose[(d1, cand)] == want:
-            yield cand
-
-
-def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram) -> dict:
-    """d_0∘cand -> the candidates cand in hom(nx_1, ny_1) that lie in
-    E_small, in hom order; built once per atlas pair."""
+def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram) -> tuple[dict, dict]:
+    """The maps of E_small at both levels of a nerve morphism nx -> ny, in
+    hom order: level zero keyed by y∘f0 (y the target atlas), level one by
+    its face pair (d_0∘f1, d_1∘f1); built once per atlas pair."""
     key = (nx.atlas.x, ny.atlas.x)
     if key not in pd._levels:
         c = pd.big.category
-        d0 = ny.faces[(1, 0)]
-        index: dict = {}
-        for cand in c.hom(nx.objects[1], ny.objects[1]):
-            if cand in pd.e_small:
-                index.setdefault(c.compose[(d0, cand)], []).append(cand)
-        pd._levels[key] = index
+        y, d0, d1 = ny.atlas.x, ny.faces[(1, 0)], ny.faces[(1, 1)]
+        level0: dict = {}
+        for f0 in c.hom(nx.objects[0], ny.objects[0]):
+            if f0 in pd.e_small:
+                level0.setdefault(c.composite(y, f0), []).append(f0)
+        level1: dict = {}
+        for f1 in c.hom(nx.objects[1], ny.objects[1]):
+            if f1 in pd.e_small:
+                level1.setdefault((c.composite(d0, f1), c.composite(d1, f1)), []).append(f1)
+        pd._levels[key] = level0, level1
     return pd._levels[key]
 
 
@@ -411,9 +403,11 @@ def find_hypercovers(pd: PairDeclaration, f: str):
 
 def _search_hypercovers(pd: PairDeclaration, f: str):
     """Every level-one hypercover of f, in atlas-pair and hom order, with
-    None for an atlas pair whose overlap lies outside the carrier."""
+    None for an atlas pair whose overlap lies outside the carrier.
+
+    The degeneracy condition is tested, not assumed: a Čech nerve's faces
+    imply it, but a nerve may be presented otherwise."""
     c = pd.big.category
-    compose = c.compose
     for xa in pd.atlases.get(c.src(f), ()):
         for ya in pd.atlases.get(c.dst(f), ()):
             try:
@@ -422,17 +416,13 @@ def _search_hypercovers(pd: PairDeclaration, f: str):
             except NoPullbackError:
                 yield None
                 continue
-            level0 = [f0 for f0 in c.hom(nx.objects[0], ny.objects[0]) if f0 in pd.e_small]
-            # composing f after the atlas map type-checks the atlas; every
-            # other pair below is typed by the hom-sets and the nerves, so
-            # the table is read directly
-            fx = c.comp(f, xa.x) if level0 else None
-            for f0 in level0:
-                if compose[(ya.x, f0)] != fx:
-                    continue
-                s0 = compose[(ny.degeneracies[(0, 0)], f0)]
-                for f1 in _level_maps(pd, nx, ny, f0):
-                    if compose[(f1, nx.degeneracies[(0, 0)])] == s0:
+            level0, level1 = _level_index(pd, nx, ny)
+            sx, sy = nx.degeneracies[(0, 0)], ny.degeneracies[(0, 0)]
+            for f0 in level0.get(c.composite(f, xa.x), ()):
+                faces = (c.composite(f0, nx.faces[(1, 0)]), c.composite(f0, nx.faces[(1, 1)]))
+                s0 = c.composite(sy, f0)
+                for f1 in level1.get(faces, ()):
+                    if c.composite(f1, sx) == s0:
                         yield Hypercover(f, nx, ny, (f0, f1))
 
 
@@ -524,16 +514,14 @@ def _order_mismatch(up, up_image, image) -> tuple[int, int] | None:
     return None
 
 
-def check_descent(
-    setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas, m_max: int = 2
-) -> VerificationReport:
+def check_descent(setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas) -> VerificationReport:
     """Restriction along the atlas is an order-isomorphism onto descent
     data; the overlap-cocycle condition is asserted when the carrier has a
     level-two object (with thin coefficients it is implied by the equalizer
     equation, so a shallower nerve records the level and nothing else)."""
     rep = VerificationReport("descent")
     try:
-        nerve = best_nerve(setup, atlas, m_max)
+        nerve = best_nerve(setup, atlas)
     except NoPullbackError:
         rep.add_limit(
             "descent-comparison",
@@ -588,9 +576,7 @@ def check_descent(
     return rep
 
 
-def compare_atlases(
-    pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: Atlas, m_max: int = 2
-) -> VerificationReport:
+def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: Atlas) -> VerificationReport:
     """Canonical comparison of descent data over two atlases of the same
     object, through the product atlas rather than any localization."""
     c = pd.big.category
@@ -598,8 +584,8 @@ def compare_atlases(
         raise MalformedInputError("atlases cover different objects")
     rep = VerificationReport("atlas-independence")
     try:
-        n1 = best_nerve(pd.big, a1, m_max)
-        n2 = best_nerve(pd.big, a2, m_max)
+        n1 = best_nerve(pd.big, a1)
+        n2 = best_nerve(pd.big, a2)
         apex, r1, r2 = pd.big.pullback(a1.x, a2.x)
     except NoPullbackError:
         rep.add_limit(
@@ -693,7 +679,7 @@ def _transport_pull(
     return LatticeMap(lattices[dst_o], lattices[src_o], tuple(targets))
 
 
-def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2) -> CoefficientSystem:
+def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientSystem:
     """Extend a coefficient system from the sub-setup to the ambient one by
     taking descent data over the chosen atlas of each new object.
 
@@ -712,7 +698,7 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem, m_max: int = 2)
         else:
             a = pd.atlases[obj][0]
             chosen[obj] = a
-            nerve = best_nerve(pd.big, a, m_max)
+            nerve = best_nerve(pd.big, a)
             lattices[obj], kept[obj] = descent_lattice(sys, nerve), _descent_positions(sys, nerve)
     restriction = {}
     for f in c.morphism_ids:

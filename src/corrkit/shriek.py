@@ -221,7 +221,7 @@ def _construct_squares(ns: NagataSetup) -> list[tuple[str, str, str, str]]:
                     continue
                 apex, left, bottom = pb
                 for phi in isos_into.get(apex, ()):
-                    bottom_w, left_w = c.compose[(bottom, phi)], c.compose[(left, phi)]
+                    bottom_w, left_w = c.composite(bottom, phi), c.composite(left, phi)
                     if bottom_w in marked and left_w in marked:
                         key = (
                             position[c.src(phi)],

@@ -125,10 +125,14 @@ def test_designed_negative_instance_is_exit_1_at_documented_check(capsys):
     assert failed[0]["witness"]["pair"]
 
 
-def test_input_file_runs_applicable_suites(tmp_path, capsys):
+def _pentagon_input(tmp_path) -> str:
     path = tmp_path / "pentagon.json"
     path.write_text(ser.dumps(ser.lattice_to_dict(instance("pentagon-join").build())))
-    code, out, _ = invoke(capsys, "run", "--input", str(path), "--format", "json")
+    return str(path)
+
+
+def test_input_file_runs_applicable_suites(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "run", "--input", _pentagon_input(tmp_path), "--format", "json")
     assert code == 1
     payload = json.loads(out)
     (rep,) = payload["reports"]
@@ -137,12 +141,28 @@ def test_input_file_runs_applicable_suites(tmp_path, capsys):
     assert failed == {"projection-sharp", "projection-star", "external-product"}
 
 
+def test_inputs_and_instances_both_run_inputs_first(tmp_path, capsys):
+    path = _pentagon_input(tmp_path)
+    _, alone = run(WorkspaceConfig(instances=("finset-1",)))
+    code, out, _ = invoke(capsys, "run", "--instance", "finset-1", "--input", path, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["mode"]) == (1, "raw")
+    assert payload["verdicts"] == {f"{path}:model": False, **alone["verdicts"]}
+    assert list(payload["verdicts"]) == [f"{path}:model", *alone["verdicts"]]
+
+
+def test_an_unknown_instance_beside_an_input_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    code, out, err = invoke(capsys, "run", "--input", _pentagon_input(tmp_path), "--instance", "no-such-thing")
+    assert (code, out, ran) == (2, "", [])
+    assert err == "error: no bundled instance named 'no-such-thing'\n"
+
+
 # -- config validation -----------------------------------------------------
 
 
 def test_config_rejects_out_of_range_bounds():
-    with pytest.raises(MalformedInputError, match="max-dim"):
-        WorkspaceConfig(max_dim=7)
     with pytest.raises(MalformedInputError, match="max-apex"):
         WorkspaceConfig(max_apex=0)
     with pytest.raises(MalformedInputError, match="suite"):
@@ -154,18 +174,17 @@ def test_config_rejects_out_of_range_bounds():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("run", "--max-dim", "3"),
+        ("run", "--max-apex", "7"),
         ("run", "--max-apex", "0"),
         ("shriek", "verify", "--max-apex", "7"),
         ("corr", "hocat", "--max-apex", "1000000000"),
         ("formalism", "assemble", "--max-apex", "-1000000000"),
-        ("descend", "extend-c", "--max-dim", "-1"),
-        ("descend", "extend-c", "--max-dim", "1000000000"),
-        ("descend", "extend-c", "--max-dim", "3"),
+        ("shriek", "verify", "--max-apex", "0"),
+        ("formalism", "assemble", "--max-apex", "1000000000"),
+        ("formalism", "assemble", "--max-apex", "7"),
         ("corr", "hocat", "--max-apex", "0"),
-        # no descent check runs below the overlap level
-        ("run", "--max-dim", "0"),
-        ("descend", "extend-c", "--max-dim", "0"),
+        ("run", "--max-apex", "-1"),
+        ("shriek", "verify", "--max-apex", "1000000000"),
     ],
 )
 def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
@@ -191,6 +210,16 @@ def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
         # hypercovers are matched at level one, so extend-e reads no bound
         ("descend", "extend-e", "--max-dim", "1000000000"),
         ("descend", "extend-e", "--max-dim", "0"),
+        # a nice pair's descent checks read every nerve level the carrier
+        # holds, so no subcommand reads a nerve bound, even an in-range one
+        ("run", "--max-dim", "3"),
+        ("run", "--max-dim", "0"),
+        ("run", "--max-dim", "2"),
+        ("descend", "extend-c", "--max-dim", "-1"),
+        ("descend", "extend-c", "--max-dim", "1000000000"),
+        ("descend", "extend-c", "--max-dim", "3"),
+        ("descend", "extend-c", "--max-dim", "0"),
+        ("descend", "extend-c", "--max-dim", "2"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
@@ -315,7 +344,7 @@ def test_suite_order_is_dependency_order():
 def test_each_instance_lists_the_suites_its_declaration_plans():
     # the corpus listing and the run decide separately which suites apply
     for inst in corpus():
-        plan = cli._plan(inst.name, inst.build(), 2, 4, inst.options)
+        plan = cli._plan(inst.name, inst.build(), 4, inst.options)
         assert list(inst.suites) == [s for s in SUITE_ORDER if s in plan], inst.name
 
 
@@ -375,7 +404,7 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
         calls.clear()
         inst = instance(name)
         pd = inst.build()
-        rep = cli._pair_theorem_suite(name, pd, inst.options, 2)
+        rep = cli._pair_theorem_suite(name, pd, inst.options)
         assert rep.checks[-1].name == "extension-functorial"
         assert calls == {("descent", id(a)): 1 for atlases in pd.atlases.values() for a in atlases}
 
@@ -383,7 +412,7 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     count(descent, "_search_hypercovers", lambda pd, f: ("search", f))
     count(descent, "check_codescent", lambda sa, nerve: ("codescent", id(nerve)))
     pd = instance("exceptional-pair-cover").build()
-    rep = cli._pair_theorem_suite("exceptional-pair-cover", pd, {}, 2)
+    rep = cli._pair_theorem_suite("exceptional-pair-cover", pd, {})
     assert rep.passed
     assert {k[1:]: n for k, n in calls.items() if k[0] == "search"} == {(f,): 1 for f in pd.big.e.members}
     # three distinct nerves, each checked once
@@ -558,12 +587,12 @@ def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv
 _EMPTY = _sha256("")
 PARSER_SHA256 = {
     ("--help",): (0, "fd52190b6ea7857a963b6a9b9961a2a5b55ec0c09b01d6bf5d6b44a6f98b3a6b", _EMPTY),
-    ("run", "--help"): (0, "04493348cf57e70a8d8f81d41b230133ce8245f00f31614de4417d0a4969ab86", _EMPTY),
+    ("run", "--help"): (0, "4a95d313f41d8c327df89b48aa0a3d1a5f0567b4319b6d65400e5757476a031f", _EMPTY),
     ("descend", "extend-e", "--help"): (0, "8024509292d8d56d66830352e904077cd3e5442f4710ea7c6da59100dd72e34a", _EMPTY),
     ("descend", "--help"): (0, "094fa6169442015a88db4e7e84b38b776952a2bb3451fae655e23ba16da23893", _EMPTY),
     ("corr", "coproduct", "--help"): (0, "fd3cf3bbc5aa1a14670d2b53f044bcac85495d8d009abe474aafd4575208c636", _EMPTY),
     ("bogus",): (2, _EMPTY, "352e84225de5c1c378b5be7320af10065d9f0b16f60189d7a1611e2883f1ab69"),
-    ("run", "--suite", "bogus"): (2, _EMPTY, "fd52b36f7f73a6904ec60ee0e46bb66d8031bba52454a45b58ed64a963f0633d"),
+    ("run", "--suite", "bogus"): (2, _EMPTY, "d5e01c14a6a18d9e849d0979ce877153014f0b4e74cc9bf256e4d5eba396cdb9"),
     ("descend",): (2, _EMPTY, "23029830e3b2983e34ce8eed85fa53ecd2243e3afed8585899b04c0dace9852e"),
     (): (2, _EMPTY, "5ec29090577bf7ee76e60a3e3be4d77a08adc0d532313900362bc6b1286bb014"),
 }
@@ -680,7 +709,7 @@ def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):
     monkeypatch.setattr(lattices, "frame_system", lambda setup, L: systems.append(frame_system(setup, L)) or systems[-1])
     for name in ("nice-pair-cover", "exceptional-pair-cover"):
         inst = instance(name)
-        assert all(rep.passed for rep in cli._reports(name, inst.build(), ["theorem"], 2, 4, inst.options))
+        assert all(rep.passed for rep in cli._reports(name, inst.build(), ["theorem"], 4, inst.options))
     assert len(systems) == 2 and systems[0] is systems[1]
 
 

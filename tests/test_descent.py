@@ -1,6 +1,7 @@
 """Atlases, Čech nerves, descent/codescent extension, localization premises."""
 
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -31,7 +32,7 @@ from corrkit.descent import (
     has_section,
     identity_atlas,
 )
-from corrkit.descent import _level_maps, _search_hypercovers
+from corrkit.descent import _level_index, _search_hypercovers
 from corrkit.fincat import (
     FunctorData,
     chain_category,
@@ -41,6 +42,7 @@ from corrkit.fincat import (
     finset_skeleton,
     fn_values,
     function_table,
+    injections,
     poset_category,
     surjections,
     terminal_category,
@@ -396,7 +398,7 @@ def test_extend_restrictions_gate_reports_witness():
     # the suite reports the pair axioms and extends only when they pass
     pd = degenerate_pair()
     del pd.atlases["2"]
-    rep = cli._pair_theorem_suite("no-atlas", pd, {}, 2)
+    rep = cli._pair_theorem_suite("no-atlas", pd, {})
     assert [(c.name, c.witness) for c in rep.failures] == [
         ("pair:atlases-exist", {"object": "2", "reason": "no atlas declared"})
     ]
@@ -435,34 +437,40 @@ def test_exceptional_pair_cover_outside_class():
     assert "hypercover:2>1:0.0" in failed
 
 
-def _level_maps_by_scan(pd, nx, ny, n, below):
-    c = pd.big.category
-    faces = [(ny.faces[(n, i)], c.comp(below, nx.faces[(n, i)])) for i in range(n + 1)]
-    return [
-        cand
-        for cand in c.hom(nx.objects[n], ny.objects[n])
-        if cand in pd.e_small and all(c.comp(face, cand) == want for face, want in faces)
-    ]
-
-
 @pytest.mark.parametrize("name", ["nice-pair-cover", "exceptional-pair-cover"])
 def test_level_maps_agree_with_the_scan(name):
-    # every level-one candidate list, for every map below it, on every atlas
-    # pair whose overlap the carrier holds
-    pd = instance(name).build()
-    c = pd.big.category
-    atlases = [a for lst in pd.atlases.values() for a in lst]
+    # both tables of every atlas pair whose overlap the carrier holds, at
+    # every key the search can ask and every key they store, against a scan
+    # of hom ∩ E_small at each level; E_small is the declared class (every
+    # map) and two proper ones, so that a table that drops the filter shows
+    declared = instance(name).build()
+    c = declared.big.category
+    atlases = [a for lst in declared.atlases.values() for a in lst]
     compared = 0
-    for xa in atlases:
-        for ya in atlases:
-            try:
-                nx, ny = cech_nerve(pd.big, xa, 1), cech_nerve(pd.big, ya, 1)
-            except MalformedInputError:
-                continue
-            for below in c.hom(nx.objects[0], ny.objects[0]):
-                want = _level_maps_by_scan(pd, nx, ny, 1, below)
-                assert list(_level_maps(pd, nx, ny, below)) == want, (xa.x, ya.x, below)
-                compared += bool(want)
+    for e_small in (declared.e_small, frozenset(surjections(c)), frozenset(injections(c))):
+        pd = replace(declared, e_small=e_small)
+        for xa in atlases:
+            for ya in atlases:
+                try:
+                    nx, ny = cech_nerve(pd.big, xa, 1), cech_nerve(pd.big, ya, 1)
+                except MalformedInputError:
+                    continue
+                level0, level1 = _level_index(pd, nx, ny)
+                maps0, maps1 = ([m for m in c.hom(nx.objects[n], ny.objects[n]) if m in e_small] for n in (0, 1))
+                yf0 = {f0: c.comp(ya.x, f0) for f0 in maps0}
+                for g in c.hom(nx.objects[0], ya.target):
+                    assert level0.get(g, []) == [f0 for f0 in maps0 if yf0[f0] == g], (xa.x, ya.x, g)
+                assert set(level0) <= set(c.hom(nx.objects[0], ya.target))
+                faces = {f1: (c.comp(ny.faces[(1, 0)], f1), c.comp(ny.faces[(1, 1)], f1)) for f1 in maps1}
+                asked = {
+                    (c.comp(f0, nx.faces[(1, 0)]), c.comp(f0, nx.faces[(1, 1)]))
+                    for f0 in c.hom(nx.objects[0], ny.objects[0])
+                }
+                for key in asked | set(level1):
+                    want = [f1 for f1 in maps1 if faces[f1] == key]
+                    assert level1.get(key, []) == want, (xa.x, ya.x, key)
+                    compared += bool(want)
+                assert sum(map(len, level1.values())) == len(maps1)
     assert compared > 0
 
 

@@ -95,10 +95,10 @@ def _old_order_mismatch(elements, le, le_image, image):
     return None
 
 
-def _old_check_descent(setup, sys, atlas, m_max=2):
+def _old_check_descent(setup, sys, atlas):
     rep = VerificationReport("descent")
     try:
-        nerve = best_nerve(setup, atlas, m_max)
+        nerve = best_nerve(setup, atlas)
     except NoPullbackError:
         rep.add_limit(
             "descent-comparison",
@@ -142,14 +142,14 @@ def _old_check_descent(setup, sys, atlas, m_max=2):
     return rep
 
 
-def _old_compare_atlases(pd, sys, a1, a2, m_max=2):
+def _old_compare_atlases(pd, sys, a1, a2):
     c = pd.big.category
     if c.dst(a1.x) != c.dst(a2.x):
         raise MalformedInputError("atlases cover different objects")
     rep = VerificationReport("atlas-independence")
     try:
-        n1 = best_nerve(pd.big, a1, m_max)
-        n2 = best_nerve(pd.big, a2, m_max)
+        n1 = best_nerve(pd.big, a1)
+        n2 = best_nerve(pd.big, a2)
         apex, r1, r2 = pd.big.pullback(a1.x, a2.x)
     except NoPullbackError:
         rep.add_limit(
@@ -204,7 +204,7 @@ def _old_transport_pull(pd, sys, lattices, chosen, f):
     return named_map(lattices[dst_o], lattices[src_o], table)
 
 
-def _old_extend_system_C(pd, sys, m_max=2):
+def _old_extend_system_C(pd, sys):
     c = pd.big.category
     small = set(pd.small_objects)
     lattices, chosen = {}, {}
@@ -214,7 +214,7 @@ def _old_extend_system_C(pd, sys, m_max=2):
         else:
             a = pd.atlases[obj][0]
             chosen[obj] = a
-            lattices[obj] = _old_descent_lattice(sys, best_nerve(pd.big, a, m_max))
+            lattices[obj] = _old_descent_lattice(sys, best_nerve(pd.big, a))
     restriction = {}
     for f in c.morphism_ids:
         src_o, dst_o = c.morphisms[f]

@@ -1,5 +1,6 @@
 """Package layout: no unused import, no module the CLI cannot reach, no call
-to the builtin `id`, and no definition that only unit tests name."""
+to the builtin `id`, no read of the compose table outside `fincat`, and no
+definition that only unit tests name."""
 
 import ast
 from collections import Counter
@@ -63,6 +64,19 @@ def test_no_call_to_the_builtin_id():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
     ]
     assert calls == []
+
+
+def test_only_fincat_reads_the_compose_table():
+    # on an all-function carrier the table is a memo of what has been read,
+    # so a reader outside `fincat` goes through `comp` or `composite`
+    reads = [
+        f"{mod}.py:{n.lineno}"
+        for mod, tree in _trees().items()
+        if mod != "fincat"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "compose" and isinstance(n.ctx, ast.Load)
+    ]
+    assert reads == []
 
 
 def test_every_module_is_reached_from_the_cli():
