@@ -313,8 +313,9 @@ def run(config: WorkspaceConfig):
     Explicit inputs and explicit instance selections run in raw mode, the
     inputs first: any failing check is a nonzero exit.  A bare run walks
     the whole corpus in expectation mode: the exit is zero exactly when
-    every suite fails at its documented checks and nowhere else.  Instance
-    names are resolved before any suite runs."""
+    every suite fails at its documented checks and nowhere else.  Every
+    input is loaded and every instance name resolved before any suite
+    runs."""
     reports: list[tuple[VerificationReport, bool]] = []
     mode = "raw" if config.inputs or config.instances else "expected"
     chosen = []
@@ -322,8 +323,9 @@ def run(config: WorkspaceConfig):
         from .corpus import corpus, instance
 
         chosen = [instance(name) for name in config.instances] if config.instances else corpus()
-    for path in config.inputs:
-        for rep in _reports(path, _load_input(path), config.suites, config.max_apex, {}):
+    loaded = [(path, _load_input(path)) for path in config.inputs]
+    for path, obj in loaded:
+        for rep in _reports(path, obj, config.suites, config.max_apex, {}):
             reports.append((rep, rep.passed))
     for inst in chosen:
         suites = [s for s in config.suites if s in inst.suites]

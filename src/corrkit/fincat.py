@@ -1,10 +1,10 @@
 """Explicit finite categories, functors, and limits.
 
 A category is a set of opaque string ids plus total tables; every structural
-law is decidable by exhaustive enumeration.  An all-function carrier
-computes each entry of its composition table from function values on the
-entry's first read.  Object and morphism ids carry a
-declared total order (tuple sort) so all derived enumerations are
+law is decidable by exhaustive enumeration.  An all-function carrier holds
+no composition table: it composes by function values, and `function_table`
+builds its whole table when a reader needs one.  Object and morphism ids
+carry a declared total order (tuple sort) so all derived enumerations are
 deterministic.  Limits are found by universal-property search, and a
 coproduct as a product in the opposite category, except that fiber products
 and coproducts in an all-function carrier are constructed directly, as the
@@ -25,9 +25,9 @@ class FinCategory:
     objects: tuple[str, ...]
     morphisms: dict[str, tuple[str, str]]  # id -> (source, target)
     identity: dict[str, str]  # object -> identity morphism id
-    # (g, f) -> g.f when dst(f) == src(g); on an all-function carrier a
-    # `_ByValue` memo of the composites read so far
-    compose: dict[tuple[str, str], str]
+    # (g, f) -> g.f when dst(f) == src(g); None on an all-function carrier,
+    # which composes by function values
+    compose: dict[tuple[str, str], str] | None
     # object -> cardinality, set only on a category of all functions between
     # sets of these sizes; the fiber product, coproduct, span-class and frame
     # constructions run only when it is set
@@ -36,8 +36,7 @@ class FinCategory:
     def __eq__(self, other) -> bool:
         """Equal objects, morphisms and identities, and equal tables unless
         both sides are all-function carriers of the same sizes.  The table
-        of an all-function carrier is read whole (`function_table`), never
-        as the memo of what has been read so far."""
+        of an all-function carrier is its `function_table`."""
         if not isinstance(other, FinCategory):
             return NotImplemented
         if (self.objects, self.morphisms, self.identity) != (other.objects, other.morphisms, other.identity):
@@ -59,10 +58,22 @@ class FinCategory:
         return list(self._hom_index.get((x, y), ()))
 
     def comp(self, g: str, f: str) -> str:
-        """g after f."""
+        """g after f, for readers that come back to a pair: an all-function
+        carrier keeps each composite read here in a private memo."""
         if self.dst(f) != self.src(g):
             raise MalformedInputError(f"cannot compose {g!r} after {f!r}")
-        return self.compose[(g, f)]
+        if self.object_size is None:
+            return self.compose[(g, f)]
+        try:
+            return self._memo[(g, f)]
+        except KeyError:
+            h = self._memo[(g, f)] = self.composite(g, f)
+            return h
+
+    @cached_property
+    def _memo(self) -> dict[tuple[str, str], str]:
+        """The composites `comp` has read, on an all-function carrier."""
+        return {}
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src(m)) == m and self.src(m) == self.dst(m)
@@ -245,7 +256,9 @@ class FunctorData:
 
 
 def check_category(c: FinCategory) -> VerificationReport:
-    """Exhaustive associativity / unit / closure audit with localized witnesses."""
+    """Exhaustive associativity / unit / closure audit with localized
+    witnesses, on one whole table: the category's own, or an all-function
+    carrier's `function_table`, built for the check and stored nowhere."""
     rep = VerificationReport("check-category")
 
     dangling = []
@@ -260,13 +273,13 @@ def check_category(c: FinCategory) -> VerificationReport:
     if dangling:
         return rep
 
-    bad_entry = compose_table_witness(c)
+    compose = c.compose if c.object_size is None else function_table(c)
+    bad_entry = compose_table_witness(c, compose)
     rep.add("composition-table-closed", bad_entry is None, bad_entry or {})
     if bad_entry is not None:
         return rep
 
     # the table is closed and well typed from here on, so it is read directly
-    compose = c.compose
     unit_witness = None
     for m in c.morphism_ids:
         x, y = c.morphisms[m]
@@ -279,14 +292,15 @@ def check_category(c: FinCategory) -> VerificationReport:
     # in a closed, typed table, so it holds every id once it holds the
     # generators (Light's test; Clifford and Preston, The Algebraic Theory
     # of Semigroups I, 1.2); a failed sweep rescans for the first witness
-    assoc_witness = None if _associative_on_generators(c) else _associativity_witness(c)
+    assoc_witness = None if _associative_on_generators(c, compose) else _associativity_witness(c, compose)
     rep.add("associativity", assoc_witness is None, assoc_witness or {})
     return rep
 
 
-def _associative_on_generators(c: FinCategory) -> bool:
-    """Associativity of every triple (h, a, f) with a a generator."""
-    compose, into, out = c.compose, c._in_index, c._out_index
+def _associative_on_generators(c: FinCategory, compose: dict) -> bool:
+    """Associativity of every triple (h, a, f) of the table `compose` with
+    a a generator."""
+    into, out = c._in_index, c._out_index
     for a in c.generators:
         x, y = c.morphisms[a]
         hs = out.get(y, ())
@@ -298,12 +312,13 @@ def _associative_on_generators(c: FinCategory) -> bool:
     return True
 
 
-def _associativity_witness(c: FinCategory) -> dict | None:
-    """The first failing triple of the scan over every composable pair.
+def _associativity_witness(c: FinCategory, compose: dict) -> dict | None:
+    """The first failing triple of the table `compose` in the scan over
+    every composable pair.
 
     h runs over the ids out of dst(g) in `morphism_ids` order, so the first
     witness is the one a scan over every id would find."""
-    compose, out = c.compose, c._out_index
+    out = c._out_index
     for g, f in c.composable_pairs:
         gf = compose[(g, f)]
         for h in out.get(c.morphisms[g][1], ()):
@@ -312,23 +327,23 @@ def _associativity_witness(c: FinCategory) -> dict | None:
     return None
 
 
-def compose_table_witness(c: FinCategory) -> dict | None:
-    """The first composable pair whose compose entry is missing, unlisted
-    or mistyped, else the least entry on a pair that does not compose;
-    None when the table holds exactly one well-typed entry per pair."""
+def compose_table_witness(c: FinCategory, compose: dict) -> dict | None:
+    """The first composable pair of `c` whose entry in `compose` is
+    missing, unlisted or mistyped, else the least entry on a pair that
+    does not compose; None when the table holds exactly one well-typed
+    entry per pair."""
     for g, f in c.composable_pairs:
         try:
-            h = c.compose[(g, f)]
+            h = compose[(g, f)]
         except KeyError:
             return {"pair": [g, f], "problem": "missing entry"}
         if h not in c.morphisms:
             return {"pair": [g, f], "problem": "unlisted result", "result": h}
         if c.morphisms[h] != (c.src(f), c.dst(g)):
             return {"pair": [g, f], "problem": "wrong typing", "result": h}
-    # every pair has its entry, so any extra entry shows in the count; a
-    # `_ByValue` memo now holds exactly the composable pairs
-    if len(c.compose) > len(c.composable_pairs):
-        g, f = min(set(c.compose) - set(c.composable_pairs))
+    # every pair has its entry, so any extra entry shows in the count
+    if len(compose) > len(c.composable_pairs):
+        g, f = min(set(compose) - set(c.composable_pairs))
         return {"pair": [g, f], "problem": "non-composable entry"}
     return None
 
@@ -403,13 +418,10 @@ def full_subcategory(c: FinCategory, objects) -> FinCategory:
     sizes = None if c.object_size is None else {x: c.object_size[x] for x in objs}
     morphisms = {m: c.morphisms[m] for m in sorted(keep)}
     # with every object kept, so is the table
-    sub = FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, c.compose, sizes)
-    if len(objs) < len(c.objects):
-        if sizes is None:
-            sub.compose = {(g, f): h for (g, f), h in c.compose.items() if g in keep and f in keep}
-        else:
-            sub.compose = _ByValue(sub)
-    return sub
+    compose = c.compose
+    if sizes is None and len(objs) < len(c.objects):
+        compose = {(g, f): h for (g, f), h in compose.items() if g in keep and f in keep}
+    return FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, compose, sizes)
 
 
 # -- builders ------------------------------------------------------------
@@ -474,31 +486,7 @@ def finset_category(sizes: dict[str, int]) -> FinCategory:
             for vals in itertools.product(range(sizes[b]), repeat=sizes[a]):
                 morphisms[_fn_id(a, b, vals)] = (a, b)
     identity = {a: _fn_id(a, a, tuple(range(sizes[a]))) for a in objects}
-    c = FinCategory(objects, morphisms, identity, {}, dict(sizes))
-    c.compose = _ByValue(c)
-    return c
-
-
-class _ByValue(dict):
-    """The compose table of an all-function carrier: a memo of the
-    composites read so far.  g.f is computed by `FinCategory.composite` on
-    its first read and kept, so a random-access reader that comes back to
-    it (`comp`, `check_category`, the searches of `descent` and `shriek`)
-    hits the dict; a pair that does not compose is a `KeyError`.  Length
-    and iteration are the memo's: a reader of the whole table calls
-    `function_table`, and a sweep that reads each composite once calls
-    `composite` and stores nothing."""
-
-    def __init__(self, c: FinCategory):
-        self.c = c
-
-    def __missing__(self, key):
-        g, f = key
-        c = self.c
-        if c.morphisms[g][0] != c.morphisms[f][1]:
-            raise KeyError(key)
-        h = self[key] = c.composite(g, f)
-        return h
+    return FinCategory(objects, morphisms, identity, None, dict(sizes))
 
 
 def function_table(c: FinCategory) -> dict[tuple[str, str], str]:
@@ -540,18 +528,18 @@ def verify_pullback_square(c: FinCategory, f: str, g: str, apex: str, p: str, q:
         return False
     if c.src(p) != apex or c.src(q) != apex:
         raise MalformedInputError(f"span legs {p!r}, {q!r} do not start at {apex!r}")
-    compose, homs = c.compose, c._hom_index
+    composite, homs = c.composite, c._hom_index
     x, y = c.src(f), c.src(g)
     for t in c.objects:
         hits: dict[tuple[str, str], int] = {}
         for w in homs.get((t, apex), ()):
-            uv = (compose[(p, w)], compose[(q, w)])
+            uv = (composite(p, w), composite(q, w))
             hits[uv] = hits.get(uv, 0) + 1
         by_gv: dict[str, list[str]] = {}
         for v in homs.get((t, y), ()):
-            by_gv.setdefault(compose[(g, v)], []).append(v)
+            by_gv.setdefault(composite(g, v), []).append(v)
         for u in homs.get((t, x), ()):
-            for v in by_gv.get(compose[(f, u)], ()):
+            for v in by_gv.get(composite(f, u), ()):
                 if hits.get((u, v)) != 1:
                     return False
     return True

@@ -92,7 +92,8 @@ def category_to_dict(c: FinCategory) -> dict:
 def category_from_dict(d: dict) -> FinCategory:
     """A sizes-free envelope loads as its own tables, once they are closed
     and well typed; a `sizes` envelope as the carrier `finset_category`
-    builds, once it is shown to be exactly that carrier.  Either way every
+    builds, in the envelope's object order and with no compose table, once
+    it is shown to be exactly that carrier.  Either way every
     morphism joins listed objects, and `identities` names one loop at each
     object and nothing else."""
     from .fincat import FinCategory, compose_table_witness
@@ -129,8 +130,9 @@ def category_from_dict(d: dict) -> FinCategory:
             raise MalformedInputError(f"identity of {x!r} is not a loop at {x!r}")
     if "sizes" in d:
         return _all_functions(objects, morphisms, identity, compose, d["sizes"])
-    c = FinCategory(objects, morphisms, identity, {_compose_pair(key): h for key, h in compose.items()})
-    bad = compose_table_witness(c)
+    table = {_compose_pair(key): h for key, h in compose.items()}
+    c = FinCategory(objects, morphisms, identity, table)
+    bad = compose_table_witness(c, table)
     if bad is not None:
         g, f = bad["pair"]
         result = f" ({bad['result']!r})" if "result" in bad else ""
@@ -150,7 +152,8 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
     the envelope lists exactly its ids, identities and compose entries: the
     fiber product, coproduct and frame constructions read ids as function
     values and trust them.  The counts come first, so the build is no
-    larger than the envelope."""
+    larger than the envelope.  The entries are checked against one bulk
+    `function_table`, which is not kept: the carrier composes by value."""
     from .fincat import FinCategory, finset_category, function_table
 
     if not isinstance(sizes, dict):
@@ -180,7 +183,6 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
     for x in objects:
         if identity[x] != built.identity[x]:
             raise MalformedInputError(f"identity of {x!r} is not the identity function")
-    # the table is read whole, so it is built whole, as a plain dict
     table = function_table(built)
     for key, h in compose.items():
         g, f = _compose_pair(key)
@@ -189,7 +191,7 @@ def _all_functions(objects, morphisms, identity, compose, sizes) -> FinCategory:
             raise MalformedInputError(f"compose entry {g!r} after {f!r} is not a composable pair")
         if h != want:
             raise MalformedInputError(f"compose entry {g!r} after {f!r} is {h!r}, not {want!r}")
-    return FinCategory(objects, built.morphisms, built.identity, table, built.object_size)
+    return FinCategory(objects, built.morphisms, built.identity, None, built.object_size)
 
 
 def _is_power(count: int, n: int, k: int) -> bool:

@@ -6,7 +6,7 @@ multiplication, and `EdgeClass.composition_witness`, the index of
 `shriek.factorizations`, the cancellation sweep of `check_nagata`,
 `FinCategory.mono_ids`, the functoriality sweep of `CoefficientSystem` and
 `serialization.category_to_dict` read composites by value; none of them
-stores a composite in the carrier's table.
+stores a composite in the memo `FinCategory.comp` keeps.
 """
 
 import hashlib
@@ -25,13 +25,13 @@ DERANDOMIZED = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def _stored(c: FinCategory) -> int:
-    return dict.__len__(c.compose)
+    return len(c.__dict__.get("_memo", {}))
 
 
 def _pairwise_generators(c: FinCategory) -> tuple:
     """The greedy isomorphisms-first generating set, grown by composing
     every pair of reached ids through the table."""
-    compose, typing = c.compose, c.morphisms
+    composite, typing = c.composite, c.morphisms
     reached: set[str] = set()
     out_of: dict[str, list[str]] = {}
     into: dict[str, list[str]] = {}
@@ -47,8 +47,8 @@ def _pairwise_generators(c: FinCategory) -> tuple:
             x, y = typing[n]
             out_of.setdefault(x, []).append(n)
             into.setdefault(y, []).append(n)
-            found = [compose[(n, f)] for f in into.get(x, ())]
-            found += [compose[(h, n)] for h in out_of.get(y, ())]
+            found = [composite(n, f) for f in into.get(x, ())]
+            found += [composite(h, n) for h in out_of.get(y, ())]
             for k in found:
                 if k not in reached:
                     reached.add(k)
@@ -90,8 +90,7 @@ def test_generators_by_left_multiplication_match_the_pairwise_closure(sizes, dat
     assert _stored(c) == 0
     table = sorted(function_table(finset_category(sizes)).items())
     assert list(d["compose"].items()) == [(f"{g}{ser.COMPOSE_SEP}{f}", h) for (g, f), h in table]
-    # a loaded sizes envelope lists its objects in the envelope's order and
-    # holds its whole table
+    # a loaded sizes envelope lists its objects in the envelope's order
     d["objects"] = data.draw(st.permutations(d["objects"]))
     loaded = ser.category_from_dict(d)
     assert loaded.objects == tuple(d["objects"]) and loaded.object_size == sizes

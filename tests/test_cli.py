@@ -159,6 +159,15 @@ def test_an_unknown_instance_beside_an_input_exits_2_before_any_suite(tmp_path, 
     assert err == "error: no bundled instance named 'no-such-thing'\n"
 
 
+def test_an_unreadable_input_after_a_good_one_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    missing = str(tmp_path / "missing.json")
+    code, out, err = invoke(capsys, "run", "--input", _pentagon_input(tmp_path), "--input", missing)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
 # -- config validation -----------------------------------------------------
 
 

@@ -33,9 +33,14 @@ from corrkit.fincat import (
     wide_subcategory,
 )
 from corrkit import serialization as ser
-from corrkit.fincat import _ByValue, _associative_on_generators, _associativity_witness
+from corrkit.fincat import _associative_on_generators, _associativity_witness
 from corrkit.report import MalformedInputError
 from corrkit.setups import GeometricSetup, iso_class
+
+
+def _memo(c):
+    """The composites `comp` has stored on an all-function carrier."""
+    return c.__dict__.get("_memo", {})
 
 
 def test_terminal_category_is_valid():
@@ -130,8 +135,8 @@ def test_isomorphisms_by_values_match_the_table_scan(sizes, data):
     # the same category without sizes scans the composition table
     c = finset_category(sizes)
     order = tuple(data.draw(st.permutations(c.objects)))
-    listed = FinCategory(order, c.morphisms, c.identity, c.compose, c.object_size)
-    scanned = FinCategory(order, c.morphisms, c.identity, c.compose)
+    listed = FinCategory(order, c.morphisms, c.identity, None, c.object_size)
+    scanned = FinCategory(order, c.morphisms, c.identity, function_table(c))
     assert listed.iso_ids == scanned.iso_ids
     assert all(listed.object_size[listed.src(m)] == listed.object_size[listed.dst(m)] for m in listed.iso_ids)
 
@@ -190,24 +195,23 @@ def test_composites_by_value_match_the_bulk_table(size_list, data):
     oracle = _bulk_compose(sizes)
     # the whole table, built in bulk, in the order of the bulk build
     assert list(function_table(finset_category(sizes)).items()) == list(oracle.items())
-    # read entry by entry: the memo holds exactly the composites read
+    # read entry by entry through `comp`: its memo holds exactly the
+    # composites read
     lazy = finset_category(sizes)
     some = data.draw(st.lists(st.sampled_from(sorted(oracle)), max_size=20))
-    assert [lazy.compose[k] for k in some] == [oracle[k] for k in some]
-    assert len(lazy.compose) == len(set(some)) and type(lazy.compose) is _ByValue
-    assert all(lazy.compose[k] == h for k, h in oracle.items())
-    assert len(lazy.compose) == len(oracle) and type(lazy.compose) is _ByValue
+    assert [lazy.comp(*k) for k in some] == [oracle[k] for k in some]
+    assert lazy.compose is None and len(_memo(lazy)) == len(set(some))
+    assert all(lazy.comp(*k) == h for k, h in oracle.items())
+    assert len(_memo(lazy)) == len(oracle)
     c = finset_category(sizes)
     ids = sorted(c.morphisms)
-    outside = [(g, f) for g in ids for f in ids if c.dst(f) != c.src(g)][:1] + [("nothing", ids[0])]
-    for pair in outside:
-        assert c.compose.get(pair) is None and pair not in c.compose
-        with pytest.raises(KeyError):
-            c.compose[pair]
-    assert len(c.compose) == 0
-    plain = FinCategory(c.objects, c.morphisms, c.identity, oracle, c.object_size)
+    for pair in [(g, f) for g in ids for f in ids if c.dst(f) != c.src(g)][:1]:
+        with pytest.raises(MalformedInputError, match="cannot compose"):
+            c.comp(*pair)
+    assert len(_memo(c)) == 0
+    plain = FinCategory(c.objects, c.morphisms, c.identity, oracle)
     for d in (finset_category(sizes), c):
-        assert ser.dumps(ser.category_to_dict(d)) == ser.dumps(ser.category_to_dict(plain))
+        assert ser.dumps(ser.category_to_dict(d)) == ser.dumps({**ser.category_to_dict(plain), "sizes": sizes})
         assert opposite(d).compose == {(f, g): h for (g, f), h in oracle.items()}
     assert finset_category(sizes) == plain and finset_category(sizes) == finset_category(sizes)
     # a full subcategory composes by value over its own hom-sets and reads
@@ -216,10 +220,9 @@ def test_composites_by_value_match_the_bulk_table(size_list, data):
     big = finset_category(sizes)
     sub = full_subcategory(big, kept)
     inside = {(g, f): h for (g, f), h in oracle.items() if {*c.morphisms[g], *c.morphisms[f]} <= kept}
-    assert all(sub.compose[k] == h for k, h in inside.items())
-    if len(kept) < len(names):
-        assert len(big.compose) == 0
-    assert sub.compose == inside
+    assert all(sub.comp(*k) == h for k, h in inside.items())
+    assert len(_memo(big)) == 0
+    assert sub.compose is None and function_table(sub) == inside
 
 
 def test_an_all_function_carrier_builds_no_composition_table():
@@ -227,7 +230,7 @@ def test_an_all_function_carrier_builds_no_composition_table():
     tracemalloc.start()
     try:
         c = finset_category({"1": 1, "2": 2, "4": 4})
-        assert c.compose[("4>2:0.1.1.0", "2>4:3.0")] == "2>2:0.0"
+        assert c.compose is None and c.comp("4>2:0.1.1.0", "2>4:3.0") == "2>2:0.0"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,9 +239,10 @@ def test_an_all_function_carrier_builds_no_composition_table():
 
 def test_carriers_of_equal_sizes_are_equal_whatever_their_memos_hold():
     a, b = finset_skeleton(2), finset_skeleton(2)
-    assert a.compose[("2>2:1.0", "2>2:1.0")] == "2>2:0.1"
-    assert check_category(b).passed
-    assert len(a.compose) == 1 and len(b.compose) == len(b.composable_pairs)
+    assert a.comp("2>2:1.0", "2>2:1.0") == "2>2:0.1"
+    for g, f in b.composable_pairs:
+        b.comp(g, f)
+    assert len(_memo(a)) == 1 and len(_memo(b)) == len(b.composable_pairs)
     assert a == b and b == a and not a != b
     # a setup's guard compares its carrier with the class's through `!=`
     GeometricSetup(a, iso_class(b))
@@ -250,13 +254,14 @@ def test_carriers_of_equal_sizes_are_equal_whatever_their_memos_hold():
 def test_check_category_reports_a_built_carrier_as_its_loaded_twin(size_list, data):
     names = data.draw(st.permutations([f"o{i}" for i in range(len(size_list))]))
     sizes = dict(zip(names, size_list))
-    # the twin holds the whole table as a plain dict; the built carrier's
-    # memo is filled one entry at a time as the checks read it
+    # the check reads one bulk table of each carrier and stores nothing on
+    # it; a sizes-free copy is checked on its own table
     twin = ser.category_from_dict(ser.category_to_dict(finset_category(sizes)))
-    assert type(twin.compose) is dict
     built = finset_category(sizes)
-    assert check_category(built).to_json() == check_category(twin).to_json()
-    assert type(built.compose) is _ByValue and len(built.compose) == len(built.composable_pairs)
+    copy = FinCategory(built.objects, built.morphisms, built.identity, function_table(built))
+    report = check_category(built).to_json()
+    assert report == check_category(twin).to_json() == check_category(copy).to_json()
+    assert "_memo" not in built.__dict__ and "_memo" not in twin.__dict__
 
 
 # -- duality and subcategories -------------------------------------------
@@ -302,6 +307,7 @@ def test_object_size_through_subcategories():
     # opposite and a wide subcategory are not, so they carry no sizes
     c = finset_skeleton(3)
     assert full_subcategory(c, ["3", "0", "2"]).object_size == {"0": 0, "2": 2, "3": 3}
+    assert full_subcategory(c, ["3", "0", "2"]).compose is None
     assert full_subcategory(chain_category(2), ["0", "1"]).object_size is None
     assert opposite(c).object_size is None
     assert wide_subcategory(c, injections(c)).object_size is None
@@ -600,8 +606,8 @@ def test_constructed_limits_match_search_in_every_listing_order():
     # the least-named apex whatever that order is
     c = RELISTED
     for objects in itertools.permutations(c.objects):
-        sized = FinCategory(objects, c.morphisms, c.identity, c.compose, c.object_size)
-        free = FinCategory(objects, c.morphisms, c.identity, c.compose)
+        sized = FinCategory(objects, c.morphisms, c.identity, None, c.object_size)
+        free = FinCategory(objects, c.morphisms, c.identity, function_table(c))
         for f, g in _cospans(c):
             assert canonical_pullback(sized, f, g) == canonical_pullback(free, f, g), (objects, f, g)
         for factors in (["p", "p"], ["q", "a"], ["p", "q"], ["q", "q"]):
@@ -667,7 +673,7 @@ def test_composable_pairs_keep_scan_order():
 @given(st.data())
 def test_first_associativity_witness_matches_scan(data):
     c = TWINS
-    bad = FinCategory(c.objects, dict(c.morphisms), dict(c.identity), dict(c.compose))
+    bad = FinCategory(c.objects, dict(c.morphisms), dict(c.identity), function_table(c))
     # rewire a few entries to other ids of the same typing: still a closed
     # table, but no longer associative (or unital)
     for g, f in data.draw(st.lists(st.sampled_from(c.composable_pairs), min_size=1, max_size=3)):
@@ -688,7 +694,7 @@ def _closure(c, ids):
     """Every composite of the given ids, by fixpoint over all pairs."""
     reached = set(ids)
     while True:
-        more = {c.compose[(g, f)] for g in reached for f in reached if c.dst(f) == c.src(g)} - reached
+        more = {c.composite(g, f) for g in reached for f in reached if c.dst(f) == c.src(g)} - reached
         if not more:
             return reached
         reached |= more
@@ -698,7 +704,7 @@ def _rewired(c, data):
     """A copy of c with up to four compose entries sent to other ids of the
     same typing: still closed and typed, often neither associative nor
     unital.  Half the draws rewire a unit entry on purpose."""
-    bad = FinCategory(c.objects, dict(c.morphisms), dict(c.identity), dict(c.compose))
+    bad = FinCategory(c.objects, dict(c.morphisms), dict(c.identity), function_table(c))
     pairs = data.draw(st.lists(st.sampled_from(c.composable_pairs), min_size=1, max_size=3))
     if data.draw(st.booleans()):
         m = data.draw(st.sampled_from(c.morphism_ids))
@@ -739,8 +745,8 @@ def test_generator_sweep_agrees_with_the_full_scan(data):
     rep = check_category(bad)
     closed, assoc = rep.checks[1], rep.checks[3]
     assert closed.name == "composition-table-closed" and closed.status == "pass"
-    expected = _associativity_witness(bad)
-    assert _associative_on_generators(bad) == (expected is None)
+    expected = _associativity_witness(bad, bad.compose)
+    assert _associative_on_generators(bad, bad.compose) == (expected is None)
     assert assoc.name == "associativity" and assoc.witness == (expected or {})
 
 
@@ -754,7 +760,7 @@ def test_generator_sweep_agrees_with_the_scan_on_every_magma_of_order_3():
     for table in itertools.product(ids, repeat=len(pairs)):
         c = FinCategory(("*",), dict.fromkeys(ids, ("*", "*")), {"*": "e"}, dict(zip(pairs, table)))
         expected = _scan_associativity(c)
-        assert _associative_on_generators(c) == (expected is None)
+        assert _associative_on_generators(c, c.compose) == (expected is None)
         assert check_category(c).checks[3].witness == (expected or {})
         associative += expected is None
     assert associative == 113

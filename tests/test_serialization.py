@@ -11,7 +11,7 @@ from corrkit import fincat, serialization as ser
 from corrkit.cli import main
 from corrkit.corpus import corpus, instance
 from corrkit.descent import LocalizationProblem, PairDeclaration
-from corrkit.fincat import FinCategory, FunctorData, chain_category, finset_category, finset_skeleton, function_table
+from corrkit.fincat import FinCategory, FunctorData, chain_category, finset_category, finset_skeleton
 from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit.setups import GeometricSetup, all_class, iso_class
@@ -24,7 +24,7 @@ def test_category_round_trip():
     back = ser.category_from_dict(d)
     assert back.objects == c.objects
     assert back.morphisms == c.morphisms
-    assert back.compose == function_table(c)
+    assert back.compose is None and back == c
     assert back.object_size == c.object_size
 
 
@@ -161,7 +161,7 @@ def test_every_corpus_finset_carrier_round_trips():
         seen += 1
         back = ser.loads(ser.dumps(ser.category_to_dict(c)))
         assert (back.objects, back.morphisms, back.identity) == (c.objects, c.morphisms, c.identity), name
-        assert back.compose == function_table(c) and back.object_size == c.object_size, name
+        assert back.compose is None and back.object_size == c.object_size, name
     assert seen == 11
 
 
@@ -276,9 +276,13 @@ def test_sizes_envelope_loads_as_the_built_carrier_and_no_mutation_loads(data):
     d = ser.category_to_dict(built)
     d["objects"] = list(names)
     back = ser.category_from_dict(d)
+    # field by field the built carrier, in the envelope's object order and
+    # with no compose table
     assert back.objects == tuple(names)
-    assert (back.morphisms, back.identity, back.compose) == (built.morphisms, built.identity, function_table(built))
-    assert back.object_size == sizes
+    assert (back.morphisms, back.identity, back.compose, back.object_size) == (
+        built.morphisms, built.identity, built.compose, built.object_size
+    )
+    assert back.compose is None and back.object_size == sizes
     mutated = _sizes_mutations(copy.deepcopy(d), data)
     with pytest.raises(MalformedInputError) as err:
         ser.category_from_dict(mutated)

@@ -9,6 +9,7 @@ from corrkit.fincat import (
     chain_category,
     finset_category,
     finset_skeleton,
+    function_table,
     injections,
     opposite,
     poset_category,
@@ -187,7 +188,7 @@ def _small_carriers(draw):
     c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
     kind = draw(st.sampled_from(["sizes", "sizes-free", "opposite", "chain", "poset"]))
     if kind == "sizes-free":
-        c = FinCategory(c.objects, c.morphisms, c.identity, c.compose)
+        c = FinCategory(c.objects, c.morphisms, c.identity, function_table(c))
     elif kind == "opposite":
         c = opposite(c)
     elif kind == "chain":
