@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .report import (
@@ -36,6 +35,8 @@ if TYPE_CHECKING:
 RUN_SCHEMA = "corrkit-run/1"
 
 APEX_RANGE = (1, 6)
+# the span-apex bound of a run that names none
+DEFAULT_MAX_APEX = 4
 FORMATS = ("text", "json")
 
 # the lattice every theorem-level suite uses for its coefficient model;
@@ -50,16 +51,21 @@ def check_bounds(max_apex: int | None) -> None:
         raise MalformedInputError(f"max-apex must lie in {APEX_RANGE}")
 
 
-@dataclass(frozen=True)
 class WorkspaceConfig:
     """Validated run parameters; unknown suites, out-of-range bounds and
     unknown formats are rejected at construction."""
 
-    inputs: tuple[str, ...] = ()
-    instances: tuple[str, ...] = ()
-    suites: tuple[str, ...] = SUITE_ORDER
-    max_apex: int = 4
-    fmt: str = "text"
+    def __init__(
+        self,
+        inputs: tuple[str, ...] = (),
+        instances: tuple[str, ...] = (),
+        suites: tuple[str, ...] = SUITE_ORDER,
+        max_apex: int = DEFAULT_MAX_APEX,
+        fmt: str = "text",
+    ):
+        self.inputs, self.instances, self.suites = inputs, instances, suites
+        self.max_apex, self.fmt = max_apex, fmt
+        self.__post_init__()
 
     def __post_init__(self):
         for s in self.suites:
@@ -315,7 +321,8 @@ def run(config: WorkspaceConfig):
     the whole corpus in expectation mode: the exit is zero exactly when
     every suite fails at its documented checks and nowhere else.  Every
     input is loaded and every instance name resolved before any suite
-    runs."""
+    runs, and in raw mode each must take a selected suite: a selection
+    that would check nothing on one is malformed."""
     reports: list[tuple[VerificationReport, bool]] = []
     mode = "raw" if config.inputs or config.instances else "expected"
     chosen = []
@@ -324,6 +331,12 @@ def run(config: WorkspaceConfig):
 
         chosen = [instance(name) for name in config.instances] if config.instances else corpus()
     loaded = [(path, _load_input(path)) for path in config.inputs]
+    if mode == "raw":
+        named = [(f"--input {path}", _plan(path, obj, config.max_apex, {})) for path, obj in loaded]
+        named += [(f"--instance {inst.name}", inst.suites) for inst in chosen]
+        for name, applies in named:
+            if not any(s in applies for s in config.suites):
+                raise MalformedInputError(f"no selected suite applies to {name}; its suites are {', '.join(applies)}")
     for path, obj in loaded:
         for rep in _reports(path, obj, config.suites, config.max_apex, {}):
             reports.append((rep, rep.passed))
@@ -626,7 +639,7 @@ def _cmd_localize_check(args, out) -> int:
 
 _FLAGS = {
     "--format": {"choices": FORMATS, "default": "text"},
-    "--max-apex": {"type": int, "default": 4, "help": "largest span apex enumerated"},
+    "--max-apex": {"type": int, "default": DEFAULT_MAX_APEX, "help": "largest span apex enumerated"},
 }
 
 

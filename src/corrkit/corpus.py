@@ -11,7 +11,6 @@ loads neither `descent` nor `lattices`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .fincat import (
@@ -38,19 +37,19 @@ _SUITES = {
 }
 
 
-@dataclass(frozen=True)
 class CorpusInstance:
     """A named example of one of the kinds in `_SUITES`.
 
     `expect_fail` maps a suite to the check names documented to fail there;
     a default run treats exactly those failures as the correct outcome."""
 
-    name: str
-    kind: str
-    description: str
-    build: object = field(repr=False)
-    expect_fail: dict = field(default_factory=dict, repr=False)
-    options: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self, name: str, kind: str, description: str, build, expect_fail: dict | None = None, options: dict | None = None
+    ):
+        self.name, self.kind, self.description, self.build = name, kind, description, build
+        self.expect_fail = {} if expect_fail is None else expect_fail
+        self.options = {} if options is None else options
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in _SUITES:

@@ -19,7 +19,6 @@ in atlas-pair order, which both the pair gate and the extension report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import (
@@ -38,17 +37,15 @@ from .setups import EdgeClass, GeometricSetup, base_change_sweep, check_geometri
 # -- atlases ---------------------------------------------------------------
 
 
-@dataclass
 class Atlas:
     """A cover x: X -> X' whose base changes against the declared objects
     are required to land in the cover class `s`.
 
     The invariant is oracle-checked by `check_atlas`, not trusted."""
 
-    setup: GeometricSetup
-    x: str
-    s: EdgeClass
-    small_objects: tuple[str, ...]
+    def __init__(self, setup: GeometricSetup, x: str, s: EdgeClass, small_objects: tuple[str, ...]):
+        self.setup, self.x, self.s, self.small_objects = setup, x, s, small_objects
+        self.__post_init__()
 
     def __post_init__(self):
         c = self.setup.category
@@ -108,7 +105,6 @@ def _mediator(c: FinCategory, src_obj: str, dst_obj: str, conditions) -> str:
     return cands[0]
 
 
-@dataclass
 class CechDiagram:
     """Iterated self-fiber-products of an atlas, truncated at level m, 1 or 2.
 
@@ -117,13 +113,19 @@ class CechDiagram:
     X_n -> X'.  All simplicial and augmentation identities are recomputed
     on construction."""
 
-    setup: GeometricSetup
-    atlas: Atlas
-    m: int
-    objects: tuple[str, ...]
-    faces: dict
-    degeneracies: dict
-    aug: tuple[str, ...]
+    def __init__(
+        self,
+        setup: GeometricSetup,
+        atlas: Atlas,
+        m: int,
+        objects: tuple[str, ...],
+        faces: dict,
+        degeneracies: dict,
+        aug: tuple[str, ...],
+    ):
+        self.setup, self.atlas, self.m, self.objects = setup, atlas, m, objects
+        self.faces, self.degeneracies, self.aug = faces, degeneracies, aug
+        self.__post_init__()
 
     def __post_init__(self):
         c = self.setup.category
@@ -229,7 +231,6 @@ def best_nerve(setup: GeometricSetup, atlas: Atlas) -> CechDiagram:
 # -- pair declarations -----------------------------------------------------
 
 
-@dataclass
 class PairDeclaration:
     """A sub-setup inside an ambient setup with cover classes on both
     levels and candidate atlases per ambient object.
@@ -237,20 +238,26 @@ class PairDeclaration:
     The ambient exceptional class is `big.e`; the sub-level classes are
     given as morphism-id sets and induced on the full subcategory."""
 
-    kind: str
-    big: GeometricSetup
-    small_objects: tuple[str, ...]
-    s_small: frozenset
-    s_big: frozenset
-    e_small: frozenset
-    atlases: dict
-    # f -> (its first hypercover or None, whether the search met a limit),
-    # filled by `find_hypercovers`
-    _hypercovers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (source atlas, target atlas) morphisms -> the maps of E_small at
-    # levels zero and one, keyed as `_search_hypercovers` reads them,
-    # filled by `_level_index`
-    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        kind: str,
+        big: GeometricSetup,
+        small_objects: tuple[str, ...],
+        s_small: frozenset,
+        s_big: frozenset,
+        e_small: frozenset,
+        atlases: dict,
+    ):
+        self.kind, self.big, self.small_objects = kind, big, small_objects
+        self.s_small, self.s_big, self.e_small, self.atlases = s_small, s_big, e_small, atlases
+        # f -> (its first hypercover or None, whether the search met a
+        # limit), filled by `find_hypercovers`
+        self._hypercovers: dict = {}
+        # (source atlas, target atlas) morphisms -> the maps of E_small at
+        # levels zero and one, keyed as `_search_hypercovers` reads them,
+        # filled by `_level_index`
+        self._levels: dict = {}
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("nice", "exceptional"):
@@ -352,14 +359,11 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
 # -- hypercovers and exceptional pairs -------------------------------------
 
 
-@dataclass
 class Hypercover:
     """A levelwise morphism of truncated nerves over a fixed morphism."""
 
-    f: str
-    src_nerve: CechDiagram
-    dst_nerve: CechDiagram
-    levels: tuple[str, ...]
+    def __init__(self, f: str, src_nerve: CechDiagram, dst_nerve: CechDiagram, levels: tuple[str, ...]):
+        self.f, self.src_nerve, self.dst_nerve, self.levels = f, src_nerve, dst_nerve, levels
 
 
 def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram) -> tuple[dict, dict]:
@@ -824,14 +828,14 @@ def extend_system_E(pd: PairDeclaration, sa) -> dict:
 # -- localization premises -------------------------------------------------
 
 
-@dataclass
 class LocalizationProblem:
     """A functor together with the class it is meant to invert.
 
     The precondition that the class lands in isomorphisms is recomputed."""
 
-    p: FunctorData
-    r: frozenset
+    def __init__(self, p: FunctorData, r: frozenset):
+        self.p, self.r = p, r
+        self.__post_init__()
 
     def __post_init__(self):
         src = self.p.source

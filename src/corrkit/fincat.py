@@ -14,24 +14,30 @@ least candidate the search would return.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .report import MalformedInputError, VerificationReport
 
 
-@dataclass
 class FinCategory:
-    objects: tuple[str, ...]
-    morphisms: dict[str, tuple[str, str]]  # id -> (source, target)
-    identity: dict[str, str]  # object -> identity morphism id
-    # (g, f) -> g.f when dst(f) == src(g); None on an all-function carrier,
-    # which composes by function values
-    compose: dict[tuple[str, str], str] | None
-    # object -> cardinality, set only on a category of all functions between
-    # sets of these sizes; the fiber product, coproduct, span-class and frame
-    # constructions run only when it is set
-    object_size: dict[str, int] | None = None
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        morphisms: dict[str, tuple[str, str]],
+        identity: dict[str, str],
+        compose: dict[tuple[str, str], str] | None,
+        object_size: dict[str, int] | None = None,
+    ):
+        self.objects = objects
+        self.morphisms = morphisms  # id -> (source, target)
+        self.identity = identity  # object -> identity morphism id
+        # (g, f) -> g.f when dst(f) == src(g); None on an all-function
+        # carrier, which composes by function values
+        self.compose = compose
+        # object -> cardinality, set only on a category of all functions
+        # between sets of these sizes; the fiber product, coproduct,
+        # span-class and frame constructions run only when it is set
+        self.object_size = object_size
 
     def __eq__(self, other) -> bool:
         """Equal objects, morphisms and identities, and equal tables unless
@@ -241,12 +247,9 @@ def _group(ids, key) -> dict:
     return {k: tuple(ms) for k, ms in index.items()}
 
 
-@dataclass(eq=True)
 class FunctorData:
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
+    def __init__(self, source: FinCategory, target: FinCategory, obj_map: dict[str, str], mor_map: dict[str, str]):
+        self.source, self.target, self.obj_map, self.mor_map = source, target, obj_map, mor_map
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]

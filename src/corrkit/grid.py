@@ -10,7 +10,6 @@ correspondence cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fincat import FinCategory, poset_category, verify_pullback_square
 from .report import MalformedInputError
@@ -57,15 +56,29 @@ def classify_edge(n: int, edge: tuple[tuple[int, int], tuple[int, int]]) -> str:
     return "mixed"
 
 
-@dataclass(frozen=True, order=True)
 class ExactSquare:
     """Rectangle in C(n): top-left (i,j), verticals go i -> i', horizontals
-    j -> j'.  Corners run (i,j) -> (i',j) and (i,j') -> (i',j')."""
+    j -> j'.  Corners run (i,j) -> (i',j) and (i,j') -> (i',j').  A value:
+    equal, hashed and ordered as the tuple (i, i2, j2, j)."""
 
-    i: int
-    i2: int
-    j2: int
-    j: int
+    def __init__(self, i: int, i2: int, j2: int, j: int):
+        self.i, self.i2, self.j2, self.j = i, i2, j2, j
+
+    def _fields(self) -> tuple[int, int, int, int]:
+        return self.i, self.i2, self.j2, self.j
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactSquare):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, ExactSquare):
+            return NotImplemented
+        return self._fields() < other._fields()
 
     def corners(self) -> tuple[tuple[int, int], ...]:
         return ((self.i, self.j), (self.i2, self.j), (self.i, self.j2), (self.i2, self.j2))
@@ -117,7 +130,6 @@ def exact_squares_bruteforce(n: int) -> list[ExactSquare]:
 # -- multidirection grids -------------------------------------------------
 
 
-@dataclass
 class GridSimplex:
     """Objects on the (n+1)^k grid with unit edges in each direction.
 
@@ -125,11 +137,15 @@ class GridSimplex:
     square commutes and is cartesian in the ambient category.
     """
 
-    k: int
-    n: int
-    category: FinCategory
-    objects: dict[tuple[int, ...], str]
-    edges: dict[tuple[tuple[int, ...], int], str]
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        category: FinCategory,
+        objects: dict[tuple[int, ...], str],
+        edges: dict[tuple[tuple[int, ...], int], str],
+    ):
+        self.k, self.n, self.category, self.objects, self.edges = k, n, category, objects, edges
 
 
 def _bump(v: tuple[int, ...], d: int) -> tuple[int, ...]:

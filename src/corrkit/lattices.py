@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .fincat import FinCategory, canonical_product, fn_values, mediators
@@ -381,7 +380,6 @@ def check_triangles(g: GaloisMap) -> VerificationReport:
 # -- adjointable squares and mates ----------------------------------------
 
 
-@dataclass
 class SquareData:
     """Commuting square of monotone maps:
 
@@ -393,10 +391,9 @@ class SquareData:
 
     with v(p(a)) == q(u(a)) for every a."""
 
-    p: LatticeMap
-    u: LatticeMap
-    v: LatticeMap
-    q: LatticeMap
+    def __init__(self, p: LatticeMap, u: LatticeMap, v: LatticeMap, q: LatticeMap):
+        self.p, self.u, self.v, self.q = p, u, v, q
+        self.__post_init__()
 
     def __post_init__(self):
         if self.p.src != self.u.src or self.p.dst != self.v.src:
@@ -453,15 +450,13 @@ def paste_squares(left_sq: SquareData, right_sq: SquareData) -> SquareData:
 # -- lattice grids and partial adjoints -----------------------------------
 
 
-@dataclass
 class LatticeGrid:
     """Lattices on the (n+1)^k grid with a monotone map per unit edge;
     every unit square commutes elementwise."""
 
-    k: int
-    n: int
-    lattices: dict
-    maps: dict
+    def __init__(self, k: int, n: int, lattices: dict, maps: dict):
+        self.k, self.n, self.lattices, self.maps = k, n, lattices, maps
+        self.__post_init__()
 
     def __post_init__(self):
         from .grid import _bump
@@ -536,14 +531,13 @@ def partial_adjoint_grid(F: LatticeGrid, J) -> LatticeGrid:
 # -- coefficient systems --------------------------------------------------
 
 
-@dataclass
 class CoefficientSystem:
     """A lattice per object and a pullback map per morphism, strictly
     functorial on the nose and top-preserving."""
 
-    setup: GeometricSetup
-    lattices: dict
-    restriction: dict
+    def __init__(self, setup: GeometricSetup, lattices: dict, restriction: dict):
+        self.setup, self.lattices, self.restriction = setup, lattices, restriction
+        self.__post_init__()
 
     def __post_init__(self):
         c = self.setup.category

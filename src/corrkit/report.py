@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -26,12 +25,11 @@ class NoPullbackError(MalformedInputError):
     which callers that count coverage tell apart from malformed input."""
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    anchor: str = ""
+    def __init__(self, name: str, status: str, witness: dict | None = None, anchor: str = ""):
+        self.name, self.status, self.anchor = name, status, anchor
+        self.witness = {} if witness is None else witness
+        self.__post_init__()
 
     def __post_init__(self):
         if self.status not in (PASS, FAIL, RESOURCE_LIMIT):
@@ -39,8 +37,18 @@ class CheckResult:
         if self.status == FAIL and not self.witness:
             raise ValueError(f"fail result {self.name!r} must carry a witness")
 
+    def _fields(self) -> tuple:
+        return self.name, self.status, self.witness, self.anchor
 
-@dataclass
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "CheckResult(name={!r}, status={!r}, witness={!r}, anchor={!r})".format(*self._fields())
+
+
 class VerificationReport:
     """Ordered list of check results for one suite.
 
@@ -48,8 +56,9 @@ class VerificationReport:
     two runs on identical inputs produce identical bytes.
     """
 
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, witness: dict | None = None, anchor: str = "") -> None:
         status = PASS if ok else FAIL

@@ -13,19 +13,17 @@ objects: a missing fiber product is a coverage gap, not a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fincat import FinCategory, canonical_pullback
 from .report import MalformedInputError, NoPullbackError, VerificationReport
 
 
-@dataclass
 class EdgeClass:
     """A subset of morphism ids.  Every closure witness is recomputed from
     the tables; nothing is trusted from input."""
 
-    carrier: FinCategory
-    members: frozenset[str]
+    def __init__(self, carrier: FinCategory, members: frozenset[str]):
+        self.carrier, self.members = carrier, members
+        self.__post_init__()
 
     def __post_init__(self):
         unknown = self.members - set(self.carrier.morphism_ids)
@@ -63,17 +61,18 @@ def iso_class(c: FinCategory) -> EdgeClass:
     return EdgeClass(c, c.iso_ids)
 
 
-@dataclass
 class GeometricSetup:
     """A category with a marked class and a memoized canonical pullback oracle."""
 
-    category: FinCategory
-    e: EdgeClass
-    _oracle: dict = field(default_factory=dict, repr=False, compare=False)
-    # lattice value -> its frame system, filled by `lattices.frame_system`
-    _systems: dict = field(default_factory=dict, repr=False, compare=False)
-    # (atlas morphism, level) -> its Čech nerve, filled by `descent.cech_nerve`
-    _nerves: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, category: FinCategory, e: EdgeClass):
+        self.category, self.e = category, e
+        # cospan (f, g) -> its canonical pullback or None, filled by `pullback_opt`
+        self._oracle: dict = {}
+        # lattice value -> its frame system, filled by `lattices.frame_system`
+        self._systems: dict = {}
+        # (atlas morphism, level) -> its Čech nerve, filled by `descent.cech_nerve`
+        self._nerves: dict = {}
+        self.__post_init__()
 
     def __post_init__(self):
         if self.e.carrier is not self.category and self.e.carrier != self.category:
@@ -96,19 +95,18 @@ class GeometricSetup:
         return pb
 
 
-@dataclass
 class NagataSetup:
     """Marked classes I and P on top of a geometric setup."""
 
-    setup: GeometricSetup
-    i_class: EdgeClass
-    p_class: EdgeClass
-    # (right, top, bottom, left) of every cartesian square with legs in
-    # E, I or P, filled by the first `shriek.cartesian_squares` call
-    _squares: list | None = field(default=None, init=False, repr=False, compare=False)
-    # (x, y) -> {f: its sorted factorizations} for the maps x -> y, filled
-    # by `shriek.factorizations`
-    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, setup: GeometricSetup, i_class: EdgeClass, p_class: EdgeClass):
+        self.setup, self.i_class, self.p_class = setup, i_class, p_class
+        # (right, top, bottom, left) of every cartesian square with legs in
+        # E, I or P, filled by the first `shriek.cartesian_squares` call
+        self._squares: list | None = None
+        # (x, y) -> {f: its sorted factorizations} for the maps x -> y,
+        # filled by `shriek.factorizations`
+        self._factorizations: dict = {}
+        self.__post_init__()
 
     def __post_init__(self):
         c = self.setup.category

@@ -11,7 +11,6 @@ into a functor on the homotopy span category) is verified elementwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .lattices import (
     CoefficientSystem,
@@ -99,13 +98,12 @@ def factorizations(ns: NagataSetup, f: str) -> list[tuple[str, str, str]]:
     return list(ns._factorizations[(x, y)].get(f, ()))
 
 
-@dataclass
 class ShriekAssignment:
     """One exceptional map per marked morphism."""
 
-    ns: NagataSetup
-    sys: CoefficientSystem
-    shriek: dict
+    def __init__(self, ns: NagataSetup, sys: CoefficientSystem, shriek: dict):
+        self.ns, self.sys, self.shriek = ns, sys, shriek
+        self.__post_init__()
 
     def __post_init__(self):
         c = self.ns.setup.category
@@ -371,11 +369,9 @@ def span_value(sa: ShriekAssignment, sp: Span) -> LatticeMap:
     return LatticeMap(sa.sys.pull(sp.left).src, sa.shriek[sp.right].dst, targets)
 
 
-@dataclass
 class Formalism:
-    hcorr: HCorr
-    sa: ShriekAssignment
-    mor_map: dict
+    def __init__(self, hcorr: HCorr, sa: ShriekAssignment, mor_map: dict):
+        self.hcorr, self.sa, self.mor_map = hcorr, sa, mor_map
 
 
 def assemble_formalism(ns: NagataSetup, sa: ShriekAssignment, max_apex: int = 4) -> Formalism:

@@ -10,7 +10,6 @@ silent truncation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fincat import (
     FinCategory,
@@ -24,12 +23,26 @@ from .report import MalformedInputError, NoPullbackError, ResourceLimitError, Ve
 from .setups import GeometricSetup
 
 
-@dataclass(frozen=True, order=True)
 class Span:
-    """left: W -> X (unrestricted), right: W -> Y (in E); apex shared."""
+    """left: W -> X (unrestricted), right: W -> Y (in E); apex shared.
 
-    left: str
-    right: str
+    A value: equal, hashed and ordered as the pair (left, right)."""
+
+    def __init__(self, left: str, right: str):
+        self.left, self.right = left, right
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return (self.left, self.right) < (other.left, other.right)
 
     @property
     def name(self) -> str:
@@ -239,10 +252,9 @@ def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> Verificatio
 # -- correspondence simplices --------------------------------------------
 
 
-@dataclass
 class CorrSimplex:
-    n: int
-    functor: FunctorData
+    def __init__(self, n: int, functor: FunctorData):
+        self.n, self.functor = n, functor
 
 
 def check_corr_simplex(s: GeometricSetup, cs: CorrSimplex) -> list[dict]:
@@ -381,7 +393,6 @@ def _span_apex_size(c: FinCategory, sp: Span) -> int:
 # -- tensor layer ---------------------------------------------------------
 
 
-@dataclass
 class TensorEdge:
     """An edge of the tensor layer over a pointed index map alpha.
 
@@ -390,13 +401,21 @@ class TensorEdge:
     fiber of i and one map to the target object.
     """
 
-    category: FinCategory
-    alpha: tuple[int, ...]
-    sources: tuple[str, ...]
-    targets: tuple[str, ...]
-    apexes: tuple[str, ...]
-    to_sources: dict[tuple[int, int], str]  # (target slot i, source slot j) -> y_i -> x_j
-    to_targets: tuple[str, ...]  # y_i -> z_i
+    def __init__(
+        self,
+        category: FinCategory,
+        alpha: tuple[int, ...],
+        sources: tuple[str, ...],
+        targets: tuple[str, ...],
+        apexes: tuple[str, ...],
+        to_sources: dict[tuple[int, int], str],
+        to_targets: tuple[str, ...],
+    ):
+        self.category, self.alpha, self.sources, self.targets = category, alpha, sources, targets
+        self.apexes = apexes
+        self.to_sources = to_sources  # (target slot i, source slot j) -> y_i -> x_j
+        self.to_targets = to_targets  # y_i -> z_i
+        self.__post_init__()
 
     def __post_init__(self):
         m, n = len(self.sources), len(self.targets)

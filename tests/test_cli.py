@@ -159,6 +159,27 @@ def test_an_unknown_instance_beside_an_input_exits_2_before_any_suite(tmp_path, 
     assert err == "error: no bundled instance named 'no-such-thing'\n"
 
 
+def test_a_named_input_no_selected_suite_applies_to_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    path = _pentagon_input(tmp_path)
+    code, out, err = invoke(capsys, "run", "--input", path, "--suite", "theorem", "--format", "json")
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: no selected suite applies to --input {path}; its suites are model\n"
+    argv = ("run", "--instance", "nagata-open", "--instance", "finset-1", "--input", path, "--suite", "theorem")
+    code, out, err = invoke(capsys, *argv, "--suite", "model")
+    assert (code, out, ran) == (2, "", [])
+    assert err == "error: no selected suite applies to --instance finset-1; its suites are category, setup\n"
+
+
+def test_a_bare_run_with_a_suite_only_filters_instances(monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_reports", lambda tag, obj, suites, *rest: ran.append((tag, list(suites))) or [])
+    code, payload = run(WorkspaceConfig(suites=("theorem",)))
+    assert (code, payload["reports"]) == (0, [])
+    assert {tag for tag, suites in ran if suites} == {inst.name for inst in corpus() if "theorem" in inst.suites}
+
+
 def test_an_unreadable_input_after_a_good_one_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])

@@ -1,7 +1,6 @@
 """Atlases, Čech nerves, descent/codescent extension, localization premises."""
 
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -448,7 +447,15 @@ def test_level_maps_agree_with_the_scan(name):
     atlases = [a for lst in declared.atlases.values() for a in lst]
     compared = 0
     for e_small in (declared.e_small, frozenset(surjections(c)), frozenset(injections(c))):
-        pd = replace(declared, e_small=e_small)
+        pd = PairDeclaration(
+            declared.kind,
+            declared.big,
+            declared.small_objects,
+            declared.s_small,
+            declared.s_big,
+            e_small,
+            declared.atlases,
+        )
         for xa in atlases:
             for ya in atlases:
                 try:

@@ -1,5 +1,7 @@
 """Staircase poset, exact squares, and grid enumeration."""
 
+import itertools
+
 import pytest
 
 from corrkit.fincat import (
@@ -130,6 +132,21 @@ def test_exact_squares_small():
     sq = exact_squares(2)
     assert sq == [ExactSquare(0, 1, 1, 2)]
     assert sq[0].corners() == ((0, 2), (1, 2), (0, 1), (1, 1))
+
+
+def test_exact_squares_are_equal_hashed_and_ordered_as_their_field_tuples():
+    # `exact_squares` sorts squares and the brute force collects them in a set
+    fields = [(0, 1, 1, 2), (0, 1, 2, 3), (0, 2, 2, 3), (1, 2, 2, 3), (0, 1, 1, 2)]
+    squares = [ExactSquare(*f) for f in fields]
+    for (f, s), (g, t) in itertools.product(zip(fields, squares), repeat=2):
+        assert (s == t, s != t, s < t) == (f == g, f != g, f < g)
+    for f, s in zip(fields, squares):
+        assert (s.i, s.i2, s.j2, s.j) == f
+        assert hash(s) == hash(f)
+    assert sorted(squares) == [ExactSquare(*f) for f in sorted(fields)]
+    assert squares[0] is not squares[-1] and len({squares[0], squares[-1]}) == 1
+    assert len(set(squares)) == len(set(fields)) == 4
+    assert ExactSquare(0, 1, 1, 2) != (0, 1, 1, 2)
 
 
 def test_exact_squares_match_bruteforce():

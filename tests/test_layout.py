@@ -1,6 +1,6 @@
-"""Package layout: no unused import, no module the CLI cannot reach, no call
-to the builtin `id`, no read of the compose table outside `fincat`, and no
-definition that only unit tests name."""
+"""Package layout: no unused import, no import of `dataclasses`, no module
+the CLI cannot reach, no call to the builtin `id`, no read of the compose
+table outside `fincat`, and no definition that only unit tests name."""
 
 import ast
 from collections import Counter
@@ -52,6 +52,23 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{mod}.py:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_no_module_imports_dataclasses():
+    # every run is a fresh interpreter, and importing `dataclasses` (which
+    # loads `inspect`) and generating each class's methods costs about 15 ms
+    # of it, so record classes are plain classes with their own `__init__`
+    imports = []
+    for mod, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{mod}.py:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert imports == []
 
 
 def test_no_call_to_the_builtin_id():

@@ -48,6 +48,20 @@ def setup_isos(max_size=2):
 # -- composition ----------------------------------------------------------
 
 
+def test_spans_are_equal_hashed_and_ordered_as_their_leg_pairs():
+    # `HCorr.classes` keeps min(rep, span) as a class representative, and
+    # span maps key dicts by spans
+    pairs = [*itertools.product(("1>1:0", "2>1:0.0", "2>2:0.1"), repeat=2), ("2>1:0.0", "1>1:0")]
+    spans = [Span(*p) for p in pairs]
+    for (p, s), (q, t) in itertools.product(zip(pairs, spans), repeat=2):
+        assert (s == t, s != t, s < t) == (p == q, p != q, p < q)
+    assert [hash(s) for s in spans] == [hash(p) for p in pairs]
+    assert sorted(spans) == [Span(*p) for p in sorted(pairs)]
+    assert min(Span("2>1:0.0", "1>1:0"), Span("1>1:0", "2>2:0.1")) == Span("1>1:0", "2>2:0.1")
+    assert len(set(spans)) == len(set(pairs)) == len(pairs) - 1
+    assert Span("1>1:0", "1>1:0") != ("1>1:0", "1>1:0")
+
+
 def test_compose_fiber_product_example():
     # {a,b} <- {w} -> {y} then {y} <- {v1,v2} -> {z}: apex has 2 elements
     s = setup_all()
