@@ -34,9 +34,6 @@ if TYPE_CHECKING:
 
 RUN_SCHEMA = "corrkit-run/1"
 
-APEX_RANGE = (1, 6)
-# the span-apex bound of a run that names none
-DEFAULT_MAX_APEX = 4
 FORMATS = ("text", "json")
 
 # the lattice every theorem-level suite uses for its coefficient model;
@@ -44,34 +41,24 @@ FORMATS = ("text", "json")
 _BASE_CHAIN = 1
 
 
-def check_bounds(max_apex: int | None) -> None:
-    """Reject a span-apex bound outside the range the suites support; None
-    is not checked."""
-    if max_apex is not None and not APEX_RANGE[0] <= max_apex <= APEX_RANGE[1]:
-        raise MalformedInputError(f"max-apex must lie in {APEX_RANGE}")
-
-
 class WorkspaceConfig:
-    """Validated run parameters; unknown suites, out-of-range bounds and
-    unknown formats are rejected at construction."""
+    """Validated run parameters; unknown suites and unknown formats are
+    rejected at construction."""
 
     def __init__(
         self,
         inputs: tuple[str, ...] = (),
         instances: tuple[str, ...] = (),
         suites: tuple[str, ...] = SUITE_ORDER,
-        max_apex: int = DEFAULT_MAX_APEX,
         fmt: str = "text",
     ):
-        self.inputs, self.instances, self.suites = inputs, instances, suites
-        self.max_apex, self.fmt = max_apex, fmt
+        self.inputs, self.instances, self.suites, self.fmt = inputs, instances, suites, fmt
         self.__post_init__()
 
     def __post_init__(self):
         for s in self.suites:
             if s not in SUITE_ORDER:
                 raise MalformedInputError(f"unknown suite {s!r}")
-        check_bounds(self.max_apex)
         if self.fmt not in FORMATS:
             raise MalformedInputError(f"format must be one of {FORMATS}")
 
@@ -130,7 +117,7 @@ def _model_suite(tag: str, L: FiniteLattice) -> VerificationReport:
     return rep
 
 
-def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> VerificationReport:
+def _nagata_theorem_suite(tag: str, ns: NagataSetup) -> VerificationReport:
     """Axioms, hypotheses, then the full construction.  Construction is
     skipped once a gate fails so a designed failure is reported exactly
     where the analysis locates it and nowhere later."""
@@ -159,9 +146,11 @@ def _nagata_theorem_suite(tag: str, ns: NagataSetup, max_apex: int) -> Verificat
     rep.merge(check_base_change_shriek(ns, sa), prefix="base-change:")
     rep.merge(check_shriek_projection(ns, sa), prefix="projection:")
     try:
-        formalism = check_formalism(assemble_formalism(ns, sa, max_apex=max_apex))
-    except ResourceLimitError as exc:
-        rep.add_limit("formalism:span-classes", {"reason": str(exc)}, anchor="functor-on-span-classes")
+        formalism = check_formalism(assemble_formalism(ns, sa))
+    except MalformedInputError as exc:
+        # a span the formalism reads has no class: E is not closed under
+        # composition, or lacks an identity up to iso
+        rep.add("formalism:span-classes", False, {"reason": str(exc)}, anchor="functor-on-span-classes")
         return rep
     rep.merge(formalism, prefix="formalism:")
     return rep
@@ -242,7 +231,7 @@ def _localization_theorem_suite(tag: str, lp: LocalizationProblem) -> Verificati
     return rep
 
 
-def _plan(tag: str, obj, max_apex: int, options: dict) -> dict:
+def _plan(tag: str, obj, options: dict) -> dict:
     """Suite name -> the run of that suite, for each suite that applies to a
     built declaration; which suites apply follows from its type.
 
@@ -264,7 +253,7 @@ def _plan(tag: str, obj, max_apex: int, options: dict) -> dict:
         return {
             "category": lambda: _category_suite(tag, obj.setup.category),
             "setup": lambda: _setup_suite(tag, obj.setup),
-            "theorem": lambda: _nagata_theorem_suite(tag, obj, max_apex),
+            "theorem": lambda: _nagata_theorem_suite(tag, obj),
         }
     from .lattices import FiniteLattice
 
@@ -277,9 +266,9 @@ def _plan(tag: str, obj, max_apex: int, options: dict) -> dict:
     return {"theorem": lambda: _localization_theorem_suite(tag, obj)}
 
 
-def _reports(tag: str, obj, suites, max_apex: int, options: dict) -> list[VerificationReport]:
+def _reports(tag: str, obj, suites, options: dict) -> list[VerificationReport]:
     """The selected suites that apply to a built declaration, in SUITE_ORDER."""
-    plan = _plan(tag, obj, max_apex, options)
+    plan = _plan(tag, obj, options)
     return [plan[suite]() for suite in SUITE_ORDER if suite in suites and suite in plan]
 
 
@@ -332,17 +321,17 @@ def run(config: WorkspaceConfig):
         chosen = [instance(name) for name in config.instances] if config.instances else corpus()
     loaded = [(path, _load_input(path)) for path in config.inputs]
     if mode == "raw":
-        named = [(f"--input {path}", _plan(path, obj, config.max_apex, {})) for path, obj in loaded]
+        named = [(f"--input {path}", _plan(path, obj, {})) for path, obj in loaded]
         named += [(f"--instance {inst.name}", inst.suites) for inst in chosen]
         for name, applies in named:
             if not any(s in applies for s in config.suites):
                 raise MalformedInputError(f"no selected suite applies to {name}; its suites are {', '.join(applies)}")
     for path, obj in loaded:
-        for rep in _reports(path, obj, config.suites, config.max_apex, {}):
+        for rep in _reports(path, obj, config.suites, {}):
             reports.append((rep, rep.passed))
     for inst in chosen:
         suites = [s for s in config.suites if s in inst.suites]
-        for rep in _reports(inst.name, inst.build(), suites, config.max_apex, inst.options):
+        for rep in _reports(inst.name, inst.build(), suites, inst.options):
             reports.append((rep, rep.passed if mode == "raw" else _as_documented(inst, rep)))
 
     code = 0 if all(ok for _, ok in reports) else 1
@@ -440,7 +429,6 @@ def _cmd_run(args, out) -> int:
         inputs=tuple(args.input or ()),
         instances=tuple(args.instance or ()),
         suites=tuple(args.suite) if args.suite else SUITE_ORDER,
-        max_apex=args.max_apex,
         fmt=args.format,
     )
     code, payload = run(config)
@@ -507,11 +495,8 @@ def _cmd_corr_hocat(args, out) -> int:
     s = _skel2_setup()
     c1 = finset_skeleton(1)
     rep = VerificationReport("corr-hocat")
-    rep.merge(check_span_laws(s, s.category.objects, apex_bound=min(args.max_apex, 2)), prefix="laws:")
-    rep.merge(
-        check_category(homotopy_category(GeometricSetup(c1, all_class(c1)), max_apex=args.max_apex)),
-        prefix="category:",
-    )
+    rep.merge(check_span_laws(s, s.category.objects), prefix="laws:")
+    rep.merge(check_category(homotopy_category(GeometricSetup(c1, all_class(c1)))), prefix="category:")
     return _emit_report(rep, args.format, out)
 
 
@@ -583,7 +568,7 @@ def _cmd_shriek_verify(args, out) -> int:
     from .setups import NagataSetup
 
     ns, _ = _declaration(args, "nagata", NagataSetup)
-    return _emit_report(_nagata_theorem_suite("shriek", ns, args.max_apex), args.format, out)
+    return _emit_report(_nagata_theorem_suite("shriek", ns), args.format, out)
 
 
 def _cmd_formalism_assemble(args, out) -> int:
@@ -592,7 +577,7 @@ def _cmd_formalism_assemble(args, out) -> int:
 
     ns, _ = _declaration(args, "nagata", NagataSetup)
     sa = _gated_shriek(ns)
-    fm = assemble_formalism(ns, sa, max_apex=args.max_apex)
+    fm = assemble_formalism(ns, sa)
     return _emit_report(check_formalism(fm), args.format, out)
 
 
@@ -639,7 +624,6 @@ def _cmd_localize_check(args, out) -> int:
 
 _FLAGS = {
     "--format": {"choices": FORMATS, "default": "text"},
-    "--max-apex": {"type": int, "default": DEFAULT_MAX_APEX, "help": "largest span apex enumerated"},
 }
 
 
@@ -659,7 +643,7 @@ _COMMANDS = {
         ("--input", {"action": "append", "help": "JSON envelope; repeatable"}),
         ("--instance", {"action": "append", "help": "bundled instance name; repeatable"}),
         ("--suite", {"action": "append", "choices": SUITE_ORDER, "help": "restrict to a suite; repeatable"}),
-        "--max-apex", "--format")),
+        "--format")),
     "corpus": ("bundled instances", {"list": ("list bundled instances", _cmd_corpus_list, ("--format",))}),
     "grid": ("cartesian grids", {
         "enumerate": ("emit all cartesian grids as JSON", _cmd_grid_enumerate, (
@@ -667,7 +651,7 @@ _COMMANDS = {
     }),
     "corr": ("correspondence cells and the homotopy category", {
         "enumerate": ("emit the n-cells as JSON", _cmd_corr_enumerate, (("--dim", {"type": int, "default": 1}),)),
-        "hocat": ("span laws and the homotopy category", _cmd_corr_hocat, ("--max-apex", "--format")),
+        "hocat": ("span laws and the homotopy category", _cmd_corr_hocat, ("--format",)),
         "coproduct": ("coproduct universal property for a pair of objects", _cmd_corr_coproduct, (
             ("x", {}), ("y", {}), "--format")),
     }),
@@ -679,15 +663,14 @@ _COMMANDS = {
     "shriek": ("exceptional pushforwards", {
         "build": ("build and print the pushforward tables", _cmd_shriek_build, _declared("nagata-open")),
         "verify": ("run the full theorem suite", _cmd_shriek_verify, (
-            *_declared("nagata-open"), "--max-apex", "--format")),
+            *_declared("nagata-open"), "--format")),
     }),
     "formalism": ("span-level assembly", {
         "assemble": ("assemble and verify the span-level functor", _cmd_formalism_assemble, (
-            *_declared("nagata-open"), "--max-apex", "--format")),
+            *_declared("nagata-open"), "--format")),
     }),
     "search": ("brute-force searches", {
-        "nagata": ("scan class pairs for valid factorization setups", _cmd_search_nagata, (
-            ("--format", {"choices": ("json",), "default": "json"}),)),
+        "nagata": ("scan class pairs for valid factorization setups", _cmd_search_nagata, ()),
     }),
     "descend": ("descent-based extension", {
         "extend-c": ("extend a coefficient system over a nice pair", _cmd_descend, (
@@ -732,7 +715,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        check_bounds(getattr(args, "max_apex", None))
         return args.func(args, sys.stdout)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import itertools
 
 from .fincat import FinCategory, poset_category, verify_pullback_square
 from .report import MalformedInputError
-from .setups import EdgeClass, GeometricSetup
+from .setups import GeometricSetup
 
 
 def cposet_elements(n: int) -> list[tuple[int, int]]:
@@ -152,12 +152,6 @@ def _bump(v: tuple[int, ...], d: int) -> tuple[int, ...]:
     return v[:d] + (v[d] + 1,) + v[d + 1 :]
 
 
-def _members(cls) -> frozenset[str]:
-    if isinstance(cls, EdgeClass):
-        return cls.members
-    return frozenset(cls)
-
-
 def enumerate_grid_simplices(setup: GeometricSetup, classes, k: int, n: int) -> list[GridSimplex]:
     """All fully cartesian grids with direction-d edges in classes[d].
 
@@ -169,7 +163,7 @@ def enumerate_grid_simplices(setup: GeometricSetup, classes, k: int, n: int) -> 
         raise MalformedInputError("need k in 1..3 and n in 0..2")
     if len(classes) != k:
         raise MalformedInputError("one class per direction")
-    member_sets = [_members(cls) for cls in classes]
+    member_sets = [cls.members for cls in classes]
     c = setup.category
     vertices = sorted(itertools.product(range(n + 1), repeat=k))
     results: list[GridSimplex] = []

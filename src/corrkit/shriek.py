@@ -374,9 +374,9 @@ class Formalism:
         self.hcorr, self.sa, self.mor_map = hcorr, sa, mor_map
 
 
-def assemble_formalism(ns: NagataSetup, sa: ShriekAssignment, max_apex: int = 4) -> Formalism:
-    """One lattice map per enumerated span class, valued on representatives."""
-    hc = HCorr(ns.setup, max_apex)
+def assemble_formalism(ns: NagataSetup, sa: ShriekAssignment) -> Formalism:
+    """One lattice map per span class, valued on representatives."""
+    hc = HCorr(ns.setup)
     c = ns.setup.category
     mor_map = {}
     for x in c.objects:

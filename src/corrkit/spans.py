@@ -2,8 +2,8 @@
 
 A span X <- W -> Y with its right leg in E is a morphism from X to Y;
 composition pulls back the middle cospan.  Morphisms of the homotopy
-category are isomorphism classes of spans with a configurable apex bound;
-escapes of the bound or of the carrier raise `ResourceLimitError`, never a
+category are isomorphism classes of all the spans the carrier holds; a
+composite the carrier cannot form raises `ResourceLimitError`, never a
 silent truncation.
 """
 
@@ -113,8 +113,8 @@ def span_class_key(c: FinCategory, s: Span):
 
 
 def spans_between(s: GeometricSetup, x: str, y: str, max_apex: int | None = None) -> list[Span]:
-    """All spans x -> y, apexes bounded by cardinality when the carrier
-    declares one."""
+    """All spans x -> y; given `max_apex`, only those whose apex has at
+    most that many elements, on a carrier that declares sizes."""
     c = s.category
     out = []
     for w in c.objects:
@@ -128,17 +128,17 @@ def spans_between(s: GeometricSetup, x: str, y: str, max_apex: int | None = None
 
 
 class HCorr:
-    """Lazy homotopy span category: iso classes of bounded spans.
+    """Lazy homotopy span category: iso classes of spans.
 
     Class ids name the canonical (least) representative: its `Span.name`.
-    `class_id` finds the class of any other span.  Composition of classes
-    composes representatives; leaving the apex bound or the carrier raises
-    ResourceLimitError with the offending cospan.
+    `class_id` finds the class of any other span, and a span no class holds
+    (no isomorphic span has its right leg in E) is malformed.  Composition
+    of classes composes representatives; a cospan the carrier has no
+    pullback for raises ResourceLimitError.
     """
 
-    def __init__(self, setup: GeometricSetup, max_apex: int = 4):
+    def __init__(self, setup: GeometricSetup):
         self.setup = setup
-        self.max_apex = max_apex
         self._classes: dict[tuple[str, str], dict] = {}
 
     def classes(self, x: str, y: str) -> dict:
@@ -146,7 +146,7 @@ class HCorr:
         if (x, y) not in self._classes:
             c = self.setup.category
             table: dict = {}
-            for sp in spans_between(self.setup, x, y, self.max_apex):
+            for sp in spans_between(self.setup, x, y):
                 key = span_class_key(c, sp)
                 rep, members = table.get(key, (sp, []))
                 members.append(sp)
@@ -157,15 +157,12 @@ class HCorr:
     def class_id(self, sp: Span) -> str:
         c = self.setup.category
         x, y = span_feet(c, sp)
-        w = span_apex(c, sp)
-        if c.object_size is not None and c.object_size[w] > self.max_apex:
-            raise ResourceLimitError(
-                f"span apex {w!r} exceeds the class bound {self.max_apex}"
-            )
         key = span_class_key(c, sp)
         table = self.classes(x, y)
         if key not in table:
-            raise ResourceLimitError(f"span ({sp.left!r}, {sp.right!r}) escapes the enumerated classes")
+            raise MalformedInputError(
+                f"span ({sp.left!r}, {sp.right!r}) lies in no class: no span isomorphic to it has a marked right leg"
+            )
         return table[key][0].name
 
     def identity_id(self, x: str) -> str:
@@ -195,8 +192,8 @@ class HCorr:
         return FinCategory(tuple(c.objects), morphisms, identity, compose)
 
 
-def homotopy_category(s: GeometricSetup, max_apex: int = 4) -> FinCategory:
-    return HCorr(s, max_apex).category()
+def homotopy_category(s: GeometricSetup) -> FinCategory:
+    return HCorr(s).category()
 
 
 def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> VerificationReport:
@@ -287,8 +284,8 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
     exact squares cartesian."""
     from .grid import c_of_simplex, classify_edge, cp_parse
 
-    if n > 3:
-        raise MalformedInputError("n <= 3")
+    if not 0 <= n <= 3:
+        raise MalformedInputError(f"need 0 <= n <= 3, got {n}")
     c = s.category
 
     def edge_filter(a: str, b: str, m: str) -> bool:

@@ -193,8 +193,6 @@ def test_an_unreadable_input_after_a_good_one_exits_2_before_any_suite(tmp_path,
 
 
 def test_config_rejects_out_of_range_bounds():
-    with pytest.raises(MalformedInputError, match="max-apex"):
-        WorkspaceConfig(max_apex=0)
     with pytest.raises(MalformedInputError, match="suite"):
         WorkspaceConfig(suites=("algebra",))
     with pytest.raises(MalformedInputError, match="format"):
@@ -218,10 +216,9 @@ def test_config_rejects_out_of_range_bounds():
     ],
 )
 def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: max-")
+    # no subcommand takes a span-apex bound: the formalism reads every span
+    # class the carrier holds, so the parser refuses a bound of any value
+    _assert_unrecognized(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -250,9 +247,21 @@ def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
         ("descend", "extend-c", "--max-dim", "3"),
         ("descend", "extend-c", "--max-dim", "0"),
         ("descend", "extend-c", "--max-dim", "2"),
+        # the formalism reads every span class, so no subcommand reads an
+        # apex bound, even the value every carrier's objects fit under
+        ("run", "--max-apex", "4"),
+        ("corr", "hocat", "--max-apex", "4"),
+        ("shriek", "verify", "--max-apex", "4"),
+        ("formalism", "assemble", "--max-apex", "4"),
+        # the search prints JSON only, so it takes no format
+        ("search", "nagata", "--format", "json"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    _assert_unrecognized(capsys, argv)
+
+
+def _assert_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -260,20 +269,36 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert out.out == "" and "unrecognized arguments" in out.err
 
 
-def test_run_forwards_max_apex(capsys):
-    # the formalism enumerates spans through the 2-element apex, so a bound
-    # of 1 is a resource limit rather than a silently smaller check
-    argv = ("run", "--instance", "nagata-open", "--suite", "theorem", "--format", "json")
-    code, out, _ = invoke(capsys, *argv)
-    assert code == 0
-    assert invoke(capsys, *argv, "--max-apex", "2")[:2] == (0, out)
-    code, out, err = invoke(capsys, *argv, "--max-apex", "1")
-    assert code == 1 and err == ""
-    (report,) = json.loads(out)["reports"]
-    limits = [c for c in report["checks"] if c["status"] == "resource-limit"]
-    assert [c["name"] for c in limits] == ["formalism:span-classes"]
-    assert "exceeds the class bound 1" in limits[0]["witness"]["reason"]
-    assert report["checks"][-1] == limits[0]
+def _nagata_open_with_e(tmp_path, keep) -> str:
+    """nagata-open as an envelope, its marked class cut to the maps `keep`
+    admits."""
+    d = ser.nagata_to_dict(instance("nagata-open").build())
+    d["e"] = [m["id"] for m in d["category"]["morphisms"] if keep(m)]
+    path = tmp_path / "nagata.json"
+    path.write_text(ser.dumps(d))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "keep, reason",
+    [
+        # 2>2:1.0 then 2>2:1.0 is the unmarked identity 2>2:0.1
+        (lambda m: m["id"] != "2>2:0.1", "right leg '2>2:0.1' is not marked"),
+        # no span into 2 is marked, so the identity span of 2 has no class
+        (
+            lambda m: m["dst"] != "2",
+            "span ('2>2:0.1', '2>2:0.1') lies in no class: no span isomorphic to it has a marked right leg",
+        ),
+    ],
+)
+def test_a_span_no_class_holds_fails_the_formalism(tmp_path, capsys, keep, reason):
+    code, out, err = invoke(capsys, "run", "--input", _nagata_open_with_e(tmp_path, keep), "--format", "json")
+    assert (code, err) == (1, "")
+    reports = json.loads(out)["reports"]
+    assert [r["suite"].rsplit(":", 1)[1] for r in reports] == ["category", "setup", "theorem"]
+    last = reports[-1]["checks"][-1]
+    assert (last["name"], last["status"]) == ("formalism:span-classes", "fail")
+    assert last["witness"] == {"reason": reason}
 
 
 def test_run_api_mirrors_cli(capsys):
@@ -319,14 +344,6 @@ def test_search_nagata_catalog(capsys):
     assert ("all", "isos") in good and ("isos", "all") in good
 
 
-def test_search_nagata_accepts_only_json(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "nagata", "--format", "text"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'text'" in capsys.readouterr().err
-    assert invoke(capsys, "search", "nagata", "--format", "json")[0] == 0
-
-
 def test_corr_coproduct(capsys):
     code, _, _ = invoke(capsys, "corr", "coproduct", "1", "1")
     assert code == 0
@@ -344,6 +361,11 @@ def test_corr_enumerate_counts_cells(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 3  # one 0-cell per object of the carrier
+
+
+@pytest.mark.parametrize("dim", ["-1", "4"])
+def test_corr_enumerate_rejects_a_dimension_outside_0_to_3(capsys, dim):
+    assert invoke(capsys, "corr", "enumerate", "--dim", dim) == (2, "", f"error: need 0 <= n <= 3, got {dim}\n")
 
 
 def test_localize_check(capsys):
@@ -374,7 +396,7 @@ def test_suite_order_is_dependency_order():
 def test_each_instance_lists_the_suites_its_declaration_plans():
     # the corpus listing and the run decide separately which suites apply
     for inst in corpus():
-        plan = cli._plan(inst.name, inst.build(), 4, inst.options)
+        plan = cli._plan(inst.name, inst.build(), inst.options)
         assert list(inst.suites) == [s for s in SUITE_ORDER if s in plan], inst.name
 
 
@@ -419,12 +441,12 @@ def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     count(shriek, "check_nagata", lambda ns: "check_nagata")
     count(shriek, "verify_hypotheses", lambda ns, sys: "verify_hypotheses")
     count(shriek, "_construct_squares", lambda ns: "_construct_squares")
-    rep = cli._nagata_theorem_suite("nagata-open", instance("nagata-open").build(), 4)
+    rep = cli._nagata_theorem_suite("nagata-open", instance("nagata-open").build())
     assert rep.passed
     assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "_construct_squares": 1}
     # a setup that fails a hypothesis constructs its squares once as well
     calls.clear()
-    rep = cli._nagata_theorem_suite("nagata-inj-all", instance("nagata-inj-all").build(), 4)
+    rep = cli._nagata_theorem_suite("nagata-inj-all", instance("nagata-inj-all").build())
     assert [c.name for c in rep.failures] == ["hypotheses:support-property"]
     assert calls == {"check_nagata": 1, "verify_hypotheses": 1, "_construct_squares": 1}
 
@@ -617,12 +639,12 @@ def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv
 _EMPTY = _sha256("")
 PARSER_SHA256 = {
     ("--help",): (0, "fd52190b6ea7857a963b6a9b9961a2a5b55ec0c09b01d6bf5d6b44a6f98b3a6b", _EMPTY),
-    ("run", "--help"): (0, "4a95d313f41d8c327df89b48aa0a3d1a5f0567b4319b6d65400e5757476a031f", _EMPTY),
+    ("run", "--help"): (0, "62aeb24abe660081a502227fd6c3442097cfb1204ec07a523b610e91bc015cc3", _EMPTY),
     ("descend", "extend-e", "--help"): (0, "8024509292d8d56d66830352e904077cd3e5442f4710ea7c6da59100dd72e34a", _EMPTY),
     ("descend", "--help"): (0, "094fa6169442015a88db4e7e84b38b776952a2bb3451fae655e23ba16da23893", _EMPTY),
     ("corr", "coproduct", "--help"): (0, "fd3cf3bbc5aa1a14670d2b53f044bcac85495d8d009abe474aafd4575208c636", _EMPTY),
     ("bogus",): (2, _EMPTY, "352e84225de5c1c378b5be7320af10065d9f0b16f60189d7a1611e2883f1ab69"),
-    ("run", "--suite", "bogus"): (2, _EMPTY, "d5e01c14a6a18d9e849d0979ce877153014f0b4e74cc9bf256e4d5eba396cdb9"),
+    ("run", "--suite", "bogus"): (2, _EMPTY, "b722ecdd4ed97f5a7fe1a45f4968b1f2808570ea9e610fdf47ae0102746420ea"),
     ("descend",): (2, _EMPTY, "23029830e3b2983e34ce8eed85fa53ecd2243e3afed8585899b04c0dace9852e"),
     (): (2, _EMPTY, "5ec29090577bf7ee76e60a3e3be4d77a08adc0d532313900362bc6b1286bb014"),
 }
@@ -704,7 +726,7 @@ def test_the_formalism_names_enumerated_classes_by_their_representatives(monkeyp
     class_id = HCorr.class_id
     monkeypatch.setattr(HCorr, "class_id", lambda self, sp: asked.append(sp) or class_id(self, sp))
     ns = instance("nagata-open").build()
-    assert cli._nagata_theorem_suite("nagata-open", ns, 4).passed
+    assert cli._nagata_theorem_suite("nagata-open", ns).passed
     c = ns.setup.category
     assert len(asked) == len(c.objects) + len(c.morphisms) + len(ns.setup.e.members) == 25
 
@@ -739,7 +761,7 @@ def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):
     monkeypatch.setattr(lattices, "frame_system", lambda setup, L: systems.append(frame_system(setup, L)) or systems[-1])
     for name in ("nice-pair-cover", "exceptional-pair-cover"):
         inst = instance(name)
-        assert all(rep.passed for rep in cli._reports(name, inst.build(), ["theorem"], 4, inst.options))
+        assert all(rep.passed for rep in cli._reports(name, inst.build(), ["theorem"], inst.options))
     assert len(systems) == 2 and systems[0] is systems[1]
 
 

@@ -1,6 +1,7 @@
 """Package layout: no unused import, no import of `dataclasses`, no module
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
-table outside `fincat`, and no definition that only unit tests name."""
+table outside `fincat`, no CLI argument its subcommand does not read, and
+no definition that only unit tests name."""
 
 import ast
 from collections import Counter
@@ -105,6 +106,42 @@ def test_every_module_is_reached_from_the_cli():
             reached.add(mod)
             todo += sorted(_local_imports(trees[mod]) & set(trees))
     assert sorted(set(trees) - reached - {"__init__"}) == []
+
+
+def _args_read(fn: ast.FunctionDef) -> set[str]:
+    return {
+        n.attr
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+
+
+def _leaves(commands: dict, path: tuple = ()):
+    """(command path, function, arguments) of every subcommand."""
+    for name, (_, *body) in commands.items():
+        if isinstance(body[0], dict):
+            yield from _leaves(body[0], path + (name,))
+        else:
+            yield (path + (name,), *body)
+
+
+def test_every_declared_argument_is_read():
+    # a flag its function never reads would be accepted and take no effect;
+    # `_declaration` reads --input and --instance for the functions that call it
+    from corrkit import cli
+
+    functions = {n.name: n for n in _trees()["cli"].body if isinstance(n, ast.FunctionDef)}
+    declared = _args_read(functions["_declaration"])
+    unread = []
+    for path, func, arguments in _leaves(cli._COMMANDS):
+        fn = functions[func.__name__]
+        calls = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        read = _args_read(fn) | (declared if "_declaration" in calls else set())
+        for arg in arguments:
+            flag = arg if isinstance(arg, str) else arg[0]
+            if flag.lstrip("-").replace("-", "_") not in read:
+                unread.append(" ".join(path + (flag,)))
+    assert unread == []
 
 
 def _names(node: ast.AST, attributes: bool = False) -> Counter:

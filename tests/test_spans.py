@@ -147,11 +147,12 @@ def test_identity_class_is_unit():
         assert hc.comp(hc.identity[y], m) == m
 
 
-def test_class_bound_raises_resource_error():
-    s = setup_all(2)
-    hc = HCorr(s, max_apex=1)
-    with pytest.raises(ResourceLimitError):
-        hc.class_id(Span("2>1:0.0", "2>1:0.0"))
+def test_spans_through_every_apex_have_classes():
+    # the 5-element apex is past every former bound on span apexes
+    c = finset_category({"1": 1, "5": 5})
+    hc = HCorr(GeometricSetup(c, all_class(c)))
+    assert len(hc.classes("1", "1")) == 2
+    assert hc.class_id(Span("5>5:0.1.2.3.4", "5>1:0.0.0.0.0")) == "[5>5:0.1.2.3.4;5>1:0.0.0.0.0]"
 
 
 def test_a_missing_fiber_product_is_a_gap_and_a_malformed_span_is_not():
