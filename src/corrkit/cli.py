@@ -379,27 +379,25 @@ def _skel2_setup() -> GeometricSetup:
 _DECLARATIONS = {
     "model": ("lattice", "coefficient model"),
     "nagata": ("factorization-setup", "factorization setup"),
-    "pair": ("pair", "pair declaration"),
-    "localization": ("localization", "localization problem"),
 }
 
 
-def _declaration(args, kind: str, cls: type) -> tuple:
+def _declaration(args, kind: str, cls: type):
     """The declaration a subcommand reads, from --input or a bundled
-    instance of the given kind, with the instance's options; `cls` is the
-    type an input of that kind loads as, from the layer the caller runs."""
+    instance of the given kind; `cls` is the type an input of that kind
+    loads as, from the layer the caller runs."""
     envelope, noun = _DECLARATIONS[kind]
     if args.input:
         obj = _load_input(args.input)
         if not isinstance(obj, cls):
             raise MalformedInputError(f"{args.input} is not a {envelope} envelope")
-        return obj, {}
+        return obj
     from .corpus import instance
 
     inst = instance(args.instance)
     if inst.kind != kind:
         raise MalformedInputError(f"instance {inst.name!r} is not a {noun}")
-    return inst.build(), inst.options
+    return inst.build()
 
 
 def _gate(rep: VerificationReport) -> None:
@@ -457,9 +455,11 @@ def _cmd_corpus_list(args, out) -> int:
 
 
 def _cmd_grid_enumerate(args, out) -> int:
-    from .grid import enumerate_grid_simplices
+    from .grid import check_grid_size, enumerate_grid_simplices
     from .setups import all_class
 
+    # before one class per direction is listed
+    check_grid_size(args.k, args.n)
     s = _skel2_setup()
     classes = [all_class(s.category)] * args.k
     grids = enumerate_grid_simplices(s, classes, args.k, args.n)
@@ -524,7 +524,7 @@ def _cmd_model_check(args, out) -> int:
         frame_system,
     )
 
-    L, _ = _declaration(args, "model", FiniteLattice)
+    L = _declaration(args, "model", FiniteLattice)
     setup = _skel2_setup()
     sys = frame_system(setup, L)
     rep = VerificationReport(f"model-{args.law}")
@@ -557,28 +557,11 @@ def _cmd_model_check(args, out) -> int:
 def _cmd_shriek_build(args, out) -> int:
     from .setups import NagataSetup
 
-    ns, _ = _declaration(args, "nagata", NagataSetup)
+    ns = _declaration(args, "nagata", NagataSetup)
     sa = _gated_shriek(ns)
     tables = {f: sa.shriek[f].table for f in sorted(sa.shriek)}
     out.write(json.dumps({"schema": "corrkit-shriek/1", "tables": tables}, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def _cmd_shriek_verify(args, out) -> int:
-    from .setups import NagataSetup
-
-    ns, _ = _declaration(args, "nagata", NagataSetup)
-    return _emit_report(_nagata_theorem_suite("shriek", ns), args.format, out)
-
-
-def _cmd_formalism_assemble(args, out) -> int:
-    from .setups import NagataSetup
-    from .shriek import assemble_formalism, check_formalism
-
-    ns, _ = _declaration(args, "nagata", NagataSetup)
-    sa = _gated_shriek(ns)
-    fm = assemble_formalism(ns, sa)
-    return _emit_report(check_formalism(fm), args.format, out)
 
 
 def _cmd_search_nagata(args, out) -> int:
@@ -599,24 +582,6 @@ def _cmd_search_nagata(args, out) -> int:
     results = search_nagata(s, sys, catalog)
     out.write(json.dumps(results, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def _cmd_descend(args, out) -> int:
-    """extend-c over a nice pair, extend-e over an exceptional one."""
-    from .descent import PairDeclaration
-
-    pd, options = _declaration(args, "pair", PairDeclaration)
-    kind, article = ("nice", "a") if args.subcommand == "extend-c" else ("exceptional", "an")
-    if pd.kind != kind:
-        raise MalformedInputError(f"{args.subcommand} needs {article} {kind} pair")
-    return _emit_report(_pair_theorem_suite(args.subcommand, pd, options), args.format, out)
-
-
-def _cmd_localize_check(args, out) -> int:
-    from .descent import LocalizationProblem, check_localization_premises
-
-    lp, _ = _declaration(args, "localization", LocalizationProblem)
-    return _emit_report(check_localization_premises(lp), args.format, out)
 
 
 # -- argument parsing ------------------------------------------------------
@@ -662,25 +627,9 @@ _COMMANDS = {
     }),
     "shriek": ("exceptional pushforwards", {
         "build": ("build and print the pushforward tables", _cmd_shriek_build, _declared("nagata-open")),
-        "verify": ("run the full theorem suite", _cmd_shriek_verify, (
-            *_declared("nagata-open"), "--format")),
-    }),
-    "formalism": ("span-level assembly", {
-        "assemble": ("assemble and verify the span-level functor", _cmd_formalism_assemble, (
-            *_declared("nagata-open"), "--format")),
     }),
     "search": ("brute-force searches", {
         "nagata": ("scan class pairs for valid factorization setups", _cmd_search_nagata, ()),
-    }),
-    "descend": ("descent-based extension", {
-        "extend-c": ("extend a coefficient system over a nice pair", _cmd_descend, (
-            *_declared("nice-pair-identity"), "--format")),
-        "extend-e": ("extend pushforwards over an exceptional pair", _cmd_descend, (
-            *_declared("exceptional-pair-cover"), "--format")),
-    }),
-    "localize": ("localization premise checks", {
-        "check": ("check both premises of the localization criterion", _cmd_localize_check, (
-            *_declared("localization-interval"), "--format")),
     }),
 }
 

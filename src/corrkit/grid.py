@@ -152,6 +152,13 @@ def _bump(v: tuple[int, ...], d: int) -> tuple[int, ...]:
     return v[:d] + (v[d] + 1,) + v[d + 1 :]
 
 
+def check_grid_size(k: int, n: int) -> None:
+    """Refuse a grid the enumeration does not finish: k directions in 1..3,
+    side n in 0..2, and at most 9 vertices."""
+    if not (1 <= k <= 3 and 0 <= n <= 2 and (n + 1) ** k <= 9):
+        raise MalformedInputError(f"need k in 1..3, n in 0..2 and (n+1)^k <= 9 vertices, got k={k}, n={n}")
+
+
 def enumerate_grid_simplices(setup: GeometricSetup, classes, k: int, n: int) -> list[GridSimplex]:
     """All fully cartesian grids with direction-d edges in classes[d].
 
@@ -159,8 +166,7 @@ def enumerate_grid_simplices(setup: GeometricSetup, classes, k: int, n: int) -> 
     checked (commuting, then universal property) as soon as its last vertex
     is placed, so pruning happens early.
     """
-    if not (1 <= k <= 3 and 0 <= n <= 2):
-        raise MalformedInputError("need k in 1..3 and n in 0..2")
+    check_grid_size(k, n)
     if len(classes) != k:
         raise MalformedInputError("one class per direction")
     member_sets = [cls.members for cls in classes]

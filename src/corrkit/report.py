@@ -13,7 +13,10 @@ SUITE_ORDER = ("category", "setup", "model", "theorem")
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured enumeration bound was exceeded; never a silent truncation."""
+    """The carrier lacks an object a construction needs: the fiber product
+    of a composite of spans (`HCorr.compose_reps`), or, where a hypercover
+    search finds no match, the overlap of an atlas pair it searched
+    (`extend_system_E`).  Never a silent truncation."""
 
 
 class MalformedInputError(ValueError):

@@ -284,8 +284,8 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
     exact squares cartesian."""
     from .grid import c_of_simplex, classify_edge, cp_parse
 
-    if not 0 <= n <= 3:
-        raise MalformedInputError(f"need 0 <= n <= 3, got {n}")
+    if not 0 <= n <= 2:
+        raise MalformedInputError(f"need 0 <= n <= 2, got {n}")
     c = s.category
 
     def edge_filter(a: str, b: str, m: str) -> bool:

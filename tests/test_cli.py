@@ -15,7 +15,7 @@ import corrkit
 from corrkit import cli, descent, shriek
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
-from corrkit.fincat import check_category, finset_category, injections
+from corrkit.fincat import FinCategory, check_category, finset_category, injections
 from corrkit.lattices import FiniteLattice, chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
@@ -202,71 +202,67 @@ def test_config_rejects_out_of_range_bounds():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("run", "--max-apex", "7"),
-        ("run", "--max-apex", "0"),
-        ("shriek", "verify", "--max-apex", "7"),
-        ("corr", "hocat", "--max-apex", "1000000000"),
-        ("formalism", "assemble", "--max-apex", "-1000000000"),
-        ("shriek", "verify", "--max-apex", "0"),
-        ("formalism", "assemble", "--max-apex", "1000000000"),
-        ("formalism", "assemble", "--max-apex", "7"),
-        ("corr", "hocat", "--max-apex", "0"),
-        ("run", "--max-apex", "-1"),
-        ("shriek", "verify", "--max-apex", "1000000000"),
-    ],
-)
-def test_out_of_range_bounds_exit_2_before_work(capsys, argv):
-    # no subcommand takes a span-apex bound: the formalism reads every span
-    # class the carrier holds, so the parser refuses a bound of any value
-    _assert_unrecognized(capsys, argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
         ("model", "check", "--law", "kunneth", "--max-dim", "3"),
-        ("localize", "check", "--max-apex", "0"),
         ("corr", "coproduct", "1", "1", "--input", "/nonexistent.json"),
         ("corr", "coproduct", "1", "1", "--max-dim", "0"),
         ("corr", "coproduct", "1", "1", "--max-apex", "1"),
         ("corr", "hocat", "--input", "/nonexistent.json"),
         ("corr", "hocat", "--max-dim", "0"),
-        ("shriek", "verify", "--all"),
         ("shriek", "build", "--format", "json"),
-        ("formalism", "assemble", "--max-dim", "1"),
-        # hypercovers are matched at level one, so extend-e reads no bound
-        ("descend", "extend-e", "--max-dim", "1000000000"),
-        ("descend", "extend-e", "--max-dim", "0"),
         # a nice pair's descent checks read every nerve level the carrier
         # holds, so no subcommand reads a nerve bound, even an in-range one
         ("run", "--max-dim", "3"),
         ("run", "--max-dim", "0"),
         ("run", "--max-dim", "2"),
-        ("descend", "extend-c", "--max-dim", "-1"),
-        ("descend", "extend-c", "--max-dim", "1000000000"),
-        ("descend", "extend-c", "--max-dim", "3"),
-        ("descend", "extend-c", "--max-dim", "0"),
-        ("descend", "extend-c", "--max-dim", "2"),
         # the formalism reads every span class, so no subcommand reads an
-        # apex bound, even the value every carrier's objects fit under
+        # apex bound of any value, even the one every carrier's objects fit
+        # under
         ("run", "--max-apex", "4"),
+        ("run", "--max-apex", "7"),
+        ("run", "--max-apex", "0"),
+        ("run", "--max-apex", "-1"),
         ("corr", "hocat", "--max-apex", "4"),
-        ("shriek", "verify", "--max-apex", "4"),
-        ("formalism", "assemble", "--max-apex", "4"),
-        # the search prints JSON only, so it takes no format
+        ("corr", "hocat", "--max-apex", "1000000000"),
+        ("corr", "hocat", "--max-apex", "0"),
+        ("shriek", "build", "--max-apex", "4"),
+        # only `run` selects suites
+        ("shriek", "build", "--suite", "theorem"),
+        ("model", "check", "--law", "kunneth", "--suite", "model"),
+        # the search and the enumerations print JSON only, so they take no
+        # format, and they read no declaration
         ("search", "nagata", "--format", "json"),
+        ("grid", "enumerate", "--format", "json"),
+        ("corr", "enumerate", "--format", "json"),
+        ("search", "nagata", "--instance", "nagata-open"),
+        ("corpus", "list", "--instance", "nagata-open"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
-    _assert_unrecognized(capsys, argv)
+    _assert_parser_error(capsys, argv, "unrecognized arguments")
 
 
-def _assert_unrecognized(capsys, argv):
+# each theorem suite has one front end, `run --input F` or
+# `run --instance N --suite theorem`
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shriek", "verify"),
+        ("formalism", "assemble"),
+        ("descend", "extend-c"),
+        ("descend", "extend-e"),
+        ("localize", "check"),
+    ],
+)
+def test_a_theorem_suite_has_no_second_front_end(capsys, argv):
+    _assert_parser_error(capsys, (*argv, "--format", "json"), "invalid choice")
+
+
+def _assert_parser_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     out = capsys.readouterr()
-    assert out.out == "" and "unrecognized arguments" in out.err
+    assert out.out == "" and message in out.err
 
 
 def _nagata_open_with_e(tmp_path, keep) -> str:
@@ -363,30 +359,60 @@ def test_corr_enumerate_counts_cells(capsys):
     assert len(rows) == 3  # one 0-cell per object of the carrier
 
 
-@pytest.mark.parametrize("dim", ["-1", "4"])
-def test_corr_enumerate_rejects_a_dimension_outside_0_to_3(capsys, dim):
-    assert invoke(capsys, "corr", "enumerate", "--dim", dim) == (2, "", f"error: need 0 <= n <= 3, got {dim}\n")
+@pytest.fixture
+def no_hom_scan(monkeypatch):
+    """Fail on any hom-set scan: an enumeration scans them from its first
+    cell on, so a size it refuses must be refused before."""
+
+    def scan(*args):
+        raise AssertionError("scanned a hom-set")
+
+    monkeypatch.setattr(FinCategory, "hom", scan)
+
+
+@pytest.mark.parametrize("dim", ["-1", "3"])
+def test_corr_enumerate_rejects_a_dimension_outside_0_to_2(capsys, no_hom_scan, dim):
+    assert invoke(capsys, "corr", "enumerate", "--dim", dim) == (2, "", f"error: need 0 <= n <= 2, got {dim}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corr", "enumerate", "--dim", "-1000000000"),
+        ("corr", "enumerate", "--dim", "1000000000"),
+        ("grid", "enumerate", "--k", "0"),
+        ("grid", "enumerate", "--k", "4"),
+        ("grid", "enumerate", "--n", "-1"),
+        ("grid", "enumerate", "--n", "3"),
+        # every size is in range, but a grid of 27 vertices never finishes
+        ("grid", "enumerate", "--k", "3", "--n", "2"),
+        ("grid", "enumerate", "--k", "-1000000000"),
+        ("grid", "enumerate", "--k", "1000000"),
+        ("grid", "enumerate", "--n", "1000000000"),
+        ("grid", "enumerate", "--k", "1000000", "--n", "0"),
+    ],
+)
+def test_out_of_range_bounds_exit_2_before_work(capsys, no_hom_scan, argv):
+    # the largest sizes accepted, `corr enumerate --dim 2` and grids of 9
+    # vertices, are pinned in SUBCOMMAND_SHA256
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: need ")
 
 
 def test_localize_check(capsys):
-    code, _, _ = invoke(capsys, "localize", "check", "--instance", "localization-interval")
+    code, _, _ = invoke(capsys, "run", "--instance", "localization-interval", "--suite", "theorem")
     assert code == 0
 
 
 def test_descend_extend_c_on_degenerate_pair(capsys):
     code, out, _ = invoke(
-        capsys, "descend", "extend-c", "--instance", "nice-pair-identity", "--format", "json"
+        capsys, "run", "--instance", "nice-pair-identity", "--suite", "theorem", "--format", "json"
     )
     assert code == 0
-    rep = json.loads(out)
+    (rep,) = json.loads(out)["reports"]
     names = [c["name"] for c in rep["checks"]]
     assert "extension-functorial" in names
-
-
-def test_descend_extend_e_requires_exceptional_kind(capsys):
-    code, _, err = invoke(capsys, "descend", "extend-e", "--instance", "nice-pair-identity")
-    assert code == 2
-    assert "exceptional" in err
 
 
 def test_suite_order_is_dependency_order():
@@ -572,18 +598,16 @@ def test_carrier_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys, pattern):
     assert (code, _sha256(out), err) == (*CARRIER_RUN_SHA256[pattern], "")
 
 
-# exit code and stdout SHA-256 of the subcommands that load a declaration
-# and build from it, recorded before their loaders and build gate merged
+# exit code and stdout SHA-256 of subcommands other than `run`; `shriek
+# build` was recorded before its loader and build gate merged, and the
+# enumerations at the largest sizes they accept before larger ones exited 2
 SUBCOMMAND_SHA256 = {
     ("shriek", "build", "--instance", "nagata-open"): (0, "aa0f65a42400317ab12079f3423f43e152736dab5a1dd36902089af169b4e156"),
     ("shriek", "build", "--instance", "nagata-proper"): (0, "0025e1bfc257d29aac75e9db0457aad54d3f5270e9f33e3fad2a32bbb095ac78"),
-    ("formalism", "assemble", "--instance", "nagata-proper", "--format", "json"): (
-        0, "0f7f1e0468cb90acdae179b0a7376a0662ac3e96517aff2e6f24cb24d6f021f0"),
-    ("descend", "extend-c", "--instance", "nice-pair-cover", "--format", "json"): (
-        0, "9eada44763542aa7aeb60d2a6676f01e7dedb4cbf733188ec8bbfb038fc48f9b"),
-    ("descend", "extend-e", "--format", "json"): (0, "1692cefe89a58f977476dfe6d5e33e92e2105fba013ac7ee559995a8c7f8d2a3"),
-    ("localize", "check", "--instance", "localization-cover", "--format", "json"): (
-        0, "2eb33dd55ef52ea35cda42ff2d83b56965566155069514e731415a394ab8f944"),
+    ("corr", "enumerate", "--dim", "0"): (0, "53707ccd5157616ce442fb248adbbd145e19c3db5499f2ea21bf8241b8aadc96"),
+    ("corr", "enumerate", "--dim", "2"): (0, "ce9c31ec067acbe05fb3470bba2563940ce099ac00f117a51ae5faba43afa47d"),
+    ("grid", "enumerate", "--k", "3", "--n", "1"): (0, "b84f358ca7f066a8db8d0d9e4a80e3b76985fadf7ff690102ba81d09082bb187"),
+    ("grid", "enumerate", "--k", "2", "--n", "2"): (0, "8187a1313606d39aa5f9cb64ec4167e1fd5bc3687aaa4cf312b25db99b7b5190"),
     # these two read span class ids through `HCorr.category` and `check_coproduct`
     ("corr", "hocat", "--format", "json"): (0, "f4ad77e22e186f59f632f49a147251608a4709975d93f15607f9226781add522"),
     ("corr", "coproduct", "1", "1", "--format", "json"): (
@@ -602,24 +626,25 @@ def test_subcommand_bytes_are_pinned(capsys, argv):
 
 
 # the one stderr line of a declaration of the wrong kind; `chain2.json` is
-# a lattice envelope and `nagata.json` a factorization-setup envelope
+# a lattice envelope, `nagata.json` a factorization-setup envelope and
+# `pair.json` a pair envelope
 SUBCOMMAND_STDERR = {
     ("model", "check", "--law", "kunneth", "--instance", "nagata-open"):
         "error: instance 'nagata-open' is not a coefficient model\n",
     ("shriek", "build", "--instance", "frame-2chain"):
         "error: instance 'frame-2chain' is not a factorization setup\n",
-    ("descend", "extend-e", "--instance", "nagata-open"):
-        "error: instance 'nagata-open' is not a pair declaration\n",
-    ("localize", "check", "--instance", "finset-1"):
-        "error: instance 'finset-1' is not a localization problem\n",
+    ("model", "check", "--law", "kunneth", "--instance", "nice-pair-identity"):
+        "error: instance 'nice-pair-identity' is not a coefficient model\n",
+    ("shriek", "build", "--instance", "localization-interval"):
+        "error: instance 'localization-interval' is not a factorization setup\n",
     ("shriek", "build", "--input", "chain2.json"):
         "error: chain2.json is not a factorization-setup envelope\n",
     ("model", "check", "--law", "kunneth", "--input", "nagata.json"):
         "error: nagata.json is not a lattice envelope\n",
-    ("descend", "extend-c", "--input", "chain2.json"):
-        "error: chain2.json is not a pair envelope\n",
-    ("localize", "check", "--input", "chain2.json"):
-        "error: chain2.json is not a localization envelope\n",
+    ("shriek", "build", "--input", "pair.json"):
+        "error: pair.json is not a factorization-setup envelope\n",
+    ("model", "check", "--law", "kunneth", "--input", "pair.json"):
+        "error: pair.json is not a lattice envelope\n",
     # an object outside the carrier, on the constructed coproduct path
     ("corr", "coproduct", "9", "1"): "error: unknown objects ['9']\n",
 }
@@ -630,23 +655,25 @@ def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain2.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(1))))
     (tmp_path / "nagata.json").write_text(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
+    (tmp_path / "pair.json").write_text(ser.dumps(ser.pair_to_dict(instance("nice-pair-identity").build())))
     assert invoke(capsys, *argv) == (2, "", SUBCOMMAND_STDERR[argv])
 
 
 # exit code and the SHA-256 of stdout and stderr of invocations that end in
-# the parser, recorded with every subcommand's arguments declared up front,
-# before the parser declared only those of the subcommand argv names
+# the parser; `run --help`, `run --suite bogus` and `corr coproduct --help`
+# were recorded with every subcommand's arguments declared up front, before
+# the parser declared only those of the subcommand argv names
 _EMPTY = _sha256("")
 PARSER_SHA256 = {
-    ("--help",): (0, "fd52190b6ea7857a963b6a9b9961a2a5b55ec0c09b01d6bf5d6b44a6f98b3a6b", _EMPTY),
+    ("--help",): (0, "c96516185baec7b6cf1f2e3b78beee32c087503e1a42426454e4c375e21a1658", _EMPTY),
     ("run", "--help"): (0, "62aeb24abe660081a502227fd6c3442097cfb1204ec07a523b610e91bc015cc3", _EMPTY),
-    ("descend", "extend-e", "--help"): (0, "8024509292d8d56d66830352e904077cd3e5442f4710ea7c6da59100dd72e34a", _EMPTY),
-    ("descend", "--help"): (0, "094fa6169442015a88db4e7e84b38b776952a2bb3451fae655e23ba16da23893", _EMPTY),
+    ("shriek", "build", "--help"): (0, "9b86dcf643ac08fa66e3f44b33ec652f37e103686f4d75afe4e5ede5ffba5af2", _EMPTY),
+    ("shriek", "--help"): (0, "93d6a7b6551dd9be0b8d7fc848f2aee35775cc628aeb8844ab03f1e1afe93d92", _EMPTY),
     ("corr", "coproduct", "--help"): (0, "fd3cf3bbc5aa1a14670d2b53f044bcac85495d8d009abe474aafd4575208c636", _EMPTY),
-    ("bogus",): (2, _EMPTY, "352e84225de5c1c378b5be7320af10065d9f0b16f60189d7a1611e2883f1ab69"),
+    ("bogus",): (2, _EMPTY, "ed7649caf972400a4967c903aed1b214e2d0e6e3f7c9e10bb69d20916de21157"),
     ("run", "--suite", "bogus"): (2, _EMPTY, "b722ecdd4ed97f5a7fe1a45f4968b1f2808570ea9e610fdf47ae0102746420ea"),
-    ("descend",): (2, _EMPTY, "23029830e3b2983e34ce8eed85fa53ecd2243e3afed8585899b04c0dace9852e"),
-    (): (2, _EMPTY, "5ec29090577bf7ee76e60a3e3be4d77a08adc0d532313900362bc6b1286bb014"),
+    ("shriek",): (2, _EMPTY, "202ed931d55a41de2cf2246266e2bad7e07077e2cca3a37c1298f937b054dad8"),
+    (): (2, _EMPTY, "f4982dd2cbca55a526cf7bd06d8ff03df0f8a72ea441085d5e7f2948ba097369"),
 }
 
 
@@ -670,8 +697,8 @@ def test_shriek_build_refuses_a_setup_that_fails_a_hypothesis(capsys):
 def test_a_failed_class_consistency_check_is_reported_once(monkeypatch, capsys):
     # each map is built along the factorizations of the first map of its
     # hom-set, so the axioms and hypotheses pass and class consistency
-    # fails: the theorem suite reports it once and stops, and the build
-    # command refuses the maps
+    # fails: the theorem suite reports it once and stops, and `shriek build`
+    # refuses the maps
     factorizations = shriek.factorizations
 
     def first_of_hom(ns, f):
@@ -679,9 +706,10 @@ def test_a_failed_class_consistency_check_is_reported_once(monkeypatch, capsys):
         return factorizations(ns, c.hom(*c.morphisms[f])[0])
 
     monkeypatch.setattr(shriek, "factorizations", first_of_hom)
-    code, out, err = invoke(capsys, "shriek", "verify", "--format", "json")
+    code, out, err = invoke(capsys, "run", "--instance", "nagata-open", "--suite", "theorem", "--format", "json")
     assert (code, err) == (1, "")
-    checks = json.loads(out)["checks"]
+    (rep,) = json.loads(out)["reports"]
+    checks = rep["checks"]
     assert [(ch["name"], ch["status"]) for ch in checks if ch["status"] != "pass"] == [("classes:class-consistency", "fail")]
     assert checks[-1]["name"] == "classes:class-consistency"
     assert checks[-1]["witness"] == {"morphism": "1>2:1", "class": "open-like"}

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from corrkit.fincat import (
+    FinCategory,
     finset_skeleton,
     fn_values,
     injections,
@@ -262,9 +263,14 @@ def test_grid_k3_cube_over_point_category():
         assert _grid_problems(g, [all_class(c)] * 3) == []
 
 
-def test_grid_bounds_rejected():
+def test_grid_bounds_rejected(monkeypatch):
     s = _setup2()
+    # a size out of range is refused before any hom-set is scanned
+    monkeypatch.setattr(FinCategory, "hom", lambda *args: pytest.fail("scanned a hom-set"))
     with pytest.raises(MalformedInputError):
         enumerate_grid_simplices(s, [all_class(s.category)], 4, 1)
     with pytest.raises(MalformedInputError):
         enumerate_grid_simplices(s, [all_class(s.category)], 1, 3)
+    # every size is in range, but 27 vertices exceed the 9 a grid may have
+    with pytest.raises(MalformedInputError, match="got k=3, n=2"):
+        enumerate_grid_simplices(s, [all_class(s.category)] * 3, 3, 2)

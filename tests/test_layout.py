@@ -1,9 +1,11 @@
 """Package layout: no unused import, no import of `dataclasses`, no module
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
-table outside `fincat`, no CLI argument its subcommand does not read, and
-no definition that only unit tests name."""
+table outside `fincat`, no CLI argument its subcommand does not read, no
+subcommand but `run` that runs a suite, and no definition that only unit
+tests name."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -142,6 +144,20 @@ def test_every_declared_argument_is_read():
             if flag.lstrip("-").replace("-", "_") not in read:
                 unread.append(" ".join(path + (flag,)))
     assert unread == []
+
+
+def test_only_run_runs_a_suite():
+    # `run --input F` and `run --instance N --suite S` are the one front end
+    # of each suite; a subcommand that named one would run it a second time
+    # under another name
+    named = [
+        f"{fn.name} names {n.id}"
+        for fn in _trees()["cli"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_") and fn.name != "_cmd_run"
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and re.fullmatch(r"_\w+_suite", n.id)
+    ]
+    assert named == []
 
 
 def _names(node: ast.AST, attributes: bool = False) -> Counter:
