@@ -17,6 +17,7 @@ from .report import (
     RESOURCE_LIMIT,
     SUITE_ORDER,
     MalformedInputError,
+    NoPullbackError,
     ResourceLimitError,
     VerificationReport,
     report_lines,
@@ -186,7 +187,12 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict) -> Verific
                         prefix=f"atlas:{obj}:",
                     )
         if rep.passed:
-            ext = extend_system_C(pd, sys)
+            try:
+                ext = extend_system_C(pd, sys)
+            except NoPullbackError as exc:
+                # a transport refinement larger than any object: a carrier gap
+                rep.add_limit("extension-functorial", {"reason": str(exc)}, anchor="cech-descent")
+                return rep
             rep.add(
                 "extension-functorial",
                 True,

@@ -656,92 +656,3 @@ def canonical_coproduct(c: FinCategory, factors) -> tuple[str, tuple[str, ...]] 
         return _finset_canonical_coproduct(c, factors)
     return canonical_product(opposite(c), factors)
 
-
-# -- functor enumeration from thin sources --------------------------------
-
-
-def _covering_relations(c: FinCategory) -> list[tuple[str, str]]:
-    strict = {
-        (x, y)
-        for m in c.morphism_ids
-        for x, y in [c.morphisms[m]]
-        if x != y
-    }
-    covers = []
-    for x, y in strict:
-        if not any((x, z) in strict and (z, y) in strict for z in c.objects):
-            covers.append((x, y))
-    return sorted(covers)
-
-
-def is_thin(c: FinCategory) -> bool:
-    return all(len(c.hom(x, y)) <= 1 for x in c.objects for y in c.objects)
-
-
-def enumerate_functors(src: FinCategory, dst: FinCategory, edge_filter=None):
-    """All functors src -> dst, for thin (poset) sources.
-
-    `edge_filter(x, y, m)` may veto candidate images of the covering edge
-    x -> y early; full functoriality is verified before a candidate is
-    yielded, so the filter is purely a pruning device.
-    """
-    if not is_thin(src):
-        raise MalformedInputError("functor enumeration requires a thin source")
-    covers = _covering_relations(src)
-    objs = list(src.objects)
-
-    def rel_morphism(x: str, y: str) -> str:
-        (m,) = src.hom(x, y)
-        return m
-
-    for obj_images in itertools.product(dst.objects, repeat=len(objs)):
-        omap = dict(zip(objs, obj_images))
-        # candidate images per covering edge
-        options = []
-        feasible = True
-        for x, y in covers:
-            homset = dst.hom(omap[x], omap[y])
-            if edge_filter is not None:
-                homset = [m for m in homset if edge_filter(x, y, m)]
-            if not homset:
-                feasible = False
-                break
-            options.append(homset)
-        if not feasible:
-            continue
-        for choice in itertools.product(*options):
-            cover_map = dict(zip(covers, choice))
-            F = _complete_thin_functor(src, dst, omap, cover_map, covers, rel_morphism)
-            if F is not None:
-                yield F
-
-
-def _complete_thin_functor(src, dst, omap, cover_map, covers, rel_morphism):
-    """Extend a covering-edge assignment to all relations; None if incoherent."""
-    mor_map: dict[str, str] = {}
-    for x in src.objects:
-        mor_map[src.identity[x]] = dst.identity[omap[x]]
-    # composite along a canonical chain of covering edges, breadth-first
-    succ: dict[str, list[tuple[str, str]]] = {}
-    for (x, y), m in cover_map.items():
-        succ.setdefault(x, []).append((y, m))
-    for start in src.objects:
-        reached = {start: dst.identity[omap[start]]}
-        frontier = [start]
-        while frontier:
-            here = frontier.pop()
-            for nxt, m in sorted(succ.get(here, [])):
-                comp = dst.comp(m, reached[here])
-                if nxt in reached:
-                    if reached[nxt] != comp:
-                        return None  # two paths disagree
-                    continue
-                reached[nxt] = comp
-                frontier.append(nxt)
-        for end, image in reached.items():
-            if end != start and src.hom(start, end):
-                mor_map[rel_morphism(start, end)] = image
-    if len(mor_map) != len(src.morphism_ids):
-        return None
-    F = FunctorData(src, dst, omap, mor_map)
-    return F if check_functor(F).passed else None

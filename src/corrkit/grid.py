@@ -41,21 +41,6 @@ def c_of_simplex(n: int) -> FinCategory:
     return poset_category(names, lambda a, b: cposet_leq(cp_parse(a), cp_parse(b)))
 
 
-def classify_edge(n: int, edge: tuple[tuple[int, int], tuple[int, int]]) -> str:
-    """Vertical: j fixed, i strictly up.  Horizontal: i fixed, j strictly
-    down.  Everything else in the order relation, identities included, is
-    mixed."""
-    a, b = edge
-    elements = set(cposet_elements(n))
-    if a not in elements or b not in elements or not cposet_leq(a, b):
-        raise MalformedInputError(f"{a} -> {b} is not a relation in C({n})")
-    if a[1] == b[1] and a[0] < b[0]:
-        return "vertical"
-    if a[0] == b[0] and b[1] < a[1]:
-        return "horizontal"
-    return "mixed"
-
-
 class ExactSquare:
     """Rectangle in C(n): top-left (i,j), verticals go i -> i', horizontals
     j -> j'.  Corners run (i,j) -> (i',j) and (i,j') -> (i',j').  A value:

@@ -15,9 +15,8 @@ from .fincat import (
     FinCategory,
     FunctorData,
     canonical_coproduct,
-    enumerate_functors,
+    pullback_candidates,
     verify_product,
-    verify_pullback_square,
 )
 from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
 from .setups import GeometricSetup
@@ -254,51 +253,70 @@ class CorrSimplex:
         self.n, self.functor = n, functor
 
 
-def check_corr_simplex(s: GeometricSetup, cs: CorrSimplex) -> list[dict]:
-    """Violations of the two marking conditions: vertical relations must
-    land in E, exact squares on verified pullbacks."""
-    from .grid import classify_edge, cp_name, cp_parse, exact_squares
-
-    problems = []
-    F = cs.functor
-    c = s.category
-    n = cs.n
-    for m in F.source.morphism_ids:
-        a, b = F.source.morphisms[m]
-        if classify_edge(n, (cp_parse(a), cp_parse(b))) == "vertical":
-            if F.mor_map[m] not in s.e.members:
-                problems.append({"edge": m, "problem": "vertical-not-marked"})
-    for sq in exact_squares(n):
-        tl, bl, tr, br = (cp_name(e) for e in sq.corners())
-        f = F.mor_map[f"{tl}<={bl}"]  # vertical out of the low corner
-        g = F.mor_map[f"{tl}<={tr}"]  # horizontal out of the low corner
-        top = F.mor_map[f"{bl}<={br}"]
-        right = F.mor_map[f"{tr}<={br}"]
-        if not verify_pullback_square(c, top, right, F.obj_map[tl], f, g):
-            problems.append({"square": [tl, bl, tr, br], "problem": "not-cartesian"})
-    return problems
-
-
 def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
-    """All n-cells: functors from the staircase with vertical edges in E and
-    exact squares cartesian."""
-    from .grid import c_of_simplex, classify_edge, cp_parse
+    """All n-cells: functors from the staircase with vertical relations in E
+    and exact squares cartesian, ordered by their objects' positions in
+    vertex order, then by the hom-set positions of their covering edges,
+    taken in name order (the order of the vertex pairs).
+
+    A cell is constructed from its spine (the Segal condition): an object at
+    each (i, i), a span with its right leg in E at each (i, i+1), and at each
+    higher (i, j) a pullback cone, by universal-property search, of the
+    cospan at (i+1, j-1).  Every rectangle pastes from those unit squares,
+    so it is cartesian; a cell with a vertical relation outside E is
+    dropped."""
+    from .grid import c_of_simplex, cp_name, cposet_elements, cposet_leq
 
     if not 0 <= n <= 2:
         raise MalformedInputError(f"need 0 <= n <= 2, got {n}")
     c = s.category
+    spans = {(x, y): spans_between(s, x, y) for x in c.objects for y in c.objects}
+    cones: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
 
-    def edge_filter(a: str, b: str, m: str) -> bool:
-        if classify_edge(n, (cp_parse(a), cp_parse(b))) == "vertical":
-            return m in s.e.members
-        return True
+    def extensions(i: int, j: int, objs: dict, edges: dict):
+        """(object at (i, j), its covering edges) for each way to place it."""
+        if i == j:
+            return [(x, {}) for x in c.objects]
+        if j == i + 1:
+            feet = (objs[(i, i)], objs[(j, j)])
+            return [(c.src(sp.left), {((i, j), (i, i)): sp.left, ((i, j), (j, j)): sp.right}) for sp in spans[feet]]
+        cospan = (edges[((i, j - 1), (i + 1, j - 1))], edges[((i + 1, j), (i + 1, j - 1))])
+        if cospan not in cones:
+            cones[cospan] = pullback_candidates(c, *cospan)
+        return [(apex, {((i, j), (i, j - 1)): p, ((i, j), (i + 1, j)): q}) for apex, p, q in cones[cospan]]
 
-    out = []
-    for F in enumerate_functors(c_of_simplex(n), c, edge_filter=edge_filter):
-        cs = CorrSimplex(n, F)
-        if not check_corr_simplex(s, cs):
-            out.append(cs)
-    return out
+    vertices = cposet_elements(n)
+    partial = [({}, {})]
+    for i, j in sorted(vertices, key=lambda v: v[1] - v[0]):
+        partial = [
+            ({**objs, (i, j): x}, {**edges, **placed})
+            for objs, edges in partial
+            for x, placed in extensions(i, j, objs, edges)
+        ]
+
+    def relation(objs: dict, edges: dict, a: tuple[int, int], b: tuple[int, int]) -> str:
+        """The composite along covering edges: down to b's row, then across."""
+        m = c.identity[objs[a]]
+        while a != b:
+            step = (a[0] + 1, a[1]) if a[0] < b[0] else (a[0], a[1] - 1)
+            m, a = c.comp(edges[(a, step)], m), step
+        return m
+
+    source = c_of_simplex(n)
+    relations = [(a, b, f"{cp_name(a)}<={cp_name(b)}") for a in vertices for b in vertices if cposet_leq(a, b)]
+    vertical = [name for a, b, name in relations if a[1] == b[1] and a[0] < b[0]]
+    obj_pos = {x: k for k, x in enumerate(c.objects)}
+    hom_pos = {m: k for x in c.objects for y in c.objects for k, m in enumerate(c.hom(x, y))}
+    keyed = []
+    for objs, edges in partial:
+        mor_map = {name: relation(objs, edges, a, b) for a, b, name in relations}
+        if any(mor_map[name] not in s.e.members for name in vertical):
+            continue
+        key = (tuple(obj_pos[objs[v]] for v in vertices), tuple(hom_pos[edges[e]] for e in sorted(edges)))
+        obj_map = {cp_name(v): objs[v] for v in vertices}
+        keyed.append((key, CorrSimplex(n, FunctorData(source, c, obj_map, mor_map))))
+    keyed.sort(key=lambda kc: kc[0])
+    return [cs for _, cs in keyed]
 
 
 def simplex_edge(cs: CorrSimplex, a: tuple[int, int], b: tuple[int, int]) -> Span:

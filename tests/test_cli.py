@@ -15,7 +15,7 @@ import corrkit
 from corrkit import cli, descent, shriek
 from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
-from corrkit.fincat import FinCategory, check_category, finset_category, injections
+from corrkit.fincat import FinCategory, check_category, finset_category, injections, surjections
 from corrkit.lattices import FiniteLattice, chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
@@ -450,6 +450,30 @@ def test_a_failed_codescent_precondition_is_a_failed_check(tmp_path, capsys):
     }
 
 
+def test_a_transport_the_carrier_cannot_hold_is_a_limit_not_malformed_input(tmp_path, capsys):
+    # every pair and descent check passes on a proper small setup {2, 4},
+    # but transporting 1's pull along its atlas 2>1:0.0 needs 4 x_1 2, an
+    # 8-element set the carrier lacks: a gap, so exit 1 with a report
+    c = finset_category({"1": 1, "2": 2, "4": 4})
+    surj = surjections(c)
+    cover = EdgeClass(c, surj)
+    s = GeometricSetup(c, cover)
+    small = ("2", "4")
+    inside = frozenset(m for m in surj if c.src(m) in small and c.dst(m) in small)
+    atlases = {o: (descent.identity_atlas(s, cover, small, o),) for o in small}
+    atlases["1"] = (descent.Atlas(s, "2>1:0.0", cover, small),)
+    pd = descent.PairDeclaration("nice", s, small, inside, surj, inside, atlases)
+    path = tmp_path / "pair.json"
+    path.write_text(ser.dumps(ser.pair_to_dict(pd)))
+    code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    (rep,) = json.loads(out)["reports"]
+    *checks, last = rep["checks"]
+    assert checks and all(ch["status"] == "pass" for ch in checks)
+    assert (last["name"], last["status"]) == ("extension-functorial", "resource-limit")
+    assert last["witness"] == {"reason": "no pullback exists for cospan ('4>1:0.0.0.0', '2>1:0.0')"}
+
+
 def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     calls = Counter()
 
@@ -605,6 +629,7 @@ SUBCOMMAND_SHA256 = {
     ("shriek", "build", "--instance", "nagata-open"): (0, "aa0f65a42400317ab12079f3423f43e152736dab5a1dd36902089af169b4e156"),
     ("shriek", "build", "--instance", "nagata-proper"): (0, "0025e1bfc257d29aac75e9db0457aad54d3f5270e9f33e3fad2a32bbb095ac78"),
     ("corr", "enumerate", "--dim", "0"): (0, "53707ccd5157616ce442fb248adbbd145e19c3db5499f2ea21bf8241b8aadc96"),
+    ("corr", "enumerate", "--dim", "1"): (0, "b9bfe090c980e513a5469f7c2e81af966ea3c95c02097b95a85826956fae8843"),
     ("corr", "enumerate", "--dim", "2"): (0, "ce9c31ec067acbe05fb3470bba2563940ce099ac00f117a51ae5faba43afa47d"),
     ("grid", "enumerate", "--k", "3", "--n", "1"): (0, "b84f358ca7f066a8db8d0d9e4a80e3b76985fadf7ff690102ba81d09082bb187"),
     ("grid", "enumerate", "--k", "2", "--n", "2"): (0, "8187a1313606d39aa5f9cb64ec4167e1fd5bc3687aaa4cf312b25db99b7b5190"),

@@ -16,7 +16,6 @@ from corrkit.grid import (
     ExactSquare,
     _bump,
     c_of_simplex,
-    classify_edge,
     cposet_elements,
     enumerate_grid_simplices,
     exact_squares,
@@ -111,20 +110,12 @@ def test_cposet_counts():
 
 
 def test_c_of_simplex_is_valid_poset():
-    from corrkit.fincat import check_category, is_thin
+    from corrkit.fincat import check_category
 
     for n in range(4):
         c = c_of_simplex(n)
-        assert check_category(c).passed and is_thin(c)
-
-
-def test_classify_edges_of_1_simplex():
-    assert classify_edge(1, ((0, 1), (1, 1))) == "vertical"
-    assert classify_edge(1, ((0, 1), (0, 0))) == "horizontal"
-    assert classify_edge(2, ((0, 2), (1, 1))) == "mixed"
-    assert classify_edge(1, ((0, 0), (0, 0))) == "mixed"
-    with pytest.raises(MalformedInputError):
-        classify_edge(1, ((0, 0), (1, 1)))
+        assert check_category(c).passed
+        assert all(len(c.hom(x, y)) <= 1 for x in c.objects for y in c.objects)
 
 
 def test_exact_squares_small():

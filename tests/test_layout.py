@@ -18,7 +18,7 @@ KEPT_FOR_TESTS = {
     "pair_to_dict": "round-trip writer for pair envelopes",
     "localization_to_dict": "round-trip writer for localization envelopes",
     "spans_isomorphic": "the reference that span_class_key is tested against",
-    "simplex_edge": "test accessor for grid simplices",
+    "simplex_edge": "test accessor for the spans of a correspondence cell",
 }
 
 

@@ -1,8 +1,13 @@
 """Span composition, the homotopy category, coproducts, tensor edges."""
 
+import hashlib
 import itertools
+import json
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrkit.fincat import (
     FunctorData,
@@ -10,11 +15,15 @@ from corrkit.fincat import (
     check_functor,
     finset_category,
     finset_skeleton,
+    injections,
     opposite,
+    surjections,
+    verify_pullback_square,
     wide_subcategory,
 )
+from corrkit.grid import cp_name, cp_parse, exact_squares
 from corrkit.report import MalformedInputError, NoPullbackError, ResourceLimitError
-from corrkit.setups import GeometricSetup, all_class, iso_class
+from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.spans import (
     HCorr,
     Span,
@@ -258,6 +267,103 @@ def test_corr_2_cells_cover_composable_pairs():
                 for a in spans_between(s, x, y):
                     for b in spans_between(s, y, z):
                         assert (span_class_key(c, a), span_class_key(c, b)) in found
+
+
+
+def _cell_rows(cells) -> list[dict]:
+    """The cells as `corr enumerate` writes them."""
+    return [{"objects": cs.functor.obj_map, "morphisms": cs.functor.mor_map} for cs in cells]
+
+
+def _vertical_relations(cs) -> list[str]:
+    """Images of the relations (i, j) <= (i', j) with i < i'."""
+    out = []
+    for name, m in cs.functor.mor_map.items():
+        a, b = (cp_parse(v) for v in name.split("<="))
+        if a[1] == b[1] and a[0] < b[0]:
+            out.append(m)
+    return out
+
+
+def _two_cell_count(s) -> int:
+    """Over composable spine pairs x <- w -> y <- v -> z with right legs in
+    E, |P|! cones into each object of |P| elements, P = w x_y v."""
+    c = s.category
+    values, sizes = c.function_values, c.object_size
+    spines = {
+        (x, y): [(l, r) for w in c.objects for l in c.hom(w, x) for r in c.hom(w, y) if r in s.e.members]
+        for x in c.objects
+        for y in c.objects
+    }
+    count = 0
+    for x, y, z in itertools.product(c.objects, repeat=3):
+        for (_, r), (l, _) in itertools.product(spines[(x, y)], spines[(y, z)]):
+            over = Counter(values[l])
+            p = sum(over[u] for u in values[r])
+            count += math.factorial(p) * sum(1 for o in c.objects if sizes[o] == p)
+    return count
+
+
+CLASSES = {"all": all_class, "iso": iso_class, "inj": lambda c: EdgeClass(c, injections(c)),
+           "surj": lambda c: EdgeClass(c, surjections(c))}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda sizes: sum(sizes) <= 4),
+    st.sampled_from(sorted(CLASSES)),
+)
+def test_constructed_2_cells_are_the_marked_staircase_functors(sizes, e):
+    c = finset_category({f"o{k}": size for k, size in enumerate(sizes)})
+    s = GeometricSetup(c, CLASSES[e](c))
+    cells = corr_simplices(s, 2)
+    for cs in cells:
+        F = cs.functor
+        assert check_functor(F).passed
+        assert all(m in s.e.members for m in _vertical_relations(cs))
+        for sq in exact_squares(2):
+            tl, bl, tr, br = (cp_name(v) for v in sq.corners())
+            cospan = (F.mor_map[f"{bl}<={br}"], F.mor_map[f"{tr}<={br}"])
+            cone = (F.obj_map[tl], F.mor_map[f"{tl}<={bl}"], F.mor_map[f"{tl}<={tr}"])
+            assert verify_pullback_square(c, *cospan, *cone)
+    rows = _cell_rows(cells)
+    assert len({json.dumps(r, sort_keys=True) for r in rows}) == len(rows)
+    assert len(cells) == _two_cell_count(s)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.sampled_from([{"a": 0, "b": 1, "c": 2}, {"a": 0, "b": 2}, {"a": 1, "b": 1}]), st.data())
+def test_the_cells_of_any_class_are_the_cells_of_all_maps_with_vertical_relations_in_it(sizes, data):
+    # a drawn class need not be stable under pullback, so a cone's vertical
+    # edge may leave it; such a cell is dropped and the order is kept
+    c = finset_category(sizes)
+    marked = data.draw(st.sets(st.sampled_from(c.morphism_ids)))
+    s = GeometricSetup(c, EdgeClass(c, frozenset(marked)))
+    for n in (1, 2):
+        every = corr_simplices(GeometricSetup(c, all_class(c)), n)
+        kept = [cs for cs in every if all(m in marked for m in _vertical_relations(cs))]
+        assert _cell_rows(corr_simplices(s, n)) == _cell_rows(kept)
+
+
+# the 2-cells `corr enumerate` writes for these carriers, recorded from the
+# staircase-functor search before the cells were constructed from their spine
+CORR_2_CELL_SHA256 = {
+    "{a: 0, b: 1, c: 1}, all maps": (
+        lambda: finset_category({"a": 0, "b": 1, "c": 1}), all_class,
+        139, "1ae52b5579db0566dab45d1340b7ebe98ca6c8cab091aea5095bf5753713fb4c"),
+    "2-skeleton, injections": (
+        lambda: finset_skeleton(2), lambda c: EdgeClass(c, injections(c)),
+        478, "84ed8502ea93790fc5bd66c4df1ed0df3fd0c6e51f3302e2a58d5582637c1cae"),
+}
+
+
+@pytest.mark.parametrize("setup", list(CORR_2_CELL_SHA256))
+def test_corr_2_cell_bytes_are_pinned(setup):
+    carrier, marking, count, digest = CORR_2_CELL_SHA256[setup]
+    c = carrier()
+    rows = _cell_rows(corr_simplices(GeometricSetup(c, marking(c)), 2))
+    text = json.dumps(rows, sort_keys=True, indent=2)
+    assert (len(rows), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 # -- coproducts -----------------------------------------------------------
