@@ -30,7 +30,7 @@ from .fincat import (
     wide_subcategory,
 )
 from .lattices import CoefficientSystem, FiniteLattice, LatticeMap
-from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
+from .report import MalformedInputError, ResourceLimitError, VerificationReport
 from .setups import EdgeClass, GeometricSetup, base_change_sweep, check_geometric_setup
 
 
@@ -218,14 +218,14 @@ def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
 
 def best_nerve(setup: GeometricSetup, atlas: Atlas) -> CechDiagram:
     """The nerve at level two when the carrier holds it, else at level one;
-    a `NoPullbackError` when the carrier has no overlap object."""
+    a `ResourceLimitError` when the carrier has no overlap object."""
     last = None
     for m in (2, 1):
         try:
             return cech_nerve(setup, atlas, m)
-        except NoPullbackError as exc:
+        except ResourceLimitError as exc:
             last = exc
-    raise NoPullbackError(f"no overlap object in the carrier: {last}")
+    raise ResourceLimitError(f"no overlap object in the carrier: {last}")
 
 
 # -- pair declarations -----------------------------------------------------
@@ -417,7 +417,7 @@ def _search_hypercovers(pd: PairDeclaration, f: str):
             try:
                 nx = cech_nerve(pd.big, xa, 1)
                 ny = cech_nerve(pd.big, ya, 1)
-            except NoPullbackError:
+            except ResourceLimitError:
                 yield None
                 continue
             level0, level1 = _level_index(pd, nx, ny)
@@ -526,7 +526,7 @@ def check_descent(setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas) -
     rep = VerificationReport("descent")
     try:
         nerve = best_nerve(setup, atlas)
-    except NoPullbackError:
+    except ResourceLimitError:
         rep.add_limit(
             "descent-comparison",
             {"atlas": atlas.x, "reason": "overlap object outside the carrier"},
@@ -591,7 +591,7 @@ def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: 
         n1 = best_nerve(pd.big, a1)
         n2 = best_nerve(pd.big, a2)
         apex, r1, r2 = pd.big.pullback(a1.x, a2.x)
-    except NoPullbackError:
+    except ResourceLimitError:
         rep.add_limit(
             "comparison-unique",
             {"atlases": [a1.x, a2.x], "reason": "product atlas outside the carrier"},

@@ -13,19 +13,16 @@ SUITE_ORDER = ("category", "setup", "model", "theorem")
 
 
 class ResourceLimitError(RuntimeError):
-    """The carrier lacks an object a construction needs: the fiber product
-    of a composite of spans (`HCorr.compose_reps`), or, where a hypercover
-    search finds no match, the overlap of an atlas pair it searched
-    (`extend_system_E`).  Never a silent truncation."""
+    """A carrier gap: the carrier lacks an object a construction needs.
+    Raised for a cospan with no fiber product (`GeometricSetup.pullback`),
+    an atlas with no overlap object (`best_nerve`), and a hypercover search
+    that finds no match where an atlas pair it searched has its overlap
+    outside the carrier (`extend_system_E`).  Checks that count coverage
+    catch it; elsewhere the CLI exits 1.  Never a silent truncation."""
 
 
 class MalformedInputError(ValueError):
     """Input data violates the declared schema (dangling ids, bad tables)."""
-
-
-class NoPullbackError(MalformedInputError):
-    """The carrier has no fiber product for a cospan: a gap in the carrier,
-    which callers that count coverage tell apart from malformed input."""
 
 
 class CheckResult:

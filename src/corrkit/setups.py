@@ -14,7 +14,7 @@ objects: a missing fiber product is a coverage gap, not a failure.
 from __future__ import annotations
 
 from .fincat import FinCategory, canonical_pullback
-from .report import MalformedInputError, NoPullbackError, VerificationReport
+from .report import MalformedInputError, ResourceLimitError, VerificationReport
 
 
 class EdgeClass:
@@ -91,7 +91,7 @@ class GeometricSetup:
     def pullback(self, f: str, g: str) -> tuple[str, str, str]:
         pb = self.pullback_opt(f, g)
         if pb is None:
-            raise NoPullbackError(f"no pullback exists for cospan ({f!r}, {g!r})")
+            raise ResourceLimitError(f"no pullback exists for cospan ({f!r}, {g!r})")
         return pb
 
 

@@ -25,7 +25,7 @@ from .lattices import (
     projection_witness,
     right_adjoint,
 )
-from .report import MalformedInputError, NoPullbackError, VerificationReport
+from .report import MalformedInputError, ResourceLimitError, VerificationReport
 from .setups import EdgeClass, GeometricSetup, NagataSetup, check_geometric_setup
 from .spans import HCorr, Span, compose_spans
 
@@ -423,7 +423,7 @@ def check_formalism(fm: Formalism) -> VerificationReport:
                     pairs += 1
                     try:
                         composite = compose_spans(hc.setup, a, b)
-                    except NoPullbackError:
+                    except ResourceLimitError:
                         continue
                     covered += 1
                     if _span_targets(sa, composite) != _compose(then, first):

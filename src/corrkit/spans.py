@@ -18,7 +18,7 @@ from .fincat import (
     pullback_candidates,
     verify_product,
 )
-from .report import MalformedInputError, NoPullbackError, ResourceLimitError, VerificationReport
+from .report import MalformedInputError, ResourceLimitError, VerificationReport
 from .setups import GeometricSetup
 
 
@@ -132,8 +132,8 @@ class HCorr:
     Class ids name the canonical (least) representative: its `Span.name`.
     `class_id` finds the class of any other span, and a span no class holds
     (no isomorphic span has its right leg in E) is malformed.  Composition
-    of classes composes representatives; a cospan the carrier has no
-    pullback for raises ResourceLimitError.
+    of classes composes representatives, so a cospan the carrier has no
+    pullback for raises the oracle's ResourceLimitError.
     """
 
     def __init__(self, setup: GeometricSetup):
@@ -168,13 +168,7 @@ class HCorr:
         return self.class_id(identity_span(self.setup.category, x))
 
     def compose_reps(self, a: Span, b: Span) -> str:
-        try:
-            composite = compose_spans(self.setup, a, b)
-        except NoPullbackError as e:
-            raise ResourceLimitError(
-                f"carrier has no pullback for cospan ({a.right!r}, {b.left!r})"
-            ) from e
-        return self.class_id(composite)
+        return self.class_id(compose_spans(self.setup, a, b))
 
     def category(self) -> FinCategory:
         """Materialize the full category; every class pair must compose."""
@@ -228,7 +222,7 @@ def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> Verificatio
             try:
                 lhs = compose_spans(s, compose_spans(s, a, b), d)
                 rhs = compose_spans(s, a, compose_spans(s, b, d))
-            except NoPullbackError:
+            except ResourceLimitError:
                 continue
             covered += 1
             if span_class_key(c, lhs) != span_class_key(c, rhs):

@@ -474,6 +474,79 @@ def test_a_transport_the_carrier_cannot_hold_is_a_limit_not_malformed_input(tmp_
     assert last["witness"] == {"reason": "no pullback exists for cospan ('4>1:0.0.0.0', '2>1:0.0')"}
 
 
+def test_a_gap_no_check_counts_exits_1_with_one_line(monkeypatch, capsys):
+    def gap(*_):
+        # the pullback oracle's own error: 2 x_1 2 needs a 4-element object
+        c = finset_category({"1": 1, "2": 2})
+        GeometricSetup(c, all_class(c)).pullback("2>1:0.0", "2>1:0.0")
+
+    monkeypatch.setattr(cli, "_category_suite", gap)
+    code, out, err = invoke(capsys, "run", "--instance", "finset-1", "--suite", "category")
+    assert code == 1 and out == ""
+    assert err == "resource limit: no pullback exists for cospan ('2>1:0.0', '2>1:0.0')\n"
+
+
+def _run_exceptional_pair(tmp_path, capsys, sizes, e_small_every, atlases):
+    """`run --input` on an exceptional pair with the proper small setup
+    {2, 4}: E is every map, covers and S are the surjections, S_small the
+    surjections inside {2, 4}, E_small every map or every surjection inside
+    it, and 2 and 4 carry identity atlases.  Returns the exit code, the
+    check statuses and the checks."""
+    c = finset_category({str(n): n for n in sizes})
+    surj = surjections(c)
+    cover = EdgeClass(c, surj)
+    s = GeometricSetup(c, all_class(c))
+    small = ("2", "4")
+
+    def inside(ms):
+        return frozenset(m for m in ms if c.src(m) in small and c.dst(m) in small)
+
+    e_small = inside(c.morphism_ids if e_small_every else surj)
+    declared = {o: (descent.identity_atlas(s, cover, small, o),) for o in small}
+    declared.update({o: (descent.Atlas(s, x, cover, small),) for o, x in atlases.items()})
+    pd = descent.PairDeclaration("exceptional", s, small, inside(surj), surj, e_small, declared)
+    path = tmp_path / "pair.json"
+    path.write_text(ser.dumps(ser.pair_to_dict(pd)))
+    code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
+    assert err == ""
+    (rep,) = json.loads(out)["reports"]
+    return code, Counter(ch["status"] for ch in rep["checks"]), rep["checks"]
+
+
+def test_an_exceptional_pair_with_a_proper_small_setup_extends(tmp_path, capsys):
+    code, statuses, checks = _run_exceptional_pair(tmp_path, capsys, (1, 2, 4), True, {"1": "2>1:0.0"})
+    assert code == 0 and statuses == {"pass": 303}
+    assert (checks[-1]["name"], checks[-1]["witness"]) == ("extension-agrees", {"maps": 301})
+
+
+def test_a_small_exceptional_class_of_surjections_matches_no_hypercover(tmp_path, capsys):
+    code, statuses, checks = _run_exceptional_pair(tmp_path, capsys, (1, 2, 4), False, {"1": "2>1:0.0"})
+    assert code == 1 and statuses == {"pass": 42, "fail": 260}
+    bad = [ch for ch in checks if ch["status"] != "pass"]
+    assert (bad[0]["name"], bad[0]["witness"]) == (
+        "pair:hypercover:1>2:0",
+        {"morphism": "1>2:0", "reason": "no levelwise exceptional matching"},
+    )
+    assert all(ch["name"].startswith("pair:hypercover:") for ch in bad)
+    assert "extension-agrees" not in [ch["name"] for ch in checks]
+
+
+def test_a_nerve_level_outside_the_carrier_is_a_limit_of_the_pair(tmp_path, capsys):
+    atlases = {"1": "2>1:0.0", "3": "4>3:0.1.2.2"}
+    code, statuses, checks = _run_exceptional_pair(tmp_path, capsys, (1, 2, 3, 4), True, atlases)
+    assert code == 1 and statuses == {"pass": 302, "resource-limit": 193}
+    limits = [ch for ch in checks if ch["status"] != "pass"]
+    assert (limits[0]["name"], limits[0]["witness"]) == (
+        "pair:hypercover:1>3:0",
+        {"morphism": "1>3:0", "reason": "nerve level outside the carrier"},
+    )
+    # exactly the maps into or out of 3, whose atlas has no overlap object
+    c = finset_category({str(n): n for n in (1, 2, 3, 4)})
+    touching_3 = {f for f in c.morphism_ids if "3" in c.morphisms[f]}
+    assert {ch["witness"]["morphism"] for ch in limits} == touching_3
+    assert {ch["witness"]["reason"] for ch in limits} == {"nerve level outside the carrier"}
+
+
 def test_each_gate_and_search_runs_once_per_suite(monkeypatch):
     calls = Counter()
 

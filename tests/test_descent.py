@@ -47,7 +47,7 @@ from corrkit.fincat import (
     terminal_category,
 )
 from corrkit.lattices import chain_lattice, frame_system
-from corrkit.report import MalformedInputError, NoPullbackError, ResourceLimitError
+from corrkit.report import MalformedInputError, ResourceLimitError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup, build_shriek
 
@@ -135,7 +135,7 @@ def test_nerve_overlap_size_matches_raw_oracle():
     assert big().category.object_size[n.objects[1]] == _level_size(vals, 1) == 4
     # the level-two object would need 8 points, which the carrier lacks
     assert _level_size(vals, 2) == 8
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(ResourceLimitError):
         cech_nerve(big(), atlas21(), 2)
     assert best_nerve(big(), atlas21()).m == 1
 
@@ -179,7 +179,7 @@ def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
     # a level the carrier lacks is rebuilt on each call, and fails the same way
     messages = []
     for _ in range(2):
-        with pytest.raises(MalformedInputError) as exc:
+        with pytest.raises(ResourceLimitError) as exc:
             cech_nerve(s, a, 2)
         messages.append(str(exc.value))
     assert messages[0] == messages[1] and "no pullback" in messages[0]
@@ -195,12 +195,12 @@ def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
 def test_a_missing_nerve_level_stays_a_missing_pullback():
     a = atlas21()
     for _ in range(2):
-        with pytest.raises(NoPullbackError):
+        with pytest.raises(ResourceLimitError):
             cech_nerve(big(), a, 2)
     # a carrier without the overlap object has no nerve past level zero
     c = finset_category({"1": 1, "2": 2})
     small = GeometricSetup(c, all_class(c))
-    with pytest.raises(NoPullbackError, match="no overlap object"):
+    with pytest.raises(ResourceLimitError, match="no overlap object"):
         best_nerve(small, Atlas(small, "2>1:0.0", surj_cover(small), ("1", "2")))
 
 

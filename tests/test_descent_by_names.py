@@ -46,7 +46,7 @@ from corrkit.lattices import (
     monotone_maps_between,
     power_lattice,
 )
-from corrkit.report import MalformedInputError, NoPullbackError, VerificationReport
+from corrkit.report import MalformedInputError, ResourceLimitError, VerificationReport
 from corrkit.setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class
 from corrkit.shriek import ShriekAssignment, _sharp, _star, build_shriek, check_independence, factorizations
 
@@ -99,7 +99,7 @@ def _old_check_descent(setup, sys, atlas):
     rep = VerificationReport("descent")
     try:
         nerve = best_nerve(setup, atlas)
-    except NoPullbackError:
+    except ResourceLimitError:
         rep.add_limit(
             "descent-comparison",
             {"atlas": atlas.x, "reason": "overlap object outside the carrier"},
@@ -151,7 +151,7 @@ def _old_compare_atlases(pd, sys, a1, a2):
         n1 = best_nerve(pd.big, a1)
         n2 = best_nerve(pd.big, a2)
         apex, r1, r2 = pd.big.pullback(a1.x, a2.x)
-    except NoPullbackError:
+    except ResourceLimitError:
         rep.add_limit(
             "comparison-unique",
             {"atlases": [a1.x, a2.x], "reason": "product atlas outside the carrier"},
@@ -306,7 +306,7 @@ def _old_search_hypercovers(pd, f):
         for ya in pd.atlases.get(c.dst(f), ()):
             try:
                 nx, ny = cech_nerve(pd.big, xa, 1), cech_nerve(pd.big, ya, 1)
-            except NoPullbackError:
+            except ResourceLimitError:
                 limited = True
                 continue
             for f0 in c.hom(nx.objects[0], ny.objects[0]):
@@ -352,7 +352,7 @@ def _outcome(build, read):
     """What a call returns, read through `read`, or the error it raises."""
     try:
         return "ok", read(build())
-    except (MalformedInputError, NoPullbackError) as exc:
+    except (MalformedInputError, ResourceLimitError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -500,7 +500,7 @@ def test_descent_on_frame_systems_matches_the_routines_by_names(sys, data):
     _agree(check_descent, _old_check_descent, _checks, setup, sys, atlas)
     try:
         nerve = best_nerve(setup, atlas)
-    except NoPullbackError:
+    except ResourceLimitError:
         return
     _agree(descent_lattice, _old_descent_lattice, _lattice, sys, nerve)
     target = setup.category.dst(atlas.x)
@@ -599,7 +599,7 @@ def test_codescent_matches_the_boolean_closure(sa, data):
     setup = _cover_setup()
     try:
         nerve = best_nerve(setup, _atlas(setup, data.draw(cover_atlases())))
-    except NoPullbackError:
+    except ResourceLimitError:
         return
     els, reach, class_of = _old_codescent_classes(sa, nerve)
     rows = codescent_classes(sa, nerve)

@@ -21,7 +21,7 @@ from corrkit.grid import (
     exact_squares,
     exact_squares_bruteforce,
 )
-from corrkit.report import MalformedInputError
+from corrkit.report import MalformedInputError, ResourceLimitError
 from corrkit.setups import (
     EdgeClass,
     GeometricSetup,
@@ -95,7 +95,7 @@ def test_edge_class_flags():
 def test_pullback_error_names_cospan():
     c = finset_skeleton(2)
     s = GeometricSetup(c, all_class(c))
-    with pytest.raises(MalformedInputError) as e:
+    with pytest.raises(ResourceLimitError) as e:
         s.pullback("2>1:0.0", "2>1:0.0")
     assert "2>1:0.0" in str(e.value)
 

@@ -1,10 +1,12 @@
 """Package layout: no unused import, no import of `dataclasses`, no module
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
 table outside `fincat`, no CLI argument its subcommand does not read, no
-subcommand but `run` that runs a suite, and no definition that only unit
-tests name."""
+subcommand but `run` that runs a suite, no definition that only unit
+tests name, and one exception class for malformed input and one for a
+carrier gap."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -210,3 +212,17 @@ def test_every_definition_is_named_outside_the_unit_tests():
     }
     assert {name: mod for name, mod in unreached.items() if name not in KEPT_FOR_TESTS} == {}
     assert sorted(unreached) == sorted(KEPT_FOR_TESTS)
+
+
+def test_one_error_for_malformed_input_and_one_for_a_carrier_gap():
+    # a carrier gap is a resource limit, never malformed input: neither
+    # class may catch the other's errors
+    errors = {
+        (cls.__module__, cls.__name__): cls
+        for mod in _trees()
+        for cls in vars(importlib.import_module(f"corrkit.{mod}")).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__.startswith("corrkit.")
+    }
+    assert sorted(errors) == [("corrkit.report", "MalformedInputError"), ("corrkit.report", "ResourceLimitError")]
+    malformed, limit = (errors[k] for k in sorted(errors))
+    assert not issubclass(malformed, limit) and not issubclass(limit, malformed)

@@ -22,6 +22,7 @@ from corrkit.lattices import (
     fiberwise_join_map,
     fiberwise_meet_map,
     frame_system,
+    n5_lattice,
 )
 from corrkit.report import MalformedInputError
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
@@ -322,6 +323,21 @@ def test_class_consistency():
     assert not check_class_consistency(broken).passed
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.sampled_from([chain_lattice(1), chain_lattice(2), n5_lattice("meet"), n5_lattice("join")]),
+)
+def test_all_open_iso_proper_maps_are_class_consistent_by_construction(sizes, L):
+    # f_! = p_* j_# with p an isomorphism, and p_* = p_# for one, so f_! is
+    # f_#, and f_* too when f is an isomorphism: an exceptional pair builds
+    # its maps this way and needs no class-consistency gate
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    s = GeometricSetup(c, all_class(c))
+    sa = build_shriek(NagataSetup(s, all_class(c), iso_class(c)), frame_system(s, L))
+    assert check_class_consistency(sa).passed
+
+
 # -- independence ---------------------------------------------------------
 
 
@@ -382,8 +398,6 @@ def test_shriek_projection_formula():
 
 
 def test_shriek_projection_fails_on_pentagon():
-    from corrkit.lattices import n5_lattice
-
     s = _setup()
     sys = frame_system(s, n5_lattice())
     ns = ns_open(s)
