@@ -42,8 +42,10 @@ _BASE_CHAIN = 1
 
 
 class WorkspaceConfig:
-    """Validated run parameters; unknown suites and unknown formats are
-    rejected at construction."""
+    """Validated run parameters; unknown suites, unknown formats and two
+    selections that would report under one tag are rejected at
+    construction.  An input's reports are tagged by its path, an
+    instance's by its name."""
 
     def __init__(
         self,
@@ -61,6 +63,10 @@ class WorkspaceConfig:
                 raise MalformedInputError(f"unknown suite {s!r}")
         if self.fmt not in FORMATS:
             raise MalformedInputError(f"format must be one of {FORMATS}")
+        tags = self.inputs + self.instances
+        twice = next((t for t in tags if tags.count(t) > 1), None)
+        if twice is not None:
+            raise MalformedInputError(f"two selections would report under one tag {twice!r}")
 
 
 # -- individual suites -----------------------------------------------------
@@ -381,31 +387,6 @@ def _skel2_setup() -> GeometricSetup:
     return GeometricSetup(c, all_class(c))
 
 
-# instance kind -> (envelope noun, instance noun)
-_DECLARATIONS = {
-    "model": ("lattice", "coefficient model"),
-    "nagata": ("factorization-setup", "factorization setup"),
-}
-
-
-def _declaration(args, kind: str, cls: type):
-    """The declaration a subcommand reads, from --input or a bundled
-    instance of the given kind; `cls` is the type an input of that kind
-    loads as, from the layer the caller runs."""
-    envelope, noun = _DECLARATIONS[kind]
-    if args.input:
-        obj = _load_input(args.input)
-        if not isinstance(obj, cls):
-            raise MalformedInputError(f"{args.input} is not a {envelope} envelope")
-        return obj
-    from .corpus import instance
-
-    inst = instance(args.instance)
-    if inst.kind != kind:
-        raise MalformedInputError(f"instance {inst.name!r} is not a {noun}")
-    return inst.build()
-
-
 def _gate(rep: VerificationReport) -> None:
     """Refuse to build past a failed check."""
     bad = rep.first_failure()
@@ -519,51 +500,20 @@ def _cmd_corr_coproduct(args, out) -> int:
     return _emit_report(rep, args.format, out)
 
 
-def _cmd_model_check(args, out) -> int:
-    from .fincat import surjections
-    from .lattices import (
-        FiniteLattice,
-        SquareData,
-        check_adjointable,
-        check_kunneth,
-        check_projection_formula,
-        frame_system,
-    )
-
-    L = _declaration(args, "model", FiniteLattice)
-    setup = _skel2_setup()
-    sys = frame_system(setup, L)
-    rep = VerificationReport(f"model-{args.law}")
-    if args.law in ("proj-sharp", "proj-star"):
-        flavor = args.law.split("-")[1]
-        morphs = (
-            sorted(surjections(setup.category))
-            if flavor == "star"
-            else setup.category.morphism_ids
-        )
-        for f in morphs:
-            rep.merge(check_projection_formula(sys, f, flavor), prefix=f"{f}:")
-    elif args.law == "kunneth":
-        rep.merge(check_kunneth(sys, "1>1:0", "2>1:0.0"))
-    else:  # adjointable: the mate across every carrier pullback square
-        c = setup.category
-        for f in c.morphism_ids:
-            for g in c.morphism_ids:
-                if c.dst(f) != c.dst(g):
-                    continue
-                pb = setup.pullback_opt(f, g)
-                if pb is None:
-                    continue
-                _, p, q = pb
-                sq = SquareData(p=sys.pull(f), u=sys.pull(g), v=sys.pull(p), q=sys.pull(q))
-                rep.merge(check_adjointable(sq, "left"), prefix=f"{f}|{g}:")
-    return _emit_report(rep, args.format, out)
-
-
 def _cmd_shriek_build(args, out) -> int:
     from .setups import NagataSetup
 
-    ns = _declaration(args, "nagata", NagataSetup)
+    if args.input:
+        ns = _load_input(args.input)
+        if not isinstance(ns, NagataSetup):
+            raise MalformedInputError(f"{args.input} is not a factorization-setup envelope")
+    else:
+        from .corpus import instance
+
+        inst = instance(args.instance)
+        if inst.kind != "nagata":
+            raise MalformedInputError(f"instance {inst.name!r} is not a factorization setup")
+        ns = inst.build()
     sa = _gated_shriek(ns)
     tables = {f: sa.shriek[f].table for f in sorted(sa.shriek)}
     out.write(json.dumps({"schema": "corrkit-shriek/1", "tables": tables}, sort_keys=True, indent=2) + "\n")
@@ -598,14 +548,6 @@ _FLAGS = {
 }
 
 
-def _declared(instance: str) -> tuple:
-    """--input and --instance, for a subcommand that loads a declaration."""
-    return (
-        ("--input", {"default": None, "help": "JSON envelope to load instead of a bundled instance"}),
-        ("--instance", {"default": instance, "help": "bundled instance name"}),
-    )
-
-
 # command -> (help, its subcommands) or (help, function, arguments); an
 # argument is a name in _FLAGS or a (name, add_argument keywords) pair, and
 # each subcommand declares only the arguments it reads
@@ -626,13 +568,10 @@ _COMMANDS = {
         "coproduct": ("coproduct universal property for a pair of objects", _cmd_corr_coproduct, (
             ("x", {}), ("y", {}), "--format")),
     }),
-    "model": ("coefficient-model laws", {
-        "check": ("check one law for a lattice", _cmd_model_check, (
-            ("--law", {"choices": ("proj-sharp", "proj-star", "kunneth", "adjointable"), "required": True}),
-            *_declared("frame-2chain"), "--format")),
-    }),
     "shriek": ("exceptional pushforwards", {
-        "build": ("build and print the pushforward tables", _cmd_shriek_build, _declared("nagata-open")),
+        "build": ("build and print the pushforward tables", _cmd_shriek_build, (
+            ("--input", {"default": None, "help": "JSON envelope to load instead of a bundled instance"}),
+            ("--instance", {"default": "nagata-open", "help": "bundled instance name"}))),
     }),
     "search": ("brute-force searches", {
         "nagata": ("scan class pairs for valid factorization setups", _cmd_search_nagata, ()),

@@ -211,11 +211,12 @@ _INSTANCES = (
     CorpusInstance(
         "nice-pair-cover", "pair", "2-to-1 cover atlas on the overlap-complete carrier",
         lambda: _pair_cover("nice"),
-        # the full pair gate passes here in about 1.1 s on a fresh instance,
-        # nearly all of it in the 167,308 fiber products its four setup
-        # checks construct; a whole fresh corpus run takes ~0.3-0.4 s, and
-        # the gate adds checks to the pinned payload.  The option stays until
-        # dropping it no longer moves the corpus benchmark (ROADMAP item 2)
+        # the full pair gate passes here in 0.8-1.1 s on a fresh instance
+        # (2-CPU VM), nearly all of it in the 167,308 fiber products its four
+        # setup checks construct; a whole fresh corpus run takes 0.17-0.33 s
+        # there, and the gate adds checks to the pinned payload.  The option
+        # stays until dropping it no longer moves the corpus benchmark
+        # (ROADMAP item 2)
         options={"full_gate": False},
     ),
     CorpusInstance(

@@ -189,6 +189,29 @@ def test_an_unreadable_input_after_a_good_one_exits_2_before_any_suite(tmp_path,
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "selections",
+    [
+        # an input path equal to an instance name
+        ("--input", "frame-2chain", "--instance", "frame-2chain"),
+        ("--input", "pentagon.json", "--input", "pentagon.json"),
+        ("--instance", "finset-1", "--instance", "finset-1"),
+    ],
+)
+def test_two_selections_under_one_tag_exit_2_before_any_suite(tmp_path, monkeypatch, capsys, selections):
+    # reports and verdicts are tagged by path or name, so a second selection
+    # under one tag would be read back with the first one's verdict
+    monkeypatch.chdir(tmp_path)
+    pentagon = ser.dumps(ser.lattice_to_dict(instance("pentagon-join").build()))
+    (tmp_path / "frame-2chain").write_text(pentagon)
+    (tmp_path / "pentagon.json").write_text(pentagon)
+    ran = []
+    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    code, out, err = invoke(capsys, "run", *selections)
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: two selections would report under one tag {selections[1]!r}\n"
+
+
 # -- config validation -----------------------------------------------------
 
 
@@ -202,7 +225,9 @@ def test_config_rejects_out_of_range_bounds():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("model", "check", "--law", "kunneth", "--max-dim", "3"),
+        # the model laws run in the model suite only, so no subcommand
+        # reads a law
+        ("run", "--law", "kunneth"),
         ("corr", "coproduct", "1", "1", "--input", "/nonexistent.json"),
         ("corr", "coproduct", "1", "1", "--max-dim", "0"),
         ("corr", "coproduct", "1", "1", "--max-apex", "1"),
@@ -227,7 +252,7 @@ def test_config_rejects_out_of_range_bounds():
         ("shriek", "build", "--max-apex", "4"),
         # only `run` selects suites
         ("shriek", "build", "--suite", "theorem"),
-        ("model", "check", "--law", "kunneth", "--suite", "model"),
+        ("shriek", "build", "--law", "adjointable"),
         # the search and the enumerations print JSON only, so they take no
         # format, and they read no declaration
         ("search", "nagata", "--format", "json"),
@@ -242,7 +267,8 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
 
 
 # each theorem suite has one front end, `run --input F` or
-# `run --instance N --suite theorem`
+# `run --instance N --suite theorem`, and so has each model law, with
+# `--suite model`
 @pytest.mark.parametrize(
     "argv",
     [
@@ -251,6 +277,7 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
         ("descend", "extend-c"),
         ("descend", "extend-e"),
         ("localize", "check"),
+        ("model", "check"),
     ],
 )
 def test_a_theorem_suite_has_no_second_front_end(capsys, argv):
@@ -304,22 +331,6 @@ def test_run_api_mirrors_cli(capsys):
 
 
 # -- subcommands -----------------------------------------------------------
-
-
-def test_model_check_kunneth_located(capsys):
-    code, _, _ = invoke(capsys, "model", "check", "--law", "kunneth", "--instance", "frame-2chain")
-    assert code == 0
-    code, out, _ = invoke(
-        capsys, "model", "check", "--law", "kunneth", "--instance", "pentagon-join", "--format", "json"
-    )
-    assert code == 1
-    rep = json.loads(out)
-    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["kunneth-identity"]
-
-
-def test_model_check_adjointable(capsys):
-    code, _, _ = invoke(capsys, "model", "check", "--law", "adjointable", "--instance", "frame-2chain")
-    assert code == 0
 
 
 def test_shriek_build_emits_join_tables(capsys):
@@ -723,26 +734,28 @@ def test_subcommand_bytes_are_pinned(capsys, argv):
     assert (code, _sha256(out), err) == (*SUBCOMMAND_SHA256[argv], "")
 
 
-# the one stderr line of a declaration of the wrong kind; `chain2.json` is
-# a lattice envelope, `nagata.json` a factorization-setup envelope and
-# `pair.json` a pair envelope
+# the one stderr line of a declaration of the wrong kind, one bundled
+# instance and one envelope of each kind `shriek build` refuses;
+# `chain2.json` is a lattice envelope, `pair.json` a pair envelope,
+# `finset1.json` a category envelope and `interval.json` a localization
+# envelope
 SUBCOMMAND_STDERR = {
-    ("model", "check", "--law", "kunneth", "--instance", "nagata-open"):
-        "error: instance 'nagata-open' is not a coefficient model\n",
     ("shriek", "build", "--instance", "frame-2chain"):
         "error: instance 'frame-2chain' is not a factorization setup\n",
-    ("model", "check", "--law", "kunneth", "--instance", "nice-pair-identity"):
-        "error: instance 'nice-pair-identity' is not a coefficient model\n",
     ("shriek", "build", "--instance", "localization-interval"):
         "error: instance 'localization-interval' is not a factorization setup\n",
     ("shriek", "build", "--input", "chain2.json"):
         "error: chain2.json is not a factorization-setup envelope\n",
-    ("model", "check", "--law", "kunneth", "--input", "nagata.json"):
-        "error: nagata.json is not a lattice envelope\n",
     ("shriek", "build", "--input", "pair.json"):
         "error: pair.json is not a factorization-setup envelope\n",
-    ("model", "check", "--law", "kunneth", "--input", "pair.json"):
-        "error: pair.json is not a lattice envelope\n",
+    ("shriek", "build", "--instance", "nice-pair-identity"):
+        "error: instance 'nice-pair-identity' is not a factorization setup\n",
+    ("shriek", "build", "--instance", "finset-1"):
+        "error: instance 'finset-1' is not a factorization setup\n",
+    ("shriek", "build", "--input", "finset1.json"):
+        "error: finset1.json is not a factorization-setup envelope\n",
+    ("shriek", "build", "--input", "interval.json"):
+        "error: interval.json is not a factorization-setup envelope\n",
     # an object outside the carrier, on the constructed coproduct path
     ("corr", "coproduct", "9", "1"): "error: unknown objects ['9']\n",
 }
@@ -752,8 +765,10 @@ SUBCOMMAND_STDERR = {
 def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain2.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(1))))
-    (tmp_path / "nagata.json").write_text(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
     (tmp_path / "pair.json").write_text(ser.dumps(ser.pair_to_dict(instance("nice-pair-identity").build())))
+    (tmp_path / "finset1.json").write_text(ser.dumps(ser.category_to_dict(instance("finset-1").build().category)))
+    interval = ser.localization_to_dict(instance("localization-interval").build())
+    (tmp_path / "interval.json").write_text(ser.dumps(interval))
     assert invoke(capsys, *argv) == (2, "", SUBCOMMAND_STDERR[argv])
 
 
@@ -763,15 +778,15 @@ def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv
 # the parser declared only those of the subcommand argv names
 _EMPTY = _sha256("")
 PARSER_SHA256 = {
-    ("--help",): (0, "c96516185baec7b6cf1f2e3b78beee32c087503e1a42426454e4c375e21a1658", _EMPTY),
+    ("--help",): (0, "2aef121cd6154dfda94309655b15cfea0fa0c203c847150d538b5e4a82afb3ad", _EMPTY),
     ("run", "--help"): (0, "62aeb24abe660081a502227fd6c3442097cfb1204ec07a523b610e91bc015cc3", _EMPTY),
     ("shriek", "build", "--help"): (0, "9b86dcf643ac08fa66e3f44b33ec652f37e103686f4d75afe4e5ede5ffba5af2", _EMPTY),
     ("shriek", "--help"): (0, "93d6a7b6551dd9be0b8d7fc848f2aee35775cc628aeb8844ab03f1e1afe93d92", _EMPTY),
     ("corr", "coproduct", "--help"): (0, "fd3cf3bbc5aa1a14670d2b53f044bcac85495d8d009abe474aafd4575208c636", _EMPTY),
-    ("bogus",): (2, _EMPTY, "ed7649caf972400a4967c903aed1b214e2d0e6e3f7c9e10bb69d20916de21157"),
+    ("bogus",): (2, _EMPTY, "aa077188ecebd42f5cb7a79c621bc5b46770fcca278ead3405cb46bef5b4b2f5"),
     ("run", "--suite", "bogus"): (2, _EMPTY, "b722ecdd4ed97f5a7fe1a45f4968b1f2808570ea9e610fdf47ae0102746420ea"),
     ("shriek",): (2, _EMPTY, "202ed931d55a41de2cf2246266e2bad7e07077e2cca3a37c1298f937b054dad8"),
-    (): (2, _EMPTY, "f4982dd2cbca55a526cf7bd06d8ff03df0f8a72ea441085d5e7f2948ba097369"),
+    (): (2, _EMPTY, "f2b00c0dd2a7bdda8a2391bda47823c847cc4b4edc9ad6299975d02cde34438e"),
 }
 
 

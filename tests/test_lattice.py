@@ -9,7 +9,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import corrkit
 
@@ -45,9 +45,14 @@ from corrkit.report import MalformedInputError
 from corrkit.setups import GeometricSetup, all_class
 
 
-def frame2():
+def frame2(L=chain_lattice(1)):
     c = finset_skeleton(2)
-    return frame_system(GeometricSetup(c, all_class(c)), chain_lattice(1))
+    return frame_system(GeometricSetup(c, all_class(c)), L)
+
+
+def m3_lattice():
+    els = ("0", "a", "b", "c", "1")
+    return FiniteLattice(els, frozenset({(x, x) for x in els} | {("0", x) for x in els} | {(x, "1") for x in els}))
 
 
 def named_map(src, dst, table):
@@ -247,6 +252,48 @@ def test_adjointable_side_validation():
     sq = _beck_chevalley_square(sys, "1>2:0", "1>2:1", "0>1:", "0>1:")
     with pytest.raises(MalformedInputError):
         check_adjointable(sq, "up")
+
+
+@st.composite
+def moore_lattices(draw):
+    """A Moore family: drawn subsets of 2-4 points with the full set,
+    closed under intersection.  Ordered by inclusion it is a lattice, and
+    need not be distributive."""
+    k = draw(st.integers(2, 4))
+    full = (1 << k) - 1
+    sets = {full, *draw(st.lists(st.integers(0, full), max_size=6))}
+    while more := {a & b for a in sets for b in sets} - sets:
+        sets |= more
+    names = {s: format(s, f"0{k}b") for s in sorted(sets)}
+    return FiniteLattice(tuple(names.values()), frozenset((names[a], names[b]) for a in sets for b in sets if a & ~b == 0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(moore_lattices())
+@example(chain_lattice(1))
+@example(chain_lattice(2))
+@example(chain_lattice(3))
+@example(n5_lattice())
+@example(n5_lattice("join"))
+@example(m3_lattice())
+def test_every_frame_pullback_square_is_adjointable(L):
+    # both adjoints of f^* are a join or a meet over the fibers of f, and a
+    # pullback square matches the fibers on both sides of each mate, so a
+    # frame model is adjointable over any lattice
+    sys = frame2(L)
+    setup, c = sys.setup, sys.setup.category
+    squares = 0
+    for f in c.morphism_ids:
+        for g in c.morphism_ids:
+            pb = setup.pullback_opt(f, g) if c.dst(f) == c.dst(g) else None
+            if pb is None:
+                continue
+            _, p, q = pb
+            sq = SquareData(p=sys.pull(f), u=sys.pull(g), v=sys.pull(p), q=sys.pull(q))
+            assert check_adjointable(sq, "left").passed, (f, g)
+            assert check_adjointable(sq, "right").passed, (f, g)
+            squares += 1
+    assert squares == 56
 
 
 def test_mate_pasting():
@@ -621,14 +668,12 @@ def test_lattice_tables_match_exhaustive_search(rel):
 
 
 def _small_lattices():
-    m3 = ("0", "a", "b", "c", "1")
-    m3_leq = {(x, x) for x in m3} | {("0", x) for x in m3} | {(x, "1") for x in m3}
     return [
         chain_lattice(0),
         chain_lattice(1),
         chain_lattice(2),
         n5_lattice(),
-        FiniteLattice(m3, frozenset(m3_leq)),
+        m3_lattice(),
         power_lattice(chain_lattice(1), 2),
     ]
 

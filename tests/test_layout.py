@@ -8,6 +8,7 @@ carrier gap."""
 import ast
 import importlib
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -130,22 +131,33 @@ def _leaves(commands: dict, path: tuple = ()):
 
 
 def test_every_declared_argument_is_read():
-    # a flag its function never reads would be accepted and take no effect;
-    # `_declaration` reads --input and --instance for the functions that call it
+    # a flag its function never reads would be accepted and take no effect
     from corrkit import cli
 
     functions = {n.name: n for n in _trees()["cli"].body if isinstance(n, ast.FunctionDef)}
-    declared = _args_read(functions["_declaration"])
     unread = []
     for path, func, arguments in _leaves(cli._COMMANDS):
-        fn = functions[func.__name__]
-        calls = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-        read = _args_read(fn) | (declared if "_declaration" in calls else set())
+        read = _args_read(functions[func.__name__])
         for arg in arguments:
             flag = arg if isinstance(arg, str) else arg[0]
             if flag.lstrip("-").replace("-", "_") not in read:
                 unread.append(" ".join(path + (flag,)))
     assert unread == []
+
+
+def test_every_readme_command_parses():
+    # a documented command the parser refuses is a stale example
+    from corrkit import cli
+
+    lines = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines() if line.startswith("corrkit ")]
+    refused = []
+    for line in lines:
+        argv = shlex.split(line.split("#", 1)[0])[1:]
+        try:
+            cli.build_parser(argv).parse_args(argv)
+        except SystemExit:
+            refused.append(line)
+    assert lines and refused == []
 
 
 def test_only_run_runs_a_suite():
