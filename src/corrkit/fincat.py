@@ -217,6 +217,12 @@ class FinCategory:
         return frozenset(isos)
 
     @cached_property
+    def isos_into(self) -> dict[str, tuple[str, ...]]:
+        """object -> the isomorphisms into it, in `morphism_ids` order."""
+        isos = self.iso_ids
+        return _group((m for m in self.morphism_ids if m in isos), self.dst)
+
+    @cached_property
     def mono_ids(self) -> frozenset[str]:
         # the hom-sets type every pair, and each composite is read once
         composite, homs = self.composite, self._hom_index

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fincat import FinCategory, poset_category, verify_pullback_square
+from .fincat import FinCategory, mediators, poset_category
 from .report import MalformedInputError
 from .setups import GeometricSetup
 
@@ -138,73 +138,77 @@ def _bump(v: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 
 def check_grid_size(k: int, n: int) -> None:
-    """Refuse a grid the enumeration does not finish: k directions in 1..3,
-    side n in 0..2, and at most 9 vertices."""
+    """Refuse a grid too large to list: k directions in 1..3, side n in
+    0..2, and at most 9 vertices."""
     if not (1 <= k <= 3 and 0 <= n <= 2 and (n + 1) ** k <= 9):
         raise MalformedInputError(f"need k in 1..3, n in 0..2 and (n+1)^k <= 9 vertices, got k={k}, n={n}")
 
 
 def enumerate_grid_simplices(setup: GeometricSetup, classes, k: int, n: int) -> list[GridSimplex]:
-    """All fully cartesian grids with direction-d edges in classes[d].
+    """All fully cartesian grids with direction-d edges in classes[d],
+    constructed from the top vertex down, in the order a search over the
+    vertices in lexicographic order finds them: each vertex's object by
+    its position in `objects`, then the edges into it by hom-set position.
 
-    Backtracking over vertices in lexicographic order; each unit square is
-    checked (commuting, then universal property) as soon as its last vertex
-    is placed, so pruning happens early.
-    """
+    The top vertex takes every object and a vertex with one edge out every
+    marked map into its target.  A vertex with edges out in directions
+    a < b < ... takes each pullback cone (`GeometricSetup.cones`) of the
+    cospan its edges a and b close, and each further edge d is the one
+    mediator into the cone at v + e_d.  No square is checked against the
+    universal property: each other unit square is cartesian by the
+    pullback pasting lemma (Mac Lane, CWM III.4), since the square at v in
+    directions a and d, pasted with the pullback at v + e_d in directions
+    a and b, is the pullback at v pasted with the square at v + e_b in
+    directions a and d, which lies higher up; likewise for b and d."""
     check_grid_size(k, n)
     if len(classes) != k:
         raise MalformedInputError("one class per direction")
-    member_sets = [cls.members for cls in classes]
+    members = [cls.members for cls in classes]
     c = setup.category
-    vertices = sorted(itertools.product(range(n + 1), repeat=k))
-    results: list[GridSimplex] = []
-    objects: dict[tuple[int, ...], str] = {}
-    edges: dict[tuple[tuple[int, ...], int], str] = {}
+    composite, into = c.composite, c._in_index
 
-    def square_ok(v, a, b) -> bool:
+    def placements(v: tuple[int, ...], objs: dict, edges: dict):
+        """(object at v, its edges out) for each way to place v."""
+        out = [d for d in range(k) if v[d] < n]
+        if not out:
+            return [(x, {}) for x in c.objects]
+        if len(out) == 1:
+            d = out[0]
+            return [(c.src(m), {(v, d): m}) for m in into.get(objs[_bump(v, d)], ()) if m in members[d]]
+        a, b, *rest = out
         va, vb = _bump(v, a), _bump(v, b)
-        fa, fb = edges[(v, a)], edges[(v, b)]
-        gb, ga = edges[(va, b)], edges[(vb, a)]
-        if c.comp(gb, fa) != c.comp(ga, fb):
-            return False
-        return verify_pullback_square(c, gb, ga, objects[v], fa, fb)
+        found = []
+        for w, p, q in setup.cones(edges[(va, b)], edges[(vb, a)]):
+            if p not in members[a] or q not in members[b]:
+                continue
+            placed = {(v, a): p, (v, b): q}
+            for d in rest:
+                # v + e_d is the cone over its own edges a and b, so the
+                # edge v -> v + e_d is the one map that commutes with both
+                t = _bump(v, d)
+                wants = ((edges[(t, a)], composite(edges[(va, d)], p)), (edges[(t, b)], composite(edges[(vb, d)], q)))
+                mediator = [m for m in mediators(c, w, objs[t], wants) if m in members[d]]
+                if not mediator:
+                    break
+                placed[(v, d)] = mediator[0]
+            else:
+                found.append((w, placed))
+        return found
 
-    def place(idx: int):
-        if idx == len(vertices):
-            results.append(GridSimplex(k, n, c, dict(objects), dict(edges)))
-            return
-        v = vertices[idx]
-        preds = [d for d in range(k) if v[d] > 0]
-        for obj in c.objects:
-            objects[v] = obj
-            options = []
-            for d in preds:
-                w = v[:d] + (v[d] - 1,) + v[d + 1 :]
-                homset = [
-                    m
-                    for m in c.hom(objects[w], obj)
-                    if m in member_sets[d]
-                ]
-                options.append((w, d, homset))
-            for choice in itertools.product(*[h for _, _, h in options]):
-                for (w, d, _), m in zip(options, choice):
-                    edges[(w, d)] = m
-                ok = True
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        if v[a] > 0 and v[b] > 0:
-                            base = v[:a] + (v[a] - 1,) + v[a + 1 :]
-                            base = base[:b] + (base[b] - 1,) + base[b + 1 :]
-                            if not square_ok(base, a, b):
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if ok:
-                    place(idx + 1)
-                for (w, d, _), _m in zip(options, choice):
-                    edges.pop((w, d), None)
-            del objects[v]
+    vertices = sorted(itertools.product(range(n + 1), repeat=k))
+    partial = [({}, {})]
+    for v in reversed(vertices):
+        partial = [
+            ({**objs, v: x}, {**edges, **placed}) for objs, edges in partial for x, placed in placements(v, objs, edges)
+        ]
 
-    place(0)
-    return results
+    position = {x: i for i, x in enumerate(c.objects)}
+    ins = [(v, [(v[:d] + (v[d] - 1,) + v[d + 1 :], d) for d in range(k) if v[d] > 0]) for v in vertices]
+
+    def order(grid) -> tuple:
+        # edges between the same objects compare by id, as their hom-set
+        # positions do
+        objs, edges = grid
+        return tuple(key for v, preds in ins for key in (position[objs[v]], *(edges[e] for e in preds)))
+
+    return [GridSimplex(k, n, c, objs, edges) for objs, edges in sorted(partial, key=order)]

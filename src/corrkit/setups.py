@@ -6,9 +6,11 @@ contains the isomorphisms, is closed under composition, and whose members
 base-change along arbitrary morphisms.  Pullbacks come from
 `fincat.canonical_pullback`: constructed from function values in an
 all-function carrier, found by exhaustive universal-property search
-elsewhere.  In a carrier that is missing some fiber products the oracle is
-partial, and `check_geometric_setup` reports coverage rather than inventing
-objects: a missing fiber product is a coverage gap, not a failure.
+elsewhere.  Every other pullback is that one composed with an isomorphism
+into its apex, which is how `GeometricSetup.cones` lists them.  In a
+carrier that is missing some fiber products the oracle is partial, and
+`check_geometric_setup` reports coverage rather than inventing objects: a
+missing fiber product is a coverage gap, not a failure.
 """
 
 from __future__ import annotations
@@ -93,6 +95,18 @@ class GeometricSetup:
         if pb is None:
             raise ResourceLimitError(f"no pullback exists for cospan ({f!r}, {g!r})")
         return pb
+
+    def cones(self, f: str, g: str) -> list[tuple[str, str, str]]:
+        """Every pullback (w, p, q) of the cospan (f, g), none if the carrier
+        has none.  A pullback is unique up to a unique isomorphism (Mac
+        Lane, CWM III.4), so they are the canonical one, (P, p0, q0),
+        composed with each isomorphism phi: w -> P, in `isos_into` order."""
+        pb = self.pullback_opt(f, g)
+        if pb is None:
+            return []
+        c, (apex, p, q) = self.category, pb
+        composite, typing = c.composite, c.morphisms
+        return [(typing[phi][0], composite(p, phi), composite(q, phi)) for phi in c.isos_into.get(apex, ())]
 
 
 class NagataSetup:

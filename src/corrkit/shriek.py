@@ -172,8 +172,8 @@ def cartesian_squares(ns: NagataSetup, a: EdgeClass, b: EdgeClass) -> list[tuple
     """The cartesian squares with legs in marked classes a and b, as
     (right, top, bottom, left): right and bottom lie in a, top and left in
     b, and the cospan is (right, top).  They are the squares of
-    `enumerate_grid_simplices(s, [a, b], 2, 1)`, in the same order, but
-    constructed rather than searched for: see `_construct_squares`.
+    `enumerate_grid_simplices(s, [a, b], 2, 1)`, in the same order: both
+    are read off the pullback cones of `GeometricSetup.cones`.
 
     The squares are built once, over the union of the marked classes, and
     filtered for each pair of classes."""
@@ -187,51 +187,29 @@ def cartesian_squares(ns: NagataSetup, a: EdgeClass, b: EdgeClass) -> list[tuple
 
 
 def _construct_squares(ns: NagataSetup) -> list[tuple[str, str, str, str]]:
-    """Every cartesian square whose four legs are marked.
-
-    A pullback is unique up to a unique isomorphism (Mac Lane, CWM III.4),
-    so the cartesian squares over a cospan are its canonical pullback
-    (apex P, left, bottom) composed with each isomorphism w -> P.  They are
-    sorted in the grid search's order: it places the apex, then left,
-    bottom and the cospan, choosing each vertex's object, by its position
-    in `objects`, before the edges into it.  Edges between the same objects
-    compare by id, as their hom-set positions do."""
+    """Every cartesian square whose four legs are marked: over each marked
+    cospan, its pullback cones (`GeometricSetup.cones`) with marked legs.
+    They are sorted in the order of `enumerate_grid_simplices`: the apex,
+    then left, bottom and the cospan, each vertex's object, by its position
+    in `objects`, before the edges into it.  Edges between the same
+    objects compare by id, as their hom-set positions do."""
     s = ns.setup
     c = s.category
     marked = s.e.members | ns.i_class.members | ns.p_class.members
     position = {x: i for i, x in enumerate(c.objects)}
-    # marked ids and isomorphisms, each grouped by target
-    marked_into: dict[str, list[str]] = {}
-    isos_into: dict[str, list[str]] = {}
-    for m in c.morphism_ids:
-        if m in marked:
-            marked_into.setdefault(c.dst(m), []).append(m)
-        if m in c.iso_ids:
-            isos_into.setdefault(c.dst(m), []).append(m)
     keyed = []
-    for z, legs in marked_into.items():
+    for z, into in c._in_index.items():
+        legs = [m for m in into if m in marked]
         for right in legs:
+            x = position[c.src(right)]
             for top in legs:
+                y = position[c.src(top)]
                 # (right, top) is the order the setup suite's stability
                 # check asks the oracle in, so its entries are reused here
-                pb = s.pullback_opt(right, top)
-                if pb is None:
-                    continue
-                apex, left, bottom = pb
-                for phi in isos_into.get(apex, ()):
-                    bottom_w, left_w = c.composite(bottom, phi), c.composite(left, phi)
-                    if bottom_w in marked and left_w in marked:
-                        key = (
-                            position[c.src(phi)],
-                            position[c.src(right)],
-                            left_w,
-                            position[c.src(top)],
-                            bottom_w,
-                            position[z],
-                            right,
-                            top,
-                        )
-                        keyed.append((key, (right, top, bottom_w, left_w)))
+                for w, left, bottom in s.cones(right, top):
+                    if bottom in marked and left in marked:
+                        key = (position[w], x, left, y, bottom, position[z], right, top)
+                        keyed.append((key, (right, top, bottom, left)))
     return [sq for _, sq in sorted(keyed)]
 
 

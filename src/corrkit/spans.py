@@ -15,7 +15,6 @@ from .fincat import (
     FinCategory,
     FunctorData,
     canonical_coproduct,
-    pullback_candidates,
     verify_product,
 )
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
@@ -255,17 +254,15 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
 
     A cell is constructed from its spine (the Segal condition): an object at
     each (i, i), a span with its right leg in E at each (i, i+1), and at each
-    higher (i, j) a pullback cone, by universal-property search, of the
-    cospan at (i+1, j-1).  Every rectangle pastes from those unit squares,
-    so it is cartesian; a cell with a vertical relation outside E is
-    dropped."""
+    higher (i, j) a pullback cone (`GeometricSetup.cones`) of the cospan at
+    (i+1, j-1).  Every rectangle pastes from those unit squares, so it is
+    cartesian; a cell with a vertical relation outside E is dropped."""
     from .grid import c_of_simplex, cp_name, cposet_elements, cposet_leq
 
     if not 0 <= n <= 2:
         raise MalformedInputError(f"need 0 <= n <= 2, got {n}")
     c = s.category
     spans = {(x, y): spans_between(s, x, y) for x in c.objects for y in c.objects}
-    cones: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
 
     def extensions(i: int, j: int, objs: dict, edges: dict):
         """(object at (i, j), its covering edges) for each way to place it."""
@@ -274,10 +271,8 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
         if j == i + 1:
             feet = (objs[(i, i)], objs[(j, j)])
             return [(c.src(sp.left), {((i, j), (i, i)): sp.left, ((i, j), (j, j)): sp.right}) for sp in spans[feet]]
-        cospan = (edges[((i, j - 1), (i + 1, j - 1))], edges[((i + 1, j), (i + 1, j - 1))])
-        if cospan not in cones:
-            cones[cospan] = pullback_candidates(c, *cospan)
-        return [(apex, {((i, j), (i, j - 1)): p, ((i, j), (i + 1, j)): q}) for apex, p, q in cones[cospan]]
+        cones = s.cones(edges[((i, j - 1), (i + 1, j - 1))], edges[((i + 1, j), (i + 1, j - 1))])
+        return [(apex, {((i, j), (i, j - 1)): p, ((i, j), (i + 1, j)): q}) for apex, p, q in cones]
 
     vertices = cposet_elements(n)
     partial = [({}, {})]

@@ -3,19 +3,28 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrkit.fincat import (
     FinCategory,
+    chain_category,
+    finset_category,
     finset_skeleton,
     fn_values,
+    function_table,
     injections,
+    opposite,
+    poset_category,
+    pullback_candidates,
     surjections,
     verify_pullback_square,
 )
 from corrkit.grid import (
     ExactSquare,
+    GridSimplex,
     _bump,
     c_of_simplex,
+    check_grid_size,
     cposet_elements,
     enumerate_grid_simplices,
     exact_squares,
@@ -90,6 +99,43 @@ def test_edge_class_flags():
     rep = check_geometric_setup(GeometricSetup(c, inj))
     assert next(ch for ch in rep.checks if ch.name == "pullback-stability").status == "pass"
     assert surj.composition_witness() is None
+
+
+@st.composite
+def _small_carriers(draw, sizes=st.lists(st.integers(0, 2), min_size=1, max_size=3)):
+    """All-function carriers, whose pullbacks are constructed, and
+    sizes-free carriers, whose pullbacks are searched for: chains,
+    divisibility posets, opposites of all-function carriers, and an
+    all-function carrier with its sizes dropped.  Each lists its objects
+    in a drawn order, since the search orders squares by object position
+    and the ids by name."""
+    c = finset_category({f"o{i}": n for i, n in enumerate(draw(sizes))})
+    kind = draw(st.sampled_from(["sizes", "sizes-free", "opposite", "chain", "poset"]))
+    if kind == "sizes-free":
+        c = FinCategory(c.objects, c.morphisms, c.identity, function_table(c))
+    elif kind == "opposite":
+        c = opposite(c)
+    elif kind == "chain":
+        c = chain_category(draw(st.integers(0, 3)))
+    elif kind == "poset":
+        # divisibility among a few numbers: meets exist only where the gcd
+        # is listed, so some cospans have no pullback
+        nums = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+        c = poset_category([str(k) for k in nums], lambda a, b: int(b) % int(a) == 0)
+    objects = tuple(draw(st.permutations(c.objects)))
+    return FinCategory(objects, c.morphisms, c.identity, c.compose, c.object_size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_carriers())
+def test_cones_are_the_pullbacks_the_search_finds(c):
+    s = GeometricSetup(c, all_class(c))
+    for z in c.objects:
+        into = c._in_index.get(z, ())
+        for f, g in itertools.product(into, repeat=2):
+            cones = s.cones(f, g)
+            assert len(set(cones)) == len(cones)
+            assert set(cones) == set(pullback_candidates(c, f, g))
 
 
 def test_pullback_error_names_cospan():
@@ -204,26 +250,20 @@ def test_grid_k2_inj_all_matches_bruteforce():
     c = s.category
     inj = injections(c)
     grids = enumerate_grid_simplices(s, [EdgeClass(c, inj), all_class(c)], 2, 1)
-    count = 0
-    for f in c.morphism_ids:  # direction 0 (in inj) out of the corner
-        if f not in inj:
-            continue
-        for g in c.morphism_ids:  # direction 1 out of the corner
-            if c.src(g) != c.src(f):
-                continue
-            for top in c.morphism_ids:  # direction 1 edge after f
-                if top not in () and c.src(top) != c.dst(f):
-                    continue
-                for right in c.morphism_ids:  # direction 0 edge after g
-                    if c.src(right) != c.dst(g) or right not in inj:
-                        continue
-                    if c.dst(right) != c.dst(top):
-                        continue
-                    if c.comp(top, f) != c.comp(right, g):
-                        continue
-                    if verify_pullback_square(c, top, right, c.src(f), f, g):
-                        count += 1
-    assert len(grids) == count > 0
+    # every commuting square (f, g, right, top) that is cartesian, with f and
+    # right injective, listed vertex by vertex in lexicographic order: the
+    # apex, its direction-1 edge g, its direction-0 edge f, then the corner
+    # and its edges right and top
+    squares = []
+    for x, y in itertools.product(c.objects, repeat=2):
+        for g, w in itertools.product(c.hom(x, y), c.objects):
+            for f, z in itertools.product(c.hom(x, w), c.objects):
+                for right, top in itertools.product(c.hom(y, z), c.hom(w, z)):
+                    if f in inj and right in inj and c.comp(top, f) == c.comp(right, g):
+                        if verify_pullback_square(c, top, right, x, f, g):
+                            squares.append((f, g, right, top))
+    found = [(g.edges[((0, 0), 0)], g.edges[((0, 0), 1)], g.edges[((0, 1), 0)], g.edges[((1, 0), 1)]) for g in grids]
+    assert found == squares and squares
 
 
 def test_grid_k2_iso_iso():
@@ -256,8 +296,10 @@ def test_grid_k3_cube_over_point_category():
 
 def test_grid_bounds_rejected(monkeypatch):
     s = _setup2()
-    # a size out of range is refused before any hom-set is scanned
+    # a size out of range is refused before any hom-set is scanned or any
+    # pullback is asked for
     monkeypatch.setattr(FinCategory, "hom", lambda *args: pytest.fail("scanned a hom-set"))
+    monkeypatch.setattr(GeometricSetup, "pullback_opt", lambda *args: pytest.fail("asked for a pullback"))
     with pytest.raises(MalformedInputError):
         enumerate_grid_simplices(s, [all_class(s.category)], 4, 1)
     with pytest.raises(MalformedInputError):
@@ -265,3 +307,87 @@ def test_grid_bounds_rejected(monkeypatch):
     # every size is in range, but 27 vertices exceed the 9 a grid may have
     with pytest.raises(MalformedInputError, match="got k=3, n=2"):
         enumerate_grid_simplices(s, [all_class(s.category)] * 3, 3, 2)
+
+
+def _grids_by_search(setup, classes, k, n):
+    """The reference for `enumerate_grid_simplices`: a backtracking search
+    over vertices in lexicographic order, each vertex's object in `objects`
+    order and then the edges into it in hom order, that checks each unit
+    square (commuting, then universal property) as soon as its last vertex
+    is placed."""
+    check_grid_size(k, n)
+    member_sets = [cls.members for cls in classes]
+    c = setup.category
+    vertices = sorted(itertools.product(range(n + 1), repeat=k))
+    results = []
+    objects = {}
+    edges = {}
+
+    def square_ok(v, a, b) -> bool:
+        va, vb = _bump(v, a), _bump(v, b)
+        fa, fb = edges[(v, a)], edges[(v, b)]
+        gb, ga = edges[(va, b)], edges[(vb, a)]
+        if c.comp(gb, fa) != c.comp(ga, fb):
+            return False
+        return verify_pullback_square(c, gb, ga, objects[v], fa, fb)
+
+    def place(idx: int):
+        if idx == len(vertices):
+            results.append(GridSimplex(k, n, c, dict(objects), dict(edges)))
+            return
+        v = vertices[idx]
+        preds = [d for d in range(k) if v[d] > 0]
+        for obj in c.objects:
+            objects[v] = obj
+            options = []
+            for d in preds:
+                w = v[:d] + (v[d] - 1,) + v[d + 1 :]
+                options.append((w, d, [m for m in c.hom(objects[w], obj) if m in member_sets[d]]))
+            for choice in itertools.product(*[h for _, _, h in options]):
+                for (w, d, _), m in zip(options, choice):
+                    edges[(w, d)] = m
+                ok = True
+                for a in range(k):
+                    for b in range(a + 1, k):
+                        if v[a] > 0 and v[b] > 0:
+                            base = v[:a] + (v[a] - 1,) + v[a + 1 :]
+                            base = base[:b] + (base[b] - 1,) + base[b + 1 :]
+                            if not square_ok(base, a, b):
+                                ok = False
+                                break
+                    if not ok:
+                        break
+                if ok:
+                    place(idx + 1)
+                for (w, d, _), _m in zip(options, choice):
+                    edges.pop((w, d), None)
+            del objects[v]
+
+    place(0)
+    return results
+
+
+def _grid_rows(grids):
+    return [(g.objects, g.edges) for g in grids]
+
+
+# the search takes about a second at k=2, n=2 or k=3, n=1 on objects of
+# sizes 1 and 2 with every map marked, and minutes on two objects of size
+# 2, so those shapes draw at most two objects and three elements
+_FEW_ELEMENTS = st.lists(st.integers(0, 2), min_size=1, max_size=2).filter(lambda sizes: sum(sizes) <= 3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]), st.data())
+def test_constructed_grids_are_the_grids_the_search_finds(shape, data):
+    k, n = shape
+    c = data.draw(_small_carriers() if k * n == 2 else _small_carriers(_FEW_ELEMENTS))
+
+    def marked():
+        return EdgeClass(c, frozenset(m for m in c.morphism_ids if data.draw(st.booleans())))
+
+    # a drawn class need not hold the isomorphisms or be stable, so a cone
+    # or a mediator outside it drops its grid
+    classes = [data.draw(st.sampled_from([all_class(c), iso_class(c), marked()])) for _ in range(k)]
+    s = GeometricSetup(c, all_class(c))
+    assert _grid_rows(enumerate_grid_simplices(s, classes, k, n)) == _grid_rows(_grids_by_search(s, classes, k, n))

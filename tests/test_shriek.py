@@ -1,21 +1,21 @@
 """Factorization setups, exceptional maps, hypotheses, and assembly."""
 
+import itertools
+import math
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrkit.corpus import corpus
 from corrkit.fincat import (
     FinCategory,
-    chain_category,
     finset_category,
     finset_skeleton,
-    function_table,
+    fn_values,
     injections,
-    opposite,
-    poset_category,
     surjections,
 )
-from corrkit.grid import enumerate_grid_simplices
 from corrkit.lattices import (
     chain_lattice,
     compose_maps,
@@ -43,6 +43,7 @@ from corrkit.shriek import (
     verify_hypotheses,
 )
 from corrkit.spans import Span
+from test_grid import _grids_by_search, _small_carriers
 
 
 def _setup(max_size=2):
@@ -158,15 +159,15 @@ def _square_setups():
 
 def _assert_squares_match_the_grid_search(ns):
     """The squares constructed once over the union of the marked classes,
-    filtered, against one grid search per pair of classes, square for
-    square and in order."""
+    filtered, against one backtracking grid search per pair of classes,
+    square for square and in order."""
     s = ns.setup
     classes = (s.e, ns.i_class, ns.p_class)
     for a in classes:
         for b in classes:
             per_pair = [
                 (g.edges[((0, 1), 0)], g.edges[((1, 0), 1)], g.edges[((0, 0), 0)], g.edges[((0, 0), 1)])
-                for g in enumerate_grid_simplices(s, [a, b], 2, 1)
+                for g in _grids_by_search(s, [a, b], 2, 1)
             ]
             assert cartesian_squares(ns, a, b) == per_pair
 
@@ -175,32 +176,6 @@ def test_one_square_search_serves_every_class_pair():
     # the four corpus factorization setups among them
     for ns in _square_setups():
         _assert_squares_match_the_grid_search(ns)
-
-
-@st.composite
-def _small_carriers(draw):
-    """All-function carriers, whose pullbacks are constructed, and
-    sizes-free carriers, whose pullbacks are searched for: chains,
-    divisibility posets, opposites of all-function carriers, and an
-    all-function carrier with its sizes dropped.  Each lists its objects
-    in a drawn order, since the search orders squares by object position
-    and the ids by name."""
-    sizes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
-    kind = draw(st.sampled_from(["sizes", "sizes-free", "opposite", "chain", "poset"]))
-    if kind == "sizes-free":
-        c = FinCategory(c.objects, c.morphisms, c.identity, function_table(c))
-    elif kind == "opposite":
-        c = opposite(c)
-    elif kind == "chain":
-        c = chain_category(draw(st.integers(0, 3)))
-    elif kind == "poset":
-        # divisibility among a few numbers: meets exist only where the gcd
-        # is listed, so some cospans have no pullback
-        nums = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
-        c = poset_category([str(k) for k in nums], lambda a, b: int(b) % int(a) == 0)
-    objects = tuple(draw(st.permutations(c.objects)))
-    return FinCategory(objects, c.morphisms, c.identity, c.compose, c.object_size)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -214,6 +189,33 @@ def test_constructed_squares_match_the_grid_search_on_small_carriers(c, data):
     everything = all_class(c)
     e = data.draw(st.sampled_from([everything, marked()]))
     _assert_squares_match_the_grid_search(NagataSetup(GeometricSetup(c, e), marked(), marked()))
+
+
+def _square_count(c) -> int:
+    """Over every cospan (f, g) of maps into one object, n(s) * s! squares,
+    where s = sum over z of |f^-1(z)| * |g^-1(z)| is the size of the fiber
+    product and n(s) the number of objects of that size: each apex of that
+    size is the fiber product through s! bijections."""
+    sizes = Counter(c.object_size.values())
+    fibers = {m: Counter(fn_values(m)) for m in c.morphism_ids}
+    count = 0
+    for f, g in itertools.product(c.morphism_ids, repeat=2):
+        if c.morphisms[f][1] == c.morphisms[g][1]:
+            s = sum(k * fibers[g][z] for z, k in fibers[f].items())
+            count += sizes[s] * math.factorial(s)
+    return count
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda sizes: sum(sizes) <= 6))
+@example([0, 1, 2])  # 74 squares
+@example([1, 2, 3])  # 4,016 squares
+@example([0, 1, 1, 2])  # 170 squares
+def test_cartesian_squares_of_all_maps_match_the_count_from_fiber_sizes(sizes):
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    everything = all_class(c)
+    ns = NagataSetup(GeometricSetup(c, everything), everything, everything)
+    assert len(cartesian_squares(ns, everything, everything)) == _square_count(c)
 
 
 def _objects_reversed(ns):
