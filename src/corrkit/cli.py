@@ -9,6 +9,7 @@ read or parsed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -123,31 +124,34 @@ def _model_suite(tag: str, L: FiniteLattice) -> VerificationReport:
     return rep
 
 
-def _nagata_theorem_suite(tag: str, ns: NagataSetup) -> VerificationReport:
-    """Axioms, hypotheses, then the full construction.  Construction is
-    skipped once a gate fails so a designed failure is reported exactly
-    where the analysis locates it and nowhere later."""
+def _gated_shriek(rep: VerificationReport, ns: NagataSetup):
+    """The one gate of a factorization setup: its axioms and hypotheses,
+    then its exceptional maps and their consistency with its classes, each
+    merged into `rep` under its prefix.  The maps, with their coefficient
+    system, once every check passed; otherwise None, and nothing is built
+    past the first failed stage."""
     from .lattices import chain_lattice, frame_system
-    from .shriek import (
-        assemble_formalism,
-        build_shriek,
-        check_base_change_shriek,
-        check_class_consistency,
-        check_formalism,
-        check_nagata,
-        check_shriek_projection,
-        verify_hypotheses,
-    )
+    from .shriek import build_shriek, check_class_consistency, check_nagata, verify_hypotheses
 
-    rep = VerificationReport(f"{tag}:theorem")
     sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
     rep.merge(check_nagata(ns), prefix="axioms:")
     rep.merge(verify_hypotheses(ns, sys), prefix="hypotheses:")
     if not rep.passed:
-        return rep
+        return None
     sa = build_shriek(ns, sys)
     rep.merge(check_class_consistency(sa), prefix="classes:")
-    if not rep.passed:
+    return sa if rep.passed else None
+
+
+def _nagata_theorem_suite(tag: str, ns: NagataSetup) -> VerificationReport:
+    """The gate, then base change, projection and the formalism, each run
+    only on maps the gate passed, so a designed failure is reported exactly
+    where the analysis locates it and nowhere later."""
+    from .shriek import assemble_formalism, check_base_change_shriek, check_formalism, check_shriek_projection
+
+    rep = VerificationReport(f"{tag}:theorem")
+    sa = _gated_shriek(rep, ns)
+    if sa is None:
         return rep
     rep.merge(check_base_change_shriek(ns, sa), prefix="base-change:")
     rep.merge(check_shriek_projection(ns, sa), prefix="projection:")
@@ -387,28 +391,6 @@ def _skel2_setup() -> GeometricSetup:
     return GeometricSetup(c, all_class(c))
 
 
-def _gate(rep: VerificationReport) -> None:
-    """Refuse to build past a failed check."""
-    bad = rep.first_failure()
-    if bad is not None:
-        raise MalformedInputError(f"cannot build: {bad.name} fails with witness {bad.witness}")
-
-
-def _gated_shriek(ns: NagataSetup):
-    """The exceptional maps, with their coefficient system, of a
-    factorization setup that passes the axioms and the hypotheses and whose
-    maps are consistent with its classes; any other is refused."""
-    from .lattices import chain_lattice, frame_system
-    from .shriek import build_shriek, check_class_consistency, check_nagata, verify_hypotheses
-
-    sys = frame_system(ns.setup, chain_lattice(_BASE_CHAIN))
-    _gate(check_nagata(ns))
-    _gate(verify_hypotheses(ns, sys))
-    sa = build_shriek(ns, sys)
-    _gate(check_class_consistency(sa))
-    return sa
-
-
 def _cmd_run(args, out) -> int:
     config = WorkspaceConfig(
         inputs=tuple(args.input or ()),
@@ -450,10 +432,14 @@ def _cmd_grid_enumerate(args, out) -> int:
     s = _skel2_setup()
     classes = [all_class(s.category)] * args.k
     grids = enumerate_grid_simplices(s, classes, args.k, args.n)
+    # every grid has the same vertices and edges, so each is named once;
+    # the dump sorts the keys
+    vertices = {v: ".".join(map(str, v)) for v in itertools.product(range(args.n + 1), repeat=args.k)}
+    edges = {(v, d): f"{name}/{d}" for v, name in vertices.items() for d in range(args.k) if v[d] < args.n}
     rows = [
         {
-            "objects": {".".join(map(str, v)): o for v, o in g.objects.items()},
-            "edges": {".".join(map(str, v)) + f"/{d}": m for (v, d), m in sorted(g.edges.items())},
+            "objects": {name: g.objects[v] for v, name in vertices.items()},
+            "edges": {name: g.edges[e] for e, name in edges.items()},
         }
         for g in grids
     ]
@@ -514,7 +500,12 @@ def _cmd_shriek_build(args, out) -> int:
         if inst.kind != "nagata":
             raise MalformedInputError(f"instance {inst.name!r} is not a factorization setup")
         ns = inst.build()
-    sa = _gated_shriek(ns)
+    rep = VerificationReport("shriek-build")
+    sa = _gated_shriek(rep, ns)
+    if sa is None:
+        # the first failure, under its own name
+        bad = rep.first_failure()
+        raise MalformedInputError(f"cannot build: {bad.name.split(':', 1)[1]} fails with witness {bad.witness}")
     tables = {f: sa.shriek[f].table for f in sorted(sa.shriek)}
     out.write(json.dumps({"schema": "corrkit-shriek/1", "tables": tables}, sort_keys=True, indent=2) + "\n")
     return 0

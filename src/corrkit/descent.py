@@ -711,7 +711,7 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientS
             restriction[f] = sys.pull(f)
         else:
             restriction[f] = _transport_pull(pd, sys, lattices, kept, chosen, f)
-    return CoefficientSystem(GeometricSetup(c, pd.big.e), lattices, restriction)
+    return CoefficientSystem(pd.big, lattices, restriction)
 
 
 # -- codescent of exceptional maps -----------------------------------------

@@ -295,13 +295,14 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
     relations = [(a, b, f"{cp_name(a)}<={cp_name(b)}") for a in vertices for b in vertices if cposet_leq(a, b)]
     vertical = [name for a, b, name in relations if a[1] == b[1] and a[0] < b[0]]
     obj_pos = {x: k for k, x in enumerate(c.objects)}
-    hom_pos = {m: k for x in c.objects for y in c.objects for k, m in enumerate(c.hom(x, y))}
     keyed = []
     for objs, edges in partial:
         mor_map = {name: relation(objs, edges, a, b) for a, b, name in relations}
         if any(mor_map[name] not in s.e.members for name in vertical):
             continue
-        key = (tuple(obj_pos[objs[v]] for v in vertices), tuple(hom_pos[edges[e]] for e in sorted(edges)))
+        # edges between the same objects compare by id, as their hom-set
+        # positions do
+        key = (tuple(obj_pos[objs[v]] for v in vertices), tuple(edges[e] for e in sorted(edges)))
         obj_map = {cp_name(v): objs[v] for v in vertices}
         keyed.append((key, CorrSimplex(n, FunctorData(source, c, obj_map, mor_map))))
     keyed.sort(key=lambda kc: kc[0])

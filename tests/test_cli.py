@@ -672,6 +672,18 @@ def test_corpus_run_text_bytes_are_pinned(capsys):
     assert _sha256(out) == CORPUS_TEXT_SHA256
 
 
+def test_corpus_run_bytes_hold_under_fixed_hash_seeds(tmp_path):
+    # the pins above run under whatever hash seed the test process drew;
+    # fresh interpreters under fixed seeds show the bytes follow from none
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corrkit.__file__)))
+    for seed in ("0", "1", "7"):
+        out = subprocess.run(
+            [sys.executable, "-m", "corrkit.cli", "run", "--format", "json"],
+            cwd=tmp_path, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
+        )
+        assert (out.returncode, _sha256(out.stdout)) == (0, CORPUS_RUN_SHA256), (seed, out.stderr)
+
+
 def test_model_suite_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     # the report is named after the input path, so the inputs are read
     # by relative name from one directory

@@ -1,9 +1,9 @@
 """Package layout: no unused import, no import of `dataclasses`, no module
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
 table outside `fincat`, no CLI argument its subcommand does not read, no
-subcommand but `run` that runs a suite, no definition that only unit
-tests name, and one exception class for malformed input and one for a
-carrier gap."""
+subcommand but `run` that runs a suite, one CLI function that gates a
+factorization setup, no definition that only unit tests name, and one
+exception class for malformed input and one for a carrier gap."""
 
 import ast
 import importlib
@@ -224,6 +224,16 @@ def test_every_definition_is_named_outside_the_unit_tests():
     }
     assert {name: mod for name, mod in unreached.items() if name not in KEPT_FOR_TESTS} == {}
     assert sorted(unreached) == sorted(KEPT_FOR_TESTS)
+
+
+def test_one_function_of_the_cli_gates_a_factorization_setup():
+    # the theorem suite and `shriek build` refuse on the same checks only
+    # if one function runs them for both
+    checks = ("check_nagata", "verify_hypotheses", "check_class_consistency")
+    functions = [fn for fn in _trees()["cli"].body if isinstance(fn, ast.FunctionDef)]
+    naming = {check: [fn.name for fn in functions if _names(fn)[check]] for check in checks}
+    assert len(naming[checks[0]]) == 1
+    assert naming == {check: naming[checks[0]] for check in checks}
 
 
 def test_one_error_for_malformed_input_and_one_for_a_carrier_gap():

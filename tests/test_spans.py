@@ -130,6 +130,37 @@ def test_hcorr_classes_over_tiny_carrier():
     assert len(hc.classes("1", "1")) == 2  # empty apex and singleton apex
 
 
+def _span_class_counts(sizes) -> dict:
+    """(x, y) -> the number of span classes x -> y over the all-function
+    carrier on `sizes` with every map marked, read from `HCorr.classes`
+    and in closed form.  A span x <- w -> y is a map w -> x * y, so its
+    class is a multiset of |w| points of x * y: stars and bars gives
+    C(|w| + |x||y| - 1, |w|) classes per apex size, and when |x||y| = 0
+    only the empty span is left."""
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    hc = HCorr(GeometricSetup(c, all_class(c)))
+    counts = {}
+    for x in c.objects:
+        for y in c.objects:
+            points = c.object_size[x] * c.object_size[y]
+            closed = 1 if points == 0 else sum(math.comb(k + points - 1, k) for k in set(sizes))
+            counts[(x, y)] = (len(hc.classes(x, y)), closed)
+    return counts
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_span_classes_of_all_maps_match_the_count_by_stars_and_bars(sizes):
+    counts = _span_class_counts(sizes)
+    assert all(found == closed for found, closed in counts.values()), counts
+
+
+def test_span_classes_over_sizes_1_2_4():
+    counts = _span_class_counts([1, 2, 4])
+    assert all(found == closed for found, closed in counts.values()), counts
+    assert sum(found for found, _ in counts.values()) == 4946
+
+
 def test_homotopy_category_is_a_category():
     s = setup_all(1)
     hc = homotopy_category(s)
