@@ -31,7 +31,7 @@ from .fincat import (
 )
 from .lattices import CoefficientSystem, FiniteLattice, LatticeMap
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
-from .setups import EdgeClass, GeometricSetup, base_change_sweep, check_geometric_setup
+from .setups import EdgeClass, GeometricSetup, base_change_sweep, merge_sub_setup
 
 
 # -- atlases ---------------------------------------------------------------
@@ -307,14 +307,7 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
         ("big-cover", GeometricSetup(c, EdgeClass(c, frozenset(pd.s_big)))),
     )
     for name, s in setups:
-        sub = check_geometric_setup(s)
-        bad = sub.first_failure()
-        rep.add(
-            f"setup-{name}",
-            sub.passed,
-            {"check": bad.name, "witness": bad.witness} if bad else {},
-            anchor="pair-condition-a",
-        )
+        merge_sub_setup(rep, f"setup-{name}", s, "pair-condition-a")
 
     small_ids = set(pd.small.morphism_ids)
     mismatch = sorted((set(pd.s_big) & small_ids) ^ set(pd.s_small))

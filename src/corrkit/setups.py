@@ -159,6 +159,14 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     return rep
 
 
+def merge_sub_setup(rep: VerificationReport, name: str, s: GeometricSetup, anchor: str) -> None:
+    """Add check `name` to `rep`: `s` is a geometric setup, else the check and
+    witness of its first failure.  `check_geometric_setup` reports no resource
+    limit (a gap is counted), so no failure means its whole report passed."""
+    bad = check_geometric_setup(s).first_failure()
+    rep.add(name, bad is None, {"check": bad.name, "witness": bad.witness} if bad else {}, anchor=anchor)
+
+
 def base_change_sweep(s: GeometricSetup, cospans, members) -> tuple[int, list, tuple | None]:
     """Each cospan (f, g) pulled back through the oracle, in order: how many
     the carrier covers, the ones it does not (its gaps), and the first

@@ -26,7 +26,7 @@ from .lattices import (
     right_adjoint,
 )
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
-from .setups import EdgeClass, GeometricSetup, NagataSetup, check_geometric_setup
+from .setups import EdgeClass, GeometricSetup, NagataSetup, merge_sub_setup
 from .spans import HCorr, Span, compose_spans
 
 
@@ -35,14 +35,7 @@ def check_nagata(ns: NagataSetup) -> VerificationReport:
     rep = VerificationReport("nagata-setup")
     c = ns.setup.category
     for label, cls in (("i", ns.i_class), ("p", ns.p_class)):
-        sub = check_geometric_setup(GeometricSetup(c, cls))
-        bad = sub.first_failure()
-        rep.add(
-            f"{label}-class-geometric-setup",
-            sub.passed,
-            {} if sub.passed else {"check": bad.name, "witness": bad.witness},
-            anchor="nagata-axiom-1",
-        )
+        merge_sub_setup(rep, f"{label}-class-geometric-setup", GeometricSetup(c, cls), "nagata-axiom-1")
     missing = [f for f in sorted(ns.setup.e.members) if not factorizations(ns, f)]
     rep.add(
         "factorization-exists",
@@ -439,33 +432,3 @@ def check_formalism(fm: Formalism) -> VerificationReport:
             break
     rep.add("exceptional-restriction", witness is None, witness or {}, anchor="recovers-exceptional-maps")
     return rep
-
-
-def search_nagata(setup: GeometricSetup, sys: CoefficientSystem, classes: dict) -> list[dict]:
-    """Brute-force sweep over named class pairs: which (I, P) choices give a
-    valid setup with all hypotheses, and which of those are mixed (I not
-    everything, P not just isomorphisms, overlap beyond isomorphisms)."""
-    c = setup.category
-    isos = frozenset(c.iso_ids)
-    everything = frozenset(c.morphism_ids)
-    out = []
-    for i_name in sorted(classes):
-        for p_name in sorted(classes):
-            ns = NagataSetup(setup, classes[i_name], classes[p_name])
-            axioms = check_nagata(ns)
-            hyps = verify_hypotheses(ns, sys) if axioms.passed else None
-            overlap = classes[i_name].members & classes[p_name].members
-            out.append(
-                {
-                    "i": i_name,
-                    "p": p_name,
-                    "axioms": axioms.passed,
-                    "hypotheses": None if hyps is None else hyps.passed,
-                    "mixed": (
-                        classes[i_name].members != everything
-                        and classes[p_name].members != isos
-                        and overlap != isos
-                    ),
-                }
-            )
-    return out

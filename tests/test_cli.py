@@ -347,8 +347,9 @@ def test_search_nagata_catalog(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 16
-    good = {(r["i"], r["p"]) for r in rows if r["axioms"] and r["hypotheses"]}
-    assert ("all", "isos") in good and ("isos", "all") in good
+    good = [r for r in rows if r["axioms"] and r["hypotheses"]]
+    assert {("all", "isos"), ("isos", "all")} <= {(r["i"], r["p"]) for r in good}
+    assert not any(r["mixed"] for r in good)
 
 
 def test_corr_coproduct(capsys):
@@ -737,6 +738,7 @@ SUBCOMMAND_SHA256 = {
         0, "3ac05e333636ef0fcb4aa1717f2b60cf8ed2ebf8c9e895919dd1a664a06d9964"),
     ("corr", "coproduct", "0", "2", "--format", "json"): (
         0, "a394d859e22d9a84cc98bbbd003b876a43ab0eab7ef11ba6cf77742d69283c88"),
+    ("search", "nagata"): (0, "08e66db96fd8d76cce6a3f3d8dfe941243825b04c3ff346130ffcd1d1c99e22f"),
 }
 
 
@@ -867,6 +869,17 @@ def test_corpus_list_loads_neither_descent_nor_lattices(tmp_path):
     listed = _loaded(tmp_path, "corpus", "list")
     assert "corpus" in listed
     assert listed & {"descent", "lattices"} == set()
+
+
+def test_a_run_loads_the_modules_the_readme_lists(tmp_path):
+    # README's module table; the benchmark's `setup_s` and models children
+    # import along the first two
+    (tmp_path / "L.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(1))))
+    assert _loaded(tmp_path) == {"cli", "report"}
+    model = _loaded(tmp_path, "run", "--input", "L.json", "--suite", "model")
+    assert model == {"cli", "fincat", "lattices", "report", "serialization", "setups"}
+    search = _loaded(tmp_path, "search", "nagata")
+    assert search == {"cli", "fincat", "lattices", "report", "setups", "shriek", "spans"}
 
 
 def test_the_formalism_names_enumerated_classes_by_their_representatives(monkeypatch):

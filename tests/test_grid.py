@@ -1,6 +1,8 @@
 """Staircase poset, exact squares, and grid enumeration."""
 
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,69 @@ def test_edge_class_flags():
     rep = check_geometric_setup(GeometricSetup(c, inj))
     assert next(ch for ch in rep.checks if ch.name == "pullback-stability").status == "pass"
     assert surj.composition_witness() is None
+
+
+def _coverage_from_fiber_sizes(sizes: list[int], marked) -> tuple[int, int]:
+    """`pullback-existence`'s (covered, gaps) on the all-function carrier
+    with these object sizes, with no pullback taken.  Of the maps x -> z,
+    |x|! / prod v_i! have fiber sizes v; a marked map with fiber sizes v and
+    any map with fiber sizes w into the same z have a fiber product of
+    sum v_i w_i elements, which the carrier covers exactly when some object
+    has that size.  `marked(v)` says whether a map with fiber sizes v is in E."""
+    covered = gaps = 0
+    for z in sizes:
+        maps = Counter()
+        for x in sizes:
+            for v in itertools.product(range(x + 1), repeat=z):
+                if sum(v) == x:
+                    maps[v] += math.factorial(x) // math.prod(map(math.factorial, v))
+        for v, f_count in maps.items():
+            if not marked(v):
+                continue
+            for w, g_count in maps.items():
+                if sum(a * b for a, b in zip(v, w)) in sizes:
+                    covered += f_count * g_count
+                else:
+                    gaps += f_count * g_count
+    return covered, gaps
+
+
+def _inj_or_surj(v) -> bool:
+    return all(n <= 1 for n in v) or all(n >= 1 for n in v)
+
+
+def _pullback_coverage(sizes: list[int]) -> dict:
+    """Per marked class E (all maps; injections and surjections): the
+    (covered, gaps) the setup check reports, and the closed form's."""
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    out = {}
+    for name, e, marked in (
+        ("all", all_class(c), lambda v: True),
+        ("inj-or-surj", EdgeClass(c, injections(c) | surjections(c)), _inj_or_surj),
+    ):
+        rep = check_geometric_setup(GeometricSetup(c, e))
+        note = next(ch for ch in rep.checks if ch.name == "pullback-existence").witness
+        out[name] = ((note["covered"], note["gaps"]), _coverage_from_fiber_sizes(sizes, marked))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_pullback_coverage_matches_the_count_from_fiber_sizes(sizes):
+    out = _pullback_coverage(sizes)
+    assert all(found == closed for found, closed in out.values()), out
+
+
+@pytest.mark.parametrize(
+    "sizes, counts",
+    [
+        ([0, 1, 2, 2], {"all": (239, 20), "inj-or-surj": (167, 4)}),
+        ([1, 2, 4], {"all": (39894, 36775), "inj-or-surj": (9744, 1701)}),
+    ],
+)
+def test_pullback_coverage_on_two_carriers(sizes, counts):
+    out = _pullback_coverage(sizes)
+    assert out == {name: (count, count) for name, count in counts.items()}
 
 
 @st.composite

@@ -2,7 +2,7 @@
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
 table outside `fincat`, no CLI argument its subcommand does not read, no
 subcommand but `run` that runs a suite, one CLI function that gates a
-factorization setup, no definition that only unit tests name, and one
+factorization setup, one routine that reports a sub-setup, no definition that only unit tests name, and one
 exception class for malformed input and one for a carrier gap."""
 
 import ast
@@ -226,14 +226,29 @@ def test_every_definition_is_named_outside_the_unit_tests():
     assert sorted(unreached) == sorted(KEPT_FOR_TESTS)
 
 
+def _namers(name: str) -> list[str]:
+    """`module.definition` for each top-level definition in the package,
+    other than `name`'s own, that names `name`, and `module` for module-level
+    code that does (an import, say)."""
+    out = []
+    for mod, tree in _trees().items():
+        for node in tree.body:
+            if getattr(node, "name", None) != name and _names(node)[name]:
+                out.append(f"{mod}.{node.name}" if hasattr(node, "name") else mod)
+    return out
+
+
 def test_one_function_of_the_cli_gates_a_factorization_setup():
-    # the theorem suite and `shriek build` refuse on the same checks only
-    # if one function runs them for both
+    # the theorem suite, `shriek build` and `search nagata` refuse on the
+    # same checks only if one function runs them for all three
     checks = ("check_nagata", "verify_hypotheses", "check_class_consistency")
-    functions = [fn for fn in _trees()["cli"].body if isinstance(fn, ast.FunctionDef)]
-    naming = {check: [fn.name for fn in functions if _names(fn)[check]] for check in checks}
-    assert len(naming[checks[0]]) == 1
-    assert naming == {check: naming[checks[0]] for check in checks}
+    assert {check: _namers(check) for check in checks} == {check: ["cli._gated_shriek"] for check in checks}
+
+
+def test_one_routine_reports_a_sub_setup():
+    # a factorization setup's classes and a pair's four setups are judged
+    # by one verdict; only the setup suite reports the whole check
+    assert _namers("check_geometric_setup") == ["cli._setup_suite", "setups.merge_sub_setup"]
 
 
 def test_one_error_for_malformed_input_and_one_for_a_carrier_gap():

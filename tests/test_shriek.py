@@ -38,7 +38,6 @@ from corrkit.shriek import (
     check_independence,
     check_nagata,
     check_shriek_projection,
-    search_nagata,
     span_value,
     verify_hypotheses,
 )
@@ -458,23 +457,3 @@ def test_span_value_requires_marked_right_leg():
     sa = build_shriek(ns, sys)
     with pytest.raises(MalformedInputError):
         span_value(sa, Span("1>1:0", "1>2:0"))
-
-
-# -- search ---------------------------------------------------------------
-
-
-def test_search_nagata_no_mixed_positive_in_catalog():
-    s = _setup()
-    sys = frame_system(s, chain_lattice(1))
-    c = s.category
-    catalog = {
-        "all": all_class(c),
-        "isos": iso_class(c),
-        "inj": EdgeClass(c, injections(c)),
-        "surj": EdgeClass(c, surjections(c)),
-    }
-    results = search_nagata(s, sys, catalog)
-    assert len(results) == 16
-    good = [r for r in results if r["axioms"] and r["hypotheses"]]
-    assert {("all", "isos"), ("isos", "all")} <= {(r["i"], r["p"]) for r in good}
-    assert not any(r["mixed"] for r in good)
