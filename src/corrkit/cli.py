@@ -304,18 +304,10 @@ def _load_input(path: str):
     return loads(text)
 
 
-def _expected_failures(inst: CorpusInstance, suite: str) -> set:
-    return set(inst.expect_fail.get(suite, ()))
-
-
-def _suite_of(rep: VerificationReport) -> str:
-    return rep.suite.rsplit(":", 1)[1]
-
-
 def _as_documented(inst: CorpusInstance, rep: VerificationReport) -> bool:
     failed = {c.name for c in rep.failures}
     limited = any(c.status == RESOURCE_LIMIT for c in rep.checks)
-    return failed == _expected_failures(inst, _suite_of(rep)) and not limited
+    return failed == set(inst.expect_fail.get(rep.suite.rsplit(":", 1)[1], ())) and not limited
 
 
 def run(config: WorkspaceConfig):
@@ -544,30 +536,27 @@ def _cmd_search_nagata(args, out) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-_FLAGS = {
-    "--format": {"choices": FORMATS, "default": "text"},
-}
-
+_FORMAT = ("--format", {"choices": FORMATS, "default": "text"})
 
 # command -> (help, its subcommands) or (help, function, arguments); an
-# argument is a name in _FLAGS or a (name, add_argument keywords) pair, and
-# each subcommand declares only the arguments it reads
+# argument is a (name, add_argument keywords) pair, and each subcommand
+# declares only the arguments it reads
 _COMMANDS = {
     "run": ("run check suites over inputs or the bundled corpus", _cmd_run, (
         ("--input", {"action": "append", "help": "JSON envelope; repeatable"}),
         ("--instance", {"action": "append", "help": "bundled instance name; repeatable"}),
         ("--suite", {"action": "append", "choices": SUITE_ORDER, "help": "restrict to a suite; repeatable"}),
-        "--format")),
-    "corpus": ("bundled instances", {"list": ("list bundled instances", _cmd_corpus_list, ("--format",))}),
+        _FORMAT)),
+    "corpus": ("bundled instances", {"list": ("list bundled instances", _cmd_corpus_list, (_FORMAT,))}),
     "grid": ("cartesian grids", {
         "enumerate": ("emit all cartesian grids as JSON", _cmd_grid_enumerate, (
             ("--k", {"type": int, "default": 2}), ("--n", {"type": int, "default": 1}))),
     }),
     "corr": ("correspondence cells and the homotopy category", {
         "enumerate": ("emit the n-cells as JSON", _cmd_corr_enumerate, (("--dim", {"type": int, "default": 1}),)),
-        "hocat": ("span laws and the homotopy category", _cmd_corr_hocat, ("--format",)),
+        "hocat": ("span laws and the homotopy category", _cmd_corr_hocat, (_FORMAT,)),
         "coproduct": ("coproduct universal property for a pair of objects", _cmd_corr_coproduct, (
-            ("x", {}), ("y", {}), "--format")),
+            ("x", {}), ("y", {}), _FORMAT)),
     }),
     "shriek": ("exceptional pushforwards", {
         "build": ("build and print the pushforward tables", _cmd_shriek_build, (
@@ -592,8 +581,7 @@ def _register(parser, commands: dict, named: list, dest: str) -> None:
             _register(p, body[0], named[1:], "subcommand")
             continue
         func, arguments = body
-        for arg in arguments:
-            flag, keywords = (arg, _FLAGS[arg]) if isinstance(arg, str) else arg
+        for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
 

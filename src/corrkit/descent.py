@@ -72,13 +72,13 @@ def check_atlas(a: Atlas) -> VerificationReport:
     rep = VerificationReport("atlas")
     c = a.setup.category
     cospans = ((a.x, g) for y in a.small_objects for g in c.hom(y, a.target))
-    covered, gaps, outside = base_change_sweep(a.setup, cospans, a.s)
+    covered, gaps, _, outside = base_change_sweep(a.setup, cospans, a.s)
     rep.add(
         "base-changes-in-cover-class",
         outside is None,
         {"object": c.src(outside[1]), "along": outside[1], "base-change": outside[2]}
         if outside
-        else {"covered": covered, "gaps": len(gaps)},
+        else {"covered": covered, "gaps": gaps},
         anchor="atlas-base-change",
     )
     return rep
@@ -337,13 +337,13 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
     rep.add("atlases-exist", witness is None, witness or {}, anchor="pair-condition-c")
 
     cospans = ((f, a.x) for f in sorted(pd.big.e.members) for a in pd.atlases.get(c.dst(f), ()))
-    covered, gaps, outside = base_change_sweep(pd.big, cospans, pd.e_small)
+    covered, gaps, _, outside = base_change_sweep(pd.big, cospans, pd.e_small)
     rep.add(
         "exceptional-base-change",
         outside is None,
         {"morphism": outside[0], "atlas": outside[1], "base-change": outside[2]}
         if outside
-        else {"covered": covered, "gaps": len(gaps)},
+        else {"covered": covered, "gaps": gaps},
         anchor="pair-condition-d",
     )
     return rep

@@ -81,6 +81,12 @@ class FinCategory:
         """The composites `comp` has read, on an all-function carrier."""
         return {}
 
+    @cached_property
+    def _pullbacks(self) -> dict[tuple[str, str], tuple[str, str, str] | None]:
+        """Cospan (f, g) -> its canonical pullback or None: one memo that
+        every setup over this carrier reads and fills, whatever its class."""
+        return {}
+
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src(m)) == m and self.src(m) == self.dst(m)
 

@@ -6,11 +6,13 @@ contains the isomorphisms, is closed under composition, and whose members
 base-change along arbitrary morphisms.  Pullbacks come from
 `fincat.canonical_pullback`: constructed from function values in an
 all-function carrier, found by exhaustive universal-property search
-elsewhere.  Every other pullback is that one composed with an isomorphism
-into its apex, which is how `GeometricSetup.cones` lists them.  In a
-carrier that is missing some fiber products the oracle is partial, and
-`check_geometric_setup` reports coverage rather than inventing objects: a
-missing fiber product is a coverage gap, not a failure.
+elsewhere, and memoized once per carrier, because a pullback does not
+depend on the class.  Every other pullback is that one composed with an
+isomorphism into its apex, which is how `GeometricSetup.cones` lists
+them.  In a carrier that is missing some fiber products the oracle is
+partial, and `check_geometric_setup` reports coverage rather than
+inventing objects: a missing fiber product is a coverage gap, not a
+failure.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ def iso_class(c: FinCategory) -> EdgeClass:
 
 
 class GeometricSetup:
-    """A category with a marked class and a memoized canonical pullback oracle."""
+    """A category with a marked class and a canonical pullback oracle,
+    memoized on the category and shared by every setup over it."""
 
     def __init__(self, category: FinCategory, e: EdgeClass):
         self.category, self.e = category, e
-        # cospan (f, g) -> its canonical pullback or None, filled by `pullback_opt`
-        self._oracle: dict = {}
+        # the carrier's one pullback memo, filled by `pullback_opt`
+        self._oracle = category._pullbacks
         # lattice value -> its frame system, filled by `lattices.frame_system`
         self._systems: dict = {}
         # (atlas morphism, level) -> its Čech nerve, filled by `descent.cech_nerve`
@@ -143,11 +146,11 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     rep.add("closed-under-composition", w is None, w or {}, anchor="setup-composition-closure")
 
     cospans = ((f, g) for f in sorted(s.e.members) for g in c._in_index.get(c.dst(f), ()))
-    covered, gaps, outside = base_change_sweep(s, cospans, s.e)
+    covered, gaps, first_gap, outside = base_change_sweep(s, cospans, s.e)
     rep.add(
         "pullback-existence",
         True,
-        {"covered": covered, "gaps": len(gaps), "first-gap": gaps[0] if gaps else None},
+        {"covered": covered, "gaps": gaps, "first-gap": first_gap},
         anchor="setup-pullbacks-exist",
     )
     rep.add(
@@ -167,17 +170,19 @@ def merge_sub_setup(rep: VerificationReport, name: str, s: GeometricSetup, ancho
     rep.add(name, bad is None, {"check": bad.name, "witness": bad.witness} if bad else {}, anchor=anchor)
 
 
-def base_change_sweep(s: GeometricSetup, cospans, members) -> tuple[int, list, tuple | None]:
+def base_change_sweep(s: GeometricSetup, cospans, members) -> tuple[int, int, list | None, tuple | None]:
     """Each cospan (f, g) pulled back through the oracle, in order: how many
-    the carrier covers, the ones it does not (its gaps), and the first
-    (f, g, q) whose base change q of f along g lies outside `members`."""
-    covered, gaps, outside = 0, [], None
+    the carrier covers, how many it does not (its gaps) and the first gap
+    [f, g], and the first (f, g, q) whose base change q of f along g lies
+    outside `members`."""
+    covered, gaps, first_gap, outside = 0, 0, None, None
     for f, g in cospans:
         pb = s.pullback_opt(f, g)
         if pb is None:
-            gaps.append([f, g])
+            gaps += 1
+            first_gap = first_gap or [f, g]
             continue
         covered += 1
         if outside is None and pb[2] not in members:
             outside = (f, g, pb[2])
-    return covered, gaps, outside
+    return covered, gaps, first_gap, outside

@@ -931,6 +931,35 @@ def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):
     assert len(systems) == 2 and systems[0] is systems[1]
 
 
+def test_every_setup_over_a_carrier_shares_its_canonical_pullbacks(monkeypatch, capsys):
+    # a pullback does not depend on the marked class, so the setups of the
+    # gates (the I and P classes, each catalogue pair) read the carrier's
+    # one memo and each cospan is constructed once per carrier
+    from corrkit import setups
+
+    built = []
+    canonical_pullback = setups.canonical_pullback
+    monkeypatch.setattr(
+        setups, "canonical_pullback", lambda c, f, g: built.append((c, f, g)) or canonical_pullback(c, f, g)
+    )
+    assert invoke(capsys, "search", "nagata")[0] == 0
+    # the 59 cospans of the 2-skeleton, against 1,179 with a memo per setup
+    assert len(built) == 59
+
+    # a fresh copy: the corpus caches its instances' carriers
+    ns = ser.loads(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
+    built.clear()
+    assert cli._reports("nagata-open", ns, ["setup"], {})[0].passed
+    swept = {(f, g) for _, f, g in built}
+    built.clear()
+    assert cli._reports("nagata-open", ns, ["theorem"], {})[0].passed
+    assert swept and all(c is ns.setup.category for c, _, _ in built)
+    assert not swept & {(f, g) for _, f, g in built}
+
+    c = ns.setup.category
+    assert GeometricSetup(c, iso_class(c))._oracle is ns.setup._oracle
+
+
 def test_a_run_loads_only_the_layers_its_suites_execute(tmp_path):
     (tmp_path / "lattice.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(2))))
     (tmp_path / "nagata.json").write_text(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))

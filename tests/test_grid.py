@@ -13,6 +13,7 @@ from corrkit.fincat import (
     finset_category,
     finset_skeleton,
     fn_values,
+    full_subcategory,
     function_table,
     injections,
     opposite,
@@ -164,6 +165,48 @@ def test_pullback_coverage_matches_the_count_from_fiber_sizes(sizes):
 def test_pullback_coverage_on_two_carriers(sizes, counts):
     out = _pullback_coverage(sizes)
     assert out == {name: (count, count) for name, count in counts.items()}
+
+
+_CLASSES = {
+    "all": all_class,
+    "iso": iso_class,
+    "inj": lambda c: EdgeClass(c, injections(c)),
+    "surj": lambda c: EdgeClass(c, surjections(c)),
+    "inj-or-surj": lambda c: EdgeClass(c, injections(c) | surjections(c)),
+}
+
+
+def _setup_report(c, name: str, memo: dict | None = None) -> dict:
+    """The setup check of class `name` over `c`, through the carrier's
+    pullback memo, or through `memo` in its place when one is given."""
+    s = GeometricSetup(c, _CLASSES[name](c))
+    if memo is not None:
+        s._oracle = memo
+    return check_geometric_setup(s).to_dict()
+
+
+# an object of size 2 or 3 pulls back two constant self-maps to 4 or 9
+# points, past every object, so each drawn carrier has gaps
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda sizes: max(sizes) >= 2),
+    st.sampled_from(sorted(_CLASSES)),
+    st.sampled_from(sorted(_CLASSES)),
+    st.data(),
+)
+def test_a_setup_reports_the_same_over_a_carrier_another_class_swept(sizes, first, second, data):
+    # every setup over a carrier reads and fills the carrier's one pullback
+    # memo; what one class's sweep left there must not change another's
+    # report, which is read against a fresh carrier through an empty memo
+    named = {f"o{i}": n for i, n in enumerate(sizes)}
+    c = finset_category(named)
+    _setup_report(c, first)
+    assert _setup_report(c, second) == _setup_report(finset_category(named), second, memo={})
+    # a full subcategory is a new carrier, whose canonical apex can differ
+    # from its parent's, so it reads none of the parent's pullbacks
+    kept = data.draw(st.lists(st.sampled_from(c.objects), min_size=1, unique=True))
+    fresh = finset_category({x: named[x] for x in kept})
+    assert _setup_report(full_subcategory(c, kept), second) == _setup_report(fresh, second, memo={})
 
 
 @st.composite

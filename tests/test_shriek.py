@@ -446,6 +446,62 @@ def test_formalism_mutation_located():
     assert "composition" in failed
 
 
+def _composition_counts(sizes) -> tuple[int, int]:
+    """`formalism:composition`'s (pairs, covered) over the all-function
+    carrier on `sizes` with every map marked, with no span composed.  A span
+    class x -> y is an |x| by |y| matrix over N whose entries sum to an
+    object size (stars and bars).  Classes a: x -> y and b: y -> z compose
+    through the fiber product of a's right leg and b's left leg, whose size
+    is a's column sums dotted with b's row sums; the pair is covered
+    exactly when some object has that size."""
+    apexes = set(sizes)
+    cols, rows = {}, {}
+    for x, y in itertools.product(range(len(sizes)), repeat=2):
+        m, n = sizes[x], sizes[y]
+        cols[(x, y)], rows[(x, y)] = Counter(), Counter()
+        for total in apexes:
+            for cells in itertools.combinations_with_replacement(range(m * n), total):
+                cols[(x, y)][tuple(sum(1 for k in cells if k % n == j) for j in range(n))] += 1
+                rows[(x, y)][tuple(sum(1 for k in cells if k // n == i) for i in range(m))] += 1
+    pairs = covered = 0
+    for x, y, z in itertools.product(range(len(sizes)), repeat=3):
+        pairs += cols[(x, y)].total() * rows[(y, z)].total()
+        for col, a_count in cols[(x, y)].items():
+            for row, b_count in rows[(y, z)].items():
+                if sum(i * j for i, j in zip(col, row)) in apexes:
+                    covered += a_count * b_count
+    return pairs, covered
+
+
+def _composition_report(sizes) -> tuple[int, int]:
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    s = GeometricSetup(c, all_class(c))
+    ns = NagataSetup(s, all_class(c), iso_class(c))
+    rep = check_formalism(assemble_formalism(ns, build_shriek(ns, frame_system(s, chain_lattice(1)))))
+    note = next(ch for ch in rep.checks if ch.name == "composition").witness
+    return note["pairs"], note["covered"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda sizes: sum(sizes) <= 6))
+def test_formalism_composition_matches_the_count_from_span_matrices(sizes):
+    assert _composition_report(sizes) == _composition_counts(sizes)
+
+
+@pytest.mark.parametrize(
+    "sizes, counts",
+    [
+        ([1, 2], (410, 264)),
+        ([0, 1, 2], (593, 545)),
+        ([1, 1, 2], (738, 476)),
+        ([2, 2], (800, 512)),
+        ([1, 2, 3], (119878, 72786)),
+    ],
+)
+def test_formalism_composition_on_five_carriers(sizes, counts):
+    assert _composition_report(sizes) == _composition_counts(sizes) == counts
+
+
 def test_span_value_requires_marked_right_leg():
     s = _setup()
     sys = frame_system(s, chain_lattice(1))
