@@ -318,23 +318,19 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
         anchor="pair-condition-b",
     )
 
-    witness = None
-    for obj in c.objects:
-        lst = pd.atlases.get(obj, ())
-        if not lst:
-            witness = {"object": obj, "reason": "no atlas declared"}
-            break
-        for a in lst:
-            if a.source not in pd.small_objects:
-                witness = {"object": obj, "atlas": a.x, "reason": "mistyped atlas"}
-                break
-            sub = check_atlas(a)
-            if not sub.passed:
-                witness = {"object": obj, "atlas": a.x, "witness": sub.first_failure().witness}
-                break
-        if witness:
-            break
-    rep.add("atlases-exist", witness is None, witness or {}, anchor="pair-condition-c")
+    def no_atlas(case):
+        obj, a = case
+        if a is None:
+            return {"object": obj, "reason": "no atlas declared"}
+        if a.source not in pd.small_objects:
+            return {"object": obj, "atlas": a.x, "reason": "mistyped atlas"}
+        sub = check_atlas(a)
+        if not sub.passed:
+            return {"object": obj, "atlas": a.x, "witness": sub.first_failure().witness}
+
+    # an object with no atlas is one case, (obj, None)
+    atlases = ((obj, a) for obj in c.objects for a in pd.atlases.get(obj) or (None,))
+    rep.sweep("atlases-exist", atlases, no_atlas, anchor="pair-condition-c")
 
     cospans = ((f, a.x) for f in sorted(pd.big.e.members) for a in pd.atlases.get(c.dst(f), ()))
     covered, gaps, _, outside = base_change_sweep(pd.big, cospans, pd.e_small)
@@ -528,7 +524,7 @@ def check_descent(setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas) -
         return rep
     dd, L0 = _descent_positions(sys, nerve), sys.lattice(nerve.objects[0])
 
-    witness = None
+    pulls = []
     if nerve.m >= 2:
         c = setup.category
         vertex = (
@@ -537,18 +533,15 @@ def check_descent(setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas) -
             c.comp(nerve.faces[(1, 0)], nerve.faces[(2, 0)]),
         )
         pulls = [sys.pull(v).targets for v in vertex]
-        names = sys.lattice(nerve.objects[2]).elements
-        for l in dd:
-            vals = {p[l] for p in pulls}
-            if len(vals) != 1:
-                witness = {"element": L0.elements[l], "values": sorted(names[v] for v in vals)}
-                break
-    rep.add(
-        "cocycle-condition",
-        witness is None,
-        witness or {"level": nerve.m, "vacuous": nerve.m < 2},
-        anchor="cech-cocycle",
-    )
+
+    def vertices_disagree(l):
+        vals = {p[l] for p in pulls}
+        if len(vals) != 1:
+            names = sys.lattice(nerve.objects[2]).elements
+            return {"element": L0.elements[l], "values": sorted(names[v] for v in vals)}
+
+    counts = {"level": nerve.m, "vacuous": nerve.m < 2}
+    rep.sweep("cocycle-condition", dd if pulls else (), vertices_disagree, anchor="cech-cocycle", counts=counts)
 
     x = atlas.x
     base = sys.lattice(atlas.target)
@@ -600,22 +593,18 @@ def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: 
     by_image: dict = {}
     for j, l2 in enumerate(dd2):
         by_image.setdefault(p2[l2], []).append(j)
-    table = []
-    witness = None
-    for l1 in dd1:
-        cands = by_image.get(p1[l1], ())
-        if len(cands) != 1:
-            witness = {"element": sys.lattice(n1.objects[0]).elements[l1], "candidates": len(cands)}
-            break
-        table.append(cands[0])
-    rep.add(
-        "comparison-unique",
-        witness is None,
-        witness or {"size": len(dd1)},
-        anchor="atlas-independence-zigzag",
-    )
-    if witness is not None:
+    cands = [by_image.get(p1[l1], ()) for l1 in dd1]
+
+    def not_unique(case):
+        l1, cs = case
+        if len(cs) != 1:
+            return {"element": sys.lattice(n1.objects[0]).elements[l1], "candidates": len(cs)}
+
+    if rep.sweep(
+        "comparison-unique", zip(dd1, cands), not_unique, anchor="atlas-independence-zigzag", counts={"size": len(dd1)}
+    ):
         return rep
+    table = [cs[0] for cs in cands]
 
     L1 = descent_lattice(sys, n1)
     L2 = descent_lattice(sys, n2)
@@ -854,50 +843,32 @@ def check_localization_premises(lp: LocalizationProblem) -> VerificationReport:
     rep = VerificationReport("localization-premises")
     src, dst = lp.p.source, lp.p.target
 
-    witness = None
-    hit_objs = {lp.p.on_obj(x) for x in src.objects}
-    missing = sorted(set(dst.objects) - hit_objs)
-    if missing:
-        witness = {"dimension": 0, "simplex": missing[0]}
-    if witness is None:
-        hit_mors = {lp.p.on_mor(m) for m in src.morphism_ids}
-        missing = sorted(set(dst.morphism_ids) - hit_mors)
-        if missing:
-            witness = {"dimension": 1, "simplex": missing[0]}
-    if witness is None:
-        hit_pairs = {
-            (lp.p.on_mor(g), lp.p.on_mor(f)) for g, f in src.composable_pairs
-        }
-        for pair in dst.composable_pairs:
-            if pair not in hit_pairs:
-                witness = {"dimension": 2, "simplex": list(pair)}
-                break
-    rep.add(
-        "nerve-surjectivity",
-        witness is None,
-        witness or {"objects": len(dst.objects), "morphisms": len(dst.morphism_ids)},
-        anchor="localization-premise-nerve",
+    images = (
+        lambda: {lp.p.on_obj(x) for x in src.objects},
+        lambda: {lp.p.on_mor(m) for m in src.morphism_ids},
+        lambda: {(lp.p.on_mor(g), lp.p.on_mor(f)) for g, f in src.composable_pairs},
     )
+    cells = (sorted(dst.objects), sorted(dst.morphism_ids), dst.composable_pairs)
 
-    witness = None
-    checked = 0
-    for d in dst.objects:
-        fib = fiber_category(lp, d)
-        for c1 in fib.objects:
-            for c2 in fib.objects:
-                checked += 1
-                if not _fiber_product_exists(lp, fib, c1, c2):
-                    witness = {"object": d, "pair": [c1, c2]}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add(
-        "fiber-products",
-        witness is None,
-        witness or {"pairs": checked},
-        anchor="localization-premise-products",
+    def missed(case):
+        n, cell, image = case
+        if cell not in image:
+            return {"dimension": n, "simplex": list(cell) if n == 2 else cell}
+
+    # a dimension's image is built once the cells below it are all hit
+    cases = ((n, cell, image) for n in range(3) for image in (images[n](),) for cell in cells[n])
+    counts = {"objects": len(dst.objects), "morphisms": len(dst.morphism_ids)}
+    rep.sweep("nerve-surjectivity", cases, missed, anchor="localization-premise-nerve", counts=counts)
+
+    def no_product(case):
+        d, fib, c1, c2 = case
+        if not _fiber_product_exists(lp, fib, c1, c2):
+            return {"object": d, "pair": [c1, c2]}
+
+    fibers = ((d, fiber_category(lp, d)) for d in dst.objects)
+    pairs = ((d, fib, c1, c2) for d, fib in fibers for c1 in fib.objects for c2 in fib.objects)
+    rep.sweep(
+        "fiber-products", pairs, no_product, anchor="localization-premise-products", counts=lambda n, _: {"pairs": n}
     )
     return rep
 

@@ -295,20 +295,26 @@ def check_category(c: FinCategory) -> VerificationReport:
         return rep
 
     # the table is closed and well typed from here on, so it is read directly
-    unit_witness = None
-    for m in c.morphism_ids:
+    def not_unital(m):
         x, y = c.morphisms[m]
         if compose[(m, c.identity[x])] != m or compose[(c.identity[y], m)] != m:
-            unit_witness = {"morphism": m}
-            break
-    rep.add("identity-units", unit_witness is None, unit_witness or {})
+            return {"morphism": m}
+
+    rep.sweep("identity-units", c.morphism_ids, not_unital)
+
+    def not_associative(triple):
+        h, g, f = triple
+        if compose[(h, compose[(g, f)])] != compose[(compose[(h, g)], f)]:
+            return {"triple": [h, g, f]}
 
     # T = {a : (h.a).f == h.(a.f) for all h, f} is closed under composition
     # in a closed, typed table, so it holds every id once it holds the
     # generators (Light's test; Clifford and Preston, The Algebraic Theory
-    # of Semigroups I, 1.2); a failed sweep rescans for the first witness
-    assoc_witness = None if _associative_on_generators(c, compose) else _associativity_witness(c, compose)
-    rep.add("associativity", assoc_witness is None, assoc_witness or {})
+    # of Semigroups I, 1.2); a failed sweep rescans every pair (g, f) with h
+    # in `morphism_ids` order, for the first witness a scan of every id finds
+    out = c._out_index
+    triples = ((h, g, f) for g, f in c.composable_pairs for h in out.get(c.morphisms[g][1], ()))
+    rep.sweep("associativity", triples, not_associative, fast=lambda: _associative_on_generators(c, compose))
     return rep
 
 
@@ -325,21 +331,6 @@ def _associative_on_generators(c: FinCategory, compose: dict) -> bool:
             if [compose[(h, af)] for h in hs] != [compose[(ha, f)] for ha in has]:
                 return False
     return True
-
-
-def _associativity_witness(c: FinCategory, compose: dict) -> dict | None:
-    """The first failing triple of the table `compose` in the scan over
-    every composable pair.
-
-    h runs over the ids out of dst(g) in `morphism_ids` order, so the first
-    witness is the one a scan over every id would find."""
-    out = c._out_index
-    for g, f in c.composable_pairs:
-        gf = compose[(g, f)]
-        for h in out.get(c.morphisms[g][1], ()):
-            if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
-                return {"triple": [h, g, f]}
-    return None
 
 
 def compose_table_witness(c: FinCategory, compose: dict) -> dict | None:
@@ -372,32 +363,26 @@ def check_functor(F: FunctorData) -> VerificationReport:
     if missing:
         raise MalformedInputError(f"functor maps not total: {sorted(missing)[:5]}")
 
-    typing_witness = None
-    for m in s.morphism_ids:
+    def mistyped(m):
         fm = F.mor_map[m]
         if fm not in t.morphisms:
-            typing_witness = {"morphism": m, "problem": "image unlisted"}
-            break
+            return {"morphism": m, "problem": "image unlisted"}
         if t.morphisms[fm] != (F.obj_map[s.src(m)], F.obj_map[s.dst(m)]):
-            typing_witness = {"morphism": m, "problem": "source/target not preserved"}
-            break
-    rep.add("typing", typing_witness is None, typing_witness or {})
-    if typing_witness:
-        return rep
+            return {"morphism": m, "problem": "source/target not preserved"}
 
-    id_witness = None
-    for x in s.objects:
+    def identity_moved(x):
         if F.mor_map[s.identity[x]] != t.identity[F.obj_map[x]]:
-            id_witness = {"object": x}
-            break
-    rep.add("identities", id_witness is None, id_witness or {})
+            return {"object": x}
 
-    comp_witness = None
-    for g, f in s.composable_pairs:
+    def composite_moved(pair):
+        g, f = pair
         if F.mor_map[s.comp(g, f)] != t.comp(F.mor_map[g], F.mor_map[f]):
-            comp_witness = {"pair": [g, f]}
-            break
-    rep.add("composites", comp_witness is None, comp_witness or {})
+            return {"pair": [g, f]}
+
+    if rep.sweep("typing", s.morphism_ids, mistyped):
+        return rep
+    rep.sweep("identities", s.objects, identity_moved)
+    rep.sweep("composites", s.composable_pairs, composite_moved)
     return rep
 
 

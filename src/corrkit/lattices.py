@@ -795,18 +795,18 @@ def check_kunneth(sys: CoefficientSystem, f1: str, f2: str) -> VerificationRepor
     p1_of, q1_of, s1 = sys.pull(p1).targets, sys.pull(q1).targets, star1.targets
     q2_s2 = _compose(q2_of, star2.targets)
     TP, TQ = DP._tensor_rows, DQ._tensor_rows
-    witness = None
-    for M in range(len(s1)):
+
+    def row_differs(M):
         lhs = _compose(s12, _compose(TP[p1_of[M]], p2_of))
         rhs = _compose(TQ[q1_of[s1[M]]], q2_s2)
         if lhs != rhs:
             N, names = _first_difference(lhs, rhs), DQ.elements
-            witness = {
+            return {
                 "M": sys.lattice(x1).elements[M],
                 "N": sys.lattice(x2).elements[N],
                 "starred-box": names[lhs[N]],
                 "box-of-starred": names[rhs[N]],
             }
-            break
-    rep.add("kunneth-identity", witness is None, witness or {}, anchor="kunneth-external-product")
+
+    rep.sweep("kunneth-identity", range(len(s1)), row_differs, anchor="kunneth-external-product")
     return rep

@@ -64,6 +64,31 @@ class VerificationReport:
         status = PASS if ok else FAIL
         self.checks.append(CheckResult(name, status, dict(witness or {}), anchor))
 
+    def sweep(self, name: str, cases, test, *, anchor: str = "", counts=None, fast=None) -> dict | None:
+        """Report `name` by a first-witness scan; return the witness or None.
+
+        `test(case)` runs on each case in order: None passes the case, else
+        it returns the witness as the report prints it, a FAIL that ends the
+        scan.  A case whose test raises `ResourceLimitError` is a carrier
+        gap: scanned, not covered, never a failure.  With no witness the
+        check passes with `counts`, a dict or a function of the numbers of
+        cases scanned and covered.  A true `fast()` passes with no scan (a
+        function `counts` reads 0, 0); a false one runs the scan, so every
+        witness is the scan's first."""
+        scanned = gaps = 0
+        if fast is None or not fast():
+            for scanned, case in enumerate(cases, 1):
+                try:
+                    found = test(case)
+                except ResourceLimitError:
+                    gaps += 1
+                    continue
+                if found is not None:
+                    self.add(name, False, found, anchor)
+                    return found
+        self.add(name, True, counts(scanned, scanned - gaps) if callable(counts) else counts, anchor)
+        return None
+
     def add_limit(self, name: str, witness: dict | None = None, anchor: str = "") -> None:
         self.checks.append(CheckResult(name, RESOURCE_LIMIT, dict(witness or {}), anchor))
 

@@ -219,6 +219,8 @@ def lattice_from_dict(d: dict) -> FiniteLattice:
 
     _check_fields(d, LATTICE_SCHEMA, ("elements", "leq", "frame"), ("tensor",))
     elements = _strings(d["elements"], "lattice elements")
+    if len(set(elements)) != len(elements):
+        raise MalformedInputError(f"duplicate element {next(x for x in elements if elements.count(x) > 1)!r}")
     leq = _string_tuples(d["leq"], 2, "leq")
     if not isinstance(d["frame"], bool):
         raise MalformedInputError("frame flag must be true or false")

@@ -22,8 +22,9 @@ from .report import MalformedInputError, ResourceLimitError, VerificationReport
 
 
 class EdgeClass:
-    """A subset of morphism ids.  Every closure witness is recomputed from
-    the tables; nothing is trusted from input."""
+    """A subset of morphism ids.  Nothing is trusted from input:
+    `check_geometric_setup` recomputes every closure witness from the
+    tables."""
 
     def __init__(self, carrier: FinCategory, members: frozenset[str]):
         self.carrier, self.members = carrier, members
@@ -37,24 +38,6 @@ class EdgeClass:
 
     def __contains__(self, m: str) -> bool:
         return m in self.members
-
-    def iso_closure_witness(self) -> dict | None:
-        missing = sorted(self.carrier.iso_ids - self.members)
-        return {"missing-iso": missing[0]} if missing else None
-
-    def composition_witness(self) -> dict | None:
-        """The first pair of members, in `composable_pairs` order, whose
-        composite is not a member."""
-        c, members = self.carrier, self.members
-        into = c._in_index
-        for g in c.morphism_ids:
-            if g in members:
-                for f in into.get(c.morphisms[g][0], ()):
-                    if f in members:
-                        h = c.composite(g, f)
-                        if h not in members:
-                            return {"pair": [g, f], "composite": h}
-        return None
 
 
 def all_class(c: FinCategory) -> EdgeClass:
@@ -140,10 +123,20 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     rep = VerificationReport("check-geometric-setup")
     c = s.category
 
-    w = s.e.iso_closure_witness()
-    rep.add("contains-isomorphisms", w is None, w or {}, anchor="setup-iso-closure")
-    w = s.e.composition_witness()
-    rep.add("closed-under-composition", w is None, w or {}, anchor="setup-composition-closure")
+    members, into = s.e.members, c._in_index
+    missing = sorted(c.iso_ids - members)
+    rep.add(
+        "contains-isomorphisms", not missing, {"missing-iso": missing[0]} if missing else {}, anchor="setup-iso-closure"
+    )
+
+    def leaves(pair):
+        h = c.composite(*pair)
+        if h not in members:
+            return {"pair": list(pair), "composite": h}
+
+    # the pairs of members in `composable_pairs` order; each composite read once
+    pairs = ((g, f) for g in c.morphism_ids if g in members for f in into.get(c.morphisms[g][0], ()) if f in members)
+    rep.sweep("closed-under-composition", pairs, leaves, anchor="setup-composition-closure")
 
     cospans = ((f, g) for f in sorted(s.e.members) for g in c._in_index.get(c.dst(f), ()))
     covered, gaps, first_gap, outside = base_change_sweep(s, cospans, s.e)

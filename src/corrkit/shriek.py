@@ -25,7 +25,7 @@ from .lattices import (
     projection_witness,
     right_adjoint,
 )
-from .report import MalformedInputError, ResourceLimitError, VerificationReport
+from .report import MalformedInputError, VerificationReport
 from .setups import EdgeClass, GeometricSetup, NagataSetup, merge_sub_setup
 from .spans import HCorr, Span, compose_spans
 
@@ -43,9 +43,17 @@ def check_nagata(ns: NagataSetup) -> VerificationReport:
         {"morphism": missing[0]} if missing else {},
         anchor="nagata-axiom-2",
     )
+    into = c._in_index
     for label, cls in (("i", ns.i_class), ("p", ns.p_class)):
-        witness = _cancellation_witness(cls)
-        rep.add(f"cancellation-{label}", witness is None, witness or {}, anchor="nagata-axiom-3")
+
+        def fails_to_cancel(pair):
+            h = c.composite(*pair)
+            if (pair[1] in cls.members) != (h in cls.members):
+                return {"pair": list(pair), "composite": h}
+
+        # (g, f) with g a member, in `composable_pairs` order; each composite read once
+        pairs = ((g, f) for g in c.morphism_ids if g in cls.members for f in into.get(c.morphisms[g][0], ()))
+        rep.sweep(f"cancellation-{label}", pairs, fails_to_cancel, anchor="nagata-axiom-3")
     overlap = ns.i_class.members & ns.p_class.members
     bad = sorted(overlap - set(c.mono_ids))
     rep.add(
@@ -55,20 +63,6 @@ def check_nagata(ns: NagataSetup) -> VerificationReport:
         anchor="nagata-axiom-4",
     )
     return rep
-
-
-def _cancellation_witness(cls: EdgeClass) -> dict | None:
-    """The first pair (g, f), in `composable_pairs` order, with g a member
-    and f a member exactly when g . f is not; each composite read once."""
-    c, members = cls.carrier, cls.members
-    into = c._in_index
-    for g in c.morphism_ids:
-        if g in members:
-            for f in into.get(c.morphisms[g][0], ()):
-                h = c.composite(g, f)
-                if (f in members) != (h in members):
-                    return {"pair": [g, f], "composite": h}
-    return None
 
 
 def factorizations(ns: NagataSetup, f: str) -> list[tuple[str, str, str]]:
@@ -141,15 +135,14 @@ def build_shriek(ns: NagataSetup, sys: CoefficientSystem) -> ShriekAssignment:
 def check_class_consistency(sa: ShriekAssignment) -> VerificationReport:
     """Open-like maps get the left adjoint, proper-like maps the right one."""
     rep = VerificationReport("shriek-class-consistency")
-    witness = None
-    for f in sorted(sa.ns.setup.e.members):
+
+    def inconsistent(f):
         if f in sa.ns.i_class.members and not sa.shriek[f].same_table(_sharp(sa.sys, f)):
-            witness = {"morphism": f, "class": "open-like"}
-            break
+            return {"morphism": f, "class": "open-like"}
         if f in sa.ns.p_class.members and not sa.shriek[f].same_table(_star(sa.sys, f)):
-            witness = {"morphism": f, "class": "proper-like"}
-            break
-    rep.add("class-consistency", witness is None, witness or {}, anchor="shriek-on-marked-classes")
+            return {"morphism": f, "class": "proper-like"}
+
+    rep.sweep("class-consistency", sorted(sa.ns.setup.e.members), inconsistent, anchor="shriek-on-marked-classes")
     return rep
 
 
@@ -206,32 +199,15 @@ def _construct_squares(ns: NagataSetup) -> list[tuple[str, str, str, str]]:
     return [sq for _, sq in sorted(keyed)]
 
 
-def _projection_sweep(rep, name, sys, members, push, relation, anchor) -> None:
-    """Report `name`: the first morphism f of `members`, in id order, whose
-    map push(sys, f) fails `projection_witness` for `relation`, else the
-    count."""
-    for f in sorted(members):
-        found = projection_witness(sys, f, push(sys, f), relation)
-        if found:
-            rep.add(name, False, {"morphism": f, "witness": found}, anchor=anchor)
-            return
-    rep.add(name, True, {"morphisms": len(members)}, anchor=anchor)
+def _projection_failure(sys: CoefficientSystem, f: str, push: LatticeMap, relation: str) -> dict | None:
+    """`projection_witness` for f and push, under the morphism it names."""
+    found = projection_witness(sys, f, push, relation)
+    return None if found is None else {"morphism": f, "witness": found}
 
 
-def _square_sweep(rep, name, squares, test, anchor) -> None:
-    """Report `name`: the first square, in order, for which `test` returns
-    a witness, else the count."""
-    for square in squares:
-        found = test(*square)
-        if found:
-            rep.add(name, False, {"square": _square_id(square), **found}, anchor=anchor)
-            return
-    rep.add(name, True, {"squares": len(squares)}, anchor=anchor)
-
-
-def _mate_witness(side: str, sq: SquareData) -> dict | None:
+def _mate_witness(side: str, square, sq: SquareData) -> dict | None:
     sub = check_adjointable(sq, side)
-    return None if sub.passed else {"witness": sub.first_failure().witness}
+    return None if sub.passed else {"square": _square_id(square), "witness": sub.first_failure().witness}
 
 
 def verify_hypotheses(ns: NagataSetup, sys: CoefficientSystem) -> VerificationReport:
@@ -243,24 +219,35 @@ def verify_hypotheses(ns: NagataSetup, sys: CoefficientSystem) -> VerificationRe
     # holds elementwise: the left adjoint pushes below, the right one above
     for flavor, cls, push, relation in (("sharp", ns.i_class, _sharp, "<="), ("star", ns.p_class, _star, ">=")):
         name = f"projection-formula-{flavor}"
-        _projection_sweep(rep, name, sys, cls.members, push, relation, name)
+        rep.sweep(
+            name,
+            sorted(cls.members),
+            lambda f: _projection_failure(sys, f, push(sys, f), relation),
+            anchor=name,
+            counts=lambda morphisms, _: {"morphisms": morphisms},
+        )
 
     for cls, side, name in ((ns.i_class, "left", "i-base-change"), (ns.p_class, "right", "p-base-change")):
 
-        def mate(right, top, bottom, left, side=side):
-            return _mate_witness(side, SquareData(p=sys.pull(right), u=sys.pull(top), v=sys.pull(left), q=sys.pull(bottom)))
+        def mate(square):
+            right, top, bottom, left = square
+            sq = SquareData(p=sys.pull(right), u=sys.pull(top), v=sys.pull(left), q=sys.pull(bottom))
+            return _mate_witness(side, square, sq)
 
-        _square_sweep(rep, name, cartesian_squares(ns, cls, ns.setup.e), mate, f"{name}-adjointable")
+        squares = cartesian_squares(ns, cls, ns.setup.e)
+        rep.sweep(name, squares, mate, anchor=f"{name}-adjointable", counts={"squares": len(squares)})
 
-    def support(j, p, j2, p2):
+    def support(square):
+        j, p, j2, p2 = square
         try:
             # commuting here is exactly left base change for this square
             sq = SquareData(p=sys.pull(p2), u=_sharp(sys, j), v=_sharp(sys, j2), q=sys.pull(p))
         except MalformedInputError as e:
-            return {"witness": str(e)}
-        return _mate_witness("right", sq)
+            return {"square": _square_id(square), "witness": str(e)}
+        return _mate_witness("right", square, sq)
 
-    _square_sweep(rep, "support-property", cartesian_squares(ns, ns.i_class, ns.p_class), support, "support-property-square")
+    squares = cartesian_squares(ns, ns.i_class, ns.p_class)
+    rep.sweep("support-property", squares, support, anchor="support-property-square", counts={"squares": len(squares)})
     return rep
 
 
@@ -273,25 +260,22 @@ def check_independence(ns: NagataSetup, sys: CoefficientSystem, f: str) -> Verif
         raise MalformedInputError(f"no factorization for {f!r}")
     _, j, p = facts[0]
     canonical = _compose(_star(sys, p).targets, _sharp(sys, j).targets)
-    witness = None
-    for k, j, p in facts[1:]:
+
+    def disagrees(fact):
+        k, j, p = fact
         star, sharp = _star(sys, p), _sharp(sys, j)
         got = _compose(star.targets, sharp.targets)
         if got != canonical:
             e, names = _first_difference(got, canonical), star.dst.elements
-            witness = {
+            return {
                 "factorization": [k, j, p],
                 "element": sharp.src.elements[e],
                 "canonical": names[canonical[e]],
                 "candidate": names[got[e]],
             }
-            break
-    rep.add(
-        "factorization-independence",
-        witness is None,
-        witness or {"factorizations": len(facts)},
-        anchor="exceptional-map-well-defined",
-    )
+
+    counts = {"factorizations": len(facts)}
+    rep.sweep("factorization-independence", facts[1:], disagrees, anchor="exceptional-map-well-defined", counts=counts)
     return rep
 
 
@@ -301,15 +285,17 @@ def check_base_change_shriek(ns: NagataSetup, sa: ShriekAssignment) -> Verificat
     rep = VerificationReport("shriek-base-change")
     push, pull = sa.shriek, sa.sys.pull
 
-    def test(p, q, p2, q2):
+    def test(square):
+        p, q, p2, q2 = square
         lhs = _compose(pull(q).targets, push[p].targets)
         rhs = _compose(push[p2].targets, pull(q2).targets)
-        if lhs == rhs:
-            return None
-        e, names = _first_difference(lhs, rhs), pull(q).dst.elements
-        return {"element": push[p].src.elements[e], "pull-then-push": names[rhs[e]], "push-then-pull": names[lhs[e]]}
+        if lhs != rhs:
+            e, names = _first_difference(lhs, rhs), pull(q).dst.elements
+            pushed = {"pull-then-push": names[rhs[e]], "push-then-pull": names[lhs[e]]}
+            return {"square": _square_id(square), "element": push[p].src.elements[e], **pushed}
 
-    _square_sweep(rep, "base-change", cartesian_squares(ns, ns.setup.e, ns.setup.e), test, "base-change-exceptional")
+    squares = cartesian_squares(ns, ns.setup.e, ns.setup.e)
+    rep.sweep("base-change", squares, test, anchor="base-change-exceptional", counts={"squares": len(squares)})
     return rep
 
 
@@ -318,8 +304,13 @@ def check_shriek_projection(ns: NagataSetup, sa: ShriekAssignment) -> Verificati
     same directed rendering as the hypothesis layer (tensor after pushing
     below push of the tensored argument)."""
     rep = VerificationReport("shriek-projection")
-    members, anchor = ns.setup.e.members, "projection-formula-exceptional"
-    _projection_sweep(rep, "projection-formula", sa.sys, members, lambda _, f: sa.shriek[f], ">=", anchor)
+    rep.sweep(
+        "projection-formula",
+        sorted(ns.setup.e.members),
+        lambda f: _projection_failure(sa.sys, f, sa.shriek[f], ">="),
+        anchor="projection-formula-exceptional",
+        counts=lambda morphisms, _: {"morphisms": morphisms},
+    )
     return rep
 
 
@@ -371,64 +362,51 @@ def check_formalism(fm: Formalism) -> VerificationReport:
         for x in c.objects
         for y in c.objects
     }
-    witness = None
-    for r, members, table in itertools.chain.from_iterable(classes.values()):
+
+    def member_differs(cls):
+        r, members, table = cls
         bad = next((m for m in members if _span_targets(sa, m) != table), None)
         if bad is not None:
-            witness = {"class": r.name, "member": [bad.left, bad.right]}
-            break
-    rep.add("representative-independence", witness is None, witness or {}, anchor="descends-to-classes")
+            return {"class": r.name, "member": [bad.left, bad.right]}
 
-    witness = None
-    for x in c.objects:
+    all_classes = itertools.chain.from_iterable(classes.values())
+    rep.sweep("representative-independence", all_classes, member_differs, anchor="descends-to-classes")
+
+    def identity_moved(x):
         if not fm.mor_map[hc.identity_id(x)].same_table(identity_map(sa.sys.lattice(x))):
-            witness = {"object": x}
-            break
-    rep.add("identity-spans", witness is None, witness or {}, anchor="unit-of-formalism")
+            return {"object": x}
 
-    witness, pairs, covered = None, 0, 0
-    for (_, y), x_to_y in classes.items():
-        for a, _, first in x_to_y:
-            for z in c.objects:
-                for b, _, then in classes[(y, z)]:
-                    pairs += 1
-                    try:
-                        composite = compose_spans(hc.setup, a, b)
-                    except ResourceLimitError:
-                        continue
-                    covered += 1
-                    if _span_targets(sa, composite) != _compose(then, first):
-                        witness = {
-                            "pair": [[a.left, a.right], [b.left, b.right]],
-                            "composite": [composite.left, composite.right],
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add(
+    rep.sweep("identity-spans", c.objects, identity_moved, anchor="unit-of-formalism")
+
+    def not_functorial(pair):
+        (a, _, first), (b, _, then) = pair
+        composite = compose_spans(hc.setup, a, b)
+        if _span_targets(sa, composite) != _compose(then, first):
+            return {"pair": [[a.left, a.right], [b.left, b.right]], "composite": [composite.left, composite.right]}
+
+    # each class x -> y before each class y -> z, z in object order
+    out_of = {y: [b for z in c.objects for b in classes[(y, z)]] for y in c.objects}
+    pairs = itertools.chain.from_iterable(itertools.product(x_to_y, out_of[y]) for (_, y), x_to_y in classes.items())
+    rep.sweep(
         "composition",
-        witness is None,
-        witness or {"pairs": pairs, "covered": covered},
+        pairs,
+        not_functorial,
         anchor="functor-on-span-classes",
+        counts=lambda pairs, covered: {"pairs": pairs, "covered": covered},
     )
 
-    witness = None
-    for m in c.morphism_ids:
+    def pullback_moved(m):
         cid = hc.class_id(Span(m, c.identity[c.src(m)]))
         if not fm.mor_map[cid].same_table(sa.sys.pull(m)):
-            witness = {"morphism": m, "route": "pullback-embedding"}
-            break
-    rep.add("pullback-restriction", witness is None, witness or {}, anchor="recovers-pullbacks")
+            return {"morphism": m, "route": "pullback-embedding"}
 
-    witness = None
-    for m in sorted(hc.setup.e.members):
+    rep.sweep("pullback-restriction", c.morphism_ids, pullback_moved, anchor="recovers-pullbacks")
+
+    def exceptional_moved(m):
         cid = hc.class_id(Span(c.identity[c.src(m)], m))
         if not fm.mor_map[cid].same_table(sa.shriek[m]):
-            witness = {"morphism": m, "route": "exceptional-embedding"}
-            break
-    rep.add("exceptional-restriction", witness is None, witness or {}, anchor="recovers-exceptional-maps")
+            return {"morphism": m, "route": "exceptional-embedding"}
+
+    marked = sorted(hc.setup.e.members)
+    rep.sweep("exceptional-restriction", marked, exceptional_moved, anchor="recovers-exceptional-maps")
     return rep

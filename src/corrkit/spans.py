@@ -17,7 +17,7 @@ from .fincat import (
     canonical_coproduct,
     verify_product,
 )
-from .report import MalformedInputError, ResourceLimitError, VerificationReport
+from .report import MalformedInputError, VerificationReport
 from .setups import GeometricSetup
 
 
@@ -200,40 +200,34 @@ def check_span_laws(s: GeometricSetup, feet, apex_bound: int = 2) -> Verificatio
         (x, y): spans_between(s, x, y, apex_bound) for x in feet for y in feet
     }
 
-    unit_witness = None
-    for (x, y), sp_list in spans.items():
-        for sp in sp_list:
-            lhs = compose_spans(s, identity_span(c, x), sp)
-            rhs = compose_spans(s, sp, identity_span(c, y))
-            key = span_class_key(c, sp)
-            if span_class_key(c, lhs) != key or span_class_key(c, rhs) != key:
-                unit_witness = {"span": [sp.left, sp.right]}
-                break
-        if unit_witness:
-            break
-    rep.add("unit-laws", unit_witness is None, unit_witness or {}, anchor="span-unit")
+    def not_unital(case):
+        x, y, sp = case
+        lhs = compose_spans(s, identity_span(c, x), sp)
+        rhs = compose_spans(s, sp, identity_span(c, y))
+        key = span_class_key(c, sp)
+        if span_class_key(c, lhs) != key or span_class_key(c, rhs) != key:
+            return {"span": [sp.left, sp.right]}
 
-    total = covered = 0
-    assoc_witness = None
-    for x, y, z, t in itertools.product(feet, repeat=4):
-        for a, b, d in itertools.product(spans[(x, y)], spans[(y, z)], spans[(z, t)]):
-            total += 1
-            try:
-                lhs = compose_spans(s, compose_spans(s, a, b), d)
-                rhs = compose_spans(s, a, compose_spans(s, b, d))
-            except ResourceLimitError:
-                continue
-            covered += 1
-            if span_class_key(c, lhs) != span_class_key(c, rhs):
-                assoc_witness = {"triple": [[a.left, a.right], [b.left, b.right], [d.left, d.right]]}
-                break
-        if assoc_witness:
-            break
-    rep.add(
+    cases = ((x, y, sp) for (x, y), sps in spans.items() for sp in sps)
+    rep.sweep("unit-laws", cases, not_unital, anchor="span-unit")
+
+    def not_associative(triple):
+        a, b, d = triple
+        lhs = compose_spans(s, compose_spans(s, a, b), d)
+        rhs = compose_spans(s, a, compose_spans(s, b, d))
+        if span_class_key(c, lhs) != span_class_key(c, rhs):
+            return {"triple": [[a.left, a.right], [b.left, b.right], [d.left, d.right]]}
+
+    quads = itertools.product(feet, repeat=4)
+    triples = itertools.chain.from_iterable(
+        itertools.product(spans[(x, y)], spans[(y, z)], spans[(z, t)]) for x, y, z, t in quads
+    )
+    rep.sweep(
         "associativity-up-to-iso",
-        assoc_witness is None,
-        assoc_witness or {"triples": total, "covered": covered},
+        triples,
+        not_associative,
         anchor="span-associativity",
+        counts=lambda total, covered: {"triples": total, "covered": covered},
     )
     return rep
 
@@ -354,38 +348,30 @@ def check_coproduct(s: GeometricSetup, x: str, y: str, targets=None) -> Verifica
     iota_x = Span(c.identity[x], ix)
     iota_y = Span(c.identity[y], iy)
 
-    witness = None
-    checked = 0
-    for t in targets if targets is not None else c.objects:
+    def pairs_into(t):
+        """(t, routing, u, v) per pair of small-apex classes u: x -> t, v: y -> t;
+        routing maps a pair to the classes apex -> t that restrict to it."""
         routing: dict[tuple[str, str], list[str]] = {}
         for rep_w, _ in hc.classes(apex, t).values():
             u = hc.compose_reps(iota_x, rep_w)
             v = hc.compose_reps(iota_y, rep_w)
             routing.setdefault((u, v), []).append(rep_w.name)
-        for rep_u, _ in hc.classes(x, t).values():
-            if _span_apex_size(c, rep_u) > 2:
-                continue
-            for rep_v, _ in hc.classes(y, t).values():
-                if _span_apex_size(c, rep_v) > 2:
-                    continue
-                checked += 1
-                mediators = routing.get((rep_u.name, rep_v.name), [])
-                if len(mediators) != 1:
-                    witness = {
-                        "target": t,
-                        "pair": [rep_u.name, rep_v.name],
-                        "mediators": mediators,
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add(
+        small = [[r.name for r, _ in hc.classes(z, t).values() if _span_apex_size(c, r) <= 2] for z in (x, y)]
+        return ((t, routing, u, v) for u, v in itertools.product(*small))
+
+    def not_unique(case):
+        t, routing, u, v = case
+        mediators = routing.get((u, v), [])
+        if len(mediators) != 1:
+            return {"target": t, "pair": [u, v], "mediators": mediators}
+
+    pairs = itertools.chain.from_iterable(map(pairs_into, targets if targets is not None else c.objects))
+    rep.sweep(
         "mediator-exists-unique",
-        witness is None,
-        witness or {"pairs": checked},
+        pairs,
+        not_unique,
         anchor="span-coproduct-mediators",
+        counts=lambda checked, _: {"pairs": checked},
     )
     return rep
 
@@ -447,22 +433,22 @@ def classify_cocartesian(s: GeometricSetup, e: TensorEdge) -> VerificationReport
     apex is the product of its fiber, by the exhaustive universal property."""
     rep = VerificationReport("cocartesian-edge")
     c = s.category
-    iso_witness = None
-    for i, m in enumerate(e.to_targets, start=1):
-        if m not in c.iso_ids:
-            iso_witness = {"slot": i, "map": m}
-            break
-    rep.add("target-maps-iso", iso_witness is None, iso_witness or {}, anchor="cocartesian-iso-leg")
 
-    prod_witness = None
-    for i in range(1, len(e.targets) + 1):
+    def not_iso(slot):
+        i, m = slot
+        if m not in c.iso_ids:
+            return {"slot": i, "map": m}
+
+    rep.sweep("target-maps-iso", enumerate(e.to_targets, start=1), not_iso, anchor="cocartesian-iso-leg")
+
+    def not_product(i):
         fiber = [j for j in range(1, len(e.sources) + 1) if e.alpha[j - 1] == i]
         legs = tuple(e.to_sources[(i, j)] for j in fiber)
         factors = tuple(e.sources[j - 1] for j in fiber)
         if not verify_product(c, e.apexes[i - 1], legs, factors):
-            prod_witness = {"slot": i, "apex": e.apexes[i - 1], "factors": list(factors)}
-            break
-    rep.add("apex-is-fiber-product", prod_witness is None, prod_witness or {}, anchor="cocartesian-product")
+            return {"slot": i, "apex": e.apexes[i - 1], "factors": list(factors)}
+
+    rep.sweep("apex-is-fiber-product", range(1, len(e.targets) + 1), not_product, anchor="cocartesian-product")
     return rep
 
 

@@ -2,9 +2,10 @@
 transcribed here.
 
 On an all-function carrier `generators` grows its closure by left
-multiplication, and `EdgeClass.composition_witness`, the index of
-`shriek.factorizations`, the cancellation sweep of `check_nagata`,
-`FinCategory.mono_ids`, the functoriality sweep of `CoefficientSystem` and
+multiplication, and the composition-closure sweep of
+`check_geometric_setup`, the index of `shriek.factorizations`, the
+cancellation sweep of `check_nagata`, `FinCategory.mono_ids`, the
+functoriality sweep of `CoefficientSystem` and
 `serialization.category_to_dict` read composites by value; none of them
 stores a composite in the memo `FinCategory.comp` keeps.
 """
@@ -18,8 +19,8 @@ from corrkit.corpus import instance
 from corrkit.descent import check_nice_pair
 from corrkit.fincat import FinCategory, finset_category, full_subcategory, function_table, injections
 from corrkit.lattices import chain_lattice, frame_system
-from corrkit.setups import EdgeClass, GeometricSetup, NagataSetup, all_class
-from corrkit.shriek import _cancellation_witness, check_nagata, factorizations
+from corrkit.setups import EdgeClass, GeometricSetup, NagataSetup, all_class, check_geometric_setup
+from corrkit.shriek import check_nagata, factorizations
 
 DERANDOMIZED = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -120,8 +121,9 @@ def test_the_composition_witness_matches_the_scan_over_composable_pairs(sizes, d
     # small classes, classes with a few ids left out, and closed ones
     some = st.frozensets(st.sampled_from(ids))
     members = data.draw(st.one_of(some, some.map(frozenset(ids).difference), st.just(c.iso_ids)))
-    witness = EdgeClass(c, members).composition_witness()
-    assert witness == _scan_composition_witness(finset_category(sizes), members)
+    rep = check_geometric_setup(GeometricSetup(c, EdgeClass(c, members)))
+    closed = next(ch for ch in rep.checks if ch.name == "closed-under-composition")
+    assert closed.witness == (_scan_composition_witness(finset_category(sizes), members) or {})
     assert _stored(c) == 0
 
 
@@ -132,8 +134,10 @@ def test_the_cancellation_witness_matches_the_scan_over_composable_pairs(sizes, 
     ids = sorted(c.morphisms)
     some = st.frozensets(st.sampled_from(ids))
     members = data.draw(st.one_of(some, some.map(frozenset(ids).difference), st.just(c.iso_ids)))
-    witness = _cancellation_witness(EdgeClass(c, members))
-    assert witness == _scan_cancellation_witness(finset_category(sizes), members)
+    cls = EdgeClass(c, members)
+    rep = check_nagata(NagataSetup(GeometricSetup(c, EdgeClass(c, frozenset())), cls, cls))
+    cancels = next(ch for ch in rep.checks if ch.name == "cancellation-i")
+    assert cancels.witness == (_scan_cancellation_witness(finset_category(sizes), members) or {})
     assert _stored(c) == 0
 
 
@@ -156,7 +160,8 @@ def test_the_nagata_axioms_store_no_composite():
 def test_the_sweeps_that_read_each_composite_once_store_none():
     c = finset_category({"1": 1, "2": 2, "4": 4})
     c.generators
-    assert EdgeClass(c, frozenset(c.morphism_ids) - {"4>2:0.1.1.0"}).composition_witness() is not None
+    rep = check_geometric_setup(GeometricSetup(c, EdgeClass(c, frozenset(c.morphism_ids) - {"4>2:0.1.1.0"})))
+    assert next(ch for ch in rep.checks if ch.name == "closed-under-composition").status == "fail"
     s = GeometricSetup(c, all_class(c))
     frame_system(s, chain_lattice(1))
     ns = NagataSetup(s, EdgeClass(c, c.iso_ids), all_class(c))

@@ -97,11 +97,13 @@ def test_setup_unstable_class_detected():
 def test_edge_class_flags():
     c = finset_skeleton(2)
     inj, surj = EdgeClass(c, injections(c)), EdgeClass(c, surjections(c))
-    assert iso_class(c).iso_closure_witness() is None
-    assert all_class(c).composition_witness() is None
+    isos = check_geometric_setup(GeometricSetup(c, iso_class(c))).checks[0]
+    assert (isos.name, isos.status) == ("contains-isomorphisms", "pass")
+    for cls in (all_class(c), surj):
+        closed = check_geometric_setup(GeometricSetup(c, cls)).checks[1]
+        assert (closed.name, closed.status) == ("closed-under-composition", "pass")
     rep = check_geometric_setup(GeometricSetup(c, inj))
     assert next(ch for ch in rep.checks if ch.name == "pullback-stability").status == "pass"
-    assert surj.composition_witness() is None
 
 
 def _coverage_from_fiber_sizes(sizes: list[int], marked) -> tuple[int, int]:

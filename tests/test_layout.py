@@ -2,8 +2,11 @@
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
 table outside `fincat`, no CLI argument its subcommand does not read, no
 subcommand but `run` that runs a suite, one CLI function that gates a
-factorization setup, one routine that reports a sub-setup, no definition that only unit tests name, and one
-exception class for malformed input and one for a carrier gap."""
+factorization setup, one routine that reports a sub-setup, no definition
+that only unit tests name, one exception class for malformed input and one
+for a carrier gap, and no first-witness loop written by hand: no `if` on a
+witness that breaks, and no `for` loop that keeps a witness and breaks,
+outside a short allow-list."""
 
 import ast
 import importlib
@@ -14,6 +17,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "corrkit"
+
+# `for` loops that keep a witness by hand and break, each with its reason:
+# every other first-witness scan reports through `VerificationReport.sweep`
+WITNESS_LOOPS: dict[str, str] = {}
 
 # definitions that only unit tests name, kept on purpose
 KEPT_FOR_TESTS = {
@@ -263,3 +270,44 @@ def test_one_error_for_malformed_input_and_one_for_a_carrier_gap():
     assert sorted(errors) == [("corrkit.report", "MalformedInputError"), ("corrkit.report", "ResourceLimitError")]
     malformed, limit = (errors[k] for k in sorted(errors))
     assert not issubclass(malformed, limit) and not issubclass(limit, malformed)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _inside(node: ast.AST, stop: tuple):
+    """Every node under `node`, entering no node of the types in `stop`."""
+    todo = list(ast.iter_child_nodes(node))
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, stop):
+            todo.extend(ast.iter_child_nodes(n))
+
+
+def _mentions_witness(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and "witness" in n.id for n in ast.walk(node))
+
+
+def test_no_first_witness_loop_is_written_by_hand():
+    ladders, loops = [], set()
+    for mod, tree in _trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.If) and _mentions_witness(node.test):
+                    if any(isinstance(stmt, ast.Break) for stmt in node.body):
+                        ladders.append(f"{mod}.py:{node.lineno}")
+                if not isinstance(node, ast.For):
+                    continue
+                # the loop's own breaks, and the witnesses its body keeps
+                breaks = any(isinstance(n, ast.Break) for n in _inside(node, _FUNCTIONS + (ast.For, ast.While)))
+                targets = [
+                    t
+                    for n in _inside(node, _FUNCTIONS)
+                    if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                    for t in getattr(n, "targets", [getattr(n, "target", None)])
+                ]
+                if breaks and any(isinstance(t, ast.Name) and t.id.endswith("witness") for t in targets):
+                    loops.add(f"{mod}.{getattr(top, 'name', '<module>')}")
+    assert ladders == []
+    assert sorted(loops) == sorted(WITNESS_LOOPS) and len(WITNESS_LOOPS) <= 5

@@ -373,9 +373,11 @@ def _add_tensor_entry(entry):
         (_add_tensor_entry(["q", "q", "0"]), "tensor table defined outside the lattice"),
         (_tensor_entry(0, ["0", "0", "zz"]), "tensor value 'zz' outside the lattice"),
         (lambda d: _add_tensor_entry(list(d["tensor"][3]))(d), "duplicate tensor entry"),
+        # a repeated name was reported as a missing meet
+        (lambda d: {**d, "elements": [*d["elements"], "b"]}, "duplicate element 'b'"),
     ],
     ids=["leq-pair", "leq-string", "tensor-pair", "int-elements", "frame-string", "frame-int",
-         "tensor-key", "tensor-value", "tensor-duplicate"],
+         "tensor-key", "tensor-value", "tensor-duplicate", "element-duplicate"],
 )
 def test_malformed_lattice_exits_2(tmp_path, capsys, mutate, message):
     d = mutate(ser.lattice_to_dict(n5_lattice("join")))

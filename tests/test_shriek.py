@@ -42,7 +42,7 @@ from corrkit.shriek import (
     verify_hypotheses,
 )
 from corrkit.spans import Span
-from test_grid import _grids_by_search, _small_carriers
+from test_grid import _CLASSES, _grids_by_search, _small_carriers
 
 
 def _setup(max_size=2):
@@ -190,17 +190,41 @@ def test_constructed_squares_match_the_grid_search_on_small_carriers(c, data):
     _assert_squares_match_the_grid_search(NagataSetup(GeometricSetup(c, e), marked(), marked()))
 
 
-def _square_count(c) -> int:
-    """Over every cospan (f, g) of maps into one object, n(s) * s! squares,
-    where s = sum over z of |f^-1(z)| * |g^-1(z)| is the size of the fiber
-    product and n(s) the number of objects of that size: each apex of that
-    size is the fiber product through s! bijections."""
+# a class of maps between finite sets, read off whether a map is injective
+# and whether it is surjective
+_BY_KIND = {
+    "all": lambda inj, surj: True,
+    "iso": lambda inj, surj: inj and surj,
+    "inj": lambda inj, surj: inj,
+    "surj": lambda inj, surj: surj,
+}
+
+
+def _square_count(c, a="all", b="all") -> int:
+    """The cartesian squares with right and bottom in class a, top and left
+    in class b, with no pullback taken.  Over every cospan (right, top) of
+    maps into one object, n(s) * s! squares, where s = sum over z of
+    |right^-1(z)| * |top^-1(z)| is the size of the fiber product and n(s)
+    the number of objects of that size: each apex of that size is the fiber
+    product through s! bijections, and the classes are closed under them.
+    The base change of right along top (bottom) has fiber right^-1(top(y))
+    over y, so it is injective exactly when |right^-1(z)| <= 1 on the image
+    of top, and surjective exactly when |right^-1(z)| >= 1 there; left is
+    the same with right and top swapped."""
     sizes = Counter(c.object_size.values())
     fibers = {m: Counter(fn_values(m)) for m in c.morphism_ids}
+
+    def marked(kind, fiber, over):
+        return _BY_KIND[kind](all(fiber[z] <= 1 for z in over), all(fiber[z] >= 1 for z in over))
+
     count = 0
-    for f, g in itertools.product(c.morphism_ids, repeat=2):
-        if c.morphisms[f][1] == c.morphisms[g][1]:
-            s = sum(k * fibers[g][z] for z, k in fibers[f].items())
+    for right, top in itertools.product(c.morphism_ids, repeat=2):
+        z = c.morphisms[right][1]
+        if z != c.morphisms[top][1]:
+            continue
+        points, f, g = range(c.object_size[z]), fibers[right], fibers[top]
+        if marked(a, f, points) and marked(b, g, points) and marked(a, f, g) and marked(b, g, f):
+            s = sum(k * g[z] for z, k in f.items())
             count += sizes[s] * math.factorial(s)
     return count
 
@@ -215,6 +239,47 @@ def test_cartesian_squares_of_all_maps_match_the_count_from_fiber_sizes(sizes):
     everything = all_class(c)
     ns = NagataSetup(GeometricSetup(c, everything), everything, everything)
     assert len(cartesian_squares(ns, everything, everything)) == _square_count(c)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda sizes: sum(sizes) <= 6),
+    st.sampled_from(sorted(_BY_KIND)),
+    st.sampled_from(sorted(_BY_KIND)),
+)
+def test_cartesian_squares_of_marked_classes_match_the_count_from_fiber_sizes(sizes, a, b):
+    c = finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+    classes = {kind: _CLASSES[kind](c) for kind in _BY_KIND}
+    ns = NagataSetup(GeometricSetup(c, classes["all"]), classes[a], classes[b])
+    assert len(cartesian_squares(ns, classes[a], classes[b])) == _square_count(c, a, b)
+
+
+@pytest.mark.parametrize(
+    "i, p, squares",
+    [
+        ("inj", "surj", {"i-base-change": 1926, "p-base-change": 1369, "support-property": 417}),
+        ("iso", "all", {"i-base-change": 1223, "p-base-change": 4016, "support-property": 1223}),
+        ("all", "iso", {"i-base-change": 4016, "p-base-change": 1223, "support-property": 1223}),
+    ],
+)
+def test_hypotheses_count_the_squares_of_their_classes_from_fiber_sizes(i, p, squares):
+    # {1,2,3} with every map marked: each square check reports the count
+    # of cartesian_squares(ns, a, b) for its classes (a, b)
+    c = finset_category({"1": 1, "2": 2, "3": 3})
+    classes = {kind: _CLASSES[kind](c) for kind in _BY_KIND}
+    ns = NagataSetup(GeometricSetup(c, classes["all"]), classes[i], classes[p])
+    sys = frame_system(ns.setup, chain_lattice(1))
+    rep = verify_hypotheses(ns, sys)
+    found = {ch.name: ch.witness["squares"] for ch in rep.checks if "squares" in ch.witness}
+    pairs = {"i-base-change": (i, "all"), "p-base-change": (p, "all"), "support-property": (i, p)}
+    assert found == {name: _square_count(c, *pair) for name, pair in pairs.items()} == squares
+
+
+def test_exceptional_base_change_counts_the_squares_of_all_maps():
+    c = finset_category({"1": 1, "2": 2, "3": 3})
+    ns = NagataSetup(GeometricSetup(c, all_class(c)), all_class(c), iso_class(c))
+    base_change = check_base_change_shriek(ns, build_shriek(ns, frame_system(ns.setup, chain_lattice(1)))).checks[0]
+    assert base_change.witness == {"squares": _square_count(c)} == {"squares": 4016}
 
 
 def _objects_reversed(ns):
