@@ -98,9 +98,10 @@ def _model_suite(tag: str, L: FiniteLattice) -> VerificationReport:
     equality has no finite rendering that survives it."""
     from .fincat import surjections
     from .lattices import check_kunneth, check_projection_formula, check_triangles, frame_system
+    from .setups import skeleton_setup
 
     rep = VerificationReport(f"{tag}:model")
-    setup = _skel2_setup()
+    setup = skeleton_setup(2)
     sys = frame_system(setup, L)
     morphs = setup.category.morphism_ids
 
@@ -202,12 +203,7 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict) -> Verific
                 # a transport refinement larger than any object: a carrier gap
                 rep.add_limit("extension-functorial", {"reason": str(exc)}, anchor="cech-descent")
                 return rep
-            rep.add(
-                "extension-functorial",
-                True,
-                {"objects": len(ext.setup.category.objects)},
-                anchor="cech-descent",
-            )
+            rep.add("extension-functorial", True, {"objects": len(ext.category.objects)}, anchor="cech-descent")
         return rep
 
     rep.merge(check_exceptional_pair(pd), prefix="pair:")
@@ -375,14 +371,6 @@ def _emit_report(rep: VerificationReport, fmt: str, out) -> int:
     return 0 if rep.passed else 1
 
 
-def _skel2_setup() -> GeometricSetup:
-    from .fincat import finset_skeleton
-    from .setups import GeometricSetup, all_class
-
-    c = finset_skeleton(2)
-    return GeometricSetup(c, all_class(c))
-
-
 def _cmd_run(args, out) -> int:
     config = WorkspaceConfig(
         inputs=tuple(args.input or ()),
@@ -417,11 +405,11 @@ def _cmd_corpus_list(args, out) -> int:
 
 def _cmd_grid_enumerate(args, out) -> int:
     from .grid import check_grid_size, enumerate_grid_simplices
-    from .setups import all_class
+    from .setups import all_class, skeleton_setup
 
     # before one class per direction is listed
     check_grid_size(args.k, args.n)
-    s = _skel2_setup()
+    s = skeleton_setup(2)
     classes = [all_class(s.category)] * args.k
     grids = enumerate_grid_simplices(s, classes, args.k, args.n)
     # every grid has the same vertices and edges, so each is named once;
@@ -440,9 +428,10 @@ def _cmd_grid_enumerate(args, out) -> int:
 
 
 def _cmd_corr_enumerate(args, out) -> int:
+    from .setups import skeleton_setup
     from .spans import corr_simplices
 
-    s = _skel2_setup()
+    s = skeleton_setup(2)
     cells = corr_simplices(s, args.dim)
     rows = [{"objects": cs.functor.obj_map, "morphisms": cs.functor.mor_map} for cs in cells]
     out.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
@@ -450,18 +439,17 @@ def _cmd_corr_enumerate(args, out) -> int:
 
 
 def _cmd_corr_hocat(args, out) -> int:
-    from .fincat import check_category, finset_skeleton
-    from .setups import GeometricSetup, all_class
+    from .fincat import check_category
+    from .setups import skeleton_setup
     from .spans import check_span_laws, homotopy_category
 
     # laws are asserted over the two-element skeleton with coverage counted;
     # the materialized category needs classes closed under composition, which
     # holds on the one-element skeleton
-    s = _skel2_setup()
-    c1 = finset_skeleton(1)
+    s = skeleton_setup(2)
     rep = VerificationReport("corr-hocat")
     rep.merge(check_span_laws(s, s.category.objects), prefix="laws:")
-    rep.merge(check_category(homotopy_category(GeometricSetup(c1, all_class(c1)))), prefix="category:")
+    rep.merge(check_category(homotopy_category(skeleton_setup(1))), prefix="category:")
     return _emit_report(rep, args.format, out)
 
 
@@ -508,9 +496,9 @@ def _cmd_search_nagata(args, out) -> int:
     pass, do its hypotheses (null once the axioms fail), and is it mixed (I
     not everything, P not the isomorphisms, and an overlap beyond them)."""
     from .fincat import injections, surjections
-    from .setups import EdgeClass, NagataSetup, all_class, iso_class
+    from .setups import EdgeClass, NagataSetup, all_class, iso_class, skeleton_setup
 
-    s = _skel2_setup()
+    s = skeleton_setup(2)
     c = s.category
     catalog = {
         "all": all_class(c),

@@ -23,7 +23,7 @@ from .fincat import (
     terminal_category,
 )
 from .report import SUITE_ORDER, MalformedInputError
-from .setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class
+from .setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class, skeleton_setup
 
 
 # kind -> the suites an instance of that kind runs: the ones `cli._plan`
@@ -62,12 +62,6 @@ class CorpusInstance:
 
 
 @lru_cache(maxsize=None)
-def _skel(n: int) -> GeometricSetup:
-    c = finset_skeleton(n)
-    return GeometricSetup(c, all_class(c))
-
-
-@lru_cache(maxsize=None)
 def _cover_carrier() -> GeometricSetup:
     # smallest all-function carrier containing the overlap of a 2-to-1 cover
     c = finset_category({"1": 1, "2": 2, "4": 4})
@@ -75,18 +69,18 @@ def _cover_carrier() -> GeometricSetup:
 
 
 def _nagata_open():
-    s = _skel(2)
+    s = skeleton_setup(2)
     return NagataSetup(s, all_class(s.category), iso_class(s.category))
 
 
 def _nagata_proper():
-    s = _skel(2)
+    s = skeleton_setup(2)
     return NagataSetup(s, iso_class(s.category), all_class(s.category))
 
 
 def _nagata_inj_surj():
     # marked class inj + surj so every marked map factors inside the carrier
-    c = _skel(2).category
+    c = skeleton_setup(2).category
     e = EdgeClass(c, injections(c) | surjections(c))
     return NagataSetup(
         GeometricSetup(c, e), EdgeClass(c, injections(c)), EdgeClass(c, surjections(c))
@@ -94,7 +88,7 @@ def _nagata_inj_surj():
 
 
 def _nagata_inj_all():
-    s = _skel(2)
+    s = skeleton_setup(2)
     return NagataSetup(s, EdgeClass(s.category, injections(s.category)), all_class(s.category))
 
 
@@ -113,7 +107,7 @@ def _pentagon(tensor: str = "meet"):
 def _pair_identity():
     from .descent import PairDeclaration, identity_atlas
 
-    s = _skel(2)
+    s = skeleton_setup(2)
     c = s.category
     sm = frozenset(surjections(c))
     cover = EdgeClass(c, sm)
@@ -156,15 +150,15 @@ def _localization_cover():
 _INSTANCES = (
     CorpusInstance(
         "finset-1", "category", "finite sets of size at most 1",
-        lambda: _skel(1),
+        lambda: skeleton_setup(1),
     ),
     CorpusInstance(
         "finset-2", "category", "finite sets of size at most 2",
-        lambda: _skel(2),
+        lambda: skeleton_setup(2),
     ),
     CorpusInstance(
         "finset-3", "category", "finite sets of size at most 3",
-        lambda: _skel(3),
+        lambda: skeleton_setup(3),
     ),
     CorpusInstance(
         "nagata-open", "nagata", "everything open-like, isomorphisms proper-like",
@@ -211,12 +205,12 @@ _INSTANCES = (
     CorpusInstance(
         "nice-pair-cover", "pair", "2-to-1 cover atlas on the overlap-complete carrier",
         lambda: _pair_cover("nice"),
-        # the full pair gate passes here in 0.8-1.1 s on a fresh instance
-        # (2-CPU VM), nearly all of it in the 167,308 fiber products its four
-        # setup checks construct; a whole fresh corpus run takes 0.17-0.33 s
-        # there, and the gate adds checks to the pinned payload.  The option
-        # stays until dropping it no longer moves the corpus benchmark
-        # (ROADMAP item 2)
+        # the full pair gate passes here in 0.26-0.37 s on a fresh instance
+        # (2-CPU VM), nearly all of it in the 76,669 fiber products of the two
+        # setup verdicts its four setup checks read; a whole fresh corpus run
+        # takes 0.16-0.25 s there, and the gate adds checks to the pinned
+        # payload.  The option stays until dropping it no longer moves the
+        # corpus benchmark (ROADMAP item 2)
         options={"full_gate": False},
     ),
     CorpusInstance(

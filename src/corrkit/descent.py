@@ -5,7 +5,7 @@ An atlas presents an object by a cover whose base changes against the
 declared sub-setup land in a chosen cover class.  Its Čech nerve (truncated
 at level one or two) is built from the pullback oracle, with every
 structure map found by mediator search and every simplicial identity
-recomputed, and is memoized on the setup by atlas morphism and level.  On
+recomputed, and is memoized on the carrier by atlas morphism and level.  On
 top of that sit the two extension routes: limits of coefficient lattices
 over nerves (descent) and colimits of exceptional pushforwards (codescent,
 rendered as an order-congruence quotient), plus the premise checker for
@@ -108,31 +108,32 @@ def _mediator(c: FinCategory, src_obj: str, dst_obj: str, conditions) -> str:
 class CechDiagram:
     """Iterated self-fiber-products of an atlas, truncated at level m, 1 or 2.
 
-    faces[(n, i)] is the map X_n -> X_{n-1} dropping coordinate i;
+    x is the atlas morphism X -> X'; faces[(n, i)] is the map
+    X_n -> X_{n-1} dropping coordinate i;
     degeneracies[(n, i)] repeats coordinate i; aug[n] is the augmentation
     X_n -> X'.  All simplicial and augmentation identities are recomputed
     on construction."""
 
     def __init__(
         self,
-        setup: GeometricSetup,
-        atlas: Atlas,
+        category: FinCategory,
+        x: str,
         m: int,
         objects: tuple[str, ...],
         faces: dict,
         degeneracies: dict,
         aug: tuple[str, ...],
     ):
-        self.setup, self.atlas, self.m, self.objects = setup, atlas, m, objects
+        self.category, self.x, self.m, self.objects = category, x, m, objects
         self.faces, self.degeneracies, self.aug = faces, degeneracies, aug
         self.__post_init__()
 
     def __post_init__(self):
-        c = self.setup.category
+        c = self.category
         if len(self.objects) != self.m + 1 or len(self.aug) != self.m + 1:
             raise MalformedInputError("diagram levels do not match the truncation")
         for n in range(self.m + 1):
-            if c.morphisms[self.aug[n]] != (self.objects[n], c.dst(self.atlas.x)):
+            if c.morphisms[self.aug[n]] != (self.objects[n], c.dst(self.x)):
                 raise MalformedInputError(f"augmentation at level {n} mistyped")
         for (n, i), d in self.faces.items():
             if c.morphisms[d] != (self.objects[n], self.objects[n - 1]):
@@ -143,7 +144,7 @@ class CechDiagram:
         self._check_identities()
 
     def _check_identities(self):
-        c = self.setup.category
+        c = self.category
         d, s, a = self.faces, self.degeneracies, self.aug
         def eq(lhs, rhs, what):
             if lhs != rhs:
@@ -176,14 +177,14 @@ def cech_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
 
     A missing fiber product in the carrier raises; callers that can fall
     back to a lower truncation do so explicitly.  Each (atlas morphism,
-    level) is built and identity-checked once per setup, which memoizes the
-    diagram; a level that fails to build is not memoized."""
+    level) is built and identity-checked once per carrier, which memoizes
+    the diagram; a level that fails to build is not memoized."""
     if m not in (1, 2):
         raise MalformedInputError("truncation level must be 1 or 2")
-    key = (atlas.x, m)
-    if key not in setup._nerves:
-        setup._nerves[key] = _build_nerve(setup, atlas, m)
-    return setup._nerves[key]
+    key, c = (atlas.x, m), setup.category
+    if key not in c._nerves:
+        c._nerves[key] = _build_nerve(setup, atlas, m)
+    return c._nerves[key]
 
 
 def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
@@ -213,7 +214,7 @@ def _build_nerve(setup: GeometricSetup, atlas: Atlas, m: int) -> CechDiagram:
             c, x1, apex2, [(u, c.identity[x1]), (v, c.comp(degs[(0, 0)], d0))]
         )
         aug.append(c.comp(aug[1], u))
-    return CechDiagram(setup, atlas, m, tuple(objects), faces, degs, tuple(aug))
+    return CechDiagram(c, atlas.x, m, tuple(objects), faces, degs, tuple(aug))
 
 
 def best_nerve(setup: GeometricSetup, atlas: Atlas) -> CechDiagram:
@@ -262,7 +263,9 @@ class PairDeclaration:
     def __post_init__(self):
         if self.kind not in ("nice", "exceptional"):
             raise MalformedInputError(f"unknown pair kind {self.kind!r}")
-        self.small_objects = tuple(self.small_objects)
+        listed = self.small_objects = tuple(self.small_objects)
+        if len(set(listed)) < len(listed):
+            raise MalformedInputError(f"duplicate small object {next(y for y in listed if listed.count(y) > 1)!r}")
         c = self.big.category
         # an atlas listed under an object outside the carrier would be ignored
         unknown = [y for y in (*self.small_objects, *sorted(self.atlases)) if y not in c.objects]
@@ -288,7 +291,9 @@ class PairDeclaration:
 
     @cached_property
     def small(self) -> FinCategory:
-        return full_subcategory(self.big.category, self.small_objects)
+        # every object small: the ambient carrier itself, with its memos
+        c = self.big.category
+        return c if set(self.small_objects) == set(c.objects) else full_subcategory(c, self.small_objects)
 
     def small_setup(self, members) -> GeometricSetup:
         return GeometricSetup(self.small, EdgeClass(self.small, frozenset(members)))
@@ -359,10 +364,10 @@ def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram) -> tuple
     """The maps of E_small at both levels of a nerve morphism nx -> ny, in
     hom order: level zero keyed by y∘f0 (y the target atlas), level one by
     its face pair (d_0∘f1, d_1∘f1); built once per atlas pair."""
-    key = (nx.atlas.x, ny.atlas.x)
+    key = (nx.x, ny.x)
     if key not in pd._levels:
         c = pd.big.category
-        y, d0, d1 = ny.atlas.x, ny.faces[(1, 0)], ny.faces[(1, 1)]
+        y, d0, d1 = ny.x, ny.faces[(1, 0)], ny.faces[(1, 1)]
         level0: dict = {}
         for f0 in c.hom(nx.objects[0], ny.objects[0]):
             if f0 in pd.e_small:
@@ -440,7 +445,7 @@ def check_exceptional_pair(pd: PairDeclaration) -> VerificationReport:
             rep.add(
                 name,
                 True,
-                {"levels": list(hc.levels), "src-atlas": hc.src_nerve.atlas.x, "dst-atlas": hc.dst_nerve.atlas.x},
+                {"levels": list(hc.levels), "src-atlas": hc.src_nerve.x, "dst-atlas": hc.dst_nerve.x},
                 anchor="pair-hypercover-matching",
             )
         elif limited:
@@ -693,7 +698,7 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientS
             restriction[f] = sys.pull(f)
         else:
             restriction[f] = _transport_pull(pd, sys, lattices, kept, chosen, f)
-    return CoefficientSystem(pd.big, lattices, restriction)
+    return CoefficientSystem(c, lattices, restriction)
 
 
 # -- codescent of exceptional maps -----------------------------------------
@@ -732,7 +737,7 @@ def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
     rep = VerificationReport("codescent")
     reach = codescent_classes(sa, nerve)
     push_x = _push(sa, nerve.aug[0]).targets
-    target = sa.sys.lattice(sa.sys.setup.category.dst(nerve.aug[0]))
+    target = sa.sys.lattice(sa.sys.category.dst(nerve.aug[0]))
     witness = None
     pair = _order_mismatch(reach, target._up, push_x)
     if pair:
@@ -746,7 +751,7 @@ def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
     rep.add(
         "colimit-comparison",
         witness is None,
-        witness or {"classes": len(set(reach)), "atlas": nerve.atlas.x},
+        witness or {"classes": len(set(reach)), "atlas": nerve.x},
         anchor="cech-codescent",
     )
     return rep
@@ -795,13 +800,13 @@ def extend_system_E(pd: PairDeclaration, sa) -> dict:
     for hc in chosen.values():
         # every nerve here is the level-one nerve of its atlas on pd.big
         for nerve in (hc.src_nerve, hc.dst_nerve):
-            if nerve.atlas.x in gated:
+            if nerve.x in gated:
                 continue
-            gated.add(nerve.atlas.x)
+            gated.add(nerve.x)
             gate = check_codescent(sa, nerve)
             if not gate.passed:
                 raise MalformedInputError(
-                    f"codescent precondition fails for atlas {nerve.atlas.x!r}: "
+                    f"codescent precondition fails for atlas {nerve.x!r}: "
                     f"{gate.first_failure().witness}"
                 )
     return {f: extended_shriek_map(pd, sa, hc) for f, hc in chosen.items()}

@@ -87,6 +87,21 @@ class FinCategory:
         every setup over this carrier reads and fills, whatever its class."""
         return {}
 
+    @cached_property
+    def _systems(self) -> dict:
+        """Lattice value -> its frame system, filled by `lattices.frame_system`."""
+        return {}
+
+    @cached_property
+    def _nerves(self) -> dict:
+        """(atlas morphism, level) -> its Čech nerve, filled by `descent.cech_nerve`."""
+        return {}
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """Class members -> its setup report, filled by `setups.check_geometric_setup`."""
+        return {}
+
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src(m)) == m and self.src(m) == self.dst(m)
 
@@ -417,9 +432,8 @@ def full_subcategory(c: FinCategory, objects) -> FinCategory:
     keep = {m for m in c.morphism_ids if c.src(m) in inside and c.dst(m) in inside}
     sizes = None if c.object_size is None else {x: c.object_size[x] for x in objs}
     morphisms = {m: c.morphisms[m] for m in sorted(keep)}
-    # with every object kept, so is the table
     compose = c.compose
-    if sizes is None and len(objs) < len(c.objects):
+    if sizes is None:
         compose = {(g, f): h for (g, f), h in compose.items() if g in keep and f in keep}
     return FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, compose, sizes)
 

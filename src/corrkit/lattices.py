@@ -535,12 +535,12 @@ class CoefficientSystem:
     """A lattice per object and a pullback map per morphism, strictly
     functorial on the nose and top-preserving."""
 
-    def __init__(self, setup: GeometricSetup, lattices: dict, restriction: dict):
-        self.setup, self.lattices, self.restriction = setup, lattices, restriction
+    def __init__(self, category: FinCategory, lattices: dict, restriction: dict):
+        self.category, self.lattices, self.restriction = category, lattices, restriction
         self.__post_init__()
 
     def __post_init__(self):
-        c = self.setup.category
+        c = self.category
         for x in c.objects:
             if x not in self.lattices:
                 raise MalformedInputError(f"no lattice for object {x!r}")
@@ -573,7 +573,7 @@ class CoefficientSystem:
     def _nonfunctorial_pair(self, pairs) -> tuple[str, str] | None:
         """The first (g, f) whose restriction along g.f is not the
         restriction along g followed by the one along f."""
-        composite, restriction = self.setup.category.composite, self.restriction
+        composite, restriction = self.category.composite, self.restriction
         for g, f in pairs:
             expected = _compose(restriction[f].targets, restriction[g].targets)
             if restriction[composite(g, f)].targets != expected:
@@ -654,22 +654,22 @@ def precompose_map(f_values: tuple[int, ...], n: int, size: int, big_src: Finite
 def frame_system(setup: GeometricSetup, L: FiniteLattice) -> CoefficientSystem:
     """D(X) = L^|X| over an all-function carrier, f^* by precomposition.
 
-    Built and validated once per setup and lattice value, so every suite
-    over one setup shares the system and the adjoints memoized on its
-    maps; callers read it and never mutate it."""
+    Built and validated once per carrier and lattice value, so every suite
+    over one carrier, whatever the setup's class, shares the system and the
+    adjoints memoized on its maps; callers read it and never mutate it."""
     c = setup.category
     if c.object_size is None:
         raise MalformedInputError("frame systems need a carrier with cardinalities")
     key = (L.elements, L._up, L._tensor)
-    if key not in setup._systems:
+    if key not in c._systems:
         sizes = c.object_size
         lattices = {x: power_lattice(L, sizes[x]) for x in c.objects}
         restriction = {}
         for m, vals in c.function_values.items():
             x, y = c.morphisms[m]
             restriction[m] = precompose_map(vals, len(L.elements), sizes[y], lattices[y], lattices[x])
-        setup._systems[key] = CoefficientSystem(setup, lattices, restriction)
-    return setup._systems[key]
+        c._systems[key] = CoefficientSystem(c, lattices, restriction)
+    return c._systems[key]
 
 
 def _fiberwise_map(f: str, big_src: FiniteLattice, big_dst: FiniteLattice, masks, bound) -> LatticeMap:
@@ -708,7 +708,7 @@ def projection_witness(sys: CoefficientSystem, f: str, push: LatticeMap, relatio
     and push(E) tensor B are not related by `relation`: "==", "<=" (the
     pushed tensor below) or ">=".  One sweep over all pairs, on the tables,
     a row of B per E; a failing row is rescanned for its first B."""
-    c = sys.setup.category
+    c = sys.category
     x, y = c.morphisms[f]
     DX, DY = sys.lattice(x), sys.lattice(y)
     up, down = DY._up, DY._down
@@ -744,7 +744,7 @@ def check_projection_formula(sys: CoefficientSystem, f: str, flavor: str) -> Ver
     if push is None:
         raise MalformedInputError(f"{flavor} adjoint missing for {f!r}")
     witness = projection_witness(sys, f, push, "==")
-    x, y = sys.setup.category.morphisms[f]
+    x, y = sys.category.morphisms[f]
     rep.add(
         "projection-formula",
         witness is None,
@@ -775,7 +775,7 @@ def check_kunneth(sys: CoefficientSystem, f1: str, f2: str) -> VerificationRepor
     starred factors, elementwise over all argument pairs.  The external
     product M box N is pull(p1)(M) tensor pull(p2)(N)."""
     rep = VerificationReport("kunneth")
-    c = sys.setup.category
+    c = sys.category
     cross = _unique_cross_map(c, f1, f2)
     rep.add("products-available", cross is not None, {} if cross else {"pair": [f1, f2]}, anchor="kunneth-products")
     if cross is None:

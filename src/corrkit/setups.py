@@ -17,7 +17,9 @@ failure.
 
 from __future__ import annotations
 
-from .fincat import FinCategory, canonical_pullback
+from functools import lru_cache
+
+from .fincat import FinCategory, canonical_pullback, finset_skeleton
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
 
 
@@ -50,16 +52,13 @@ def iso_class(c: FinCategory) -> EdgeClass:
 
 class GeometricSetup:
     """A category with a marked class and a canonical pullback oracle,
-    memoized on the category and shared by every setup over it."""
+    memoized on the category and shared by every setup over it, as are its
+    frame systems, Čech nerves and the setup check of each class."""
 
     def __init__(self, category: FinCategory, e: EdgeClass):
         self.category, self.e = category, e
         # the carrier's one pullback memo, filled by `pullback_opt`
         self._oracle = category._pullbacks
-        # lattice value -> its frame system, filled by `lattices.frame_system`
-        self._systems: dict = {}
-        # (atlas morphism, level) -> its Čech nerve, filled by `descent.cech_nerve`
-        self._nerves: dict = {}
         self.__post_init__()
 
     def __post_init__(self):
@@ -95,6 +94,13 @@ class GeometricSetup:
         return [(typing[phi][0], composite(p, phi), composite(q, phi)) for phi in c.isos_into.get(apex, ())]
 
 
+@lru_cache(maxsize=None)
+def skeleton_setup(n: int) -> GeometricSetup:
+    """All functions between sets of size at most n, all marked, once a process."""
+    c = finset_skeleton(n)
+    return GeometricSetup(c, all_class(c))
+
+
 class NagataSetup:
     """Marked classes I and P on top of a geometric setup."""
 
@@ -118,10 +124,13 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     """Iso-closure, composition-closure, and pullback existence/stability.
 
     Cospans (f in E, g arbitrary) whose fiber product has no representative
-    in the carrier are counted as coverage gaps, not failures.
+    in the carrier are counted as coverage gaps, not failures.  Run once per
+    carrier and class: callers read the report and never mutate it.
     """
-    rep = VerificationReport("check-geometric-setup")
     c = s.category
+    if s.e.members in c._verdicts:
+        return c._verdicts[s.e.members]
+    rep = VerificationReport("check-geometric-setup")
 
     members, into = s.e.members, c._in_index
     missing = sorted(c.iso_ids - members)
@@ -152,6 +161,7 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
         {"member": outside[0], "along": outside[1], "base-change": outside[2]} if outside else {"checked": covered},
         anchor="setup-pullbacks-stay",
     )
+    c._verdicts[s.e.members] = rep
     return rep
 
 

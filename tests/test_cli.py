@@ -942,6 +942,8 @@ def test_every_setup_over_a_carrier_shares_its_canonical_pullbacks(monkeypatch, 
     monkeypatch.setattr(
         setups, "canonical_pullback", lambda c, f, g: built.append((c, f, g)) or canonical_pullback(c, f, g)
     )
+    # a fresh 2-skeleton: the process keeps one, which earlier runs filled
+    setups.skeleton_setup.cache_clear()
     assert invoke(capsys, "search", "nagata")[0] == 0
     # the 59 cospans of the 2-skeleton, against 1,179 with a memo per setup
     assert len(built) == 59
@@ -958,6 +960,57 @@ def test_every_setup_over_a_carrier_shares_its_canonical_pullbacks(monkeypatch, 
 
     c = ns.setup.category
     assert GeometricSetup(c, iso_class(c))._oracle is ns.setup._oracle
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Canonical pullbacks built, setup reports returned and coefficient
+    systems validated, each listed as it happens, over fresh bundled
+    carriers: the process keeps one of each, which earlier tests filled."""
+    from corrkit import corpus as bundled, lattices, setups
+
+    pullbacks, reports, systems = [], [], []
+    canonical_pullback, check = setups.canonical_pullback, setups.check_geometric_setup
+    validate = lattices.CoefficientSystem.__post_init__
+    monkeypatch.setattr(setups, "canonical_pullback", lambda c, f, g: pullbacks.append((f, g)) or canonical_pullback(c, f, g))
+    monkeypatch.setattr(setups, "check_geometric_setup", lambda s: reports.append(check(s)) or reports[-1])
+    monkeypatch.setattr(lattices.CoefficientSystem, "__post_init__", lambda self: systems.append(self) or validate(self))
+    setups.skeleton_setup.cache_clear()
+    bundled._cover_carrier.cache_clear()
+    return pullbacks, reports, systems
+
+
+def _bodies(reports) -> int:
+    """How many setup checks ran: each run returns a report of its own."""
+    return len({id(rep) for rep in reports})
+
+
+def test_a_pair_of_every_small_object_builds_each_pullback_once(counted):
+    # the small carrier of nice-pair-cover is its big one, so its small and
+    # big setups, of equal classes, share one sweep
+    pullbacks, reports, _ = counted
+    pd = ser.loads(ser.dumps(ser.pair_to_dict(instance("nice-pair-cover").build())))
+    assert descent.check_nice_pair(pd).passed
+    # 153,338 when the small carrier was a copy with memos of its own
+    assert len(pullbacks) == 76669
+    assert (len(reports), _bodies(reports)) == (4, 2)
+
+
+def test_search_nagata_checks_each_catalogue_class_once(counted, capsys):
+    _, reports, _ = counted
+    assert invoke(capsys, "search", "nagata")[0] == 0
+    # 16 class pairs read the verdicts of 4 classes, once each (32 before)
+    assert (len(reports), _bodies(reports)) == (32, 4)
+
+
+def test_a_corpus_run_checks_each_carrier_and_class_once(counted):
+    _, reports, systems = counted
+    assert run(WorkspaceConfig())[0] == 0
+    # 19 setup checks read 7 (carrier, class) verdicts; 7 coefficient
+    # systems are validated, against 9 when each setup object kept its own
+    # frame systems
+    assert (len(reports), _bodies(reports)) == (19, 7)
+    assert len(systems) == 7
 
 
 def test_a_run_loads_only_the_layers_its_suites_execute(tmp_path):

@@ -158,7 +158,7 @@ def test_nerve_rejects_broken_identities():
     bad = dict(n.faces)
     bad[(1, 0)] = "2>2:0.0"  # no longer retracts the degeneracy
     with pytest.raises(MalformedInputError):
-        CechDiagram(s, a, 1, n.objects, bad, n.degeneracies, n.aug)
+        CechDiagram(s.category, a.x, 1, n.objects, bad, n.degeneracies, n.aug)
 
 
 def test_nerve_truncation_bound():
@@ -170,8 +170,9 @@ def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
     checks = []
     original = CechDiagram._check_identities
     monkeypatch.setattr(CechDiagram, "_check_identities", lambda self: (checks.append(self.m), original(self)))
-    # a fresh setup, since the nerves of big() are memoized on it
-    s = GeometricSetup(big().category, big().e)
+    # a fresh carrier, since the nerves of big()'s carrier are memoized on it
+    c = finset_category(big().category.object_size)
+    s = GeometricSetup(c, all_class(c))
     a = Atlas(s, "2>1:0.0", surj_cover(s), ("1", "2"))
     first = cech_nerve(s, a, 1)
     assert cech_nerve(s, a, 1) is first and best_nerve(s, a).m == 1
@@ -184,10 +185,13 @@ def test_nerve_is_built_once_per_setup_atlas_and_level(monkeypatch):
         messages.append(str(exc.value))
     assert messages[0] == messages[1] and "no pullback" in messages[0]
     assert checks == [1]
-    # another atlas with the same morphism shares the nerve; another setup
-    # builds its own
+    # another atlas with the same morphism shares the nerve, and so does a
+    # setup of another class over the same carrier; another carrier, even an
+    # equal one, builds its own
     assert cech_nerve(s, Atlas(s, "2>1:0.0", surj_cover(s), ("1", "2")), 1) is first
-    other = GeometricSetup(big().category, big().e)
+    assert cech_nerve(GeometricSetup(c, iso_class(c)), a, 1) is first and first.category is c
+    assert checks == [1]
+    other = GeometricSetup(finset_category(c.object_size), big().e)
     assert cech_nerve(other, a, 1) is not first
     assert checks == [1, 1]
 
@@ -211,8 +215,9 @@ def test_a_malformed_nerve_is_not_reported_as_a_limit(monkeypatch):
         raise MalformedInputError("simplicial identity fails: d0s0")
 
     monkeypatch.setattr(CechDiagram, "_check_identities", broken)
-    # a fresh setup, since the nerves of big() are memoized on it
-    s = GeometricSetup(big().category, big().e)
+    # a fresh carrier, since the nerves of big()'s carrier are memoized on it
+    c = finset_category(big().category.object_size)
+    s = GeometricSetup(c, all_class(c))
     with pytest.raises(MalformedInputError, match="simplicial identity fails"):
         check_descent(s, frame_system(s, chain_lattice(1)), Atlas(s, "2>1:0.0", surj_cover(s), ("1", "2")))
 
@@ -284,6 +289,12 @@ def test_nice_pair_cover_restriction_mismatch():
 def test_pair_kind_validated():
     with pytest.raises(MalformedInputError):
         degenerate_pair(kind="weird")
+
+
+def test_a_repeated_small_object_is_rejected():
+    pd = degenerate_pair()
+    with pytest.raises(MalformedInputError, match="^duplicate small object '2'$"):
+        PairDeclaration("nice", pd.big, ("0", "1", "2", "2"), pd.s_small, pd.s_big, pd.e_small, pd.atlases)
 
 
 # -- descent of restrictions -----------------------------------------------
@@ -552,7 +563,7 @@ def test_extension_through_surjective_atlas():
     pd = exceptional_pair()
     sa = big_sa()
     found = _search_hypercovers(pd, "1>1:0")
-    via_cover = [hc for hc in found if hc.src_nerve.atlas.x == "2>1:0.0"]
+    via_cover = [hc for hc in found if hc.src_nerve.x == "2>1:0.0"]
     assert via_cover
     for hc in via_cover:
         assert extended_shriek_map(pd, sa, hc).same_table(sa.shriek["1>1:0"])

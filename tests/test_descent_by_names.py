@@ -222,7 +222,7 @@ def _old_extend_system_C(pd, sys):
             restriction[f] = sys.pull(f)
         else:
             restriction[f] = _old_transport_pull(pd, sys, lattices, chosen, f)
-    return CoefficientSystem(GeometricSetup(c, pd.big.e), lattices, restriction)
+    return CoefficientSystem(c, lattices, restriction)
 
 
 def _old_codescent_classes(sa, nerve):
@@ -261,7 +261,7 @@ def _old_check_codescent(sa, nerve):
     rep = VerificationReport("codescent")
     els, reach, class_of = _old_codescent_classes(sa, nerve)
     push_x = _push(sa, nerve.aug[0]).table
-    target = sa.sys.lattice(sa.sys.setup.category.dst(nerve.aug[0]))
+    target = sa.sys.lattice(sa.sys.category.dst(nerve.aug[0]))
     idx = {a: i for i, a in enumerate(els)}
     witness = None
     pair = _old_order_mismatch(els, lambda a, b: reach[idx[a]][idx[b]], _le(target), push_x.__getitem__)
@@ -274,7 +274,7 @@ def _old_check_codescent(sa, nerve):
     rep.add(
         "colimit-comparison",
         witness is None,
-        witness or {"classes": len(set(class_of.values())), "atlas": nerve.atlas.x},
+        witness or {"classes": len(set(class_of.values())), "atlas": nerve.x},
         anchor="cech-codescent",
     )
     return rep
@@ -389,12 +389,12 @@ def _retensored(sys, x, c):
     els, rows = L.elements, L._tensor_rows
     table = {(els[a], els[b]): els[L._joins[L._up[t] & L._up[c]]] for a, row in enumerate(rows) for b, t in enumerate(row)}
     lattices = {**sys.lattices, x: FiniteLattice(els, L.leq, table)}
-    cat = sys.setup.category
+    cat = sys.category
     restriction = {
         m: LatticeMap(lattices[cat.dst(m)], lattices[cat.src(m)], r.targets) if x in cat.morphisms[m] else r
         for m, r in sys.restriction.items()
     }
-    return CoefficientSystem(sys.setup, lattices, restriction)
+    return CoefficientSystem(sys.category, lattices, restriction)
 
 
 LATTICES = {"chain1": chain_lattice(1), "chain2": chain_lattice(2)}
@@ -462,7 +462,7 @@ def _diamond_system(lattices, targets):
     for f, (x, y) in setup.category.morphisms.items():
         identity = tuple(range(len(lattices[x].elements)))
         restriction[f] = LatticeMap(lattices[y], lattices[x], targets.get((x, y), identity))
-    return CoefficientSystem(setup, lattices, restriction)
+    return CoefficientSystem(setup.category, lattices, restriction)
 
 
 @st.composite
@@ -512,7 +512,7 @@ def test_descent_on_frame_systems_matches_the_routines_by_names(sys, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(diamond_systems(), st.data())
 def test_descent_on_poset_systems_matches_the_routines_by_names(sys, data):
-    setup = sys.setup
+    setup = _diamond()
     c = setup.category
     x = data.draw(st.sampled_from(c.morphism_ids))
     atlas = _atlas(setup, x)
@@ -631,7 +631,7 @@ def test_extended_exceptional_maps_match_the_routine_by_names(sa, data):
 
 
 def _hypercover(hc):
-    return hc.f, hc.src_nerve.atlas.x, hc.dst_nerve.atlas.x, hc.levels
+    return hc.f, hc.src_nerve.x, hc.dst_nerve.x, hc.levels
 
 
 @st.composite
@@ -648,8 +648,8 @@ def hypercover_pairs(draw):
     map and the degeneracy condition follows from them.  To reach that
     condition, the identity atlas of 2 is sometimes presented instead by a
     truncated simplicial object whose faces are one retraction r of a
-    section s0: 2 -> 4, stored in the setup's nerve memo."""
-    c = _cover_setup().category
+    section s0: 2 -> 4, stored in the carrier's nerve memo."""
+    c = finset_category({"1": 1, "2": 2, "4": 4})
     setup = GeometricSetup(c, all_class(c))
     extra = draw(st.lists(st.sampled_from(["2>1:0.0", "2>2:0.0", "1>2:0", "2>2:1.0", "4>1:0.0.0.0"]), unique=True))
     atlases = {}
@@ -663,8 +663,8 @@ def hypercover_pairs(draw):
         s0 = draw(st.sampled_from(sorted(injections(c) & set(c.hom("2", "4")))))
         r = draw(st.sampled_from([r for r in c.hom("4", "2") if c.comp(r, s0) == c.identity["2"]]))
         ident = _atlas(setup, c.identity["2"])
-        setup._nerves[(ident.x, 1)] = CechDiagram(
-            setup, ident, 1, ("2", "4"), {(1, 0): r, (1, 1): r}, {(0, 0): s0}, (ident.x, r)
+        c._nerves[(ident.x, 1)] = CechDiagram(
+            c, ident.x, 1, ("2", "4"), {(1, 0): r, (1, 1): r}, {(0, 0): s0}, (ident.x, r)
         )
     return PairDeclaration("exceptional", setup, c.objects, frozenset(), frozenset(), e_small, atlases)
 
@@ -712,14 +712,13 @@ def _chain_system(upper, lower, targets):
     """D(1) = upper and D(0) = lower on the chain 0 <= 1, restriction along
     0 <= 1 given by target positions."""
     c = poset_category(("0", "1"), lambda x, y: x <= y)
-    setup = GeometricSetup(c, EdgeClass(c, frozenset()))
     lattices = {"0": lower, "1": upper}
     restriction = {
         "0<=0": LatticeMap(lower, lower, tuple(range(len(lower.elements)))),
         "1<=1": LatticeMap(upper, upper, tuple(range(len(upper.elements)))),
         "0<=1": LatticeMap(upper, lower, targets),
     }
-    return CoefficientSystem(setup, lattices, restriction)
+    return CoefficientSystem(c, lattices, restriction)
 
 
 @lru_cache(maxsize=None)
@@ -727,12 +726,15 @@ def _witness_cases():
     chain1, chain2, chain3, square = chain_lattice(1), chain_lattice(2), chain_lattice(3), power_lattice(chain_lattice(1), 2)
     cases = {}
 
+    def setup(sys):
+        return GeometricSetup(sys.category, EdgeClass(sys.category, frozenset()))
+
     def descent(sys, x):
-        return check_descent, _old_check_descent, _checks, sys.setup, sys, _atlas(sys.setup, x)
+        return check_descent, _old_check_descent, _checks, setup(sys), sys, _atlas(setup(sys), x)
 
     def atlases(sys, x1, x2):
-        pd = PairDeclaration("nice", sys.setup, sys.setup.category.objects, frozenset(), frozenset(), frozenset(), {})
-        return compare_atlases, _old_compare_atlases, _checks, pd, sys, _atlas(sys.setup, x1), _atlas(sys.setup, x2)
+        pd = PairDeclaration("nice", setup(sys), sys.category.objects, frozenset(), frozenset(), frozenset(), {})
+        return compare_atlases, _old_compare_atlases, _checks, pd, sys, _atlas(pd.big, x1), _atlas(pd.big, x2)
 
     cases["restriction not injective"] = descent(_chain_system(chain2, chain1, (0, 1, 1)), "0<=1")
     cases["image differs from descent data"] = descent(_chain_system(chain1, chain2, (0, 2)), "0<=1")
@@ -778,7 +780,7 @@ def _witness_cases():
     broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, **top})
     cases["not surjective"] = (check_codescent, _old_check_codescent, _checks, broken, nerve)
     pd = _exceptional_pair(["2>1:0.0"])
-    hc = next(h for h in _search_hypercovers(pd, "1>1:0") if h.src_nerve.atlas.x == "2>1:0.0")
+    hc = next(h for h in _search_hypercovers(pd, "1>1:0") if h.src_nerve.x == "2>1:0.0")
     broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, "2>1:0.0": LatticeMap(bottom.src, bottom.dst, (1,) * 4)})
     cases["not well defined"] = (extended_shriek_map, _old_extended_shriek_map, _map, pd, broken, hc)
 

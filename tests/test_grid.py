@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corrkit.descent import PairDeclaration, check_nice_pair, identity_atlas
 from corrkit.fincat import (
     FinCategory,
     chain_category,
@@ -33,6 +34,7 @@ from corrkit.grid import (
     exact_squares,
     exact_squares_bruteforce,
 )
+from corrkit.lattices import chain_lattice, frame_system
 from corrkit.report import MalformedInputError, ResourceLimitError
 from corrkit.setups import (
     EdgeClass,
@@ -192,23 +194,51 @@ def _setup_report(c, name: str, memo: dict | None = None) -> dict:
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda sizes: max(sizes) >= 2),
-    st.sampled_from(sorted(_CLASSES)),
-    st.sampled_from(sorted(_CLASSES)),
+    st.lists(st.sampled_from(sorted(_CLASSES)), min_size=1, max_size=3, unique=True),
     st.data(),
 )
-def test_a_setup_reports_the_same_over_a_carrier_another_class_swept(sizes, first, second, data):
-    # every setup over a carrier reads and fills the carrier's one pullback
-    # memo; what one class's sweep left there must not change another's
+def test_a_setup_reports_the_same_over_a_carrier_another_class_swept(sizes, swept, data):
+    # every setup over a carrier reads and fills the carrier's memos: its
+    # pullbacks, and the report of each class.  What the sweeps of other
+    # classes left there, in a drawn order, must not change a class's
     # report, which is read against a fresh carrier through an empty memo
     named = {f"o{i}": n for i, n in enumerate(sizes)}
     c = finset_category(named)
-    _setup_report(c, first)
-    assert _setup_report(c, second) == _setup_report(finset_category(named), second, memo={})
-    # a full subcategory is a new carrier, whose canonical apex can differ
-    # from its parent's, so it reads none of the parent's pullbacks
+    for name in swept:
+        _setup_report(c, name)
+    for name in swept:
+        s = GeometricSetup(c, _CLASSES[name](c))
+        assert check_geometric_setup(s) is check_geometric_setup(GeometricSetup(c, _CLASSES[name](c)))
+        assert _setup_report(c, name) == _setup_report(finset_category(named), name, memo={}), name
+    last = swept[-1]
+
+    # a frame system depends on the carrier alone: setups of two classes
+    # share one, with the tables a fresh carrier's system has
+    L = chain_lattice(1)
+    system = frame_system(GeometricSetup(c, _CLASSES[last](c)), L)
+    assert frame_system(GeometricSetup(c, iso_class(c)), L) is system and system.category is c
+    fresh = frame_system(GeometricSetup(finset_category(named), iso_class(finset_category(named))), L)
+    assert {x: D.elements for x, D in system.lattices.items()} == {x: D.elements for x, D in fresh.lattices.items()}
+    assert {m: r.targets for m, r in system.restriction.items()} == {m: r.targets for m, r in fresh.restriction.items()}
+
+    # a pair whose small objects are every object reads the ambient carrier,
+    # and reports as one whose small carrier is an equal fresh copy
+    big = GeometricSetup(c, _CLASSES[last](c))
+    objects = data.draw(st.permutations(c.objects))
+    cover = c.iso_ids
+    atlases = {x: (identity_atlas(big, iso_class(c), objects, x),) for x in c.objects}
+    pd, twin = (PairDeclaration("nice", big, objects, cover, cover, big.e.members, atlases) for _ in range(2))
+    twin.small = full_subcategory(finset_category(named), objects)
+    assert pd.small is c and twin.small == c and twin.small is not c
+    assert check_nice_pair(pd).to_dict() == check_nice_pair(twin).to_dict()
+
+    # a proper full subcategory is a new carrier, whose canonical apex can
+    # differ from its parent's, so it reads none of the parent's memos
     kept = data.draw(st.lists(st.sampled_from(c.objects), min_size=1, unique=True))
+    small = PairDeclaration("nice", big, kept, frozenset(), frozenset(), frozenset(), {}).small
+    assert (small is c) == (set(kept) == set(c.objects)) and small == full_subcategory(c, kept)
     fresh = finset_category({x: named[x] for x in kept})
-    assert _setup_report(full_subcategory(c, kept), second) == _setup_report(fresh, second, memo={})
+    assert _setup_report(small, last) == _setup_report(fresh, last, memo={})
 
 
 @st.composite

@@ -217,7 +217,7 @@ def test_adjoint_involution():
 
 def test_triangle_identities():
     sys = frame2()
-    for f in sys.setup.category.morphism_ids:
+    for f in sys.category.morphism_ids:
         assert check_triangles(sys.galois(f)).passed
 
 
@@ -239,7 +239,7 @@ def test_adjointable_pullback_square():
 
 def test_adjointable_fails_on_fake_pullback():
     sys = frame2()
-    c = sys.setup.category
+    c = sys.category
     # cospan 2 -> 1 <- 1 has fiber product 2, but apex 1 also commutes
     sq = _beck_chevalley_square(sys, "2>1:0.0", c.identity["1"], "1>2:0", c.identity["1"])
     rep = check_adjointable(sq, "right")
@@ -281,7 +281,8 @@ def test_every_frame_pullback_square_is_adjointable(L):
     # pullback square matches the fibers on both sides of each mate, so a
     # frame model is adjointable over any lattice
     sys = frame2(L)
-    setup, c = sys.setup, sys.setup.category
+    c = sys.category
+    setup = GeometricSetup(c, all_class(c))
     squares = 0
     for f in c.morphism_ids:
         for g in c.morphism_ids:
@@ -318,7 +319,7 @@ def _frame_grid(sys, square_edges):
     # square_edges: morphisms (f, g, a, b) of the carrier forming a
     # commuting square f;a == g;b read off the pullback maps
     f, g, a, b = square_edges
-    c = sys.setup.category
+    c = sys.category
     lattices = {
         (0, 0): sys.lattice(c.dst(f)),
         (1, 0): sys.lattice(c.src(f)),
@@ -383,7 +384,7 @@ def _bump_key(v, d):
 
 def test_partial_adjoint_preconditions():
     sys = frame2()
-    c = sys.setup.category
+    c = sys.category
     fake = _frame_grid(sys, ("2>1:0.0", c.identity["1"], "1>2:0", c.identity["1"]))
     with pytest.raises(MalformedInputError):
         partial_adjoint_grid(fake, {0})
@@ -397,7 +398,7 @@ def test_partial_adjoint_preconditions():
 
 def test_frame_system_is_functorial():
     sys = frame2()
-    c = sys.setup.category
+    c = sys.category
     assert set(sys.restriction) == set(c.morphism_ids)
     assert sys.lattice("2").elements == power_lattice(chain_lattice(1), 2).elements
 
@@ -432,7 +433,7 @@ def test_functoriality_sweep_names_the_pair_of_the_full_scan(data):
     # the carrier has sizes, so only pairs (g, a) with a a generator are
     # swept; a failure must still name the first pair of the full scan
     sys = _frame3()
-    c = sys.setup.category
+    c = sys.category
     assert c.object_size is not None
     m = data.draw(st.sampled_from([m for m in c.morphism_ids if not c.is_identity(m)]))
     old = sys.restriction[m]
@@ -442,33 +443,33 @@ def test_functoriality_sweep_names_the_pair_of_the_full_scan(data):
     restriction = {**sys.restriction, m: named_map(old.src, old.dst, table)}
     expected = _first_nonfunctorial_pair(c, restriction)
     if expected is None:
-        CoefficientSystem(sys.setup, sys.lattices, restriction)
+        CoefficientSystem(sys.category, sys.lattices, restriction)
         return
     g, f = expected
     with pytest.raises(MalformedInputError) as err:
-        CoefficientSystem(sys.setup, sys.lattices, restriction)
+        CoefficientSystem(sys.category, sys.lattices, restriction)
     assert str(err.value) == f"restriction not functorial on ({g!r}, {f!r})"
 
 
 def test_broken_functoriality_rejected():
     sys = frame2()
-    c = sys.setup.category
+    c = sys.category
     restriction = dict(sys.restriction)
     top_map = {x: restriction["2>1:0.0"].dst.top for x in restriction["2>1:0.0"].src.elements}
     restriction["2>1:0.0"] = named_map(restriction["2>1:0.0"].src, restriction["2>1:0.0"].dst, top_map)
     with pytest.raises(MalformedInputError):
-        CoefficientSystem(sys.setup, sys.lattices, restriction)
+        CoefficientSystem(sys.category, sys.lattices, restriction)
 
 
 def test_non_identity_identity_restriction_rejected():
     sys = frame2()
-    c = sys.setup.category
+    c = sys.category
     L = sys.lattice("2")
     swap = {x: tuple_name(tuple(reversed(x[1:-1].split(",")))) for x in L.elements}
     restriction = dict(sys.restriction)
     restriction[c.identity["2"]] = named_map(L, L, swap)
     with pytest.raises(MalformedInputError, match="identity restriction at '2'"):
-        CoefficientSystem(sys.setup, sys.lattices, restriction)
+        CoefficientSystem(sys.category, sys.lattices, restriction)
 
 
 def test_galois_adjoints_match_fiberwise_oracles():
@@ -491,7 +492,7 @@ def test_galois_adjoints_match_fiberwise_oracles():
 
 def test_projection_formula_sharp_frames():
     sys = frame2()
-    for f in sys.setup.category.morphism_ids:
+    for f in sys.category.morphism_ids:
         assert check_projection_formula(sys, f, "sharp").passed
 
 
@@ -760,7 +761,7 @@ def test_each_adjoint_is_computed_once_per_map(monkeypatch):
     builds = []
     original = LatticeMap.__post_init__
     monkeypatch.setattr(LatticeMap, "__post_init__", lambda self: (builds.append(self), original(self)))
-    for f in sys.setup.category.morphism_ids:
+    for f in sys.category.morphism_ids:
         first = (sys.galois(f).sharp, sys.galois(f).star)
         assert len(builds) == 2
         check_triangles(sys.galois(f))
@@ -853,7 +854,7 @@ def _digest(obj) -> str:
 
 def _commuting_squares(sys):
     """Every square pull(f), pull(g), pull(a), pull(b) with f.a == g.b."""
-    c = sys.setup.category
+    c = sys.category
     ids = c.morphism_ids
     for f in ids:
         for g in ids:
@@ -910,7 +911,7 @@ def test_triangle_witnesses_on_false_adjoints_are_pinned():
     # constant maps stand in for the adjoints, so the triangles can fail
     sys = frame2()
     reports = []
-    for f in sys.setup.category.morphism_ids:
+    for f in sys.category.morphism_ids:
         pull = sys.pull(f)
         top = named_map(pull.dst, pull.src, {x: pull.src.top for x in pull.dst.elements})
         bot = named_map(pull.dst, pull.src, {x: pull.src.bot for x in pull.dst.elements})
@@ -1087,7 +1088,7 @@ def test_adjoints_of_drawn_maps_match_the_formulas_by_names(L, M, data):
 def _projection_by_names(sys, L, f, push, relation):
     """The first (E, B) of a sweep over names of powers of L, with the
     tensor and the order taken coordinatewise from L's names."""
-    x, y = sys.setup.category.morphisms[f]
+    x, y = sys.category.morphisms[f]
     DX, DY = sys.lattice(x), sys.lattice(y)
     pull, pushed_of = sys.pull(f).table, push.table
 

@@ -4,9 +4,11 @@ table outside `fincat`, no CLI argument its subcommand does not read, no
 subcommand but `run` that runs a suite, one CLI function that gates a
 factorization setup, one routine that reports a sub-setup, no definition
 that only unit tests name, one exception class for malformed input and one
-for a carrier gap, and no first-witness loop written by hand: no `if` on a
-witness that breaks, and no `for` loop that keeps a witness and breaks,
-outside a short allow-list."""
+for a carrier gap, no first-witness loop written by hand (no `if` on a
+witness that breaks, and no `for` loop that keeps a witness and breaks)
+outside a short allow-list, and one writer per carrier memo: a geometric
+setup keeps no memo but its view of the carrier's pullbacks, and each memo
+on a `FinCategory` is filled in exactly one function."""
 
 import ast
 import importlib
@@ -311,3 +313,66 @@ def test_no_first_witness_loop_is_written_by_hand():
                     loops.add(f"{mod}.{getattr(top, 'name', '<module>')}")
     assert ladders == []
     assert sorted(loops) == sorted(WITNESS_LOOPS) and len(WITNESS_LOOPS) <= 5
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _stored(node: ast.AST) -> list[str]:
+    """The attribute names `X.name` that `node` stores into, by item
+    assignment or by `setdefault` and `update`."""
+    targets = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Assign):
+            targets += [t.value for t in n.targets if isinstance(t, ast.Subscript)]
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("setdefault", "update"):
+            targets.append(n.func.value)
+    return [t.attr for t in targets if isinstance(t, ast.Attribute)]
+
+
+def test_each_carrier_memo_has_one_writer():
+    # a value the carrier determines (a pullback, a frame system, a Čech
+    # nerve, a setup's verdict) is built once per carrier only if it is
+    # memoized on the carrier and stored by one function; a setup keeps no
+    # memo but `_oracle`, its view of the carrier's pullbacks, which
+    # perfbench's tracer reads
+    trees = _trees()
+    (init,) = (f for name, f in _functions(trees["setups"]) if name == "GeometricSetup.__init__")
+    assigned = [
+        t.attr
+        for n in ast.walk(init)
+        if isinstance(n, (ast.Assign, ast.AnnAssign))
+        for target in getattr(n, "targets", [getattr(n, "target", None)])
+        for t in ast.walk(target)
+        if isinstance(t, ast.Attribute)
+    ]
+    assert [name for name in assigned if name.startswith("_")] == ["_oracle"]
+
+    (carrier,) = (n for n in trees["fincat"].body if isinstance(n, ast.ClassDef) and n.name == "FinCategory")
+    memos = [
+        f.name
+        for f in carrier.body
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "cached_property" for d in f.decorator_list)
+        and isinstance(f.body[-1], ast.Return) and isinstance(f.body[-1].value, ast.Dict) and not f.body[-1].value.keys
+    ]
+    writers = {memo: [] for memo in memos}
+    for mod, tree in trees.items():
+        for name, fn in _functions(tree):
+            for attr in set(_stored(fn)):
+                memo = "_pullbacks" if attr == "_oracle" else attr
+                if memo in writers:
+                    writers[memo].append(f"{mod}.{name}")
+    assert writers == {
+        "_memo": ["fincat.FinCategory.comp"],
+        "_pullbacks": ["setups.GeometricSetup.pullback_opt"],
+        "_systems": ["lattices.frame_system"],
+        "_nerves": ["descent.cech_nerve"],
+        "_verdicts": ["setups.check_geometric_setup"],
+    }

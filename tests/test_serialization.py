@@ -552,6 +552,7 @@ def _map_entry(key, entry, value):
         (_pair, _append("s_big", {}), "s_big must be a list of strings"),
         (_pair, _append("e_big", []), "e_big must be a list of strings"),
         (_pair, _set("small_objects", "012"), "small_objects must be a list of strings"),
+        (_pair, _append("small_objects", "2"), "^duplicate small object '2'$"),
         (_pair, _append("s_small", 0), "s_small must be a list of strings"),
         (_pair, _append("e_small", ["0>0:"]), "e_small must be a list of strings"),
         (_pair, _set("cover", "2>1:0.0"), "cover must be a list of strings"),
@@ -589,7 +590,7 @@ def _map_entry(key, entry, value):
     ],
     ids=["atlases-list", "atlas-string", "atlas-unknown-object", "exceptional-atlas-unknown-object",
          "atlas-other-target", "exceptional-atlas-other-target", "s-small-outside", "e-small-outside",
-         "s-big-dict", "e-big-list", "small-objects-string", "s-small-int",
+         "s-big-dict", "e-big-list", "small-objects-string", "small-objects-duplicate", "s-small-int",
          "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
          "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
          "mor-map-outside", "inverted-nested", "inverted-string", "functor-typing", "functor-composite"],

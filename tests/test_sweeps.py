@@ -408,7 +408,7 @@ def _system(i: int, lattice):
     restriction = {}
     for m, (x, y) in c.morphisms.items():
         restriction[m] = named_map(lattices[y], lattices[x], {e: e if c.object_size[x] else "*" for e in lattices[y].elements})
-    return CoefficientSystem(setup, lattices, restriction)
+    return CoefficientSystem(c, lattices, restriction)
 
 
 SYSTEMS = st.one_of(st.sampled_from(["chain1", "chain2", "n5"]), st.frozensets(st.sampled_from(["1", "2", "a", "b", "p"])))
@@ -418,7 +418,7 @@ SYSTEMS = st.one_of(st.sampled_from(["chain1", "chain2", "n5"]), st.frozensets(s
 @given(st.sampled_from([0, 1, 3]), SYSTEMS, st.data())
 def test_the_square_and_morphism_sweeps_match_the_loops_they_replaced(i, lattice, data):
     sys = _system(i, lattice)
-    c = sys.setup.category
+    c = sys.category
     e, i_class, p_class = (EdgeClass(c, data.draw(subsets(c.morphism_ids))) for _ in range(3))
     ns = NagataSetup(GeometricSetup(c, e), i_class, p_class)
     # the system was built over another class of the same carrier: its maps
