@@ -271,12 +271,22 @@ class PairDeclaration:
         unknown = [y for y in (*self.small_objects, *sorted(self.atlases)) if y not in c.objects]
         if unknown:
             raise MalformedInputError(f"unknown objects {unknown[:3]}")
+        # `check_atlas` reads each atlas's own carrier, cover class and
+        # small objects, and an envelope has one of each for the pair
+        covers = set()
         for obj, lst in sorted(self.atlases.items()):
             for a in lst:
+                if a.setup.category is not c:
+                    raise MalformedInputError(f"atlas {a.x!r} is over another carrier")
                 if a.target != obj:
                     raise MalformedInputError(
                         f"atlas {a.x!r} is listed under {obj!r}, not under its target {a.target!r}"
                     )
+                if a.small_objects != listed:
+                    raise MalformedInputError(f"atlas {a.x!r} declares other small objects than its pair")
+                covers.add(a.s.members)
+        if len(covers) > 1:
+            raise MalformedInputError("atlases disagree on the cover class")
         for name, members in (("s_small", self.s_small), ("s_big", self.s_big), ("e_small", self.e_small)):
             bad = sorted(set(members) - set(c.morphism_ids))
             if bad:

@@ -265,31 +265,6 @@ def nagata_from_dict(d: dict) -> NagataSetup:
     return NagataSetup(setup, EdgeClass(c, _class_members(c, d, "i")), EdgeClass(c, _class_members(c, d, "p")))
 
 
-def pair_to_dict(pd: PairDeclaration) -> dict:
-    cover_ids = None
-    atlases = {}
-    for obj, lst in sorted(pd.atlases.items()):
-        atlases[obj] = [a.x for a in lst]
-        for a in lst:
-            members = sorted(a.s.members)
-            if cover_ids is None:
-                cover_ids = members
-            elif cover_ids != members:
-                raise MalformedInputError("atlases disagree on the cover class")
-    return {
-        "schema": PAIR_SCHEMA,
-        "kind": pd.kind,
-        "category": category_to_dict(pd.big.category),
-        "e_big": sorted(pd.big.e.members),
-        "small_objects": list(pd.small_objects),
-        "s_small": sorted(pd.s_small),
-        "s_big": sorted(pd.s_big),
-        "e_small": sorted(pd.e_small),
-        "cover": cover_ids or [],
-        "atlases": atlases,
-    }
-
-
 def pair_from_dict(d: dict) -> PairDeclaration:
     from .descent import Atlas, PairDeclaration
     from .setups import EdgeClass, GeometricSetup
@@ -318,17 +293,6 @@ def pair_from_dict(d: dict) -> PairDeclaration:
         frozenset(_strings(d["e_small"], "e_small")),
         atlases,
     )
-
-
-def localization_to_dict(lp: LocalizationProblem) -> dict:
-    return {
-        "schema": LOCALIZATION_SCHEMA,
-        "source": category_to_dict(lp.p.source),
-        "target": category_to_dict(lp.p.target),
-        "obj_map": dict(lp.p.obj_map),
-        "mor_map": dict(lp.p.mor_map),
-        "inverted": sorted(lp.r),
-    }
 
 
 def _total_map(value, keys, targets, what: str) -> dict:

@@ -72,21 +72,6 @@ def compose_spans(s: GeometricSetup, a: Span, b: Span) -> Span:
     return Span(c.comp(a.left, p), c.comp(b.right, q))
 
 
-def find_span_iso(c: FinCategory, a: Span, b: Span) -> str | None:
-    """An isomorphism of apexes commuting with both legs, if one exists."""
-    if span_feet(c, a) != span_feet(c, b):
-        return None
-    wa, wb = span_apex(c, a), span_apex(c, b)
-    for h in c.hom(wa, wb):
-        if h in c.iso_ids and c.comp(b.left, h) == a.left and c.comp(b.right, h) == a.right:
-            return h
-    return None
-
-
-def spans_isomorphic(c: FinCategory, a: Span, b: Span) -> bool:
-    return find_span_iso(c, a, b) is not None
-
-
 def span_class_key(c: FinCategory, s: Span):
     """A complete isomorphism invariant.
 
@@ -301,19 +286,6 @@ def corr_simplices(s: GeometricSetup, n: int) -> list[CorrSimplex]:
         keyed.append((key, CorrSimplex(n, FunctorData(source, c, obj_map, mor_map))))
     keyed.sort(key=lambda kc: kc[0])
     return [cs for _, cs in keyed]
-
-
-def simplex_edge(cs: CorrSimplex, a: tuple[int, int], b: tuple[int, int]) -> Span:
-    """The span spanned by vertices a[0]..a[1] of the cell (restriction to
-    the sub-staircase on two vertices)."""
-    from .grid import cp_name
-
-    F = cs.functor
-    i, j = a[0], b[0]
-    return Span(
-        F.mor_map[f"{cp_name((i, j))}<={cp_name((i, i))}"],
-        F.mor_map[f"{cp_name((i, j))}<={cp_name((j, j))}"],
-    )
 
 
 # -- coproducts in the homotopy category ----------------------------------

@@ -22,6 +22,8 @@ from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup
 from corrkit import serialization as ser
 
+from helpers import localization_to_dict, pair_to_dict
+
 
 def invoke(capsys, *argv):
     code = main(list(argv))
@@ -170,6 +172,27 @@ def test_a_named_input_no_selected_suite_applies_to_exits_2_before_any_suite(tmp
     code, out, err = invoke(capsys, *argv, "--suite", "model")
     assert (code, out, ran) == (2, "", [])
     assert err == "error: no selected suite applies to --instance finset-1; its suites are category, setup\n"
+
+
+def _sizes_free_nagata_input(tmp_path) -> str:
+    d = ser.nagata_to_dict(instance("nagata-open").build())
+    del d["category"]["sizes"]
+    path = tmp_path / "nagata.json"
+    path.write_text(ser.dumps(d))
+    return str(path)
+
+
+def test_a_factorization_setup_without_sizes_runs_its_category_and_setup_suites(tmp_path, capsys):
+    # the theorem suite builds frame systems, which read the carrier's
+    # cardinalities, so a well-formed envelope without `sizes` takes the
+    # other two suites, and selecting the theorem alone names them
+    path = _sizes_free_nagata_input(tmp_path)
+    code, out, err = invoke(capsys, "run", "--input", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert [rep["suite"] for rep in json.loads(out)["reports"]] == [f"{path}:category", f"{path}:setup"]
+    code, out, err = invoke(capsys, "run", "--input", path, "--suite", "theorem")
+    assert (code, out) == (2, "")
+    assert err == f"error: no selected suite applies to --input {path}; its suites are category, setup\n"
 
 
 def test_a_bare_run_with_a_suite_only_filters_instances(monkeypatch):
@@ -450,7 +473,7 @@ def test_a_failed_codescent_precondition_is_a_failed_check(tmp_path, capsys):
     atlases["2"] = (descent.Atlas(s, "1>2:0", cover, c.objects),) + atlases["2"]
     pd = descent.PairDeclaration("exceptional", s, c.objects, every, every, every, atlases)
     path = tmp_path / "pair.json"
-    path.write_text(ser.dumps(ser.pair_to_dict(pd)))
+    path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
     assert code == 1 and err == ""
     (rep,) = json.loads(out)["reports"]
@@ -476,7 +499,7 @@ def test_a_transport_the_carrier_cannot_hold_is_a_limit_not_malformed_input(tmp_
     atlases["1"] = (descent.Atlas(s, "2>1:0.0", cover, small),)
     pd = descent.PairDeclaration("nice", s, small, inside, surj, inside, atlases)
     path = tmp_path / "pair.json"
-    path.write_text(ser.dumps(ser.pair_to_dict(pd)))
+    path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
     assert code == 1 and err == ""
     (rep,) = json.loads(out)["reports"]
@@ -518,7 +541,7 @@ def _run_exceptional_pair(tmp_path, capsys, sizes, e_small_every, atlases):
     declared.update({o: (descent.Atlas(s, x, cover, small),) for o, x in atlases.items()})
     pd = descent.PairDeclaration("exceptional", s, small, inside(surj), surj, e_small, declared)
     path = tmp_path / "pair.json"
-    path.write_text(ser.dumps(ser.pair_to_dict(pd)))
+    path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
     assert err == ""
     (rep,) = json.loads(out)["reports"]
@@ -779,9 +802,9 @@ SUBCOMMAND_STDERR = {
 def test_wrong_kind_of_declaration_is_pinned(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain2.json").write_text(ser.dumps(ser.lattice_to_dict(chain_lattice(1))))
-    (tmp_path / "pair.json").write_text(ser.dumps(ser.pair_to_dict(instance("nice-pair-identity").build())))
+    (tmp_path / "pair.json").write_text(ser.dumps(pair_to_dict(instance("nice-pair-identity").build())))
     (tmp_path / "finset1.json").write_text(ser.dumps(ser.category_to_dict(instance("finset-1").build().category)))
-    interval = ser.localization_to_dict(instance("localization-interval").build())
+    interval = localization_to_dict(instance("localization-interval").build())
     (tmp_path / "interval.json").write_text(ser.dumps(interval))
     assert invoke(capsys, *argv) == (2, "", SUBCOMMAND_STDERR[argv])
 
@@ -989,7 +1012,7 @@ def test_a_pair_of_every_small_object_builds_each_pullback_once(counted):
     # the small carrier of nice-pair-cover is its big one, so its small and
     # big setups, of equal classes, share one sweep
     pullbacks, reports, _ = counted
-    pd = ser.loads(ser.dumps(ser.pair_to_dict(instance("nice-pair-cover").build())))
+    pd = ser.loads(ser.dumps(pair_to_dict(instance("nice-pair-cover").build())))
     assert descent.check_nice_pair(pd).passed
     # 153,338 when the small carrier was a copy with memos of its own
     assert len(pullbacks) == 76669

@@ -297,6 +297,36 @@ def test_a_repeated_small_object_is_rejected():
         PairDeclaration("nice", pd.big, ("0", "1", "2", "2"), pd.s_small, pd.s_big, pd.e_small, pd.atlases)
 
 
+def _iso_cover_pair(extra: Atlas) -> PairDeclaration:
+    """`nice-pair-cover`'s carrier, every object small, every identity
+    atlas on the iso class, and `extra` listed under object 1."""
+    s = instance("nice-pair-cover").build().big
+    c = s.category
+    iso = iso_class(c)
+    atl = {o: (identity_atlas(s, iso, c.objects, o),) for o in c.objects}
+    atl["1"] += (extra,)
+    return PairDeclaration("nice", s, c.objects, iso.members, iso.members, frozenset(c.morphism_ids), atl)
+
+
+def test_an_atlas_that_disagrees_with_its_pair_is_rejected():
+    # a pair envelope has one carrier, one cover class and one list of
+    # small objects, so a built pair whose atlases hold others would get
+    # another verdict once written and loaded back: an atlas 2>1:0.0 with
+    # no small objects passes `atlases-exist`, and fails it at 1>1:0 with
+    # the pair's
+    s = instance("nice-pair-cover").build().big
+    c = s.category
+    iso = iso_class(c)
+    with pytest.raises(MalformedInputError, match="^atlas '2>1:0.0' declares other small objects than its pair$"):
+        _iso_cover_pair(Atlas(s, "2>1:0.0", iso, ()))
+    with pytest.raises(MalformedInputError, match="^atlases disagree on the cover class$"):
+        _iso_cover_pair(Atlas(s, "2>1:0.0", all_class(c), c.objects))
+    twin = finset_category(c.object_size)
+    with pytest.raises(MalformedInputError, match="^atlas '2>1:0.0' is over another carrier$"):
+        _iso_cover_pair(Atlas(GeometricSetup(twin, all_class(twin)), "2>1:0.0", iso, c.objects))
+    _iso_cover_pair(Atlas(s, "2>1:0.0", iso, c.objects))
+
+
 # -- descent of restrictions -----------------------------------------------
 
 
@@ -355,7 +385,7 @@ def descent_pair():
     c = s.category
     cover = surj_cover(s)
     atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atl["1"] = atl["1"] + (atlas21(),)
+    atl["1"] = atl["1"] + (Atlas(s, "2>1:0.0", cover, c.objects),)
     return PairDeclaration(
         "nice", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)),
         frozenset(c.morphism_ids), atl,
@@ -423,7 +453,7 @@ def exceptional_pair(e_small=None):
     c = s.category
     cover = surj_cover(s)
     atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atl["1"] = atl["1"] + (atlas21(),)
+    atl["1"] = atl["1"] + (Atlas(s, "2>1:0.0", cover, c.objects),)
     em = frozenset(c.morphism_ids if e_small is None else e_small)
     return PairDeclaration(
         "exceptional", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)),

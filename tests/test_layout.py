@@ -2,15 +2,18 @@
 the CLI cannot reach, no call to the builtin `id`, no read of the compose
 table outside `fincat`, no CLI argument its subcommand does not read, no
 subcommand but `run` that runs a suite, one CLI function that gates a
-factorization setup, one routine that reports a sub-setup, no definition
-that only unit tests name, one exception class for malformed input and one
-for a carrier gap, no first-witness loop written by hand (no `if` on a
+factorization setup, one routine that reports a sub-setup, every
+definition reached by a call-graph walk from the CLI or kept off its path
+by a listed reader that really names it, everything `perfbench/` reads
+from the package still there, one exception class for malformed input and
+one for a carrier gap, no first-witness loop written by hand (no `if` on a
 witness that breaks, and no `for` loop that keeps a witness and breaks)
 outside a short allow-list, and one writer per carrier memo: a geometric
 setup keeps no memo but its view of the carrier's pullbacks, and each memo
 on a `FinCategory` is filled in exactly one function."""
 
 import ast
+import functools
 import importlib
 import re
 import shlex
@@ -24,13 +27,28 @@ PACKAGE = ROOT / "src" / "corrkit"
 # every other first-witness scan reports through `VerificationReport.sweep`
 WITNESS_LOOPS: dict[str, str] = {}
 
-# definitions that only unit tests name, kept on purpose
-KEPT_FOR_TESTS = {
-    "partial_adjoint_grid": "the partial-adjoints theorem, to be put in the gate (ROADMAP item 2)",
-    "pair_to_dict": "round-trip writer for pair envelopes",
-    "localization_to_dict": "round-trip writer for localization envelopes",
-    "spans_isomorphic": "the reference that span_class_key is tested against",
-    "simplex_edge": "test accessor for the spans of a correspondence cell",
+# definitions no CLI path reaches (a top-level name, or `Class.method`),
+# each a root of the reachability walk with the reader that keeps it:
+# "acceptance criterion N" (the acceptance test's criterion N names it),
+# "ROADMAP item N" (an open item that names it will give it a caller) or
+# "benchmark writer" (`perfbench/` names it); what a root calls is reached
+# through it and needs no entry
+OFF_PATH = {
+    "exact_squares": "acceptance criterion 1",
+    "exact_squares_bruteforce": "acceptance criterion 1",
+    "ExactSquare.corners": "acceptance criterion 1",
+    "TensorEdge": "acceptance criterion 4",
+    "is_cocartesian": "acceptance criterion 4",
+    "monotone_maps_between": "acceptance criterion 5",
+    "paste_squares": "acceptance criterion 5",
+    "fiberwise_join_map": "acceptance criterion 6",
+    "fiberwise_meet_map": "acceptance criterion 6",
+    "check_independence": "acceptance criterion 6",
+    "has_section": "acceptance criterion 9",
+    "descent_elements": "acceptance criterion 9",
+    "partial_adjoint_grid": "ROADMAP item 2",
+    "lattice_to_dict": "benchmark writer",
+    "nagata_to_dict": "benchmark writer",
 }
 
 
@@ -183,20 +201,15 @@ def test_only_run_runs_a_suite():
     assert named == []
 
 
-def _names(node: ast.AST, attributes: bool = False) -> Counter:
+def _names(node: ast.AST) -> Counter:
     """Every identifier the node mentions: names, attributes, imported
-    names, and dotted identifiers inside strings (perfbench's tracer names
-    its targets that way).  With `attributes`, only what is read as an
-    attribute: `.name`, or a part after a dot inside a string."""
+    names, and dotted identifiers inside strings."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Attribute):
             out[n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            parts = n.value.split(".")
-            out.update(part for part in parts[1 if attributes else 0 :] if part.isidentifier())
-        elif attributes:
-            continue
+            out.update(part for part in n.value.split(".") if part.isidentifier())
         elif isinstance(n, ast.Name):
             out[n.id] += 1
         elif isinstance(n, ast.alias):
@@ -204,35 +217,194 @@ def _names(node: ast.AST, attributes: bool = False) -> Counter:
     return out
 
 
-def _definitions(tree: ast.Module):
-    """(definition, is a method): top-level functions and classes, and the
-    methods of those classes other than dunders, which Python calls
+def _is_dunder(node: ast.AST) -> bool:
+    return isinstance(node, ast.FunctionDef) and node.name.startswith("__")
+
+
+def _index(trees: dict[str, ast.Module]) -> dict[str, dict]:
+    """Name -> {qualified name: node} of every top-level function and class
+    ("def"), and of every method but the dunders ("method")."""
+    index = {"def": {}, "method": {}}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                index["def"].setdefault(node.name, {})[f"{mod}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not _is_dunder(m):
+                        index["method"].setdefault(m.name, {})[f"{mod}.{node.name}.{m.name}"] = m
+    return index
+
+
+def _run(node: ast.AST):
+    """`node` and every node under it but annotations, which every module
+    leaves unevaluated (`from __future__ import annotations`)."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        for field, value in ast.iter_fields(n):
+            if field not in ("annotation", "returns"):
+                todo += [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, ast.AST)]
+
+
+def _code(node: ast.AST):
+    """The nodes that run when `node` is reached: all of a function, and of
+    a class all but its methods other than the dunders, which Python calls
     implicitly."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node, False
-        if isinstance(node, ast.ClassDef):
-            yield from (
-                (m, True) for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
-            )
+    if not isinstance(node, ast.ClassDef):
+        yield from _run(node)
+        return
+    for part in (*node.bases, *node.keywords, *node.decorator_list, *node.body):
+        if _is_dunder(part) or not isinstance(part, ast.FunctionDef):
+            yield from _run(part)
 
 
-def test_every_definition_is_named_outside_the_unit_tests():
+def _definitions(index: dict) -> dict:
+    """{qualified name: node} of every definition in the index."""
+    return {qual: d for kind in index.values() for defs in kind.values() for qual, d in defs.items()}
+
+
+def _entry(index: dict, name: str) -> dict:
+    """{qualified name: node} of what the OFF_PATH entry `name` lists."""
+    *cls, attr = name.split(".")
+    found = index["method" if cls else "def"].get(attr, {})
+    return {qual: d for qual, d in found.items() if qual.endswith(f".{name}")}
+
+
+def _reach(index: dict, roots: list, reached: frozenset = frozenset()) -> set[str]:
+    """`reached` and the qualified name of every definition the code of
+    `roots` reaches.  Reached code reaches each top-level definition it
+    names, as a name or as an attribute, and each method it reads as an
+    attribute; a string reaches nothing."""
+    reached, todo = set(reached), list(roots)
+    while todo:
+        for n in _code(todo.pop()):
+            if isinstance(n, ast.Name):
+                found = index["def"].get(n.id, {})
+            elif isinstance(n, ast.Attribute):
+                found = {**index["def"].get(n.attr, {}), **index["method"].get(n.attr, {})}
+            else:
+                continue
+            for qual, d in found.items():
+                if qual not in reached:
+                    reached.add(qual)
+                    todo.append(d)
+    return reached
+
+
+@functools.cache
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _reason_holds(name: str, reason: str) -> bool:
+    """Whether the reader `reason` names really keeps `name`."""
+    kind, _, number = reason.rpartition(" ")
+    name = name.rsplit(".", 1)[-1]
+    if kind == "acceptance criterion":
+        tree = _parse(ROOT / "tests" / "test_acceptance.py")
+        prefix = f"test_criterion_{int(number):02d}_"
+        code = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith(prefix)]
+        # the criterion and the helpers of its own module that it calls
+        index = _index({"acceptance": tree})
+        code += [_definitions(index)[qual] for qual in _reach(index, code)]
+        return any(_names(node)[name] for node in code)
+    if kind == "ROADMAP item":
+        items = (ROOT / "ROADMAP.md").read_text(encoding="utf-8").split("## Open items", 1)[1]
+        # an open item starts with its bold title, a done one with "*Done",
+        # and an item runs to the next
+        item = re.search(rf"^{number}\. \*\*.*?(?=^\d+\. |\Z)", items, re.MULTILINE | re.DOTALL)
+        return item is not None and f"`{name}`" in item.group()
+    if reason == "benchmark writer":
+        return any(_names(_parse(p))[name] for p in sorted((ROOT / "perfbench").glob("*.py")))
+    return False
+
+
+def test_every_definition_is_reached_from_the_cli_or_kept_off_its_path():
+    # the walk starts at `main` and at each module's top-level code but its
+    # imports (`_COMMANDS`, `corpus._INSTANCES`, `serialization._LOADERS`);
+    # what it misses is an entry of OFF_PATH or reached from one
     trees = _trees()
-    readers = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    modules = list(trees.values()) + [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in readers]
-    # a method is reached only through `.name`: a bare local of the same
-    # name does not reach it
-    named = {kind: sum((_names(t, kind) for t in modules), Counter()) for kind in (False, True)}
-    # a name mentioned only inside its own definition is not reached
-    unreached = {
-        d.name: mod
-        for mod, tree in trees.items()
-        for d, method in _definitions(tree)
-        if named[method][d.name] == _names(d, method)[d.name]
+    index = _index(trees)
+    definitions = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.ClassDef)
+    top = [n for tree in trees.values() for n in tree.body if not isinstance(n, definitions)]
+    cli = _reach(index, top + [index["def"]["main"]["cli.main"]], frozenset({"cli.main"}))
+    listed = {name: _entry(index, name) for name in OFF_PATH}
+    # what each entry reaches beyond the CLI, itself included
+    beyond = {name: _reach(index, list(defs.values()), cli) - cli | set(defs) for name, defs in listed.items()}
+    assert sorted(set(_definitions(index)) - cli - set().union(*beyond.values())) == []
+    # an entry that lists no definition, or one that the CLI or another
+    # entry reaches, is stale
+    stale = [
+        name
+        for name, defs in listed.items()
+        if not defs or set(defs) & cli or any(set(defs) & beyond[other] for other in OFF_PATH if other != name)
+    ]
+    assert stale == []
+    assert [name for name, reason in OFF_PATH.items() if not _reason_holds(name, reason)] == []
+
+
+def _resolves(module: str, path: str) -> bool:
+    """Whether `path`, dotted, names something in the module `module`: an
+    attribute, or a submodule that imports."""
+    try:
+        obj = importlib.import_module(module)
+        for part in filter(None, path.split(".")):
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(f"{obj.__name__}.{part}")
+    except (AttributeError, ImportError):
+        return False
+    return True
+
+
+def test_what_perfbench_reads_from_src_resolves():
+    # `perfbench/` changes only with the benchmark, and the walk above
+    # gives the tracer's strings no reach: this keeps a refactor of `src`
+    # from breaking `--trace 1` or the workload writers unseen
+    from corrkit.setups import skeleton_setup
+
+    unresolved = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = _parse(path)
+        modules = {}  # name bound to a corrkit module -> that module
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "corrkit":
+                for a in n.names:
+                    if not _resolves(n.module, a.name):
+                        unresolved.append(f"{path.name}: {n.module}.{a.name}")
+                    if _resolves(f"{n.module}.{a.name}", ""):
+                        modules[a.asname or a.name] = f"{n.module}.{a.name}"
+            elif isinstance(n, ast.Import):
+                modules.update({a.asname or a.name: a.name for a in n.names if a.name.split(".")[0] == "corrkit"})
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+                if not _resolves(modules[n.value.id], n.attr):
+                    unresolved.append(f"{path.name}: {modules[n.value.id]}.{n.attr}")
+    tracer = _parse(ROOT / "perfbench" / "tracer.py")
+    tables = {
+        t.id: ast.literal_eval(n.value)
+        for n in tracer.body
+        if isinstance(n, ast.Assign)
+        for t in n.targets
+        if isinstance(t, ast.Name) and t.id in ("TARGETS", "MODULES")
     }
-    assert {name: mod for name, mod in unreached.items() if name not in KEPT_FOR_TESTS} == {}
-    assert sorted(unreached) == sorted(KEPT_FOR_TESTS)
+    # `install` wraps a function as its module holds it and a method as its
+    # class holds it, and reads modules by name off a table of MODULES
+    for mod, target, _ in tables["TARGETS"]:
+        module = importlib.import_module(f"corrkit.{mod}")
+        owner, _, attr = target.rpartition(".")
+        holder = getattr(module, owner, None) if owner else module
+        if holder is None or attr not in vars(holder):
+            unresolved.append(f"tracer.py: corrkit.{mod}.{target}")
+    unresolved += [f"tracer.py: corrkit.{mod}" for mod in tables["MODULES"] if not _resolves(f"corrkit.{mod}", "")]
+    for n in ast.walk(tracer):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Subscript):
+            mod = getattr(n.value.slice, "value", None)
+            if mod in tables["MODULES"] and not _resolves(f"corrkit.{mod}", n.attr):
+                unresolved.append(f"tracer.py: corrkit.{mod}.{n.attr}")
+    assert unresolved == []
+    # the tracer's memo probe reads a setup's view of the pullback memo
+    assert "_oracle" in vars(skeleton_setup(1))
 
 
 def _namers(name: str) -> list[str]:

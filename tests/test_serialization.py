@@ -17,6 +17,8 @@ from corrkit.report import MalformedInputError
 from corrkit.setups import GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup
 
+from helpers import localization_to_dict, pair_to_dict
+
 
 def test_category_round_trip():
     c = finset_skeleton(2)
@@ -100,7 +102,7 @@ def test_nagata_round_trip():
 
 def test_pair_round_trip():
     pd = instance("nice-pair-identity").build()
-    back = ser.pair_from_dict(ser.pair_to_dict(pd))
+    back = ser.pair_from_dict(pair_to_dict(pd))
     assert back.kind == pd.kind
     assert back.small_objects == pd.small_objects
     assert back.s_small == pd.s_small
@@ -112,7 +114,7 @@ def test_pair_round_trip():
 
 def test_localization_round_trip():
     lp = instance("localization-interval").build()
-    back = ser.localization_from_dict(ser.localization_to_dict(lp))
+    back = ser.localization_from_dict(localization_to_dict(lp))
     assert back.r == lp.r
     assert back.p.mor_map == lp.p.mor_map
 
@@ -470,7 +472,7 @@ def test_sizes_free_envelopes_still_load():
         built = inst.build()
         if isinstance(built, LocalizationProblem):
             # the target is the terminal category, which carries no sizes
-            assert ser.localization_from_dict(ser.localization_to_dict(built)).p.target.compose == built.p.target.compose
+            assert ser.localization_from_dict(localization_to_dict(built)).p.target.compose == built.p.target.compose
 
 
 # -- factorization-setup and pair envelopes are type-checked on load ----------
@@ -485,15 +487,15 @@ def _append(key, value):
 
 
 def _pair():
-    return ser.pair_to_dict(instance("nice-pair-identity").build())
+    return pair_to_dict(instance("nice-pair-identity").build())
 
 
 def _exceptional_pair():
-    return ser.pair_to_dict(instance("exceptional-pair-cover").build())
+    return pair_to_dict(instance("exceptional-pair-cover").build())
 
 
 def _cover_pair():
-    return ser.pair_to_dict(instance("nice-pair-cover").build())
+    return pair_to_dict(instance("nice-pair-cover").build())
 
 
 def _small_cut(*, s_small_too: bool):
@@ -511,14 +513,14 @@ def _small_cut(*, s_small_too: bool):
 
 def _localization():
     # the interval 0 <= 1 sent to the point *
-    return ser.localization_to_dict(instance("localization-interval").build())
+    return localization_to_dict(instance("localization-interval").build())
 
 
 def _not_a_functor(source, target, obj_map, images):
     """A localization envelope whose mor_map sends each source morphism to
     `images[m]`, or to `m` itself when `images` has no entry for it."""
     mor_map = {m: images.get(m, m) for m in source.morphism_ids}
-    return lambda: ser.localization_to_dict(LocalizationProblem(FunctorData(source, target, obj_map, mor_map), frozenset()))
+    return lambda: localization_to_dict(LocalizationProblem(FunctorData(source, target, obj_map, mor_map), frozenset()))
 
 
 def _map_entry(key, entry, value):
@@ -608,9 +610,9 @@ def _corpus_envelope(obj) -> dict:
     if isinstance(obj, NagataSetup):
         return ser.nagata_to_dict(obj)
     if isinstance(obj, PairDeclaration):
-        return ser.pair_to_dict(obj)
+        return pair_to_dict(obj)
     if isinstance(obj, LocalizationProblem):
-        return ser.localization_to_dict(obj)
+        return localization_to_dict(obj)
     return ser.lattice_to_dict(obj)
 
 

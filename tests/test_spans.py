@@ -33,15 +33,14 @@ from corrkit.spans import (
     classify_cocartesian,
     compose_spans,
     corr_simplices,
-    find_span_iso,
     homotopy_category,
     identity_span,
     is_cocartesian,
-    simplex_edge,
     span_class_key,
     spans_between,
-    spans_isomorphic,
 )
+
+from helpers import find_span_iso, simplex_edge, spans_isomorphic
 
 
 def setup_all(max_size=2):
@@ -231,6 +230,74 @@ def test_span_laws_small():
     assert rep.passed
     cov = next(ch for ch in rep.checks if ch.name == "associativity-up-to-iso")
     assert cov.witness["covered"] > 0
+
+
+def _span_law_counts(sizes: dict, feet, apex_bound: int) -> tuple[int, int]:
+    """`associativity-up-to-iso`'s (triples, covered) over the all-function
+    carrier on `sizes` with every map marked, with no span composed.  A span
+    x <- w -> y is an |x| by |y| matrix M over N whose entries sum to |w|,
+    and |w|!/prod M_ij! spans with apex w share it.  The apex of a then b
+    has colsums(M_a).rowsums(M_b) points, and that of (a then b) then d has
+    colsums(M_a).M_b.rowsums(M_d), since a then b has the matrix M_a M_b.  A
+    triple is covered when a then b, b then d and (a then b) then d each
+    have an object of their size."""
+    held = set(sizes.values())
+    apexes = Counter(n for n in sizes.values() if n <= apex_bound)
+    spans = {}
+    for x, y in itertools.product(feet, repeat=2):
+        m, n = sizes[x], sizes[y]
+        spans[(x, y)] = Counter()
+        for w, objects in apexes.items():
+            for cells in itertools.combinations_with_replacement(range(m * n), w):
+                M = tuple(tuple(cells.count(i * n + j) for j in range(n)) for i in range(m))
+                shared = math.factorial(w) // math.prod(math.factorial(k) for row in M for k in row)
+                spans[(x, y)][M] += objects * shared
+
+    def cols(M, n):
+        return tuple(sum(row[j] for row in M) for j in range(n))
+
+    def dot(u, v):
+        return sum(p * q for p, q in zip(u, v))
+
+    triples = covered = 0
+    for x, y, z, t in itertools.product(feet, repeat=4):
+        a = Counter()
+        for M, k in spans[(x, y)].items():
+            a[cols(M, sizes[y])] += k
+        d = Counter()
+        for M, k in spans[(z, t)].items():
+            d[tuple(map(sum, M))] += k
+        triples += a.total() * spans[(y, z)].total() * d.total()
+        for b, kb in spans[(y, z)].items():
+            b_cols, b_rows = cols(b, sizes[z]), tuple(map(sum, b))
+            for u, ka in a.items():
+                ub = tuple(sum(p * row[k] for p, row in zip(u, b)) for k in range(sizes[z]))
+                if dot(u, b_rows) in held:
+                    covered += ka * kb * sum(kd for v, kd in d.items() if dot(b_cols, v) in held and dot(ub, v) in held)
+    return triples, covered
+
+
+def _span_law_report(sizes: dict, feet, apex_bound: int) -> tuple[int, int]:
+    c = finset_category(sizes)
+    rep = check_span_laws(GeometricSetup(c, all_class(c)), feet, apex_bound)
+    assert rep.passed
+    note = next(ch for ch in rep.checks if ch.name == "associativity-up-to-iso").witness
+    return note["triples"], note["covered"]
+
+
+def test_span_law_coverage_on_the_two_skeleton_matches_the_count_from_span_matrices():
+    # the carrier and feet of `corr hocat`
+    sizes = {"0": 0, "1": 1, "2": 2}
+    assert _span_law_report(sizes, sizes, 2) == _span_law_counts(sizes, sizes, 2) == (22739, 18729)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda sizes: sizes.count(2) <= 1), st.data())
+def test_span_law_coverage_matches_the_count_from_span_matrices(sizes, data):
+    named = {f"o{i}": n for i, n in enumerate(sizes)}
+    feet = data.draw(st.lists(st.sampled_from(sorted(named)), min_size=1, max_size=3, unique=True))
+    bound = data.draw(st.integers(0, 2))
+    assert _span_law_report(named, feet, bound) == _span_law_counts(named, feet, bound)
 
 
 def test_span_laws_report_first_failing_triple(monkeypatch):
