@@ -474,7 +474,7 @@ def _cmd_shriek_build(args, out) -> int:
     from .setups import NagataSetup
 
     if args.input:
-        ns = _load_input(args.input)
+        ns, name = _load_input(args.input), f"--input {args.input}"
         if not isinstance(ns, NagataSetup):
             raise MalformedInputError(f"{args.input} is not a factorization-setup envelope")
     else:
@@ -483,7 +483,13 @@ def _cmd_shriek_build(args, out) -> int:
         inst = instance(args.instance)
         if inst.kind != "nagata":
             raise MalformedInputError(f"instance {inst.name!r} is not a factorization setup")
-        ns = inst.build()
+        ns, name = inst.build(), f"--instance {inst.name}"
+    # the maps are built as the theorem suite builds them
+    plan = _plan(name, ns, {})
+    if "theorem" not in plan:
+        raise MalformedInputError(
+            f"cannot build: the theorem suite does not apply to {name}; its suites are {', '.join(plan)}"
+        )
     rep = VerificationReport("shriek-build")
     sa = _gated_shriek(rep, ns)
     if sa is None:

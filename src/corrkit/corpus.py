@@ -105,28 +105,24 @@ def _pentagon(tensor: str = "meet"):
 
 
 def _pair_identity():
-    from .descent import PairDeclaration, identity_atlas
+    from .descent import PairDeclaration
 
     s = skeleton_setup(2)
     c = s.category
     sm = frozenset(surjections(c))
-    cover = EdgeClass(c, sm)
-    atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    return PairDeclaration(
-        "nice", s, c.objects, sm, sm, frozenset(c.morphism_ids), atl
-    )
+    atl = {o: (c.identity[o],) for o in c.objects}
+    return PairDeclaration("nice", s, c.objects, sm, sm, frozenset(c.morphism_ids), sm, atl)
 
 
 def _pair_cover(kind: str):
-    from .descent import Atlas, PairDeclaration, identity_atlas
+    from .descent import PairDeclaration
 
     s = _cover_carrier()
     c = s.category
     sm = frozenset(surjections(c))
-    cover = EdgeClass(c, sm)
-    atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atl["1"] = atl["1"] + (Atlas(s, "2>1:0.0", cover, c.objects),)
-    return PairDeclaration(kind, s, c.objects, sm, sm, frozenset(c.morphism_ids), atl)
+    atl = {o: (c.identity[o],) for o in c.objects}
+    atl["1"] += ("2>1:0.0",)
+    return PairDeclaration(kind, s, c.objects, sm, sm, frozenset(c.morphism_ids), sm, atl)
 
 
 def _localization_interval():

@@ -41,7 +41,9 @@ class Atlas:
     """A cover x: X -> X' whose base changes against the declared objects
     are required to land in the cover class `s`.
 
-    The invariant is oracle-checked by `check_atlas`, not trusted."""
+    A `PairDeclaration` builds its atlases from their morphisms, over its
+    own carrier, cover class and small objects.  The invariant is
+    oracle-checked by `check_atlas`, not trusted."""
 
     def __init__(self, setup: GeometricSetup, x: str, s: EdgeClass, small_objects: tuple[str, ...]):
         self.setup, self.x, self.s, self.small_objects = setup, x, s, small_objects
@@ -82,10 +84,6 @@ def check_atlas(a: Atlas) -> VerificationReport:
         anchor="atlas-base-change",
     )
     return rep
-
-
-def identity_atlas(setup: GeometricSetup, s: EdgeClass, small_objects, obj: str) -> Atlas:
-    return Atlas(setup, setup.category.identity[obj], s, tuple(small_objects))
 
 
 def has_section(c: FinCategory, x: str) -> bool:
@@ -236,8 +234,11 @@ class PairDeclaration:
     """A sub-setup inside an ambient setup with cover classes on both
     levels and candidate atlases per ambient object.
 
-    The ambient exceptional class is `big.e`; the sub-level classes are
-    given as morphism-id sets and induced on the full subcategory."""
+    The ambient exceptional class is `big.e`; the sub-level classes and the
+    atlases' cover class are given as morphism-id sets, the sub-level ones
+    induced on the full subcategory.  Atlases are given as object -> atlas
+    morphism ids, and the pair builds each `Atlas` over its own carrier,
+    cover class and small objects, so a declaration holds one of each."""
 
     def __init__(
         self,
@@ -247,10 +248,12 @@ class PairDeclaration:
         s_small: frozenset,
         s_big: frozenset,
         e_small: frozenset,
+        cover: frozenset,
         atlases: dict,
     ):
         self.kind, self.big, self.small_objects = kind, big, small_objects
-        self.s_small, self.s_big, self.e_small, self.atlases = s_small, s_big, e_small, atlases
+        self.s_small, self.s_big, self.e_small = s_small, s_big, e_small
+        self.cover, self.atlases = cover, atlases
         # f -> (its first hypercover or None, whether the search met a
         # limit), filled by `find_hypercovers`
         self._hypercovers: dict = {}
@@ -271,23 +274,9 @@ class PairDeclaration:
         unknown = [y for y in (*self.small_objects, *sorted(self.atlases)) if y not in c.objects]
         if unknown:
             raise MalformedInputError(f"unknown objects {unknown[:3]}")
-        # `check_atlas` reads each atlas's own carrier, cover class and
-        # small objects, and an envelope has one of each for the pair
-        covers = set()
-        for obj, lst in sorted(self.atlases.items()):
-            for a in lst:
-                if a.setup.category is not c:
-                    raise MalformedInputError(f"atlas {a.x!r} is over another carrier")
-                if a.target != obj:
-                    raise MalformedInputError(
-                        f"atlas {a.x!r} is listed under {obj!r}, not under its target {a.target!r}"
-                    )
-                if a.small_objects != listed:
-                    raise MalformedInputError(f"atlas {a.x!r} declares other small objects than its pair")
-                covers.add(a.s.members)
-        if len(covers) > 1:
-            raise MalformedInputError("atlases disagree on the cover class")
-        for name, members in (("s_small", self.s_small), ("s_big", self.s_big), ("e_small", self.e_small)):
+        self.cover = frozenset(self.cover)
+        named = (("s_small", self.s_small), ("s_big", self.s_big), ("e_small", self.e_small), ("cover", self.cover))
+        for name, members in named:
             bad = sorted(set(members) - set(c.morphism_ids))
             if bad:
                 raise MalformedInputError(f"{name} mentions unknown morphisms {bad[:3]}")
@@ -297,7 +286,15 @@ class PairDeclaration:
             bad = [m for m in sorted(members) if not small.issuperset(c.morphisms[m])]
             if bad:
                 raise MalformedInputError(f"{name} mentions morphisms outside small_objects {bad[:3]}")
-        self.atlases = {k: tuple(v) for k, v in self.atlases.items()}
+        cover, atlases = EdgeClass(c, self.cover), {}
+        for obj, ids in sorted(self.atlases.items()):
+            atlases[obj] = tuple(Atlas(self.big, x, cover, listed) for x in ids)
+            for a in atlases[obj]:
+                if a.target != obj:
+                    raise MalformedInputError(
+                        f"atlas {a.x!r} is listed under {obj!r}, not under its target {a.target!r}"
+                    )
+        self.atlases = atlases
 
     @cached_property
     def small(self) -> FinCategory:
@@ -639,26 +636,17 @@ def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: 
     return rep
 
 
-def _transport_atlas(pd: PairDeclaration, chosen: dict, obj: str) -> str:
-    """The atlas morphism used to present an object's coefficient lattice:
-    the identity for sub-setup objects, the first declared atlas otherwise."""
-    if obj in chosen:
-        return chosen[obj].x
-    return pd.big.category.identity[obj]
-
-
 def _transport_pull(
-    pd: PairDeclaration, sys: CoefficientSystem, lattices: dict, kept: dict, chosen: dict, f: str
+    pd: PairDeclaration, sys: CoefficientSystem, lattices: dict, kept: dict, present: dict, f: str
 ) -> LatticeMap:
     """Restriction between presented lattices via the shared refinement
     X_A x_{B'} X_B; the value is the unique descent element matching on it.
+    present[obj] is the morphism presenting an object's lattice, and
     kept[obj] lists the positions of the presented lattice's elements in
-    the lattice of its atlas's source."""
+    the lattice of its source."""
     c = pd.big.category
     src_o, dst_o = c.morphisms[f]
-    xa = _transport_atlas(pd, chosen, src_o)
-    xb = _transport_atlas(pd, chosen, dst_o)
-    apex, a_leg, b_leg = pd.big.pullback(c.comp(f, xa), xb)
+    apex, a_leg, b_leg = pd.big.pullback(c.comp(f, present[src_o]), present[dst_o])
     if a_leg not in sys.restriction or b_leg not in sys.restriction:
         raise MalformedInputError(
             f"transport overlap for {f!r} lies outside the declared sub-setup"
@@ -691,14 +679,16 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientS
         raise MalformedInputError("extension of restrictions needs a nice pair")
     c = pd.big.category
     small = set(pd.small_objects)
-    lattices, kept, chosen = {}, {}, {}
+    # the identity presents a sub-setup object, its first atlas any other
+    lattices, kept, present = {}, {}, {}
     for obj in c.objects:
         if obj in small:
             lattices[obj] = sys.lattice(obj)
             kept[obj] = range(len(lattices[obj].elements))
+            present[obj] = c.identity[obj]
         else:
             a = pd.atlases[obj][0]
-            chosen[obj] = a
+            present[obj] = a.x
             nerve = best_nerve(pd.big, a)
             lattices[obj], kept[obj] = descent_lattice(sys, nerve), _descent_positions(sys, nerve)
     restriction = {}
@@ -707,7 +697,7 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientS
         if src_o in small and dst_o in small:
             restriction[f] = sys.pull(f)
         else:
-            restriction[f] = _transport_pull(pd, sys, lattices, kept, chosen, f)
+            restriction[f] = _transport_pull(pd, sys, lattices, kept, present, f)
     return CoefficientSystem(c, lattices, restriction)
 
 

@@ -266,7 +266,7 @@ def nagata_from_dict(d: dict) -> NagataSetup:
 
 
 def pair_from_dict(d: dict) -> PairDeclaration:
-    from .descent import Atlas, PairDeclaration
+    from .descent import PairDeclaration
     from .setups import EdgeClass, GeometricSetup
 
     _check_fields(
@@ -276,22 +276,17 @@ def pair_from_dict(d: dict) -> PairDeclaration:
     )
     c = category_from_dict(d["category"])
     big = GeometricSetup(c, EdgeClass(c, _class_members(c, d, "e_big")))
-    cover = EdgeClass(c, _class_members(c, d, "cover"))
-    small_objects = tuple(_strings(d["small_objects"], "small_objects"))
     if not isinstance(d["atlases"], dict):
         raise MalformedInputError("atlases must map objects to lists of strings")
-    atlases = {
-        obj: tuple(Atlas(big, x, cover, small_objects) for x in _strings(lst, f"atlases of {obj!r}"))
-        for obj, lst in d["atlases"].items()
-    }
     return PairDeclaration(
         d["kind"],
         big,
-        small_objects,
+        tuple(_strings(d["small_objects"], "small_objects")),
         frozenset(_strings(d["s_small"], "s_small")),
         frozenset(_strings(d["s_big"], "s_big")),
         frozenset(_strings(d["e_small"], "e_small")),
-        atlases,
+        frozenset(_strings(d["cover"], "cover")),
+        {obj: tuple(_strings(lst, f"atlases of {obj!r}")) for obj, lst in d["atlases"].items()},
     )
 
 

@@ -16,9 +16,6 @@ from corrkit.spans import CorrSimplex, Span, span_apex, span_feet
 
 
 def pair_to_dict(pd: PairDeclaration) -> dict:
-    """A pair declares one cover class and one list of small objects for
-    all its atlases, so the first atlas names the cover."""
-    first = next((a for _, lst in sorted(pd.atlases.items()) for a in lst), None)
     return {
         "schema": PAIR_SCHEMA,
         "kind": pd.kind,
@@ -28,7 +25,7 @@ def pair_to_dict(pd: PairDeclaration) -> dict:
         "s_small": sorted(pd.s_small),
         "s_big": sorted(pd.s_big),
         "e_small": sorted(pd.e_small),
-        "cover": sorted(first.s.members) if first else [],
+        "cover": sorted(pd.cover),
         "atlases": {obj: [a.x for a in lst] for obj, lst in sorted(pd.atlases.items())},
     }
 

@@ -195,6 +195,19 @@ def test_a_factorization_setup_without_sizes_runs_its_category_and_setup_suites(
     assert err == f"error: no selected suite applies to --input {path}; its suites are category, setup\n"
 
 
+def test_shriek_build_on_a_factorization_setup_without_sizes_names_its_suites(tmp_path, monkeypatch, capsys):
+    # the maps are built over a frame system, as the theorem suite builds
+    # them, so the command refuses before building anything
+    built = []
+    monkeypatch.setattr(cli, "_gated_shriek", lambda *args: built.append(args))
+    path = _sizes_free_nagata_input(tmp_path)
+    code, out, err = invoke(capsys, "shriek", "build", "--input", path)
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        f"error: cannot build: the theorem suite does not apply to --input {path}; its suites are category, setup\n"
+    )
+
+
 def test_a_bare_run_with_a_suite_only_filters_instances(monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_reports", lambda tag, obj, suites, *rest: ran.append((tag, list(suites))) or [])
@@ -468,10 +481,9 @@ def test_a_failed_codescent_precondition_is_a_failed_check(tmp_path, capsys):
     c = finset_category({"1": 1, "2": 2, "4": 4})
     s = GeometricSetup(c, all_class(c))
     every = frozenset(c.morphism_ids)
-    cover = EdgeClass(c, every)
-    atlases = {o: (descent.identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atlases["2"] = (descent.Atlas(s, "1>2:0", cover, c.objects),) + atlases["2"]
-    pd = descent.PairDeclaration("exceptional", s, c.objects, every, every, every, atlases)
+    atlases = {o: (c.identity[o],) for o in c.objects}
+    atlases["2"] = ("1>2:0",) + atlases["2"]
+    pd = descent.PairDeclaration("exceptional", s, c.objects, every, every, every, every, atlases)
     path = tmp_path / "pair.json"
     path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
@@ -491,13 +503,12 @@ def test_a_transport_the_carrier_cannot_hold_is_a_limit_not_malformed_input(tmp_
     # 8-element set the carrier lacks: a gap, so exit 1 with a report
     c = finset_category({"1": 1, "2": 2, "4": 4})
     surj = surjections(c)
-    cover = EdgeClass(c, surj)
-    s = GeometricSetup(c, cover)
+    s = GeometricSetup(c, EdgeClass(c, surj))
     small = ("2", "4")
     inside = frozenset(m for m in surj if c.src(m) in small and c.dst(m) in small)
-    atlases = {o: (descent.identity_atlas(s, cover, small, o),) for o in small}
-    atlases["1"] = (descent.Atlas(s, "2>1:0.0", cover, small),)
-    pd = descent.PairDeclaration("nice", s, small, inside, surj, inside, atlases)
+    atlases = {o: (c.identity[o],) for o in small}
+    atlases["1"] = ("2>1:0.0",)
+    pd = descent.PairDeclaration("nice", s, small, inside, surj, inside, surj, atlases)
     path = tmp_path / "pair.json"
     path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
@@ -529,7 +540,6 @@ def _run_exceptional_pair(tmp_path, capsys, sizes, e_small_every, atlases):
     check statuses and the checks."""
     c = finset_category({str(n): n for n in sizes})
     surj = surjections(c)
-    cover = EdgeClass(c, surj)
     s = GeometricSetup(c, all_class(c))
     small = ("2", "4")
 
@@ -537,9 +547,9 @@ def _run_exceptional_pair(tmp_path, capsys, sizes, e_small_every, atlases):
         return frozenset(m for m in ms if c.src(m) in small and c.dst(m) in small)
 
     e_small = inside(c.morphism_ids if e_small_every else surj)
-    declared = {o: (descent.identity_atlas(s, cover, small, o),) for o in small}
-    declared.update({o: (descent.Atlas(s, x, cover, small),) for o, x in atlases.items()})
-    pd = descent.PairDeclaration("exceptional", s, small, inside(surj), surj, e_small, declared)
+    declared = {o: (c.identity[o],) for o in small}
+    declared.update({o: (x,) for o, x in atlases.items()})
+    pd = descent.PairDeclaration("exceptional", s, small, inside(surj), surj, e_small, surj, declared)
     path = tmp_path / "pair.json"
     path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")

@@ -29,7 +29,6 @@ from corrkit.descent import (
     fiber_category,
     find_hypercovers,
     has_section,
-    identity_atlas,
 )
 from corrkit.descent import _level_index, _search_hypercovers
 from corrkit.fincat import (
@@ -100,7 +99,7 @@ def test_check_atlas_surjective_cover():
 def test_check_atlas_identity():
     s = big()
     for o in s.category.objects:
-        assert check_atlas(identity_atlas(s, surj_cover(s), s.category.objects, o)).passed
+        assert check_atlas(Atlas(s, s.category.identity[o], surj_cover(s), s.category.objects)).passed
 
 
 def test_check_atlas_failure_with_iso_cover():
@@ -120,7 +119,7 @@ def test_atlas_validation():
 
 def test_nerve_identity_atlas_is_constant():
     s = big()
-    a = identity_atlas(s, surj_cover(s), s.category.objects, "2")
+    a = Atlas(s, s.category.identity["2"], surj_cover(s), s.category.objects)
     n = cech_nerve(s, a, 2)
     assert set(n.objects) == {"2"}
     ident = s.category.identity["2"]
@@ -153,7 +152,7 @@ def test_nerve_faces_are_the_two_projections():
 
 def test_nerve_rejects_broken_identities():
     s = big()
-    a = identity_atlas(s, surj_cover(s), s.category.objects, "2")
+    a = Atlas(s, s.category.identity["2"], surj_cover(s), s.category.objects)
     n = cech_nerve(s, a, 1)
     bad = dict(n.faces)
     bad[(1, 0)] = "2>2:0.0"  # no longer retracts the degeneracy
@@ -230,9 +229,8 @@ def degenerate_pair(s=None, kind="nice", s_members=None, e_members=None):
     c = s.category
     sm = frozenset(surjections(c) if s_members is None else s_members)
     em = frozenset(c.morphism_ids if e_members is None else e_members)
-    cover = EdgeClass(c, sm)
-    atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    return PairDeclaration(kind, GeometricSetup(c, EdgeClass(c, em)), c.objects, sm, sm, em, atl)
+    atl = {o: (c.identity[o],) for o in c.objects}
+    return PairDeclaration(kind, GeometricSetup(c, EdgeClass(c, em)), c.objects, sm, sm, em, sm, atl)
 
 
 @lru_cache(maxsize=None)
@@ -246,11 +244,10 @@ def transport_pair():
     c = s.category
     small = ("0", "1", "2")
     small_m = frozenset(m for m in c.morphism_ids if c.src(m) in small and c.dst(m) in small)
-    cover = EdgeClass(c, surjections(c))
-    atl = {o: (identity_atlas(s, cover, small, o),) for o in small}
-    atl["X"] = (Atlas(s, "2>X:0.1", cover, small),)
+    atl = {o: (c.identity[o],) for o in small}
+    atl["X"] = ("2>X:0.1",)
     return PairDeclaration(
-        "nice", s, small, surjections(c) & small_m, surjections(c), small_m, atl
+        "nice", s, small, surjections(c) & small_m, surjections(c), small_m, surjections(c), atl
     )
 
 
@@ -294,37 +291,7 @@ def test_pair_kind_validated():
 def test_a_repeated_small_object_is_rejected():
     pd = degenerate_pair()
     with pytest.raises(MalformedInputError, match="^duplicate small object '2'$"):
-        PairDeclaration("nice", pd.big, ("0", "1", "2", "2"), pd.s_small, pd.s_big, pd.e_small, pd.atlases)
-
-
-def _iso_cover_pair(extra: Atlas) -> PairDeclaration:
-    """`nice-pair-cover`'s carrier, every object small, every identity
-    atlas on the iso class, and `extra` listed under object 1."""
-    s = instance("nice-pair-cover").build().big
-    c = s.category
-    iso = iso_class(c)
-    atl = {o: (identity_atlas(s, iso, c.objects, o),) for o in c.objects}
-    atl["1"] += (extra,)
-    return PairDeclaration("nice", s, c.objects, iso.members, iso.members, frozenset(c.morphism_ids), atl)
-
-
-def test_an_atlas_that_disagrees_with_its_pair_is_rejected():
-    # a pair envelope has one carrier, one cover class and one list of
-    # small objects, so a built pair whose atlases hold others would get
-    # another verdict once written and loaded back: an atlas 2>1:0.0 with
-    # no small objects passes `atlases-exist`, and fails it at 1>1:0 with
-    # the pair's
-    s = instance("nice-pair-cover").build().big
-    c = s.category
-    iso = iso_class(c)
-    with pytest.raises(MalformedInputError, match="^atlas '2>1:0.0' declares other small objects than its pair$"):
-        _iso_cover_pair(Atlas(s, "2>1:0.0", iso, ()))
-    with pytest.raises(MalformedInputError, match="^atlases disagree on the cover class$"):
-        _iso_cover_pair(Atlas(s, "2>1:0.0", all_class(c), c.objects))
-    twin = finset_category(c.object_size)
-    with pytest.raises(MalformedInputError, match="^atlas '2>1:0.0' is over another carrier$"):
-        _iso_cover_pair(Atlas(GeometricSetup(twin, all_class(twin)), "2>1:0.0", iso, c.objects))
-    _iso_cover_pair(Atlas(s, "2>1:0.0", iso, c.objects))
+        PairDeclaration("nice", pd.big, ("0", "1", "2", "2"), pd.s_small, pd.s_big, pd.e_small, pd.cover, {})
 
 
 # -- descent of restrictions -----------------------------------------------
@@ -347,7 +314,7 @@ def test_descent_comparison_surjective_atlas():
 
 def test_descent_cocycle_asserted_at_level_two():
     s = big()
-    a = identity_atlas(s, surj_cover(s), s.category.objects, "2")
+    a = Atlas(s, s.category.identity["2"], surj_cover(s), s.category.objects)
     rep = check_descent(s, big_sys(), a)
     by_name = {ch.name: ch.witness for ch in rep.checks}
     assert rep.passed and by_name["cocycle-condition"] == {"level": 2, "vacuous": False}
@@ -383,12 +350,11 @@ def test_split_atlases_always_descend():
 def descent_pair():
     s = big()
     c = s.category
-    cover = surj_cover(s)
-    atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atl["1"] = atl["1"] + (Atlas(s, "2>1:0.0", cover, c.objects),)
+    atl = {o: (c.identity[o],) for o in c.objects}
+    atl["1"] += ("2>1:0.0",)
     return PairDeclaration(
         "nice", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)),
-        frozenset(c.morphism_ids), atl,
+        frozenset(c.morphism_ids), surjections(c), atl,
     )
 
 
@@ -451,13 +417,12 @@ def test_extend_restrictions_gate_reports_witness():
 def exceptional_pair(e_small=None):
     s = big()
     c = s.category
-    cover = surj_cover(s)
-    atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atl["1"] = atl["1"] + (Atlas(s, "2>1:0.0", cover, c.objects),)
+    atl = {o: (c.identity[o],) for o in c.objects}
+    atl["1"] += ("2>1:0.0",)
     em = frozenset(c.morphism_ids if e_small is None else e_small)
     return PairDeclaration(
         "exceptional", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)),
-        em, atl,
+        em, surjections(c), atl,
     )
 
 
@@ -495,7 +460,8 @@ def test_level_maps_agree_with_the_scan(name):
             declared.s_small,
             declared.s_big,
             e_small,
-            declared.atlases,
+            declared.cover,
+            {obj: tuple(a.x for a in lst) for obj, lst in declared.atlases.items()},
         )
         for xa in atlases:
             for ya in atlases:
@@ -525,12 +491,11 @@ def test_level_maps_agree_with_the_scan(name):
 def test_hypercover_search_reports_limit():
     s = big()
     c = s.category
-    cover = surj_cover(s)
-    atl = {o: (identity_atlas(s, cover, c.objects, o),) for o in c.objects}
-    atl["1"] = (Atlas(s, "4>1:0.0.0.0", cover, c.objects),)  # overlap needs 16 points
+    atl = {o: (c.identity[o],) for o in c.objects}
+    atl["1"] = ("4>1:0.0.0.0",)  # overlap needs 16 points
     pd = PairDeclaration(
         "exceptional", s, c.objects, frozenset(), frozenset(),
-        frozenset(c.morphism_ids), atl,
+        frozenset(c.morphism_ids), surjections(c), atl,
     )
     assert find_hypercovers(pd, "1>1:0") == (None, True)
     with pytest.raises(ResourceLimitError):

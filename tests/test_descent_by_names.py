@@ -23,7 +23,6 @@ from corrkit.descent import (
     PairDeclaration,
     _push,
     _search_hypercovers,
-    _transport_atlas,
     best_nerve,
     cech_nerve,
     check_codescent,
@@ -185,11 +184,17 @@ def _old_compare_atlases(pd, sys, a1, a2):
     return rep
 
 
+def _old_transport_atlas(pd, chosen, obj):
+    if obj in chosen:
+        return chosen[obj].x
+    return pd.big.category.identity[obj]
+
+
 def _old_transport_pull(pd, sys, lattices, chosen, f):
     c = pd.big.category
     src_o, dst_o = c.morphisms[f]
-    xa = _transport_atlas(pd, chosen, src_o)
-    xb = _transport_atlas(pd, chosen, dst_o)
+    xa = _old_transport_atlas(pd, chosen, src_o)
+    xb = _old_transport_atlas(pd, chosen, dst_o)
     apex, a_leg, b_leg = pd.big.pullback(c.comp(f, xa), xb)
     if a_leg not in sys.restriction or b_leg not in sys.restriction:
         raise MalformedInputError(f"transport overlap for {f!r} lies outside the declared sub-setup")
@@ -505,7 +510,7 @@ def test_descent_on_frame_systems_matches_the_routines_by_names(sys, data):
     _agree(descent_lattice, _old_descent_lattice, _lattice, sys, nerve)
     target = setup.category.dst(atlas.x)
     other = _atlas(setup, data.draw(cover_atlases(target)))
-    pd = PairDeclaration("nice", setup, setup.category.objects, frozenset(), frozenset(), frozenset(), {})
+    pd = PairDeclaration("nice", setup, setup.category.objects, frozenset(), frozenset(), frozenset(), frozenset(), {})
     _agree(compare_atlases, _old_compare_atlases, _checks, pd, sys, atlas, other)
 
 
@@ -518,7 +523,7 @@ def test_descent_on_poset_systems_matches_the_routines_by_names(sys, data):
     atlas = _atlas(setup, x)
     _agree(check_descent, _old_check_descent, _checks, setup, sys, atlas)
     other = _atlas(setup, data.draw(st.sampled_from([m for m in c.morphism_ids if c.dst(m) == c.dst(x)])))
-    pd = PairDeclaration("nice", setup, c.objects, frozenset(), frozenset(), frozenset(), {})
+    pd = PairDeclaration("nice", setup, c.objects, frozenset(), frozenset(), frozenset(), frozenset(), {})
     _agree(compare_atlases, _old_compare_atlases, _checks, pd, sys, atlas, other)
 
 
@@ -536,9 +541,8 @@ def _transport_pair(x_atlas, y_atlas):
     s = _transport_setup()
     c = s.category
     small_m = frozenset(m for m in c.morphism_ids if c.src(m) in SMALL and c.dst(m) in SMALL)
-    cover = EdgeClass(c, frozenset())
-    atlases = {"X": (Atlas(s, x_atlas, cover, SMALL),), "Y": (Atlas(s, y_atlas, cover, SMALL),)}
-    return PairDeclaration("nice", s, SMALL, frozenset(), frozenset(), small_m, atlases)
+    atlases = {"X": (x_atlas,), "Y": (y_atlas,)}
+    return PairDeclaration("nice", s, SMALL, frozenset(), frozenset(), small_m, frozenset(), atlases)
 
 
 @lru_cache(maxsize=None)
@@ -611,11 +615,18 @@ def test_codescent_matches_the_boolean_closure(sa, data):
 def _exceptional_pair(extra):
     setup = _cover_setup()
     c = setup.category
-    atlases = {o: (_atlas(setup, c.identity[o]),) for o in c.objects}
+    atlases = {o: (c.identity[o],) for o in c.objects}
     for x in extra:
-        atlases[c.dst(x)] += (_atlas(setup, x),)
+        atlases[c.dst(x)] += (x,)
     return PairDeclaration(
-        "exceptional", setup, c.objects, frozenset(), frozenset(surjections(c)), frozenset(c.morphism_ids), atlases
+        "exceptional",
+        setup,
+        c.objects,
+        frozenset(),
+        frozenset(surjections(c)),
+        frozenset(c.morphism_ids),
+        frozenset(),
+        atlases,
     )
 
 
@@ -654,7 +665,7 @@ def hypercover_pairs(draw):
     extra = draw(st.lists(st.sampled_from(["2>1:0.0", "2>2:0.0", "1>2:0", "2>2:1.0", "4>1:0.0.0.0"]), unique=True))
     atlases = {}
     for o in c.objects:
-        lst = [_atlas(setup, c.identity[o])] + [_atlas(setup, x) for x in extra if c.dst(x) == o]
+        lst = [c.identity[o]] + [x for x in extra if c.dst(x) == o]
         atlases[o] = tuple(draw(st.permutations(lst)))
     e_small = draw(st.sampled_from([frozenset(c.morphism_ids), surjections(c), c.iso_ids]))
     if draw(st.booleans()):
@@ -662,11 +673,9 @@ def hypercover_pairs(draw):
     if draw(st.booleans()):
         s0 = draw(st.sampled_from(sorted(injections(c) & set(c.hom("2", "4")))))
         r = draw(st.sampled_from([r for r in c.hom("4", "2") if c.comp(r, s0) == c.identity["2"]]))
-        ident = _atlas(setup, c.identity["2"])
-        c._nerves[(ident.x, 1)] = CechDiagram(
-            c, ident.x, 1, ("2", "4"), {(1, 0): r, (1, 1): r}, {(0, 0): s0}, (ident.x, r)
-        )
-    return PairDeclaration("exceptional", setup, c.objects, frozenset(), frozenset(), e_small, atlases)
+        ident = c.identity["2"]
+        c._nerves[(ident, 1)] = CechDiagram(c, ident, 1, ("2", "4"), {(1, 0): r, (1, 1): r}, {(0, 0): s0}, (ident, r))
+    return PairDeclaration("exceptional", setup, c.objects, frozenset(), frozenset(), e_small, frozenset(), atlases)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -733,7 +742,9 @@ def _witness_cases():
         return check_descent, _old_check_descent, _checks, setup(sys), sys, _atlas(setup(sys), x)
 
     def atlases(sys, x1, x2):
-        pd = PairDeclaration("nice", setup(sys), sys.category.objects, frozenset(), frozenset(), frozenset(), {})
+        pd = PairDeclaration(
+            "nice", setup(sys), sys.category.objects, frozenset(), frozenset(), frozenset(), frozenset(), {}
+        )
         return compare_atlases, _old_compare_atlases, _checks, pd, sys, _atlas(pd.big, x1), _atlas(pd.big, x2)
 
     cases["restriction not injective"] = descent(_chain_system(chain2, chain1, (0, 1, 1)), "0<=1")

@@ -8,9 +8,10 @@ by a listed reader that really names it, everything `perfbench/` reads
 from the package still there, one exception class for malformed input and
 one for a carrier gap, no first-witness loop written by hand (no `if` on a
 witness that breaks, and no `for` loop that keeps a witness and breaks)
-outside a short allow-list, and one writer per carrier memo: a geometric
+outside a short allow-list, one writer per carrier memo (a geometric
 setup keeps no memo but its view of the carrier's pullbacks, and each memo
-on a `FinCategory` is filled in exactly one function."""
+on a `FinCategory` is filled in exactly one function), and one builder of
+atlases: only `PairDeclaration` calls `Atlas`."""
 
 import ast
 import functools
@@ -430,6 +431,35 @@ def test_one_routine_reports_a_sub_setup():
     # a factorization setup's classes and a pair's four setups are judged
     # by one verdict; only the setup suite reports the whole check
     assert _namers("check_geometric_setup") == ["cli._setup_suite", "setups.merge_sub_setup"]
+
+
+def _callers(callee: str) -> list[str]:
+    """`module.function`, `module.Class.method` or `module.Class` for each
+    call of `callee` in the package, by name or as an attribute, and
+    `module` for a call in module-level code."""
+    out = []
+    for mod, tree in _trees().items():
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    name = f"{node.name}.{m.name}" if isinstance(m, ast.FunctionDef) else node.name
+                    scopes.append((f"{mod}.{name}", m))
+            elif isinstance(node, ast.FunctionDef):
+                scopes.append((f"{mod}.{node.name}", node))
+            else:
+                scopes.append((mod, node))
+        for where, scope in scopes:
+            for n in ast.walk(scope):
+                if isinstance(n, ast.Call) and callee in (getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                    out.append(where)
+    return out
+
+
+def test_only_the_pair_declaration_builds_an_atlas():
+    # a pair declares its carrier, cover class and small objects once; an
+    # atlas built anywhere else could hold other ones
+    assert _callers("Atlas") == ["descent.PairDeclaration.__post_init__"]
 
 
 def test_one_error_for_malformed_input_and_one_for_a_carrier_gap():

@@ -11,7 +11,7 @@ from corrkit import fincat, serialization as ser
 from corrkit.cli import main
 from corrkit.corpus import corpus, instance
 from corrkit.descent import LocalizationProblem, PairDeclaration
-from corrkit.fincat import FinCategory, FunctorData, chain_category, finset_category, finset_skeleton
+from corrkit.fincat import FinCategory, FunctorData, chain_category, finset_category, finset_skeleton, surjections
 from corrkit.lattices import chain_lattice, n5_lattice
 from corrkit.report import MalformedInputError
 from corrkit.setups import GeometricSetup, all_class, iso_class
@@ -110,6 +110,25 @@ def test_pair_round_trip():
     assert {o: [a.x for a in lst] for o, lst in back.atlases.items()} == {
         o: [a.x for a in lst] for o, lst in pd.atlases.items()
     }
+
+
+def test_every_pair_envelope_survives_write_load_write():
+    # the pair writes its own cover class, so a pair with no atlases keeps
+    # its cover too
+    pairs = {inst.name: inst.build() for inst in corpus() if inst.kind == "pair"}
+    c = finset_skeleton(2)
+    surj = surjections(c)
+    pairs["no-atlas"] = PairDeclaration("nice", GeometricSetup(c, all_class(c)), c.objects, surj, surj, surj, surj, {})
+    assert len(pairs) == 4 and pairs["no-atlas"].cover
+    def declared(pd):
+        atlases = {obj: [a.x for a in lst] for obj, lst in pd.atlases.items()}
+        return pd.kind, pd.small_objects, pd.s_small, pd.s_big, pd.e_small, pd.big.e.members, pd.cover, atlases
+
+    for name, pd in pairs.items():
+        text = ser.dumps(pair_to_dict(pd))
+        back = ser.loads(text)
+        assert declared(back) == declared(pd), name
+        assert ser.dumps(pair_to_dict(back)) == text, name
 
 
 def test_localization_round_trip():
@@ -558,6 +577,8 @@ def _map_entry(key, entry, value):
         (_pair, _append("s_small", 0), "s_small must be a list of strings"),
         (_pair, _append("e_small", ["0>0:"]), "e_small must be a list of strings"),
         (_pair, _set("cover", "2>1:0.0"), "cover must be a list of strings"),
+        (_pair, _append("cover", "2>3:0.1"), r"^cover mentions unknown morphisms \['2>3:0.1'\]$"),
+        (_pair, _map_entry("atlases", "2", ["2>3:0.1"]), "^unknown atlas morphism '2>3:0.1'$"),
         (_chain_nagata, _append("i", []), "i must be a list of strings"),
         (_chain_nagata, _set("e", "0<=0"), "e must be a list of strings"),
         (_chain_nagata, _append("p", None), "p must be a list of strings"),
@@ -593,7 +614,7 @@ def _map_entry(key, entry, value):
     ids=["atlases-list", "atlas-string", "atlas-unknown-object", "exceptional-atlas-unknown-object",
          "atlas-other-target", "exceptional-atlas-other-target", "s-small-outside", "e-small-outside",
          "s-big-dict", "e-big-list", "small-objects-string", "small-objects-duplicate", "s-small-int",
-         "e-small-list", "cover-string", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
+         "e-small-list", "cover-string", "cover-unknown-morphism", "atlas-unknown-morphism", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
          "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
          "mor-map-outside", "inverted-nested", "inverted-string", "functor-typing", "functor-composite"],
 )
