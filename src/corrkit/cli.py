@@ -56,9 +56,6 @@ class WorkspaceConfig:
         fmt: str = "text",
     ):
         self.inputs, self.instances, self.suites, self.fmt = inputs, instances, suites, fmt
-        self.__post_init__()
-
-    def __post_init__(self):
         for s in self.suites:
             if s not in SUITE_ORDER:
                 raise MalformedInputError(f"unknown suite {s!r}")

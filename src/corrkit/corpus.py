@@ -49,9 +49,6 @@ class CorpusInstance:
         self.name, self.kind, self.description, self.build = name, kind, description, build
         self.expect_fail = {} if expect_fail is None else expect_fail
         self.options = {} if options is None else options
-        self.__post_init__()
-
-    def __post_init__(self):
         if self.kind not in _SUITES:
             raise ValueError(f"instance {self.name!r} has unknown kind {self.kind!r}")
 
@@ -111,7 +108,7 @@ def _pair_identity():
     c = s.category
     sm = frozenset(surjections(c))
     atl = {o: (c.identity[o],) for o in c.objects}
-    return PairDeclaration("nice", s, c.objects, sm, sm, frozenset(c.morphism_ids), sm, atl)
+    return PairDeclaration("nice", s, c.objects, sm, sm, frozenset(c.morphism_ids), atl)
 
 
 def _pair_cover(kind: str):
@@ -122,7 +119,7 @@ def _pair_cover(kind: str):
     sm = frozenset(surjections(c))
     atl = {o: (c.identity[o],) for o in c.objects}
     atl["1"] += ("2>1:0.0",)
-    return PairDeclaration(kind, s, c.objects, sm, sm, frozenset(c.morphism_ids), sm, atl)
+    return PairDeclaration(kind, s, c.objects, sm, sm, frozenset(c.morphism_ids), atl)
 
 
 def _localization_interval():

@@ -42,14 +42,11 @@ class Atlas:
     are required to land in the cover class `s`.
 
     A `PairDeclaration` builds its atlases from their morphisms, over its
-    own carrier, cover class and small objects.  The invariant is
-    oracle-checked by `check_atlas`, not trusted."""
+    own carrier, its big cover class `s_big` and its small objects.  The
+    invariant is oracle-checked by `check_atlas`, not trusted."""
 
     def __init__(self, setup: GeometricSetup, x: str, s: EdgeClass, small_objects: tuple[str, ...]):
         self.setup, self.x, self.s, self.small_objects = setup, x, s, small_objects
-        self.__post_init__()
-
-    def __post_init__(self):
         c = self.setup.category
         if self.x not in c.morphisms:
             raise MalformedInputError(f"unknown atlas morphism {self.x!r}")
@@ -124,9 +121,6 @@ class CechDiagram:
     ):
         self.category, self.x, self.m, self.objects = category, x, m, objects
         self.faces, self.degeneracies, self.aug = faces, degeneracies, aug
-        self.__post_init__()
-
-    def __post_init__(self):
         c = self.category
         if len(self.objects) != self.m + 1 or len(self.aug) != self.m + 1:
             raise MalformedInputError("diagram levels do not match the truncation")
@@ -234,11 +228,12 @@ class PairDeclaration:
     """A sub-setup inside an ambient setup with cover classes on both
     levels and candidate atlases per ambient object.
 
-    The ambient exceptional class is `big.e`; the sub-level classes and the
-    atlases' cover class are given as morphism-id sets, the sub-level ones
-    induced on the full subcategory.  Atlases are given as object -> atlas
-    morphism ids, and the pair builds each `Atlas` over its own carrier,
-    cover class and small objects, so a declaration holds one of each."""
+    The ambient exceptional class is `big.e`; the cover classes `s_small`
+    and `s_big` and the sub-level exceptional class `e_small` are given as
+    morphism-id sets, the sub-level ones induced on the full subcategory.
+    `s_big` is also the atlases' cover class.  Atlases are given as object
+    -> atlas morphism ids, and the pair builds each `Atlas` over its own
+    carrier, `s_big` and small objects, so a declaration holds one of each."""
 
     def __init__(
         self,
@@ -248,12 +243,11 @@ class PairDeclaration:
         s_small: frozenset,
         s_big: frozenset,
         e_small: frozenset,
-        cover: frozenset,
         atlases: dict,
     ):
         self.kind, self.big, self.small_objects = kind, big, small_objects
         self.s_small, self.s_big, self.e_small = s_small, s_big, e_small
-        self.cover, self.atlases = cover, atlases
+        self.atlases = atlases
         # f -> (its first hypercover or None, whether the search met a
         # limit), filled by `find_hypercovers`
         self._hypercovers: dict = {}
@@ -261,9 +255,6 @@ class PairDeclaration:
         # levels zero and one, keyed as `_search_hypercovers` reads them,
         # filled by `_level_index`
         self._levels: dict = {}
-        self.__post_init__()
-
-    def __post_init__(self):
         if self.kind not in ("nice", "exceptional"):
             raise MalformedInputError(f"unknown pair kind {self.kind!r}")
         listed = self.small_objects = tuple(self.small_objects)
@@ -274,8 +265,7 @@ class PairDeclaration:
         unknown = [y for y in (*self.small_objects, *sorted(self.atlases)) if y not in c.objects]
         if unknown:
             raise MalformedInputError(f"unknown objects {unknown[:3]}")
-        self.cover = frozenset(self.cover)
-        named = (("s_small", self.s_small), ("s_big", self.s_big), ("e_small", self.e_small), ("cover", self.cover))
+        named = (("s_small", self.s_small), ("s_big", self.s_big), ("e_small", self.e_small))
         for name, members in named:
             bad = sorted(set(members) - set(c.morphism_ids))
             if bad:
@@ -286,7 +276,7 @@ class PairDeclaration:
             bad = [m for m in sorted(members) if not small.issuperset(c.morphisms[m])]
             if bad:
                 raise MalformedInputError(f"{name} mentions morphisms outside small_objects {bad[:3]}")
-        cover, atlases = EdgeClass(c, self.cover), {}
+        cover, atlases = EdgeClass(c, frozenset(self.s_big)), {}
         for obj, ids in sorted(self.atlases.items()):
             atlases[obj] = tuple(Atlas(self.big, x, cover, listed) for x in ids)
             for a in atlases[obj]:
@@ -822,9 +812,6 @@ class LocalizationProblem:
 
     def __init__(self, p: FunctorData, r: frozenset):
         self.p, self.r = p, r
-        self.__post_init__()
-
-    def __post_init__(self):
         src = self.p.source
         self.r = frozenset(self.r)
         unknown = sorted(self.r - set(src.morphism_ids))

@@ -29,9 +29,6 @@ class CheckResult:
     def __init__(self, name: str, status: str, witness: dict | None = None, anchor: str = ""):
         self.name, self.status, self.anchor = name, status, anchor
         self.witness = {} if witness is None else witness
-        self.__post_init__()
-
-    def __post_init__(self):
         if self.status not in (PASS, FAIL, RESOURCE_LIMIT):
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == FAIL and not self.witness:

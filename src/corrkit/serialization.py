@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     from .descent import LocalizationProblem, PairDeclaration
     from .fincat import FinCategory
     from .lattices import FiniteLattice
-    from .setups import NagataSetup
+    from .setups import EdgeClass, NagataSetup
 
 CATEGORY_SCHEMA = "corrkit-category/1"
 LATTICE_SCHEMA = "corrkit-lattice/1"
@@ -240,10 +240,10 @@ def lattice_from_dict(d: dict) -> FiniteLattice:
 # -- marked classes and declarations ---------------------------------------
 
 
-def _class_members(c: FinCategory, d: dict, key: str) -> frozenset:
+def _edge_class(c: FinCategory, d: dict, key: str) -> EdgeClass:
     from .setups import EdgeClass
 
-    return EdgeClass(c, frozenset(_strings(d[key], key))).members
+    return EdgeClass(c, frozenset(_strings(d[key], key)))
 
 
 def nagata_to_dict(ns: NagataSetup) -> dict:
@@ -257,25 +257,23 @@ def nagata_to_dict(ns: NagataSetup) -> dict:
 
 
 def nagata_from_dict(d: dict) -> NagataSetup:
-    from .setups import EdgeClass, GeometricSetup, NagataSetup
+    from .setups import GeometricSetup, NagataSetup
 
     _check_fields(d, NAGATA_SCHEMA, ("category", "e", "i", "p"))
     c = category_from_dict(d["category"])
-    setup = GeometricSetup(c, EdgeClass(c, _class_members(c, d, "e")))
-    return NagataSetup(setup, EdgeClass(c, _class_members(c, d, "i")), EdgeClass(c, _class_members(c, d, "p")))
+    setup = GeometricSetup(c, _edge_class(c, d, "e"))
+    return NagataSetup(setup, _edge_class(c, d, "i"), _edge_class(c, d, "p"))
 
 
 def pair_from_dict(d: dict) -> PairDeclaration:
     from .descent import PairDeclaration
-    from .setups import EdgeClass, GeometricSetup
+    from .setups import GeometricSetup
 
     _check_fields(
-        d,
-        PAIR_SCHEMA,
-        ("kind", "category", "e_big", "small_objects", "s_small", "s_big", "e_small", "cover", "atlases"),
+        d, PAIR_SCHEMA, ("kind", "category", "e_big", "small_objects", "s_small", "s_big", "e_small", "atlases")
     )
     c = category_from_dict(d["category"])
-    big = GeometricSetup(c, EdgeClass(c, _class_members(c, d, "e_big")))
+    big = GeometricSetup(c, _edge_class(c, d, "e_big"))
     if not isinstance(d["atlases"], dict):
         raise MalformedInputError("atlases must map objects to lists of strings")
     return PairDeclaration(
@@ -285,7 +283,6 @@ def pair_from_dict(d: dict) -> PairDeclaration:
         frozenset(_strings(d["s_small"], "s_small")),
         frozenset(_strings(d["s_big"], "s_big")),
         frozenset(_strings(d["e_small"], "e_small")),
-        frozenset(_strings(d["cover"], "cover")),
         {obj: tuple(_strings(lst, f"atlases of {obj!r}")) for obj, lst in d["atlases"].items()},
     )
 

@@ -30,9 +30,6 @@ class EdgeClass:
 
     def __init__(self, carrier: FinCategory, members: frozenset[str]):
         self.carrier, self.members = carrier, members
-        self.__post_init__()
-
-    def __post_init__(self):
         unknown = self.members - set(self.carrier.morphism_ids)
         if unknown:
             raise MalformedInputError(f"unknown morphisms in class: {sorted(unknown)[:5]}")
@@ -59,9 +56,6 @@ class GeometricSetup:
         self.category, self.e = category, e
         # the carrier's one pullback memo, filled by `pullback_opt`
         self._oracle = category._pullbacks
-        self.__post_init__()
-
-    def __post_init__(self):
         if self.e.carrier is not self.category and self.e.carrier != self.category:
             raise MalformedInputError("edge class lives over a different category")
 
@@ -112,9 +106,6 @@ class NagataSetup:
         # (x, y) -> {f: its sorted factorizations} for the maps x -> y,
         # filled by `shriek.factorizations`
         self._factorizations: dict = {}
-        self.__post_init__()
-
-    def __post_init__(self):
         c = self.setup.category
         if self.i_class.carrier is not c or self.p_class.carrier is not c:
             raise MalformedInputError("classes must live on the setup's category")

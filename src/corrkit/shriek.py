@@ -90,9 +90,6 @@ class ShriekAssignment:
 
     def __init__(self, ns: NagataSetup, sys: CoefficientSystem, shriek: dict):
         self.ns, self.sys, self.shriek = ns, sys, shriek
-        self.__post_init__()
-
-    def __post_init__(self):
         c = self.ns.setup.category
         for f in self.ns.setup.e.members:
             m = self.shriek.get(f)

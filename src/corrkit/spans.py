@@ -378,9 +378,6 @@ class TensorEdge:
         self.apexes = apexes
         self.to_sources = to_sources  # (target slot i, source slot j) -> y_i -> x_j
         self.to_targets = to_targets  # y_i -> z_i
-        self.__post_init__()
-
-    def __post_init__(self):
         m, n = len(self.sources), len(self.targets)
         if len(self.alpha) != m or any(not 0 <= v <= n for v in self.alpha):
             raise MalformedInputError("alpha is not a pointed map of the declared arities")

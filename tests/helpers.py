@@ -25,7 +25,6 @@ def pair_to_dict(pd: PairDeclaration) -> dict:
         "s_small": sorted(pd.s_small),
         "s_big": sorted(pd.s_big),
         "e_small": sorted(pd.e_small),
-        "cover": sorted(pd.cover),
         "atlases": {obj: [a.x for a in lst] for obj, lst in sorted(pd.atlases.items())},
     }
 

@@ -483,7 +483,7 @@ def test_a_failed_codescent_precondition_is_a_failed_check(tmp_path, capsys):
     every = frozenset(c.morphism_ids)
     atlases = {o: (c.identity[o],) for o in c.objects}
     atlases["2"] = ("1>2:0",) + atlases["2"]
-    pd = descent.PairDeclaration("exceptional", s, c.objects, every, every, every, every, atlases)
+    pd = descent.PairDeclaration("exceptional", s, c.objects, every, every, every, atlases)
     path = tmp_path / "pair.json"
     path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
@@ -508,7 +508,7 @@ def test_a_transport_the_carrier_cannot_hold_is_a_limit_not_malformed_input(tmp_
     inside = frozenset(m for m in surj if c.src(m) in small and c.dst(m) in small)
     atlases = {o: (c.identity[o],) for o in small}
     atlases["1"] = ("2>1:0.0",)
-    pd = descent.PairDeclaration("nice", s, small, inside, surj, inside, surj, atlases)
+    pd = descent.PairDeclaration("nice", s, small, inside, surj, inside, atlases)
     path = tmp_path / "pair.json"
     path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")
@@ -549,7 +549,7 @@ def _run_exceptional_pair(tmp_path, capsys, sizes, e_small_every, atlases):
     e_small = inside(c.morphism_ids if e_small_every else surj)
     declared = {o: (c.identity[o],) for o in small}
     declared.update({o: (x,) for o, x in atlases.items()})
-    pd = descent.PairDeclaration("exceptional", s, small, inside(surj), surj, e_small, surj, declared)
+    pd = descent.PairDeclaration("exceptional", s, small, inside(surj), surj, e_small, declared)
     path = tmp_path / "pair.json"
     path.write_text(ser.dumps(pair_to_dict(pd)))
     code, out, err = invoke(capsys, "run", "--input", str(path), "--format", "json")

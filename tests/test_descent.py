@@ -230,7 +230,7 @@ def degenerate_pair(s=None, kind="nice", s_members=None, e_members=None):
     sm = frozenset(surjections(c) if s_members is None else s_members)
     em = frozenset(c.morphism_ids if e_members is None else e_members)
     atl = {o: (c.identity[o],) for o in c.objects}
-    return PairDeclaration(kind, GeometricSetup(c, EdgeClass(c, em)), c.objects, sm, sm, em, sm, atl)
+    return PairDeclaration(kind, GeometricSetup(c, EdgeClass(c, em)), c.objects, sm, sm, em, atl)
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +247,7 @@ def transport_pair():
     atl = {o: (c.identity[o],) for o in small}
     atl["X"] = ("2>X:0.1",)
     return PairDeclaration(
-        "nice", s, small, surjections(c) & small_m, surjections(c), small_m, surjections(c), atl
+        "nice", s, small, surjections(c) & small_m, surjections(c), small_m, atl
     )
 
 
@@ -291,7 +291,7 @@ def test_pair_kind_validated():
 def test_a_repeated_small_object_is_rejected():
     pd = degenerate_pair()
     with pytest.raises(MalformedInputError, match="^duplicate small object '2'$"):
-        PairDeclaration("nice", pd.big, ("0", "1", "2", "2"), pd.s_small, pd.s_big, pd.e_small, pd.cover, {})
+        PairDeclaration("nice", pd.big, ("0", "1", "2", "2"), pd.s_small, pd.s_big, pd.e_small, {})
 
 
 # -- descent of restrictions -----------------------------------------------
@@ -353,8 +353,7 @@ def descent_pair():
     atl = {o: (c.identity[o],) for o in c.objects}
     atl["1"] += ("2>1:0.0",)
     return PairDeclaration(
-        "nice", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)),
-        frozenset(c.morphism_ids), surjections(c), atl,
+        "nice", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)), frozenset(c.morphism_ids), atl
     )
 
 
@@ -421,8 +420,7 @@ def exceptional_pair(e_small=None):
     atl["1"] += ("2>1:0.0",)
     em = frozenset(c.morphism_ids if e_small is None else e_small)
     return PairDeclaration(
-        "exceptional", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)),
-        em, surjections(c), atl,
+        "exceptional", s, c.objects, frozenset(surjections(c)), frozenset(surjections(c)), em, atl
     )
 
 
@@ -460,7 +458,6 @@ def test_level_maps_agree_with_the_scan(name):
             declared.s_small,
             declared.s_big,
             e_small,
-            declared.cover,
             {obj: tuple(a.x for a in lst) for obj, lst in declared.atlases.items()},
         )
         for xa in atlases:
@@ -494,8 +491,7 @@ def test_hypercover_search_reports_limit():
     atl = {o: (c.identity[o],) for o in c.objects}
     atl["1"] = ("4>1:0.0.0.0",)  # overlap needs 16 points
     pd = PairDeclaration(
-        "exceptional", s, c.objects, frozenset(), frozenset(),
-        frozenset(c.morphism_ids), surjections(c), atl,
+        "exceptional", s, c.objects, frozenset(), surjections(c), frozenset(c.morphism_ids), atl
     )
     assert find_hypercovers(pd, "1>1:0") == (None, True)
     with pytest.raises(ResourceLimitError):

@@ -510,7 +510,7 @@ def test_descent_on_frame_systems_matches_the_routines_by_names(sys, data):
     _agree(descent_lattice, _old_descent_lattice, _lattice, sys, nerve)
     target = setup.category.dst(atlas.x)
     other = _atlas(setup, data.draw(cover_atlases(target)))
-    pd = PairDeclaration("nice", setup, setup.category.objects, frozenset(), frozenset(), frozenset(), frozenset(), {})
+    pd = PairDeclaration("nice", setup, setup.category.objects, frozenset(), frozenset(), frozenset(), {})
     _agree(compare_atlases, _old_compare_atlases, _checks, pd, sys, atlas, other)
 
 
@@ -523,7 +523,7 @@ def test_descent_on_poset_systems_matches_the_routines_by_names(sys, data):
     atlas = _atlas(setup, x)
     _agree(check_descent, _old_check_descent, _checks, setup, sys, atlas)
     other = _atlas(setup, data.draw(st.sampled_from([m for m in c.morphism_ids if c.dst(m) == c.dst(x)])))
-    pd = PairDeclaration("nice", setup, c.objects, frozenset(), frozenset(), frozenset(), frozenset(), {})
+    pd = PairDeclaration("nice", setup, c.objects, frozenset(), frozenset(), frozenset(), {})
     _agree(compare_atlases, _old_compare_atlases, _checks, pd, sys, atlas, other)
 
 
@@ -542,7 +542,7 @@ def _transport_pair(x_atlas, y_atlas):
     c = s.category
     small_m = frozenset(m for m in c.morphism_ids if c.src(m) in SMALL and c.dst(m) in SMALL)
     atlases = {"X": (x_atlas,), "Y": (y_atlas,)}
-    return PairDeclaration("nice", s, SMALL, frozenset(), frozenset(), small_m, frozenset(), atlases)
+    return PairDeclaration("nice", s, SMALL, frozenset(), frozenset(), small_m, atlases)
 
 
 @lru_cache(maxsize=None)
@@ -625,7 +625,6 @@ def _exceptional_pair(extra):
         frozenset(),
         frozenset(surjections(c)),
         frozenset(c.morphism_ids),
-        frozenset(),
         atlases,
     )
 
@@ -675,7 +674,7 @@ def hypercover_pairs(draw):
         r = draw(st.sampled_from([r for r in c.hom("4", "2") if c.comp(r, s0) == c.identity["2"]]))
         ident = c.identity["2"]
         c._nerves[(ident, 1)] = CechDiagram(c, ident, 1, ("2", "4"), {(1, 0): r, (1, 1): r}, {(0, 0): s0}, (ident, r))
-    return PairDeclaration("exceptional", setup, c.objects, frozenset(), frozenset(), e_small, frozenset(), atlases)
+    return PairDeclaration("exceptional", setup, c.objects, frozenset(), frozenset(), e_small, atlases)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -743,7 +742,7 @@ def _witness_cases():
 
     def atlases(sys, x1, x2):
         pd = PairDeclaration(
-            "nice", setup(sys), sys.category.objects, frozenset(), frozenset(), frozenset(), frozenset(), {}
+            "nice", setup(sys), sys.category.objects, frozenset(), frozenset(), frozenset(), {}
         )
         return compare_atlases, _old_compare_atlases, _checks, pd, sys, _atlas(pd.big, x1), _atlas(pd.big, x2)
 

@@ -227,7 +227,7 @@ def test_a_setup_reports_the_same_over_a_carrier_another_class_swept(sizes, swep
     objects = data.draw(st.permutations(c.objects))
     cover = c.iso_ids
     atlases = {x: (c.identity[x],) for x in c.objects}
-    pd, twin = (PairDeclaration("nice", big, objects, cover, cover, big.e.members, cover, atlases) for _ in range(2))
+    pd, twin = (PairDeclaration("nice", big, objects, cover, cover, big.e.members, atlases) for _ in range(2))
     twin.small = full_subcategory(finset_category(named), objects)
     assert pd.small is c and twin.small == c and twin.small is not c
     assert check_nice_pair(pd).to_dict() == check_nice_pair(twin).to_dict()
@@ -235,7 +235,7 @@ def test_a_setup_reports_the_same_over_a_carrier_another_class_swept(sizes, swep
     # a proper full subcategory is a new carrier, whose canonical apex can
     # differ from its parent's, so it reads none of the parent's memos
     kept = data.draw(st.lists(st.sampled_from(c.objects), min_size=1, unique=True))
-    small = PairDeclaration("nice", big, kept, frozenset(), frozenset(), frozenset(), frozenset(), {}).small
+    small = PairDeclaration("nice", big, kept, frozenset(), frozenset(), frozenset(), {}).small
     assert (small is c) == (set(kept) == set(c.objects)) and small == full_subcategory(c, kept)
     fresh = finset_category({x: named[x] for x in kept})
     assert _setup_report(small, last) == _setup_report(fresh, last, memo={})

@@ -10,8 +10,10 @@ one for a carrier gap, no first-witness loop written by hand (no `if` on a
 witness that breaks, and no `for` loop that keeps a witness and breaks)
 outside a short allow-list, one writer per carrier memo (a geometric
 setup keeps no memo but its view of the carrier's pullbacks, and each memo
-on a `FinCategory` is filled in exactly one function), and one builder of
-atlases: only `PairDeclaration` calls `Atlas`."""
+on a `FinCategory` is filled in exactly one function), one builder of
+atlases: only `PairDeclaration` calls `Atlas`, and no `__post_init__`
+hook but the three `perfbench/tracer.py` times, each called wherever its
+class is built."""
 
 import ast
 import functools
@@ -358,6 +360,17 @@ def _resolves(module: str, path: str) -> bool:
     return True
 
 
+def _tracer_tables(tracer: ast.Module) -> dict:
+    """The tracer's `TARGETS` and `MODULES` tables, read without running it."""
+    return {
+        t.id: ast.literal_eval(n.value)
+        for n in tracer.body
+        if isinstance(n, ast.Assign)
+        for t in n.targets
+        if isinstance(t, ast.Name) and t.id in ("TARGETS", "MODULES")
+    }
+
+
 def test_what_perfbench_reads_from_src_resolves():
     # `perfbench/` changes only with the benchmark, and the walk above
     # gives the tracer's strings no reach: this keeps a refactor of `src`
@@ -382,13 +395,7 @@ def test_what_perfbench_reads_from_src_resolves():
                 if not _resolves(modules[n.value.id], n.attr):
                     unresolved.append(f"{path.name}: {modules[n.value.id]}.{n.attr}")
     tracer = _parse(ROOT / "perfbench" / "tracer.py")
-    tables = {
-        t.id: ast.literal_eval(n.value)
-        for n in tracer.body
-        if isinstance(n, ast.Assign)
-        for t in n.targets
-        if isinstance(t, ast.Name) and t.id in ("TARGETS", "MODULES")
-    }
+    tables = _tracer_tables(tracer)
     # `install` wraps a function as its module holds it and a method as its
     # class holds it, and reads modules by name off a table of MODULES
     for mod, target, _ in tables["TARGETS"]:
@@ -406,6 +413,38 @@ def test_what_perfbench_reads_from_src_resolves():
     assert unresolved == []
     # the tracer's memo probe reads a setup's view of the pullback memo
     assert "_oracle" in vars(skeleton_setup(1))
+
+
+def test_a_post_init_hook_is_kept_only_where_the_tracer_times_it():
+    # a class builds and validates in its `__init__`; a hook of its own is
+    # kept only where `perfbench/tracer.py` wraps it by name, and is called
+    # on every path that builds the class, so the tracer times every build
+    timed = {
+        (mod, target)
+        for mod, target, _ in _tracer_tables(_parse(ROOT / "perfbench" / "tracer.py"))["TARGETS"]
+        if target.endswith(".__post_init__")
+    }
+    hooks, calls = set(), {}  # calls: (module, Class.method) -> attribute names it calls
+    for mod, tree in _trees().items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for m in cls.body:
+                if isinstance(m, ast.FunctionDef):
+                    if m.name == "__post_init__":
+                        hooks.add((mod, f"{cls.name}.__post_init__"))
+                    calls[(mod, f"{cls.name}.{m.name}")] = {
+                        n.func.attr for n in ast.walk(m) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    }
+    assert sorted(hooks - timed) == [], "a hook the tracer does not time: merge it into `__init__`"
+    assert sorted(timed - hooks) == [], "a tracer target that names no hook"
+    # `FiniteLattice._at_positions` builds a lattice without `__init__`
+    builders = {"FiniteLattice": ("__init__", "_at_positions")}
+    uncalled = []
+    for mod, hook in sorted(timed):
+        cls = hook.partition(".")[0]
+        for builder in builders.get(cls, ("__init__",)):
+            if "__post_init__" not in calls.get((mod, f"{cls}.{builder}"), ()):
+                uncalled.append(f"{mod}.{cls}.{builder}")
+    assert uncalled == [], "a builder that skips its class's timed hook"
 
 
 def _namers(name: str) -> list[str]:
@@ -459,7 +498,7 @@ def _callers(callee: str) -> list[str]:
 def test_only_the_pair_declaration_builds_an_atlas():
     # a pair declares its carrier, cover class and small objects once; an
     # atlas built anywhere else could hold other ones
-    assert _callers("Atlas") == ["descent.PairDeclaration.__post_init__"]
+    assert _callers("Atlas") == ["descent.PairDeclaration.__init__"]
 
 
 def test_one_error_for_malformed_input_and_one_for_a_carrier_gap():

@@ -113,21 +113,22 @@ def test_pair_round_trip():
 
 
 def test_every_pair_envelope_survives_write_load_write():
-    # the pair writes its own cover class, so a pair with no atlases keeps
-    # its cover too
+    # the pair's one cover class is s_big, so a pair with no atlases keeps
+    # it too, and every loaded atlas is built over it
     pairs = {inst.name: inst.build() for inst in corpus() if inst.kind == "pair"}
     c = finset_skeleton(2)
     surj = surjections(c)
-    pairs["no-atlas"] = PairDeclaration("nice", GeometricSetup(c, all_class(c)), c.objects, surj, surj, surj, surj, {})
-    assert len(pairs) == 4 and pairs["no-atlas"].cover
+    pairs["no-atlas"] = PairDeclaration("nice", GeometricSetup(c, all_class(c)), c.objects, surj, surj, surj, {})
+    assert len(pairs) == 4 and pairs["no-atlas"].s_big
     def declared(pd):
         atlases = {obj: [a.x for a in lst] for obj, lst in pd.atlases.items()}
-        return pd.kind, pd.small_objects, pd.s_small, pd.s_big, pd.e_small, pd.big.e.members, pd.cover, atlases
+        return pd.kind, pd.small_objects, pd.s_small, pd.s_big, pd.e_small, pd.big.e.members, atlases
 
     for name, pd in pairs.items():
         text = ser.dumps(pair_to_dict(pd))
         back = ser.loads(text)
         assert declared(back) == declared(pd), name
+        assert all(a.s.members == back.s_big for lst in back.atlases.values() for a in lst), name
         assert ser.dumps(pair_to_dict(back)) == text, name
 
 
@@ -576,8 +577,11 @@ def _map_entry(key, entry, value):
         (_pair, _append("small_objects", "2"), "^duplicate small object '2'$"),
         (_pair, _append("s_small", 0), "s_small must be a list of strings"),
         (_pair, _append("e_small", ["0>0:"]), "e_small must be a list of strings"),
-        (_pair, _set("cover", "2>1:0.0"), "cover must be a list of strings"),
-        (_pair, _append("cover", "2>3:0.1"), r"^cover mentions unknown morphisms \['2>3:0.1'\]$"),
+        # the atlases' cover class is s_big: an envelope that lists `cover`,
+        # as a string or as a class, is rejected before its value is read
+        (_pair, _set("cover", "2>1:0.0"), "^unknown field 'cover' in corrkit-pair/1$"),
+        (_pair, _set("cover", ["2>1:0.0"]), "^unknown field 'cover' in corrkit-pair/1$"),
+        (_pair, _append("s_big", "2>3:0.1"), r"^s_big mentions unknown morphisms \['2>3:0.1'\]$"),
         (_pair, _map_entry("atlases", "2", ["2>3:0.1"]), "^unknown atlas morphism '2>3:0.1'$"),
         (_chain_nagata, _append("i", []), "i must be a list of strings"),
         (_chain_nagata, _set("e", "0<=0"), "e must be a list of strings"),
@@ -614,7 +618,7 @@ def _map_entry(key, entry, value):
     ids=["atlases-list", "atlas-string", "atlas-unknown-object", "exceptional-atlas-unknown-object",
          "atlas-other-target", "exceptional-atlas-other-target", "s-small-outside", "e-small-outside",
          "s-big-dict", "e-big-list", "small-objects-string", "small-objects-duplicate", "s-small-int",
-         "e-small-list", "cover-string", "cover-unknown-morphism", "atlas-unknown-morphism", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
+         "e-small-list", "cover-string", "cover-listed", "s-big-unknown-morphism", "atlas-unknown-morphism", "i-list", "e-string", "p-null", "schema-list", "schema-dict",
          "obj-map-missing", "mor-map-missing", "obj-map-list", "mor-map-list-value", "obj-map-unknown",
          "mor-map-outside", "inverted-nested", "inverted-string", "functor-typing", "functor-composite"],
 )

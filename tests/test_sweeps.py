@@ -158,7 +158,7 @@ def test_the_base_change_sweep_matches_the_three_loops_it_replaced(c, data):
             atlases[c.dst(x)] = atlases.get(c.dst(x), ()) + (x,)
     inside = [m for m in c.morphism_ids if c.src(m) in small and c.dst(m) in small]
     e_small = data.draw(subsets(inside)) if inside else frozenset()
-    pd = PairDeclaration("nice", s, small, cover.members & set(inside), cover.members, e_small, cover.members, atlases)
+    pd = PairDeclaration("nice", s, small, cover.members & set(inside), cover.members, e_small, atlases)
     ch = check_nice_pair(pd).checks[-1]
     assert (ch.name, ch.status, ch.witness) == ("exceptional-base-change", *_old_pair_sweep(pd))
 
