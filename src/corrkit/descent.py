@@ -231,9 +231,10 @@ class PairDeclaration:
     The ambient exceptional class is `big.e`; the cover classes `s_small`
     and `s_big` and the sub-level exceptional class `e_small` are given as
     morphism-id sets, the sub-level ones induced on the full subcategory.
-    `s_big` is also the atlases' cover class.  Atlases are given as object
-    -> atlas morphism ids, and the pair builds each `Atlas` over its own
-    carrier, `s_big` and small objects, so a declaration holds one of each."""
+    `s_big` is also the atlases' cover class, built once as `big_cover`.
+    Atlases are given as object -> atlas morphism ids, and the pair builds
+    each `Atlas` over its own carrier, `big_cover` and small objects, so a
+    declaration holds one of each."""
 
     def __init__(
         self,
@@ -276,9 +277,9 @@ class PairDeclaration:
             bad = [m for m in sorted(members) if not small.issuperset(c.morphisms[m])]
             if bad:
                 raise MalformedInputError(f"{name} mentions morphisms outside small_objects {bad[:3]}")
-        cover, atlases = EdgeClass(c, frozenset(self.s_big)), {}
+        self.big_cover, atlases = EdgeClass(c, frozenset(self.s_big)), {}
         for obj, ids in sorted(self.atlases.items()):
-            atlases[obj] = tuple(Atlas(self.big, x, cover, listed) for x in ids)
+            atlases[obj] = tuple(Atlas(self.big, x, self.big_cover, listed) for x in ids)
             for a in atlases[obj]:
                 if a.target != obj:
                     raise MalformedInputError(
@@ -306,7 +307,7 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
         ("small-exceptional", pd.small_setup(pd.e_small)),
         ("small-cover", pd.small_setup(pd.s_small)),
         ("big-exceptional", pd.big),
-        ("big-cover", GeometricSetup(c, EdgeClass(c, frozenset(pd.s_big)))),
+        ("big-cover", GeometricSetup(c, pd.big_cover)),
     )
     for name, s in setups:
         merge_sub_setup(rep, f"setup-{name}", s, "pair-condition-a")

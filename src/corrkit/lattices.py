@@ -729,28 +729,6 @@ def projection_witness(sys: CoefficientSystem, f: str, push: LatticeMap, relatio
     return None
 
 
-def check_projection_formula(sys: CoefficientSystem, f: str, flavor: str) -> VerificationReport:
-    """sharp: push(E tensor pull(B)) == push(E) tensor B with push the left
-    adjoint; star: push(E) tensor B == push(E tensor pull(B)) with the right
-    adjoint.  Exhaustive over all pairs."""
-    rep = VerificationReport(f"projection-formula-{flavor}")
-    if flavor not in ("sharp", "star"):
-        raise MalformedInputError(f"flavor must be sharp or star, got {flavor!r}")
-    pull = sys.pull(f)
-    push = left_adjoint(pull) if flavor == "sharp" else right_adjoint(pull)
-    if push is None:
-        raise MalformedInputError(f"{flavor} adjoint missing for {f!r}")
-    witness = projection_witness(sys, f, push, "==")
-    x, y = sys.category.morphisms[f]
-    rep.add(
-        "projection-formula",
-        witness is None,
-        witness or {"pairs": len(sys.lattice(x).elements) * len(sys.lattice(y).elements)},
-        anchor=f"projection-formula-{flavor}",
-    )
-    return rep
-
-
 def _unique_cross_map(c: FinCategory, f1: str, f2: str):
     """The product map f1 x f2 between canonical products, with projections."""
     x1, y1 = c.morphisms[f1]

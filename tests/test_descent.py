@@ -265,6 +265,17 @@ def test_nice_pair_transport_object_passes():
     assert check_nice_pair(transport_pair()).passed
 
 
+def test_the_big_cover_setup_reads_the_class_the_atlases_hold(monkeypatch):
+    # the pair builds and validates its big cover class once
+    checked = {}
+    monkeypatch.setattr(descent, "merge_sub_setup", lambda rep, name, s, anchor: checked.setdefault(name, s))
+    pd = transport_pair()
+    check_nice_pair(pd)
+    cover = checked["setup-big-cover"].e
+    assert cover is pd.big_cover
+    assert all(a.s is cover for atl in pd.atlases.values() for a in atl)
+
+
 def test_nice_pair_missing_atlas_names_object():
     pd = degenerate_pair()
     del pd.atlases["2"]

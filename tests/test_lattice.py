@@ -24,7 +24,6 @@ from corrkit.lattices import (
     chain_lattice,
     check_adjointable,
     check_kunneth,
-    check_projection_formula,
     check_triangles,
     compose_maps,
     fiberwise_join_map,
@@ -493,22 +492,14 @@ def test_galois_adjoints_match_fiberwise_oracles():
 def test_projection_formula_sharp_frames():
     sys = frame2()
     for f in sys.category.morphism_ids:
-        assert check_projection_formula(sys, f, "sharp").passed
+        assert projection_witness(sys, f, sys.galois(f).sharp, "==") is None
 
 
 def test_projection_formula_star_surjective_only():
     sys = frame2()
-    assert check_projection_formula(sys, "2>1:0.0", "star").passed
-    rep = check_projection_formula(sys, "0>1:", "star")
-    assert not rep.passed
-    w = rep.first_failure().witness
-    assert w["B"] == tuple_name(("0",))
-
-
-def test_projection_formula_flavor_validation():
-    sys = frame2()
-    with pytest.raises(MalformedInputError):
-        check_projection_formula(sys, "1>1:0", "flat")
+    assert projection_witness(sys, "2>1:0.0", sys.galois("2>1:0.0").star, "==") is None
+    w = projection_witness(sys, "0>1:", sys.galois("0>1:").star, "==")
+    assert w is not None and w["B"] == tuple_name(("0",))
 
 
 def test_kunneth_meet_tensor_passes_for_surjections():
@@ -765,8 +756,8 @@ def test_each_adjoint_is_computed_once_per_map(monkeypatch):
         first = (sys.galois(f).sharp, sys.galois(f).star)
         assert len(builds) == 2
         check_triangles(sys.galois(f))
-        check_projection_formula(sys, f, "sharp")
-        check_projection_formula(sys, f, "star")
+        projection_witness(sys, f, sys.galois(f).sharp, "==")
+        projection_witness(sys, f, sys.galois(f).star, "==")
         assert (left_adjoint(sys.pull(f)), right_adjoint(sys.pull(f))) == first
         assert sys.galois(f).sharp is first[0] and sys.galois(f).star is first[1]
         assert len(builds) == 2
@@ -870,17 +861,17 @@ def _commuting_squares(sys):
 
 _PINNED = {
     "n5-join": {
-        "projection": "36bdd60d0403d4d3011f297f71bebbe090ca4135a86d1ef76aee1b13253b3ce3",
+        "projection": "f76fb9bbed5845a422eca8e2b1ba66f1d40fd9617c6edafecf30180664039bcf",
         "comparison": "faef626befe41246d9f0335c0ce2cdcdec88930a320f1bcd09478b1ae42d79ab",
         "adjointable": "b3532f28c85f6053be123cfd38d294289886a2d3f7535a4e7575012e9dd203fd",
     },
     "n5": {
-        "projection": "74b52eba2ded52c5ec340b335a4bd0d55739a9fda366ceea0aa0ece380c14387",
+        "projection": "8d41724efe8e853d1b0b8cceb06163311b0431a006f7be98a8ae9197c94f6d6e",
         "comparison": "a7fec1477442c56bac188cc68989826450ef11d8f052e81d9ce55ea0262ca5d9",
         "adjointable": "b3532f28c85f6053be123cfd38d294289886a2d3f7535a4e7575012e9dd203fd",
     },
     "chain2": {
-        "projection": "9d5b856e50483f19a90afdec4e0c403d076c2462e221093eab0e9419054f53d0",
+        "projection": "001334e54f5405f288ac54f50d8749615dfeeb65d39e7db0a4ff490e812d0234",
         "comparison": "0baef7456960ecf311c5d1cc893ffab57d0a648e3bb3a01b218a34257da1a3ec",
         "adjointable": "d683d78cd6aebde1f2db42413a0da4cf77caf6ada8411c14be4e3cb3450f390a",
     },
@@ -892,7 +883,7 @@ def test_first_witnesses_are_pinned(name):
     L = {"n5-join": n5_lattice("join"), "n5": n5_lattice(), "chain2": chain_lattice(2)}[name]
     c = finset_skeleton(2)
     sys = frame_system(GeometricSetup(c, all_class(c)), L)
-    projection = [check_projection_formula(sys, f, fl).to_dict() for f in c.morphism_ids for fl in ("sharp", "star")]
+    projection = [projection_witness(sys, f, getattr(sys.galois(f), fl), "==") for f in c.morphism_ids for fl in ("sharp", "star")]
     comparison = [
         projection_witness(sys, f, push(sys.pull(f)), rel)
         for f in c.morphism_ids

@@ -7,7 +7,8 @@ definition reached by a call-graph walk from the CLI or kept off its path
 by a listed reader that really names it, everything `perfbench/` reads
 from the package still there, one exception class for malformed input and
 one for a carrier gap, no first-witness loop written by hand (no `if` on a
-witness that breaks, and no `for` loop that keeps a witness and breaks)
+witness that breaks, no `for` loop that keeps a witness and breaks, and
+no `for` loop that returns a dict, tuple or string literal from its body)
 outside a short allow-list, one writer per carrier memo (a geometric
 setup keeps no memo but its view of the carrier's pullbacks, and each memo
 on a `FinCategory` is filled in exactly one function), one builder of
@@ -26,9 +27,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "corrkit"
 
-# `for` loops that keep a witness by hand and break, each with its reason:
-# every other first-witness scan reports through `VerificationReport.sweep`
-WITNESS_LOOPS: dict[str, str] = {}
+# definitions with a `for` loop that keeps a witness by hand and breaks, or
+# that returns a literal witness from its body outside a nested function,
+# each with its reason: every other first-witness scan reports through
+# `VerificationReport.sweep`
+WITNESS_LOOPS = {
+    "fincat.compose_table_witness": "the loader shares it and raises instead of reporting",
+    "lattices.projection_witness": "a row scan read inside morphism sweeps",
+    "descent._order_mismatch": "one of three conditions in its checks",
+    "lattices.FiniteLattice": "constructor checks that raise",
+    "lattices.CoefficientSystem": "constructor checks that raise",
+}
 
 # definitions no CLI path reaches (a top-level name, or `Class.method`),
 # each a root of the reachability walk with the reader that keeps it:
@@ -532,28 +541,72 @@ def _mentions_witness(node: ast.AST) -> bool:
     return any(isinstance(n, ast.Name) and "witness" in n.id for n in ast.walk(node))
 
 
-def test_no_first_witness_loop_is_written_by_hand():
+def _is_literal(node: ast.AST | None) -> bool:
+    """A dict, tuple or string written out where it is returned."""
+    return isinstance(node, (ast.Dict, ast.Tuple, ast.JoinedStr)) or (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+
+
+def _hand_written_scans(trees: dict[str, ast.Module]) -> tuple[list[str], set[str]]:
+    """The `if`s on a witness that break (as module:line), and the top-level
+    definitions holding a `for` loop that keeps a witness and breaks, or,
+    outside a nested function, returns a literal from its own body."""
     ladders, loops = [], set()
-    for mod, tree in _trees().items():
+    for mod, tree in trees.items():
         for top in tree.body:
+            # a top-level function's nodes, or its class's and each method's,
+            # outside the functions nested in them
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            own = {n for scope in scopes for n in (scope, *_inside(scope, _FUNCTIONS))}
             for node in ast.walk(top):
                 if isinstance(node, ast.If) and _mentions_witness(node.test):
                     if any(isinstance(stmt, ast.Break) for stmt in node.body):
                         ladders.append(f"{mod}.py:{node.lineno}")
                 if not isinstance(node, ast.For):
                     continue
-                # the loop's own breaks, and the witnesses its body keeps
+                # the loop's own breaks, the witnesses its body keeps, and
+                # the literals it returns
+                body = list(_inside(node, _FUNCTIONS))
                 breaks = any(isinstance(n, ast.Break) for n in _inside(node, _FUNCTIONS + (ast.For, ast.While)))
                 targets = [
                     t
-                    for n in _inside(node, _FUNCTIONS)
+                    for n in body
                     if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
                     for t in getattr(n, "targets", [getattr(n, "target", None)])
                 ]
-                if breaks and any(isinstance(t, ast.Name) and t.id.endswith("witness") for t in targets):
+                keeps = breaks and any(isinstance(t, ast.Name) and t.id.endswith("witness") for t in targets)
+                returns = node in own and any(isinstance(n, ast.Return) and _is_literal(n.value) for n in body)
+                if keeps or returns:
                     loops.add(f"{mod}.{getattr(top, 'name', '<module>')}")
+    return ladders, loops
+
+
+def test_no_first_witness_loop_is_written_by_hand():
+    ladders, loops = _hand_written_scans(_trees())
     assert ladders == []
     assert sorted(loops) == sorted(WITNESS_LOOPS) and len(WITNESS_LOOPS) <= 5
+
+
+def test_a_loop_that_returns_its_witness_is_seen():
+    # a sixth scan that returns its witness from inside its loop, next to
+    # one that reports through a nested case function
+    source = """
+def first_odd(xs):
+    for x in xs:
+        if x % 2:
+            return {"x": x}
+    return None
+
+def swept(rep, xs):
+    def case(x):
+        for y in xs:
+            if x == y:
+                return ("repeat", y)
+    rep.sweep("distinct", xs, lambda x: case(x) and {"x": x})
+"""
+    trees = {**_trees(), "extra": ast.parse(source)}
+    assert _hand_written_scans(trees)[1] - set(WITNESS_LOOPS) == {"extra.first_odd"}
 
 
 def _functions(tree: ast.Module):

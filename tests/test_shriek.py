@@ -42,7 +42,9 @@ from corrkit.shriek import (
     verify_hypotheses,
 )
 from corrkit.spans import Span
+from test_cli import _product_lattice
 from test_grid import _CLASSES, _grids_by_search, _small_carriers
+from test_lattice import m3_lattice
 
 
 def _setup(max_size=2):
@@ -341,6 +343,41 @@ def test_support_property_fails_for_inj_all():
     # the mate disagrees at the point missing from the open image: the
     # extension-by-bottom side against the empty-fiber-top side
     assert "0" in w["via-adjoint-then-down"] and "1" in w["via-down-then-adjoint"]
+
+
+def _all_iso_over(L):
+    """The gate's hypotheses on the all/iso carrier {a: 1, b: 2} with base
+    lattice L, which the theorem suite fixes to a 2-chain."""
+    c = finset_category({"a": 1, "b": 2})
+    ns = NagataSetup(GeometricSetup(c, all_class(c)), all_class(c), iso_class(c))
+    return verify_hypotheses(ns, frame_system(ns.setup, L))
+
+
+@pytest.mark.parametrize(
+    "L, pushed",
+    [(n5_lattice(), "(a)"), (m3_lattice(), "(0)")],
+    ids=["n5", "m3"],
+)
+def test_the_sharp_hypothesis_fails_over_a_non_distributive_base(L, pushed):
+    # the map merging b's two points pushes E = (a,b) to a v b = 1, so
+    # f_#E ^ (c) = c, while f_#(E ^ f^*(c)) joins a ^ c and b ^ c
+    bad = _all_iso_over(L).first_failure()
+    assert bad.name == "projection-formula-sharp"
+    assert bad.witness == {
+        "morphism": "b>a:0.0",
+        "witness": {"E": "(a,b)", "B": "(c)", "pushed-tensor": pushed, "tensor-pushed": "(c)"},
+    }
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+@example([2])
+@example([2, 2])
+@example([4, 4])
+def test_the_hypotheses_hold_over_products_of_chains(sizes):
+    # a product of chains is distributive, so the sharp equality holds
+    rep = _all_iso_over(_product_lattice([f"C{n}" for n in sizes], "meet"))
+    assert rep.passed, rep.first_failure().witness
 
 
 def test_build_shriek_open_is_fiberwise_join():

@@ -309,7 +309,7 @@ def _old_verify_hypotheses(ns, sys):
         for f in sorted(cls.members):
             count += 1
             push = _sharp(sys, f) if flavor == "sharp" else _star(sys, f)
-            found = projection_witness(sys, f, push, "<=" if flavor == "sharp" else ">=")
+            found = projection_witness(sys, f, push, "==" if flavor == "sharp" else ">=")
             if found:
                 witness = {"morphism": f, "witness": found}
                 break
