@@ -277,6 +277,9 @@ def _plan(tag: str, obj, options: dict) -> dict:
     from .descent import PairDeclaration
 
     if isinstance(obj, PairDeclaration):
+        # its one suite builds a frame system too, so it needs sizes
+        if obj.big.category.object_size is None:
+            return {}
         return {"theorem": lambda: _pair_theorem_suite(tag, obj, options)}
     return {"theorem": lambda: _localization_theorem_suite(tag, obj)}
 
@@ -331,6 +334,11 @@ def run(config: WorkspaceConfig):
         named = [(f"--input {path}", _plan(path, obj, {})) for path, obj in loaded]
         named += [(f"--instance {inst.name}", inst.suites) for inst in chosen]
         for name, applies in named:
+            # only a pair whose carrier declares no sizes has no suite
+            if not applies:
+                raise MalformedInputError(
+                    f"no suite applies to {name}: its carrier declares no sizes, which the theorem suite reads"
+                )
             if not any(s in applies for s in config.suites):
                 raise MalformedInputError(f"no selected suite applies to {name}; its suites are {', '.join(applies)}")
     for path, obj in loaded:
@@ -472,6 +480,8 @@ def _cmd_corr_coproduct(args, out) -> int:
 def _cmd_shriek_build(args, out) -> int:
     from .setups import NagataSetup
 
+    if args.input and args.instance:
+        raise MalformedInputError("shriek build takes --input or --instance, not both")
     if args.input:
         ns, name = _load_input(args.input), f"--input {args.input}"
         if not isinstance(ns, NagataSetup):
@@ -479,7 +489,7 @@ def _cmd_shriek_build(args, out) -> int:
     else:
         from .corpus import instance
 
-        inst = instance(args.instance)
+        inst = instance(args.instance or "nagata-open")
         if inst.kind != "nagata":
             raise MalformedInputError(f"instance {inst.name!r} is not a factorization setup")
         ns, name = inst.build(), f"--instance {inst.name}"
@@ -558,7 +568,7 @@ _COMMANDS = {
     "shriek": ("exceptional pushforwards", {
         "build": ("build and print the pushforward tables", _cmd_shriek_build, (
             ("--input", {"default": None, "help": "JSON envelope to load instead of a bundled instance"}),
-            ("--instance", {"default": "nagata-open", "help": "bundled instance name"}))),
+            ("--instance", {"default": None, "help": "bundled instance name"}))),
     }),
     "search": ("brute-force searches", {
         "nagata": ("scan class pairs for valid factorization setups", _cmd_search_nagata, ()),

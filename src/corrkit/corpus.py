@@ -198,12 +198,12 @@ _INSTANCES = (
     CorpusInstance(
         "nice-pair-cover", "pair", "2-to-1 cover atlas on the overlap-complete carrier",
         lambda: _pair_cover("nice"),
-        # the full pair gate passes here in 0.26-0.37 s on a fresh instance
-        # (2-CPU VM), nearly all of it in the 76,669 fiber products of the two
-        # setup verdicts its four setup checks read; a whole fresh corpus run
-        # takes 0.16-0.25 s there, and the gate adds checks to the pinned
-        # payload.  The option stays until dropping it no longer moves the
-        # corpus benchmark (ROADMAP item 2)
+        # the full pair gate passes here in 0.32-0.50 s in-process over 4
+        # runs (2-CPU VM), nearly all of it in the 76,669 fiber products of
+        # the two setup verdicts its four setup checks read; a whole fresh
+        # corpus run takes 0.16-0.25 s there, and the gate adds checks to
+        # the pinned payload.  The option stays until dropping it no longer
+        # moves the corpus benchmark (ROADMAP item 2)
         options={"full_gate": False},
     ),
     CorpusInstance(

@@ -24,6 +24,7 @@ from functools import cached_property
 from .fincat import (
     FinCategory,
     FunctorData,
+    _group,
     full_subcategory,
     mediators,
     verify_product,
@@ -366,14 +367,10 @@ def _level_index(pd: PairDeclaration, nx: CechDiagram, ny: CechDiagram) -> tuple
     if key not in pd._levels:
         c = pd.big.category
         y, d0, d1 = ny.x, ny.faces[(1, 0)], ny.faces[(1, 1)]
-        level0: dict = {}
-        for f0 in c.hom(nx.objects[0], ny.objects[0]):
-            if f0 in pd.e_small:
-                level0.setdefault(c.composite(y, f0), []).append(f0)
-        level1: dict = {}
-        for f1 in c.hom(nx.objects[1], ny.objects[1]):
-            if f1 in pd.e_small:
-                level1.setdefault((c.composite(d0, f1), c.composite(d1, f1)), []).append(f1)
+        maps0 = (f0 for f0 in c.hom(nx.objects[0], ny.objects[0]) if f0 in pd.e_small)
+        maps1 = (f1 for f1 in c.hom(nx.objects[1], ny.objects[1]) if f1 in pd.e_small)
+        level0 = _group(maps0, lambda f0: c.composite(y, f0))
+        level1 = _group(maps1, lambda f1: (c.composite(d0, f1), c.composite(d1, f1)))
         pd._levels[key] = level0, level1
     return pd._levels[key]
 
@@ -569,17 +566,36 @@ def check_descent(setup: GeometricSetup, sys: CoefficientSystem, atlas: Atlas) -
     return rep
 
 
+def _transport(pd: PairDeclaration, sys: CoefficientSystem, g: str, src: tuple, dst: tuple) -> list[tuple]:
+    """Descent data carried along g: A -> B from the presentation src of A
+    to dst of B, each a pair (x, kept): a presenting morphism and the
+    positions its descent data keeps in the lattice of x's source.  For
+    each kept position of dst, in order, the indices into src's kept
+    positions with the same restriction to the canonical pullback of
+    (g∘x_src, x_dst).  Along an identity it compares two atlases."""
+    c = pd.big.category
+    (x_src, kept_src), (x_dst, kept_dst) = src, dst
+    _, a_leg, b_leg = pd.big.pullback(c.comp(g, x_src), x_dst)
+    if a_leg not in sys.restriction or b_leg not in sys.restriction:
+        raise MalformedInputError(f"transport overlap for {g!r} lies outside the declared sub-setup")
+    pa, pb = sys.pull(a_leg).targets, sys.pull(b_leg).targets
+    by_image = _group(range(len(kept_src)), lambda i: pa[kept_src[i]])
+    return [by_image.get(pb[m], ()) for m in kept_dst]
+
+
 def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: Atlas) -> VerificationReport:
     """Canonical comparison of descent data over two atlases of the same
-    object, through the product atlas rather than any localization."""
+    object: the transport along its identity, from the a2- to the
+    a1-presentation, through the product atlas rather than any
+    localization."""
     c = pd.big.category
     if c.dst(a1.x) != c.dst(a2.x):
         raise MalformedInputError("atlases cover different objects")
     rep = VerificationReport("atlas-independence")
     try:
-        n1 = best_nerve(pd.big, a1)
-        n2 = best_nerve(pd.big, a2)
-        apex, r1, r2 = pd.big.pullback(a1.x, a2.x)
+        n1, n2 = best_nerve(pd.big, a1), best_nerve(pd.big, a2)
+        dd1, dd2 = _descent_positions(sys, n1), _descent_positions(sys, n2)
+        cands = _transport(pd, sys, c.identity[a1.target], (a2.x, dd2), (a1.x, dd1))
     except ResourceLimitError:
         rep.add_limit(
             "comparison-unique",
@@ -587,16 +603,6 @@ def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: 
             anchor="atlas-independence-zigzag",
         )
         return rep
-    dd1 = _descent_positions(sys, n1)
-    dd2 = _descent_positions(sys, n2)
-    p1 = sys.pull(r1).targets
-    p2 = sys.pull(r2).targets
-
-    # each l2 by its restriction to the product atlas, as a position of L2
-    by_image: dict = {}
-    for j, l2 in enumerate(dd2):
-        by_image.setdefault(p2[l2], []).append(j)
-    cands = [by_image.get(p1[l1], ()) for l1 in dd1]
 
     def not_unique(case):
         l1, cs = case
@@ -630,33 +636,17 @@ def compare_atlases(pd: PairDeclaration, sys: CoefficientSystem, a1: Atlas, a2: 
 def _transport_pull(
     pd: PairDeclaration, sys: CoefficientSystem, lattices: dict, kept: dict, present: dict, f: str
 ) -> LatticeMap:
-    """Restriction between presented lattices via the shared refinement
-    X_A x_{B'} X_B; the value is the unique descent element matching on it.
-    present[obj] is the morphism presenting an object's lattice, and
-    kept[obj] lists the positions of the presented lattice's elements in
-    the lattice of its source."""
-    c = pd.big.category
-    src_o, dst_o = c.morphisms[f]
-    apex, a_leg, b_leg = pd.big.pullback(c.comp(f, present[src_o]), present[dst_o])
-    if a_leg not in sys.restriction or b_leg not in sys.restriction:
-        raise MalformedInputError(
-            f"transport overlap for {f!r} lies outside the declared sub-setup"
-        )
-    pa = sys.pull(a_leg).targets
-    pb = sys.pull(b_leg).targets
-    # each element of the source by its restriction to the refinement
-    by_image: dict = {}
-    for i, m in enumerate(kept[src_o]):
-        by_image.setdefault(pa[m], []).append(i)
-    targets = []
-    for l, m in zip(lattices[dst_o].elements, kept[dst_o]):
-        cands = by_image.get(pb[m], ())
-        if len(cands) != 1:
-            raise MalformedInputError(
-                f"restriction along {f!r} not determined by descent at {l!r}"
-            )
-        targets.append(cands[0])
-    return LatticeMap(lattices[dst_o], lattices[src_o], tuple(targets))
+    """Restriction between presented lattices, the transport along f: the
+    value is the unique descent element matching on the shared refinement
+    X_A x_{B'} X_B.  present[obj] is the morphism presenting an object's
+    lattice, and kept[obj] lists the positions of the presented lattice's
+    elements in the lattice of its source."""
+    src_o, dst_o = pd.big.category.morphisms[f]
+    cands = _transport(pd, sys, f, (present[src_o], kept[src_o]), (present[dst_o], kept[dst_o]))
+    for l, cs in zip(lattices[dst_o].elements, cands):
+        if len(cs) != 1:
+            raise MalformedInputError(f"restriction along {f!r} not determined by descent at {l!r}")
+    return LatticeMap(lattices[dst_o], lattices[src_o], tuple(cs[0] for cs in cands))
 
 
 def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientSystem:

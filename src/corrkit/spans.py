@@ -14,6 +14,7 @@ import itertools
 from .fincat import (
     FinCategory,
     FunctorData,
+    _group,
     canonical_coproduct,
     verify_product,
 )
@@ -322,18 +323,16 @@ def check_coproduct(s: GeometricSetup, x: str, y: str, targets=None) -> Verifica
 
     def pairs_into(t):
         """(t, routing, u, v) per pair of small-apex classes u: x -> t, v: y -> t;
-        routing maps a pair to the classes apex -> t that restrict to it."""
-        routing: dict[tuple[str, str], list[str]] = {}
-        for rep_w, _ in hc.classes(apex, t).values():
-            u = hc.compose_reps(iota_x, rep_w)
-            v = hc.compose_reps(iota_y, rep_w)
-            routing.setdefault((u, v), []).append(rep_w.name)
+        routing maps a pair to the representatives of the classes apex -> t
+        that restrict to it."""
+        reps = (rep_w for rep_w, _ in hc.classes(apex, t).values())
+        routing = _group(reps, lambda w: (hc.compose_reps(iota_x, w), hc.compose_reps(iota_y, w)))
         small = [[r.name for r, _ in hc.classes(z, t).values() if _span_apex_size(c, r) <= 2] for z in (x, y)]
         return ((t, routing, u, v) for u, v in itertools.product(*small))
 
     def not_unique(case):
         t, routing, u, v = case
-        mediators = routing.get((u, v), [])
+        mediators = [w.name for w in routing.get((u, v), ())]
         if len(mediators) != 1:
             return {"target": t, "pair": [u, v], "mediators": mediators}
 

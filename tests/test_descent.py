@@ -481,7 +481,7 @@ def test_level_maps_agree_with_the_scan(name):
                 maps0, maps1 = ([m for m in c.hom(nx.objects[n], ny.objects[n]) if m in e_small] for n in (0, 1))
                 yf0 = {f0: c.comp(ya.x, f0) for f0 in maps0}
                 for g in c.hom(nx.objects[0], ya.target):
-                    assert level0.get(g, []) == [f0 for f0 in maps0 if yf0[f0] == g], (xa.x, ya.x, g)
+                    assert list(level0.get(g, [])) == [f0 for f0 in maps0 if yf0[f0] == g], (xa.x, ya.x, g)
                 assert set(level0) <= set(c.hom(nx.objects[0], ya.target))
                 faces = {f1: (c.comp(ny.faces[(1, 0)], f1), c.comp(ny.faces[(1, 1)], f1)) for f1 in maps1}
                 asked = {
@@ -490,7 +490,7 @@ def test_level_maps_agree_with_the_scan(name):
                 }
                 for key in asked | set(level1):
                     want = [f1 for f1 in maps1 if faces[f1] == key]
-                    assert level1.get(key, []) == want, (xa.x, ya.x, key)
+                    assert list(level1.get(key, [])) == want, (xa.x, ya.x, key)
                     compared += bool(want)
                 assert sum(map(len, level1.values())) == len(maps1)
     assert compared > 0

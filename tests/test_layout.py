@@ -12,9 +12,10 @@ no `for` loop that returns a dict, tuple or string literal from its body)
 outside a short allow-list, one writer per carrier memo (a geometric
 setup keeps no memo but its view of the carrier's pullbacks, and each memo
 on a `FinCategory` is filled in exactly one function), one builder of
-atlases: only `PairDeclaration` calls `Atlas`, and no `__post_init__`
+atlases: only `PairDeclaration` calls `Atlas`, no `__post_init__`
 hook but the three `perfbench/tracer.py` times, each called wherever its
-class is built."""
+class is built, and no grouping index `d.setdefault(k, []).append(v)`
+built by hand outside `fincat._group` and a short allow-list."""
 
 import ast
 import functools
@@ -37,6 +38,16 @@ WITNESS_LOOPS = {
     "descent._order_mismatch": "one of three conditions in its checks",
     "lattices.FiniteLattice": "constructor checks that raise",
     "lattices.CoefficientSystem": "constructor checks that raise",
+}
+
+# definitions that build a grouping index `d.setdefault(k, []).append(v)`
+# by hand, each with its reason (times are medians of 10 alternating
+# rounds, hand-built against `_group`, on a 2-CPU VM): every other
+# one-shot grouping reads `fincat._group`
+HAND_GROUPINGS = {
+    "fincat.FinCategory.generators": "it grows its indexes inside a worklist, not in one pass",
+    "fincat.verify_pullback_square": "1.7 -> 2.1 ms with `_group` over the 517 cones of a sizes-free {0,1,2}",
+    "shriek.factorizations": "5.8 -> 6.5 ms with `_group` over one map of each hom-set of {1,2,4} all/iso",
 }
 
 # definitions no CLI path reaches (a top-level name, or `Class.method`),
@@ -670,3 +681,50 @@ def test_each_carrier_memo_has_one_writer():
         "_nerves": ["descent.cech_nerve"],
         "_verdicts": ["setups.check_geometric_setup"],
     }
+
+
+def _hand_groupings(trees: dict[str, ast.Module]) -> set[str]:
+    """The top-level functions and methods, nested functions included, that
+    call `.append` on a `.setdefault(k, [])`."""
+    found = set()
+    for mod, tree in trees.items():
+        for name, fn in _functions(tree):
+            for n in ast.walk(fn):
+                if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "append"):
+                    continue
+                inner = n.func.value
+                if (
+                    isinstance(inner, ast.Call)
+                    and getattr(inner.func, "attr", None) == "setdefault"
+                    and len(inner.args) == 2
+                    and isinstance(inner.args[1], ast.List)
+                    and not inner.args[1].elts
+                ):
+                    found.add(f"{mod}.{name}")
+    return found
+
+
+def test_a_grouping_index_is_built_by_hand_only_where_listed():
+    # one grouping routine, `fincat._group`; descent's restriction and
+    # level indexes read it
+    assert _hand_groupings(_trees()) == {"fincat._group", *HAND_GROUPINGS} and len(HAND_GROUPINGS) <= 3
+
+
+def test_a_grouping_index_built_by_hand_is_seen():
+    source = """
+def by_parity(xs):
+    index = {}
+    for x in xs:
+        index.setdefault(x % 2, []).append(x)
+    return index
+
+class Nerve:
+    def faces(self, ds):
+        def inner():
+            out = {}
+            for d in ds:
+                out.setdefault(d.src, []).append(d)
+        return inner
+"""
+    trees = {**_trees(), "extra": ast.parse(source)}
+    assert _hand_groupings(trees) - _hand_groupings(_trees()) == {"extra.by_parity", "extra.Nerve.faces"}
