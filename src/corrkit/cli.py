@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from .corpus import CorpusInstance
     from .descent import LocalizationProblem, PairDeclaration
     from .fincat import FinCategory
-    from .lattices import FiniteLattice
+    from .lattices import CoefficientSystem, FiniteLattice
     from .setups import GeometricSetup, NagataSetup
 
 RUN_SCHEMA = "corrkit-run/1"
@@ -40,6 +40,10 @@ FORMATS = ("text", "json")
 # the lattice every theorem-level suite uses for its coefficient model;
 # the model suite itself varies the lattice instead
 _BASE_CHAIN = 1
+
+# why a factorization setup or a pair takes no theorem suite: its
+# coefficient system is a frame system, which reads the cardinalities
+_NO_SIZES = "its carrier declares no sizes, which the theorem suite reads"
 
 
 class WorkspaceConfig:
@@ -208,23 +212,16 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict) -> Verific
     rep.merge(check_exceptional_pair(pd), prefix="pair:")
     if not rep.passed:
         return rep
-    # only an exceptional pair builds pushforwards
-    from .setups import NagataSetup, all_class, iso_class
-    from .shriek import build_shriek
-
     # the pair check found a level-one hypercover for every marked map, so
-    # the extension meets no search limit.  Each f_! = p_* j_# with p an
-    # isomorphism, and p_* = p_# for one, so f_! = (p j)_# = f_#: the maps
-    # are consistent with both classes by construction, and need no gate
-    c = pd.big.category
-    sa = build_shriek(NagataSetup(pd.big, all_class(c), iso_class(c)), sys)
+    # the extension meets no search limit
+    push = _pushforwards(sys, pd.big.e.members)
     try:
-        ext = extend_system_E(pd, sa)
+        ext = extend_system_E(pd, push)
     except MalformedInputError as exc:
         # a nerve fails the codescent precondition
         rep.add("extension-agrees", False, {"reason": str(exc)}, anchor="cech-codescent")
         return rep
-    bad = [f for f in sorted(ext) if not ext[f].same_table(sa.shriek[f])]
+    bad = [f for f in sorted(ext) if not ext[f].same_table(push[f])]
     rep.add(
         "extension-agrees",
         not bad,
@@ -232,6 +229,15 @@ def _pair_theorem_suite(tag: str, pd: PairDeclaration, options: dict) -> Verific
         anchor="cech-codescent",
     )
     return rep
+
+
+def _pushforwards(sys: CoefficientSystem, marked) -> dict:
+    """An exceptional pair's maps f_! = p_* j_# with p an isomorphism: p_* =
+    p_# for one, so f_! = (p∘j)_# = f_#, the left adjoint of the pullback,
+    consistent with both classes by construction and in need of no gate."""
+    from .lattices import left_adjoint
+
+    return {f: left_adjoint(sys.pull(f)) for f in sorted(marked)}
 
 
 def _localization_theorem_suite(tag: str, lp: LocalizationProblem) -> VerificationReport:
@@ -244,7 +250,9 @@ def _localization_theorem_suite(tag: str, lp: LocalizationProblem) -> Verificati
 
 def _plan(tag: str, obj, options: dict) -> dict:
     """Suite name -> the run of that suite, for each suite that applies to a
-    built declaration; which suites apply follows from its type.
+    built declaration; which suites apply follows from its type.  The
+    theorem suite of a factorization setup or a pair maps to None when the
+    carrier declares no sizes (`_NO_SIZES`).
 
     Types are tried from the lowest layer up, and each layer imports the
     ones below it, so telling them apart loads no module that the
@@ -261,15 +269,12 @@ def _plan(tag: str, obj, options: dict) -> dict:
             "setup": lambda: _setup_suite(tag, obj),
         }
     if isinstance(obj, NagataSetup):
-        plan = {
+        sized = obj.setup.category.object_size is not None
+        return {
             "category": lambda: _category_suite(tag, obj.setup.category),
             "setup": lambda: _setup_suite(tag, obj.setup),
+            "theorem": (lambda: _nagata_theorem_suite(tag, obj)) if sized else None,
         }
-        # the theorem's coefficient system is a frame system, which reads
-        # the carrier's cardinalities
-        if obj.setup.category.object_size is not None:
-            plan["theorem"] = lambda: _nagata_theorem_suite(tag, obj)
-        return plan
     from .lattices import FiniteLattice
 
     if isinstance(obj, FiniteLattice):
@@ -277,17 +282,15 @@ def _plan(tag: str, obj, options: dict) -> dict:
     from .descent import PairDeclaration
 
     if isinstance(obj, PairDeclaration):
-        # its one suite builds a frame system too, so it needs sizes
-        if obj.big.category.object_size is None:
-            return {}
-        return {"theorem": lambda: _pair_theorem_suite(tag, obj, options)}
+        sized = obj.big.category.object_size is not None
+        return {"theorem": (lambda: _pair_theorem_suite(tag, obj, options)) if sized else None}
     return {"theorem": lambda: _localization_theorem_suite(tag, obj)}
 
 
 def _reports(tag: str, obj, suites, options: dict) -> list[VerificationReport]:
     """The selected suites that apply to a built declaration, in SUITE_ORDER."""
     plan = _plan(tag, obj, options)
-    return [plan[suite]() for suite in SUITE_ORDER if suite in suites and suite in plan]
+    return [plan[suite]() for suite in SUITE_ORDER if suite in suites and plan.get(suite)]
 
 
 # -- running inputs and the corpus -----------------------------------------
@@ -332,15 +335,16 @@ def run(config: WorkspaceConfig):
     loaded = [(path, _load_input(path)) for path in config.inputs]
     if mode == "raw":
         named = [(f"--input {path}", _plan(path, obj, {})) for path, obj in loaded]
-        named += [(f"--instance {inst.name}", inst.suites) for inst in chosen]
-        for name, applies in named:
+        # an instance runs every suite its kind lists
+        named += [(f"--instance {inst.name}", dict.fromkeys(inst.suites, True)) for inst in chosen]
+        for name, plan in named:
+            applies = [s for s in plan if plan[s]]
+            why = f": {_NO_SIZES}" if None in plan.values() else ""
             # only a pair whose carrier declares no sizes has no suite
             if not applies:
-                raise MalformedInputError(
-                    f"no suite applies to {name}: its carrier declares no sizes, which the theorem suite reads"
-                )
+                raise MalformedInputError(f"no suite applies to {name}{why}")
             if not any(s in applies for s in config.suites):
-                raise MalformedInputError(f"no selected suite applies to {name}; its suites are {', '.join(applies)}")
+                raise MalformedInputError(f"no selected suite applies to {name}; its suites are {', '.join(applies)}{why}")
     for path, obj in loaded:
         for rep in _reports(path, obj, config.suites, {}):
             reports.append((rep, rep.passed))
@@ -494,11 +498,8 @@ def _cmd_shriek_build(args, out) -> int:
             raise MalformedInputError(f"instance {inst.name!r} is not a factorization setup")
         ns, name = inst.build(), f"--instance {inst.name}"
     # the maps are built as the theorem suite builds them
-    plan = _plan(name, ns, {})
-    if "theorem" not in plan:
-        raise MalformedInputError(
-            f"cannot build: the theorem suite does not apply to {name}; its suites are {', '.join(plan)}"
-        )
+    if _plan(name, ns, {})["theorem"] is None:
+        raise MalformedInputError(f"cannot build: the theorem suite does not apply to {name}: {_NO_SIZES}")
     rep = VerificationReport("shriek-build")
     sa = _gated_shriek(rep, ns)
     if sa is None:

@@ -685,23 +685,23 @@ def extend_system_C(pd: PairDeclaration, sys: CoefficientSystem) -> CoefficientS
 # -- codescent of exceptional maps -----------------------------------------
 
 
-def _push(sa, f: str) -> LatticeMap:
-    m = sa.shriek.get(f)
+def _push(push: dict, f: str) -> LatticeMap:
+    m = push.get(f)
     if m is None:
         raise MalformedInputError(f"no exceptional map for {f!r}")
     return m
 
 
-def codescent_classes(sa, nerve: CechDiagram) -> list[int]:
+def codescent_classes(push: dict, nerve: CechDiagram) -> list[int]:
     """The order-congruence quotient of D(X0) identifying the two
     pushforwards from the overlap, as one bitmask row per position: bit j
     of row i is set when i reaches j through the lattice order and both
     directions of the identification, closed by Warshall's algorithm
     (JACM 1962).  A class is a set of positions that reach each other."""
-    reach = list(sa.sys.lattice(nerve.objects[0])._up)
-    e0 = _push(sa, nerve.faces[(1, 0)]).targets
-    e1 = _push(sa, nerve.faces[(1, 1)]).targets
-    for i, j in zip(e0, e1):
+    e0 = _push(push, nerve.faces[(1, 0)])
+    e1 = _push(push, nerve.faces[(1, 1)]).targets
+    reach = list(e0.dst._up)
+    for i, j in zip(e0.targets, e1):
         reach[i] |= 1 << j
         reach[j] |= 1 << i
     for k in range(len(reach)):
@@ -712,19 +712,19 @@ def codescent_classes(sa, nerve: CechDiagram) -> list[int]:
     return reach
 
 
-def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
+def check_codescent(push: dict, nerve: CechDiagram) -> VerificationReport:
     """The quotient maps order-isomorphically onto the covered object's
     lattice through the pushforward along the atlas."""
     rep = VerificationReport("codescent")
-    reach = codescent_classes(sa, nerve)
-    push_x = _push(sa, nerve.aug[0]).targets
-    target = sa.sys.lattice(sa.sys.category.dst(nerve.aug[0]))
+    reach = codescent_classes(push, nerve)
+    push_x = _push(push, nerve.aug[0])
+    target = push_x.dst
     witness = None
-    pair = _order_mismatch(reach, target._up, push_x)
+    pair = _order_mismatch(reach, target._up, push_x.targets)
     if pair:
-        witness = {"pair": [sa.sys.lattice(nerve.objects[0]).elements[a] for a in pair], "reason": "order mismatch"}
+        witness = {"pair": [push_x.src.elements[a] for a in pair], "reason": "order mismatch"}
     else:
-        missed = set(range(len(target.elements))) - set(push_x)
+        missed = set(range(len(target.elements))) - set(push_x.targets)
         if missed:
             witness = {"reason": "not surjective", "element": min(target.elements[y] for y in missed)}
     # every position reaches itself, so two positions reach each other
@@ -738,29 +738,26 @@ def check_codescent(sa, nerve: CechDiagram) -> VerificationReport:
     return rep
 
 
-def extended_shriek_map(pd: PairDeclaration, sa, hc: Hypercover) -> LatticeMap:
+def extended_shriek_map(push: dict, hc: Hypercover) -> LatticeMap:
     """The map induced on codescent quotients by a hypercover's level maps.
 
     The codescent precondition on both nerves is the caller's to check
     (`extend_system_E` checks each atlas's nerve once)."""
-    c = pd.big.category
-    sys = sa.sys
-    src_o, dst_o = c.morphisms[hc.f]
-    push_x = _push(sa, hc.src_nerve.aug[0]).targets
-    push_y = _push(sa, hc.dst_nerve.aug[0]).targets
-    level0 = _push(sa, hc.levels[0]).targets
-    LA = sys.lattice(src_o)
+    push_x = _push(push, hc.src_nerve.aug[0])
+    push_y = _push(push, hc.dst_nerve.aug[0])
+    level0 = _push(push, hc.levels[0]).targets
+    LA = push_x.dst
     # each position of LA with the images of the positions push_x sends to it
     images: list = [set() for _ in LA.elements]
-    for a, l in enumerate(push_x):
-        images[l].add(push_y[level0[a]])
+    for a, l in enumerate(push_x.targets):
+        images[l].add(push_y.targets[level0[a]])
     for l, vals in zip(LA.elements, images):
         if len(vals) != 1:
             raise MalformedInputError(f"extension along {hc.f!r} not well defined at {l!r}")
-    return LatticeMap(LA, sys.lattice(dst_o), tuple(vals.pop() for vals in images))
+    return LatticeMap(LA, push_y.dst, tuple(vals.pop() for vals in images))
 
 
-def extend_system_E(pd: PairDeclaration, sa) -> dict:
+def extend_system_E(pd: PairDeclaration, push: dict) -> dict:
     """Exceptional maps for every ambient exceptional morphism, each induced
     on colimits from the first hypercover the level-one search finds.
 
@@ -784,13 +781,13 @@ def extend_system_E(pd: PairDeclaration, sa) -> dict:
             if nerve.x in gated:
                 continue
             gated.add(nerve.x)
-            gate = check_codescent(sa, nerve)
+            gate = check_codescent(push, nerve)
             if not gate.passed:
                 raise MalformedInputError(
                     f"codescent precondition fails for atlas {nerve.x!r}: "
                     f"{gate.first_failure().witness}"
                 )
-    return {f: extended_shriek_map(pd, sa, hc) for f, hc in chosen.items()}
+    return {f: extended_shriek_map(push, hc) for f, hc in chosen.items()}
 
 
 # -- localization premises -------------------------------------------------

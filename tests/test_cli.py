@@ -192,7 +192,10 @@ def test_a_factorization_setup_without_sizes_runs_its_category_and_setup_suites(
     assert [rep["suite"] for rep in json.loads(out)["reports"]] == [f"{path}:category", f"{path}:setup"]
     code, out, err = invoke(capsys, "run", "--input", path, "--suite", "theorem")
     assert (code, out) == (2, "")
-    assert err == f"error: no selected suite applies to --input {path}; its suites are category, setup\n"
+    assert err == (
+        f"error: no selected suite applies to --input {path}; its suites are category, setup: "
+        "its carrier declares no sizes, which the theorem suite reads\n"
+    )
 
 
 def test_shriek_build_on_a_factorization_setup_without_sizes_names_its_suites(tmp_path, monkeypatch, capsys):
@@ -204,7 +207,8 @@ def test_shriek_build_on_a_factorization_setup_without_sizes_names_its_suites(tm
     code, out, err = invoke(capsys, "shriek", "build", "--input", path)
     assert (code, out, built) == (2, "", [])
     assert err == (
-        f"error: cannot build: the theorem suite does not apply to --input {path}; its suites are category, setup\n"
+        f"error: cannot build: the theorem suite does not apply to --input {path}: "
+        "its carrier declares no sizes, which the theorem suite reads\n"
     )
 
 
@@ -913,6 +917,11 @@ def test_a_run_loads_the_modules_the_readme_lists(tmp_path):
     assert model == {"cli", "fincat", "lattices", "report", "serialization", "setups"}
     search = _loaded(tmp_path, "search", "nagata")
     assert search == {"cli", "fincat", "lattices", "report", "setups", "shriek", "spans"}
+    # an exceptional pair reads its pushforwards as left adjoints, so it
+    # builds no factorization setup
+    (tmp_path / "P.json").write_text(ser.dumps(pair_to_dict(instance("exceptional-pair-cover").build())))
+    pair = _loaded(tmp_path, "run", "--input", "P.json")
+    assert pair == {"cli", "descent", "fincat", "lattices", "report", "serialization", "setups"}
 
 
 def test_the_formalism_names_enumerated_classes_by_their_representatives(monkeypatch):

@@ -506,7 +506,7 @@ def test_hypercover_search_reports_limit():
     )
     assert find_hypercovers(pd, "1>1:0") == (None, True)
     with pytest.raises(ResourceLimitError):
-        extend_system_E(pd, big_sa())
+        extend_system_E(pd, big_sa().shriek)
     rep = check_exceptional_pair(pd)
     statuses = {ch.name: ch.status for ch in rep.checks}
     assert statuses["hypercover:1>1:0"] == "resource-limit"
@@ -536,14 +536,14 @@ def test_the_hypercover_search_stops_at_its_first_match(monkeypatch):
 
 def test_codescent_collapses_overlap():
     n = cech_nerve(big(), atlas21(), 1)
-    rep = check_codescent(big_sa(), n)
+    rep = check_codescent(big_sa().shriek, n)
     assert rep.passed
     assert rep.checks[0].witness["classes"] == 2  # the two-chain, rebuilt as classes
 
 
 def test_extension_matches_construction_everywhere():
     pd = exceptional_pair()
-    ext = extend_system_E(pd, big_sa())
+    ext = extend_system_E(pd, big_sa().shriek)
     sa = big_sa()
     assert set(ext) == set(big().category.morphism_ids)
     for f, m in ext.items():
@@ -556,7 +556,7 @@ def test_extension_independent_of_hypercover():
     for f in ("1>1:0", "2>1:0.0", "2>2:0.1"):
         found = list(_search_hypercovers(pd, f))
         assert found and None not in found
-        tables = {tuple(sorted(extended_shriek_map(pd, sa, hc).table.items())) for hc in found}
+        tables = {tuple(sorted(extended_shriek_map(sa.shriek, hc).table.items())) for hc in found}
         assert len(tables) == 1
 
 
@@ -568,18 +568,18 @@ def test_extension_through_surjective_atlas():
     via_cover = [hc for hc in found if hc.src_nerve.x == "2>1:0.0"]
     assert via_cover
     for hc in via_cover:
-        assert extended_shriek_map(pd, sa, hc).same_table(sa.shriek["1>1:0"])
+        assert extended_shriek_map(sa.shriek, hc).same_table(sa.shriek["1>1:0"])
 
 
 def test_extension_needs_exceptional_kind():
     with pytest.raises(MalformedInputError):
-        extend_system_E(descent_pair(), big_sa())
+        extend_system_E(descent_pair(), big_sa().shriek)
 
 
 def test_extension_fails_without_hypercovers():
     pd = exceptional_pair(e_small=big().category.iso_ids)
     with pytest.raises(MalformedInputError):
-        extend_system_E(pd, big_sa())
+        extend_system_E(pd, big_sa().shriek)
 
 
 # -- localization premises -------------------------------------------------

@@ -47,7 +47,7 @@ from corrkit.lattices import (
 )
 from corrkit.report import MalformedInputError, ResourceLimitError, VerificationReport
 from corrkit.setups import EdgeClass, GeometricSetup, NagataSetup, all_class, iso_class
-from corrkit.shriek import ShriekAssignment, _sharp, _star, build_shriek, check_independence, factorizations
+from corrkit.shriek import _sharp, _star, build_shriek, check_independence, factorizations
 
 from test_lattice import named_map
 
@@ -230,14 +230,13 @@ def _old_extend_system_C(pd, sys):
     return CoefficientSystem(c, lattices, restriction)
 
 
-def _old_codescent_classes(sa, nerve):
+def _old_codescent_classes(push, nerve):
     if nerve.m < 1:
         raise MalformedInputError("codescent needs at least the overlap level")
-    sys = sa.sys
-    L0 = sys.lattice(nerve.objects[0])
-    L1 = sys.lattice(nerve.objects[1])
-    e0 = _push(sa, nerve.faces[(1, 0)]).table
-    e1 = _push(sa, nerve.faces[(1, 1)]).table
+    L0 = _push(push, nerve.faces[(1, 0)]).dst
+    L1 = _push(push, nerve.faces[(1, 0)]).src
+    e0 = _push(push, nerve.faces[(1, 0)]).table
+    e1 = _push(push, nerve.faces[(1, 1)]).table
     els = list(L0.elements)
     idx = {a: i for i, a in enumerate(els)}
     n = len(els)
@@ -262,11 +261,11 @@ def _old_codescent_classes(sa, nerve):
     return els, reach, class_of
 
 
-def _old_check_codescent(sa, nerve):
+def _old_check_codescent(push, nerve):
     rep = VerificationReport("codescent")
-    els, reach, class_of = _old_codescent_classes(sa, nerve)
-    push_x = _push(sa, nerve.aug[0]).table
-    target = sa.sys.lattice(sa.sys.category.dst(nerve.aug[0]))
+    els, reach, class_of = _old_codescent_classes(push, nerve)
+    push_x = _push(push, nerve.aug[0]).table
+    target = _push(push, nerve.aug[0]).dst
     idx = {a: i for i, a in enumerate(els)}
     witness = None
     pair = _old_order_mismatch(els, lambda a, b: reach[idx[a]][idx[b]], _le(target), push_x.__getitem__)
@@ -285,14 +284,12 @@ def _old_check_codescent(sa, nerve):
     return rep
 
 
-def _old_extended_shriek_map(pd, sa, hc):
-    c = pd.big.category
-    sys = sa.sys
-    src_o, dst_o = c.morphisms[hc.f]
-    push_x = _push(sa, hc.src_nerve.aug[0]).table
-    push_y = _push(sa, hc.dst_nerve.aug[0]).table
-    level0 = _push(sa, hc.levels[0]).table
-    LA, LB, LX = sys.lattice(src_o), sys.lattice(dst_o), sys.lattice(hc.src_nerve.objects[0])
+def _old_extended_shriek_map(push, hc):
+    push_x = _push(push, hc.src_nerve.aug[0]).table
+    push_y = _push(push, hc.dst_nerve.aug[0]).table
+    level0 = _push(push, hc.levels[0]).table
+    LA, LX = _push(push, hc.src_nerve.aug[0]).dst, _push(push, hc.src_nerve.aug[0]).src
+    LB = _push(push, hc.dst_nerve.aug[0]).dst
     images = {l: set() for l in LA.elements}
     for a in LX.elements:
         images[push_x[a]].add(push_y[level0[a]])
@@ -594,22 +591,22 @@ def perturbed_shrieks(draw):
         else:
             value = m.dst._top if kind == "top" else m.dst._bot
             shriek[f] = LatticeMap(m.src, m.dst, (value,) * len(m.targets))
-    return ShriekAssignment(sa.ns, sa.sys, shriek)
+    return shriek
 
 
 @DRAWN
 @given(perturbed_shrieks(), st.data())
-def test_codescent_matches_the_boolean_closure(sa, data):
+def test_codescent_matches_the_boolean_closure(push, data):
     setup = _cover_setup()
     try:
         nerve = best_nerve(setup, _atlas(setup, data.draw(cover_atlases())))
     except ResourceLimitError:
         return
-    els, reach, class_of = _old_codescent_classes(sa, nerve)
-    rows = codescent_classes(sa, nerve)
+    els, reach, class_of = _old_codescent_classes(push, nerve)
+    rows = codescent_classes(push, nerve)
     assert [[bool(r >> j & 1) for j in range(len(els))] for r in rows] == reach
     assert len(set(rows)) == len(set(class_of.values()))
-    _agree(check_codescent, _old_check_codescent, _checks, sa, nerve)
+    _agree(check_codescent, _old_check_codescent, _checks, push, nerve)
 
 
 def _exceptional_pair(extra):
@@ -631,13 +628,13 @@ def _exceptional_pair(extra):
 
 @DRAWN
 @given(perturbed_shrieks(), st.data())
-def test_extended_exceptional_maps_match_the_routine_by_names(sa, data):
-    c = sa.ns.setup.category
+def test_extended_exceptional_maps_match_the_routine_by_names(push, data):
+    c = _cover_setup().category
     pd = _exceptional_pair(data.draw(st.lists(st.sampled_from(["2>1:0.0", "2>2:0.0", "1>2:0", "2>2:1.0"]), max_size=2)))
     f = data.draw(st.sampled_from(sorted(m for m in c.morphism_ids if c.src(m) != "4")))
     found = [hc for hc in _search_hypercovers(pd, f) if hc is not None]
     for hc in found[:4]:
-        _agree(extended_shriek_map, _old_extended_shriek_map, _map, pd, sa, hc)
+        _agree(extended_shriek_map, _old_extended_shriek_map, _map, push, hc)
 
 
 def _hypercover(hc):
@@ -780,19 +777,19 @@ def _witness_cases():
     setup = _cover_setup()
     nerve = best_nerve(setup, _atlas(setup, "2>1:0.0"))
     bottom = LatticeMap(sa.shriek["2>1:0.0"].src, sa.shriek["2>1:0.0"].dst, (0,) * 4)
-    broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, "2>1:0.0": bottom})
+    broken = {**sa.shriek, "2>1:0.0": bottom}
     cases["order mismatch"] = (check_codescent, _old_check_codescent, _checks, broken, nerve)
     # one face sends everything to the top, so the quotient is one class,
     # which a constant pushforward along the atlas matches in order
     face = nerve.faces[(1, 1)]
     top = {g: sa.shriek[g] for g in (face, "2>1:0.0")}
     top = {g: LatticeMap(m.src, m.dst, (m.dst._top,) * len(m.targets)) for g, m in top.items()}
-    broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, **top})
+    broken = {**sa.shriek, **top}
     cases["not surjective"] = (check_codescent, _old_check_codescent, _checks, broken, nerve)
     pd = _exceptional_pair(["2>1:0.0"])
     hc = next(h for h in _search_hypercovers(pd, "1>1:0") if h.src_nerve.x == "2>1:0.0")
-    broken = ShriekAssignment(sa.ns, sa.sys, {**sa.shriek, "2>1:0.0": LatticeMap(bottom.src, bottom.dst, (1,) * 4)})
-    cases["not well defined"] = (extended_shriek_map, _old_extended_shriek_map, _map, pd, broken, hc)
+    broken = {**sa.shriek, "2>1:0.0": LatticeMap(bottom.src, bottom.dst, (1,) * 4)}
+    cases["not well defined"] = (extended_shriek_map, _old_extended_shriek_map, _map, broken, hc)
 
     c, classes = _skeleton3()
     setup = GeometricSetup(c, EdgeClass(c, classes["inj"] | classes["surj"]))

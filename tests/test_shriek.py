@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corrkit.cli import _pushforwards
 from corrkit.corpus import corpus
 from corrkit.fincat import (
     FinCategory,
@@ -439,6 +440,34 @@ def test_all_open_iso_proper_maps_are_class_consistent_by_construction(sizes, L)
     s = GeometricSetup(c, all_class(c))
     sa = build_shriek(NagataSetup(s, all_class(c), iso_class(c)), frame_system(s, L))
     assert check_class_consistency(sa).passed
+
+
+@st.composite
+def _carriers_to_three(draw):
+    """All-function carriers of object size at most 3, some with two
+    objects of one size."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        sizes.append(draw(st.sampled_from(sizes)))
+    return finset_category({f"o{i}": n for i, n in enumerate(sizes)})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_carriers_to_three(), st.sampled_from([chain_lattice(1), chain_lattice(2)]))
+def test_the_exceptional_pair_tables_are_the_maps_all_iso_builds(c, L):
+    # an exceptional pair reads f_# where all/iso builds p_* j_# from the
+    # least factorization; where two objects have one size, that
+    # factorization may pass through an isomorphism between them
+    s = GeometricSetup(c, all_class(c))
+    ns = NagataSetup(s, all_class(c), iso_class(c))
+    sys = frame_system(s, L)
+    sa = build_shriek(ns, sys)
+    push = _pushforwards(sys, c.morphism_ids)
+    assert sorted(push) == sorted(sa.shriek)
+    assert [f for f in sorted(push) if not sa.shriek[f].same_table(push[f])] == []
+    if len(set(c.object_size.values())) < len(c.objects):
+        least = (_facts(ns, f)[0] for f in c.morphism_ids)
+        assert any(c.src(p) != c.dst(p) for _, _, p in least)
 
 
 # -- independence ---------------------------------------------------------
