@@ -287,12 +287,6 @@ def _plan(tag: str, obj, options: dict) -> dict:
     return {"theorem": lambda: _localization_theorem_suite(tag, obj)}
 
 
-def _reports(tag: str, obj, suites, options: dict) -> list[VerificationReport]:
-    """The selected suites that apply to a built declaration, in SUITE_ORDER."""
-    plan = _plan(tag, obj, options)
-    return [plan[suite]() for suite in SUITE_ORDER if suite in suites and plan.get(suite)]
-
-
 # -- running inputs and the corpus -----------------------------------------
 
 
@@ -322,9 +316,9 @@ def run(config: WorkspaceConfig):
     inputs first: any failing check is a nonzero exit.  A bare run walks
     the whole corpus in expectation mode: the exit is zero exactly when
     every suite fails at its documented checks and nowhere else.  Every
-    input is loaded and every instance name resolved before any suite
-    runs, and in raw mode each must take a selected suite: a selection
-    that would check nothing on one is malformed."""
+    input is loaded and every instance built, and each planned once, before
+    any suite runs, and in raw mode each must take a selected suite: a
+    selection that would check nothing on one is malformed."""
     reports: list[tuple[VerificationReport, bool]] = []
     mode = "raw" if config.inputs or config.instances else "expected"
     chosen = []
@@ -333,11 +327,11 @@ def run(config: WorkspaceConfig):
 
         chosen = [instance(name) for name in config.instances] if config.instances else corpus()
     loaded = [(path, _load_input(path)) for path in config.inputs]
+    # (name, plan, instance) of each selection, the inputs first
+    planned = [(f"--input {path}", _plan(path, obj, {}), None) for path, obj in loaded]
+    planned += [(f"--instance {inst.name}", _plan(inst.name, inst.build(), inst.options), inst) for inst in chosen]
     if mode == "raw":
-        named = [(f"--input {path}", _plan(path, obj, {})) for path, obj in loaded]
-        # an instance runs every suite its kind lists
-        named += [(f"--instance {inst.name}", dict.fromkeys(inst.suites, True)) for inst in chosen]
-        for name, plan in named:
+        for name, plan, _ in planned:
             applies = [s for s in plan if plan[s]]
             why = f": {_NO_SIZES}" if None in plan.values() else ""
             # only a pair whose carrier declares no sizes has no suite
@@ -345,13 +339,11 @@ def run(config: WorkspaceConfig):
                 raise MalformedInputError(f"no suite applies to {name}{why}")
             if not any(s in applies for s in config.suites):
                 raise MalformedInputError(f"no selected suite applies to {name}; its suites are {', '.join(applies)}{why}")
-    for path, obj in loaded:
-        for rep in _reports(path, obj, config.suites, {}):
-            reports.append((rep, rep.passed))
-    for inst in chosen:
-        suites = [s for s in config.suites if s in inst.suites]
-        for rep in _reports(inst.name, inst.build(), suites, inst.options):
-            reports.append((rep, rep.passed if mode == "raw" else _as_documented(inst, rep)))
+    for _, plan, inst in planned:
+        for suite in SUITE_ORDER:
+            if suite in config.suites and plan.get(suite):
+                rep = plan[suite]()
+                reports.append((rep, rep.passed if mode == "raw" else _as_documented(inst, rep)))
 
     code = 0 if all(ok for _, ok in reports) else 1
     payload = {

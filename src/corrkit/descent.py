@@ -32,7 +32,7 @@ from .fincat import (
 )
 from .lattices import CoefficientSystem, FiniteLattice, LatticeMap
 from .report import MalformedInputError, ResourceLimitError, VerificationReport
-from .setups import EdgeClass, GeometricSetup, base_change_sweep, merge_sub_setup
+from .setups import EdgeClass, GeometricSetup, merge_sub_setup
 
 
 # -- atlases ---------------------------------------------------------------
@@ -71,17 +71,21 @@ def check_atlas(a: Atlas) -> VerificationReport:
     gaps, mirroring the partial pullback oracle."""
     rep = VerificationReport("atlas")
     c = a.setup.category
-    cospans = ((a.x, g) for y in a.small_objects for g in c.hom(y, a.target))
-    covered, gaps, _, outside = base_change_sweep(a.setup, cospans, a.s)
-    rep.add(
-        "base-changes-in-cover-class",
-        outside is None,
-        {"object": c.src(outside[1]), "along": outside[1], "base-change": outside[2]}
-        if outside
-        else {"covered": covered, "gaps": gaps},
-        anchor="atlas-base-change",
-    )
+
+    def leaves_cover(g):
+        q = a.setup.pullback(a.x, g)[2]
+        if q not in a.s:
+            return {"object": c.src(g), "along": g, "base-change": q}
+
+    maps = (g for y in a.small_objects for g in c.hom(y, a.target))
+    rep.sweep("base-changes-in-cover-class", maps, leaves_cover, anchor="atlas-base-change", counts=_coverage)
     return rep
+
+
+def _coverage(scanned: int, covered: int) -> dict:
+    """A base-change sweep's counts: the cospans the carrier pulls back, and
+    its gaps."""
+    return {"covered": covered, "gaps": scanned - covered}
 
 
 def has_section(c: FinCategory, x: str) -> bool:
@@ -336,16 +340,14 @@ def check_nice_pair(pd: PairDeclaration) -> VerificationReport:
     atlases = ((obj, a) for obj in c.objects for a in pd.atlases.get(obj) or (None,))
     rep.sweep("atlases-exist", atlases, no_atlas, anchor="pair-condition-c")
 
+    def leaves_small(cospan):
+        f, x = cospan
+        q = pd.big.pullback(f, x)[2]
+        if q not in pd.e_small:
+            return {"morphism": f, "atlas": x, "base-change": q}
+
     cospans = ((f, a.x) for f in sorted(pd.big.e.members) for a in pd.atlases.get(c.dst(f), ()))
-    covered, gaps, _, outside = base_change_sweep(pd.big, cospans, pd.e_small)
-    rep.add(
-        "exceptional-base-change",
-        outside is None,
-        {"morphism": outside[0], "atlas": outside[1], "base-change": outside[2]}
-        if outside
-        else {"covered": covered, "gaps": gaps},
-        anchor="pair-condition-d",
-    )
+    rep.sweep("exceptional-base-change", cospans, leaves_small, anchor="pair-condition-d", counts=_coverage)
     return rep
 
 

@@ -53,9 +53,9 @@ class VerificationReport:
     two runs on identical inputs produce identical bytes.
     """
 
-    def __init__(self, suite: str, checks: list[CheckResult] | None = None):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.checks = [] if checks is None else checks
+        self.checks: list[CheckResult] = []
 
     def add(self, name: str, ok: bool, witness: dict | None = None, anchor: str = "") -> None:
         status = PASS if ok else FAIL

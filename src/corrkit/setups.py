@@ -138,20 +138,23 @@ def check_geometric_setup(s: GeometricSetup) -> VerificationReport:
     pairs = ((g, f) for g in c.morphism_ids if g in members for f in into.get(c.morphisms[g][0], ()) if f in members)
     rep.sweep("closed-under-composition", pairs, leaves, anchor="setup-composition-closure")
 
-    cospans = ((f, g) for f in sorted(s.e.members) for g in c._in_index.get(c.dst(f), ()))
-    covered, gaps, first_gap, outside = base_change_sweep(s, cospans, s.e)
+    # each cospan (f in E, g) with its canonical pullback, None for a gap
+    pullbacks = [(f, g, s.pullback_opt(f, g)) for f in sorted(members) for g in into.get(c.dst(f), ())]
+    gaps = [[f, g] for f, g, pb in pullbacks if pb is None]
+    covered = len(pullbacks) - len(gaps)
     rep.add(
         "pullback-existence",
         True,
-        {"covered": covered, "gaps": gaps, "first-gap": first_gap},
+        {"covered": covered, "gaps": len(gaps), "first-gap": gaps[0] if gaps else None},
         anchor="setup-pullbacks-exist",
     )
-    rep.add(
-        "pullback-stability",
-        outside is None,
-        {"member": outside[0], "along": outside[1], "base-change": outside[2]} if outside else {"checked": covered},
-        anchor="setup-pullbacks-stay",
-    )
+
+    def escapes(case):
+        f, g, pb = case
+        if pb is not None and pb[2] not in members:
+            return {"member": f, "along": g, "base-change": pb[2]}
+
+    rep.sweep("pullback-stability", pullbacks, escapes, anchor="setup-pullbacks-stay", counts={"checked": covered})
     c._verdicts[s.e.members] = rep
     return rep
 
@@ -162,21 +165,3 @@ def merge_sub_setup(rep: VerificationReport, name: str, s: GeometricSetup, ancho
     limit (a gap is counted), so no failure means its whole report passed."""
     bad = check_geometric_setup(s).first_failure()
     rep.add(name, bad is None, {"check": bad.name, "witness": bad.witness} if bad else {}, anchor=anchor)
-
-
-def base_change_sweep(s: GeometricSetup, cospans, members) -> tuple[int, int, list | None, tuple | None]:
-    """Each cospan (f, g) pulled back through the oracle, in order: how many
-    the carrier covers, how many it does not (its gaps) and the first gap
-    [f, g], and the first (f, g, q) whose base change q of f along g lies
-    outside `members`."""
-    covered, gaps, first_gap, outside = 0, 0, None, None
-    for f, g in cospans:
-        pb = s.pullback_opt(f, g)
-        if pb is None:
-            gaps += 1
-            first_gap = first_gap or [f, g]
-            continue
-        covered += 1
-        if outside is None and pb[2] not in members:
-            outside = (f, g, pb[2])
-    return covered, gaps, first_gap, outside

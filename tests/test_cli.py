@@ -1,6 +1,7 @@
 """Command line front end: exit codes, determinism, corpus wiring."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ from corrkit.cli import WorkspaceConfig, main, run
 from corrkit.corpus import SUITE_ORDER, corpus, instance
 from corrkit.fincat import FinCategory, check_category, finset_category, injections, surjections
 from corrkit.lattices import FiniteLattice, chain_lattice, n5_lattice
-from corrkit.report import MalformedInputError
+from corrkit.report import MalformedInputError, VerificationReport
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import NagataSetup
 from corrkit import serialization as ser
@@ -143,6 +144,19 @@ def test_input_file_runs_applicable_suites(tmp_path, capsys):
     assert failed == {"projection-sharp", "projection-star", "external-product"}
 
 
+def _record_suites(monkeypatch) -> list:
+    """(tag, suite) of each suite a run starts; each reports an empty pass."""
+    ran = []
+    plan = cli._plan
+
+    def recording(tag, obj, options):
+        runs = plan(tag, obj, options)
+        return {s: runs[s] and (lambda s=s: ran.append((tag, s)) or VerificationReport(f"{tag}:{s}")) for s in runs}
+
+    monkeypatch.setattr(cli, "_plan", recording)
+    return ran
+
+
 def test_inputs_and_instances_both_run_inputs_first(tmp_path, capsys):
     path = _pentagon_input(tmp_path)
     _, alone = run(WorkspaceConfig(instances=("finset-1",)))
@@ -154,16 +168,14 @@ def test_inputs_and_instances_both_run_inputs_first(tmp_path, capsys):
 
 
 def test_an_unknown_instance_beside_an_input_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
-    ran = []
-    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    ran = _record_suites(monkeypatch)
     code, out, err = invoke(capsys, "run", "--input", _pentagon_input(tmp_path), "--instance", "no-such-thing")
     assert (code, out, ran) == (2, "", [])
     assert err == "error: no bundled instance named 'no-such-thing'\n"
 
 
 def test_a_named_input_no_selected_suite_applies_to_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
-    ran = []
-    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    ran = _record_suites(monkeypatch)
     path = _pentagon_input(tmp_path)
     code, out, err = invoke(capsys, "run", "--input", path, "--suite", "theorem", "--format", "json")
     assert (code, out, ran) == (2, "", [])
@@ -213,16 +225,13 @@ def test_shriek_build_on_a_factorization_setup_without_sizes_names_its_suites(tm
 
 
 def test_a_bare_run_with_a_suite_only_filters_instances(monkeypatch):
-    ran = []
-    monkeypatch.setattr(cli, "_reports", lambda tag, obj, suites, *rest: ran.append((tag, list(suites))) or [])
-    code, payload = run(WorkspaceConfig(suites=("theorem",)))
-    assert (code, payload["reports"]) == (0, [])
-    assert {tag for tag, suites in ran if suites} == {inst.name for inst in corpus() if "theorem" in inst.suites}
+    ran = _record_suites(monkeypatch)
+    run(WorkspaceConfig(suites=("theorem",)))
+    assert ran == [(inst.name, "theorem") for inst in corpus() if "theorem" in inst.suites]
 
 
 def test_an_unreadable_input_after_a_good_one_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
-    ran = []
-    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    ran = _record_suites(monkeypatch)
     missing = str(tmp_path / "missing.json")
     code, out, err = invoke(capsys, "run", "--input", _pentagon_input(tmp_path), "--input", missing)
     assert (code, out, ran) == (2, "", [])
@@ -245,8 +254,7 @@ def test_two_selections_under_one_tag_exit_2_before_any_suite(tmp_path, monkeypa
     pentagon = ser.dumps(ser.lattice_to_dict(instance("pentagon-join").build()))
     (tmp_path / "frame-2chain").write_text(pentagon)
     (tmp_path / "pentagon.json").write_text(pentagon)
-    ran = []
-    monkeypatch.setattr(cli, "_reports", lambda *args: ran.append(args) or [])
+    ran = _record_suites(monkeypatch)
     code, out, err = invoke(capsys, "run", *selections)
     assert (code, out, ran) == (2, "", [])
     assert err == f"error: two selections would report under one tag {selections[1]!r}\n"
@@ -472,10 +480,29 @@ def test_suite_order_is_dependency_order():
 
 
 def test_each_instance_lists_the_suites_its_declaration_plans():
-    # the corpus listing and the run decide separately which suites apply
+    # `corpus list` reads an instance's suites from its kind, and a run
+    # reads them from the plan of its built declaration
     for inst in corpus():
         plan = cli._plan(inst.name, inst.build(), inst.options)
         assert list(inst.suites) == [s for s in SUITE_ORDER if s in plan], inst.name
+
+
+def test_the_bundled_nice_pair_cover_alone_skips_the_pair_gate(tmp_path):
+    # the instance sets `full_gate: False`, so `run --instance` prints its
+    # theorem suite without the seven `pair:` checks that the same
+    # declaration read through `--input` runs, and passes (ROADMAP item 2
+    # drops the option and flips this test)
+    path = tmp_path / "pair.json"
+    path.write_text(ser.dumps(pair_to_dict(instance("nice-pair-cover").build())))
+    routes = [run(WorkspaceConfig(instances=("nice-pair-cover",))), run(WorkspaceConfig(inputs=(str(path),)))]
+    for (code, payload), lines in zip(routes, (14, 21)):
+        text = io.StringIO()
+        cli._render_run(payload, "text", text)
+        assert (code, len(text.getvalue().splitlines())) == (0, lines)
+    (bundled,), (read,) = (payload["reports"] for _, payload in routes)
+    gate = [c for c in read["checks"] if c["name"].startswith("pair:")]
+    assert len(gate) == 7 and all(c["status"] == "pass" for c in gate)
+    assert [c for c in read["checks"] if c not in gate] == bundled["checks"]
 
 
 def test_a_failed_codescent_precondition_is_a_failed_check(tmp_path, capsys):
@@ -969,7 +996,7 @@ def test_both_pair_cover_suites_share_one_frame_system(monkeypatch):
     monkeypatch.setattr(lattices, "frame_system", lambda setup, L: systems.append(frame_system(setup, L)) or systems[-1])
     for name in ("nice-pair-cover", "exceptional-pair-cover"):
         inst = instance(name)
-        assert all(rep.passed for rep in cli._reports(name, inst.build(), ["theorem"], inst.options))
+        assert cli._plan(name, inst.build(), inst.options)["theorem"]().passed
     assert len(systems) == 2 and systems[0] is systems[1]
 
 
@@ -993,10 +1020,10 @@ def test_every_setup_over_a_carrier_shares_its_canonical_pullbacks(monkeypatch, 
     # a fresh copy: the corpus caches its instances' carriers
     ns = ser.loads(ser.dumps(ser.nagata_to_dict(instance("nagata-open").build())))
     built.clear()
-    assert cli._reports("nagata-open", ns, ["setup"], {})[0].passed
+    assert cli._plan("nagata-open", ns, {})["setup"]().passed
     swept = {(f, g) for _, f, g in built}
     built.clear()
-    assert cli._reports("nagata-open", ns, ["theorem"], {})[0].passed
+    assert cli._plan("nagata-open", ns, {})["theorem"]().passed
     assert swept and all(c is ns.setup.category for c, _, _ in built)
     assert not swept & {(f, g) for _, f, g in built}
 

@@ -7,8 +7,9 @@ definition reached by a call-graph walk from the CLI or kept off its path
 by a listed reader that really names it, everything `perfbench/` reads
 from the package still there, one exception class for malformed input and
 one for a carrier gap, no first-witness loop written by hand (no `if` on a
-witness that breaks, no `for` loop that keeps a witness and breaks, and
-no `for` loop that returns a dict, tuple or string literal from its body)
+witness that breaks, no `for` loop that keeps a witness and breaks or
+keeps its first match without breaking, and no `for` loop that returns a
+dict, tuple or string literal from its body)
 outside a short allow-list, one writer per carrier memo (a geometric
 setup keeps no memo but its view of the carrier's pullbacks, and each memo
 on a `FinCategory` is filled in exactly one function), one builder of
@@ -28,10 +29,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "corrkit"
 
-# definitions with a `for` loop that keeps a witness by hand and breaks, or
-# that returns a literal witness from its body outside a nested function,
-# each with its reason: every other first-witness scan reports through
-# `VerificationReport.sweep`
+# definitions with a `for` loop that keeps a witness by hand and breaks,
+# that keeps its first match and scans on, or that returns a literal
+# witness from its body outside a nested function, each with its reason:
+# every other first-witness scan reports through `VerificationReport.sweep`
 WITNESS_LOOPS = {
     "fincat.compose_table_witness": "the loader shares it and raises instead of reporting",
     "lattices.projection_witness": "a row scan read inside morphism sweeps",
@@ -559,10 +560,43 @@ def _is_literal(node: ast.AST | None) -> bool:
     )
 
 
+def _assigned(nodes) -> set[str]:
+    """The names the assignments among `nodes` bind."""
+    return {
+        t.id
+        for n in nodes
+        if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for t in getattr(n, "targets", [getattr(n, "target", None)])
+        if isinstance(t, ast.Name)
+    }
+
+
+def _keeps_first(body: list[ast.AST]) -> bool:
+    """A loop body that binds a name only while it is None, or as `x = x or
+    ...`: it keeps its first match and scans on."""
+    for n in body:
+        if isinstance(n, ast.If):
+            # the names the test requires to be None, and the ones its body binds
+            unset = {
+                t.left.id
+                for t in ast.walk(n.test)
+                if isinstance(t, ast.Compare) and isinstance(t.left, ast.Name) and isinstance(t.ops[0], ast.Is)
+                if isinstance(t.comparators[0], ast.Constant) and t.comparators[0].value is None
+            }
+            if unset & _assigned(m for stmt in n.body for m in (stmt, *_inside(stmt, _FUNCTIONS))):
+                return True
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.BoolOp) and isinstance(n.value.op, ast.Or):
+            first = n.value.values[0]
+            if isinstance(first, ast.Name) and first.id in _assigned([n]):
+                return True
+    return False
+
+
 def _hand_written_scans(trees: dict[str, ast.Module]) -> tuple[list[str], set[str]]:
     """The `if`s on a witness that break (as module:line), and the top-level
-    definitions holding a `for` loop that keeps a witness and breaks, or,
-    outside a nested function, returns a literal from its own body."""
+    definitions holding a `for` loop that keeps a witness and breaks, keeps
+    its first match without breaking, or, outside a nested function,
+    returns a literal from its own body."""
     ladders, loops = [], set()
     for mod, tree in trees.items():
         for top in tree.body:
@@ -580,15 +614,9 @@ def _hand_written_scans(trees: dict[str, ast.Module]) -> tuple[list[str], set[st
                 # the literals it returns
                 body = list(_inside(node, _FUNCTIONS))
                 breaks = any(isinstance(n, ast.Break) for n in _inside(node, _FUNCTIONS + (ast.For, ast.While)))
-                targets = [
-                    t
-                    for n in body
-                    if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-                    for t in getattr(n, "targets", [getattr(n, "target", None)])
-                ]
-                keeps = breaks and any(isinstance(t, ast.Name) and t.id.endswith("witness") for t in targets)
+                keeps = breaks and any(name.endswith("witness") for name in _assigned(body))
                 returns = node in own and any(isinstance(n, ast.Return) and _is_literal(n.value) for n in body)
-                if keeps or returns:
+                if keeps or _keeps_first(body) or returns:
                     loops.add(f"{mod}.{getattr(top, 'name', '<module>')}")
     return ladders, loops
 
@@ -618,6 +646,39 @@ def swept(rep, xs):
 """
     trees = {**_trees(), "extra": ast.parse(source)}
     assert _hand_written_scans(trees)[1] - set(WITNESS_LOOPS) == {"extra.first_odd"}
+
+
+def test_a_loop_that_keeps_its_first_match_without_breaking_is_seen():
+    # two scans that read every case but keep only the first match, one
+    # under an `is None` guard and one by `or`, next to a loop that keeps
+    # its last match
+    source = """
+def first_outside(cases, members):
+    first_outside, first_gap, covered = None, None, 0
+    for f, q in cases:
+        if q is None:
+            first_gap = first_gap or [f]
+            continue
+        covered += 1
+        if first_outside is None and q not in members:
+            first_outside = (f, q)
+    return covered, first_outside
+
+def first_gap(cases):
+    gap = None
+    for f, q in cases:
+        gap = gap or (q is None and f)
+    return gap
+
+def last_outside(cases, members):
+    last = None
+    for f, q in cases:
+        if q not in members:
+            last = (f, q)
+    return last
+"""
+    trees = {**_trees(), "extra": ast.parse(source)}
+    assert _hand_written_scans(trees)[1] - set(WITNESS_LOOPS) == {"extra.first_outside", "extra.first_gap"}
 
 
 def _functions(tree: ast.Module):

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from corrkit import serialization as ser
+from corrkit.corpus import instance
 from corrkit.descent import Atlas, PairDeclaration, _mediator, _order_mismatch, check_atlas, check_nice_pair
 from corrkit.fincat import canonical_product, finset_category, mediators, poset_category, verify_product
 from corrkit.lattices import (
@@ -41,6 +43,7 @@ from corrkit.shriek import (
     verify_hypotheses,
 )
 
+from helpers import pair_to_dict
 from test_lattice import named_map
 
 DERANDOMIZED = settings(max_examples=80, deadline=None, derandomize=True)
@@ -161,6 +164,25 @@ def test_the_base_change_sweep_matches_the_three_loops_it_replaced(c, data):
     pd = PairDeclaration("nice", s, small, cover.members & set(inside), cover.members, e_small, atlases)
     ch = check_nice_pair(pd).checks[-1]
     assert (ch.name, ch.status, ch.witness) == ("exceptional-base-change", *_old_pair_sweep(pd))
+
+
+def test_the_three_base_change_checks_report_through_the_one_sweep(monkeypatch):
+    swept = []
+    sweep = VerificationReport.sweep
+    monkeypatch.setattr(
+        VerificationReport, "sweep", lambda rep, name, *args, **kw: swept.append(name) or sweep(rep, name, *args, **kw)
+    )
+    # a fresh carrier with gaps (each carrier keeps its setup verdicts), and
+    # a fresh copy of a bundled pair, whose carrier the corpus caches
+    c = finset_category({"0": 0, "1": 1, "2": 2})
+    s = GeometricSetup(c, EdgeClass(c, frozenset(c.morphism_ids)))
+    rep = check_geometric_setup(s)
+    assert rep.passed and rep.checks[2].witness["gaps"] > 0 and "pullback-stability" in swept
+    swept.clear()
+    assert check_atlas(Atlas(s, c.identity["2"], s.e, c.objects)).passed and swept == ["base-changes-in-cover-class"]
+    swept.clear()
+    pd = ser.loads(ser.dumps(pair_to_dict(instance("nice-pair-identity").build())))
+    assert check_nice_pair(pd).passed and "exceptional-base-change" in swept
 
 
 # -- the order comparison ------------------------------------------------------
