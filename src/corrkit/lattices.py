@@ -287,10 +287,6 @@ class LatticeMap:
         return self.table == other.table
 
 
-def identity_map(L: FiniteLattice) -> LatticeMap:
-    return LatticeMap(L, L, tuple(range(len(L.elements))))
-
-
 def compose_maps(g: LatticeMap, f: LatticeMap) -> LatticeMap:
     if g.src is not f.dst and g.src != f.dst:
         raise MalformedInputError("maps not composable")

@@ -11,6 +11,7 @@ into a functor on the homotopy span category) is verified elementwise.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .lattices import (
     CoefficientSystem,
@@ -20,14 +21,15 @@ from .lattices import (
     _first_difference,
     check_adjointable,
     compose_maps,
-    identity_map,
     left_adjoint,
     projection_witness,
     right_adjoint,
 )
 from .report import MalformedInputError, VerificationReport
 from .setups import EdgeClass, GeometricSetup, NagataSetup, merge_sub_setup
-from .spans import HCorr, Span, compose_spans
+
+if TYPE_CHECKING:
+    from .spans import HCorr, Span
 
 
 def check_nagata(ns: NagataSetup) -> VerificationReport:
@@ -317,17 +319,12 @@ def check_shriek_projection(ns: NagataSetup, sa: ShriekAssignment) -> Verificati
 
 
 def _span_targets(sa: ShriekAssignment, sp: Span) -> tuple[int, ...]:
-    """The target positions of `span_value`, with no map built: a composite
-    of monotone maps needs no monotonicity check."""
+    """The value of a span: pull along the left leg, then push exceptionally
+    along the right, as target positions.  A composite of monotone maps
+    needs no monotonicity check, so no map is built."""
     if sp.right not in sa.ns.setup.e.members:
         raise MalformedInputError(f"right leg {sp.right!r} is not marked")
     return _compose(sa.shriek[sp.right].targets, sa.sys.pull(sp.left).targets)
-
-
-def span_value(sa: ShriekAssignment, sp: Span) -> LatticeMap:
-    """Pull along the left leg, then push exceptionally along the right."""
-    targets = _span_targets(sa, sp)
-    return LatticeMap(sa.sys.pull(sp.left).src, sa.shriek[sp.right].dst, targets)
 
 
 class Formalism:
@@ -336,14 +333,16 @@ class Formalism:
 
 
 def assemble_formalism(ns: NagataSetup, sa: ShriekAssignment) -> Formalism:
-    """One lattice map per span class, valued on representatives."""
+    """One table of target positions per class, valued on representatives."""
+    from .spans import HCorr
+
     hc = HCorr(ns.setup)
     c = ns.setup.category
     mor_map = {}
     for x in c.objects:
         for y in c.objects:
             for rep_span, _ in hc.classes(x, y).values():
-                mor_map[rep_span.name] = span_value(sa, rep_span)
+                mor_map[rep_span.name] = _span_targets(sa, rep_span)
     return Formalism(hc, sa, mor_map)
 
 
@@ -352,12 +351,14 @@ def check_formalism(fm: Formalism) -> VerificationReport:
 
     Composable pairs whose composite escapes the carrier are counted as
     coverage, mirroring the span-law checker."""
+    from .spans import Span, compose_spans
+
     rep = VerificationReport("formalism")
     hc, sa = fm.hcorr, fm.sa
     c = hc.setup.category
     # each class with its members and its table, read once
     classes = {
-        (x, y): [(r, members, fm.mor_map[r.name].targets) for r, members in hc.classes(x, y).values()]
+        (x, y): [(r, members, fm.mor_map[r.name]) for r, members in hc.classes(x, y).values()]
         for x in c.objects
         for y in c.objects
     }
@@ -372,7 +373,7 @@ def check_formalism(fm: Formalism) -> VerificationReport:
     rep.sweep("representative-independence", all_classes, member_differs, anchor="descends-to-classes")
 
     def identity_moved(x):
-        if not fm.mor_map[hc.identity_id(x)].same_table(identity_map(sa.sys.lattice(x))):
+        if fm.mor_map[hc.identity_id(x)] != tuple(range(len(sa.sys.lattice(x).elements))):
             return {"object": x}
 
     rep.sweep("identity-spans", c.objects, identity_moved, anchor="unit-of-formalism")
@@ -396,14 +397,14 @@ def check_formalism(fm: Formalism) -> VerificationReport:
 
     def pullback_moved(m):
         cid = hc.class_id(Span(m, c.identity[c.src(m)]))
-        if not fm.mor_map[cid].same_table(sa.sys.pull(m)):
+        if fm.mor_map[cid] != sa.sys.pull(m).targets:
             return {"morphism": m, "route": "pullback-embedding"}
 
     rep.sweep("pullback-restriction", c.morphism_ids, pullback_moved, anchor="recovers-pullbacks")
 
     def exceptional_moved(m):
         cid = hc.class_id(Span(c.identity[c.src(m)], m))
-        if not fm.mor_map[cid].same_table(sa.shriek[m]):
+        if fm.mor_map[cid] != sa.shriek[m].targets:
             return {"morphism": m, "route": "exceptional-embedding"}
 
     marked = sorted(hc.setup.e.members)

@@ -919,13 +919,14 @@ _LOADED = (
 )
 
 
-def _loaded(cwd, *argv) -> set:
+def _loaded(cwd, *argv, exit_code=0) -> set:
     """The corrkit modules a fresh interpreter holds after it imports the
-    CLI and runs `corrkit ARGV`, if ARGV is given; the run must exit 0."""
+    CLI and runs `corrkit ARGV`, if ARGV is given; the run must exit with
+    `exit_code`."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corrkit.__file__)))
     out = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=cwd, env=env, capture_output=True, text=True)
     code, *modules = out.stderr.splitlines()[-1].split()
-    assert (out.returncode, code) == (0, "0"), out.stderr
+    assert (out.returncode, code) == (0, str(exit_code)), out.stderr
     return {m.removeprefix("corrkit.") for m in modules}
 
 
@@ -942,8 +943,20 @@ def test_a_run_loads_the_modules_the_readme_lists(tmp_path):
     assert _loaded(tmp_path) == {"cli", "report"}
     model = _loaded(tmp_path, "run", "--input", "L.json", "--suite", "model")
     assert model == {"cli", "fincat", "lattices", "report", "serialization", "setups"}
+    # only the formalism reads spans, so a gate alone does not load them
     search = _loaded(tmp_path, "search", "nagata")
-    assert search == {"cli", "fincat", "lattices", "report", "setups", "shriek", "spans"}
+    assert search == {"cli", "fincat", "lattices", "report", "setups", "shriek"}
+    # the benchmark's carriers children, on an all-function carrier
+    c = finset_category({"a": 0, "b": 1, "c": 2, "d": 2})
+    inj = EdgeClass(c, injections(c))
+    for name, i, p in (("all-iso.json", all_class(c), iso_class(c)), ("inj-all.json", inj, all_class(c))):
+        ns = NagataSetup(GeometricSetup(c, all_class(c)), i, p)
+        (tmp_path / name).write_text(ser.dumps(ser.nagata_to_dict(ns)))
+    declared = {"cli", "fincat", "report", "serialization", "setups"}
+    assert _loaded(tmp_path, "run", "--input", "all-iso.json", "--suite", "category", "--suite", "setup") == declared
+    assert _loaded(tmp_path, "run", "--input", "all-iso.json") == declared | {"lattices", "shriek", "spans"}
+    # inj/all fails the gate's support property, so no formalism runs
+    assert _loaded(tmp_path, "run", "--input", "inj-all.json", exit_code=1) == declared | {"lattices", "shriek"}
     # an exceptional pair reads its pushforwards as left adjoints, so it
     # builds no factorization setup
     (tmp_path / "P.json").write_text(ser.dumps(pair_to_dict(instance("exceptional-pair-cover").build())))

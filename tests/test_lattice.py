@@ -29,7 +29,6 @@ from corrkit.lattices import (
     fiberwise_join_map,
     fiberwise_meet_map,
     frame_system,
-    identity_map,
     left_adjoint,
     monotone_maps_between,
     n5_lattice,
@@ -57,6 +56,10 @@ def m3_lattice():
 def named_map(src, dst, table):
     """The map given by a table keyed by names."""
     return LatticeMap(src, dst, tuple(dst.elements.index(table[x]) for x in src.elements))
+
+
+def identity_map(L):
+    return LatticeMap(L, L, tuple(range(len(L.elements))))
 
 
 def meet_of(L, a, b):

@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corrkit.cli import _pushforwards
-from corrkit.corpus import corpus
+from corrkit.cli import _gated_shriek, _pushforwards
+from corrkit.corpus import corpus, instance
 from corrkit.fincat import (
     FinCategory,
     finset_category,
@@ -18,18 +18,20 @@ from corrkit.fincat import (
     surjections,
 )
 from corrkit.lattices import (
+    LatticeMap,
+    _compose,
     chain_lattice,
-    compose_maps,
     fiberwise_join_map,
     fiberwise_meet_map,
     frame_system,
     n5_lattice,
 )
-from corrkit.report import MalformedInputError
+from corrkit.report import MalformedInputError, VerificationReport
 from corrkit.setups import EdgeClass, GeometricSetup, all_class, iso_class
 from corrkit.shriek import (
     NagataSetup,
     ShriekAssignment,
+    _span_targets,
     assemble_formalism,
     build_shriek,
     cartesian_squares,
@@ -39,7 +41,6 @@ from corrkit.shriek import (
     check_independence,
     check_nagata,
     check_shriek_projection,
-    span_value,
     verify_hypotheses,
 )
 from corrkit.spans import Span
@@ -570,11 +571,47 @@ def test_formalism_mutation_located():
     sa = build_shriek(ns, sys)
     fm = assemble_formalism(ns, sa)
     target = fm.hcorr.class_id(Span("2>1:0.0", "2>2:0.0"))
-    fm.mor_map[target] = compose_maps(sys.pull("2>2:1.0"), fm.mor_map[target])
+    fm.mor_map[target] = _compose(sys.pull("2>2:1.0").targets, fm.mor_map[target])
     rep = check_formalism(fm)
     assert not rep.passed
     failed = {f.name for f in rep.failures}
     assert "composition" in failed
+
+
+def _gated_nagata_open():
+    ns = instance("nagata-open").build()
+    return ns, _gated_shriek(VerificationReport("gate"), ns)
+
+
+def test_the_formalism_builds_no_lattice_map(monkeypatch):
+    # a class's value is its table of target positions, compared as a tuple
+    ns, sa = _gated_nagata_open()
+    built = []
+    post_init = LatticeMap.__post_init__
+    monkeypatch.setattr(LatticeMap, "__post_init__", lambda self: built.append(self) or post_init(self))
+    assert check_formalism(assemble_formalism(ns, sa)).passed
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "span, check, witness",
+    [
+        (Span("1>1:0", "1>1:0"), "identity-spans", {"object": "1"}),
+        (Span("1>2:0", "1>1:0"), "pullback-restriction", {"morphism": "1>2:0", "route": "pullback-embedding"}),
+        (Span("1>1:0", "1>2:0"), "exceptional-restriction", {"morphism": "1>2:0", "route": "exceptional-embedding"}),
+    ],
+)
+def test_each_formalism_check_fails_on_a_reversed_table(span, check, witness):
+    # the span is its class's representative, so the class's stored table
+    # no longer matches it either
+    ns, sa = _gated_nagata_open()
+    fm = assemble_formalism(ns, sa)
+    cid = fm.hcorr.class_id(span)
+    assert cid == span.name
+    fm.mor_map[cid] = fm.mor_map[cid][::-1]
+    failed = {f.name: f.witness for f in check_formalism(fm).failures}
+    assert failed[check] == witness
+    assert failed["representative-independence"] == {"class": cid, "member": [span.left, span.right]}
 
 
 def _composition_counts(sizes) -> tuple[int, int]:
@@ -643,4 +680,4 @@ def test_span_value_requires_marked_right_leg():
     )
     sa = build_shriek(ns, sys)
     with pytest.raises(MalformedInputError):
-        span_value(sa, Span("1>1:0", "1>2:0"))
+        _span_targets(sa, Span("1>1:0", "1>2:0"))
